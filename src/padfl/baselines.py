@@ -14,7 +14,6 @@ from .protocol import (
     ClientRow,
     FederatedMethod,
     LocalResult,
-    RoundAudit,
     mean_arrays,
 )
 
@@ -27,15 +26,13 @@ def plain_sgd(model: PlainModel, arch: CnnArch, client_data, *, epochs, batch, l
     arrays = [a.copy() for a in model.arrays()]
     for arr in arrays:
         if not np.isfinite(arr).all():
-            return None, float("nan"), None
+            return None, float("nan")
     losses = []
-    used = []
     n_conv, n_fc = len(model.conv_w), len(model.fc_w)
     for _ in range(epochs):
         order = rng.permutation(len(train_idx))
         for start in range(0, len(order), batch):
             sel = train_idx[order[start:start + batch]]
-            used.append(sel)
             leaves = [ad.leaf(a) for a in arrays]
             nodes = (leaves[:n_conv], leaves[n_conv:2 * n_conv],
                      leaves[2 * n_conv:2 * n_conv + n_fc],
@@ -45,18 +42,45 @@ def plain_sgd(model: PlainModel, arch: CnnArch, client_data, *, epochs, batch, l
                                     y_all[sel])
             val = float(loss.data)
             if not np.isfinite(val):
-                return None, float("nan"), None
+                return None, float("nan")
             losses.append(val)
             ad.backward(loss)
             for arr, node in zip(arrays, leaves):
                 if node.grad is not None:
                     arr -= lr * node.grad
     out = PlainModel.from_arrays(model, arrays)
-    used_idx = np.unique(np.concatenate(used)) if used else np.empty(0, dtype=np.int64)
-    return out, float(np.mean(losses)) if losses else float("nan"), used_idx
+    return out, float(np.mean(losses)) if losses else float("nan")
 
 
-class FedAvgMinWidth(FederatedMethod):
+class DenseMethod(FederatedMethod):
+    """Methods that train a dense model: client i starts from, and is
+    evaluated with, `client_view(i)`."""
+
+    def client_view(self, i) -> PlainModel:
+        raise NotImplementedError
+
+    def train_client(self, t, i, eta):
+        model, loss = plain_sgd(
+            self.client_view(i), self.layout.arch, self.profiles[i].data,
+            epochs=self.cfg.epochs, batch=self.cfg.batch, lr=eta,
+            rng=self.client_rng(t, i))
+        if model is None:
+            return LocalResult(i, ok=False)
+        return LocalResult(i, ok=True, train_loss=loss, model=model)
+
+    def evaluate_client(self, profile, result):
+        model = self.client_view(profile.id)
+        xv, yv = profile.data.val_xy()
+        xt, yt = profile.data.test_xy()
+        return ClientRow(profile.id, profile.capacity, model.width,
+                         result is not None,
+                         result.train_loss if result else float("nan"),
+                         plain_accuracy(self.layout.arch, model, xv, yv),
+                         plain_accuracy(self.layout.arch, model, xt, yt),
+                         float("nan"))
+
+
+class FedAvgMinWidth(DenseMethod):
     """One shared dense model sized for the lowest-capacity client;
     position-wise mean aggregation, no personalization."""
 
@@ -66,38 +90,12 @@ class FedAvgMinWidth(FederatedMethod):
         rng = np.random.default_rng(np.random.SeedSequence((seed, TAG_INIT)))
         self.model = init_plain(layout.arch, self.width, rng)
 
-    def train_client(self, t, i, eta):
-        model, loss, used = plain_sgd(
-            self.model, self.layout.arch, self.profiles[i].data,
-            epochs=self.cfg.epochs, batch=self.cfg.batch, lr=eta,
-            rng=self.client_rng(t, i))
-        if model is None:
-            return LocalResult(i, ok=False)
-        res = LocalResult(i, ok=True, train_loss=loss, used_idx=used)
-        res.model = model
-        return res
+    def client_view(self, i):
+        return self.model
 
-    def aggregate(self, t, ok, results, audit):
-        audit_obj = None
-        if audit:
-            audit_obj = RoundAudit({i: [a.copy() for a in results[i].model.arrays()]
-                                    for i in ok}, None, self.model.head_w.copy(),
-                                   self.model.head_b.copy(), None)
+    def aggregate(self, t, ok, results):
         mixed = mean_arrays([results[i].model.arrays() for i in sorted(ok)])
         self.model = PlainModel.from_arrays(self.model, mixed)
-        if audit_obj is not None:
-            audit_obj.aggregated = [a.copy() for a in mixed]
-        return audit_obj
-
-    def evaluate_client(self, profile, result):
-        xv, yv = profile.data.val_xy()
-        xt, yt = profile.data.test_xy()
-        return ClientRow(profile.id, profile.capacity, self.width,
-                         result is not None,
-                         result.train_loss if result else float("nan"),
-                         plain_accuracy(self.layout.arch, self.model, xv, yv),
-                         plain_accuracy(self.layout.arch, self.model, xt, yt),
-                         float("nan"))
 
     def round_payload(self, selected):
         size = sum(a.size for a in self.model.arrays())
@@ -138,7 +136,7 @@ def nested_keys(arch: CnnArch, p) -> list:
     return keys
 
 
-class PWidthNested(FederatedMethod):
+class PWidthNested(DenseMethod):
     """Nested width slicing of one shared dense model: client i trains
     the leading p_i share of every layer; aggregation averages each
     entry over the clients whose slice covers it."""
@@ -156,23 +154,7 @@ class PWidthNested(FederatedMethod):
         view.width = self.profiles[i].width
         return view
 
-    def train_client(self, t, i, eta):
-        model, loss, used = plain_sgd(
-            self.client_view(i), self.layout.arch, self.profiles[i].data,
-            epochs=self.cfg.epochs, batch=self.cfg.batch, lr=eta,
-            rng=self.client_rng(t, i))
-        if model is None:
-            return LocalResult(i, ok=False)
-        res = LocalResult(i, ok=True, train_loss=loss, used_idx=used)
-        res.model = model
-        return res
-
-    def aggregate(self, t, ok, results, audit):
-        audit_obj = None
-        if audit:
-            audit_obj = RoundAudit({i: [a.copy() for a in results[i].model.arrays()]
-                                    for i in ok}, None, self.model.head_w.copy(),
-                                   self.model.head_b.copy(), None)
+    def aggregate(self, t, ok, results):
         new_arrays = []
         for idx, full in enumerate(self.model.arrays()):
             acc = np.zeros_like(full)
@@ -186,20 +168,6 @@ class PWidthNested(FederatedMethod):
             merged[covered] = acc[covered] / count[covered]
             new_arrays.append(merged)
         self.model = PlainModel.from_arrays(self.model, new_arrays)
-        if audit_obj is not None:
-            audit_obj.aggregated = [a.copy() for a in new_arrays]
-        return audit_obj
-
-    def evaluate_client(self, profile, result):
-        view = self.client_view(profile.id)
-        xv, yv = profile.data.val_xy()
-        xt, yt = profile.data.test_xy()
-        return ClientRow(profile.id, profile.capacity, profile.width,
-                         result is not None,
-                         result.train_loss if result else float("nan"),
-                         plain_accuracy(self.layout.arch, view, xv, yv),
-                         plain_accuracy(self.layout.arch, view, xt, yt),
-                         float("nan"))
 
     def round_payload(self, selected):
         total = 0
@@ -208,7 +176,7 @@ class PWidthNested(FederatedMethod):
         return total
 
 
-class LocalOnly(FederatedMethod):
+class LocalOnly(DenseMethod):
     """No federation: every client trains its own width-matched dense
     model whenever it is sampled."""
 
@@ -219,32 +187,12 @@ class LocalOnly(FederatedMethod):
             rng = np.random.default_rng(np.random.SeedSequence((seed, TAG_INIT, p.id)))
             self.models[p.id] = init_plain(layout.arch, p.width, rng)
 
-    def train_client(self, t, i, eta):
-        model, loss, used = plain_sgd(
-            self.models[i], self.layout.arch, self.profiles[i].data,
-            epochs=self.cfg.epochs, batch=self.cfg.batch, lr=eta,
-            rng=self.client_rng(t, i))
-        if model is None:
-            return LocalResult(i, ok=False)
-        res = LocalResult(i, ok=True, train_loss=loss, used_idx=used)
-        res.model = model
-        return res
+    def client_view(self, i):
+        return self.models[i]
 
-    def aggregate(self, t, ok, results, audit):
+    def aggregate(self, t, ok, results):
         for i in ok:
             self.models[i] = results[i].model
-        return None
-
-    def evaluate_client(self, profile, result):
-        model = self.models[profile.id]
-        xv, yv = profile.data.val_xy()
-        xt, yt = profile.data.test_xy()
-        return ClientRow(profile.id, profile.capacity, profile.width,
-                         result is not None,
-                         result.train_loss if result else float("nan"),
-                         plain_accuracy(self.layout.arch, model, xv, yv),
-                         plain_accuracy(self.layout.arch, model, xt, yt),
-                         float("nan"))
 
     def round_payload(self, selected):
         return 0

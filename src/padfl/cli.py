@@ -1,6 +1,6 @@
 """Command-line entry: run experiments, render reports, print cost tables.
 
-Exit codes: 0 ok, 2 configuration error, 3 numeric failure.
+Exit codes: 0 ok, 2 configuration or input error, 3 numeric failure.
 """
 from __future__ import annotations
 
@@ -8,8 +8,8 @@ import argparse
 import os
 import sys
 
-from .config import load_config
-from .errors import ConfigurationError, FormatError, NumericError
+from .config import BLAS_THREAD_VARS, load_config
+from .errors import NumericError, PadflError
 
 
 def _resolve_out(cfg):
@@ -20,6 +20,11 @@ def _resolve_out(cfg):
 
 
 def main(argv=None):
+    # Pin BLAS to one thread before numpy loads, so runs default to one
+    # worker process per CPU and their bytes do not depend on the core count.
+    if "numpy" not in sys.modules:
+        for var in BLAS_THREAD_VARS:
+            os.environ.setdefault(var, "1")
     parser = argparse.ArgumentParser(prog="padfl",
                                      description="capacity-heterogeneous personalized "
                                                  "federated learning simulator")
@@ -60,12 +65,12 @@ def main(argv=None):
 
             cfg = load_config(args.config, args.overrides)
             print(format_account(account(cfg)))
-    except (ConfigurationError, FormatError, FileNotFoundError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except (PadflError, FileNotFoundError) as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -5,13 +5,28 @@ fail before any training starts.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import os
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .errors import ConfigurationError
 
 METHODS = ("Pa3dFL", "FedAvgMinWidth", "PWidthNested", "LocalOnly",
            "Pa3dFL_NoHNAgg", "Pa3dFL_FlancDecomp")
+
+# Thread-pool sizes BLAS/OpenMP read once, when numpy loads.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def default_workers() -> int:
+    """One worker process per usable CPU when the environment pins BLAS to
+    one thread, else 1: unpinned BLAS threads in several processes
+    oversubscribe the CPUs."""
+    if any(os.environ.get(v) != "1" for v in BLAS_THREAD_VARS):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass
@@ -46,7 +61,7 @@ class RunConfig:
     capacity: str = "hetero"          # hetero | ideal
     patience_frac: float = 0.2
     alpha_grid: int = 11
-    workers: int = 1
+    workers: int = field(default_factory=default_workers)
 
     # model
     conv_channels: tuple = (16, 16)

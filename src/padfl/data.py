@@ -88,14 +88,13 @@ def synth_gaussian(classes, per_class, shape=(1, 28, 28), separation=3.0, seed=0
         base = rng.standard_normal((dim, classes))
     q, _ = np.linalg.qr(base)
     means = separation * q.T  # (classes, dim)
-    xs, ys = [], []
-    for c in range(classes):
-        xs.append(means[c] + rng.standard_normal((per_class, dim)))
-        ys.append(np.full(per_class, c, dtype=np.int64))
-    x = np.concatenate(xs).reshape(-1, *shape)
-    y = np.concatenate(ys)
+    # one draw gives the same stream as one draw per class, without the
+    # per-class temporaries
+    x = rng.standard_normal((classes, per_class, dim))
+    x += means[:, None, :]
+    y = np.repeat(np.arange(classes, dtype=np.int64), per_class)
     perm = rng.permutation(len(y))
-    return Dataset(x[perm], y[perm], classes)
+    return Dataset(x.reshape(-1, *shape)[perm], y[perm], classes)
 
 
 # ---------------------------------------------------------------------------

@@ -218,12 +218,6 @@ def recover_flanc(general, personal, spec, out_kept=None, in_kept=None) -> np.nd
                            out_kept=out_kept, in_kept=in_kept).data
 
 
-def conv_weight_matrix(layer_or_weight) -> np.ndarray:
-    if isinstance(layer_or_weight, DecomposedLayer):
-        return recover_padfl(layer_or_weight)
-    return layer_or_weight
-
-
 # ---------------------------------------------------------------------------
 # pruning
 

@@ -52,10 +52,6 @@ class Layout:
     min_width: Fraction
 
     @property
-    def num_layers(self):
-        return len(self.specs)
-
-    @property
     def classes(self):
         return self.arch.classes
 

@@ -6,9 +6,16 @@ updates, average the general factors over the round's survivors, then
 regress the hyper-network onto the locally trained personal parameters.
 Evaluation fuses the freshly received model with each client's last
 locally trained model by a validation-accuracy line search.
+
+Sampling, aggregation and the hyper-network step run in the calling
+process. Per-client training and evaluation can run in forked worker
+processes (`map_clients`); results are reduced in client-id order, so a
+round's outcome does not depend on the number of workers.
 """
 from __future__ import annotations
 
+import os
+import pickle
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -52,9 +59,10 @@ class ClientProfile:
 def width_for_capacity(r, grid) -> Fraction:
     """Largest grid width whose quadratic cost fits the capacity; clients
     below the smallest width are clamped to it."""
+    num, den = Fraction(r).as_integer_ratio()  # exact, unlike float(p) ** 2
     best = grid[0]
     for p in grid:
-        if float(p) ** 2 <= r:
+        if p.numerator ** 2 * den <= num * p.denominator ** 2:
             best = p
     return best
 
@@ -114,7 +122,7 @@ class LocalResult:
     general: GeneralParams = None
     personal: PersonalParams = None
     train_loss: float = float("nan")
-    used_idx: np.ndarray = None
+    model: object = None            # the dense methods' trained PlainModel
 
 
 def local_update(general, personal, global_head, client: ClientProfile, layout: Layout,
@@ -139,12 +147,10 @@ def local_update(general, personal, global_head, client: ClientProfile, layout: 
             return LocalResult(client.id, ok=False)
     gw, gb = ad.const(global_head.w), ad.const(global_head.b)
     losses = []
-    used = []
     for _ in range(epochs):
         order = rng.permutation(len(train_idx))
         for start in range(0, len(order), batch):
             sel = train_idx[order[start:start + batch]]
-            used.append(sel)
             x = x_all[sel]
             y = y_all[sel]
             u_nodes = [ad.leaf(a) for a in u_arr]
@@ -179,7 +185,6 @@ def local_update(general, personal, global_head, client: ClientProfile, layout: 
         general=GeneralParams(u_arr),
         personal=PersonalParams(v_arr, b_arr, hw_arr, hb_arr),
         train_loss=float(np.mean(losses)) if losses else float("nan"),
-        used_idx=np.unique(np.concatenate(used)) if used else np.empty(0, dtype=np.int64),
     )
 
 
@@ -228,15 +233,6 @@ class ClientRow:
 
 
 @dataclass
-class RoundAudit:
-    returned_general: dict
-    aggregated: list
-    head_w: np.ndarray
-    head_b: np.ndarray
-    used_idx: dict
-
-
-@dataclass
 class RoundMetrics:
     round: int
     eta: float
@@ -248,7 +244,6 @@ class RoundMetrics:
     std_test: float
     params_exchanged: int
     hn_loss: float = float("nan")
-    audit: RoundAudit = None
 
 
 def mean_arrays(array_lists):
@@ -258,6 +253,69 @@ def mean_arrays(array_lists):
         for a, b in zip(acc, arrs):
             a += b
     return [a / len(array_lists) for a in acc]
+
+
+def map_clients(fn, ids, workers):
+    """[fn(i) for i in ids], computed in up to `workers` forked processes.
+
+    Each call forks fresh workers, so they see the caller's state as it is
+    now; only fn's results cross back, pickled, and state that fn changes
+    in a worker is lost. Worker w runs ids[w::workers]. An exception raised
+    in a worker is re-raised here with its type. Runs in the calling
+    process for one worker or where fork is unavailable.
+    """
+    ids = list(ids)
+    workers = min(workers, len(ids))
+    if workers <= 1 or not hasattr(os, "fork"):
+        return [fn(i) for i in ids]
+    readers, exit_codes = [], {}
+    try:
+        for w in range(workers):
+            r, fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(r)
+                _worker(fn, ids[w::workers], fd)
+            os.close(fd)
+            readers.append((pid, os.fdopen(r, "rb")))
+        payloads = [fh.read() for _, fh in readers]
+    finally:
+        for pid, fh in readers:
+            fh.close()
+            exit_codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    results, error = [None] * len(ids), None
+    for w, ((pid, _), payload) in enumerate(zip(readers, payloads)):
+        try:
+            ok, value = pickle.loads(payload)
+        except Exception as exc:  # noqa: BLE001 - empty or cut short if the worker died
+            ok, value = False, ChildProcessError(
+                f"worker {pid} (exit code {exit_codes[pid]}) sent no readable result: {exc!r}")
+        if ok:
+            results[w::workers] = value
+        else:
+            error = error or value
+    if error is not None:
+        raise error
+    return results
+
+
+def _worker(fn, ids, fd):
+    """One forked worker: send [fn(i) for i in ids], or the error, to the
+    parent through fd. Never returns."""
+    try:
+        result = (True, [fn(i) for i in ids])
+    except BaseException as exc:  # noqa: BLE001 - re-raised in the parent
+        result = (False, exc)
+    try:
+        try:
+            payload = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:  # noqa: BLE001 - an unpicklable result or error
+            failure = exc if result[0] else result[1]
+            payload = pickle.dumps((False, RuntimeError(repr(failure))))
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(payload)
+    finally:
+        os._exit(0)
 
 
 class FederatedMethod:
@@ -283,40 +341,39 @@ class FederatedMethod:
             raise ConfigurationError(f"cannot sample {m} of {n} clients")
         return sorted(int(i) for i in self.server_rng.choice(n, size=m, replace=False))
 
-    def run_round(self, t, executor=None, audit=False) -> RoundMetrics:
+    def run_round(self, t) -> RoundMetrics:
+        """Sample, train and aggregate, then evaluate every client; the
+        per-client phases run on `cfg.workers` processes."""
         selected = self.sample_clients(self.cfg.per_round)
         eta = self.eta(t)
-
-        def work(i):
-            return self.train_client(t, i, eta)
-
-        if executor is not None:
-            results = {r.client: r for r in executor.map(work, selected)}
-        else:
-            results = {i: work(i) for i in selected}
-        ok = [i for i in selected if results[i].ok]
-        failed = [i for i in selected if not results[i].ok]
+        self.prepare()
+        trained = map_clients(lambda i: self.train_client(t, i, eta), selected,
+                              self.cfg.workers)
+        results = {i: r for i, r in zip(selected, trained) if r.ok}
+        ok = sorted(results)
+        failed = [i for i in selected if i not in results]
         if not ok:
             raise NumericError(f"every client failed in round {t}")
-        audit_obj = self.aggregate(t, ok, results, audit)
-        rows = [self.evaluate_client(self.profiles[i],
-                                     results.get(i) if results.get(i) and results[i].ok else None)
-                for i in range(len(self.profiles))]
+        self.aggregate(t, ok, results)
+        self.prepare()
+        rows = map_clients(lambda i: self.evaluate_client(self.profiles[i], results.get(i)),
+                           range(len(self.profiles)), self.cfg.workers)
         tests = np.array([r.test_acc for r in rows])
         vals = np.array([r.val_acc for r in rows])
-        if audit_obj is not None:
-            audit_obj.used_idx = {i: results[i].used_idx for i in ok}
         return RoundMetrics(
             round=t, eta=eta, selected=selected, failed=failed, rows=rows,
             mean_val=float(vals.mean()), mean_test=float(tests.mean()),
             std_test=float(tests.std()), params_exchanged=self.round_payload(selected),
-            hn_loss=getattr(self, "last_hn_loss", float("nan")), audit=audit_obj)
+            hn_loss=getattr(self, "last_hn_loss", float("nan")))
 
     # method-specific hooks
+    def prepare(self):
+        """Compute what the next client phase reads, before workers fork."""
+
     def train_client(self, t, i, eta) -> LocalResult:
         raise NotImplementedError
 
-    def aggregate(self, t, ok, results, audit):
+    def aggregate(self, t, ok, results):
         raise NotImplementedError
 
     def evaluate_client(self, profile, result) -> ClientRow:
@@ -347,14 +404,21 @@ class DecomposedFL(FederatedMethod):
         self.last_hn_loss = float("nan")
         # personal parameters kept client-side for the no-aggregation ablation
         self.local_personal = {}
+        self.generated = None  # every client's generated parameters, per hn state
+
+    def prepare(self):
+        if self.generated is None:
+            widths = {p.id: p.width for p in self.profiles}
+            _, gen = hypernet.generation_graph(self.hn, sorted(widths), self.layout, widths,
+                                               prune_kind=self.recovery)
+            self.generated = {i: g.values() for i, g in gen.items()}
 
     def sent_personal(self, i) -> PersonalParams:
         """What the server sends client i this round."""
-        profile = self.profiles[i]
         if not self.hn_aggregation and i in self.local_personal:
             return self.local_personal[i].copy()
-        return hypernet.generate_personal(self.hn, i, self.layout, profile.width,
-                                          prune_kind=self.recovery)
+        self.prepare()
+        return self.generated[i]
 
     def train_client(self, t, i, eta):
         profile = self.profiles[i]
@@ -365,18 +429,9 @@ class DecomposedFL(FederatedMethod):
             reg_coef=self.cfg.reg_lambda, rng=self.client_rng(t, i),
             recovery=self.recovery)
 
-    def aggregate(self, t, ok, results, audit):
-        audit_obj = None
-        if audit:
-            audit_obj = RoundAudit(
-                returned_general={i: [f.copy() for f in results[i].general.factors]
-                                  for i in ok},
-                aggregated=None, head_w=self.global_head.w.copy(),
-                head_b=self.global_head.b.copy(), used_idx=None)
+    def aggregate(self, t, ok, results):
         self.general = GeneralParams(mean_arrays(
             [results[i].general.factors for i in sorted(ok)]))
-        if audit_obj is not None:
-            audit_obj.aggregated = [f.copy() for f in self.general.factors]
         for i in ok:
             res = results[i]
             profile = self.profiles[i]
@@ -391,7 +446,7 @@ class DecomposedFL(FederatedMethod):
             self.hn, self.last_hn_loss = hypernet.hn_step(
                 self.hn, returned, widths, self.layout, self.cfg.hn_lr,
                 prune_kind=self.recovery)
-        return audit_obj
+            self.generated = None
 
     def evaluate_client(self, profile, result):
         p = profile.width

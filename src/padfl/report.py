@@ -166,24 +166,12 @@ def account(cfg: RunConfig):
     """Analytic per-capacity cost rows for the configured model."""
     from .runner import build_arch, build_dataset
 
-    if cfg.dataset == "synth":
-        c, h, w = cfg.synth_shape
-        classes = cfg.synth_classes
-    else:
-        ds = build_dataset(cfg)
-        c, h, w = ds.features.shape[1:]
-        classes = ds.classes
-    from .model import CnnArch, ConvBlock
-
-    arch = CnnArch(c, h, w,
-                   convs=tuple(ConvBlock(ch, cfg.conv_kernel, 1, cfg.conv_kernel // 2, True)
-                               for ch in cfg.conv_channels),
-                   hidden=tuple(cfg.fc_dims), classes=classes)
+    arch = build_arch(cfg, None if cfg.dataset == "synth" else build_dataset(cfg))
     layout = build_layout(arch, cfg.min_width)
     grid = supported_widths(cfg.min_width)
     # output spatial size of each conv (pre-pool), 1 for linears
     qs = []
-    hw = (h, w)
+    hw = (arch.height, arch.width)
     for cb in arch.convs:
         ho = (hw[0] + 2 * cb.pad - cb.kernel) // cb.stride + 1
         wo = (hw[1] + 2 * cb.pad - cb.kernel) // cb.stride + 1
@@ -192,7 +180,7 @@ def account(cfg: RunConfig):
     qs.extend([1] * len(arch.hidden))
     rows = []
     for r in ACCOUNT_RATIOS:
-        p = width_for_capacity(float(r), grid)
+        p = width_for_capacity(r, grid)
         forward = 0
         recovery = 0
         params = 0

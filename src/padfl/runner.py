@@ -3,7 +3,8 @@
 A run is a pure function of (config, seed): datasets, partitions,
 capacities, initialization and every per-client batch order derive from
 named seed streams, and client results are reduced in client-id order,
-so metrics.csv comes out byte-identical however work is scheduled.
+so metrics.csv comes out byte-identical for any number of worker
+processes, provided BLAS runs one thread per process.
 """
 from __future__ import annotations
 
@@ -11,7 +12,6 @@ import json
 import os
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,7 +35,6 @@ class RunRecord:
     early_stopped: bool
     wall_time: float
     out_dir: str
-    audits: list = None
 
 
 def build_dataset(cfg: RunConfig):
@@ -54,12 +53,15 @@ def build_partition(cfg: RunConfig, dataset):
     return partition_k_of_k(dataset, cfg.clients, cfg.classes_per_client, seed)
 
 
-def build_arch(cfg: RunConfig, dataset) -> CnnArch:
-    c, h, w = dataset.features.shape[1:]
+def build_arch(cfg: RunConfig, dataset=None) -> CnnArch:
+    """The configured CNN for dataset's images, or for the synth shape."""
+    if dataset is None:
+        (c, h, w), classes = cfg.synth_shape, cfg.synth_classes
+    else:
+        (c, h, w), classes = dataset.features.shape[1:], dataset.classes
     convs = tuple(ConvBlock(ch, cfg.conv_kernel, 1, cfg.conv_kernel // 2, True)
                   for ch in cfg.conv_channels)
-    return CnnArch(c, h, w, convs=convs, hidden=tuple(cfg.fc_dims),
-                   classes=dataset.classes)
+    return CnnArch(c, h, w, convs=convs, hidden=tuple(cfg.fc_dims), classes=classes)
 
 
 def build_profiles(cfg: RunConfig, partition):
@@ -89,8 +91,13 @@ def build_method(cfg: RunConfig, profiles, layout):
     raise ConfigurationError(f"unknown method {cfg.method!r}")
 
 
-def run(cfg: RunConfig, audit=False) -> RunRecord:
+def run(cfg: RunConfig) -> RunRecord:
     """Execute one configured run; writes metrics.csv and summary.json.
+
+    Per-client training and evaluation run on `cfg.workers` forked
+    processes. With `workers > 1` BLAS must be pinned to one thread
+    (OPENBLAS_NUM_THREADS=1 and friends, set before numpy loads):
+    otherwise the processes oversubscribe the CPUs.
 
     On a numeric failure the partial record is flagged `failed` on disk
     and the error re-raised for the caller.
@@ -105,32 +112,22 @@ def run(cfg: RunConfig, audit=False) -> RunRecord:
     patience = None
     if cfg.patience_frac > 0 and cfg.rounds > 0:
         patience = max(1, int(round(cfg.patience_frac * cfg.rounds)))
-    executor = ThreadPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
-    rounds, audits = [], []
+    rounds = []
     history = []
     early = False
-    status = "ok"
     try:
         for t in range(cfg.rounds):
-            metrics = method.run_round(t, executor=executor, audit=audit)
+            metrics = method.run_round(t)
             rounds.append(metrics)
-            if audit:
-                audits.append(metrics.audit)
             history.append(metrics.mean_val)
             if patience is not None and protocol.early_stop(history, patience):
                 early = True
                 break
     except NumericError:
-        status = "failed"
-        record = RunRecord(cfg, rounds, status, early, time.monotonic() - started,
-                           cfg.out_dir, audits)
-        persist(record)
+        persist(RunRecord(cfg, rounds, "failed", early, time.monotonic() - started,
+                          cfg.out_dir))
         raise
-    finally:
-        if executor is not None:
-            executor.shutdown()
-    record = RunRecord(cfg, rounds, status, early, time.monotonic() - started,
-                       cfg.out_dir, audits)
+    record = RunRecord(cfg, rounds, "ok", early, time.monotonic() - started, cfg.out_dir)
     persist(record)
     return record
 

@@ -22,13 +22,13 @@ class TestFedAvgMinWidth:
         selected = method.sample_clients(1)
         i = selected[0]
         res = method.train_client(0, i, cfg.lr)
-        method.aggregate(0, [i], {i: res}, audit=False)
+        method.aggregate(0, [i], {i: res})
         # aggregate of one client is exactly that client's model
         for a, b in zip(method.model.arrays(), res.model.arrays()):
             assert np.array_equal(a, b)
-        ref, _, _ = baselines.plain_sgd(start, layout.arch, profiles[i].data,
-                                        epochs=cfg.epochs, batch=cfg.batch,
-                                        lr=cfg.lr, rng=method.client_rng(0, i))
+        ref, _ = baselines.plain_sgd(start, layout.arch, profiles[i].data,
+                                     epochs=cfg.epochs, batch=cfg.batch,
+                                     lr=cfg.lr, rng=method.client_rng(0, i))
         for a, b in zip(method.model.arrays(), ref.arrays()):
             assert np.array_equal(a, b)
 
@@ -38,7 +38,7 @@ class TestFedAvgMinWidth:
         snap = [a.copy() for a in method.model.arrays()]
         mk = lambda i: type("R", (), {"client": i, "ok": True,
                                       "model": method.model.copy()})()
-        method.aggregate(0, [0, 1], {0: mk(0), 1: mk(1)}, audit=False)
+        method.aggregate(0, [0, 1], {0: mk(0), 1: mk(1)})
         for a, b in zip(method.model.arrays(), snap):
             assert np.array_equal(a, b)
 
@@ -60,7 +60,7 @@ class TestPWidthNested:
                                           for a in method.model.arrays()])
                   for _ in range(2)]
         mk = lambda i: type("R", (), {"client": i, "ok": True, "model": models[i]})()
-        method.aggregate(0, [0, 1], {0: mk(0), 1: mk(1)}, audit=False)
+        method.aggregate(0, [0, 1], {0: mk(0), 1: mk(1)})
         for got, a, b in zip(method.model.arrays(), models[0].arrays(),
                              models[1].arrays()):
             assert np.allclose(got, (a + b) / 2, atol=1e-15)
@@ -73,7 +73,7 @@ class TestPWidthNested:
         new = PlainModel.from_arrays(view, [np.full_like(a, 7.0) for a in view.arrays()])
         mk = type("R", (), {"client": 0, "ok": True, "model": new})()
         before = [a.copy() for a in method.model.arrays()]
-        method.aggregate(0, [0], {0: mk}, audit=False)
+        method.aggregate(0, [0], {0: mk})
         for idx, (got, old) in enumerate(zip(method.model.arrays(), before)):
             key = method.keys[0][idx]
             assert np.all(got[key] == 7.0)
@@ -95,7 +95,7 @@ class TestPWidthNested:
                                      for a in method.client_view(1).arrays()])
         base = [a.copy() for a in method.model.arrays()]
         mk = lambda i, m: type("R", (), {"client": i, "ok": True, "model": m})()
-        method.aggregate(0, [0, 1], {0: mk(0, m0), 1: mk(1, m1)}, audit=False)
+        method.aggregate(0, [0, 1], {0: mk(0, m0), 1: mk(1, m1)})
         # brute-force oracle: scatter every entry, then average by coverage
         for idx, got in enumerate(method.model.arrays()):
             acc = np.zeros_like(base[idx])

@@ -74,6 +74,14 @@ class TestConfig:
         cfg = load_config(str(path), ["lr=0.5", "seed=9"])
         assert cfg.lr == 0.5 and cfg.seed == 9
 
+    def test_override_values_are_taken_verbatim(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text(SMALL)
+        assert load_config(str(path), ["out_dir=runs/#3"]).out_dir == "runs/#3"
+        for bad in ("", "lr"):
+            with pytest.raises(ConfigurationError, match="not key=value"):
+                load_config(str(path), [bad])
+
 
 class TestRun:
     def test_zero_rounds_valid_record(self, tmp_path):
@@ -242,6 +250,12 @@ class TestReport:
 
 
 class TestAccount:
+    def test_synth_account_generates_no_data(self, tmp_path, monkeypatch):
+        cfg = small_cfg(tmp_path)
+        expect = report.account(cfg)
+        monkeypatch.setattr(runner, "build_dataset", None)
+        assert report.account(cfg) == expect
+
     def test_full_capacity_row_is_full_model(self, tmp_path):
         cfg = small_cfg(tmp_path)
         rows = report.account(cfg)
@@ -303,6 +317,14 @@ class TestCliEntry:
         cfg_path = tmp_path / "c.cfg"
         cfg_path.write_text("not_a_key = 1\n")
         assert cli_main(["run", str(cfg_path)]) == 2
+
+    def test_library_error_exit_2(self, tmp_path):
+        # FLANC slabs need conv1's single input channel divisible by 2
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(SMALL)
+        code = cli_main(["run", str(cfg_path), "--set", f"out_dir={tmp_path / 'r3'}",
+                         "--set", "method=Pa3dFL_FlancDecomp", "--set", "conv_channels=8,8"])
+        assert code == 2
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_failure_exit_3(self, tmp_path):

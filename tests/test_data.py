@@ -40,6 +40,15 @@ class TestSynthGaussian:
             (ds.features[half:], ds.labels[half:]))
         assert abs(acc - 0.25) <= 0.05
 
+    def test_one_draw_equals_per_class_draws(self):
+        # synth_gaussian draws all classes' noise at once; the stream, and
+        # the generator state after it, must equal one draw per class
+        one, per_class = np.random.default_rng(3), np.random.default_rng(3)
+        a = one.standard_normal((3, 5, 7))
+        b = np.stack([per_class.standard_normal((5, 7)) for _ in range(3)])
+        assert a.tobytes() == b.tobytes()
+        assert one.permutation(10).tolist() == per_class.permutation(10).tolist()
+
     def test_needs_two_classes(self):
         with pytest.raises(ConfigurationError):
             pd.synth_gaussian(1, 10)

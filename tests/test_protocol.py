@@ -35,6 +35,11 @@ class TestCapacities:
     def test_quarter_capacity_gives_half_width(self):
         assert protocol.width_for_capacity(0.25, GRID16) == Fraction(1, 2)
 
+    def test_width_comparison_is_exact(self):
+        # float(4/5) ** 2 == 0.6400000000000001 would exceed the capacity
+        grid = supported_widths(Fraction(1, 5))
+        assert protocol.width_for_capacity(0.64, grid) == Fraction(4, 5)
+
     def test_lowest_capacity_clamps_to_min(self):
         assert protocol.width_for_capacity(0.01, GRID16) == Fraction(1, 16)
         assert float(Fraction(1, 16)) ** 2 <= 0.01
@@ -272,10 +277,10 @@ class TestDecomposedRounds:
             i: protocol.LocalResult(i, True, GeneralParams([f.copy() for f in before]),
                                     hypernet.generate_personal(method.hn, i, layout,
                                                                profiles[i].width),
-                                    0.0, np.empty(0, dtype=np.int64))
+                                    0.0)
             for i in (0, 1)
         }
-        method.aggregate(0, [0, 1], results, audit=False)
+        method.aggregate(0, [0, 1], results)
         for a, b in zip(method.general.factors, before):
             assert np.array_equal(a, b)
 
@@ -288,8 +293,8 @@ class TestDecomposedRounds:
         mk = lambda i, g: protocol.LocalResult(
             i, True, g, hypernet.generate_personal(method.hn, i, layout,
                                                    profiles[i].width),
-            0.0, np.empty(0, dtype=np.int64))
-        method.aggregate(0, [0, 1], {0: mk(0, ga), 1: mk(1, gb)}, audit=False)
+            0.0)
+        method.aggregate(0, [0, 1], {0: mk(0, ga), 1: mk(1, gb)})
         for m, a, b in zip(method.general.factors, ga.factors, gb.factors):
             assert np.array_equal(m, (a + b) / 2)
 
@@ -305,20 +310,16 @@ class TestDecomposedRounds:
         assert m0.params_exchanged > 0
 
     def test_rounds_deterministic_and_parallel_identical(self):
-        from concurrent.futures import ThreadPoolExecutor
-
         def trace(workers):
             cfg, layout, profiles = small_setup(seed=4)
+            cfg.workers = workers
             method = protocol.DecomposedFL(profiles, layout, cfg, seed=4)
             out = []
-            ex = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
             for t in range(3):
-                m = method.run_round(t, executor=ex)
+                m = method.run_round(t)
                 out.append((m.mean_test, m.mean_val,
                             tuple(repr(r.train_loss) for r in m.rows),
                             tuple(f.tobytes() for f in method.general.factors)))
-            if ex:
-                ex.shutdown()
             return out
 
         a, b, c = trace(1), trace(1), trace(3)
