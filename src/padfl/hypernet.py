@@ -1,23 +1,31 @@
 """Server-side hyper-network.
 
-Learnable per-client embeddings are encoded by a shared MLP; for each
-target layer the encoded embeddings are mixed with similarity-softmax
-weights under a per-layer learnable temperature, and a per-layer linear
-decoder maps the mixed embedding to that layer's flat personal
-parameters (factor + channel bias; the personal head gets its own
-decoder). Generated parameters are pruned to the client's width before
-being sent, and the whole pipeline is differentiable so the server can
-regress generated parameters onto locally trained ones.
+Learnable per-client embeddings are encoded by a shared MLP and mixed by
+self-attention; a per-layer linear decoder maps each client's mixture to
+that layer's flat personal parameters (factor + channel bias; the
+personal head gets its own decoder). In matrix form, with E the (d, n)
+encoded embeddings and S = E^T E, decoder l (each decomposed layer, then
+the head) computes
+
+    A_l = softmax(S * exp(-log_temp_l))    row-wise, (n, n)
+    F_l = D_l (E A_l^T) + b_l              (out_dim_l, n), column i = client i
+
+in one batched pass over all n clients. A width-p client is sent the
+positions of F_l that `kept_index` names. The server step regresses F_l
+onto the returned parameters: T_l holds each returned client's values at
+its kept positions, the 0/1 mask K_l marks them, and the loss is
+0.5/|R| * sum_l ||K_l * (F_l - T_l)||^2.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DimensionError, NumericError
+from .errors import ConfigurationError, DimensionError, NumericError
 from .model import Layout, PersonalParams
 
 
@@ -53,6 +61,44 @@ def decoder_out_dim(layout: Layout, layer_idx: int) -> int:
     spec, coef = layout.specs[layer_idx], layout.coefs[layer_idx]
     blocks = spec.out_channels // coef.base_count
     return coef.rank * blocks * spec.in_channels + spec.out_channels
+
+
+@lru_cache(maxsize=None)
+def kept_index(layout: Layout, l, p, prune_kind="padfl"):
+    """(weight, bias) positions in decoder l's flat output that a width-p
+    client keeps, each shaped like the array it is sent as.
+
+    Decoder l < len(layout.specs) emits a (rank, blocks, in_channels)
+    factor ("padfl": whole personal blocks are pruned) or a (rank,
+    out_channels, in_channels / base_count) one ("flanc": per-channel
+    input slabs), then the channel biases; the last decoder emits the
+    head's (classes, features) weight, then its biases. The arrays are
+    cached and read-only.
+    """
+    p = Fraction(p)
+    if l == len(layout.specs):
+        n_w = layout.classes * layout.head_in_full
+        weight = np.arange(n_w).reshape(layout.classes, -1)[:, :layout.head_in(p)]
+        bias = n_w + np.arange(layout.classes)
+    else:
+        spec, coef = layout.specs[l], layout.coefs[l]
+        t_kept, ik, r1 = layout.kept_outputs(l, p), layout.kept_inputs(l, p), coef.base_count
+        if prune_kind == "padfl":
+            full, keep = (spec.out_channels // r1, spec.in_channels), (t_kept // r1, ik)
+        elif spec.in_channels % r1 or ik % r1:
+            raise ConfigurationError(
+                f"layer {l} ({spec.kind}, {spec.in_channels} input channels) at width {p}: "
+                f"FLANC recovery needs its {ik} kept input channels divisible by "
+                f"base_count {r1}")
+        else:
+            full, keep = (spec.out_channels, spec.in_channels // r1), (t_kept, ik // r1)
+        n_v = coef.rank * full[0] * full[1]
+        weight = np.arange(n_v).reshape(coef.rank, *full)[:, :keep[0], :keep[1]]
+        weight = weight.reshape(coef.rank, -1)
+        bias = n_v + np.arange(t_kept)
+    weight = np.ascontiguousarray(weight)
+    weight.flags.writeable = bias.flags.writeable = False
+    return weight, bias
 
 
 def init_hypernet(layout: Layout, num_clients, embed_dim, hidden_dim, depth, rng) -> HyperNetState:
@@ -94,45 +140,7 @@ def init_hypernet(layout: Layout, num_clients, embed_dim, hidden_dim, depth, rng
 
 
 # ---------------------------------------------------------------------------
-# forward pieces
-
-def encode(state: HyperNetState) -> np.ndarray:
-    """Encoded embeddings E' = Encoder(E), applied column-wise."""
-    h = state.embeddings
-    for i, lm in enumerate(state.encoder):
-        h = lm.w @ h + lm.b[:, None]
-        if i < len(state.encoder) - 1:
-            h = np.where(h > 0, h, 0.0)
-    return h
-
-
-def aggregate_embedding(encoded, client, tau) -> np.ndarray:
-    """Similarity-softmax mixture of encoded embeddings for one client."""
-    if not 0 <= client < encoded.shape[1]:
-        raise DimensionError(f"client {client} outside 0..{encoded.shape[1] - 1}")
-    e_i = encoded[:, client]
-    s = encoded.T @ e_i
-    w = ad._softmax_np(s * (1.0 / tau))
-    return encoded @ w
-
-
-@dataclass
-class GeneratedNodes:
-    """Graph nodes of one client's generated personal parameters."""
-
-    factors: list
-    biases: list
-    head_w: object
-    head_b: object
-
-    def components(self):
-        return list(self.factors) + list(self.biases) + [self.head_w, self.head_b]
-
-    def values(self) -> PersonalParams:
-        return PersonalParams([f.data.copy() for f in self.factors],
-                              [b.data.copy() for b in self.biases],
-                              self.head_w.data.copy(), self.head_b.data.copy())
-
+# generation
 
 def state_nodes(state: HyperNetState, trainable: bool):
     """Wrap every state array as a graph node; ordered dict of leaves."""
@@ -160,105 +168,67 @@ def _encode_t(nodes, depth):
     return h
 
 
-def generation_graph(state: HyperNetState, clients, layout: Layout, widths,
-                     trainable=False, prune_kind="padfl"):
-    """Build the generation graph for the given clients.
+def generation_graph(state: HyperNetState, trainable=False):
+    """Every client's full-width decoder outputs, in one batched pass.
 
-    Returns (leaf nodes, {client: GeneratedNodes}); generation for the
-    same state and client is deterministic, so values extracted here are
-    bit-identical to what any other call produces. prune_kind picks the
-    column layout the flat decoder output is pruned under: whole
-    personal blocks ("padfl") or per-channel input slabs ("flanc").
+    Returns (leaf nodes, [F_l]): one (out_dim_l, num_clients) node per
+    decomposed layer, then the head's. The arithmetic does not depend on
+    `trainable`, so every call on the same state gives the same bits.
     """
     nodes = state_nodes(state, trainable)
-    encoded = _encode_t(nodes, len(state.encoder))
-    n = state.num_clients
-    n_dec = len(state.decoders)
-    inv_temps = [ad.exp(ad.neg(ad.slice_t(nodes["log_temp"], (l,)))) for l in range(n_dec + 1)]
-    out = {}
-    for i in clients:
-        e_col = ad.slice_t(encoded, (slice(None), slice(i, i + 1)))
-        sims = ad.reshape(ad.matmul(ad.transpose(encoded, (1, 0)), e_col), (n,))
-        p = Fraction(widths[i])
-        factors, biases = [], []
-        for l, (spec, coef) in enumerate(zip(layout.specs, layout.coefs)):
-            mixed = _mix(encoded, sims, inv_temps[l], n)
-            flat = ad.add(ad.matmul(nodes[f"dec_w{l}"], mixed),
-                          ad.reshape(nodes[f"dec_b{l}"], (-1, 1)))
-            flat = ad.reshape(flat, (-1,))
-            blocks = spec.out_channels // coef.base_count
-            n_v = coef.rank * blocks * spec.in_channels
-            t_kept = layout.kept_outputs(l, p)
-            ik = layout.kept_inputs(l, p)
-            vflat = ad.slice_t(flat, (slice(0, n_v),))
-            if prune_kind == "padfl":
-                v = ad.reshape(vflat, (coef.rank, blocks, spec.in_channels))
-                v = ad.slice_t(v, (slice(None), slice(0, t_kept // coef.base_count),
-                                   slice(0, ik)))
-                v = ad.reshape(v, (coef.rank, (t_kept // coef.base_count) * ik))
-            else:
-                r1 = coef.base_count
-                if spec.in_channels % r1 or ik % r1:
-                    raise DimensionError(
-                        f"input channels {spec.in_channels}/{ik} not divisible by {r1}")
-                v = ad.reshape(vflat, (coef.rank, spec.out_channels,
-                                       spec.in_channels // r1))
-                v = ad.slice_t(v, (slice(None), slice(0, t_kept), slice(0, ik // r1)))
-                v = ad.reshape(v, (coef.rank, t_kept * (ik // r1)))
-            factors.append(v)
-            biases.append(ad.slice_t(flat, (slice(n_v, n_v + t_kept),)))
-        mixed = _mix(encoded, sims, inv_temps[n_dec], n)
-        flat = ad.add(ad.matmul(nodes["head_w"], mixed),
-                      ad.reshape(nodes["head_b"], (-1, 1)))
-        flat = ad.reshape(flat, (-1,))
-        n_w = layout.classes * layout.head_in_full
-        hw = ad.reshape(ad.slice_t(flat, (slice(0, n_w),)),
-                        (layout.classes, layout.head_in_full))
-        hw = ad.slice_t(hw, (slice(None), slice(0, layout.head_in(p))))
-        hb = ad.slice_t(flat, (slice(n_w, n_w + layout.classes),))
-        out[i] = GeneratedNodes(factors, biases, hw, hb)
-    return nodes, out
+    enc = _encode_t(nodes, len(state.encoder))
+    sims = ad.matmul(ad.transpose(enc, (1, 0)), enc)
+    inv_temps = ad.exp(ad.neg(nodes["log_temp"]))
+    keys = [(f"dec_w{l}", f"dec_b{l}") for l in range(len(state.decoders))]
+    outputs = []
+    for l, (w, b) in enumerate(keys + [("head_w", "head_b")]):
+        attn = ad.softmax(ad.mul_scalar(sims, ad.slice_t(inv_temps, (l,))))
+        mixed = ad.matmul(enc, ad.transpose(attn, (1, 0)))
+        outputs.append(ad.add(ad.matmul(nodes[w], mixed), ad.reshape(nodes[b], (-1, 1))))
+    return nodes, outputs
 
 
-def _mix(encoded, sims, inv_temp, n):
-    w = ad.softmax(ad.mul_scalar(sims, inv_temp))
-    return ad.matmul(encoded, ad.reshape(w, (n, 1)))
+def personal_params(outputs, client, layout: Layout, width,
+                    prune_kind="padfl") -> PersonalParams:
+    """Cut one client's pruned personal parameters out of the decoder
+    output arrays of `generation_graph`."""
+    parts = [[out[ix, client] for ix in kept_index(layout, l, width, prune_kind)]
+             for l, out in enumerate(outputs)]
+    *layers, (head_w, head_b) = parts
+    return PersonalParams([w for w, _ in layers], [b for _, b in layers], head_w, head_b)
 
 
 def generate_personal(state: HyperNetState, client, layout: Layout, width,
                       prune_kind="padfl") -> PersonalParams:
     """Decode one client's personal parameters, pruned to its width."""
-    _, gen = generation_graph(state, [client], layout, {client: width},
-                              prune_kind=prune_kind)
-    return gen[client].values()
+    _, outputs = generation_graph(state)
+    return personal_params([f.data for f in outputs], client, layout, width, prune_kind)
 
 
 # ---------------------------------------------------------------------------
 # training step
 
-def regression_loss_t(gen_by_client, returned):
-    """L = (1/n) sum_i 0.5 * ||returned_i - generated_i||^2 over all
-    personal components (pruned shapes; only kept entries contribute)."""
-    terms = []
-    for i in sorted(returned):
-        got = returned[i].arrays()
-        nodes = gen_by_client[i].components()
-        if len(got) != len(nodes):
+def regression_loss(state: HyperNetState, returned, widths, layout: Layout,
+                    prune_kind="padfl"):
+    """(trainable leaf nodes, loss node) of the regression of generated
+    onto returned personal parameters (pruned shapes, client id -> params):
+    0.5/|R| * sum_l ||K_l * (F_l - T_l)||^2, only kept entries counting."""
+    nodes, outputs = generation_graph(state, trainable=True)
+    targets = [np.zeros(f.data.shape) for f in outputs]
+    masks = [np.zeros(f.data.shape) for f in outputs]
+    for i, params in returned.items():
+        pairs = list(zip(params.factors, params.biases)) + [(params.head_w, params.head_b)]
+        if len(pairs) != len(outputs):
             raise DimensionError("returned/generated component count mismatch")
-        for node, arr in zip(nodes, got):
-            if node.data.shape != arr.shape:
-                raise DimensionError(
-                    f"returned shape {arr.shape} vs generated {node.data.shape}")
-            terms.append(ad.frobenius_sq(ad.add(node, ad.const(-arr))))
-    return ad.scale(ad.add_n(terms), 0.5 / len(returned))
-
-
-def hn_loss(state: HyperNetState, returned, widths, layout: Layout,
-            prune_kind="padfl") -> float:
-    """Loss value only (used by tests to finite-difference the state)."""
-    _, gen = generation_graph(state, sorted(returned), layout, widths,
-                              prune_kind=prune_kind)
-    return float(regression_loss_t(gen, returned).data)
+        for l, pair in enumerate(pairs):
+            for ix, arr in zip(kept_index(layout, l, widths[i], prune_kind), pair):
+                if arr.shape != ix.shape:
+                    raise DimensionError(f"returned shape {arr.shape} vs generated {ix.shape}")
+                targets[l][ix, i] = arr
+                masks[l][ix, i] = 1.0
+    terms = [ad.frobenius_sq(ad.mul(ad.add(f, ad.const(-t)), ad.const(k)))
+             for f, t, k in zip(outputs, targets, masks)]
+    return nodes, ad.scale(ad.add_n(terms), 0.5 / len(returned))
 
 
 def hn_step(state: HyperNetState, returned, widths, layout: Layout, lr,
@@ -271,9 +241,7 @@ def hn_step(state: HyperNetState, returned, widths, layout: Layout, lr,
     """
     if not returned:
         return state, 0.0
-    nodes, gen = generation_graph(state, sorted(returned), layout, widths,
-                                  trainable=True, prune_kind=prune_kind)
-    loss = regression_loss_t(gen, returned)
+    nodes, loss = regression_loss(state, returned, widths, layout, prune_kind)
     val = float(loss.data)
     if not np.isfinite(val):
         raise NumericError("non-finite hyper-network loss")

@@ -405,13 +405,18 @@ class DecomposedFL(FederatedMethod):
         # personal parameters kept client-side for the no-aggregation ablation
         self.local_personal = {}
         self.generated = None  # every client's generated parameters, per hn state
+        # a width the recovery cannot prune to fails here, before any training
+        for p in {prof.width for prof in profiles}:
+            for l in range(len(layout.specs)):
+                hypernet.kept_index(layout, l, p, recovery)
 
     def prepare(self):
         if self.generated is None:
-            widths = {p.id: p.width for p in self.profiles}
-            _, gen = hypernet.generation_graph(self.hn, sorted(widths), self.layout, widths,
-                                               prune_kind=self.recovery)
-            self.generated = {i: g.values() for i, g in gen.items()}
+            _, outputs = hypernet.generation_graph(self.hn)
+            flat = [f.data for f in outputs]
+            self.generated = {p.id: hypernet.personal_params(flat, p.id, self.layout, p.width,
+                                                             self.recovery)
+                              for p in self.profiles}
 
     def sent_personal(self, i) -> PersonalParams:
         """What the server sends client i this round."""

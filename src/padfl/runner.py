@@ -25,6 +25,7 @@ from .errors import ConfigurationError, NumericError
 from .model import CnnArch, ConvBlock, build_layout
 
 CSV_HEADER = "round,client_id,capacity_r,width_p,train_loss,val_acc,test_acc,alpha_selected"
+ROUNDS_HEADER = "round,eta,hn_loss,params_exchanged,failed"
 
 
 @dataclass
@@ -92,7 +93,8 @@ def build_method(cfg: RunConfig, profiles, layout):
 
 
 def run(cfg: RunConfig) -> RunRecord:
-    """Execute one configured run; writes metrics.csv and summary.json.
+    """Execute one configured run; writes metrics.csv, rounds.csv and
+    summary.json.
 
     Per-client training and evaluation run on `cfg.workers` forked
     processes. With `workers > 1` BLAS must be pinned to one thread
@@ -164,6 +166,15 @@ def metrics_csv(record: RunRecord) -> str:
     return "\n".join(lines) + "\n"
 
 
+def rounds_csv(record: RunRecord) -> str:
+    """Server state per round; `failed` lists client ids, space-separated."""
+    lines = [ROUNDS_HEADER]
+    for m in record.rounds:
+        lines.append(",".join([str(m.round), _fmt(m.eta), _fmt(m.hn_loss),
+                               str(m.params_exchanged), " ".join(map(str, m.failed))]))
+    return "\n".join(lines) + "\n"
+
+
 def summary_json(record: RunRecord) -> str:
     from .report import capacity_clusters
 
@@ -198,4 +209,5 @@ def summary_json(record: RunRecord) -> str:
 def persist(record: RunRecord):
     os.makedirs(record.out_dir, exist_ok=True)
     _atomic_write(os.path.join(record.out_dir, "metrics.csv"), metrics_csv(record))
+    _atomic_write(os.path.join(record.out_dir, "rounds.csv"), rounds_csv(record))
     _atomic_write(os.path.join(record.out_dir, "summary.json"), summary_json(record))

@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from padfl import baselines, protocol
-from padfl.model import PlainModel, init_plain
+from padfl.errors import ConfigurationError
+from padfl.model import CnnArch, ConvBlock, PlainModel, build_layout, init_plain
 
 from test_protocol import small_setup
 
@@ -167,6 +169,16 @@ class TestAblationWiring:
             sent = method.sent_personal(i)
             for a, b in zip(sent.arrays(), personal.arrays()):
                 assert np.array_equal(a, b)
+
+    def test_flanc_infeasible_width_fails_at_construction(self):
+        # base_count 2 in conv1, whose single input channel cannot be split
+        cfg, _, profiles = small_setup(seed=18)
+        arch = CnnArch(1, 8, 8, convs=(ConvBlock(8, 3, 1, 1), ConvBlock(8, 3, 1, 1)),
+                       classes=2)
+        layout = build_layout(arch, cfg.min_width)
+        protocol.DecomposedFL(profiles, layout, cfg, seed=18, recovery="padfl")
+        with pytest.raises(ConfigurationError, match="layer 0"):
+            protocol.DecomposedFL(profiles, layout, cfg, seed=18, recovery="flanc")
 
     def test_flanc_recovery_shapes_match(self):
         cfg, layout, profiles_a = small_setup(seed=17)

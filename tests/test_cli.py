@@ -116,6 +116,21 @@ class TestRun:
         assert len(rows) == len(record.rounds) * cfg.clients
         assert len({r["round"] for r in rows}) == len(record.rounds)
 
+    @pytest.mark.parametrize("method", ["Pa3dFL", "FedAvgMinWidth"])
+    def test_rounds_csv_matches_record(self, tmp_path, method):
+        record = runner.run(small_cfg(tmp_path, method=method))
+        with open(tmp_path / "run" / "rounds.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert ",".join(rows[0]) == runner.ROUNDS_HEADER
+        assert len(rows) == len(record.rounds) > 0
+        for row, m in zip(rows, record.rounds):
+            assert int(row["round"]) == m.round
+            assert float(row["eta"]) == m.eta
+            assert np.array_equal(float(row["hn_loss"]), m.hn_loss, equal_nan=True)
+            assert int(row["params_exchanged"]) == m.params_exchanged
+            assert [int(i) for i in row["failed"].split()] == m.failed
+        assert np.isnan(record.rounds[0].hn_loss) == (method != "Pa3dFL")
+
     def test_summary_totals_match_csv(self, tmp_path):
         cfg = small_cfg(tmp_path)
         runner.run(cfg)
@@ -325,6 +340,14 @@ class TestCliEntry:
         code = cli_main(["run", str(cfg_path), "--set", f"out_dir={tmp_path / 'r3'}",
                          "--set", "method=Pa3dFL_FlancDecomp", "--set", "conv_channels=8,8"])
         assert code == 2
+
+    def test_infeasible_flanc_width_fails_at_setup(self, tmp_path, capsys):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(SMALL)
+        code = cli_main(["run", str(cfg_path), "--set", f"out_dir={tmp_path / 'r4'}",
+                         "--set", "method=Pa3dFL_FlancDecomp", "--set", "conv_channels=8,8"])
+        assert code == 2
+        assert "layer 0 (conv, 1 input channels) at width" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_failure_exit_3(self, tmp_path):

@@ -5,9 +5,10 @@ import pytest
 
 from padfl import autodiff as ad
 from padfl import hypernet as hn
-from padfl.model import CnnArch, Layout, PersonalParams, build_layout
+from padfl.errors import ConfigurationError
+from padfl.model import CnnArch, ConvBlock, Layout, PersonalParams, build_layout
 
-from util import finite_diff, rel_err
+from util import aggregate_embedding, encode, finite_diff, hn_loss, reference_personal, rel_err
 
 
 def tiny_layout():
@@ -25,7 +26,7 @@ class TestEncode:
     def test_identity_when_depth_zero(self):
         layout = tiny_layout()
         state = make_state(layout, depth=0)
-        assert np.array_equal(hn.encode(state), state.embeddings)
+        assert np.array_equal(encode(state), state.embeddings)
 
     def test_identical_columns_encode_identically(self):
         layout = tiny_layout()
@@ -33,7 +34,7 @@ class TestEncode:
         emb = state.embeddings.copy()
         emb[:, 2] = emb[:, 0]
         state.embeddings = emb
-        enc = hn.encode(state)
+        enc = encode(state)
         assert np.array_equal(enc[:, 2], enc[:, 0])
 
     def test_encoder_gradient_matches_fd(self):
@@ -43,7 +44,7 @@ class TestEncode:
         def f(arrays):
             s = state.copy()
             s.embeddings = arrays[0]
-            return float(hn.encode(s).sum())
+            return float(encode(s).sum())
 
         nodes = hn.state_nodes(state, trainable=True)
         enc = hn._encode_t(nodes, len(state.encoder))
@@ -58,13 +59,13 @@ class TestAggregate:
     def test_single_client_returns_own_embedding(self):
         enc = np.random.default_rng(3).normal(size=(5, 1))
         for tau in (0.1, 1.0, 100.0):
-            out = hn.aggregate_embedding(enc, 0, tau)
+            out = aggregate_embedding(enc, 0, tau)
             assert np.allclose(out, enc[:, 0])
 
     def test_large_temperature_gives_row_mean(self):
         rng = np.random.default_rng(4)
         enc = rng.uniform(-1, 1, size=(4, 6)) / 2.0
-        out = hn.aggregate_embedding(enc, 2, 1e6)
+        out = aggregate_embedding(enc, 2, 1e6)
         assert np.abs(out - enc.mean(axis=1)).max() <= 1e-6
 
     def test_small_temperature_selects_argmax(self):
@@ -73,7 +74,7 @@ class TestAggregate:
             enc = rng.normal(size=(4, 7))
             i = int(rng.integers(0, 7))
             sims = enc.T @ enc[:, i]
-            out = hn.aggregate_embedding(enc, i, 1e-6)
+            out = aggregate_embedding(enc, i, 1e-6)
             assert np.allclose(out, enc[:, sims.argmax()], atol=1e-9)
 
     def test_softmax_weights_partition_unity(self):
@@ -134,6 +135,57 @@ class TestGenerate:
         assert np.array_equal(half.head_w, full.head_w[:, :layout.head_in(Fraction(1, 2))])
 
 
+def conv_layout(convs=(4, 4), in_channels=2, side=4, min_width=Fraction(1, 2)):
+    # two conv blocks plus a hidden linear layer; the defaults keep every
+    # kept input count divisible by base_count, as FLANC slabs need
+    arch = CnnArch(in_channels, side, side,
+                   convs=tuple(ConvBlock(c, 3, 1, 1, True) for c in convs),
+                   hidden=(4,), classes=3)
+    return build_layout(arch, min_width)
+
+
+MIXED = [Fraction(1), Fraction(1, 2), Fraction(1, 2), Fraction(1), Fraction(1, 2)]
+QUARTERS = [Fraction(k, 4) for k in (1, 2, 3, 4, 1, 3)]
+
+
+class TestBatchedGeneration:
+    @pytest.mark.parametrize("depth", [0, 3])
+    @pytest.mark.parametrize("kind,widths", [("padfl", MIXED), ("flanc", MIXED),
+                                             ("padfl", QUARTERS)],
+                             ids=["padfl-halves", "flanc-halves", "padfl-quarters"])
+    def test_matches_per_client_reference(self, kind, widths, depth):
+        layout = conv_layout() if widths is MIXED else \
+            conv_layout(convs=(4, 8), in_channels=1, side=8, min_width=Fraction(1, 4))
+        state = make_state(layout, n_clients=len(widths), embed=4, hidden=6, depth=depth,
+                           seed=20 + depth)
+        state.log_temp = np.random.default_rng(21).normal(size=state.log_temp.shape)
+        _, outputs = hn.generation_graph(state)
+        flat = [f.data for f in outputs]
+        for i, p in enumerate(widths):
+            got = hn.personal_params(flat, i, layout, p, kind)
+            ref = reference_personal(state, i, layout, p, kind)
+            single = hn.generate_personal(state, i, layout, p, kind)
+            for a, b, c in zip(got.arrays(), ref.arrays(), single.arrays()):
+                assert a.shape == b.shape
+                assert rel_err(a, b) <= 1e-12
+                assert a.tobytes() == c.tobytes()
+
+
+class TestKeptIndex:
+    def test_infeasible_flanc_width_names_layer_and_width(self):
+        layout = conv_layout(convs=(4, 8), in_channels=1, side=8, min_width=Fraction(1, 4))
+        hn.kept_index(layout, 1, Fraction(1, 4), "padfl")
+        with pytest.raises(ConfigurationError, match=r"layer 1 .* width 1/4"):
+            hn.kept_index(layout, 1, Fraction(1, 4), "flanc")
+
+    def test_cached_and_read_only(self):
+        layout = conv_layout()
+        weight, bias = hn.kept_index(layout, 0, Fraction(1, 2))
+        assert hn.kept_index(layout, 0, Fraction(1, 2))[0] is weight
+        with pytest.raises(ValueError):
+            bias[0] = 0
+
+
 class TestHnStep:
     def widths(self, state):
         return {i: Fraction(1) for i in range(state.num_clients)}
@@ -167,14 +219,13 @@ class TestHnStep:
             for i, gen in ((i, hn.generate_personal(state, i, layout, Fraction(1)))
                            for i in range(3))
         }
-        nodes, gen = hn.generation_graph(state, [0, 1, 2], layout, widths, trainable=True)
-        loss = hn.regression_loss_t(gen, returned)
+        nodes, loss = hn.regression_loss(state, returned, widths, layout)
         ad.backward(loss)
 
         def f_emb(arrays):
             s = state.copy()
             s.embeddings = arrays[0]
-            return hn.hn_loss(s, returned, widths, layout)
+            return hn_loss(s, returned, widths, layout)
 
         fd = finite_diff(f_emb, [state.embeddings])
         assert rel_err(nodes["embeddings"].grad, fd[0]) <= 1e-4
@@ -182,7 +233,7 @@ class TestHnStep:
         def f_temp(arrays):
             s = state.copy()
             s.log_temp = arrays[0]
-            return hn.hn_loss(s, returned, widths, layout)
+            return hn_loss(s, returned, widths, layout)
 
         fd_t = finite_diff(f_temp, [state.log_temp])
         assert rel_err(nodes["log_temp"].grad, fd_t[0]) <= 1e-4
@@ -190,7 +241,7 @@ class TestHnStep:
         def f_dec(arrays):
             s = state.copy()
             s.decoders[0].w = arrays[0]
-            return hn.hn_loss(s, returned, widths, layout)
+            return hn_loss(s, returned, widths, layout)
 
         fd_d = finite_diff(f_dec, [state.decoders[0].w])
         assert rel_err(nodes["dec_w0"].grad, fd_d[0]) <= 1e-4
@@ -198,10 +249,43 @@ class TestHnStep:
         def f_enc(arrays):
             s = state.copy()
             s.encoder[0].w = arrays[0]
-            return hn.hn_loss(s, returned, widths, layout)
+            return hn_loss(s, returned, widths, layout)
 
         fd_e = finite_diff(f_enc, [state.encoder[0].w])
         assert rel_err(nodes["enc_w0"].grad, fd_e[0]) <= 1e-4
+
+    @pytest.mark.parametrize("kind", ["padfl", "flanc"])
+    def test_mixed_width_gradient_matches_fd(self, kind):
+        # pruned positions and clients that returned nothing must not count
+        layout = conv_layout()
+        state = make_state(layout, n_clients=len(MIXED), embed=3, hidden=4, depth=2, seed=23)
+        rng = np.random.default_rng(24)
+        widths = dict(enumerate(MIXED))
+        returned = {}
+        for i in (0, 1, 4):
+            gen = reference_personal(state, i, layout, widths[i], kind)
+            noisy = [a + 0.1 * rng.normal(size=a.shape) for a in gen.arrays()]
+            f = len(gen.factors)
+            returned[i] = PersonalParams(noisy[:f], noisy[f:2 * f], noisy[-2], noisy[-1])
+        nodes, loss = hn.regression_loss(state, returned, widths, layout, kind)
+        assert abs(float(loss.data) - hn_loss(state, returned, widths, layout, kind)) <= \
+            1e-12 * float(loss.data)
+        ad.backward(loss)
+
+        def fd_of(setter, arr):
+            def f(arrays):
+                s = state.copy()
+                setter(s, arrays[0])
+                return hn_loss(s, returned, widths, layout, kind)
+            return finite_diff(f, [arr])[0]
+
+        assert rel_err(nodes["embeddings"].grad,
+                       fd_of(lambda s, a: setattr(s, "embeddings", a), state.embeddings)) <= 1e-4
+        assert rel_err(nodes["log_temp"].grad,
+                       fd_of(lambda s, a: setattr(s, "log_temp", a), state.log_temp)) <= 1e-4
+        assert rel_err(nodes["dec_w1"].grad,
+                       fd_of(lambda s, a: setattr(s.decoders[1], "w", a),
+                             state.decoders[1].w)) <= 1e-4
 
     def test_one_local_step_identity_single_client(self):
         # with theta^+ = theta - eta * dF/dtheta, dL/dphi == eta * dF/dphi
@@ -234,17 +318,21 @@ class TestHnStep:
                                          stepped[-2], stepped[-1])
 
         # left side: HN regression loss gradient
-        nodes_l, gen_l = hn.generation_graph(state, sorted(returned), layout, widths,
-                                             trainable=True)
-        ad.backward(hn.regression_loss_t(gen_l, returned))
+        nodes_l, loss_l = hn.regression_loss(state, returned, widths, layout)
+        ad.backward(loss_l)
 
-        # right side: direct gradient of F = (1/n) sum_i f_i(generated_i)
-        nodes_r, gen_r = hn.generation_graph(state, sorted(returned), layout, widths,
-                                             trainable=True)
+        # right side: direct gradient of F = (1/n) sum_i f_i(generated_i); at
+        # full width client i is sent column i of each decoder output whole
+        nodes_r, outputs = hn.generation_graph(state, trainable=True)
+        n_dec = len(outputs) - 1
         terms = []
         for i in sorted(returned):
-            for node, t in zip(gen_r[i].components(), targets[i]):
-                terms.append(ad.frobenius_sq(ad.add(node, ad.const(-t))))
+            t = targets[i]
+            flat_t = [np.concatenate([t[l].ravel(), t[n_dec + l]]) for l in range(n_dec)]
+            flat_t.append(np.concatenate([t[-2].ravel(), t[-1]]))
+            for out, ft in zip(outputs, flat_t):
+                column = ad.slice_t(out, (slice(None), i))
+                terms.append(ad.frobenius_sq(ad.add(column, ad.const(-ft))))
         f_node = ad.scale(ad.add_n(terms), 0.5 / n_clients)
         ad.backward(f_node)
 
