@@ -155,9 +155,11 @@ def _im2col(x, k, stride, pad):
     cheaper than a single 6-axis gather.
     """
     bsz, ch, h, w = x.shape
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     hp, wp = h + 2 * pad, w + 2 * pad
+    if pad:
+        padded = np.zeros((bsz, ch, hp, wp))
+        padded[:, :, pad:pad + h, pad:pad + w] = x
+        x = padded
     ho = (hp - k) // stride + 1
     wo = (wp - k) // stride + 1
     cols = np.empty((ch, k, k, bsz, ho, wo))
@@ -181,18 +183,6 @@ def _col2im(gcols, xshape, k, stride, pad, ho, wo):
     return gx
 
 
-def _conv_forward(x, w, stride, pad, bias=None):
-    bsz = x.shape[0]
-    t, s, k, _ = w.shape
-    cols, ho, wo = _im2col(x, k, stride, pad)
-    w2 = w.transpose(1, 2, 3, 0).reshape(s * k * k, t)  # rows follow cols order
-    out2 = w2.T @ cols                                  # (T, B*ho*wo)
-    if bias is not None:
-        out2 += bias[:, None]
-    out = np.ascontiguousarray(out2.reshape(t, bsz, ho, wo).transpose(1, 0, 2, 3))
-    return out, cols, w2, ho, wo
-
-
 def conv2d(x, w, stride=1, pad=0, bias=None):
     """Cross-correlation of (B,S,H,W) input with (T,S,k,k) weight.
 
@@ -212,8 +202,12 @@ def conv2d(x, w, stride=1, pad=0, bias=None):
         raise DimensionError(f"kernel {k} exceeds padded input {h + 2 * pad}x{wdt + 2 * pad}")
     if bias is not None and bias.data.shape != (t,):
         raise DimensionError(f"conv2d bias shape {bias.data.shape}, expected ({t},)")
-    out_data, cols, w2, ho, wo = _conv_forward(
-        x.data, w.data, stride, pad, None if bias is None else bias.data)
+    cols, ho, wo = _im2col(x.data, k, stride, pad)
+    w2 = w.data.transpose(1, 2, 3, 0).reshape(s * k * k, t)  # rows follow cols order
+    out2 = w2.T @ cols                                       # (T, B*ho*wo)
+    if bias is not None:
+        out2 += bias.data[:, None]
+    out_data = out2.reshape(t, bsz, ho, wo).transpose(1, 0, 2, 3)
     parents = (x, w) if bias is None else (x, w, bias)
 
     def bw(g):
@@ -230,8 +224,26 @@ def conv2d(x, w, stride=1, pad=0, bias=None):
 
 
 def conv2d_infer(x, w, stride=1, pad=0):
-    """Plain-array convolution via the same im2col kernel (no graph)."""
-    out, _, _, _, _ = _conv_forward(x, w, stride, pad)
+    """Plain-array convolution of M stacked weights (M,T,S,k,k) via the same
+    im2col kernel (no graph); returns (M,B,T,ho,wo).
+
+    x is (M,B,S,H,W), or (1,B,S,H,W) to share one input among all M. The
+    batch axes are folded into one im2col; each weight then multiplies its
+    own column block in the same 2-D product `conv2d` uses, so every slice
+    is bit-identical to convolving that weight alone. A single weight
+    (T,S,k,k) on a (B,S,H,W) input is the M = 1 case.
+    """
+    if w.ndim == 4:
+        return conv2d_infer(x[None], w[None], stride, pad)[0]
+    m, t, s, k, _ = w.shape
+    bsz = x.shape[1]
+    cols, ho, wo = _im2col(x.reshape((-1,) + x.shape[2:]), k, stride, pad)
+    n = bsz * ho * wo
+    w2 = w.transpose(0, 2, 3, 4, 1).reshape(m, s * k * k, t)
+    out = np.empty((m, bsz, t, ho, wo))
+    for j in range(m):
+        block = cols[:, j * n:(j + 1) * n] if x.shape[0] > 1 else cols
+        out[j] = (w2[j].T @ block).reshape(t, bsz, ho, wo).transpose(1, 0, 2, 3)
     return out
 
 
@@ -280,10 +292,11 @@ def maxpool2x2(x):
 
 
 def maxpool2x2_infer(x):
-    bsz, ch, h, w = x.shape
-    rows = x.reshape(bsz, ch, h // 2, 2, w)
-    row_max = np.maximum(rows[:, :, :, 0, :], rows[:, :, :, 1, :])
-    pairs = row_max.reshape(bsz, ch, h // 2, w // 2, 2)
+    """2x2/stride-2 max pooling over the last two axes."""
+    *lead, h, w = x.shape
+    rows = x.reshape(*lead, h // 2, 2, w)
+    row_max = np.maximum(rows[..., 0, :], rows[..., 1, :])
+    pairs = row_max.reshape(*lead, h // 2, w // 2, 2)
     return np.maximum(pairs[..., 0], pairs[..., 1])
 
 

@@ -13,7 +13,7 @@ parameter/FLOP accounting for width-reduced layers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -93,13 +93,6 @@ def supported_widths(min_width) -> tuple[Fraction, ...]:
     if not widths:
         raise ConfigurationError("empty width grid")
     return widths
-
-
-def check_width(p, min_width) -> Fraction:
-    p = Fraction(p)
-    if not (0 < p <= 1) or (p / Fraction(min_width)).denominator != 1:
-        raise ConfigurationError(f"width {p} is not a multiple of min_width {min_width} in (0, 1]")
-    return p
 
 
 @dataclass
@@ -213,50 +206,26 @@ def recover_flanc_t(general, personal, spec, out_kept=None, in_kept=None):
     return ad.reshape(prod, (out_kept, in_kept, k, k))
 
 
-def recover_flanc(general, personal, spec, out_kept=None, in_kept=None) -> np.ndarray:
-    return recover_flanc_t(ad.const(general), ad.const(personal), spec,
-                           out_kept=out_kept, in_kept=in_kept).data
+def recover_stacked(general, personal, spec, out_kept, in_kept, kind="padfl"):
+    """(M, out_kept, in_kept, k, k) weights of M stacked factor pairs, for
+    evaluation: general (M, k^2*base_count, rank), personal (M, rank, .).
 
-
-# ---------------------------------------------------------------------------
-# pruning
-
-def prune_personal(layer: DecomposedLayer, p, in_kept=None) -> DecomposedLayer:
-    """Keep the first p*T output channels (whole v blocks) and the first
-    `in_kept` input columns of each block; the general factor and removal
-    order (highest indices first) are untouched by construction."""
-    p = check_width(p, layer.coef.min_width)
-    if p > layer.width:
-        raise ConfigurationError(f"cannot grow width {layer.width} -> {p}")
-    in_kept = layer.in_kept if in_kept is None else in_kept
-    if not (0 < in_kept <= layer.in_kept):
-        raise ConfigurationError(f"in_kept {in_kept} outside (0, {layer.in_kept}]")
-    r2 = layer.coef.rank
-    blocks_new = int(Fraction(layer.spec.out_channels) * p) // layer.coef.base_count
-    v3 = layer.personal.reshape(r2, layer.blocks_kept, layer.in_kept)
-    personal = np.ascontiguousarray(v3[:, :blocks_new, :in_kept]).reshape(r2, blocks_new * in_kept)
-    out_new = int(Fraction(layer.spec.out_channels) * p)
-    return replace(layer, personal=personal, bias=layer.bias[:out_new].copy(),
-                   width=p, in_kept=in_kept)
-
-
-def prune_flanc(personal, spec, base_count, p, in_kept=None):
-    """Prune a FLANC personal factor: keep the first p*T channel slabs and
-    the first in_kept/base_count columns inside each slab."""
-    p = Fraction(p)
-    in_kept = spec.in_channels if in_kept is None else in_kept
-    if spec.in_channels % base_count or in_kept % base_count:
-        raise ConfigurationError(
-            f"in_channels {spec.in_channels}/{in_kept} not divisible by base_count {base_count}")
-    out_new = Fraction(spec.out_channels) * p
-    if out_new.denominator != 1:
-        raise ConfigurationError(f"width {p} does not keep whole channels of {spec.out_channels}")
-    out_new = int(out_new)
-    r2 = personal.shape[0]
-    slab = spec.in_channels // base_count
-    v3 = personal.reshape(r2, spec.out_channels, slab)
-    kept = np.ascontiguousarray(v3[:, :out_new, :in_kept // base_count])
-    return kept.reshape(r2, out_new * (in_kept // base_count))
+    The products are summed rank by rank, as `ordered_matmul` does, so each
+    slice is bit-identical to the graph recovery of that pair; `kind`
+    picks the channel-aware ("padfl") or input-slab ("flanc") layout.
+    """
+    m, rows, rank = general.shape
+    k = spec.kernel
+    r1 = rows // (k * k)
+    prod = np.zeros((m, rows, personal.shape[2]))
+    for r in range(rank):
+        prod += general[:, :, r, None] * personal[:, None, r, :]
+    if kind == "padfl":
+        prod = prod.reshape(m, r1, k * k, out_kept // r1, in_kept).transpose(0, 3, 1, 4, 2)
+    else:
+        prod = prod.reshape(m, r1, k * k, out_kept, in_kept // r1).transpose(0, 3, 4, 1, 2)
+    # contiguous like the graph recovery, so the products see the same layout
+    return np.ascontiguousarray(prod).reshape(m, out_kept, in_kept, k, k)
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +250,6 @@ def param_count(spec: LayerSpec, coef: Coefficients, p, in_kept=None, include_bi
     if include_bias:
         n += out_kept
     return n
-
-
-def reduction_ratio(spec: LayerSpec, coef: Coefficients, p) -> Fraction:
-    """Stored floats of the width-p factorization over the dense weight."""
-    return Fraction(param_count(spec, coef, p, include_bias=False), spec.weight_size)
 
 
 def flops_account(spec: LayerSpec, coef: Coefficients, p, batch, q, in_kept=None):

@@ -143,7 +143,8 @@ class HeadParams:
 
 @dataclass
 class ClientModel:
-    """One client's complete trainable model at its width."""
+    """One client's complete trainable model at its width. `combine` makes
+    stacked models, whose every array carries a leading axis of mixes."""
 
     general: GeneralParams
     personal: PersonalParams
@@ -153,18 +154,31 @@ class ClientModel:
     def arrays(self):
         return self.general.arrays() + self.personal.arrays() + [self.head.w, self.head.b]
 
+    @classmethod
+    def from_arrays(cls, arrays, width):
+        """Inverse of arrays(): n general factors, n personal factors, n
+        biases, then the personal and the inference head (w, b each)."""
+        n = (len(arrays) - 4) // 3
+        return cls(GeneralParams(arrays[:n]),
+                   PersonalParams(arrays[n:2 * n], arrays[2 * n:3 * n],
+                                  arrays[3 * n], arrays[3 * n + 1]),
+                   HeadParams(arrays[-2], arrays[-1]), width)
 
-def combine(model_a: ClientModel, model_b: ClientModel, alpha: float) -> ClientModel:
-    """(1-alpha)*a + alpha*b over every tensor; shapes must match."""
-    xs, ys = model_a.arrays(), model_b.arrays()
-    mixed = [(1.0 - alpha) * x + alpha * y for x, y in zip(xs, ys)]
-    n = len(model_a.general.factors)
-    m = len(model_a.personal.factors)
-    general = GeneralParams(mixed[:n])
-    personal = PersonalParams(mixed[n:n + m], mixed[n + m:n + 2 * m],
-                              mixed[n + 2 * m], mixed[n + 2 * m + 1])
-    head = HeadParams(mixed[-2], mixed[-1])
-    return ClientModel(general, personal, head, model_a.width)
+    def at(self, j):
+        """Mix j of a stacked model."""
+        return ClientModel.from_arrays([a[j] for a in self.arrays()], self.width)
+
+
+def combine(model_a: ClientModel, model_b: ClientModel, alphas) -> ClientModel:
+    """Every mix (1-alpha)*a + alpha*b at once, as one stacked model whose
+    arrays gain a leading axis with one entry per alpha; shapes must match.
+    Each slice is the same IEEE arithmetic as the scalar mix."""
+    alphas = np.asarray(alphas, dtype=np.float64)
+    mixed = []
+    for x, y in zip(model_a.arrays(), model_b.arrays()):
+        a = alphas.reshape((-1,) + (1,) * x.ndim)
+        mixed.append((1.0 - a) * x + a * y)
+    return ClientModel.from_arrays(mixed, model_a.width)
 
 
 def init_decomposed(layout: Layout, rng):
@@ -224,44 +238,40 @@ def head_logits_t(x_node, head_w, head_b):
     return ad.add(ad.matmul(x_node, ad.transpose(head_w, (1, 0))), head_b)
 
 
-def infer_logits(layout, model: ClientModel, x, recovery="padfl"):
-    """Plain-array forward of a client model (no graph, for evaluation)."""
-    arch = layout.arch
+def stacked_logits(layout, model: ClientModel, x, recovery="padfl"):
+    """Plain-array forward (no graph, for evaluation) of a stacked model
+    (see `combine`) holding M mixes, on one shared batch x (B, C, H, W).
+
+    Returns (M, B, classes) logits; slice j is bit-identical to mix j's
+    own forward. Every layer recovers all M weights at once; the first
+    conv shares one im2col of x among the mixes, later convs fold M into
+    the batch, and every product is the per-mix 2-D matmul. The working
+    set is M times one model's.
+    """
     p = model.width
-    h = x
-    for idx, cb in enumerate(arch.convs):
-        spec, coef = layout.specs[idx], layout.coefs[idx]
-        kw = dict(out_kept=layout.kept_outputs(idx, p), in_kept=layout.kept_inputs(idx, p))
-        if recovery == "padfl":
-            layer = decomp.DecomposedLayer(
-                model.general.factors[idx], model.personal.factors[idx],
-                model.personal.biases[idx], spec, coef, width=Fraction(p),
-                in_kept=kw["in_kept"])
-            w = decomp.recover_padfl(layer)
+    h = x[None]  # a leading axis of 1 is shared by all M mixes
+    for idx, spec in enumerate(layout.specs):
+        w = decomp.recover_stacked(model.general.factors[idx], model.personal.factors[idx],
+                                   spec, layout.kept_outputs(idx, p),
+                                   layout.kept_inputs(idx, p), recovery)
+        b = model.personal.biases[idx]
+        if spec.kind == "conv":
+            cb = layout.arch.convs[idx]
+            h = ad.conv2d_infer(h, w, stride=cb.stride, pad=cb.pad) + b[:, None, :, None, None]
+            if cb.pool:
+                h = ad.maxpool2x2_infer(h)
         else:
-            w = decomp.recover_flanc(model.general.factors[idx],
-                                     model.personal.factors[idx], spec, **kw)
-        h = ad.conv2d_infer(h, w, stride=cb.stride, pad=cb.pad)
-        h = h + model.personal.biases[idx].reshape(1, -1, 1, 1)
-        if cb.pool:
-            h = ad.maxpool2x2_infer(h)
+            h = np.matmul(h.reshape(h.shape[0], h.shape[1], -1),
+                          w[:, :, :, 0, 0].transpose(0, 2, 1)) + b[:, None, :]
         h = ad.relu_infer(h)
-    h = h.reshape(h.shape[0], -1)
-    for j, _ in enumerate(arch.hidden):
-        idx = len(arch.convs) + j
-        spec, coef = layout.specs[idx], layout.coefs[idx]
-        kw = dict(out_kept=layout.kept_outputs(idx, p), in_kept=layout.kept_inputs(idx, p))
-        if recovery == "padfl":
-            layer = decomp.DecomposedLayer(
-                model.general.factors[idx], model.personal.factors[idx],
-                model.personal.biases[idx], spec, coef, width=Fraction(p),
-                in_kept=kw["in_kept"])
-            w = decomp.recover_padfl(layer)
-        else:
-            w = decomp.recover_flanc(model.general.factors[idx],
-                                     model.personal.factors[idx], spec, **kw)
-        h = ad.relu_infer(h @ w[:, :, 0, 0].T + model.personal.biases[idx])
-    return h @ model.head.w.T + model.head.b
+    h = h.reshape(h.shape[0], h.shape[1], -1)
+    return np.matmul(h, model.head.w.transpose(0, 2, 1)) + model.head.b[:, None, :]
+
+
+def infer_logits(layout, model: ClientModel, x, recovery="padfl"):
+    """Logits of one client model: the stacked forward at M = 1."""
+    one = ClientModel.from_arrays([a[None] for a in model.arrays()], model.width)
+    return stacked_logits(layout, one, x, recovery)[0]
 
 
 def accuracy(layout, model: ClientModel, x, y, recovery="padfl") -> float:

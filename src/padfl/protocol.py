@@ -5,7 +5,10 @@ personal parameters alongside the shared general factors, run local
 updates, average the general factors over the round's survivors, then
 regress the hyper-network onto the locally trained personal parameters.
 Evaluation fuses the freshly received model with each client's last
-locally trained model by a validation-accuracy line search.
+locally trained model by a validation-accuracy line search over an alpha
+grid: every mix is evaluated in one stacked forward (memory: grid size
+times one model's working set), and ties go to the smallest alpha, the
+received model's side.
 
 Sampling, aggregation and the hyper-network step run in the calling
 process. Per-client training and evaluation can run in forked worker
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,6 +40,7 @@ from .model import (
     head_logits_t,
     init_decomposed,
     representation_t,
+    stacked_logits,
 )
 
 # rng stream tags so every consumer draws from its own deterministic stream
@@ -108,11 +113,6 @@ def orthogonal_reg_t(u_nodes, specs):
     if not terms:
         return None
     return ad.add_n(terms)
-
-
-def orthogonal_reg(general_factors, specs) -> float:
-    node = orthogonal_reg_t([ad.const(u) for u in general_factors], specs)
-    return 0.0 if node is None else float(node.data)
 
 
 @dataclass
@@ -195,26 +195,25 @@ def select_test_model(received: ClientModel, local, val_xy, layout: Layout,
                       grid_size=11, recovery="padfl"):
     """Line-search the received/local interpolation on validation accuracy.
 
-    Returns (model, alpha, val_accuracy); ties prefer the smaller alpha
-    (the aggregated model). Missing local model -> alpha 0; empty
-    validation set -> alpha 1 (local model).
+    All `grid_size` mixes are evaluated in one stacked forward, whose
+    working set is grid_size times one model's. Returns (model, alpha,
+    val_accuracy); ties prefer the smaller alpha (the aggregated model).
+    Missing local model -> alpha 0; empty validation set -> alpha 1
+    (local model).
     """
+    x, y = val_xy
     if local is None:
-        x, y = val_xy
         acc = accuracy(layout, received, x, y, recovery) if len(y) else float("nan")
         return received, 0.0, acc
-    x, y = val_xy
     if len(y) == 0:
         return local, 1.0, float("nan")
     if grid_size < 2:
         raise ConfigurationError("alpha grid needs at least 2 points")
-    best = (None, -1.0, 0.0)
-    for alpha in np.linspace(0.0, 1.0, grid_size):
-        fused = combine(received, local, float(alpha))
-        acc = accuracy(layout, fused, x, y, recovery)
-        if acc > best[1]:
-            best = (fused, acc, float(alpha))
-    return best[0], best[2], best[1]
+    alphas = np.linspace(0.0, 1.0, grid_size)
+    mixes = combine(received, local, alphas)
+    accs = (stacked_logits(layout, mixes, x, recovery).argmax(axis=2) == y).mean(axis=1)
+    best = int(np.argmax(accs))  # the first maximum: the smallest alpha wins ties
+    return mixes.at(best), float(alphas[best]), float(accs[best])
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +243,11 @@ class RoundMetrics:
     std_test: float
     params_exchanged: int
     hn_loss: float = float("nan")
+    # wall seconds of the phases: prepare + training, aggregate (with the
+    # hyper-network step), prepare + evaluation
+    train_s: float = float("nan")
+    server_s: float = float("nan")
+    eval_s: float = float("nan")
 
 
 def mean_arrays(array_lists):
@@ -343,28 +347,35 @@ class FederatedMethod:
 
     def run_round(self, t) -> RoundMetrics:
         """Sample, train and aggregate, then evaluate every client; the
-        per-client phases run on `cfg.workers` processes."""
+        per-client phases run on `cfg.workers` processes. Records each
+        phase's wall seconds."""
         selected = self.sample_clients(self.cfg.per_round)
         eta = self.eta(t)
+        started = time.perf_counter()
         self.prepare()
         trained = map_clients(lambda i: self.train_client(t, i, eta), selected,
                               self.cfg.workers)
+        trained_at = time.perf_counter()
         results = {i: r for i, r in zip(selected, trained) if r.ok}
         ok = sorted(results)
         failed = [i for i in selected if i not in results]
         if not ok:
             raise NumericError(f"every client failed in round {t}")
         self.aggregate(t, ok, results)
+        aggregated_at = time.perf_counter()
         self.prepare()
         rows = map_clients(lambda i: self.evaluate_client(self.profiles[i], results.get(i)),
                            range(len(self.profiles)), self.cfg.workers)
+        evaluated_at = time.perf_counter()
         tests = np.array([r.test_acc for r in rows])
         vals = np.array([r.val_acc for r in rows])
         return RoundMetrics(
             round=t, eta=eta, selected=selected, failed=failed, rows=rows,
             mean_val=float(vals.mean()), mean_test=float(tests.mean()),
             std_test=float(tests.std()), params_exchanged=self.round_payload(selected),
-            hn_loss=getattr(self, "last_hn_loss", float("nan")))
+            hn_loss=getattr(self, "last_hn_loss", float("nan")),
+            train_s=trained_at - started, server_s=aggregated_at - trained_at,
+            eval_s=evaluated_at - aggregated_at)
 
     # method-specific hooks
     def prepare(self):

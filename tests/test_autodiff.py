@@ -93,6 +93,22 @@ class TestConv2d:
         with pytest.raises(DimensionError):
             ad.conv2d(ad.const(np.ones((1, 1, 2, 2))), ad.const(np.ones((1, 1, 5, 5))))
 
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("bsz", [1, 3])
+    def test_stacked_infer_slices_equal_single_conv(self, shared, bsz):
+        # M weights on one shared input, or each on its own input (folded
+        # into one im2col): slice j is bitwise the graph conv of weight j
+        rng = np.random.default_rng(5)
+        w = rng.normal(size=(4, 5, 3, 6, 6))
+        x = rng.normal(size=(1 if shared else 4, bsz, 3, 7, 7))
+        out = ad.conv2d_infer(x, w, stride=1, pad=2)
+        assert out.shape == (4, bsz, 5, 6, 6)
+        for j in range(4):
+            xj = x[0 if shared else j]
+            single = ad.conv2d(ad.const(xj), ad.const(w[j]), stride=1, pad=2).data
+            assert np.array_equal(out[j], single)
+            assert np.abs(out[j] - conv2d_loops(xj, w[j], stride=1, pad=2)).max() <= 1e-12
+
 
 class TestPrimitives:
     def test_relu_values(self):

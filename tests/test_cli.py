@@ -129,7 +129,26 @@ class TestRun:
             assert np.array_equal(float(row["hn_loss"]), m.hn_loss, equal_nan=True)
             assert int(row["params_exchanged"]) == m.params_exchanged
             assert [int(i) for i in row["failed"].split()] == m.failed
+            for phase in ("train_s", "server_s", "eval_s"):
+                assert float(row[phase]) == getattr(m, phase)
         assert np.isnan(record.rounds[0].hn_loss) == (method != "Pa3dFL")
+        phases = np.array([[float(r[k]) for k in ("train_s", "server_s", "eval_s")]
+                           for r in rows])
+        assert np.isfinite(phases).all() and (phases >= 0).all()
+        assert phases.sum() <= record.wall_time
+
+    def test_flanc_ablation_differs_from_pa3dfl(self, tmp_path):
+        # with conv_channels 4,8 at min_width 1/4 the second conv has
+        # base_count 2, so its input-slab recovery is not the channel-aware
+        # one; with 4,4 every base_count is 1 and the two coincide
+        def csv_bytes(method, channels):
+            out = f"{method}-{channels[1]}"
+            runner.run(small_cfg(tmp_path, out=out, method=method, conv_channels=channels))
+            return (tmp_path / out / "metrics.csv").read_bytes()
+
+        for channels, differ in (((4, 8), True), ((4, 4), False)):
+            assert (csv_bytes("Pa3dFL", channels)
+                    != csv_bytes("Pa3dFL_FlancDecomp", channels)) == differ
 
     def test_summary_totals_match_csv(self, tmp_path):
         cfg = small_cfg(tmp_path)

@@ -12,17 +12,19 @@ from padfl.decomp import (
     flops_account,
     init_layer,
     param_count,
-    prune_flanc,
-    prune_personal,
-    recover_flanc,
     recover_padfl,
-    reduction_ratio,
     select_coefficients,
     supported_widths,
 )
 from padfl.errors import ConfigurationError
 
-from util import conv2d_loops
+from util import (
+    conv2d_loops,
+    prune_flanc,
+    prune_personal,
+    recover_flanc,
+    reduction_ratio,
+)
 
 
 def random_layer(spec, coef, seed):
@@ -158,6 +160,27 @@ class TestRecoverFlanc:
         v = np.ones((2, 6))
         with pytest.raises(ConfigurationError):
             recover_flanc(u, v, spec)
+
+
+class TestRecoverStacked:
+    @pytest.mark.parametrize("kind", ["padfl", "flanc"])
+    def test_slices_bitwise_equal_graph_recovery(self, kind):
+        spec = LayerSpec("conv", 8, 4, 3)
+        coef = Coefficients(base_count=2, rank=6, min_width=Fraction(1, 4))
+        rng = np.random.default_rng(12)
+        out_kept, in_kept = 4, 2  # a pruned width
+        cols = out_kept // 2 * in_kept if kind == "padfl" else out_kept * (in_kept // 2)
+        u = rng.normal(size=(3, 9 * 2, 6))
+        v = rng.normal(size=(3, 6, cols))
+        got = decomp.recover_stacked(u, v, spec, out_kept, in_kept, kind)
+        assert got.shape == (3, out_kept, in_kept, 3, 3) and got.flags.c_contiguous
+        for j in range(3):
+            if kind == "padfl":
+                ref = decomp.recover_padfl_t(ad.const(u[j]), ad.const(v[j]), spec, coef,
+                                             out_kept=out_kept, in_kept=in_kept).data
+            else:
+                ref = recover_flanc(u[j], v[j], spec, out_kept=out_kept, in_kept=in_kept)
+            assert np.array_equal(got[j], ref)
 
 
 class TestPrune:

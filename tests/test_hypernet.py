@@ -8,7 +8,15 @@ from padfl import hypernet as hn
 from padfl.errors import ConfigurationError
 from padfl.model import CnnArch, ConvBlock, Layout, PersonalParams, build_layout
 
-from util import aggregate_embedding, encode, finite_diff, hn_loss, reference_personal, rel_err
+from util import (
+    aggregate_embedding,
+    encode,
+    finite_diff,
+    hn_loss,
+    prune_personal,
+    reference_personal,
+    rel_err,
+)
 
 
 def tiny_layout():
@@ -129,7 +137,7 @@ class TestGenerate:
         layer = decomp.DecomposedLayer(
             np.zeros((spec.kernel ** 2 * coef.base_count, coef.rank)),
             full.factors[0], full.biases[0], spec, coef)
-        pruned = decomp.prune_personal(layer, Fraction(1, 2), layout.kept_inputs(0, Fraction(1, 2)))
+        pruned = prune_personal(layer, Fraction(1, 2), layout.kept_inputs(0, Fraction(1, 2)))
         assert np.array_equal(half.factors[0], pruned.personal)
         assert np.array_equal(half.biases[0], pruned.bias)
         assert np.array_equal(half.head_w, full.head_w[:, :layout.head_in(Fraction(1, 2))])

@@ -17,10 +17,13 @@ from padfl.model import (
     HeadParams,
     PersonalParams,
     build_layout,
+    combine,
     init_decomposed,
+    stacked_logits,
 )
 
-from util import finite_diff, rel_err
+from test_hypernet import conv_layout
+from util import finite_diff, orthogonal_reg, reference_logits, rel_err
 
 
 GRID16 = supported_widths(Fraction(1, 16))
@@ -78,16 +81,16 @@ class TestOrthogonalReg:
     def test_orthogonal_columns_zero(self):
         u = np.eye(4)[:, :3]
         spec = LayerSpec("conv", 3, 3, 2)
-        assert protocol.orthogonal_reg([u], [spec]) == 0.0
+        assert orthogonal_reg([u], [spec]) == 0.0
 
     def test_hand_value(self):
         u = np.array([[1.0, 1.0], [0.0, 0.0]])
         spec = LayerSpec("conv", 2, 2, 1)
-        assert protocol.orthogonal_reg([u], [spec]) == 2.0
+        assert orthogonal_reg([u], [spec]) == 2.0
 
     def test_linear_layers_excluded(self):
         u = np.array([[1.0, 1.0], [0.0, 0.0]])
-        assert protocol.orthogonal_reg([u], [LayerSpec("linear", 2, 2)]) == 0.0
+        assert orthogonal_reg([u], [LayerSpec("linear", 2, 2)]) == 0.0
 
     def test_gradient_matches_fd(self):
         rng = np.random.default_rng(2)
@@ -266,6 +269,78 @@ class TestSelectTestModel:
         y = np.zeros(0, dtype=np.int64)
         fused, alpha, _ = protocol.select_test_model(a, b, (x, y), self.layout)
         assert alpha == 1.0 and fused is b
+
+
+def random_conv_model(layout, p, recovery, rng, biases=True):
+    """A width-p decomposed model with random factors in `recovery`'s layout."""
+    gen, fac, bias = [], [], []
+    for idx, (spec, coef) in enumerate(zip(layout.specs, layout.coefs)):
+        out_kept, in_kept = layout.kept_outputs(idx, p), layout.kept_inputs(idx, p)
+        cols = (out_kept // coef.base_count * in_kept if recovery == "padfl"
+                else out_kept * (in_kept // coef.base_count))
+        gen.append(rng.normal(size=(spec.kernel ** 2 * coef.base_count, coef.rank)))
+        fac.append(rng.normal(size=(coef.rank, cols)))
+        bias.append(rng.normal(size=out_kept) * biases)
+    hw = rng.normal(size=(layout.classes, layout.head_in(p)))
+    hb = rng.normal(size=layout.classes) * biases
+    return ClientModel(GeneralParams(gen), PersonalParams(fac, bias, hw, hb),
+                       HeadParams(hw, hb), p)
+
+
+def scalar_mix(a, b, alpha):
+    return ClientModel.from_arrays(
+        [(1.0 - alpha) * x + alpha * y for x, y in zip(a.arrays(), b.arrays())], a.width)
+
+
+class TestSelectTestModelConv:
+    """The stacked line search on a conv layout (two conv blocks and a hidden
+    layer) at a pruned width, against a per-alpha first-principles forward."""
+
+    P = Fraction(1, 2)
+
+    def setup_method(self):
+        self.layout = conv_layout(side=8)
+        rng = np.random.default_rng(12)
+        self.x = rng.normal(size=(12, 2, 8, 8))
+        self.y = rng.integers(0, self.layout.classes, size=12)
+
+    @pytest.mark.parametrize("recovery", ["padfl", "flanc"])
+    def test_matches_per_alpha_reference(self, recovery):
+        rng = np.random.default_rng(11)
+        received = random_conv_model(self.layout, self.P, recovery, rng)
+        local = random_conv_model(self.layout, self.P, recovery, rng)
+        alphas = np.linspace(0.0, 1.0, 11)
+        refs = [reference_logits(self.layout, scalar_mix(received, local, float(a)), self.x,
+                                 recovery) for a in alphas]
+        got = stacked_logits(self.layout, combine(received, local, alphas), self.x, recovery)
+        for g, r in zip(got, refs):
+            assert rel_err(g, r) <= 1e-12
+        accs = [float((r.argmax(axis=1) == self.y).mean()) for r in refs]
+        assert len(set(accs)) > 1
+        fused, alpha, acc = protocol.select_test_model(
+            received, local, (self.x, self.y), self.layout, recovery=recovery)
+        best = int(np.argmax(accs))
+        assert alpha == alphas[best] and acc == accs[best]
+        expect = combine(received, local, [alpha]).at(0)
+        for a, b, c in zip(fused.arrays(), expect.arrays(),
+                           scalar_mix(received, local, alpha).arrays()):
+            assert np.array_equal(a, b) and np.array_equal(a, c)
+
+    @pytest.mark.parametrize("recovery", ["padfl", "flanc"])
+    def test_ties_resolve_to_smallest_alpha(self, recovery):
+        # no biases and local = 2 * received: every mix rescales the same
+        # network by a positive factor, so every alpha scores the same
+        rng = np.random.default_rng(13)
+        received = random_conv_model(self.layout, self.P, recovery, rng, biases=False)
+        local = ClientModel.from_arrays([2.0 * a for a in received.arrays()], self.P)
+        accs = {float((reference_logits(self.layout, scalar_mix(received, local, a), self.x,
+                                        recovery).argmax(axis=1) == self.y).mean())
+                for a in np.linspace(0.0, 1.0, 11)}
+        fused, alpha, acc = protocol.select_test_model(
+            received, local, (self.x, self.y), self.layout, recovery=recovery)
+        assert accs == {acc} and alpha == 0.0
+        for a, b in zip(fused.arrays(), received.arrays()):
+            assert np.array_equal(a, b)
 
 
 class TestDecomposedRounds:
