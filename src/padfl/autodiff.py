@@ -12,17 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, NumericError
-
-# When enabled every op output is scanned for NaN/Inf. Off by default:
-# training code checks loss scalars instead, which is where blowups
-# surface first.
-_CHECK_FINITE = False
-
-
-def set_check_finite(flag):
-    global _CHECK_FINITE
-    _CHECK_FINITE = bool(flag)
+from .errors import DimensionError
 
 
 class Tensor:
@@ -38,8 +28,6 @@ class Tensor:
         else:
             arr = np.array(data, dtype=np.float64, order="C")
         arr.flags.writeable = False
-        if _CHECK_FINITE and not np.isfinite(arr).all():
-            raise NumericError("non-finite tensor value")
         self.data = arr
         self.parents = tuple(parents)
         self.backward_fn = backward_fn
@@ -230,11 +218,9 @@ def conv2d_infer(x, w, stride=1, pad=0):
     x is (M,B,S,H,W), or (1,B,S,H,W) to share one input among all M. The
     batch axes are folded into one im2col; each weight then multiplies its
     own column block in the same 2-D product `conv2d` uses, so every slice
-    is bit-identical to convolving that weight alone. A single weight
-    (T,S,k,k) on a (B,S,H,W) input is the M = 1 case.
+    is bit-identical to convolving that weight alone. One weight is the
+    M = 1 case: w[None] on x[None].
     """
-    if w.ndim == 4:
-        return conv2d_infer(x[None], w[None], stride, pad)[0]
     m, t, s, k, _ = w.shape
     bsz = x.shape[1]
     cols, ho, wo = _im2col(x.reshape((-1,) + x.shape[2:]), k, stride, pad)
@@ -383,10 +369,6 @@ def scale(x, c):
 
 def neg(x):
     return scale(x, -1.0)
-
-
-def sub(a, b):
-    return add(a, neg(b))
 
 
 def mul(a, b):

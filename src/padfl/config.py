@@ -98,50 +98,45 @@ _PARSERS = {
 def parse_value(key, text, current):
     if key in _PARSERS:
         return _PARSERS[key](text)
-    if isinstance(current, bool):
-        return text.lower() in ("1", "true", "yes")
     if isinstance(current, int):
         return int(text)
     if isinstance(current, float):
         return float(text)
-    if isinstance(current, Fraction):
-        return Fraction(text)
     return text
+
+
+def _assign(cfg, key, text, where=""):
+    """Set one key from its text; errors are prefixed with `where`."""
+    if key not in {f.name for f in fields(RunConfig)}:
+        raise ConfigurationError(f"{where}unknown key {key!r}")
+    try:
+        setattr(cfg, key, parse_value(key, text, getattr(cfg, key)))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigurationError(f"{where}bad value for {key}: {exc}") from exc
 
 
 def parse_config(text, base=None) -> RunConfig:
     cfg = base or RunConfig()
-    known = {f.name for f in fields(RunConfig)}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigurationError(f"line {lineno}: expected key = value, got {raw!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
-        if key not in known:
-            raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
-        try:
-            setattr(cfg, key, parse_value(key, val, getattr(cfg, key)))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigurationError(f"line {lineno}: bad value for {key}: {exc}") from exc
+        key, val = line.split("=", 1)
+        _assign(cfg, key.strip(), val.strip(), f"line {lineno}: ")
     return cfg
 
 
 def load_config(path, overrides=()) -> RunConfig:
+    """The config file, then `--set` overrides, taken verbatim (no comments)."""
     with open(path) as fh:
         cfg = parse_config(fh.read())
     for item in overrides:
         if "=" not in item:
             raise ConfigurationError(f"override {item!r} is not key=value")
         key, val = item.split("=", 1)
-        key = key.strip()
-        if key not in {f.name for f in fields(RunConfig)}:
-            raise ConfigurationError(f"unknown key {key!r}")
-        try:
-            setattr(cfg, key, parse_value(key, val.strip(), getattr(cfg, key)))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigurationError(f"bad value for {key}: {exc}") from exc
+        _assign(cfg, key.strip(), val.strip())
     return cfg.finalize()
 
 

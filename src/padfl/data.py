@@ -42,9 +42,6 @@ class ClientData:
             self._cache[name] = (self.dataset.features[idx], self.dataset.labels[idx])
         return self._cache[name]
 
-    def train_xy(self):
-        return self._xy("train", self.train_idx)
-
     def val_xy(self):
         return self._xy("val", self.val_idx)
 

@@ -41,10 +41,6 @@ class LayerSpec:
         if self.kind == "linear" and self.kernel != 1:
             raise ConfigurationError("linear layers must have kernel 1")
 
-    @property
-    def weight_size(self):
-        return self.out_channels * self.in_channels * self.kernel ** 2
-
 
 @dataclass(frozen=True)
 class Coefficients:
@@ -252,14 +248,16 @@ def param_count(spec: LayerSpec, coef: Coefficients, p, in_kept=None, include_bi
     return n
 
 
-def flops_account(spec: LayerSpec, coef: Coefficients, p, batch, q, in_kept=None):
+def flops_account(spec: LayerSpec, coef: Coefficients, p, batch, hw, in_kept=None):
     """(forward multiply-adds, recovery-overhead ratio) for a width-p layer.
 
-    q is the spatial size of the layer's output feature map (1 for
-    linear). Recovery costs rank*k^2*(pS)*(pT) multiply-adds against a
-    batch forward of B*q^2*k^2*(pS)*(pT): the ratio is rank/(B*q^2).
+    hw = (h, w) is the size of the layer's output feature map before
+    pooling ((1, 1) for linear). Recovery costs rank*k^2*(pS)*(pT)
+    multiply-adds against a batch forward of B*h*w*k^2*(pS)*(pT): the
+    ratio is rank/(B*h*w).
     """
-    if batch < 1 or q < 1:
+    h, w = hw
+    if batch < 1 or h < 1 or w < 1:
         raise ConfigurationError("batch and feature size must be >= 1")
     p = Fraction(p)
     t_kept = Fraction(spec.out_channels) * p
@@ -270,5 +268,5 @@ def flops_account(spec: LayerSpec, coef: Coefficients, p, batch, q, in_kept=None
         if s_kept.denominator != 1:
             raise ConfigurationError(f"width {p} does not keep whole input channels")
         in_kept = int(s_kept)
-    forward = batch * q * q * spec.kernel ** 2 * in_kept * int(t_kept)
-    return forward, Fraction(coef.rank, batch * q * q)
+    forward = batch * h * w * spec.kernel ** 2 * in_kept * int(t_kept)
+    return forward, Fraction(coef.rank, batch * h * w)

@@ -8,6 +8,11 @@ in two flavors per client: the frozen shared head and a personal one.
 Width-p submodels keep the leading p*T output channels of every layer,
 so the flatten stays contiguous and the head only needs its leading
 input columns.
+
+Both families share one graph forward (`features_t`, for training) and
+one plain-array forward (`stacked_forward`, for evaluation) per
+architecture. A decomposed model first recovers its dense weights from
+its factors; a dense model is the M = 1 case with no recovery.
 """
 from __future__ import annotations
 
@@ -42,12 +47,13 @@ class CnnArch:
 
 @dataclass(frozen=True)
 class Layout:
-    """Geometry shared by the protocol, the hyper-network and accounting."""
+    """Layer geometry, computed only here: both model families, the
+    hyper-network and accounting read it."""
 
     arch: CnnArch
     specs: tuple          # decomposed LayerSpec per layer (convs then hidden)
     coefs: tuple          # Coefficients per layer
-    conv_out_hw: tuple    # (h, w) after each conv block
+    out_hw: tuple         # (h, w) of each layer's output before pooling; (1, 1) if linear
     head_in_full: int     # dense feature count entering the head at width 1
     min_width: Fraction
 
@@ -69,30 +75,36 @@ class Layout:
     def kept_outputs(self, layer_idx, p) -> int:
         return int(Fraction(self.specs[layer_idx].out_channels) * Fraction(p))
 
+    def client_param_count(self, p) -> int:
+        """Floats a width-p client holds of the decomposed model: the full
+        general factors, its personal factors and biases, the head slice."""
+        n = sum(decomp.param_count(spec, coef, p, in_kept=self.kept_inputs(idx, p))
+                for idx, (spec, coef) in enumerate(zip(self.specs, self.coefs)))
+        return n + self.classes * self.head_in(p) + self.classes
+
 
 def build_layout(arch: CnnArch, min_width) -> Layout:
     mw = Fraction(min_width)
-    specs = []
-    hw = (arch.height, arch.width)
-    conv_hw = []
+    specs, out_hw = [], []
+    h, w = arch.height, arch.width
     prev_c = arch.in_channels
     for cb in arch.convs:
         specs.append(decomp.LayerSpec("conv", cb.channels, prev_c, cb.kernel, cb.stride, cb.pad))
-        h = (hw[0] + 2 * cb.pad - cb.kernel) // cb.stride + 1
-        w = (hw[1] + 2 * cb.pad - cb.kernel) // cb.stride + 1
+        h = (h + 2 * cb.pad - cb.kernel) // cb.stride + 1
+        w = (w + 2 * cb.pad - cb.kernel) // cb.stride + 1
+        out_hw.append((h, w))
         if cb.pool:
             if h % 2 or w % 2:
                 raise ConfigurationError(f"pooling needs even feature maps, got {h}x{w}")
             h, w = h // 2, w // 2
-        hw = (h, w)
-        conv_hw.append(hw)
         prev_c = cb.channels
-    feat = prev_c * hw[0] * hw[1] if arch.convs else arch.in_channels * arch.height * arch.width
+    feat = prev_c * h * w
     for width in arch.hidden:
         specs.append(decomp.LayerSpec("linear", width, feat))
+        out_hw.append((1, 1))
         feat = width
     coefs = tuple(decomp.select_coefficients(s, mw) for s in specs)
-    return Layout(arch, tuple(specs), coefs, tuple(conv_hw), feat, mw)
+    return Layout(arch, tuple(specs), coefs, tuple(out_hw), feat, mw)
 
 
 # ---------------------------------------------------------------------------
@@ -103,9 +115,6 @@ class GeneralParams:
     """Full-size general factors, identical shape for every client."""
 
     factors: list  # np arrays, one per decomposed layer
-
-    def copy(self):
-        return GeneralParams([f.copy() for f in self.factors])
 
     def arrays(self):
         return list(self.factors)
@@ -133,9 +142,6 @@ class PersonalParams:
 class HeadParams:
     w: np.ndarray  # (classes, features)
     b: np.ndarray  # (classes,)
-
-    def copy(self):
-        return HeadParams(self.w.copy(), self.b.copy())
 
     def sliced(self, n_in):
         return HeadParams(np.ascontiguousarray(self.w[:, :n_in]), self.b)
@@ -196,41 +202,63 @@ def init_decomposed(layout: Layout, rng):
 
 
 # ---------------------------------------------------------------------------
-# forward passes (graph and plain-array)
+# dense models: the baselines' model, and the decomposed model once recovered
 
-def _recover_nodes(layout, u_nodes, v_nodes, p, recovery):
-    weights = []
-    for idx, (spec, coef) in enumerate(zip(layout.specs, layout.coefs)):
-        out_kept = layout.kept_outputs(idx, p)
-        in_kept = layout.kept_inputs(idx, p)
-        if recovery == "padfl":
-            w = decomp.recover_padfl_t(u_nodes[idx], v_nodes[idx], spec, coef,
-                                       out_kept=out_kept, in_kept=in_kept)
-        else:
-            w = decomp.recover_flanc_t(u_nodes[idx], v_nodes[idx], spec,
-                                       out_kept=out_kept, in_kept=in_kept)
-        weights.append(w)
-    return weights
+@dataclass
+class PlainModel:
+    """Dense width-p model: one weight and one bias per layer (conv weights
+    (T, S, k, k), then linear weights (T, S)), then the head. A stacked
+    model gives every array a leading axis with one entry per model."""
+
+    weights: list
+    biases: list
+    head_w: np.ndarray
+    head_b: np.ndarray
+    width: Fraction = Fraction(1)
+
+    def arrays(self):
+        return list(self.weights) + list(self.biases) + [self.head_w, self.head_b]
+
+    @classmethod
+    def from_arrays(cls, template, arrays):
+        n = len(template.weights)
+        return cls(arrays[:n], arrays[n:2 * n], arrays[-2], arrays[-1], template.width)
 
 
-def representation_t(layout, u_nodes, v_nodes, b_nodes, x_node, p, recovery="padfl"):
-    """Graph forward up to (but not including) the head: (B, feat) node."""
-    arch = layout.arch
-    weights = _recover_nodes(layout, u_nodes, v_nodes, p, recovery)
+def init_plain(layout: Layout, p, rng) -> PlainModel:
+    """Fresh dense width-p model, every array uniform in +-1/sqrt(fan-in)."""
+    p = Fraction(p)
+    weights, biases = [], []
+    for idx, spec in enumerate(layout.specs):
+        t, s = layout.kept_outputs(idx, p), layout.kept_inputs(idx, p)
+        bound = 1.0 / np.sqrt(s * spec.kernel ** 2)
+        shape = (t, s, spec.kernel, spec.kernel) if spec.kind == "conv" else (t, s)
+        weights.append(rng.uniform(-bound, bound, size=shape))
+        biases.append(rng.uniform(-bound, bound, size=t))
+    feat = layout.head_in(p)
+    bound = 1.0 / np.sqrt(feat)
+    head_w = rng.uniform(-bound, bound, size=(layout.classes, feat))
+    head_b = rng.uniform(-bound, bound, size=layout.classes)
+    return PlainModel(weights, biases, head_w, head_b, p)
+
+
+# ---------------------------------------------------------------------------
+# forward passes: one graph forward and one plain-array forward
+
+def features_t(arch: CnnArch, weights, biases, x_node):
+    """Graph forward up to (but not including) the head, over one weight
+    and one bias node per layer (conv weights (T, S, k, k), linear weights
+    (T, S)); returns the (B, features) node."""
     h = x_node
-    idx = 0
-    for cb in arch.convs:
-        h = ad.conv2d(h, weights[idx], stride=cb.stride, pad=cb.pad, bias=b_nodes[idx])
+    for w, b, cb in zip(weights, biases, arch.convs):
+        h = ad.conv2d(h, w, stride=cb.stride, pad=cb.pad, bias=b)
         if cb.pool:
             h = ad.maxpool2x2(h)
         h = ad.relu(h)
-        idx += 1
-    bsz = x_node.data.shape[0]
-    h = ad.reshape(h, (bsz, int(np.prod(h.data.shape[1:]))))
-    for _ in arch.hidden:
-        w2 = ad.reshape(weights[idx], weights[idx].data.shape[:2])
-        h = ad.relu(ad.add(ad.matmul(h, ad.transpose(w2, (1, 0))), b_nodes[idx]))
-        idx += 1
+    h = ad.reshape(h, (x_node.data.shape[0], int(np.prod(h.data.shape[1:]))))
+    n_conv = len(arch.convs)
+    for w, b in zip(weights[n_conv:], biases[n_conv:]):
+        h = ad.relu(ad.add(ad.matmul(h, ad.transpose(w, (1, 0))), b))
     return h
 
 
@@ -238,34 +266,69 @@ def head_logits_t(x_node, head_w, head_b):
     return ad.add(ad.matmul(x_node, ad.transpose(head_w, (1, 0))), head_b)
 
 
-def stacked_logits(layout, model: ClientModel, x, recovery="padfl"):
-    """Plain-array forward (no graph, for evaluation) of a stacked model
-    (see `combine`) holding M mixes, on one shared batch x (B, C, H, W).
-
-    Returns (M, B, classes) logits; slice j is bit-identical to mix j's
-    own forward. Every layer recovers all M weights at once; the first
-    conv shares one im2col of x among the mixes, later convs fold M into
-    the batch, and every product is the per-mix 2-D matmul. The working
-    set is M times one model's.
-    """
-    p = model.width
-    h = x[None]  # a leading axis of 1 is shared by all M mixes
-    for idx, spec in enumerate(layout.specs):
-        w = decomp.recover_stacked(model.general.factors[idx], model.personal.factors[idx],
-                                   spec, layout.kept_outputs(idx, p),
-                                   layout.kept_inputs(idx, p), recovery)
-        b = model.personal.biases[idx]
-        if spec.kind == "conv":
-            cb = layout.arch.convs[idx]
-            h = ad.conv2d_infer(h, w, stride=cb.stride, pad=cb.pad) + b[:, None, :, None, None]
-            if cb.pool:
-                h = ad.maxpool2x2_infer(h)
+def representation_t(layout, u_nodes, v_nodes, b_nodes, x_node, p, recovery="padfl"):
+    """Graph forward of the decomposed model up to the head: recover every
+    width-p weight from its factors, then `features_t`."""
+    weights = []
+    for idx, (spec, coef) in enumerate(zip(layout.specs, layout.coefs)):
+        out_kept, in_kept = layout.kept_outputs(idx, p), layout.kept_inputs(idx, p)
+        if recovery == "padfl":
+            w = decomp.recover_padfl_t(u_nodes[idx], v_nodes[idx], spec, coef,
+                                       out_kept=out_kept, in_kept=in_kept)
         else:
-            h = np.matmul(h.reshape(h.shape[0], h.shape[1], -1),
-                          w[:, :, :, 0, 0].transpose(0, 2, 1)) + b[:, None, :]
+            w = decomp.recover_flanc_t(u_nodes[idx], v_nodes[idx], spec,
+                                       out_kept=out_kept, in_kept=in_kept)
+        weights.append(w if spec.kind == "conv" else ad.reshape(w, (out_kept, in_kept)))
+    return features_t(layout.arch, weights, b_nodes, x_node)
+
+
+def plain_logits_t(arch, nodes, x_node):
+    """Graph forward of a dense model given leaf nodes in arrays() order."""
+    n = (len(nodes) - 2) // 2
+    return head_logits_t(features_t(arch, nodes[:n], nodes[n:2 * n], x_node),
+                         nodes[-2], nodes[-1])
+
+
+def stacked_forward(arch: CnnArch, model: PlainModel, x):
+    """Plain-array forward (no graph, for evaluation) of a stacked dense
+    model holding M models, on one shared batch x (B, C, H, W).
+
+    Returns (M, B, classes) logits; slice j is bit-identical to model j's
+    own forward. The first conv shares one im2col of x among the models,
+    later convs fold M into the batch, and every product is the per-model
+    2-D matmul. The working set is M times one model's.
+    """
+    h = x[None]  # a leading axis of 1 is shared by all M models
+    for w, b, cb in zip(model.weights, model.biases, arch.convs):
+        h = ad.conv2d_infer(h, w, stride=cb.stride, pad=cb.pad) + b[:, None, :, None, None]
+        if cb.pool:
+            h = ad.maxpool2x2_infer(h)
         h = ad.relu_infer(h)
     h = h.reshape(h.shape[0], h.shape[1], -1)
-    return np.matmul(h, model.head.w.transpose(0, 2, 1)) + model.head.b[:, None, :]
+    n_conv = len(arch.convs)
+    for w, b in zip(model.weights[n_conv:], model.biases[n_conv:]):
+        h = ad.relu_infer(np.matmul(h, w.transpose(0, 2, 1)) + b[:, None, :])
+    return np.matmul(h, model.head_w.transpose(0, 2, 1)) + model.head_b[:, None, :]
+
+
+def plain_accuracy(arch, model: PlainModel, x, y) -> float:
+    """Accuracy of one dense model: the stacked forward at M = 1."""
+    one = PlainModel.from_arrays(model, [a[None] for a in model.arrays()])
+    return float((stacked_forward(arch, one, x)[0].argmax(axis=1) == y).mean())
+
+
+def stacked_logits(layout, model: ClientModel, x, recovery="padfl"):
+    """(M, B, classes) logits of a stacked decomposed model (see `combine`):
+    every layer recovers all M weights at once, then `stacked_forward`."""
+    p = model.width
+    weights = []
+    for idx, spec in enumerate(layout.specs):
+        out_kept, in_kept = layout.kept_outputs(idx, p), layout.kept_inputs(idx, p)
+        w = decomp.recover_stacked(model.general.factors[idx], model.personal.factors[idx],
+                                   spec, out_kept, in_kept, recovery)
+        weights.append(w if spec.kind == "conv" else w.reshape(len(w), out_kept, in_kept))
+    dense = PlainModel(weights, model.personal.biases, model.head.w, model.head.b, p)
+    return stacked_forward(layout.arch, dense, x)
 
 
 def infer_logits(layout, model: ClientModel, x, recovery="padfl"):
@@ -277,99 +340,3 @@ def infer_logits(layout, model: ClientModel, x, recovery="padfl"):
 def accuracy(layout, model: ClientModel, x, y, recovery="padfl") -> float:
     logits = infer_logits(layout, model, x, recovery)
     return float((logits.argmax(axis=1) == y).mean())
-
-
-# ---------------------------------------------------------------------------
-# dense (non-decomposed) models for the baselines
-
-@dataclass
-class PlainModel:
-    """Dense width-p model: conv (w, b) pairs, hidden pairs, head pair."""
-
-    conv_w: list
-    conv_b: list
-    fc_w: list
-    fc_b: list
-    head_w: np.ndarray
-    head_b: np.ndarray
-    width: Fraction = Fraction(1)
-
-    def arrays(self):
-        return (list(self.conv_w) + list(self.conv_b) + list(self.fc_w)
-                + list(self.fc_b) + [self.head_w, self.head_b])
-
-    def copy(self):
-        return PlainModel([w.copy() for w in self.conv_w], [b.copy() for b in self.conv_b],
-                          [w.copy() for w in self.fc_w], [b.copy() for b in self.fc_b],
-                          self.head_w.copy(), self.head_b.copy(), self.width)
-
-    @classmethod
-    def from_arrays(cls, template, arrays):
-        n, m = len(template.conv_w), len(template.fc_w)
-        return cls(arrays[:n], arrays[n:2 * n], arrays[2 * n:2 * n + m],
-                   arrays[2 * n + m:2 * n + 2 * m], arrays[-2], arrays[-1], template.width)
-
-
-def init_plain(arch: CnnArch, p, rng) -> PlainModel:
-    p = Fraction(p)
-    conv_w, conv_b = [], []
-    prev_c = arch.in_channels
-    hw = (arch.height, arch.width)
-    for i, cb in enumerate(arch.convs):
-        t = int(cb.channels * p)
-        s = prev_c
-        bound = 1.0 / np.sqrt(s * cb.kernel ** 2)
-        conv_w.append(rng.uniform(-bound, bound, size=(t, s, cb.kernel, cb.kernel)))
-        conv_b.append(rng.uniform(-bound, bound, size=t))
-        h = (hw[0] + 2 * cb.pad - cb.kernel) // cb.stride + 1
-        w = (hw[1] + 2 * cb.pad - cb.kernel) // cb.stride + 1
-        if cb.pool:
-            h, w = h // 2, w // 2
-        hw = (h, w)
-        prev_c = t
-    feat = prev_c * hw[0] * hw[1] if arch.convs else arch.in_channels * arch.height * arch.width
-    fc_w, fc_b = [], []
-    for width in arch.hidden:
-        t = int(width * p)
-        bound = 1.0 / np.sqrt(feat)
-        fc_w.append(rng.uniform(-bound, bound, size=(t, feat)))
-        fc_b.append(rng.uniform(-bound, bound, size=t))
-        feat = t
-    bound = 1.0 / np.sqrt(feat)
-    head_w = rng.uniform(-bound, bound, size=(arch.classes, feat))
-    head_b = rng.uniform(-bound, bound, size=arch.classes)
-    return PlainModel(conv_w, conv_b, fc_w, fc_b, head_w, head_b, p)
-
-
-def plain_logits_t(arch, model_nodes, x_node):
-    """Graph forward of a dense model given leaf nodes in arrays() order."""
-    conv_w, conv_b, fc_w, fc_b, head_w, head_b = model_nodes
-    h = x_node
-    for i, cb in enumerate(arch.convs):
-        h = ad.conv2d(h, conv_w[i], stride=cb.stride, pad=cb.pad, bias=conv_b[i])
-        if cb.pool:
-            h = ad.maxpool2x2(h)
-        h = ad.relu(h)
-    bsz = x_node.data.shape[0]
-    h = ad.reshape(h, (bsz, int(np.prod(h.data.shape[1:]))))
-    for i in range(len(fc_w)):
-        h = ad.relu(ad.add(ad.matmul(h, ad.transpose(fc_w[i], (1, 0))), fc_b[i]))
-    return ad.add(ad.matmul(h, ad.transpose(head_w, (1, 0))), head_b)
-
-
-def plain_infer(arch, model: PlainModel, x):
-    h = x
-    for i, cb in enumerate(arch.convs):
-        h = ad.conv2d_infer(h, model.conv_w[i], stride=cb.stride, pad=cb.pad)
-        h = h + model.conv_b[i].reshape(1, -1, 1, 1)
-        if cb.pool:
-            h = ad.maxpool2x2_infer(h)
-        h = ad.relu_infer(h)
-    h = h.reshape(h.shape[0], -1)
-    for i in range(len(model.fc_w)):
-        h = ad.relu_infer(h @ model.fc_w[i].T + model.fc_b[i])
-    return h @ model.head_w.T + model.head_b
-
-
-def plain_accuracy(arch, model: PlainModel, x, y) -> float:
-    return float((plain_infer(arch, model, x).argmax(axis=1) == y).mean())

@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import autodiff as ad
-from . import decomp, hypernet
+from . import hypernet
 from .data import ClientData
 from .errors import ConfigurationError, NumericError
 from .model import (
@@ -125,6 +125,35 @@ class LocalResult:
     model: object = None            # the dense methods' trained PlainModel
 
 
+def sgd(arrays, data: ClientData, loss_fn, *, epochs, batch, lr, rng):
+    """E epochs of minibatch SGD on copies of `arrays` over data's training
+    split; loss_fn(leaves, x_node, labels) builds each batch's scalar loss.
+
+    Returns (trained arrays, mean batch loss), or (None, nan) if an input
+    array or a batch loss is not finite.
+    """
+    arrays = [a.copy() for a in arrays]
+    if not all(np.isfinite(a).all() for a in arrays):
+        return None, float("nan")
+    x_all, y_all = data.dataset.features, data.dataset.labels
+    losses = []
+    for _ in range(epochs):
+        order = rng.permutation(len(data.train_idx))
+        for start in range(0, len(order), batch):
+            sel = data.train_idx[order[start:start + batch]]
+            leaves = [ad.leaf(a) for a in arrays]
+            loss = loss_fn(leaves, ad.const(x_all[sel]), y_all[sel])
+            val = float(loss.data)
+            if not np.isfinite(val):
+                return None, float("nan")
+            losses.append(val)
+            ad.backward(loss)
+            for arr, node in zip(arrays, leaves):
+                if node.grad is not None:
+                    arr -= lr * node.grad
+    return arrays, float(np.mean(losses)) if losses else float("nan")
+
+
 def local_update(general, personal, global_head, client: ClientProfile, layout: Layout,
                  *, epochs, batch, lr, reg_coef, rng, recovery="padfl") -> LocalResult:
     """E epochs of minibatch SGD on one client.
@@ -134,58 +163,30 @@ def local_update(general, personal, global_head, client: ClientProfile, layout: 
     general factors, personal factors/biases and the personal head; the
     shared head never changes.
     """
-    arch = layout.arch
-    p = client.width
-    x_all, y_all = client.data.dataset.features, client.data.dataset.labels
-    train_idx = client.data.train_idx
-    u_arr = [f.copy() for f in general.factors]
-    v_arr = [f.copy() for f in personal.factors]
-    b_arr = [b.copy() for b in personal.biases]
-    hw_arr, hb_arr = personal.head_w.copy(), personal.head_b.copy()
-    for arr in u_arr + v_arr + b_arr + [hw_arr, hb_arr]:
-        if not np.isfinite(arr).all():
-            return LocalResult(client.id, ok=False)
+    n = len(general.factors)
     gw, gb = ad.const(global_head.w), ad.const(global_head.b)
-    losses = []
-    for _ in range(epochs):
-        order = rng.permutation(len(train_idx))
-        for start in range(0, len(order), batch):
-            sel = train_idx[order[start:start + batch]]
-            x = x_all[sel]
-            y = y_all[sel]
-            u_nodes = [ad.leaf(a) for a in u_arr]
-            v_nodes = [ad.leaf(a) for a in v_arr]
-            b_nodes = [ad.leaf(a) for a in b_arr]
-            hw_node, hb_node = ad.leaf(hw_arr), ad.leaf(hb_arr)
-            rep = representation_t(layout, u_nodes, v_nodes, b_nodes, ad.const(x), p,
-                                   recovery)
-            loss = ad.cross_entropy(head_logits_t(rep, gw, gb), y)
-            loss = ad.add(loss, ad.cross_entropy(
-                head_logits_t(ad.detach(rep), hw_node, hb_node), y))
-            if reg_coef:
-                reg = orthogonal_reg_t(u_nodes, layout.specs)
-                if reg is not None:
-                    loss = ad.add(loss, ad.scale(reg, reg_coef))
-            val = float(loss.data)
-            if not np.isfinite(val):
-                return LocalResult(client.id, ok=False)
-            losses.append(val)
-            ad.backward(loss)
-            leaves = u_nodes + v_nodes + b_nodes + [hw_node, hb_node]
-            arrays = u_arr + v_arr + b_arr
-            for j, node in enumerate(leaves[:-2]):
-                if node.grad is not None:
-                    arrays[j] -= lr * node.grad
-            if hw_node.grad is not None:
-                hw_arr -= lr * hw_node.grad
-            if hb_node.grad is not None:
-                hb_arr -= lr * hb_node.grad
-    return LocalResult(
-        client.id, ok=True,
-        general=GeneralParams(u_arr),
-        personal=PersonalParams(v_arr, b_arr, hw_arr, hb_arr),
-        train_loss=float(np.mean(losses)) if losses else float("nan"),
-    )
+
+    def loss_fn(leaves, x, y):
+        u_nodes = leaves[:n]
+        rep = representation_t(layout, u_nodes, leaves[n:2 * n], leaves[2 * n:3 * n], x,
+                               client.width, recovery)
+        loss = ad.cross_entropy(head_logits_t(rep, gw, gb), y)
+        loss = ad.add(loss, ad.cross_entropy(
+            head_logits_t(ad.detach(rep), leaves[-2], leaves[-1]), y))
+        if reg_coef:
+            reg = orthogonal_reg_t(u_nodes, layout.specs)
+            if reg is not None:
+                loss = ad.add(loss, ad.scale(reg, reg_coef))
+        return loss
+
+    arrays, loss = sgd(general.arrays() + personal.arrays(), client.data, loss_fn,
+                       epochs=epochs, batch=batch, lr=lr, rng=rng)
+    if arrays is None:
+        return LocalResult(client.id, ok=False)
+    return LocalResult(client.id, ok=True, general=GeneralParams(arrays[:n]),
+                       personal=PersonalParams(arrays[n:2 * n], arrays[2 * n:3 * n],
+                                               arrays[-2], arrays[-1]),
+                       train_loss=loss)
 
 
 # ---------------------------------------------------------------------------
@@ -479,11 +480,4 @@ class DecomposedFL(FederatedMethod):
                          alpha if profile.local_model is not None else float("nan"))
 
     def round_payload(self, selected):
-        total = 0
-        for i in selected:
-            p = self.profiles[i].width
-            for idx, (spec, coef) in enumerate(zip(self.layout.specs, self.layout.coefs)):
-                total += decomp.param_count(spec, coef, p,
-                                            in_kept=self.layout.kept_inputs(idx, p))
-            total += self.layout.classes * self.layout.head_in(p) + self.layout.classes
-        return total
+        return sum(self.layout.client_param_count(self.profiles[i].width) for i in selected)

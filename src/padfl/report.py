@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from .config import RunConfig
-from .decomp import flops_account, param_count, supported_widths
+from .decomp import flops_account, supported_widths
 from .errors import ConfigurationError, FormatError
 from .model import build_layout
 from .protocol import width_for_capacity
@@ -169,37 +169,24 @@ def account(cfg: RunConfig):
     arch = build_arch(cfg, None if cfg.dataset == "synth" else build_dataset(cfg))
     layout = build_layout(arch, cfg.min_width)
     grid = supported_widths(cfg.min_width)
-    # output spatial size of each conv (pre-pool), 1 for linears
-    qs = []
-    hw = (arch.height, arch.width)
-    for cb in arch.convs:
-        ho = (hw[0] + 2 * cb.pad - cb.kernel) // cb.stride + 1
-        wo = (hw[1] + 2 * cb.pad - cb.kernel) // cb.stride + 1
-        qs.append(int(np.sqrt(ho * wo)) if ho == wo else ho)
-        hw = (ho // 2, wo // 2) if cb.pool else (ho, wo)
-    qs.extend([1] * len(arch.hidden))
     rows = []
     for r in ACCOUNT_RATIOS:
         p = width_for_capacity(r, grid)
-        forward = 0
+        forward = cfg.batch * layout.head_in(p) * layout.classes
         recovery = 0
-        params = 0
         per_layer_overhead = []
         for idx, (spec, coef) in enumerate(zip(layout.specs, layout.coefs)):
             in_kept = layout.kept_inputs(idx, p)
-            f, ratio = flops_account(spec, coef, p, cfg.batch, qs[idx], in_kept=in_kept)
+            f, ratio = flops_account(spec, coef, p, cfg.batch, layout.out_hw[idx],
+                                     in_kept=in_kept)
             forward += f
             recovery += coef.rank * spec.kernel ** 2 * in_kept * layout.kept_outputs(idx, p)
-            params += param_count(spec, coef, p, in_kept=in_kept)
             per_layer_overhead.append(float(ratio))
-        head_in = layout.head_in(p)
-        forward += cfg.batch * head_in * layout.classes
-        params += layout.classes * head_in + layout.classes
         rows.append({
             "capacity_r": str(r),
             "width_p": str(p),
             "forward_madds": int(forward),
-            "param_count": int(params),
+            "param_count": layout.client_param_count(p),
             "recovery_overhead": recovery / forward,
             "per_layer_overhead": per_layer_overhead,
         })

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from padfl import autodiff as ad
-from padfl.errors import DimensionError, NumericError
+from padfl.errors import DimensionError
 
 from util import conv2d_loops, finite_diff, rel_err
 
@@ -264,14 +264,6 @@ class TestGraphDiscipline:
         loss = ad.frobenius_sq(y)  # 4x^2 -> d/dx = 8x = 16
         ad.backward(loss)
         assert x.grad.item() == 16.0
-
-    def test_check_finite_flag(self):
-        ad.set_check_finite(True)
-        try:
-            with pytest.raises(NumericError):
-                ad.exp(ad.const(np.array([1e6])))
-        finally:
-            ad.set_check_finite(False)
 
     def test_backward_needs_scalar_root(self):
         with pytest.raises(DimensionError):

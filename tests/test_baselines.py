@@ -3,11 +3,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from padfl import baselines, protocol
+from padfl import baselines, protocol, runner
+from padfl.config import parse_config
+from padfl.decomp import supported_widths
 from padfl.errors import ConfigurationError
-from padfl.model import CnnArch, ConvBlock, PlainModel, build_layout, init_plain
+from padfl.model import (
+    CnnArch,
+    ConvBlock,
+    PlainModel,
+    build_layout,
+    init_plain,
+    stacked_forward,
+)
 
 from test_protocol import small_setup
+from util import plain_copy, reference_plain_logits, rel_err
 
 
 class TestFedAvgMinWidth:
@@ -20,7 +30,7 @@ class TestFedAvgMinWidth:
         cfg, layout, profiles = small_setup(seed=6, clients=4)
         cfg.per_round = 1
         method = baselines.FedAvgMinWidth(profiles, layout, cfg, seed=6)
-        start = method.model.copy()
+        start = plain_copy(method.model)
         selected = method.sample_clients(1)
         i = selected[0]
         res = method.train_client(0, i, cfg.lr)
@@ -39,7 +49,7 @@ class TestFedAvgMinWidth:
         method = baselines.FedAvgMinWidth(profiles, layout, cfg, seed=7)
         snap = [a.copy() for a in method.model.arrays()]
         mk = lambda i: type("R", (), {"client": i, "ok": True,
-                                      "model": method.model.copy()})()
+                                      "model": plain_copy(method.model)})()
         method.aggregate(0, [0, 1], {0: mk(0), 1: mk(1)})
         for a, b in zip(method.model.arrays(), snap):
             assert np.array_equal(a, b)
@@ -190,3 +200,54 @@ class TestAblationWiring:
         for fa, fb in zip(a.general.factors, b.general.factors):
             assert fa.shape == fb.shape
         assert len(ma.rows) == len(mb.rows)
+
+
+class TestDenseForward:
+    @pytest.mark.parametrize("convs,hidden", [((4, 8), ()), ((4, 8), (32,)), ((), (32, 16))])
+    @pytest.mark.parametrize("width", [Fraction(1), Fraction(1, 2)])
+    def test_stacked_forward_matches_reference(self, convs, hidden, width):
+        arch = CnnArch(1, 8, 8, convs=tuple(ConvBlock(c, 3, 1, 1) for c in convs),
+                       hidden=hidden, classes=3)
+        layout = build_layout(arch, Fraction(1, 4))
+        rng = np.random.default_rng(19)
+        shapes = init_plain(layout, width, rng)
+        model = PlainModel.from_arrays(shapes, [rng.normal(size=a.shape)
+                                                for a in shapes.arrays()])
+        x = rng.normal(size=(5, 1, 8, 8))
+        one = PlainModel.from_arrays(model, [a[None] for a in model.arrays()])
+        got = stacked_forward(arch, one, x)
+        assert got.shape == (1, 5, 3)
+        assert rel_err(got[0], reference_plain_logits(arch, model, x)) <= 1e-12
+
+
+class TestGeometry:
+    """A non-square input with a hidden layer: every width's shapes and
+    payloads come from the one Layout."""
+
+    CONFIG = "synth_shape = 1,12,16\nfc_dims = 32\nclients = 6\nper_round = 6\n"
+
+    def build(self, method):
+        cfg = parse_config(self.CONFIG + f"method = {method}\n").finalize()
+        dataset = runner.build_dataset(cfg)
+        layout = build_layout(runner.build_arch(cfg, dataset), cfg.min_width)
+        profiles = runner.build_profiles(cfg, runner.build_partition(cfg, dataset))
+        return cfg, layout, runner.build_method(cfg, profiles, layout)
+
+    def test_nested_slices_have_init_plain_shapes(self):
+        cfg, layout, _ = self.build("PWidthNested")
+        full = init_plain(layout, 1, np.random.default_rng(0))
+        for p in supported_widths(cfg.min_width):
+            own = init_plain(layout, p, np.random.default_rng(0))
+            sliced = [a[k] for a, k in zip(full.arrays(), baselines.nested_keys(layout, p))]
+            assert [a.shape for a in sliced] == [a.shape for a in own.arrays()]
+
+    @pytest.mark.parametrize("method", ["Pa3dFL", "PWidthNested", "FedAvgMinWidth"])
+    def test_payload_is_what_each_client_is_sent(self, method):
+        cfg, _, fl = self.build(method)
+        assert len({p.width for p in fl.profiles}) > 1
+        for i in range(cfg.clients):
+            if method == "Pa3dFL":
+                sent = fl.general.factors + fl.sent_personal(i).arrays()
+            else:
+                sent = fl.client_view(i).arrays()
+            assert fl.round_payload([i]) == sum(a.size for a in sent)

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,10 +183,10 @@ class TestFedAvgOracle:
         partition = runner.build_partition(cfg, dataset)
         profiles = runner.build_profiles(cfg, partition)
         assert all(p.width == 1 for p in profiles)
-        from padfl.model import init_plain
+        from padfl.model import build_layout, init_plain
 
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, protocol.TAG_INIT)))
-        model = init_plain(arch, Fraction(1), rng)
+        model = init_plain(build_layout(arch, cfg.min_width), Fraction(1), rng)
         arrays = model.arrays()
         server_rng = np.random.default_rng(
             np.random.SeedSequence((cfg.seed, protocol.TAG_SERVER)))
@@ -196,7 +197,7 @@ class TestFedAvgOracle:
             hw_, hb_ = arrs[4], arrs[5]
             h = x
             for i, blk in enumerate(arch.convs):
-                h = ad.conv2d_infer(h, cw[i], stride=blk.stride, pad=blk.pad)
+                h = ad.conv2d_infer(h[None], cw[i][None], stride=blk.stride, pad=blk.pad)[0]
                 h = h + cb[i].reshape(1, -1, 1, 1)
                 h = ad.maxpool2x2_infer(h)
                 h = np.maximum(h, 0.0)
@@ -213,10 +214,9 @@ class TestFedAvgOracle:
                 for s in range(0, len(order), cfg.batch):
                     sel = idx[order[s:s + cfg.batch]]
                     leaves = [ad.leaf(a) for a in arrs]
-                    nodes = (leaves[:2], leaves[2:4], [], [], leaves[4], leaves[5])
                     from padfl.model import plain_logits_t
                     loss = ad.cross_entropy(
-                        plain_logits_t(arch, nodes, ad.const(dataset.features[sel])),
+                        plain_logits_t(arch, leaves, ad.const(dataset.features[sel])),
                         dataset.labels[sel])
                     ad.backward(loss)
                     for a, n in zip(arrs, leaves):
@@ -242,10 +242,10 @@ class TestReport:
         cfg = small_cfg(tmp_path)
         runner.run(cfg)
         svg, table = report.write_report([str(tmp_path / "run")], str(tmp_path / "out"))
-        text = open(svg).read()
+        text = Path(svg).read_text()
         assert text.count("<svg") == 1
         assert text.count("<polyline") == 1
-        rows = open(table).read().splitlines()
+        rows = Path(table).read_text().splitlines()
         assert len(rows) == 1 + 5  # header + five clusters
 
     def test_two_runs_two_curves(self, tmp_path):
@@ -253,7 +253,7 @@ class TestReport:
         runner.run(small_cfg(tmp_path, out="b", method="LocalOnly"))
         svg, _ = report.write_report([str(tmp_path / "a"), str(tmp_path / "b")],
                                      str(tmp_path / "out"))
-        text = open(svg).read()
+        text = Path(svg).read_text()
         assert text.count("<polyline") == 2
         assert "Pa3dFL" in text and "LocalOnly" in text
 
@@ -313,6 +313,17 @@ class TestAccount:
         # width 1/2 => p^2 = 1/4 exactly, up to the unpruned-raw-input and
         # head terms which scale linearly
         assert 0.2 < ratio < 0.45
+
+    def test_non_square_input_counts_its_whole_map(self, tmp_path, capsys):
+        # batch 1, width 1, default model: conv1 8*16*9*1*16 + conv2 4*8*9*16*16
+        # + head 128*4 = 92672 multiply-adds for either orientation
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text("")
+        for shape in ("1,8,16", "1,16,8"):
+            assert cli_main(["account", str(cfg_path), "--set", f"synth_shape={shape}",
+                             "--set", "batch=1"]) == 0
+            full_row = capsys.readouterr().out.splitlines()[-1].split()
+            assert full_row[:3] == ["1", "1", "92672"]
 
     def test_counts_equal_param_count_sums(self, tmp_path):
         cfg = small_cfg(tmp_path)

@@ -95,7 +95,7 @@ class TestRecoverPadfl:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(2, 3, 6, 6))
         w = recover_padfl(layer)
-        direct = ad.conv2d_infer(x, w, stride=1, pad=1)
+        direct = ad.conv2d_infer(x[None], w[None], stride=1, pad=1)[0]
 
         cols, ho, wo = ad._im2col(x, spec.kernel, 1, 1)
         n = cols.shape[1]
@@ -118,7 +118,7 @@ class TestRecoverPadfl:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(1, 2, 5, 5))
         w = recover_padfl(layer)
-        got = ad.conv2d_infer(x, w)
+        got = ad.conv2d_infer(x[None], w[None])[0]
         assert np.abs(got - conv2d_loops(x, w)).max() <= 1e-9
 
 
@@ -152,7 +152,7 @@ class TestRecoverFlanc:
         wp = recover_padfl(layer)
         wf = recover_flanc(layer.general, layer.personal, spec)
         assert wp.shape == wf.shape == (8, 8, 3, 3)
-        assert wf.size == spec.weight_size
+        assert wf.size == spec.out_channels * spec.in_channels * spec.kernel ** 2
 
     def test_indivisible_input_rejected(self):
         spec = LayerSpec("conv", 4, 3, 1)
@@ -243,7 +243,7 @@ class TestAccounting:
         coef = select_coefficients(spec, Fraction(1, 16))
         n = param_count(spec, coef, 1, include_bias=False)
         assert n == 64 * (1024 + 100) == 71936
-        assert spec.weight_size == 102400
+        assert spec.out_channels * spec.in_channels * spec.kernel ** 2 == 102400
 
     def test_count_monotone_in_width(self):
         spec = LayerSpec("conv", 32, 16, 3)
@@ -287,21 +287,21 @@ class TestAccounting:
     def test_overhead_ratio(self):
         spec = LayerSpec("conv", 64, 64, 5)
         coef = select_coefficients(spec, Fraction(1, 16))
-        _, ratio = flops_account(spec, coef, 1, batch=128, q=8)
+        _, ratio = flops_account(spec, coef, 1, batch=128, hw=(8, 8))
         assert ratio == Fraction(1, 128)
 
     def test_forward_flops_quadratic_in_width(self):
         spec = LayerSpec("conv", 16, 16, 3)
         coef = select_coefficients(spec, Fraction(1, 4))
-        f1, _ = flops_account(spec, coef, 1, batch=10, q=8)
-        f2, _ = flops_account(spec, coef, Fraction(1, 2), batch=10, q=8)
+        f1, _ = flops_account(spec, coef, 1, batch=10, hw=(8, 8))
+        f2, _ = flops_account(spec, coef, Fraction(1, 2), batch=10, hw=(8, 8))
         assert f1 == 4 * f2
 
     def test_overhead_vanishes_with_batch(self):
         spec = LayerSpec("conv", 16, 16, 3)
         coef = select_coefficients(spec, Fraction(1, 4))
-        _, r_small = flops_account(spec, coef, 1, batch=10, q=8)
-        _, r_big = flops_account(spec, coef, 1, batch=10_000_000, q=8)
+        _, r_small = flops_account(spec, coef, 1, batch=10, hw=(8, 8))
+        _, r_big = flops_account(spec, coef, 1, batch=10_000_000, hw=(8, 8))
         assert r_big < r_small and float(r_big) < 1e-4
 
 

@@ -150,7 +150,8 @@ class TestLocalUpdate:
         cfg, layout, profiles = small_setup()
         rng = np.random.default_rng(5)
         general, personals, biases, head = init_decomposed(layout, rng)
-        x, y = profiles[0].data.train_xy()
+        data = profiles[0].data
+        x, y = data.dataset.features[data.train_idx], data.dataset.labels[data.train_idx]
         u_nodes = [ad.leaf(a) for a in general.factors]
         v_nodes = [ad.leaf(a) for a in personals]
         b_nodes = [ad.leaf(a) for a in biases]

@@ -1,8 +1,9 @@
 """Shared test oracles, independent of the library's compute paths:
 central finite differences, a nested-loop convolution reference, an
-einsum recovery and per-model forward, and a per-client loop form of the
-hyper-network's generation and loss. Also the single-layer recovery,
-pruning and accounting helpers that only tests use."""
+einsum recovery, per-model decomposed and dense forwards, and a
+per-client loop form of the hyper-network's generation and loss. Also
+the single-layer recovery, pruning, accounting and copying helpers that
+only tests use."""
 from dataclasses import replace
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ import numpy as np
 from padfl import autodiff as ad
 from padfl.decomp import DecomposedLayer, param_count, recover_flanc_t
 from padfl.errors import ConfigurationError
-from padfl.model import PersonalParams
+from padfl.model import PersonalParams, PlainModel
 from padfl.protocol import orthogonal_reg_t
 
 
@@ -130,24 +131,38 @@ def reference_weight(general, personal, spec, out_kept, in_kept, recovery="padfl
     return w.reshape(out_kept, in_kept, spec.kernel, spec.kernel)
 
 
-def reference_logits(layout, model, x, recovery="padfl"):
-    """One client model's logits from first principles: einsum recovery,
-    nested-loop convolution, explicit 2x2 max pooling and ReLU."""
-    p, h = model.width, x
-    for idx, spec in enumerate(layout.specs):
-        w = reference_weight(model.general.factors[idx], model.personal.factors[idx], spec,
-                             layout.kept_outputs(idx, p), layout.kept_inputs(idx, p), recovery)
-        b = model.personal.biases[idx]
-        if spec.kind == "conv":
-            cb = layout.arch.convs[idx]
+def reference_plain_logits(arch, model, x):
+    """One dense model's logits from first principles: nested-loop
+    convolution, explicit 2x2 max pooling and ReLU, and plain `@`."""
+    n_conv, h = len(arch.convs), x
+    for idx, (w, b) in enumerate(zip(model.weights, model.biases)):
+        if idx < n_conv:
+            cb = arch.convs[idx]
             h = conv2d_loops(h, w, cb.stride, cb.pad) + b[None, :, None, None]
             if cb.pool:
                 bsz, ch, hh, ww = h.shape
                 h = h.reshape(bsz, ch, hh // 2, 2, ww // 2, 2).max(axis=(3, 5))
         else:
-            h = h.reshape(len(h), -1) @ w[:, :, 0, 0].T + b
+            h = h.reshape(len(h), -1) @ w.T + b
         h = np.where(h > 0, h, 0.0)
-    return h.reshape(len(h), -1) @ model.head.w.T + model.head.b
+    return h.reshape(len(h), -1) @ model.head_w.T + model.head_b
+
+
+def reference_logits(layout, model, x, recovery="padfl"):
+    """One client model's logits from first principles: einsum recovery,
+    then `reference_plain_logits` on the recovered dense model."""
+    p, weights = model.width, []
+    for idx, spec in enumerate(layout.specs):
+        w = reference_weight(model.general.factors[idx], model.personal.factors[idx], spec,
+                             layout.kept_outputs(idx, p), layout.kept_inputs(idx, p), recovery)
+        weights.append(w if spec.kind == "conv" else w[:, :, 0, 0])
+    dense = PlainModel(weights, model.personal.biases, model.head.w, model.head.b, p)
+    return reference_plain_logits(layout.arch, dense, x)
+
+
+def plain_copy(model):
+    """A dense model whose arrays are copies of model's."""
+    return PlainModel.from_arrays(model, [a.copy() for a in model.arrays()])
 
 
 def recover_flanc(general, personal, spec, out_kept=None, in_kept=None) -> np.ndarray:
@@ -198,7 +213,8 @@ def prune_flanc(personal, spec, base_count, p, in_kept=None):
 
 def reduction_ratio(spec, coef, p) -> Fraction:
     """Stored floats of the width-p factorization over the dense weight."""
-    return Fraction(param_count(spec, coef, p, include_bias=False), spec.weight_size)
+    dense = spec.out_channels * spec.in_channels * spec.kernel ** 2
+    return Fraction(param_count(spec, coef, p, include_bias=False), dense)
 
 
 def orthogonal_reg(general_factors, specs) -> float:
