@@ -7,9 +7,13 @@ p. Output channel c(i,j) = j*R1 + i is the product of general block u_i
 and personal block v_j, so pruning trailing v blocks removes exactly the
 trailing output channels while the general factor is untouched.
 
-Also provides the FLANC-style recovery (personal blocks span input
-slabs instead of output channels) used as an ablation, plus exact
-parameter/FLOP accounting for width-reduced layers.
+The FLANC ablation recovers the same factors with personal blocks that
+span input slabs instead of output channels. The recovery kind is
+`model.Layout.recovery`; in this module `factor_grid` and `PERMUTATION`
+are its one rule, which the graph recovery (`recover_padfl_t`), the
+stacked recovery (`recover_stacked`) and `hypernet.kept_index` all
+apply. Also provides exact parameter/FLOP accounting for width-reduced
+layers.
 """
 from __future__ import annotations
 
@@ -48,13 +52,10 @@ class Coefficients:
 
     base_count: int  # number of general blocks; out_channels * min_width
     rank: int        # inner dimension of the factorization
-    min_width: Fraction
 
     def __post_init__(self):
         if self.base_count <= 0 or self.rank <= 0:
             raise ConfigurationError("coefficients must be positive")
-        if not (0 < self.min_width <= 1):
-            raise ConfigurationError(f"min_width {self.min_width} outside (0, 1]")
 
 
 def select_coefficients(spec: LayerSpec, min_width) -> Coefficients:
@@ -76,7 +77,7 @@ def select_coefficients(spec: LayerSpec, min_width) -> Coefficients:
         r2 = max(min(spec.in_channels, spec.out_channels), spec.kernel ** 2)
     else:
         r2 = r1
-    return Coefficients(base_count=r1, rank=r2, min_width=mw)
+    return Coefficients(base_count=r1, rank=r2)
 
 
 def supported_widths(min_width) -> tuple[Fraction, ...]:
@@ -91,43 +92,11 @@ def supported_widths(min_width) -> tuple[Fraction, ...]:
     return widths
 
 
-@dataclass
-class DecomposedLayer:
-    """One layer's factors, possibly already pruned to (width, in_kept)."""
-
-    general: np.ndarray   # (k^2 * base_count, rank), stacked u blocks
-    personal: np.ndarray  # (rank, blocks_kept * in_kept), v blocks side by side
-    bias: np.ndarray      # (out_kept,)
-    spec: LayerSpec
-    coef: Coefficients
-    width: Fraction = Fraction(1)
-    in_kept: int = -1  # -1 means the full in_channels
-
-    def __post_init__(self):
-        if self.in_kept < 0:
-            self.in_kept = self.spec.in_channels
-        k2 = self.spec.kernel ** 2
-        if self.general.shape != (k2 * self.coef.base_count, self.coef.rank):
-            raise DimensionError(f"general factor shape {self.general.shape}")
-        if self.personal.shape != (self.coef.rank, self.blocks_kept * self.in_kept):
-            raise DimensionError(f"personal factor shape {self.personal.shape}")
-        if self.bias.shape != (self.out_kept,):
-            raise DimensionError(f"bias shape {self.bias.shape}")
-
-    @property
-    def out_kept(self) -> int:
-        v = Fraction(self.spec.out_channels) * self.width
-        return int(v)
-
-    @property
-    def blocks_kept(self) -> int:
-        return self.out_kept // self.coef.base_count
-
-
-def init_layer(spec: LayerSpec, coef: Coefficients, rng) -> DecomposedLayer:
-    """Full-width factors whose recovered weight matches a fan-in-scaled
-    uniform init: general entries uniform in +-1/sqrt(S*k^2), personal
-    blocks orthogonalized and column-normalized to unit gain."""
+def init_layer(spec: LayerSpec, coef: Coefficients, rng):
+    """Full-width (general, personal, bias) whose recovered weight matches
+    a fan-in-scaled uniform init: general entries uniform in
+    +-1/sqrt(S*k^2), personal blocks orthogonalized and column-normalized
+    to unit gain."""
     k2 = spec.kernel ** 2
     bound = 1.0 / np.sqrt(spec.in_channels * k2)
     general = rng.uniform(-bound, bound, size=(k2 * coef.base_count, coef.rank))
@@ -145,81 +114,71 @@ def init_layer(spec: LayerSpec, coef: Coefficients, rng) -> DecomposedLayer:
         vs.append(v)
     personal = np.concatenate(vs, axis=1)
     bias = rng.uniform(-bound, bound, size=spec.out_channels)
-    return DecomposedLayer(general, personal, bias, spec, coef)
+    return general, personal, bias
 
 
 # ---------------------------------------------------------------------------
-# recovery
+# recovery: one rule for both kinds
 
-def recover_padfl_t(general, personal, spec, coef, out_kept=None, in_kept=None):
-    """Graph-op recovery: channel c(i,j)=j*base_count+i is u_i @ v_j.
+# How the (base_count, k^2, a, b) product of general @ personal maps to an
+# (out, in, k^2) weight. padfl: output channel j*base_count + i is u_i v_j;
+# flanc: input s = c*base_count + i of output o is u_i v_(o, c).
+PERMUTATION = {"padfl": (2, 0, 3, 1), "flanc": (2, 3, 0, 1)}
 
-    Returns a (out_kept, in_kept, k, k) weight tensor node.
-    """
+
+def factor_grid(kind, base_count, out_kept, in_kept):
+    """(a, b): the personal factor of an out_kept x in_kept weight is
+    (rank, a * b), b columns to each of its a groups. "padfl" groups whole
+    blocks of base_count output channels (a = out_kept / base_count,
+    b = in_kept); "flanc" gives each output channel base_count-strided
+    input slabs (a = out_kept, b = in_kept / base_count)."""
+    if kind == "padfl":
+        return out_kept // base_count, in_kept
+    if in_kept % base_count:
+        raise ConfigurationError(f"FLANC recovery needs its {in_kept} kept input channels "
+                                 f"divisible by base_count {base_count}")
+    return out_kept, in_kept // base_count
+
+
+def recover_padfl_t(general, personal, spec, coef, out_kept=None, in_kept=None, kind="padfl"):
+    """Graph-op recovery of an (out_kept, in_kept, k, k) weight tensor node
+    from its factors, in `kind`'s layout (see `factor_grid`)."""
     k = spec.kernel
     r1, r2 = coef.base_count, coef.rank
     out_kept = spec.out_channels if out_kept is None else out_kept
     in_kept = spec.in_channels if in_kept is None else in_kept
-    blocks = out_kept // r1
+    a, b = factor_grid(kind, r1, out_kept, in_kept)
     if general.data.shape != (k * k * r1, r2):
         raise DimensionError(f"general factor shape {general.data.shape}")
-    if personal.data.shape != (r2, blocks * in_kept):
+    if personal.data.shape != (r2, a * b):
         raise DimensionError(f"personal factor shape {personal.data.shape}")
-    prod = ad.ordered_matmul(general, personal)          # (k^2*r1, blocks*in)
-    prod = ad.reshape(prod, (r1, k * k, blocks, in_kept))
-    prod = ad.transpose(prod, (2, 0, 3, 1))              # (j, i, s, k^2)
-    return ad.reshape(prod, (blocks * r1, in_kept, k, k))
-
-
-def recover_padfl(layer: DecomposedLayer) -> np.ndarray:
-    return recover_padfl_t(
-        ad.const(layer.general), ad.const(layer.personal), layer.spec, layer.coef,
-        out_kept=layer.out_kept, in_kept=layer.in_kept,
-    ).data
-
-
-def recover_flanc_t(general, personal, spec, out_kept=None, in_kept=None):
-    """FLANC-style recovery: channel o_i spans an input-slab of columns.
-
-    base_count is inferred from the factor shapes; requires the kept
-    input count to be divisible by it.
-    """
-    k = spec.kernel
-    out_kept = spec.out_channels if out_kept is None else out_kept
-    in_kept = spec.in_channels if in_kept is None else in_kept
-    rows, r2 = general.data.shape
-    if rows % (k * k):
-        raise DimensionError(f"general factor rows {rows} not a multiple of k^2")
-    r1 = rows // (k * k)
-    if in_kept % r1:
-        raise ConfigurationError(f"in_channels {in_kept} not divisible by base_count {r1}")
-    slab = in_kept // r1
-    if personal.data.shape != (r2, out_kept * slab):
-        raise DimensionError(f"personal factor shape {personal.data.shape}")
-    prod = ad.ordered_matmul(general, personal)          # (k^2*r1, T*slab)
-    prod = ad.reshape(prod, (r1, k * k, out_kept, slab))
-    prod = ad.transpose(prod, (2, 3, 0, 1))              # (i, c, r, k^2); s = c*r1 + r
+    prod = ad.ordered_matmul(general, personal)          # (k^2*r1, a*b)
+    prod = ad.transpose(ad.reshape(prod, (r1, k * k, a, b)), PERMUTATION[kind])
     return ad.reshape(prod, (out_kept, in_kept, k, k))
 
 
-def recover_stacked(general, personal, spec, out_kept, in_kept, kind="padfl"):
-    """(M, out_kept, in_kept, k, k) weights of M stacked factor pairs, for
-    evaluation: general (M, k^2*base_count, rank), personal (M, rank, .).
+def recover_padfl(general, personal, spec, coef, out_kept=None, in_kept=None) -> np.ndarray:
+    return recover_padfl_t(ad.const(general), ad.const(personal), spec, coef,
+                           out_kept, in_kept).data
+
+
+def recover_stacked(general, personal, layout, l, p):
+    """(M, out_kept, in_kept, k, k) width-p weights of layer l of a
+    `model.Layout` from M stacked factor pairs, for evaluation: general
+    (M, k^2*base_count, rank), personal (M, rank, .).
 
     The products are summed rank by rank, as `ordered_matmul` does, so each
-    slice is bit-identical to the graph recovery of that pair; `kind`
-    picks the channel-aware ("padfl") or input-slab ("flanc") layout.
+    slice is bit-identical to the graph recovery of that pair.
     """
     m, rows, rank = general.shape
-    k = spec.kernel
-    r1 = rows // (k * k)
+    k, r1 = layout.specs[l].kernel, layout.coefs[l].base_count
+    out_kept, in_kept = layout.kept_outputs(l, p), layout.kept_inputs(l, p)
+    kind = layout.recovery
+    a, b = factor_grid(kind, r1, out_kept, in_kept)
     prod = np.zeros((m, rows, personal.shape[2]))
     for r in range(rank):
         prod += general[:, :, r, None] * personal[:, None, r, :]
-    if kind == "padfl":
-        prod = prod.reshape(m, r1, k * k, out_kept // r1, in_kept).transpose(0, 3, 1, 4, 2)
-    else:
-        prod = prod.reshape(m, r1, k * k, out_kept, in_kept // r1).transpose(0, 3, 4, 1, 2)
+    prod = prod.reshape(m, r1, k * k, a, b).transpose(0, *(d + 1 for d in PERMUTATION[kind]))
     # contiguous like the graph recovery, so the products see the same layout
     return np.ascontiguousarray(prod).reshape(m, out_kept, in_kept, k, k)
 
@@ -227,29 +186,16 @@ def recover_stacked(general, personal, spec, out_kept, in_kept, kind="padfl"):
 # ---------------------------------------------------------------------------
 # analytic accounting
 
-def param_count(spec: LayerSpec, coef: Coefficients, p, in_kept=None, include_bias=True) -> int:
-    """Exact stored-float count of a width-p layer: full general factor
-    plus pruned personal factor (and the pruned per-channel bias)."""
-    p = Fraction(p)
-    out_kept = Fraction(spec.out_channels) * p
-    if out_kept.denominator != 1 or int(out_kept) % coef.base_count:
-        raise ConfigurationError(f"width {p} incompatible with {spec.out_channels} channels")
-    out_kept = int(out_kept)
-    if in_kept is None:
-        ik = Fraction(spec.in_channels) * p
-        if ik.denominator != 1:
-            raise ConfigurationError(f"width {p} does not keep whole input channels")
-        in_kept = int(ik)
-    k2 = spec.kernel ** 2
-    n = k2 * coef.base_count * coef.rank
-    n += coef.rank * (out_kept // coef.base_count) * in_kept
-    if include_bias:
-        n += out_kept
-    return n
+def param_count(spec: LayerSpec, coef: Coefficients, out_kept, in_kept) -> int:
+    """Exact stored-float count of a layer pruned to out_kept x in_kept: the
+    full general factor, the pruned personal factor and channel bias."""
+    n = spec.kernel ** 2 * coef.base_count * coef.rank
+    return n + coef.rank * (out_kept // coef.base_count) * in_kept + out_kept
 
 
-def flops_account(spec: LayerSpec, coef: Coefficients, p, batch, hw, in_kept=None):
-    """(forward multiply-adds, recovery-overhead ratio) for a width-p layer.
+def flops_account(spec: LayerSpec, coef: Coefficients, batch, hw, out_kept, in_kept):
+    """(forward multiply-adds, recovery-overhead ratio) of a layer pruned
+    to out_kept x in_kept.
 
     hw = (h, w) is the size of the layer's output feature map before
     pooling ((1, 1) for linear). Recovery costs rank*k^2*(pS)*(pT)
@@ -259,14 +205,5 @@ def flops_account(spec: LayerSpec, coef: Coefficients, p, batch, hw, in_kept=Non
     h, w = hw
     if batch < 1 or h < 1 or w < 1:
         raise ConfigurationError("batch and feature size must be >= 1")
-    p = Fraction(p)
-    t_kept = Fraction(spec.out_channels) * p
-    if t_kept.denominator != 1:
-        raise ConfigurationError(f"width {p} does not keep whole channels")
-    if in_kept is None:
-        s_kept = Fraction(spec.in_channels) * p
-        if s_kept.denominator != 1:
-            raise ConfigurationError(f"width {p} does not keep whole input channels")
-        in_kept = int(s_kept)
-    forward = batch * h * w * spec.kernel ** 2 * in_kept * int(t_kept)
+    forward = batch * h * w * spec.kernel ** 2 * in_kept * out_kept
     return forward, Fraction(coef.rank, batch * h * w)

@@ -25,6 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import autodiff as ad
+from . import decomp
 from .errors import ConfigurationError, DimensionError, NumericError
 from .model import Layout, PersonalParams
 
@@ -43,19 +44,6 @@ class HyperNetState:
     head_decoder: LinearMap
     log_temp: np.ndarray     # one log-temperature per decoder (layers + head)
 
-    @property
-    def num_clients(self):
-        return self.embeddings.shape[1]
-
-    def copy(self):
-        return HyperNetState(
-            self.embeddings.copy(),
-            [LinearMap(m.w.copy(), m.b.copy()) for m in self.encoder],
-            [LinearMap(m.w.copy(), m.b.copy()) for m in self.decoders],
-            LinearMap(self.head_decoder.w.copy(), self.head_decoder.b.copy()),
-            self.log_temp.copy(),
-        )
-
 
 def decoder_out_dim(layout: Layout, layer_idx: int) -> int:
     spec, coef = layout.specs[layer_idx], layout.coefs[layer_idx]
@@ -64,16 +52,15 @@ def decoder_out_dim(layout: Layout, layer_idx: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def kept_index(layout: Layout, l, p, prune_kind="padfl"):
+def kept_index(layout: Layout, l, p):
     """(weight, bias) positions in decoder l's flat output that a width-p
     client keeps, each shaped like the array it is sent as.
 
-    Decoder l < len(layout.specs) emits a (rank, blocks, in_channels)
-    factor ("padfl": whole personal blocks are pruned) or a (rank,
-    out_channels, in_channels / base_count) one ("flanc": per-channel
-    input slabs), then the channel biases; the last decoder emits the
-    head's (classes, features) weight, then its biases. The arrays are
-    cached and read-only.
+    Decoder l < len(layout.specs) emits a (rank, a, b) personal factor on
+    the full-width grid of `decomp.factor_grid` for `layout.recovery`,
+    then the channel biases; a width-p client keeps the leading corner of
+    that grid. The last decoder emits the head's (classes, features)
+    weight, then its biases. The arrays are cached and read-only.
     """
     p = Fraction(p)
     if l == len(layout.specs):
@@ -82,16 +69,13 @@ def kept_index(layout: Layout, l, p, prune_kind="padfl"):
         bias = n_w + np.arange(layout.classes)
     else:
         spec, coef = layout.specs[l], layout.coefs[l]
-        t_kept, ik, r1 = layout.kept_outputs(l, p), layout.kept_inputs(l, p), coef.base_count
-        if prune_kind == "padfl":
-            full, keep = (spec.out_channels // r1, spec.in_channels), (t_kept // r1, ik)
-        elif spec.in_channels % r1 or ik % r1:
-            raise ConfigurationError(
-                f"layer {l} ({spec.kind}, {spec.in_channels} input channels) at width {p}: "
-                f"FLANC recovery needs its {ik} kept input channels divisible by "
-                f"base_count {r1}")
-        else:
-            full, keep = (spec.out_channels, spec.in_channels // r1), (t_kept, ik // r1)
+        t_kept, kind, r1 = layout.kept_outputs(l, p), layout.recovery, coef.base_count
+        try:
+            keep = decomp.factor_grid(kind, r1, t_kept, layout.kept_inputs(l, p))
+            full = decomp.factor_grid(kind, r1, spec.out_channels, spec.in_channels)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"layer {l} ({spec.kind}, {spec.in_channels} input "
+                                     f"channels) at width {p}: {exc}") from None
         n_v = coef.rank * full[0] * full[1]
         weight = np.arange(n_v).reshape(coef.rank, *full)[:, :keep[0], :keep[1]]
         weight = weight.reshape(coef.rank, -1)
@@ -106,8 +90,6 @@ def init_hypernet(layout: Layout, num_clients, embed_dim, hidden_dim, depth, rng
     seeded with a decomposition-style init so round-0 generated weights
     start at a sensible operating point, with the learned part adding
     per-client variation on top."""
-    from . import decomp  # local import to keep module load order simple
-
     bound = 1.0 / np.sqrt(embed_dim)
     embeddings = rng.uniform(-bound, bound, size=(embed_dim, num_clients))
     encoder = []
@@ -121,8 +103,8 @@ def init_hypernet(layout: Layout, num_clients, embed_dim, hidden_dim, depth, rng
     decoders = []
     for idx, (spec, coef) in enumerate(zip(layout.specs, layout.coefs)):
         out_dim = decoder_out_dim(layout, idx)
-        seed = decomp.init_layer(spec, coef, rng)
-        bias = np.concatenate([seed.personal.ravel(), np.zeros(spec.out_channels)])
+        _, personal, _ = decomp.init_layer(spec, coef, rng)
+        bias = np.concatenate([personal.ravel(), np.zeros(spec.out_channels)])
         # fan-out bound keeps every decoder column near unit norm, so the
         # regression is well conditioned whatever the output size
         wb = np.sqrt(3.0 / out_dim)
@@ -188,28 +170,25 @@ def generation_graph(state: HyperNetState, trainable=False):
     return nodes, outputs
 
 
-def personal_params(outputs, client, layout: Layout, width,
-                    prune_kind="padfl") -> PersonalParams:
+def personal_params(outputs, client, layout: Layout, width) -> PersonalParams:
     """Cut one client's pruned personal parameters out of the decoder
     output arrays of `generation_graph`."""
-    parts = [[out[ix, client] for ix in kept_index(layout, l, width, prune_kind)]
+    parts = [[out[ix, client] for ix in kept_index(layout, l, width)]
              for l, out in enumerate(outputs)]
     *layers, (head_w, head_b) = parts
     return PersonalParams([w for w, _ in layers], [b for _, b in layers], head_w, head_b)
 
 
-def generate_personal(state: HyperNetState, client, layout: Layout, width,
-                      prune_kind="padfl") -> PersonalParams:
+def generate_personal(state: HyperNetState, client, layout: Layout, width) -> PersonalParams:
     """Decode one client's personal parameters, pruned to its width."""
     _, outputs = generation_graph(state)
-    return personal_params([f.data for f in outputs], client, layout, width, prune_kind)
+    return personal_params([f.data for f in outputs], client, layout, width)
 
 
 # ---------------------------------------------------------------------------
 # training step
 
-def regression_loss(state: HyperNetState, returned, widths, layout: Layout,
-                    prune_kind="padfl"):
+def regression_loss(state: HyperNetState, returned, widths, layout: Layout):
     """(trainable leaf nodes, loss node) of the regression of generated
     onto returned personal parameters (pruned shapes, client id -> params):
     0.5/|R| * sum_l ||K_l * (F_l - T_l)||^2, only kept entries counting."""
@@ -221,7 +200,7 @@ def regression_loss(state: HyperNetState, returned, widths, layout: Layout,
         if len(pairs) != len(outputs):
             raise DimensionError("returned/generated component count mismatch")
         for l, pair in enumerate(pairs):
-            for ix, arr in zip(kept_index(layout, l, widths[i], prune_kind), pair):
+            for ix, arr in zip(kept_index(layout, l, widths[i]), pair):
                 if arr.shape != ix.shape:
                     raise DimensionError(f"returned shape {arr.shape} vs generated {ix.shape}")
                 targets[l][ix, i] = arr
@@ -231,8 +210,7 @@ def regression_loss(state: HyperNetState, returned, widths, layout: Layout,
     return nodes, ad.scale(ad.add_n(terms), 0.5 / len(returned))
 
 
-def hn_step(state: HyperNetState, returned, widths, layout: Layout, lr,
-            prune_kind="padfl") -> tuple:
+def hn_step(state: HyperNetState, returned, widths, layout: Layout, lr) -> tuple:
     """One SGD step of the hyper-network on the regression loss.
 
     `returned` maps client id -> locally trained PersonalParams (pruned
@@ -241,7 +219,7 @@ def hn_step(state: HyperNetState, returned, widths, layout: Layout, lr,
     """
     if not returned:
         return state, 0.0
-    nodes, loss = regression_loss(state, returned, widths, layout, prune_kind)
+    nodes, loss = regression_loss(state, returned, widths, layout)
     val = float(loss.data)
     if not np.isfinite(val):
         raise NumericError("non-finite hyper-network loss")

@@ -48,14 +48,16 @@ class CnnArch:
 @dataclass(frozen=True)
 class Layout:
     """Layer geometry, computed only here: both model families, the
-    hyper-network and accounting read it."""
+    hyper-network and accounting read it. `recovery` is the decomposed
+    model's factor layout, "padfl" (channel-aware) or "flanc" (input
+    slabs); only `decomp` branches on it."""
 
     arch: CnnArch
     specs: tuple          # decomposed LayerSpec per layer (convs then hidden)
     coefs: tuple          # Coefficients per layer
     out_hw: tuple         # (h, w) of each layer's output before pooling; (1, 1) if linear
     head_in_full: int     # dense feature count entering the head at width 1
-    min_width: Fraction
+    recovery: str = "padfl"
 
     @property
     def classes(self):
@@ -78,13 +80,12 @@ class Layout:
     def client_param_count(self, p) -> int:
         """Floats a width-p client holds of the decomposed model: the full
         general factors, its personal factors and biases, the head slice."""
-        n = sum(decomp.param_count(spec, coef, p, in_kept=self.kept_inputs(idx, p))
-                for idx, (spec, coef) in enumerate(zip(self.specs, self.coefs)))
+        n = sum(decomp.param_count(spec, coef, self.kept_outputs(i, p), self.kept_inputs(i, p))
+                for i, (spec, coef) in enumerate(zip(self.specs, self.coefs)))
         return n + self.classes * self.head_in(p) + self.classes
 
 
-def build_layout(arch: CnnArch, min_width) -> Layout:
-    mw = Fraction(min_width)
+def build_layout(arch: CnnArch, min_width, recovery="padfl") -> Layout:
     specs, out_hw = [], []
     h, w = arch.height, arch.width
     prev_c = arch.in_channels
@@ -103,8 +104,8 @@ def build_layout(arch: CnnArch, min_width) -> Layout:
         specs.append(decomp.LayerSpec("linear", width, feat))
         out_hw.append((1, 1))
         feat = width
-    coefs = tuple(decomp.select_coefficients(s, mw) for s in specs)
-    return Layout(arch, tuple(specs), coefs, tuple(out_hw), feat, mw)
+    coefs = tuple(decomp.select_coefficients(s, min_width) for s in specs)
+    return Layout(arch, tuple(specs), coefs, tuple(out_hw), feat, recovery)
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +192,10 @@ def init_decomposed(layout: Layout, rng):
     """Fresh full-width factors, biases and the dense head."""
     generals, personals, biases = [], [], []
     for spec, coef in zip(layout.specs, layout.coefs):
-        layer = decomp.init_layer(spec, coef, rng)
-        generals.append(layer.general)
-        personals.append(layer.personal)
-        biases.append(layer.bias)
+        general, personal, bias = decomp.init_layer(spec, coef, rng)
+        generals.append(general)
+        personals.append(personal)
+        biases.append(bias)
     bound = 1.0 / np.sqrt(layout.head_in_full)
     head_w = rng.uniform(-bound, bound, size=(layout.classes, layout.head_in_full))
     head_b = rng.uniform(-bound, bound, size=layout.classes)
@@ -266,18 +267,14 @@ def head_logits_t(x_node, head_w, head_b):
     return ad.add(ad.matmul(x_node, ad.transpose(head_w, (1, 0))), head_b)
 
 
-def representation_t(layout, u_nodes, v_nodes, b_nodes, x_node, p, recovery="padfl"):
+def representation_t(layout, u_nodes, v_nodes, b_nodes, x_node, p):
     """Graph forward of the decomposed model up to the head: recover every
     width-p weight from its factors, then `features_t`."""
     weights = []
     for idx, (spec, coef) in enumerate(zip(layout.specs, layout.coefs)):
         out_kept, in_kept = layout.kept_outputs(idx, p), layout.kept_inputs(idx, p)
-        if recovery == "padfl":
-            w = decomp.recover_padfl_t(u_nodes[idx], v_nodes[idx], spec, coef,
-                                       out_kept=out_kept, in_kept=in_kept)
-        else:
-            w = decomp.recover_flanc_t(u_nodes[idx], v_nodes[idx], spec,
-                                       out_kept=out_kept, in_kept=in_kept)
+        w = decomp.recover_padfl_t(u_nodes[idx], v_nodes[idx], spec, coef,
+                                   out_kept, in_kept, layout.recovery)
         weights.append(w if spec.kind == "conv" else ad.reshape(w, (out_kept, in_kept)))
     return features_t(layout.arch, weights, b_nodes, x_node)
 
@@ -317,26 +314,25 @@ def plain_accuracy(arch, model: PlainModel, x, y) -> float:
     return float((stacked_forward(arch, one, x)[0].argmax(axis=1) == y).mean())
 
 
-def stacked_logits(layout, model: ClientModel, x, recovery="padfl"):
+def stacked_logits(layout, model: ClientModel, x):
     """(M, B, classes) logits of a stacked decomposed model (see `combine`):
     every layer recovers all M weights at once, then `stacked_forward`."""
     p = model.width
     weights = []
     for idx, spec in enumerate(layout.specs):
-        out_kept, in_kept = layout.kept_outputs(idx, p), layout.kept_inputs(idx, p)
         w = decomp.recover_stacked(model.general.factors[idx], model.personal.factors[idx],
-                                   spec, out_kept, in_kept, recovery)
-        weights.append(w if spec.kind == "conv" else w.reshape(len(w), out_kept, in_kept))
+                                   layout, idx, p)
+        weights.append(w if spec.kind == "conv" else w.reshape(w.shape[:3]))
     dense = PlainModel(weights, model.personal.biases, model.head.w, model.head.b, p)
     return stacked_forward(layout.arch, dense, x)
 
 
-def infer_logits(layout, model: ClientModel, x, recovery="padfl"):
+def infer_logits(layout, model: ClientModel, x):
     """Logits of one client model: the stacked forward at M = 1."""
     one = ClientModel.from_arrays([a[None] for a in model.arrays()], model.width)
-    return stacked_logits(layout, one, x, recovery)[0]
+    return stacked_logits(layout, one, x)[0]
 
 
-def accuracy(layout, model: ClientModel, x, y, recovery="padfl") -> float:
-    logits = infer_logits(layout, model, x, recovery)
+def accuracy(layout, model: ClientModel, x, y) -> float:
+    logits = infer_logits(layout, model, x)
     return float((logits.argmax(axis=1) == y).mean())

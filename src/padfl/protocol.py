@@ -155,7 +155,7 @@ def sgd(arrays, data: ClientData, loss_fn, *, epochs, batch, lr, rng):
 
 
 def local_update(general, personal, global_head, client: ClientProfile, layout: Layout,
-                 *, epochs, batch, lr, reg_coef, rng, recovery="padfl") -> LocalResult:
+                 *, epochs, batch, lr, reg_coef, rng) -> LocalResult:
     """E epochs of minibatch SGD on one client.
 
     Loss = CE on the frozen shared head + CE of the personal head on the
@@ -169,7 +169,7 @@ def local_update(general, personal, global_head, client: ClientProfile, layout: 
     def loss_fn(leaves, x, y):
         u_nodes = leaves[:n]
         rep = representation_t(layout, u_nodes, leaves[n:2 * n], leaves[2 * n:3 * n], x,
-                               client.width, recovery)
+                               client.width)
         loss = ad.cross_entropy(head_logits_t(rep, gw, gb), y)
         loss = ad.add(loss, ad.cross_entropy(
             head_logits_t(ad.detach(rep), leaves[-2], leaves[-1]), y))
@@ -192,8 +192,7 @@ def local_update(general, personal, global_head, client: ClientProfile, layout: 
 # ---------------------------------------------------------------------------
 # test-time model selection
 
-def select_test_model(received: ClientModel, local, val_xy, layout: Layout,
-                      grid_size=11, recovery="padfl"):
+def select_test_model(received: ClientModel, local, val_xy, layout: Layout, grid_size=11):
     """Line-search the received/local interpolation on validation accuracy.
 
     All `grid_size` mixes are evaluated in one stacked forward, whose
@@ -204,7 +203,7 @@ def select_test_model(received: ClientModel, local, val_xy, layout: Layout,
     """
     x, y = val_xy
     if local is None:
-        acc = accuracy(layout, received, x, y, recovery) if len(y) else float("nan")
+        acc = accuracy(layout, received, x, y) if len(y) else float("nan")
         return received, 0.0, acc
     if len(y) == 0:
         return local, 1.0, float("nan")
@@ -212,7 +211,7 @@ def select_test_model(received: ClientModel, local, val_xy, layout: Layout,
         raise ConfigurationError("alpha grid needs at least 2 points")
     alphas = np.linspace(0.0, 1.0, grid_size)
     mixes = combine(received, local, alphas)
-    accs = (stacked_logits(layout, mixes, x, recovery).argmax(axis=2) == y).mean(axis=1)
+    accs = (stacked_logits(layout, mixes, x).argmax(axis=2) == y).mean(axis=1)
     best = int(np.argmax(accs))  # the first maximum: the smallest alpha wins ties
     return mixes.at(best), float(alphas[best]), float(accs[best])
 
@@ -398,15 +397,14 @@ class FederatedMethod:
 class DecomposedFL(FederatedMethod):
     """The decomposed protocol with hyper-network personal aggregation.
 
-    Flags cover the two ablations: hn_aggregation=False keeps personal
-    parameters client-local after the first contact, recovery="flanc"
-    swaps the channel-aware recovery for the input-slab one.
+    hn_aggregation=False is the no-aggregation ablation: personal
+    parameters stay client-local after the first contact. The FLANC
+    ablation is a layout whose `recovery` is "flanc".
     """
 
-    def __init__(self, profiles, layout, cfg, seed, hn_aggregation=True, recovery="padfl"):
+    def __init__(self, profiles, layout, cfg, seed, hn_aggregation=True):
         super().__init__(profiles, layout, cfg, seed)
         self.hn_aggregation = hn_aggregation
-        self.recovery = recovery
         init_rng = np.random.default_rng(np.random.SeedSequence((seed, TAG_INIT)))
         general, _personal, _biases, head = init_decomposed(layout, init_rng)
         self.general = general
@@ -420,14 +418,13 @@ class DecomposedFL(FederatedMethod):
         # a width the recovery cannot prune to fails here, before any training
         for p in {prof.width for prof in profiles}:
             for l in range(len(layout.specs)):
-                hypernet.kept_index(layout, l, p, recovery)
+                hypernet.kept_index(layout, l, p)
 
     def prepare(self):
         if self.generated is None:
             _, outputs = hypernet.generation_graph(self.hn)
             flat = [f.data for f in outputs]
-            self.generated = {p.id: hypernet.personal_params(flat, p.id, self.layout, p.width,
-                                                             self.recovery)
+            self.generated = {p.id: hypernet.personal_params(flat, p.id, self.layout, p.width)
                               for p in self.profiles}
 
     def sent_personal(self, i) -> PersonalParams:
@@ -443,8 +440,7 @@ class DecomposedFL(FederatedMethod):
         return local_update(
             self.general, self.sent_personal(i), sliced, profile, self.layout,
             epochs=self.cfg.epochs, batch=self.cfg.batch, lr=eta,
-            reg_coef=self.cfg.reg_lambda, rng=self.client_rng(t, i),
-            recovery=self.recovery)
+            reg_coef=self.cfg.reg_lambda, rng=self.client_rng(t, i))
 
     def aggregate(self, t, ok, results):
         self.general = GeneralParams(mean_arrays(
@@ -461,8 +457,7 @@ class DecomposedFL(FederatedMethod):
             returned = {i: results[i].personal for i in ok}
             widths = {i: self.profiles[i].width for i in ok}
             self.hn, self.last_hn_loss = hypernet.hn_step(
-                self.hn, returned, widths, self.layout, self.cfg.hn_lr,
-                prune_kind=self.recovery)
+                self.hn, returned, widths, self.layout, self.cfg.hn_lr)
             self.generated = None
 
     def evaluate_client(self, profile, result):
@@ -471,9 +466,9 @@ class DecomposedFL(FederatedMethod):
                                self.global_head.sliced(self.layout.head_in(p)), p)
         fused, alpha, val_acc = select_test_model(
             received, profile.local_model, profile.data.val_xy(), self.layout,
-            grid_size=self.cfg.alpha_grid, recovery=self.recovery)
+            grid_size=self.cfg.alpha_grid)
         x, y = profile.data.test_xy()
-        test_acc = accuracy(self.layout, fused, x, y, self.recovery)
+        test_acc = accuracy(self.layout, fused, x, y)
         return ClientRow(profile.id, profile.capacity, p, result is not None,
                          result.train_loss if result else float("nan"),
                          val_acc, test_acc,

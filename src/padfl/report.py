@@ -176,11 +176,10 @@ def account(cfg: RunConfig):
         recovery = 0
         per_layer_overhead = []
         for idx, (spec, coef) in enumerate(zip(layout.specs, layout.coefs)):
-            in_kept = layout.kept_inputs(idx, p)
-            f, ratio = flops_account(spec, coef, p, cfg.batch, layout.out_hw[idx],
-                                     in_kept=in_kept)
+            out_kept, in_kept = layout.kept_outputs(idx, p), layout.kept_inputs(idx, p)
+            f, ratio = flops_account(spec, coef, cfg.batch, layout.out_hw[idx], out_kept, in_kept)
             forward += f
-            recovery += coef.rank * spec.kernel ** 2 * in_kept * layout.kept_outputs(idx, p)
+            recovery += coef.rank * spec.kernel ** 2 * in_kept * out_kept
             per_layer_overhead.append(float(ratio))
         rows.append({
             "capacity_r": str(r),

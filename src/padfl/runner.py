@@ -12,7 +12,7 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -81,8 +81,8 @@ def build_method(cfg: RunConfig, profiles, layout):
         return protocol.DecomposedFL(profiles, layout, cfg, cfg.seed,
                                      hn_aggregation=False)
     if cfg.method == "Pa3dFL_FlancDecomp":
-        return protocol.DecomposedFL(profiles, layout, cfg, cfg.seed,
-                                     recovery="flanc")
+        return protocol.DecomposedFL(profiles, replace(layout, recovery="flanc"), cfg,
+                                     cfg.seed)
     if cfg.method == "FedAvgMinWidth":
         return baselines.FedAvgMinWidth(profiles, layout, cfg, cfg.seed)
     if cfg.method == "PWidthNested":
@@ -101,10 +101,12 @@ def run(cfg: RunConfig) -> RunRecord:
     (OPENBLAS_NUM_THREADS=1 and friends, set before numpy loads):
     otherwise the processes oversubscribe the CPUs.
 
-    On a numeric failure the partial record is flagged `failed` on disk
-    and the error re-raised for the caller.
+    The output directory is created first, so a bad `out_dir` fails before
+    any work. On a numeric failure the partial record is flagged `failed`
+    on disk and the error re-raised for the caller.
     """
     started = time.monotonic()
+    os.makedirs(cfg.out_dir, exist_ok=True)
     dataset = build_dataset(cfg)
     arch = build_arch(cfg, dataset)
     layout = build_layout(arch, cfg.min_width)
@@ -209,7 +211,6 @@ def summary_json(record: RunRecord) -> str:
 
 
 def persist(record: RunRecord):
-    os.makedirs(record.out_dir, exist_ok=True)
     _atomic_write(os.path.join(record.out_dir, "metrics.csv"), metrics_csv(record))
     _atomic_write(os.path.join(record.out_dir, "rounds.csv"), rounds_csv(record))
     _atomic_write(os.path.join(record.out_dir, "summary.json"), summary_json(record))

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -186,15 +187,15 @@ class TestAblationWiring:
         arch = CnnArch(1, 8, 8, convs=(ConvBlock(8, 3, 1, 1), ConvBlock(8, 3, 1, 1)),
                        classes=2)
         layout = build_layout(arch, cfg.min_width)
-        protocol.DecomposedFL(profiles, layout, cfg, seed=18, recovery="padfl")
+        protocol.DecomposedFL(profiles, layout, cfg, seed=18)
         with pytest.raises(ConfigurationError, match="layer 0"):
-            protocol.DecomposedFL(profiles, layout, cfg, seed=18, recovery="flanc")
+            protocol.DecomposedFL(profiles, replace(layout, recovery="flanc"), cfg, seed=18)
 
     def test_flanc_recovery_shapes_match(self):
         cfg, layout, profiles_a = small_setup(seed=17)
         _, _, profiles_b = small_setup(seed=17)
-        a = protocol.DecomposedFL(profiles_a, layout, cfg, seed=17, recovery="padfl")
-        b = protocol.DecomposedFL(profiles_b, layout, cfg, seed=17, recovery="flanc")
+        a = protocol.DecomposedFL(profiles_a, layout, cfg, seed=17)
+        b = protocol.DecomposedFL(profiles_b, replace(layout, recovery="flanc"), cfg, seed=17)
         ma = a.run_round(0)
         mb = b.run_round(0)
         for fa, fb in zip(a.general.factors, b.general.factors):

@@ -301,7 +301,8 @@ class TestAccount:
         dataset = runner.build_dataset(cfg)
         arch = runner.build_arch(cfg, dataset)
         layout = build_layout(arch, cfg.min_width)
-        expect = sum(param_count(s, c, 1) for s, c in zip(layout.specs, layout.coefs))
+        expect = sum(param_count(s, c, s.out_channels, s.in_channels)
+                     for s, c in zip(layout.specs, layout.coefs))
         expect += layout.classes * layout.head_in_full + layout.classes
         assert full["param_count"] == expect
 
@@ -338,7 +339,7 @@ class TestAccount:
         for row in rows:
             p = protocol.width_for_capacity(float(Fraction(row["capacity_r"])), grid)
             expect = sum(
-                param_count(s, c, p, in_kept=layout.kept_inputs(i, p))
+                param_count(s, c, layout.kept_outputs(i, p), layout.kept_inputs(i, p))
                 for i, (s, c) in enumerate(zip(layout.specs, layout.coefs)))
             expect += layout.classes * layout.head_in(p) + layout.classes
             assert row["param_count"] == expect
@@ -378,6 +379,34 @@ class TestCliEntry:
                          "--set", "method=Pa3dFL_FlancDecomp", "--set", "conv_channels=8,8"])
         assert code == 2
         assert "layer 0 (conv, 1 input channels) at width" in capsys.readouterr().err
+
+    def test_config_path_is_a_directory_exit_2(self, tmp_path, capsys):
+        assert cli_main(["run", str(tmp_path)]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_idx_images_is_a_directory_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(SMALL)
+        images = tmp_path / "images"
+        images.mkdir()
+        code = cli_main(["run", str(cfg_path), "--set", f"out_dir={tmp_path / 'r5'}",
+                         "--set", "dataset=idx", "--set", f"idx_images={images}",
+                         "--set", f"idx_labels={tmp_path / 'labels.idx'}"])
+        assert code == 2
+        assert str(images) in capsys.readouterr().err
+
+    def test_out_dir_under_a_file_exit_2_before_any_round(self, tmp_path, capsys,
+                                                        monkeypatch):
+        def no_round(*args, **kwargs):
+            pytest.fail("a round started although out_dir cannot be created")
+
+        monkeypatch.setattr(protocol.FederatedMethod, "run_round", no_round)
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(SMALL)
+        (tmp_path / "file").write_text("")
+        out_dir = tmp_path / "file" / "sub"
+        assert cli_main(["run", str(cfg_path), "--set", f"out_dir={out_dir}"]) == 2
+        assert str(out_dir) in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_failure_exit_3(self, tmp_path):

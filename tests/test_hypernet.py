@@ -1,3 +1,5 @@
+import copy
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -50,7 +52,7 @@ class TestEncode:
         state = make_state(layout, n_clients=3, embed=3, hidden=4, depth=2, seed=2)
 
         def f(arrays):
-            s = state.copy()
+            s = copy.deepcopy(state)
             s.embeddings = arrays[0]
             return float(encode(s).sum())
 
@@ -127,29 +129,26 @@ class TestGenerate:
             assert np.array_equal(x, y)
 
     def test_prune_commutes_with_generation(self):
-        from padfl import decomp
-
         layout = tiny_layout()
         state = make_state(layout, seed=9)
         full = hn.generate_personal(state, 0, layout, Fraction(1))
         half = hn.generate_personal(state, 0, layout, Fraction(1, 2))
         spec, coef = layout.specs[0], layout.coefs[0]
-        layer = decomp.DecomposedLayer(
-            np.zeros((spec.kernel ** 2 * coef.base_count, coef.rank)),
-            full.factors[0], full.biases[0], spec, coef)
-        pruned = prune_personal(layer, Fraction(1, 2), layout.kept_inputs(0, Fraction(1, 2)))
-        assert np.array_equal(half.factors[0], pruned.personal)
-        assert np.array_equal(half.biases[0], pruned.bias)
+        pruned_v, pruned_b = prune_personal(full.factors[0], full.biases[0], spec, coef,
+                                            Fraction(1, 2), layout.kept_inputs(0, Fraction(1, 2)))
+        assert np.array_equal(half.factors[0], pruned_v)
+        assert np.array_equal(half.biases[0], pruned_b)
         assert np.array_equal(half.head_w, full.head_w[:, :layout.head_in(Fraction(1, 2))])
 
 
-def conv_layout(convs=(4, 4), in_channels=2, side=4, min_width=Fraction(1, 2)):
+def conv_layout(convs=(4, 4), in_channels=2, side=4, min_width=Fraction(1, 2),
+                recovery="padfl"):
     # two conv blocks plus a hidden linear layer; the defaults keep every
     # kept input count divisible by base_count, as FLANC slabs need
     arch = CnnArch(in_channels, side, side,
                    convs=tuple(ConvBlock(c, 3, 1, 1, True) for c in convs),
                    hidden=(4,), classes=3)
-    return build_layout(arch, min_width)
+    return build_layout(arch, min_width, recovery)
 
 
 MIXED = [Fraction(1), Fraction(1, 2), Fraction(1, 2), Fraction(1), Fraction(1, 2)]
@@ -162,17 +161,18 @@ class TestBatchedGeneration:
                                              ("padfl", QUARTERS)],
                              ids=["padfl-halves", "flanc-halves", "padfl-quarters"])
     def test_matches_per_client_reference(self, kind, widths, depth):
-        layout = conv_layout() if widths is MIXED else \
-            conv_layout(convs=(4, 8), in_channels=1, side=8, min_width=Fraction(1, 4))
+        layout = conv_layout(recovery=kind) if widths is MIXED else \
+            conv_layout(convs=(4, 8), in_channels=1, side=8, min_width=Fraction(1, 4),
+                        recovery=kind)
         state = make_state(layout, n_clients=len(widths), embed=4, hidden=6, depth=depth,
                            seed=20 + depth)
         state.log_temp = np.random.default_rng(21).normal(size=state.log_temp.shape)
         _, outputs = hn.generation_graph(state)
         flat = [f.data for f in outputs]
         for i, p in enumerate(widths):
-            got = hn.personal_params(flat, i, layout, p, kind)
-            ref = reference_personal(state, i, layout, p, kind)
-            single = hn.generate_personal(state, i, layout, p, kind)
+            got = hn.personal_params(flat, i, layout, p)
+            ref = reference_personal(state, i, layout, p)
+            single = hn.generate_personal(state, i, layout, p)
             for a, b, c in zip(got.arrays(), ref.arrays(), single.arrays()):
                 assert a.shape == b.shape
                 assert rel_err(a, b) <= 1e-12
@@ -182,9 +182,9 @@ class TestBatchedGeneration:
 class TestKeptIndex:
     def test_infeasible_flanc_width_names_layer_and_width(self):
         layout = conv_layout(convs=(4, 8), in_channels=1, side=8, min_width=Fraction(1, 4))
-        hn.kept_index(layout, 1, Fraction(1, 4), "padfl")
+        hn.kept_index(layout, 1, Fraction(1, 4))
         with pytest.raises(ConfigurationError, match=r"layer 1 .* width 1/4"):
-            hn.kept_index(layout, 1, Fraction(1, 4), "flanc")
+            hn.kept_index(replace(layout, recovery="flanc"), 1, Fraction(1, 4))
 
     def test_cached_and_read_only(self):
         layout = conv_layout()
@@ -196,7 +196,7 @@ class TestKeptIndex:
 
 class TestHnStep:
     def widths(self, state):
-        return {i: Fraction(1) for i in range(state.num_clients)}
+        return {i: Fraction(1) for i in range(state.embeddings.shape[1])}
 
     def returned_equal_to_sent(self, state, layout, clients):
         return {i: hn.generate_personal(state, i, layout, Fraction(1)) for i in clients}
@@ -231,7 +231,7 @@ class TestHnStep:
         ad.backward(loss)
 
         def f_emb(arrays):
-            s = state.copy()
+            s = copy.deepcopy(state)
             s.embeddings = arrays[0]
             return hn_loss(s, returned, widths, layout)
 
@@ -239,7 +239,7 @@ class TestHnStep:
         assert rel_err(nodes["embeddings"].grad, fd[0]) <= 1e-4
 
         def f_temp(arrays):
-            s = state.copy()
+            s = copy.deepcopy(state)
             s.log_temp = arrays[0]
             return hn_loss(s, returned, widths, layout)
 
@@ -247,7 +247,7 @@ class TestHnStep:
         assert rel_err(nodes["log_temp"].grad, fd_t[0]) <= 1e-4
 
         def f_dec(arrays):
-            s = state.copy()
+            s = copy.deepcopy(state)
             s.decoders[0].w = arrays[0]
             return hn_loss(s, returned, widths, layout)
 
@@ -255,7 +255,7 @@ class TestHnStep:
         assert rel_err(nodes["dec_w0"].grad, fd_d[0]) <= 1e-4
 
         def f_enc(arrays):
-            s = state.copy()
+            s = copy.deepcopy(state)
             s.encoder[0].w = arrays[0]
             return hn_loss(s, returned, widths, layout)
 
@@ -265,26 +265,26 @@ class TestHnStep:
     @pytest.mark.parametrize("kind", ["padfl", "flanc"])
     def test_mixed_width_gradient_matches_fd(self, kind):
         # pruned positions and clients that returned nothing must not count
-        layout = conv_layout()
+        layout = conv_layout(recovery=kind)
         state = make_state(layout, n_clients=len(MIXED), embed=3, hidden=4, depth=2, seed=23)
         rng = np.random.default_rng(24)
         widths = dict(enumerate(MIXED))
         returned = {}
         for i in (0, 1, 4):
-            gen = reference_personal(state, i, layout, widths[i], kind)
+            gen = reference_personal(state, i, layout, widths[i])
             noisy = [a + 0.1 * rng.normal(size=a.shape) for a in gen.arrays()]
             f = len(gen.factors)
             returned[i] = PersonalParams(noisy[:f], noisy[f:2 * f], noisy[-2], noisy[-1])
-        nodes, loss = hn.regression_loss(state, returned, widths, layout, kind)
-        assert abs(float(loss.data) - hn_loss(state, returned, widths, layout, kind)) <= \
+        nodes, loss = hn.regression_loss(state, returned, widths, layout)
+        assert abs(float(loss.data) - hn_loss(state, returned, widths, layout)) <= \
             1e-12 * float(loss.data)
         ad.backward(loss)
 
         def fd_of(setter, arr):
             def f(arrays):
-                s = state.copy()
+                s = copy.deepcopy(state)
                 setter(s, arrays[0])
-                return hn_loss(s, returned, widths, layout, kind)
+                return hn_loss(s, returned, widths, layout)
             return finite_diff(f, [arr])[0]
 
         assert rel_err(nodes["embeddings"].grad,

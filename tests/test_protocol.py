@@ -272,12 +272,13 @@ class TestSelectTestModel:
         assert alpha == 1.0 and fused is b
 
 
-def random_conv_model(layout, p, recovery, rng, biases=True):
-    """A width-p decomposed model with random factors in `recovery`'s layout."""
+def random_conv_model(layout, p, rng, biases=True):
+    """A width-p decomposed model with random factors in `layout.recovery`'s
+    layout."""
     gen, fac, bias = [], [], []
     for idx, (spec, coef) in enumerate(zip(layout.specs, layout.coefs)):
         out_kept, in_kept = layout.kept_outputs(idx, p), layout.kept_inputs(idx, p)
-        cols = (out_kept // coef.base_count * in_kept if recovery == "padfl"
+        cols = (out_kept // coef.base_count * in_kept if layout.recovery == "padfl"
                 else out_kept * (in_kept // coef.base_count))
         gen.append(rng.normal(size=(spec.kernel ** 2 * coef.base_count, coef.rank)))
         fac.append(rng.normal(size=(coef.rank, cols)))
@@ -300,26 +301,27 @@ class TestSelectTestModelConv:
     P = Fraction(1, 2)
 
     def setup_method(self):
-        self.layout = conv_layout(side=8)
+        self.layouts = {kind: conv_layout(side=8, recovery=kind) for kind in ("padfl", "flanc")}
         rng = np.random.default_rng(12)
         self.x = rng.normal(size=(12, 2, 8, 8))
-        self.y = rng.integers(0, self.layout.classes, size=12)
+        self.y = rng.integers(0, self.layouts["padfl"].classes, size=12)
 
     @pytest.mark.parametrize("recovery", ["padfl", "flanc"])
     def test_matches_per_alpha_reference(self, recovery):
+        layout = self.layouts[recovery]
         rng = np.random.default_rng(11)
-        received = random_conv_model(self.layout, self.P, recovery, rng)
-        local = random_conv_model(self.layout, self.P, recovery, rng)
+        received = random_conv_model(layout, self.P, rng)
+        local = random_conv_model(layout, self.P, rng)
         alphas = np.linspace(0.0, 1.0, 11)
-        refs = [reference_logits(self.layout, scalar_mix(received, local, float(a)), self.x,
-                                 recovery) for a in alphas]
-        got = stacked_logits(self.layout, combine(received, local, alphas), self.x, recovery)
+        refs = [reference_logits(layout, scalar_mix(received, local, float(a)), self.x)
+                for a in alphas]
+        got = stacked_logits(layout, combine(received, local, alphas), self.x)
         for g, r in zip(got, refs):
             assert rel_err(g, r) <= 1e-12
         accs = [float((r.argmax(axis=1) == self.y).mean()) for r in refs]
         assert len(set(accs)) > 1
         fused, alpha, acc = protocol.select_test_model(
-            received, local, (self.x, self.y), self.layout, recovery=recovery)
+            received, local, (self.x, self.y), layout)
         best = int(np.argmax(accs))
         assert alpha == alphas[best] and acc == accs[best]
         expect = combine(received, local, [alpha]).at(0)
@@ -331,14 +333,15 @@ class TestSelectTestModelConv:
     def test_ties_resolve_to_smallest_alpha(self, recovery):
         # no biases and local = 2 * received: every mix rescales the same
         # network by a positive factor, so every alpha scores the same
+        layout = self.layouts[recovery]
         rng = np.random.default_rng(13)
-        received = random_conv_model(self.layout, self.P, recovery, rng, biases=False)
+        received = random_conv_model(layout, self.P, rng, biases=False)
         local = ClientModel.from_arrays([2.0 * a for a in received.arrays()], self.P)
-        accs = {float((reference_logits(self.layout, scalar_mix(received, local, a), self.x,
-                                        recovery).argmax(axis=1) == self.y).mean())
+        accs = {float((reference_logits(layout, scalar_mix(received, local, a),
+                                        self.x).argmax(axis=1) == self.y).mean())
                 for a in np.linspace(0.0, 1.0, 11)}
         fused, alpha, acc = protocol.select_test_model(
-            received, local, (self.x, self.y), self.layout, recovery=recovery)
+            received, local, (self.x, self.y), layout)
         assert accs == {acc} and alpha == 0.0
         for a, b in zip(fused.arrays(), received.arrays()):
             assert np.array_equal(a, b)

@@ -4,13 +4,12 @@ einsum recovery, per-model decomposed and dense forwards, and a
 per-client loop form of the hyper-network's generation and loss. Also
 the single-layer recovery, pruning, accounting and copying helpers that
 only tests use."""
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 
 from padfl import autodiff as ad
-from padfl.decomp import DecomposedLayer, param_count, recover_flanc_t
+from padfl.decomp import Coefficients, factor_grid, param_count, recover_padfl_t
 from padfl.errors import ConfigurationError
 from padfl.model import PersonalParams, PlainModel
 from padfl.protocol import orthogonal_reg_t
@@ -76,9 +75,10 @@ def aggregate_embedding(encoded, client, tau):
     return encoded @ (w / w.sum())
 
 
-def reference_personal(state, client, layout, width, prune_kind="padfl"):
+def reference_personal(state, client, layout, width):
     """One client's generated personal parameters, decoder by decoder:
-    mix, decoder mat-vec, then numpy slicing of the flat output."""
+    mix, decoder mat-vec, then numpy slicing of the flat output in
+    `layout.recovery`'s layout."""
     enc = encode(state)
     p = Fraction(width)
     taus = np.exp(state.log_temp)
@@ -89,7 +89,7 @@ def reference_personal(state, client, layout, width, prune_kind="padfl"):
         r1, t_kept, ik = coef.base_count, layout.kept_outputs(l, p), layout.kept_inputs(l, p)
         blocks = spec.out_channels // r1
         n_v = coef.rank * blocks * spec.in_channels
-        if prune_kind == "padfl":
+        if layout.recovery == "padfl":
             v = flat[:n_v].reshape(coef.rank, blocks, spec.in_channels)[:, :t_kept // r1, :ik]
         else:
             v = flat[:n_v].reshape(coef.rank, spec.out_channels, spec.in_channels // r1)
@@ -103,12 +103,12 @@ def reference_personal(state, client, layout, width, prune_kind="padfl"):
     return PersonalParams(factors, biases, head_w, flat[n_w:])
 
 
-def hn_loss(state, returned, widths, layout, prune_kind="padfl"):
+def hn_loss(state, returned, widths, layout):
     """Regression loss (1/n) sum_i 0.5 ||returned_i - generated_i||^2 over
     the returned clients, from the per-client reference generator."""
     total = 0.0
     for i in sorted(returned):
-        gen = reference_personal(state, i, layout, widths[i], prune_kind)
+        gen = reference_personal(state, i, layout, widths[i])
         for a, b in zip(gen.arrays(), returned[i].arrays()):
             total += 0.5 * float(((a - b) ** 2).sum())
     return total / len(returned)
@@ -148,13 +148,15 @@ def reference_plain_logits(arch, model, x):
     return h.reshape(len(h), -1) @ model.head_w.T + model.head_b
 
 
-def reference_logits(layout, model, x, recovery="padfl"):
-    """One client model's logits from first principles: einsum recovery,
-    then `reference_plain_logits` on the recovered dense model."""
+def reference_logits(layout, model, x):
+    """One client model's logits from first principles: einsum recovery in
+    `layout.recovery`'s layout, then `reference_plain_logits` on the
+    recovered dense model."""
     p, weights = model.width, []
     for idx, spec in enumerate(layout.specs):
         w = reference_weight(model.general.factors[idx], model.personal.factors[idx], spec,
-                             layout.kept_outputs(idx, p), layout.kept_inputs(idx, p), recovery)
+                             layout.kept_outputs(idx, p), layout.kept_inputs(idx, p),
+                             layout.recovery)
         weights.append(w if spec.kind == "conv" else w[:, :, 0, 0])
     dense = PlainModel(weights, model.personal.biases, model.head.w, model.head.b, p)
     return reference_plain_logits(layout.arch, dense, x)
@@ -166,55 +168,36 @@ def plain_copy(model):
 
 
 def recover_flanc(general, personal, spec, out_kept=None, in_kept=None) -> np.ndarray:
-    """The input-slab recovered weight, through the graph recovery."""
-    return recover_flanc_t(ad.const(general), ad.const(personal), spec,
-                           out_kept=out_kept, in_kept=in_kept).data
+    """The input-slab recovered weight, through the graph recovery; the
+    factor sizes are read off the general factor's shape."""
+    rows, rank = general.shape
+    coef = Coefficients(rows // spec.kernel ** 2, rank)
+    return recover_padfl_t(ad.const(general), ad.const(personal), spec, coef,
+                           out_kept, in_kept, "flanc").data
 
 
-def prune_personal(layer: DecomposedLayer, p, in_kept=None) -> DecomposedLayer:
-    """Keep the first p*T output channels (whole v blocks) and the first
-    `in_kept` input columns of each block; the general factor and removal
-    order (highest indices first) are untouched by construction."""
-    p, mw = Fraction(p), layer.coef.min_width
-    if not (0 < p <= 1) or (p / mw).denominator != 1:
-        raise ConfigurationError(f"width {p} is not a multiple of min_width {mw} in (0, 1]")
-    if p > layer.width:
-        raise ConfigurationError(f"cannot grow width {layer.width} -> {p}")
-    in_kept = layer.in_kept if in_kept is None else in_kept
-    if not (0 < in_kept <= layer.in_kept):
-        raise ConfigurationError(f"in_kept {in_kept} outside (0, {layer.in_kept}]")
-    r2 = layer.coef.rank
-    blocks_new = int(Fraction(layer.spec.out_channels) * p) // layer.coef.base_count
-    v3 = layer.personal.reshape(r2, layer.blocks_kept, layer.in_kept)
-    personal = np.ascontiguousarray(v3[:, :blocks_new, :in_kept]).reshape(r2, blocks_new * in_kept)
-    out_new = int(Fraction(layer.spec.out_channels) * p)
-    return replace(layer, personal=personal, bias=layer.bias[:out_new].copy(),
-                   width=p, in_kept=in_kept)
-
-
-def prune_flanc(personal, spec, base_count, p, in_kept=None):
-    """Prune a FLANC personal factor: keep the first p*T channel slabs and
-    the first in_kept/base_count columns inside each slab."""
+def prune_personal(personal, bias, spec, coef, p, in_kept=None, kind="padfl"):
+    """(factor, bias) of a full-width layer pruned to width p: keep the
+    first p*T output channels and the first `in_kept` input columns, by
+    cutting the leading corner of the factor's `factor_grid`."""
     p = Fraction(p)
+    out_kept = Fraction(spec.out_channels) * p
+    if not 0 < p <= 1 or out_kept.denominator != 1 or out_kept % coef.base_count:
+        raise ConfigurationError(f"width {p} keeps no whole personal blocks")
+    out_kept = int(out_kept)
     in_kept = spec.in_channels if in_kept is None else in_kept
-    if spec.in_channels % base_count or in_kept % base_count:
-        raise ConfigurationError(
-            f"in_channels {spec.in_channels}/{in_kept} not divisible by base_count {base_count}")
-    out_new = Fraction(spec.out_channels) * p
-    if out_new.denominator != 1:
-        raise ConfigurationError(f"width {p} does not keep whole channels of {spec.out_channels}")
-    out_new = int(out_new)
-    r2 = personal.shape[0]
-    slab = spec.in_channels // base_count
-    v3 = personal.reshape(r2, spec.out_channels, slab)
-    kept = np.ascontiguousarray(v3[:, :out_new, :in_kept // base_count])
-    return kept.reshape(r2, out_new * (in_kept // base_count))
+    full = factor_grid(kind, coef.base_count, spec.out_channels, spec.in_channels)
+    a, b = factor_grid(kind, coef.base_count, out_kept, in_kept)
+    kept = personal.reshape(coef.rank, *full)[:, :a, :b]
+    return np.ascontiguousarray(kept).reshape(coef.rank, a * b), bias[:out_kept].copy()
 
 
 def reduction_ratio(spec, coef, p) -> Fraction:
-    """Stored floats of the width-p factorization over the dense weight."""
+    """Stored floats of the width-p factorization (no bias) over the dense
+    weight."""
+    t, s = Fraction(spec.out_channels) * p, Fraction(spec.in_channels) * p
     dense = spec.out_channels * spec.in_channels * spec.kernel ** 2
-    return Fraction(param_count(spec, coef, p, include_bias=False), dense)
+    return Fraction(param_count(spec, coef, int(t), int(s)) - int(t), dense)
 
 
 def orthogonal_reg(general_factors, specs) -> float:
