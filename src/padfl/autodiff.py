@@ -136,8 +136,8 @@ def ordered_matmul(a, b):
 # ---------------------------------------------------------------------------
 # convolution (im2col + one matrix product)
 
-def _im2col(x, k, stride, pad):
-    """Columns in (channel, ky, kx, batch*out_h*out_w) order.
+def _im2col(x, k, pad):
+    """Stride-1 columns in (channel, ky, kx, batch*out_h*out_w) order.
 
     Assembled with one well-strided copy per kernel offset, which is far
     cheaper than a single 6-axis gather.
@@ -148,31 +148,29 @@ def _im2col(x, k, stride, pad):
         padded = np.zeros((bsz, ch, hp, wp))
         padded[:, :, pad:pad + h, pad:pad + w] = x
         x = padded
-    ho = (hp - k) // stride + 1
-    wo = (wp - k) // stride + 1
+    ho, wo = hp - k + 1, wp - k + 1
     cols = np.empty((ch, k, k, bsz, ho, wo))
     for ky in range(k):
         for kx in range(k):
-            src = x[:, :, ky:ky + stride * ho:stride, kx:kx + stride * wo:stride]
-            cols[:, ky, kx] = src.transpose(1, 0, 2, 3)
+            cols[:, ky, kx] = x[:, :, ky:ky + ho, kx:kx + wo].transpose(1, 0, 2, 3)
     return cols.reshape(ch * k * k, bsz * ho * wo), ho, wo
 
 
-def _col2im(gcols, xshape, k, stride, pad, ho, wo):
+def _col2im(gcols, xshape, k, pad, ho, wo):
     bsz, ch, h, w = xshape
     gx = np.zeros((bsz, ch, h + 2 * pad, w + 2 * pad))
     g6 = gcols.reshape(ch, k, k, bsz, ho, wo)
     for ky in range(k):
         for kx in range(k):
-            gx[:, :, ky:ky + stride * ho:stride, kx:kx + stride * wo:stride] += \
-                g6[:, ky, kx].transpose(1, 0, 2, 3)
+            gx[:, :, ky:ky + ho, kx:kx + wo] += g6[:, ky, kx].transpose(1, 0, 2, 3)
     if pad:
         gx = gx[:, :, pad:-pad, pad:-pad]
     return gx
 
 
-def conv2d(x, w, stride=1, pad=0, bias=None):
-    """Cross-correlation of (B,S,H,W) input with (T,S,k,k) weight.
+def conv2d(x, w, pad=0, bias=None):
+    """Stride-1 cross-correlation of (B,S,H,W) input, zero-padded by `pad`
+    on every side, with a (T,S,k,k) weight.
 
     Maps onto exactly one matrix product of B*q^2*k^2*S*T multiply-adds;
     an optional (T,) bias is fused so its gradient is one contiguous
@@ -190,7 +188,7 @@ def conv2d(x, w, stride=1, pad=0, bias=None):
         raise DimensionError(f"kernel {k} exceeds padded input {h + 2 * pad}x{wdt + 2 * pad}")
     if bias is not None and bias.data.shape != (t,):
         raise DimensionError(f"conv2d bias shape {bias.data.shape}, expected ({t},)")
-    cols, ho, wo = _im2col(x.data, k, stride, pad)
+    cols, ho, wo = _im2col(x.data, k, pad)
     w2 = w.data.transpose(1, 2, 3, 0).reshape(s * k * k, t)  # rows follow cols order
     out2 = w2.T @ cols                                       # (T, B*ho*wo)
     if bias is not None:
@@ -206,12 +204,12 @@ def conv2d(x, w, stride=1, pad=0, bias=None):
         if bias is not None and bias.requires_grad:
             _acc(bias, g2.sum(axis=1))
         if x.requires_grad:
-            _acc(x, _col2im(w2 @ g2, x.data.shape, k, stride, pad, ho, wo))
+            _acc(x, _col2im(w2 @ g2, x.data.shape, k, pad, ho, wo))
 
     return _out(out_data, parents, bw)
 
 
-def conv2d_infer(x, w, stride=1, pad=0):
+def conv2d_infer(x, w, pad=0):
     """Plain-array convolution of M stacked weights (M,T,S,k,k) via the same
     im2col kernel (no graph); returns (M,B,T,ho,wo).
 
@@ -223,7 +221,7 @@ def conv2d_infer(x, w, stride=1, pad=0):
     """
     m, t, s, k, _ = w.shape
     bsz = x.shape[1]
-    cols, ho, wo = _im2col(x.reshape((-1,) + x.shape[2:]), k, stride, pad)
+    cols, ho, wo = _im2col(x.reshape((-1,) + x.shape[2:]), k, pad)
     n = bsz * ho * wo
     w2 = w.transpose(0, 2, 3, 4, 1).reshape(m, s * k * k, t)
     out = np.empty((m, bsz, t, ho, wo))
@@ -237,9 +235,7 @@ def conv2d_infer(x, w, stride=1, pad=0):
 # elementwise / structural primitives
 
 def relu(x):
-    # np.maximum (unlike where) propagates NaN, so poisoned values reach
-    # the loss instead of being silently clipped to zero
-    out_data = np.maximum(x.data, 0.0)
+    out_data = relu_infer(x.data)
 
     def bw(g):
         _acc(x, g * (out_data > 0))
@@ -248,6 +244,8 @@ def relu(x):
 
 
 def relu_infer(x):
+    # np.maximum (unlike where) propagates NaN, so poisoned values reach
+    # the loss instead of being silently clipped to zero
     return np.maximum(x, 0.0)
 
 
@@ -259,11 +257,7 @@ def maxpool2x2(x):
     if h % 2 or w % 2:
         raise DimensionError(f"maxpool2x2 needs even spatial dims, got {h}x{w}")
     h2, w2 = h // 2, w // 2
-    # elementwise maxima over window slots beat strided axis reductions
-    rows = x.data.reshape(bsz, ch, h2, 2, w)
-    row_max = np.maximum(rows[:, :, :, 0, :], rows[:, :, :, 1, :])
-    pairs = row_max.reshape(bsz, ch, h2, w2, 2)
-    out_data = np.maximum(pairs[..., 0], pairs[..., 1])
+    out_data = maxpool2x2_infer(x.data)
 
     def bw(g):
         x4 = x.data.reshape(bsz, ch, h2, 2, w2, 2)
@@ -280,6 +274,7 @@ def maxpool2x2(x):
 def maxpool2x2_infer(x):
     """2x2/stride-2 max pooling over the last two axes."""
     *lead, h, w = x.shape
+    # elementwise maxima over window slots beat strided axis reductions
     rows = x.reshape(*lead, h // 2, 2, w)
     row_max = np.maximum(rows[..., 0, :], rows[..., 1, :])
     pairs = row_max.reshape(*lead, h // 2, w // 2, 2)
@@ -329,33 +324,24 @@ def cross_entropy(logits, labels):
 def add(a, b):
     """Elementwise add; the only broadcasts accepted are bias patterns.
 
-    Allowed: same shape, (n,m)+(m,), (n,m)+(n,1), (B,C,H,W)+(C,).
+    Allowed: same shape, (n,m)+(m,), (n,m)+(n,1). A conv's bias is fused
+    into `conv2d`.
     """
     sa, sb = a.data.shape, b.data.shape
     if sa == sb:
-        reduce_b = None
+        reduce_b = lambda g: g
     elif len(sa) == 2 and sb == (sa[1],):
         reduce_b = lambda g: g.sum(axis=0)
     elif len(sa) == 2 and sb == (sa[0], 1):
         reduce_b = lambda g: g.sum(axis=1, keepdims=True)
-    elif len(sa) == 4 and sb == (sa[1],):
-        reduce_b = lambda g: g.sum(axis=(0, 2, 3))
     else:
         raise DimensionError(f"add shapes {sa} + {sb}")
-    if reduce_b is None:
-        out_data = a.data + b.data
 
-        def bw(g):
-            _acc(a, g)
-            _acc(b, g)
-    else:
-        out_data = a.data + (b.data if len(sb) == 2 else b.data.reshape((1, sb[0]) + (1,) * (len(sa) - 2)))
+    def bw(g):
+        _acc(a, g)
+        _acc(b, reduce_b(g))
 
-        def bw(g):
-            _acc(a, g)
-            _acc(b, reduce_b(g))
-
-    return _out(out_data, (a, b), bw)
+    return _out(a.data + b.data, (a, b), bw)
 
 
 def scale(x, c):

@@ -49,7 +49,6 @@ class DenseMethod(FederatedMethod):
         xv, yv = profile.data.val_xy()
         xt, yt = profile.data.test_xy()
         return ClientRow(profile.id, profile.capacity, model.width,
-                         result is not None,
                          result.train_loss if result else float("nan"),
                          plain_accuracy(self.layout.arch, model, xv, yv),
                          plain_accuracy(self.layout.arch, model, xt, yt),

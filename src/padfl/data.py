@@ -49,10 +49,12 @@ class ClientData:
         return self._xy("test", self.test_idx)
 
 
+VAL_SHARE = TEST_SHARE = 0.1  # of each client's samples; the rest trains
+
+
 @dataclass
 class Partition:
     clients: list  # ClientData per client
-    ratios: tuple
 
 
 def synth_gaussian(classes, per_class, shape=(1, 28, 28), separation=3.0, seed=0) -> Dataset:
@@ -145,30 +147,24 @@ def _even_sizes(total, parts):
     return sizes
 
 
-def _split_client(indices, ratios, rng):
-    idx = np.asarray(indices, dtype=np.int64)
-    rng.shuffle(idx)
-    n = len(idx)
-    n_val = max(1, round(ratios[1] * n))
-    n_test = max(1, round(ratios[2] * n))
-    n_train = n - n_val - n_test
-    if n_train < 1:
-        raise ConfigurationError(f"client with {n} samples cannot fill all three splits")
-    return ClientData(None, idx[:n_train], idx[n_train:n_train + n_val],
-                      idx[n_train + n_val:])
-
-
-def _finish(dataset, per_client, ratios, rng):
+def _finish(dataset, per_client, rng):
+    """Shuffle each client's indices and cut them into train, validation
+    (VAL_SHARE) and test (TEST_SHARE) splits of at least one sample each."""
     clients = []
     for indices in per_client:
-        cd = _split_client(indices, ratios, rng)
-        cd.dataset = dataset
-        clients.append(cd)
-    return Partition(clients, tuple(ratios))
+        idx = np.asarray(indices, dtype=np.int64)
+        rng.shuffle(idx)
+        n = len(idx)
+        n_val, n_test = max(1, round(VAL_SHARE * n)), max(1, round(TEST_SHARE * n))
+        n_train = n - n_val - n_test
+        if n_train < 1:
+            raise ConfigurationError(f"client with {n} samples cannot fill all three splits")
+        clients.append(ClientData(dataset, idx[:n_train], idx[n_train:n_train + n_val],
+                                  idx[n_train + n_val:]))
+    return Partition(clients)
 
 
-def partition_dirichlet(dataset, num_clients, alpha=1.0, seed=0,
-                        ratios=(0.8, 0.1, 0.1)) -> Partition:
+def partition_dirichlet(dataset, num_clients, alpha=1.0, seed=0) -> Partition:
     """Label-skewed split: client label mixes drawn from Dirichlet(alpha *
     global label distribution), samples dealt without replacement, even
     client sizes (remainder to the lowest ids)."""
@@ -212,7 +208,7 @@ def partition_dirichlet(dataset, num_clients, alpha=1.0, seed=0,
                 break
             per_client.append(take)
         if feasible:
-            return _finish(dataset, per_client, ratios, rng)
+            return _finish(dataset, per_client, rng)
     raise ConfigurationError("could not build a feasible Dirichlet partition")
 
 
@@ -225,8 +221,7 @@ def _largest_remainder(raw, total):
     return floor
 
 
-def partition_k_of_k(dataset, num_clients, classes_per_client, seed=0,
-                     ratios=(0.8, 0.1, 0.1)) -> Partition:
+def partition_k_of_k(dataset, num_clients, classes_per_client, seed=0) -> Partition:
     """Each client owns a uniform random subset of classes; every class's
     samples are dealt evenly among its owners (remainder to the lowest
     owner id)."""
@@ -252,4 +247,4 @@ def partition_k_of_k(dataset, num_clients, classes_per_client, seed=0,
     for i, lst in enumerate(per_client):
         if len(lst) < 3:
             raise ConfigurationError(f"client {i} received {len(lst)} samples (<3)")
-    return _finish(dataset, per_client, ratios, rng)
+    return _finish(dataset, per_client, rng)

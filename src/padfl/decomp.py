@@ -34,8 +34,6 @@ class LayerSpec:
     out_channels: int
     in_channels: int
     kernel: int = 1
-    stride: int = 1
-    pad: int = 0
 
     def __post_init__(self):
         if self.kind not in ("conv", "linear"):

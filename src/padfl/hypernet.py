@@ -2,8 +2,8 @@
 
 Learnable per-client embeddings are encoded by a shared MLP and mixed by
 self-attention; a per-layer linear decoder maps each client's mixture to
-that layer's flat personal parameters (factor + channel bias; the
-personal head gets its own decoder). In matrix form, with E the (d, n)
+that layer's flat personal parameters (factor + channel bias; the last
+decoder emits the personal head). In matrix form, with E the (d, n)
 encoded embeddings and S = E^T E, decoder l (each decomposed layer, then
 the head) computes
 
@@ -38,17 +38,14 @@ class LinearMap:
 
 @dataclass
 class HyperNetState:
+    """The server's trainable state. Decoder l < len(layout.specs) emits
+    layer l's flat personal factor and biases; the last decoder emits the
+    personal head. `kept_index(layout, l, p)` reads decoder l's output."""
+
     embeddings: np.ndarray   # (embed_dim, num_clients), one column per client
     encoder: list            # LinearMap stack; empty list = identity encoder
-    decoders: list           # LinearMap per decomposed layer
-    head_decoder: LinearMap
-    log_temp: np.ndarray     # one log-temperature per decoder (layers + head)
-
-
-def decoder_out_dim(layout: Layout, layer_idx: int) -> int:
-    spec, coef = layout.specs[layer_idx], layout.coefs[layer_idx]
-    blocks = spec.out_channels // coef.base_count
-    return coef.rank * blocks * spec.in_channels + spec.out_channels
+    decoders: list           # LinearMap per decomposed layer, then the head's
+    log_temp: np.ndarray     # one log-temperature per decoder
 
 
 @lru_cache(maxsize=None)
@@ -99,26 +96,21 @@ def init_hypernet(layout: Layout, num_clients, embed_dim, hidden_dim, depth, rng
         encoder.append(LinearMap(rng.uniform(-b, b, size=(hidden_dim, prev)),
                                  rng.uniform(-b, b, size=hidden_dim)))
         prev = hidden_dim
-    d_out = prev
     decoders = []
-    for idx, (spec, coef) in enumerate(zip(layout.specs, layout.coefs)):
-        out_dim = decoder_out_dim(layout, idx)
-        _, personal, _ = decomp.init_layer(spec, coef, rng)
-        bias = np.concatenate([personal.ravel(), np.zeros(spec.out_channels)])
+    for l in range(len(layout.specs) + 1):
+        if l < len(layout.specs):
+            spec = layout.specs[l]
+            _, personal, _ = decomp.init_layer(spec, layout.coefs[l], rng)
+            bias = np.concatenate([personal.ravel(), np.zeros(spec.out_channels)])
+        else:  # the head: a fan-in init of its weight, zero biases
+            hb = 1.0 / np.sqrt(layout.head_in_full)
+            bias = np.concatenate([rng.uniform(-hb, hb, size=layout.classes * layout.head_in_full),
+                                   np.zeros(layout.classes)])
         # fan-out bound keeps every decoder column near unit norm, so the
         # regression is well conditioned whatever the output size
-        wb = np.sqrt(3.0 / out_dim)
-        decoders.append(LinearMap(rng.uniform(-wb, wb, size=(out_dim, d_out)), bias))
-    hb = 1.0 / np.sqrt(layout.head_in_full)
-    head_flat = np.concatenate([
-        rng.uniform(-hb, hb, size=layout.classes * layout.head_in_full),
-        np.zeros(layout.classes),
-    ])
-    wb = np.sqrt(3.0 / head_flat.size)
-    head_decoder = LinearMap(
-        rng.uniform(-wb, wb, size=(head_flat.size, d_out)), head_flat)
-    log_temp = np.zeros(len(decoders) + 1)
-    return HyperNetState(embeddings, encoder, decoders, head_decoder, log_temp)
+        wb = np.sqrt(3.0 / bias.size)
+        decoders.append(LinearMap(rng.uniform(-wb, wb, size=(bias.size, prev)), bias))
+    return HyperNetState(embeddings, encoder, decoders, np.zeros(len(decoders)))
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +126,6 @@ def state_nodes(state: HyperNetState, trainable: bool):
     for i, lm in enumerate(state.decoders):
         nodes[f"dec_w{i}"] = wrap(lm.w)
         nodes[f"dec_b{i}"] = wrap(lm.b)
-    nodes["head_w"] = wrap(state.head_decoder.w)
-    nodes["head_b"] = wrap(state.head_decoder.b)
     nodes["log_temp"] = wrap(state.log_temp)
     return nodes
 
@@ -161,12 +151,12 @@ def generation_graph(state: HyperNetState, trainable=False):
     enc = _encode_t(nodes, len(state.encoder))
     sims = ad.matmul(ad.transpose(enc, (1, 0)), enc)
     inv_temps = ad.exp(ad.neg(nodes["log_temp"]))
-    keys = [(f"dec_w{l}", f"dec_b{l}") for l in range(len(state.decoders))]
     outputs = []
-    for l, (w, b) in enumerate(keys + [("head_w", "head_b")]):
+    for l in range(len(state.decoders)):
         attn = ad.softmax(ad.mul_scalar(sims, ad.slice_t(inv_temps, (l,))))
         mixed = ad.matmul(enc, ad.transpose(attn, (1, 0)))
-        outputs.append(ad.add(ad.matmul(nodes[w], mixed), ad.reshape(nodes[b], (-1, 1))))
+        outputs.append(ad.add(ad.matmul(nodes[f"dec_w{l}"], mixed),
+                              ad.reshape(nodes[f"dec_b{l}"], (-1, 1))))
     return nodes, outputs
 
 
@@ -234,8 +224,6 @@ def hn_step(state: HyperNetState, returned, widths, layout: Layout, lr) -> tuple
          for i, m in enumerate(state.encoder)],
         [LinearMap(step(m.w, nodes[f"dec_w{i}"]), step(m.b, nodes[f"dec_b{i}"]))
          for i, m in enumerate(state.decoders)],
-        LinearMap(step(state.head_decoder.w, nodes["head_w"]),
-                  step(state.head_decoder.b, nodes["head_b"])),
         step(state.log_temp, nodes["log_temp"]),
     )
     return new, val

@@ -1,9 +1,11 @@
 """Small CNN/MLP models in decomposed and dense form.
 
-The network is a stack of conv blocks (conv -> bias -> pool -> relu),
-a flatten, optional hidden linear layers, and a classification head.
-Every layer but the head is decomposable; the head is dense and comes
-in two flavors per client: the frozen shared head and a personal one.
+The network is a stack of conv blocks, a flatten, optional hidden
+linear layers, and a classification head. Every conv block is the same:
+a stride-1 k x k conv (k odd) padded by k // 2 to keep the map size,
+then a bias, a 2x2 max pool and a ReLU. Every layer but the head is
+decomposable; the head is dense and comes in two flavors per client:
+the frozen shared head and a personal one.
 
 Width-p submodels keep the leading p*T output channels of every layer,
 so the flatten stays contiguous and the head only needs its leading
@@ -27,20 +29,12 @@ from .errors import ConfigurationError
 
 
 @dataclass(frozen=True)
-class ConvBlock:
-    channels: int
-    kernel: int = 5
-    stride: int = 1
-    pad: int = 2
-    pool: bool = True
-
-
-@dataclass(frozen=True)
 class CnnArch:
     in_channels: int
     height: int
     width: int
-    convs: tuple = ()
+    convs: tuple = ()   # output channels of each conv block
+    kernel: int = 3     # every conv's (odd) kernel size
     hidden: tuple = ()  # linear widths between flatten and head
     classes: int = 2
 
@@ -89,16 +83,13 @@ def build_layout(arch: CnnArch, min_width, recovery="padfl") -> Layout:
     specs, out_hw = [], []
     h, w = arch.height, arch.width
     prev_c = arch.in_channels
-    for cb in arch.convs:
-        specs.append(decomp.LayerSpec("conv", cb.channels, prev_c, cb.kernel, cb.stride, cb.pad))
-        h = (h + 2 * cb.pad - cb.kernel) // cb.stride + 1
-        w = (w + 2 * cb.pad - cb.kernel) // cb.stride + 1
+    for ch in arch.convs:
+        specs.append(decomp.LayerSpec("conv", ch, prev_c, arch.kernel))
         out_hw.append((h, w))
-        if cb.pool:
-            if h % 2 or w % 2:
-                raise ConfigurationError(f"pooling needs even feature maps, got {h}x{w}")
-            h, w = h // 2, w // 2
-        prev_c = cb.channels
+        if h % 2 or w % 2:
+            raise ConfigurationError(f"pooling needs even feature maps, got {h}x{w}")
+        h, w = h // 2, w // 2
+        prev_c = ch
     feat = prev_c * h * w
     for width in arch.hidden:
         specs.append(decomp.LayerSpec("linear", width, feat))
@@ -112,16 +103,6 @@ def build_layout(arch: CnnArch, min_width, recovery="padfl") -> Layout:
 # parameter containers
 
 @dataclass
-class GeneralParams:
-    """Full-size general factors, identical shape for every client."""
-
-    factors: list  # np arrays, one per decomposed layer
-
-    def arrays(self):
-        return list(self.factors)
-
-
-@dataclass
 class PersonalParams:
     """Personal factors, biases and the personal head at some width."""
 
@@ -129,11 +110,6 @@ class PersonalParams:
     biases: list
     head_w: np.ndarray
     head_b: np.ndarray
-
-    def copy(self):
-        return PersonalParams([f.copy() for f in self.factors],
-                              [b.copy() for b in self.biases],
-                              self.head_w.copy(), self.head_b.copy())
 
     def arrays(self):
         return list(self.factors) + list(self.biases) + [self.head_w, self.head_b]
@@ -150,26 +126,30 @@ class HeadParams:
 
 @dataclass
 class ClientModel:
-    """One client's complete trainable model at its width. `combine` makes
-    stacked models, whose every array carries a leading axis of mixes."""
+    """One client's complete trainable model at its width: the full-size
+    general factors shared by every client, its personal factors and
+    biases, and the head it infers with (the sliced shared head of a
+    received model, or the personal head of a locally trained one).
+    `combine` makes stacked models, whose every array carries a leading
+    axis of mixes."""
 
-    general: GeneralParams
-    personal: PersonalParams
-    head: HeadParams  # the head used for inference (global or personal)
+    general: list   # np arrays, one per decomposed layer
+    factors: list
+    biases: list
+    head_w: np.ndarray
+    head_b: np.ndarray
     width: Fraction
 
     def arrays(self):
-        return self.general.arrays() + self.personal.arrays() + [self.head.w, self.head.b]
+        return [*self.general, *self.factors, *self.biases, self.head_w, self.head_b]
 
     @classmethod
     def from_arrays(cls, arrays, width):
         """Inverse of arrays(): n general factors, n personal factors, n
-        biases, then the personal and the inference head (w, b each)."""
-        n = (len(arrays) - 4) // 3
-        return cls(GeneralParams(arrays[:n]),
-                   PersonalParams(arrays[n:2 * n], arrays[2 * n:3 * n],
-                                  arrays[3 * n], arrays[3 * n + 1]),
-                   HeadParams(arrays[-2], arrays[-1]), width)
+        biases, then the head (w, b)."""
+        n = (len(arrays) - 2) // 3
+        return cls(arrays[:n], arrays[n:2 * n], arrays[2 * n:3 * n], arrays[-2], arrays[-1],
+                   width)
 
     def at(self, j):
         """Mix j of a stacked model."""
@@ -199,7 +179,7 @@ def init_decomposed(layout: Layout, rng):
     bound = 1.0 / np.sqrt(layout.head_in_full)
     head_w = rng.uniform(-bound, bound, size=(layout.classes, layout.head_in_full))
     head_b = rng.uniform(-bound, bound, size=layout.classes)
-    return GeneralParams(generals), personals, biases, HeadParams(head_w, head_b)
+    return generals, personals, biases, HeadParams(head_w, head_b)
 
 
 # ---------------------------------------------------------------------------
@@ -250,14 +230,10 @@ def features_t(arch: CnnArch, weights, biases, x_node):
     """Graph forward up to (but not including) the head, over one weight
     and one bias node per layer (conv weights (T, S, k, k), linear weights
     (T, S)); returns the (B, features) node."""
-    h = x_node
-    for w, b, cb in zip(weights, biases, arch.convs):
-        h = ad.conv2d(h, w, stride=cb.stride, pad=cb.pad, bias=b)
-        if cb.pool:
-            h = ad.maxpool2x2(h)
-        h = ad.relu(h)
+    h, n_conv = x_node, len(arch.convs)
+    for w, b in zip(weights[:n_conv], biases):
+        h = ad.relu(ad.maxpool2x2(ad.conv2d(h, w, pad=arch.kernel // 2, bias=b)))
     h = ad.reshape(h, (x_node.data.shape[0], int(np.prod(h.data.shape[1:]))))
-    n_conv = len(arch.convs)
     for w, b in zip(weights[n_conv:], biases[n_conv:]):
         h = ad.relu(ad.add(ad.matmul(h, ad.transpose(w, (1, 0))), b))
     return h
@@ -295,14 +271,11 @@ def stacked_forward(arch: CnnArch, model: PlainModel, x):
     later convs fold M into the batch, and every product is the per-model
     2-D matmul. The working set is M times one model's.
     """
-    h = x[None]  # a leading axis of 1 is shared by all M models
-    for w, b, cb in zip(model.weights, model.biases, arch.convs):
-        h = ad.conv2d_infer(h, w, stride=cb.stride, pad=cb.pad) + b[:, None, :, None, None]
-        if cb.pool:
-            h = ad.maxpool2x2_infer(h)
-        h = ad.relu_infer(h)
+    h, n_conv = x[None], len(arch.convs)  # a leading axis of 1 is shared by all M models
+    for w, b in zip(model.weights[:n_conv], model.biases):
+        h = ad.conv2d_infer(h, w, pad=arch.kernel // 2) + b[:, None, :, None, None]
+        h = ad.relu_infer(ad.maxpool2x2_infer(h))
     h = h.reshape(h.shape[0], h.shape[1], -1)
-    n_conv = len(arch.convs)
     for w, b in zip(model.weights[n_conv:], model.biases[n_conv:]):
         h = ad.relu_infer(np.matmul(h, w.transpose(0, 2, 1)) + b[:, None, :])
     return np.matmul(h, model.head_w.transpose(0, 2, 1)) + model.head_b[:, None, :]
@@ -320,10 +293,9 @@ def stacked_logits(layout, model: ClientModel, x):
     p = model.width
     weights = []
     for idx, spec in enumerate(layout.specs):
-        w = decomp.recover_stacked(model.general.factors[idx], model.personal.factors[idx],
-                                   layout, idx, p)
+        w = decomp.recover_stacked(model.general[idx], model.factors[idx], layout, idx, p)
         weights.append(w if spec.kind == "conv" else w.reshape(w.shape[:3]))
-    dense = PlainModel(weights, model.personal.biases, model.head.w, model.head.b, p)
+    dense = PlainModel(weights, model.biases, model.head_w, model.head_b, p)
     return stacked_forward(layout.arch, dense, x)
 
 

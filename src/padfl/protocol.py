@@ -31,8 +31,6 @@ from .data import ClientData
 from .errors import ConfigurationError, NumericError
 from .model import (
     ClientModel,
-    GeneralParams,
-    HeadParams,
     Layout,
     PersonalParams,
     accuracy,
@@ -119,7 +117,7 @@ def orthogonal_reg_t(u_nodes, specs):
 class LocalResult:
     client: int
     ok: bool
-    general: GeneralParams = None
+    general: list = None            # trained general factors
     personal: PersonalParams = None
     train_loss: float = float("nan")
     model: object = None            # the dense methods' trained PlainModel
@@ -163,7 +161,7 @@ def local_update(general, personal, global_head, client: ClientProfile, layout: 
     general factors, personal factors/biases and the personal head; the
     shared head never changes.
     """
-    n = len(general.factors)
+    n = len(general)
     gw, gb = ad.const(global_head.w), ad.const(global_head.b)
 
     def loss_fn(leaves, x, y):
@@ -179,11 +177,11 @@ def local_update(general, personal, global_head, client: ClientProfile, layout: 
                 loss = ad.add(loss, ad.scale(reg, reg_coef))
         return loss
 
-    arrays, loss = sgd(general.arrays() + personal.arrays(), client.data, loss_fn,
+    arrays, loss = sgd(general + personal.arrays(), client.data, loss_fn,
                        epochs=epochs, batch=batch, lr=lr, rng=rng)
     if arrays is None:
         return LocalResult(client.id, ok=False)
-    return LocalResult(client.id, ok=True, general=GeneralParams(arrays[:n]),
+    return LocalResult(client.id, ok=True, general=arrays[:n],
                        personal=PersonalParams(arrays[n:2 * n], arrays[2 * n:3 * n],
                                                arrays[-2], arrays[-1]),
                        train_loss=loss)
@@ -224,7 +222,6 @@ class ClientRow:
     client: int
     capacity: float
     width: Fraction
-    selected: bool
     train_loss: float
     val_acc: float
     test_acc: float
@@ -240,7 +237,6 @@ class RoundMetrics:
     rows: list
     mean_val: float
     mean_test: float
-    std_test: float
     params_exchanged: int
     hn_loss: float = float("nan")
     # wall seconds of the phases: prepare + training, aggregate (with the
@@ -372,7 +368,7 @@ class FederatedMethod:
         return RoundMetrics(
             round=t, eta=eta, selected=selected, failed=failed, rows=rows,
             mean_val=float(vals.mean()), mean_test=float(tests.mean()),
-            std_test=float(tests.std()), params_exchanged=self.round_payload(selected),
+            params_exchanged=self.round_payload(selected),
             hn_loss=getattr(self, "last_hn_loss", float("nan")),
             train_s=trained_at - started, server_s=aggregated_at - trained_at,
             eval_s=evaluated_at - aggregated_at)
@@ -430,7 +426,7 @@ class DecomposedFL(FederatedMethod):
     def sent_personal(self, i) -> PersonalParams:
         """What the server sends client i this round."""
         if not self.hn_aggregation and i in self.local_personal:
-            return self.local_personal[i].copy()
+            return self.local_personal[i]
         self.prepare()
         return self.generated[i]
 
@@ -443,16 +439,14 @@ class DecomposedFL(FederatedMethod):
             reg_coef=self.cfg.reg_lambda, rng=self.client_rng(t, i))
 
     def aggregate(self, t, ok, results):
-        self.general = GeneralParams(mean_arrays(
-            [results[i].general.factors for i in sorted(ok)]))
+        self.general = mean_arrays([results[i].general for i in sorted(ok)])
         for i in ok:
-            res = results[i]
-            profile = self.profiles[i]
-            head = HeadParams(res.personal.head_w, res.personal.head_b)
-            profile.local_model = ClientModel(res.general, res.personal, head,
-                                              profile.width)
+            res, profile = results[i], self.profiles[i]
+            profile.local_model = ClientModel(res.general, res.personal.factors,
+                                              res.personal.biases, res.personal.head_w,
+                                              res.personal.head_b, profile.width)
             if not self.hn_aggregation:
-                self.local_personal[i] = res.personal.copy()
+                self.local_personal[i] = res.personal
         if self.hn_aggregation:
             returned = {i: results[i].personal for i in ok}
             widths = {i: self.profiles[i].width for i in ok}
@@ -461,17 +455,16 @@ class DecomposedFL(FederatedMethod):
             self.generated = None
 
     def evaluate_client(self, profile, result):
-        p = profile.width
-        received = ClientModel(self.general, self.sent_personal(profile.id),
-                               self.global_head.sliced(self.layout.head_in(p)), p)
+        p, sent = profile.width, self.sent_personal(profile.id)
+        head = self.global_head.sliced(self.layout.head_in(p))
+        received = ClientModel(self.general, sent.factors, sent.biases, head.w, head.b, p)
         fused, alpha, val_acc = select_test_model(
             received, profile.local_model, profile.data.val_xy(), self.layout,
             grid_size=self.cfg.alpha_grid)
         x, y = profile.data.test_xy()
         test_acc = accuracy(self.layout, fused, x, y)
-        return ClientRow(profile.id, profile.capacity, p, result is not None,
-                         result.train_loss if result else float("nan"),
-                         val_acc, test_acc,
+        return ClientRow(profile.id, profile.capacity, p,
+                         result.train_loss if result else float("nan"), val_acc, test_acc,
                          alpha if profile.local_model is not None else float("nan"))
 
     def round_payload(self, selected):

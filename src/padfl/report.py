@@ -47,8 +47,11 @@ def read_metrics(run_dir):
     label = os.path.basename(os.path.normpath(run_dir))
     summary = os.path.join(run_dir, "summary.json")
     if os.path.exists(summary):
-        with open(summary) as fh:
-            label = json.load(fh)["config"]["method"]
+        try:
+            with open(summary) as fh:
+                label = json.load(fh)["config"]["method"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise FormatError(f"{summary}: no readable config.method: {exc!r}") from exc
     return label, rows
 
 

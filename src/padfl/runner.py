@@ -22,7 +22,7 @@ from .config import RunConfig, snapshot
 from .data import load_idx, partition_dirichlet, partition_k_of_k, synth_gaussian
 from .decomp import supported_widths
 from .errors import ConfigurationError, NumericError
-from .model import CnnArch, ConvBlock, build_layout
+from .model import CnnArch, build_layout
 
 CSV_HEADER = "round,client_id,capacity_r,width_p,train_loss,val_acc,test_acc,alpha_selected"
 ROUNDS_HEADER = "round,eta,hn_loss,params_exchanged,train_s,server_s,eval_s,failed"
@@ -60,9 +60,8 @@ def build_arch(cfg: RunConfig, dataset=None) -> CnnArch:
         (c, h, w), classes = cfg.synth_shape, cfg.synth_classes
     else:
         (c, h, w), classes = dataset.features.shape[1:], dataset.classes
-    convs = tuple(ConvBlock(ch, cfg.conv_kernel, 1, cfg.conv_kernel // 2, True)
-                  for ch in cfg.conv_channels)
-    return CnnArch(c, h, w, convs=convs, hidden=tuple(cfg.fc_dims), classes=classes)
+    return CnnArch(c, h, w, convs=tuple(cfg.conv_channels), kernel=cfg.conv_kernel,
+                   hidden=tuple(cfg.fc_dims), classes=classes)
 
 
 def build_profiles(cfg: RunConfig, partition):

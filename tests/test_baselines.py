@@ -4,15 +4,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from padfl import autodiff as ad
 from padfl import baselines, protocol, runner
 from padfl.config import parse_config
 from padfl.decomp import supported_widths
 from padfl.errors import ConfigurationError
 from padfl.model import (
     CnnArch,
-    ConvBlock,
     PlainModel,
     build_layout,
+    features_t,
     init_plain,
     stacked_forward,
 )
@@ -158,12 +159,12 @@ class TestAblationWiring:
         ma = full.run_round(0)
         mb = ablated.run_round(0)
         assert ma.selected == mb.selected
-        for a, b in zip(full.general.factors, ablated.general.factors):
+        for a, b in zip(full.general, ablated.general):
             assert np.array_equal(a, b)
         # trained personal params identical client by client
         for i in ma.selected:
-            pa = profiles_a[i].local_model.personal
-            pb = profiles_b[i].local_model.personal
+            pa = profiles_a[i].local_model
+            pb = profiles_b[i].local_model
             for x, y in zip(pa.arrays(), pb.arrays()):
                 assert np.array_equal(x, y)
         assert np.isnan(mb.hn_loss)
@@ -184,8 +185,7 @@ class TestAblationWiring:
     def test_flanc_infeasible_width_fails_at_construction(self):
         # base_count 2 in conv1, whose single input channel cannot be split
         cfg, _, profiles = small_setup(seed=18)
-        arch = CnnArch(1, 8, 8, convs=(ConvBlock(8, 3, 1, 1), ConvBlock(8, 3, 1, 1)),
-                       classes=2)
+        arch = CnnArch(1, 8, 8, convs=(8, 8), kernel=3, classes=2)
         layout = build_layout(arch, cfg.min_width)
         protocol.DecomposedFL(profiles, layout, cfg, seed=18)
         with pytest.raises(ConfigurationError, match="layer 0"):
@@ -198,7 +198,7 @@ class TestAblationWiring:
         b = protocol.DecomposedFL(profiles_b, replace(layout, recovery="flanc"), cfg, seed=17)
         ma = a.run_round(0)
         mb = b.run_round(0)
-        for fa, fb in zip(a.general.factors, b.general.factors):
+        for fa, fb in zip(a.general, b.general):
             assert fa.shape == fb.shape
         assert len(ma.rows) == len(mb.rows)
 
@@ -207,8 +207,7 @@ class TestDenseForward:
     @pytest.mark.parametrize("convs,hidden", [((4, 8), ()), ((4, 8), (32,)), ((), (32, 16))])
     @pytest.mark.parametrize("width", [Fraction(1), Fraction(1, 2)])
     def test_stacked_forward_matches_reference(self, convs, hidden, width):
-        arch = CnnArch(1, 8, 8, convs=tuple(ConvBlock(c, 3, 1, 1) for c in convs),
-                       hidden=hidden, classes=3)
+        arch = CnnArch(1, 8, 8, convs=convs, kernel=3, hidden=hidden, classes=3)
         layout = build_layout(arch, Fraction(1, 4))
         rng = np.random.default_rng(19)
         shapes = init_plain(layout, width, rng)
@@ -234,6 +233,25 @@ class TestGeometry:
         profiles = runner.build_profiles(cfg, runner.build_partition(cfg, dataset))
         return cfg, layout, runner.build_method(cfg, profiles, layout)
 
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    def test_fixed_block_maps_match_layout(self, kernel):
+        # every conv is stride 1 padded by k // 2, so it keeps its input's
+        # map: the graph forward's shapes are the ones Layout computes
+        arch = CnnArch(1, 12, 16, convs=(4, 8), kernel=kernel, hidden=(32,), classes=3)
+        layout = build_layout(arch, Fraction(1, 4))
+        assert layout.out_hw == ((12, 16), (6, 8), (1, 1))
+        rng = np.random.default_rng(20)
+        model = init_plain(layout, 1, rng)
+        x = ad.const(rng.normal(size=(2, 1, 12, 16)))
+        h = x
+        for i, (w, b) in enumerate(zip(model.weights[:2], model.biases)):
+            h = ad.conv2d(h, ad.const(w), pad=kernel // 2, bias=ad.const(b))
+            assert h.shape[2:] == layout.out_hw[i]
+            h = ad.relu(ad.maxpool2x2(h))
+        feats = features_t(arch, [ad.const(w) for w in model.weights],
+                           [ad.const(b) for b in model.biases], x)
+        assert feats.shape == (2, layout.head_in_full)
+
     def test_nested_slices_have_init_plain_shapes(self):
         cfg, layout, _ = self.build("PWidthNested")
         full = init_plain(layout, 1, np.random.default_rng(0))
@@ -248,7 +266,7 @@ class TestGeometry:
         assert len({p.width for p in fl.profiles}) > 1
         for i in range(cfg.clients):
             if method == "Pa3dFL":
-                sent = fl.general.factors + fl.sent_personal(i).arrays()
+                sent = fl.general + fl.sent_personal(i).arrays()
             else:
                 sent = fl.client_view(i).arrays()
             assert fl.round_payload([i]) == sum(a.size for a in sent)

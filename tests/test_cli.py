@@ -196,8 +196,8 @@ class TestFedAvgOracle:
             cb = arrs[2:4]
             hw_, hb_ = arrs[4], arrs[5]
             h = x
-            for i, blk in enumerate(arch.convs):
-                h = ad.conv2d_infer(h[None], cw[i][None], stride=blk.stride, pad=blk.pad)[0]
+            for i in range(len(arch.convs)):
+                h = ad.conv2d_infer(h[None], cw[i][None], pad=arch.kernel // 2)[0]
                 h = h + cb[i].reshape(1, -1, 1, 1)
                 h = ad.maxpool2x2_infer(h)
                 h = np.maximum(h, 0.0)
@@ -407,6 +407,16 @@ class TestCliEntry:
         out_dir = tmp_path / "file" / "sub"
         assert cli_main(["run", str(cfg_path), "--set", f"out_dir={out_dir}"]) == 2
         assert str(out_dir) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("summary", ["{not json", '{"config": {}}'])
+    def test_report_bad_summary_exit_2(self, tmp_path, capsys, summary):
+        # malformed JSON, then JSON without config.method
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "metrics.csv").write_text(runner.CSV_HEADER + "\n")
+        (run_dir / "summary.json").write_text(summary)
+        assert cli_main(["report", str(run_dir), "-o", str(tmp_path / "rep")]) == 2
+        assert str(run_dir / "summary.json") in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_failure_exit_3(self, tmp_path):

@@ -92,15 +92,15 @@ class TestRecoverPadfl:
 
     def test_forward_equals_factored_path(self):
         # conv with the recovered weight vs im2col x personal-path x general-path
-        spec = LayerSpec("conv", 8, 3, 3, stride=1, pad=1)
+        spec = LayerSpec("conv", 8, 3, 3)
         coef = select_coefficients(spec, Fraction(1, 4))
         general, personal, _ = random_layer(spec, coef, 1)
         rng = np.random.default_rng(2)
         x = rng.normal(size=(2, 3, 6, 6))
         w = recover_padfl(general, personal, spec, coef)
-        direct = ad.conv2d_infer(x[None], w[None], stride=1, pad=1)[0]
+        direct = ad.conv2d_infer(x[None], w[None], pad=1)[0]
 
-        cols, ho, wo = ad._im2col(x, spec.kernel, 1, 1)
+        cols, ho, wo = ad._im2col(x, spec.kernel, 1)
         n = cols.shape[1]
         k2 = spec.kernel ** 2
         # cols rows are (s, ky, kx); regroup and contract with v then u

@@ -8,7 +8,7 @@ import pytest
 from padfl import autodiff as ad
 from padfl import hypernet as hn
 from padfl.errors import ConfigurationError
-from padfl.model import CnnArch, ConvBlock, Layout, PersonalParams, build_layout
+from padfl.model import CnnArch, Layout, PersonalParams, build_layout
 
 from util import (
     aggregate_embedding,
@@ -145,8 +145,7 @@ def conv_layout(convs=(4, 4), in_channels=2, side=4, min_width=Fraction(1, 2),
                 recovery="padfl"):
     # two conv blocks plus a hidden linear layer; the defaults keep every
     # kept input count divisible by base_count, as FLANC slabs need
-    arch = CnnArch(in_channels, side, side,
-                   convs=tuple(ConvBlock(c, 3, 1, 1, True) for c in convs),
+    arch = CnnArch(in_channels, side, side, convs=tuple(convs), kernel=3,
                    hidden=(4,), classes=3)
     return build_layout(arch, min_width, recovery)
 

@@ -12,8 +12,6 @@ from padfl.errors import ConfigurationError
 from padfl.model import (
     ClientModel,
     CnnArch,
-    ConvBlock,
-    GeneralParams,
     HeadParams,
     PersonalParams,
     build_layout,
@@ -115,9 +113,8 @@ def small_setup(seed=0, clients=4, capacity="ideal"):
         conv_channels=(4, 4), conv_kernel=3, min_width=Fraction(1, 4),
         hn_embed=6, hn_hidden=6, hn_depth=2, capacity=capacity, seed=seed,
     ).finalize()
-    arch = CnnArch(1, 8, 8, convs=tuple(
-        ConvBlock(c, cfg.conv_kernel, 1, cfg.conv_kernel // 2, True)
-        for c in cfg.conv_channels), hidden=(), classes=2)
+    arch = CnnArch(1, 8, 8, convs=tuple(cfg.conv_channels), kernel=cfg.conv_kernel,
+                   hidden=(), classes=2)
     layout = build_layout(arch, cfg.min_width)
     ds = pdata.synth_gaussian(2, 40, shape=(1, 8, 8), separation=3.0, seed=seed)
     part = pdata.partition_dirichlet(ds, clients, alpha=1.0, seed=seed)
@@ -144,7 +141,7 @@ class TestLocalUpdate:
         assert np.array_equal(head.w, before_w) and np.array_equal(head.b, before_b)
         # training must have moved something
         assert any(not np.array_equal(a, b)
-                   for a, b in zip(res.general.factors, general.factors))
+                   for a, b in zip(res.general, general))
 
     def test_detached_head_loss_gives_zero_encoder_grad(self):
         cfg, layout, profiles = small_setup()
@@ -152,7 +149,7 @@ class TestLocalUpdate:
         general, personals, biases, head = init_decomposed(layout, rng)
         data = profiles[0].data
         x, y = data.dataset.features[data.train_idx], data.dataset.labels[data.train_idx]
-        u_nodes = [ad.leaf(a) for a in general.factors]
+        u_nodes = [ad.leaf(a) for a in general]
         v_nodes = [ad.leaf(a) for a in personals]
         b_nodes = [ad.leaf(a) for a in biases]
         from padfl.model import head_logits_t, representation_t
@@ -185,7 +182,7 @@ class TestLocalUpdate:
                                     prof, layout, epochs=1, batch=8, lr=0.5,
                                     reg_coef=0.0, rng=np.random.default_rng(7))
         assert res.ok
-        for a, b in zip(res.general.factors, general.factors):
+        for a, b in zip(res.general, general):
             assert np.array_equal(a, b)
         for a, b in zip(res.personal.factors, personal.factors):
             assert np.array_equal(a, b)
@@ -205,8 +202,7 @@ class TestLocalUpdate:
 
 def linear_client_model(w, layout):
     # conv-free architecture: the model is just a head on raw features
-    return ClientModel(GeneralParams([]), PersonalParams([], [], w[0], w[1]),
-                       HeadParams(w[0], w[1]), Fraction(1))
+    return ClientModel([], [], [], w[0], w[1], Fraction(1))
 
 
 class TestSelectTestModel:
@@ -285,8 +281,7 @@ def random_conv_model(layout, p, rng, biases=True):
         bias.append(rng.normal(size=out_kept) * biases)
     hw = rng.normal(size=(layout.classes, layout.head_in(p)))
     hb = rng.normal(size=layout.classes) * biases
-    return ClientModel(GeneralParams(gen), PersonalParams(fac, bias, hw, hb),
-                       HeadParams(hw, hb), p)
+    return ClientModel(gen, fac, bias, hw, hb, p)
 
 
 def scalar_mix(a, b, alpha):
@@ -351,30 +346,30 @@ class TestDecomposedRounds:
     def test_unchanged_clients_leave_general_unchanged(self):
         cfg, layout, profiles = small_setup(seed=1)
         method = protocol.DecomposedFL(profiles, layout, cfg, seed=1)
-        before = [f.copy() for f in method.general.factors]
+        before = [f.copy() for f in method.general]
         results = {
-            i: protocol.LocalResult(i, True, GeneralParams([f.copy() for f in before]),
+            i: protocol.LocalResult(i, True, [f.copy() for f in before],
                                     hypernet.generate_personal(method.hn, i, layout,
                                                                profiles[i].width),
                                     0.0)
             for i in (0, 1)
         }
         method.aggregate(0, [0, 1], results)
-        for a, b in zip(method.general.factors, before):
+        for a, b in zip(method.general, before):
             assert np.array_equal(a, b)
 
     def test_two_client_aggregate_is_exact_mean(self):
         cfg, layout, profiles = small_setup(seed=2)
         method = protocol.DecomposedFL(profiles, layout, cfg, seed=2)
         rng = np.random.default_rng(10)
-        ga = GeneralParams([rng.normal(size=f.shape) for f in method.general.factors])
-        gb = GeneralParams([rng.normal(size=f.shape) for f in method.general.factors])
+        ga = [rng.normal(size=f.shape) for f in method.general]
+        gb = [rng.normal(size=f.shape) for f in method.general]
         mk = lambda i, g: protocol.LocalResult(
             i, True, g, hypernet.generate_personal(method.hn, i, layout,
                                                    profiles[i].width),
             0.0)
         method.aggregate(0, [0, 1], {0: mk(0, ga), 1: mk(1, gb)})
-        for m, a, b in zip(method.general.factors, ga.factors, gb.factors):
+        for m, a, b in zip(method.general, ga, gb):
             assert np.array_equal(m, (a + b) / 2)
 
     def test_round_runs_and_eta_decays(self):
@@ -398,7 +393,7 @@ class TestDecomposedRounds:
                 m = method.run_round(t)
                 out.append((m.mean_test, m.mean_val,
                             tuple(repr(r.train_loss) for r in m.rows),
-                            tuple(f.tobytes() for f in method.general.factors)))
+                            tuple(f.tobytes() for f in method.general)))
             return out
 
         a, b, c = trace(1), trace(1), trace(3)

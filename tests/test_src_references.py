@@ -1,13 +1,16 @@
 """Every module-level function and class in src/padfl must be referenced
 somewhere else in src/padfl: code that only tests call belongs in
 tests/util.py. The only exemptions are the functions the benchmark hooks
-by name (padbench/spans.py, read without writing anything there)."""
+by name (padbench/spans.py, read without writing anything there).
+Likewise every dataclass field in src/padfl must be read somewhere in
+src/padfl or padbench/: a field that nothing reads is dead state."""
 import ast
 from pathlib import Path
 
 from test_benchmark_hooks import load_spans
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "padfl"
+PADBENCH = Path(__file__).resolve().parents[1] / "padbench"
 
 
 def unreferenced():
@@ -34,3 +37,29 @@ def test_no_src_code_only_tests_call():
     spans = load_spans()
     hooked = {(layer, target) for layer, target in spans.LAYER_HOOKS + (spans.ROUND_HOOK,)}
     assert [d for d in unreferenced() if d not in hooked] == []
+
+
+def _is_dataclass(decorator):
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return isinstance(target, ast.Name) and target.id == "dataclass"
+
+
+def unread_fields():
+    """(class, field) of each src/padfl dataclass field that no attribute
+    load in src/padfl or padbench/ names."""
+    src = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    bench = [ast.parse(path.read_text()) for path in sorted(PADBENCH.glob("*.py"))]
+    read = {node.attr for tree in src + bench for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    out = []
+    for tree in src:
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and any(map(_is_dataclass, cls.decorator_list)):
+                out += [(cls.name, stmt.target.id) for stmt in cls.body
+                        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                        and stmt.target.id not in read]
+    return out
+
+
+def test_every_dataclass_field_is_read():
+    assert unread_fields() == []

@@ -39,21 +39,20 @@ def rel_err(got, ref):
     return np.linalg.norm(got - ref) / denom
 
 
-def conv2d_loops(x, w, stride=1, pad=0):
-    """Direct nested-loop cross-correlation over output coordinates."""
+def conv2d_loops(x, w, pad=0):
+    """Direct nested-loop stride-1 cross-correlation over output coordinates."""
     bsz, ch, h, wd = x.shape
     t, s, k, _ = w.shape
     assert s == ch
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    ho = (h + 2 * pad - k) // stride + 1
-    wo = (wd + 2 * pad - k) // stride + 1
+    ho, wo = h + 2 * pad - k + 1, wd + 2 * pad - k + 1
     out = np.zeros((bsz, t, ho, wo))
     for b in range(bsz):
         for c in range(t):
             for i in range(ho):
                 for j in range(wo):
-                    patch = x[b, :, i * stride:i * stride + k, j * stride:j * stride + k]
+                    patch = x[b, :, i:i + k, j:j + k]
                     out[b, c, i, j] = np.sum(patch * w[c])
     return out
 
@@ -96,7 +95,7 @@ def reference_personal(state, client, layout, width):
             v = v[:, :t_kept, :ik // r1]
         factors.append(v.reshape(coef.rank, -1))
         biases.append(flat[n_v:n_v + t_kept])
-    head = state.head_decoder
+    head = state.decoders[-1]
     flat = head.w @ aggregate_embedding(enc, client, taus[-1]) + head.b
     n_w = layout.classes * layout.head_in_full
     head_w = flat[:n_w].reshape(layout.classes, -1)[:, :layout.head_in(p)]
@@ -137,11 +136,9 @@ def reference_plain_logits(arch, model, x):
     n_conv, h = len(arch.convs), x
     for idx, (w, b) in enumerate(zip(model.weights, model.biases)):
         if idx < n_conv:
-            cb = arch.convs[idx]
-            h = conv2d_loops(h, w, cb.stride, cb.pad) + b[None, :, None, None]
-            if cb.pool:
-                bsz, ch, hh, ww = h.shape
-                h = h.reshape(bsz, ch, hh // 2, 2, ww // 2, 2).max(axis=(3, 5))
+            h = conv2d_loops(h, w, arch.kernel // 2) + b[None, :, None, None]
+            bsz, ch, hh, ww = h.shape
+            h = h.reshape(bsz, ch, hh // 2, 2, ww // 2, 2).max(axis=(3, 5))
         else:
             h = h.reshape(len(h), -1) @ w.T + b
         h = np.where(h > 0, h, 0.0)
@@ -154,11 +151,11 @@ def reference_logits(layout, model, x):
     recovered dense model."""
     p, weights = model.width, []
     for idx, spec in enumerate(layout.specs):
-        w = reference_weight(model.general.factors[idx], model.personal.factors[idx], spec,
+        w = reference_weight(model.general[idx], model.factors[idx], spec,
                              layout.kept_outputs(idx, p), layout.kept_inputs(idx, p),
                              layout.recovery)
         weights.append(w if spec.kind == "conv" else w[:, :, 0, 0])
-    dense = PlainModel(weights, model.personal.biases, model.head.w, model.head.b, p)
+    dense = PlainModel(weights, model.biases, model.head_w, model.head_b, p)
     return reference_plain_logits(layout.arch, dense, x)
 
 
