@@ -13,7 +13,6 @@ from .protocol import (
     TAG_INIT,
     ClientRow,
     FederatedMethod,
-    LocalResult,
     mean_arrays,
     sgd,
 )
@@ -22,10 +21,8 @@ from .protocol import (
 def plain_sgd(model: PlainModel, arch: CnnArch, client_data, *, epochs, batch, lr, rng):
     """Minibatch SGD with plain cross-entropy on a dense model; returns
     (trained model or None, mean loss)."""
-    arrays, loss = sgd(model.arrays(), client_data,
-                       lambda leaves, x, y: ad.cross_entropy(plain_logits_t(arch, leaves, x), y),
-                       epochs=epochs, batch=batch, lr=lr, rng=rng)
-    return (None if arrays is None else PlainModel.from_arrays(model, arrays)), loss
+    return sgd(model, client_data, lambda m, x, y: ad.cross_entropy(plain_logits_t(arch, m, x), y),
+               epochs=epochs, batch=batch, lr=lr, rng=rng)
 
 
 class DenseMethod(FederatedMethod):
@@ -36,20 +33,15 @@ class DenseMethod(FederatedMethod):
         raise NotImplementedError
 
     def train_client(self, t, i, eta):
-        model, loss = plain_sgd(
-            self.client_view(i), self.layout.arch, self.profiles[i].data,
-            epochs=self.cfg.epochs, batch=self.cfg.batch, lr=eta,
-            rng=self.client_rng(t, i))
-        if model is None:
-            return LocalResult(i, ok=False)
-        return LocalResult(i, ok=True, train_loss=loss, model=model)
+        return plain_sgd(self.client_view(i), self.layout.arch, self.profiles[i].data,
+                         epochs=self.cfg.epochs, batch=self.cfg.batch, lr=eta,
+                         rng=self.client_rng(t, i))
 
-    def evaluate_client(self, profile, result):
+    def evaluate_client(self, profile, train_loss):
         model = self.client_view(profile.id)
         xv, yv = profile.data.val_xy()
         xt, yt = profile.data.test_xy()
-        return ClientRow(profile.id, profile.capacity, model.width,
-                         result.train_loss if result else float("nan"),
+        return ClientRow(profile.id, profile.capacity, model.width, train_loss,
                          plain_accuracy(self.layout.arch, model, xv, yv),
                          plain_accuracy(self.layout.arch, model, xt, yt),
                          float("nan"))
@@ -71,9 +63,9 @@ class FedAvgMinWidth(DenseMethod):
     def client_view(self, i):
         return self.model
 
-    def aggregate(self, t, ok, results):
-        mixed = mean_arrays([results[i].model.arrays() for i in sorted(ok)])
-        self.model = PlainModel.from_arrays(self.model, mixed)
+    def aggregate(self, models):
+        mixed = mean_arrays([m.arrays() for m in models.values()])
+        self.model = PlainModel.from_arrays(mixed, self.width)
 
 
 def nested_keys(layout: Layout, p) -> list:
@@ -100,24 +92,22 @@ class PWidthNested(DenseMethod):
     def client_view(self, i) -> PlainModel:
         sliced = [np.ascontiguousarray(a[k])
                   for a, k in zip(self.model.arrays(), self.keys[i])]
-        view = PlainModel.from_arrays(self.model, sliced)
-        view.width = self.profiles[i].width
-        return view
+        return PlainModel.from_arrays(sliced, self.profiles[i].width)
 
-    def aggregate(self, t, ok, results):
+    def aggregate(self, models):
         new_arrays = []
         for idx, full in enumerate(self.model.arrays()):
             acc = np.zeros_like(full)
             count = np.zeros_like(full)
-            for i in sorted(ok):
+            for i, m in models.items():
                 key = self.keys[i][idx]
-                acc[key] += results[i].model.arrays()[idx]
+                acc[key] += m.arrays()[idx]
                 count[key] += 1.0
             covered = count > 0
             merged = full.copy()
             merged[covered] = acc[covered] / count[covered]
             new_arrays.append(merged)
-        self.model = PlainModel.from_arrays(self.model, new_arrays)
+        self.model = PlainModel.from_arrays(new_arrays, self.model.width)
 
 
 class LocalOnly(DenseMethod):
@@ -134,9 +124,8 @@ class LocalOnly(DenseMethod):
     def client_view(self, i):
         return self.models[i]
 
-    def aggregate(self, t, ok, results):
-        for i in ok:
-            self.models[i] = results[i].model
+    def aggregate(self, models):
+        self.models.update(models)
 
     def round_payload(self, selected):
         return 0

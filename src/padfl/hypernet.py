@@ -27,25 +27,30 @@ import numpy as np
 from . import autodiff as ad
 from . import decomp
 from .errors import ConfigurationError, DimensionError, NumericError
-from .model import Layout, PersonalParams
-
-
-@dataclass
-class LinearMap:
-    w: np.ndarray
-    b: np.ndarray
+from .model import ClientModel, Layout, LinearMap
 
 
 @dataclass
 class HyperNetState:
-    """The server's trainable state. Decoder l < len(layout.specs) emits
-    layer l's flat personal factor and biases; the last decoder emits the
-    personal head. `kept_index(layout, l, p)` reads decoder l's output."""
+    """The server's trainable state, of arrays or of graph nodes. Decoder
+    l < len(layout.specs) emits layer l's flat personal factor and biases;
+    the last decoder emits the personal head. `kept_index(layout, l, p)`
+    reads decoder l's output."""
 
     embeddings: np.ndarray   # (embed_dim, num_clients), one column per client
     encoder: list            # LinearMap stack; empty list = identity encoder
     decoders: list           # LinearMap per decomposed layer, then the head's
     log_temp: np.ndarray     # one log-temperature per decoder
+
+    def arrays(self):
+        maps = [a for m in self.encoder + self.decoders for a in (m.w, m.b)]
+        return [self.embeddings, *maps, self.log_temp]
+
+    @classmethod
+    def from_arrays(cls, arrays, depth):
+        """Inverse of arrays() for an encoder of `depth` layers."""
+        maps = [LinearMap(w, b) for w, b in zip(arrays[1:-1:2], arrays[2:-1:2])]
+        return cls(arrays[0], maps[:depth], maps[depth:], arrays[-1])
 
 
 @lru_cache(maxsize=None)
@@ -116,26 +121,11 @@ def init_hypernet(layout: Layout, num_clients, embed_dim, hidden_dim, depth, rng
 # ---------------------------------------------------------------------------
 # generation
 
-def state_nodes(state: HyperNetState, trainable: bool):
-    """Wrap every state array as a graph node; ordered dict of leaves."""
-    wrap = ad.leaf if trainable else ad.const
-    nodes = {"embeddings": wrap(state.embeddings)}
-    for i, lm in enumerate(state.encoder):
-        nodes[f"enc_w{i}"] = wrap(lm.w)
-        nodes[f"enc_b{i}"] = wrap(lm.b)
-    for i, lm in enumerate(state.decoders):
-        nodes[f"dec_w{i}"] = wrap(lm.w)
-        nodes[f"dec_b{i}"] = wrap(lm.b)
-    nodes["log_temp"] = wrap(state.log_temp)
-    return nodes
-
-
-def _encode_t(nodes, depth):
-    h = nodes["embeddings"]
-    for i in range(depth):
-        h = ad.add(ad.matmul(nodes[f"enc_w{i}"], h),
-                   ad.reshape(nodes[f"enc_b{i}"], (-1, 1)))
-        if i < depth - 1:
+def _encode_t(nodes: HyperNetState):
+    h = nodes.embeddings
+    for i, lm in enumerate(nodes.encoder):
+        h = ad.add(ad.matmul(lm.w, h), ad.reshape(lm.b, (-1, 1)))
+        if i < len(nodes.encoder) - 1:
             h = ad.relu(h)
     return h
 
@@ -143,33 +133,36 @@ def _encode_t(nodes, depth):
 def generation_graph(state: HyperNetState, trainable=False):
     """Every client's full-width decoder outputs, in one batched pass.
 
-    Returns (leaf nodes, [F_l]): one (out_dim_l, num_clients) node per
-    decomposed layer, then the head's. The arithmetic does not depend on
-    `trainable`, so every call on the same state gives the same bits.
+    Returns (the state as a HyperNetState of leaf nodes, [F_l]): one
+    (out_dim_l, num_clients) node per decomposed layer, then the head's.
+    The arithmetic does not depend on `trainable`, so every call on the
+    same state gives the same bits.
     """
-    nodes = state_nodes(state, trainable)
-    enc = _encode_t(nodes, len(state.encoder))
+    wrap = ad.leaf if trainable else ad.const
+    nodes = HyperNetState.from_arrays([wrap(a) for a in state.arrays()], len(state.encoder))
+    enc = _encode_t(nodes)
     sims = ad.matmul(ad.transpose(enc, (1, 0)), enc)
-    inv_temps = ad.exp(ad.neg(nodes["log_temp"]))
+    inv_temps = ad.exp(ad.neg(nodes.log_temp))
     outputs = []
-    for l in range(len(state.decoders)):
+    for l, dec in enumerate(nodes.decoders):
         attn = ad.softmax(ad.mul_scalar(sims, ad.slice_t(inv_temps, (l,))))
         mixed = ad.matmul(enc, ad.transpose(attn, (1, 0)))
-        outputs.append(ad.add(ad.matmul(nodes[f"dec_w{l}"], mixed),
-                              ad.reshape(nodes[f"dec_b{l}"], (-1, 1))))
+        outputs.append(ad.add(ad.matmul(dec.w, mixed), ad.reshape(dec.b, (-1, 1))))
     return nodes, outputs
 
 
-def personal_params(outputs, client, layout: Layout, width) -> PersonalParams:
+def personal_params(outputs, client, layout: Layout, width) -> ClientModel:
     """Cut one client's pruned personal parameters out of the decoder
-    output arrays of `generation_graph`."""
+    output arrays of `generation_graph`, as a model with no general
+    factors."""
     parts = [[out[ix, client] for ix in kept_index(layout, l, width)]
              for l, out in enumerate(outputs)]
     *layers, (head_w, head_b) = parts
-    return PersonalParams([w for w, _ in layers], [b for _, b in layers], head_w, head_b)
+    return ClientModel([], [w for w, _ in layers], [b for _, b in layers], head_w, head_b,
+                       width)
 
 
-def generate_personal(state: HyperNetState, client, layout: Layout, width) -> PersonalParams:
+def generate_personal(state: HyperNetState, client, layout: Layout, width) -> ClientModel:
     """Decode one client's personal parameters, pruned to its width."""
     _, outputs = generation_graph(state)
     return personal_params([f.data for f in outputs], client, layout, width)
@@ -178,19 +171,20 @@ def generate_personal(state: HyperNetState, client, layout: Layout, width) -> Pe
 # ---------------------------------------------------------------------------
 # training step
 
-def regression_loss(state: HyperNetState, returned, widths, layout: Layout):
-    """(trainable leaf nodes, loss node) of the regression of generated
-    onto returned personal parameters (pruned shapes, client id -> params):
-    0.5/|R| * sum_l ||K_l * (F_l - T_l)||^2, only kept entries counting."""
+def regression_loss(state: HyperNetState, returned, layout: Layout):
+    """(state of trainable leaf nodes, loss node) of the regression of
+    generated onto returned personal parameters (client id -> model at
+    its width): 0.5/|R| * sum_l ||K_l * (F_l - T_l)||^2, only kept entries
+    counting."""
     nodes, outputs = generation_graph(state, trainable=True)
     targets = [np.zeros(f.data.shape) for f in outputs]
     masks = [np.zeros(f.data.shape) for f in outputs]
-    for i, params in returned.items():
-        pairs = list(zip(params.factors, params.biases)) + [(params.head_w, params.head_b)]
+    for i, model in returned.items():
+        pairs = list(zip(model.factors, model.biases)) + [(model.head_w, model.head_b)]
         if len(pairs) != len(outputs):
             raise DimensionError("returned/generated component count mismatch")
         for l, pair in enumerate(pairs):
-            for ix, arr in zip(kept_index(layout, l, widths[i]), pair):
+            for ix, arr in zip(kept_index(layout, l, model.width), pair):
                 if arr.shape != ix.shape:
                     raise DimensionError(f"returned shape {arr.shape} vs generated {ix.shape}")
                 targets[l][ix, i] = arr
@@ -200,30 +194,20 @@ def regression_loss(state: HyperNetState, returned, widths, layout: Layout):
     return nodes, ad.scale(ad.add_n(terms), 0.5 / len(returned))
 
 
-def hn_step(state: HyperNetState, returned, widths, layout: Layout, lr) -> tuple:
+def hn_step(state: HyperNetState, returned, layout: Layout, lr) -> tuple:
     """One SGD step of the hyper-network on the regression loss.
 
-    `returned` maps client id -> locally trained PersonalParams (pruned
-    shapes). Returns (new state, loss value). A zero loss leaves the
-    state bit-identical.
+    `returned` maps client id -> locally trained ClientModel (its general
+    factors are not read). Returns (new state, loss value). A zero loss
+    leaves the state bit-identical.
     """
     if not returned:
         return state, 0.0
-    nodes, loss = regression_loss(state, returned, widths, layout)
+    nodes, loss = regression_loss(state, returned, layout)
     val = float(loss.data)
     if not np.isfinite(val):
         raise NumericError("non-finite hyper-network loss")
     ad.backward(loss)
-
-    def step(arr, node):
-        return arr if node.grad is None else arr - lr * node.grad
-
-    new = HyperNetState(
-        step(state.embeddings, nodes["embeddings"]),
-        [LinearMap(step(m.w, nodes[f"enc_w{i}"]), step(m.b, nodes[f"enc_b{i}"]))
-         for i, m in enumerate(state.encoder)],
-        [LinearMap(step(m.w, nodes[f"dec_w{i}"]), step(m.b, nodes[f"dec_b{i}"]))
-         for i, m in enumerate(state.decoders)],
-        step(state.log_temp, nodes["log_temp"]),
-    )
-    return new, val
+    new = [a if n.grad is None else a - lr * n.grad
+           for a, n in zip(state.arrays(), nodes.arrays())]
+    return HyperNetState.from_arrays(new, len(state.encoder)), val

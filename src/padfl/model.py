@@ -15,6 +15,12 @@ Both families share one graph forward (`features_t`, for training) and
 one plain-array forward (`stacked_forward`, for evaluation) per
 architecture. A decomposed model first recovers its dense weights from
 its factors; a dense model is the M = 1 case with no recovery.
+
+One container per family, `ClientModel` (decomposed) and `PlainModel`
+(dense), is what the server sends, the client trains and returns, and
+the server keeps. Both flatten with `arrays()` and rebuild with
+`from_arrays(arrays, width)`; training wraps the arrays as graph nodes
+in the same container, which is what the graph forwards take.
 """
 from __future__ import annotations
 
@@ -103,33 +109,23 @@ def build_layout(arch: CnnArch, min_width, recovery="padfl") -> Layout:
 # parameter containers
 
 @dataclass
-class PersonalParams:
-    """Personal factors, biases and the personal head at some width."""
+class LinearMap:
+    """One (w, b) pair: a dense head, or a hyper-network layer."""
 
-    factors: list
-    biases: list
-    head_w: np.ndarray
-    head_b: np.ndarray
-
-    def arrays(self):
-        return list(self.factors) + list(self.biases) + [self.head_w, self.head_b]
-
-
-@dataclass
-class HeadParams:
-    w: np.ndarray  # (classes, features)
-    b: np.ndarray  # (classes,)
+    w: np.ndarray  # (out, in)
+    b: np.ndarray  # (out,)
 
     def sliced(self, n_in):
-        return HeadParams(np.ascontiguousarray(self.w[:, :n_in]), self.b)
+        return LinearMap(np.ascontiguousarray(self.w[:, :n_in]), self.b)
 
 
 @dataclass
 class ClientModel:
     """One client's complete trainable model at its width: the full-size
     general factors shared by every client, its personal factors and
-    biases, and the head it infers with (the sliced shared head of a
-    received model, or the personal head of a locally trained one).
+    biases, and the head it infers with (its personal head, or the sliced
+    shared head of the received model that evaluation mixes). The
+    hyper-network generates the personal part alone, with `general == []`.
     `combine` makes stacked models, whose every array carries a leading
     axis of mixes."""
 
@@ -168,18 +164,14 @@ def combine(model_a: ClientModel, model_b: ClientModel, alphas) -> ClientModel:
     return ClientModel.from_arrays(mixed, model_a.width)
 
 
-def init_decomposed(layout: Layout, rng):
-    """Fresh full-width factors, biases and the dense head."""
-    generals, personals, biases = [], [], []
-    for spec, coef in zip(layout.specs, layout.coefs):
-        general, personal, bias = decomp.init_layer(spec, coef, rng)
-        generals.append(general)
-        personals.append(personal)
-        biases.append(bias)
+def init_decomposed(layout: Layout, rng) -> ClientModel:
+    """Fresh full-width model: factors and biases per layer, the dense head."""
+    layers = [decomp.init_layer(spec, coef, rng) for spec, coef in zip(layout.specs, layout.coefs)]
+    general, personal, biases = ([layer[j] for layer in layers] for j in range(3))
     bound = 1.0 / np.sqrt(layout.head_in_full)
     head_w = rng.uniform(-bound, bound, size=(layout.classes, layout.head_in_full))
     head_b = rng.uniform(-bound, bound, size=layout.classes)
-    return generals, personals, biases, HeadParams(head_w, head_b)
+    return ClientModel(general, personal, biases, head_w, head_b, Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -195,15 +187,16 @@ class PlainModel:
     biases: list
     head_w: np.ndarray
     head_b: np.ndarray
-    width: Fraction = Fraction(1)
+    width: Fraction
 
     def arrays(self):
-        return list(self.weights) + list(self.biases) + [self.head_w, self.head_b]
+        return [*self.weights, *self.biases, self.head_w, self.head_b]
 
     @classmethod
-    def from_arrays(cls, template, arrays):
-        n = len(template.weights)
-        return cls(arrays[:n], arrays[n:2 * n], arrays[-2], arrays[-1], template.width)
+    def from_arrays(cls, arrays, width):
+        """Inverse of arrays(): n weights, n biases, then the head (w, b)."""
+        n = (len(arrays) - 2) // 2
+        return cls(arrays[:n], arrays[n:2 * n], arrays[-2], arrays[-1], width)
 
 
 def init_plain(layout: Layout, p, rng) -> PlainModel:
@@ -243,23 +236,22 @@ def head_logits_t(x_node, head_w, head_b):
     return ad.add(ad.matmul(x_node, ad.transpose(head_w, (1, 0))), head_b)
 
 
-def representation_t(layout, u_nodes, v_nodes, b_nodes, x_node, p):
-    """Graph forward of the decomposed model up to the head: recover every
-    width-p weight from its factors, then `features_t`."""
-    weights = []
+def representation_t(layout, model: ClientModel, x_node):
+    """Graph forward of a decomposed model of nodes up to the head: recover
+    every weight at the model's width from its factors, then `features_t`."""
+    p, weights = model.width, []
     for idx, (spec, coef) in enumerate(zip(layout.specs, layout.coefs)):
         out_kept, in_kept = layout.kept_outputs(idx, p), layout.kept_inputs(idx, p)
-        w = decomp.recover_padfl_t(u_nodes[idx], v_nodes[idx], spec, coef,
+        w = decomp.recover_padfl_t(model.general[idx], model.factors[idx], spec, coef,
                                    out_kept, in_kept, layout.recovery)
         weights.append(w if spec.kind == "conv" else ad.reshape(w, (out_kept, in_kept)))
-    return features_t(layout.arch, weights, b_nodes, x_node)
+    return features_t(layout.arch, weights, model.biases, x_node)
 
 
-def plain_logits_t(arch, nodes, x_node):
-    """Graph forward of a dense model given leaf nodes in arrays() order."""
-    n = (len(nodes) - 2) // 2
-    return head_logits_t(features_t(arch, nodes[:n], nodes[n:2 * n], x_node),
-                         nodes[-2], nodes[-1])
+def plain_logits_t(arch, model: PlainModel, x_node):
+    """Graph forward of a dense model of nodes."""
+    return head_logits_t(features_t(arch, model.weights, model.biases, x_node),
+                         model.head_w, model.head_b)
 
 
 def stacked_forward(arch: CnnArch, model: PlainModel, x):
@@ -283,7 +275,7 @@ def stacked_forward(arch: CnnArch, model: PlainModel, x):
 
 def plain_accuracy(arch, model: PlainModel, x, y) -> float:
     """Accuracy of one dense model: the stacked forward at M = 1."""
-    one = PlainModel.from_arrays(model, [a[None] for a in model.arrays()])
+    one = PlainModel.from_arrays([a[None] for a in model.arrays()], model.width)
     return float((stacked_forward(arch, one, x)[0].argmax(axis=1) == y).mean())
 
 

@@ -1,9 +1,11 @@
 """Federated round protocol.
 
-Server loop per round: sample clients, generate and send width-matched
-personal parameters alongside the shared general factors, run local
-updates, average the general factors over the round's survivors, then
-regress the hyper-network onto the locally trained personal parameters.
+Server loop per round: sample clients, send each one a model of the
+shared general factors and its generated width-matched personal
+parameters, train it locally, average the returned general factors over
+the round's survivors, then regress the hyper-network onto the returned
+personal parameters. One `ClientModel` is sent, trained, returned and
+kept (`model.ClientModel`).
 Evaluation fuses the freshly received model with each client's last
 locally trained model by a validation-accuracy line search over an alpha
 grid: every mix is evaluated in one stacked forward (memory: grid size
@@ -20,7 +22,7 @@ from __future__ import annotations
 import os
 import pickle
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +34,7 @@ from .errors import ConfigurationError, NumericError
 from .model import (
     ClientModel,
     Layout,
-    PersonalParams,
+    LinearMap,
     accuracy,
     combine,
     head_logits_t,
@@ -113,24 +115,15 @@ def orthogonal_reg_t(u_nodes, specs):
     return ad.add_n(terms)
 
 
-@dataclass
-class LocalResult:
-    client: int
-    ok: bool
-    general: list = None            # trained general factors
-    personal: PersonalParams = None
-    train_loss: float = float("nan")
-    model: object = None            # the dense methods' trained PlainModel
+def sgd(model, data: ClientData, loss_fn, *, epochs, batch, lr, rng):
+    """E epochs of minibatch SGD on a copy of `model` (a ClientModel or a
+    PlainModel) over data's training split; loss_fn(nodes, x_node, labels)
+    builds each batch's scalar loss from the model as one of leaf nodes.
 
-
-def sgd(arrays, data: ClientData, loss_fn, *, epochs, batch, lr, rng):
-    """E epochs of minibatch SGD on copies of `arrays` over data's training
-    split; loss_fn(leaves, x_node, labels) builds each batch's scalar loss.
-
-    Returns (trained arrays, mean batch loss), or (None, nan) if an input
+    Returns (trained model, mean batch loss), or (None, nan) if an input
     array or a batch loss is not finite.
     """
-    arrays = [a.copy() for a in arrays]
+    arrays = [a.copy() for a in model.arrays()]
     if not all(np.isfinite(a).all() for a in arrays):
         return None, float("nan")
     x_all, y_all = data.dataset.features, data.dataset.labels
@@ -140,7 +133,8 @@ def sgd(arrays, data: ClientData, loss_fn, *, epochs, batch, lr, rng):
         for start in range(0, len(order), batch):
             sel = data.train_idx[order[start:start + batch]]
             leaves = [ad.leaf(a) for a in arrays]
-            loss = loss_fn(leaves, ad.const(x_all[sel]), y_all[sel])
+            loss = loss_fn(type(model).from_arrays(leaves, model.width),
+                           ad.const(x_all[sel]), y_all[sel])
             val = float(loss.data)
             if not np.isfinite(val):
                 return None, float("nan")
@@ -149,42 +143,32 @@ def sgd(arrays, data: ClientData, loss_fn, *, epochs, batch, lr, rng):
             for arr, node in zip(arrays, leaves):
                 if node.grad is not None:
                     arr -= lr * node.grad
-    return arrays, float(np.mean(losses)) if losses else float("nan")
+    mean_loss = float(np.mean(losses)) if losses else float("nan")
+    return type(model).from_arrays(arrays, model.width), mean_loss
 
 
-def local_update(general, personal, global_head, client: ClientProfile, layout: Layout,
-                 *, epochs, batch, lr, reg_coef, rng) -> LocalResult:
-    """E epochs of minibatch SGD on one client.
+def local_update(model: ClientModel, global_head, client: ClientProfile, layout: Layout,
+                 *, epochs, batch, lr, reg_coef, rng):
+    """E epochs of minibatch SGD on one client's model.
 
     Loss = CE on the frozen shared head + CE of the personal head on the
     detached representation + reg_coef * orthogonal penalty. Trains the
     general factors, personal factors/biases and the personal head; the
-    shared head never changes.
+    shared head never changes. Returns `sgd`'s (model | None, loss).
     """
-    n = len(general)
     gw, gb = ad.const(global_head.w), ad.const(global_head.b)
 
-    def loss_fn(leaves, x, y):
-        u_nodes = leaves[:n]
-        rep = representation_t(layout, u_nodes, leaves[n:2 * n], leaves[2 * n:3 * n], x,
-                               client.width)
+    def loss_fn(m, x, y):
+        rep = representation_t(layout, m, x)
         loss = ad.cross_entropy(head_logits_t(rep, gw, gb), y)
-        loss = ad.add(loss, ad.cross_entropy(
-            head_logits_t(ad.detach(rep), leaves[-2], leaves[-1]), y))
+        loss = ad.add(loss, ad.cross_entropy(head_logits_t(ad.detach(rep), m.head_w, m.head_b), y))
         if reg_coef:
-            reg = orthogonal_reg_t(u_nodes, layout.specs)
+            reg = orthogonal_reg_t(m.general, layout.specs)
             if reg is not None:
                 loss = ad.add(loss, ad.scale(reg, reg_coef))
         return loss
 
-    arrays, loss = sgd(general + personal.arrays(), client.data, loss_fn,
-                       epochs=epochs, batch=batch, lr=lr, rng=rng)
-    if arrays is None:
-        return LocalResult(client.id, ok=False)
-    return LocalResult(client.id, ok=True, general=arrays[:n],
-                       personal=PersonalParams(arrays[n:2 * n], arrays[2 * n:3 * n],
-                                               arrays[-2], arrays[-1]),
-                       train_loss=loss)
+    return sgd(model, client.data, loss_fn, epochs=epochs, batch=batch, lr=lr, rng=rng)
 
 
 # ---------------------------------------------------------------------------
@@ -352,16 +336,17 @@ class FederatedMethod:
         trained = map_clients(lambda i: self.train_client(t, i, eta), selected,
                               self.cfg.workers)
         trained_at = time.perf_counter()
-        results = {i: r for i, r in zip(selected, trained) if r.ok}
-        ok = sorted(results)
-        failed = [i for i in selected if i not in results]
-        if not ok:
+        models = {i: m for i, (m, _) in zip(selected, trained) if m is not None}
+        losses = {i: loss for i, (_, loss) in zip(selected, trained)}
+        failed = [i for i in selected if i not in models]
+        if not models:
             raise NumericError(f"every client failed in round {t}")
-        self.aggregate(t, ok, results)
+        self.aggregate(models)
         aggregated_at = time.perf_counter()
         self.prepare()
-        rows = map_clients(lambda i: self.evaluate_client(self.profiles[i], results.get(i)),
-                           range(len(self.profiles)), self.cfg.workers)
+        rows = map_clients(
+            lambda i: self.evaluate_client(self.profiles[i], losses.get(i, float("nan"))),
+            range(len(self.profiles)), self.cfg.workers)
         evaluated_at = time.perf_counter()
         tests = np.array([r.test_acc for r in rows])
         vals = np.array([r.val_acc for r in rows])
@@ -377,13 +362,17 @@ class FederatedMethod:
     def prepare(self):
         """Compute what the next client phase reads, before workers fork."""
 
-    def train_client(self, t, i, eta) -> LocalResult:
+    def train_client(self, t, i, eta) -> tuple:
+        """(trained model, or None if training failed; mean loss) of
+        client i in round t."""
         raise NotImplementedError
 
-    def aggregate(self, t, ok, results):
+    def aggregate(self, models):
+        """Fold in the trained models, {client id: model} in id order."""
         raise NotImplementedError
 
-    def evaluate_client(self, profile, result) -> ClientRow:
+    def evaluate_client(self, profile, train_loss) -> ClientRow:
+        """The client's row; train_loss is nan unless it trained this round."""
         raise NotImplementedError
 
     def round_payload(self, selected) -> int:
@@ -401,15 +390,20 @@ class DecomposedFL(FederatedMethod):
     def __init__(self, profiles, layout, cfg, seed, hn_aggregation=True):
         super().__init__(profiles, layout, cfg, seed)
         self.hn_aggregation = hn_aggregation
+        if layout.recovery == "flanc" and all(c.base_count == 1 for c in layout.coefs):
+            raise ConfigurationError(
+                "FLANC recovery with every base_count 1 equals the channel-aware recovery, "
+                "so the run would repeat Pa3dFL")
         init_rng = np.random.default_rng(np.random.SeedSequence((seed, TAG_INIT)))
-        general, _personal, _biases, head = init_decomposed(layout, init_rng)
-        self.general = general
-        self.global_head = head
+        # Only the general factors and the head are kept; the personal
+        # factors and biases are drawn anyway, because the head and the
+        # hyper-network are drawn after them from the same stream.
+        init = init_decomposed(layout, init_rng)
+        self.general = init.general
+        self.global_head = LinearMap(init.head_w, init.head_b)
         self.hn = hypernet.init_hypernet(
             layout, len(profiles), cfg.hn_embed, cfg.hn_hidden, cfg.hn_depth, init_rng)
         self.last_hn_loss = float("nan")
-        # personal parameters kept client-side for the no-aggregation ablation
-        self.local_personal = {}
         self.generated = None  # every client's generated parameters, per hn state
         # a width the recovery cannot prune to fails here, before any training
         for p in {prof.width for prof in profiles}:
@@ -423,48 +417,43 @@ class DecomposedFL(FederatedMethod):
             self.generated = {p.id: hypernet.personal_params(flat, p.id, self.layout, p.width)
                               for p in self.profiles}
 
-    def sent_personal(self, i) -> PersonalParams:
-        """What the server sends client i this round."""
-        if not self.hn_aggregation and i in self.local_personal:
-            return self.local_personal[i]
-        self.prepare()
-        return self.generated[i]
+    def sent(self, i) -> ClientModel:
+        """The model client i starts from this round: the current general
+        factors with its generated personal parameters, or, without
+        hyper-network aggregation, its own last trained ones."""
+        personal = self.profiles[i].local_model
+        if self.hn_aggregation or personal is None:
+            self.prepare()
+            personal = self.generated[i]
+        return replace(personal, general=self.general)
 
     def train_client(self, t, i, eta):
         profile = self.profiles[i]
         sliced = self.global_head.sliced(self.layout.head_in(profile.width))
         return local_update(
-            self.general, self.sent_personal(i), sliced, profile, self.layout,
+            self.sent(i), sliced, profile, self.layout,
             epochs=self.cfg.epochs, batch=self.cfg.batch, lr=eta,
             reg_coef=self.cfg.reg_lambda, rng=self.client_rng(t, i))
 
-    def aggregate(self, t, ok, results):
-        self.general = mean_arrays([results[i].general for i in sorted(ok)])
-        for i in ok:
-            res, profile = results[i], self.profiles[i]
-            profile.local_model = ClientModel(res.general, res.personal.factors,
-                                              res.personal.biases, res.personal.head_w,
-                                              res.personal.head_b, profile.width)
-            if not self.hn_aggregation:
-                self.local_personal[i] = res.personal
+    def aggregate(self, models):
+        self.general = mean_arrays([m.general for m in models.values()])
+        for i, m in models.items():
+            self.profiles[i].local_model = m
         if self.hn_aggregation:
-            returned = {i: results[i].personal for i in ok}
-            widths = {i: self.profiles[i].width for i in ok}
             self.hn, self.last_hn_loss = hypernet.hn_step(
-                self.hn, returned, widths, self.layout, self.cfg.hn_lr)
+                self.hn, models, self.layout, self.cfg.hn_lr)
             self.generated = None
 
-    def evaluate_client(self, profile, result):
-        p, sent = profile.width, self.sent_personal(profile.id)
+    def evaluate_client(self, profile, train_loss):
+        p = profile.width
         head = self.global_head.sliced(self.layout.head_in(p))
-        received = ClientModel(self.general, sent.factors, sent.biases, head.w, head.b, p)
+        received = replace(self.sent(profile.id), head_w=head.w, head_b=head.b)
         fused, alpha, val_acc = select_test_model(
             received, profile.local_model, profile.data.val_xy(), self.layout,
             grid_size=self.cfg.alpha_grid)
         x, y = profile.data.test_xy()
         test_acc = accuracy(self.layout, fused, x, y)
-        return ClientRow(profile.id, profile.capacity, p,
-                         result.train_loss if result else float("nan"), val_acc, test_acc,
+        return ClientRow(profile.id, profile.capacity, p, train_loss, val_acc, test_acc,
                          alpha if profile.local_model is not None else float("nan"))
 
     def round_payload(self, selected):

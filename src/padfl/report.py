@@ -177,20 +177,17 @@ def account(cfg: RunConfig):
         p = width_for_capacity(r, grid)
         forward = cfg.batch * layout.head_in(p) * layout.classes
         recovery = 0
-        per_layer_overhead = []
         for idx, (spec, coef) in enumerate(zip(layout.specs, layout.coefs)):
             out_kept, in_kept = layout.kept_outputs(idx, p), layout.kept_inputs(idx, p)
             f, ratio = flops_account(spec, coef, cfg.batch, layout.out_hw[idx], out_kept, in_kept)
             forward += f
-            recovery += coef.rank * spec.kernel ** 2 * in_kept * out_kept
-            per_layer_overhead.append(float(ratio))
+            recovery += ratio * f  # exact: the recovery's multiply-adds
         rows.append({
             "capacity_r": str(r),
             "width_p": str(p),
             "forward_madds": int(forward),
             "param_count": layout.client_param_count(p),
-            "recovery_overhead": recovery / forward,
-            "per_layer_overhead": per_layer_overhead,
+            "recovery_overhead": float(recovery / forward),
         })
     return rows
 

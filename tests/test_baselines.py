@@ -35,10 +35,10 @@ class TestFedAvgMinWidth:
         start = plain_copy(method.model)
         selected = method.sample_clients(1)
         i = selected[0]
-        res = method.train_client(0, i, cfg.lr)
-        method.aggregate(0, [i], {i: res})
+        trained, _ = method.train_client(0, i, cfg.lr)
+        method.aggregate({i: trained})
         # aggregate of one client is exactly that client's model
-        for a, b in zip(method.model.arrays(), res.model.arrays()):
+        for a, b in zip(method.model.arrays(), trained.arrays()):
             assert np.array_equal(a, b)
         ref, _ = baselines.plain_sgd(start, layout.arch, profiles[i].data,
                                      epochs=cfg.epochs, batch=cfg.batch,
@@ -50,9 +50,7 @@ class TestFedAvgMinWidth:
         cfg, layout, profiles = small_setup(seed=7)
         method = baselines.FedAvgMinWidth(profiles, layout, cfg, seed=7)
         snap = [a.copy() for a in method.model.arrays()]
-        mk = lambda i: type("R", (), {"client": i, "ok": True,
-                                      "model": plain_copy(method.model)})()
-        method.aggregate(0, [0, 1], {0: mk(0), 1: mk(1)})
+        method.aggregate({0: plain_copy(method.model), 1: plain_copy(method.model)})
         for a, b in zip(method.model.arrays(), snap):
             assert np.array_equal(a, b)
 
@@ -69,12 +67,10 @@ class TestPWidthNested:
         cfg, layout, profiles = small_setup(seed=9, capacity="ideal")
         method = baselines.PWidthNested(profiles, layout, cfg, seed=9)
         rng = np.random.default_rng(0)
-        models = [PlainModel.from_arrays(method.model,
-                                         [rng.normal(size=a.shape)
-                                          for a in method.model.arrays()])
+        models = [PlainModel.from_arrays([rng.normal(size=a.shape)
+                                          for a in method.model.arrays()], method.model.width)
                   for _ in range(2)]
-        mk = lambda i: type("R", (), {"client": i, "ok": True, "model": models[i]})()
-        method.aggregate(0, [0, 1], {0: mk(0), 1: mk(1)})
+        method.aggregate(dict(enumerate(models)))
         for got, a, b in zip(method.model.arrays(), models[0].arrays(),
                              models[1].arrays()):
             assert np.allclose(got, (a + b) / 2, atol=1e-15)
@@ -84,10 +80,9 @@ class TestPWidthNested:
         profiles[0].width = Fraction(1, 2)
         method = baselines.PWidthNested(profiles, layout, cfg, seed=10)
         view = method.client_view(0)
-        new = PlainModel.from_arrays(view, [np.full_like(a, 7.0) for a in view.arrays()])
-        mk = type("R", (), {"client": 0, "ok": True, "model": new})()
+        new = PlainModel.from_arrays([np.full_like(a, 7.0) for a in view.arrays()], view.width)
         before = [a.copy() for a in method.model.arrays()]
-        method.aggregate(0, [0], {0: mk})
+        method.aggregate({0: new})
         for idx, (got, old) in enumerate(zip(method.model.arrays(), before)):
             key = method.keys[0][idx]
             assert np.all(got[key] == 7.0)
@@ -101,15 +96,12 @@ class TestPWidthNested:
         profiles[1].width = Fraction(1)
         method = baselines.PWidthNested(profiles, layout, cfg, seed=11)
         rng = np.random.default_rng(1)
-        m0 = PlainModel.from_arrays(method.client_view(0),
-                                    [rng.normal(size=a.shape)
-                                     for a in method.client_view(0).arrays()])
-        m1 = PlainModel.from_arrays(method.client_view(1),
-                                    [rng.normal(size=a.shape)
-                                     for a in method.client_view(1).arrays()])
+        m0 = PlainModel.from_arrays([rng.normal(size=a.shape)
+                                     for a in method.client_view(0).arrays()], profiles[0].width)
+        m1 = PlainModel.from_arrays([rng.normal(size=a.shape)
+                                     for a in method.client_view(1).arrays()], profiles[1].width)
         base = [a.copy() for a in method.model.arrays()]
-        mk = lambda i, m: type("R", (), {"client": i, "ok": True, "model": m})()
-        method.aggregate(0, [0, 1], {0: mk(0, m0), 1: mk(1, m1)})
+        method.aggregate({0: m0, 1: m1})
         # brute-force oracle: scatter every entry, then average by coverage
         for idx, got in enumerate(method.model.arrays()):
             acc = np.zeros_like(base[idx])
@@ -175,11 +167,13 @@ class TestAblationWiring:
         method = protocol.DecomposedFL(profiles, layout, cfg, seed=16,
                                        hn_aggregation=False)
         method.run_round(0)
-        trained = {i: method.local_personal[i] for i in method.local_personal}
+        trained = {p.id: p.local_model for p in profiles if p.local_model is not None}
         assert trained
         for i, personal in trained.items():
-            sent = method.sent_personal(i)
-            for a, b in zip(sent.arrays(), personal.arrays()):
+            sent = method.sent(i)
+            assert sent.general is method.general
+            for a, b in zip(sent.arrays()[len(sent.general):],
+                            personal.arrays()[len(personal.general):]):
                 assert np.array_equal(a, b)
 
     def test_flanc_infeasible_width_fails_at_construction(self):
@@ -192,8 +186,10 @@ class TestAblationWiring:
             protocol.DecomposedFL(profiles, replace(layout, recovery="flanc"), cfg, seed=18)
 
     def test_flanc_recovery_shapes_match(self):
+        # conv 4,8: the second conv's base_count 2 lets FLANC differ from Pa3dFL
         cfg, layout, profiles_a = small_setup(seed=17)
         _, _, profiles_b = small_setup(seed=17)
+        layout = build_layout(replace(layout.arch, convs=(4, 8)), cfg.min_width)
         a = protocol.DecomposedFL(profiles_a, layout, cfg, seed=17)
         b = protocol.DecomposedFL(profiles_b, replace(layout, recovery="flanc"), cfg, seed=17)
         ma = a.run_round(0)
@@ -211,10 +207,10 @@ class TestDenseForward:
         layout = build_layout(arch, Fraction(1, 4))
         rng = np.random.default_rng(19)
         shapes = init_plain(layout, width, rng)
-        model = PlainModel.from_arrays(shapes, [rng.normal(size=a.shape)
-                                                for a in shapes.arrays()])
+        model = PlainModel.from_arrays([rng.normal(size=a.shape) for a in shapes.arrays()],
+                                       width)
         x = rng.normal(size=(5, 1, 8, 8))
-        one = PlainModel.from_arrays(model, [a[None] for a in model.arrays()])
+        one = PlainModel.from_arrays([a[None] for a in model.arrays()], width)
         got = stacked_forward(arch, one, x)
         assert got.shape == (1, 5, 3)
         assert rel_err(got[0], reference_plain_logits(arch, model, x)) <= 1e-12
@@ -266,7 +262,7 @@ class TestGeometry:
         assert len({p.width for p in fl.profiles}) > 1
         for i in range(cfg.clients):
             if method == "Pa3dFL":
-                sent = fl.general + fl.sent_personal(i).arrays()
+                sent = fl.sent(i).arrays()
             else:
                 sent = fl.client_view(i).arrays()
             assert fl.round_payload([i]) == sum(a.size for a in sent)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +13,8 @@ from padfl import protocol, report, runner
 from padfl.cli import main as cli_main
 from padfl.config import RunConfig, load_config, parse_config
 from padfl.errors import ConfigurationError, NumericError
+
+from util import reference_plain_logits
 
 SMALL = """
 method = Pa3dFL
@@ -138,18 +141,22 @@ class TestRun:
         assert np.isfinite(phases).all() and (phases >= 0).all()
         assert phases.sum() <= record.wall_time
 
-    def test_flanc_ablation_differs_from_pa3dfl(self, tmp_path):
+    def test_flanc_ablation_differs_from_pa3dfl(self, tmp_path, capsys):
         # with conv_channels 4,8 at min_width 1/4 the second conv has
         # base_count 2, so its input-slab recovery is not the channel-aware
-        # one; with 4,4 every base_count is 1 and the two coincide
+        # one; with 4,4 every base_count is 1, the two would coincide, and
+        # the ablation is refused before training
         def csv_bytes(method, channels):
             out = f"{method}-{channels[1]}"
             runner.run(small_cfg(tmp_path, out=out, method=method, conv_channels=channels))
             return (tmp_path / out / "metrics.csv").read_bytes()
 
-        for channels, differ in (((4, 8), True), ((4, 4), False)):
-            assert (csv_bytes("Pa3dFL", channels)
-                    != csv_bytes("Pa3dFL_FlancDecomp", channels)) == differ
+        assert csv_bytes("Pa3dFL", (4, 8)) != csv_bytes("Pa3dFL_FlancDecomp", (4, 8))
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(SMALL)
+        assert cli_main(["run", str(cfg_path), "--set", f"out_dir={tmp_path / 'f4'}",
+                         "--set", "method=Pa3dFL_FlancDecomp"]) == 2
+        assert "would repeat Pa3dFL" in capsys.readouterr().err
 
     def test_summary_totals_match_csv(self, tmp_path):
         cfg = small_cfg(tmp_path)
@@ -172,7 +179,8 @@ class TestRun:
 class TestFedAvgOracle:
     def test_min_width_on_ideal_matches_straight_line_fedavg(self, tmp_path):
         """Independent-implementation oracle: a dedicated FedAvg loop written
-        in this test (own forward, own aggregation) must reproduce the
+        in this test (own forward from the autodiff ops, own aggregation,
+        evaluation by the nested-loop reference forward) must reproduce the
         FedAvgMinWidth run trace on ideal capacities."""
         cfg = small_cfg(tmp_path, method="FedAvgMinWidth", rounds=3)
         record = runner.run(cfg)
@@ -191,17 +199,17 @@ class TestFedAvgOracle:
         server_rng = np.random.default_rng(
             np.random.SeedSequence((cfg.seed, protocol.TAG_SERVER)))
 
+        def forward_t(nodes, x):
+            (w1, w2, b1, b2, hw_, hb_), h = nodes, x
+            for w, b in ((w1, b1), (w2, b2)):
+                h = ad.relu(ad.maxpool2x2(ad.conv2d(h, w, pad=arch.kernel // 2, bias=b)))
+            h = ad.reshape(h, (x.data.shape[0], -1))
+            return ad.add(ad.matmul(h, ad.transpose(hw_, (1, 0))), hb_)
+
         def forward(arrs, x):
-            cw = arrs[:2]
-            cb = arrs[2:4]
-            hw_, hb_ = arrs[4], arrs[5]
-            h = x
-            for i in range(len(arch.convs)):
-                h = ad.conv2d_infer(h[None], cw[i][None], pad=arch.kernel // 2)[0]
-                h = h + cb[i].reshape(1, -1, 1, 1)
-                h = ad.maxpool2x2_infer(h)
-                h = np.maximum(h, 0.0)
-            return h.reshape(h.shape[0], -1) @ hw_.T + hb_
+            dense = types.SimpleNamespace(weights=arrs[:2], biases=arrs[2:4],
+                                          head_w=arrs[4], head_b=arrs[5])
+            return reference_plain_logits(arch, dense, x)
 
         def train(arrs, prof, t):
             arrs = [a.copy() for a in arrs]
@@ -214,9 +222,8 @@ class TestFedAvgOracle:
                 for s in range(0, len(order), cfg.batch):
                     sel = idx[order[s:s + cfg.batch]]
                     leaves = [ad.leaf(a) for a in arrs]
-                    from padfl.model import plain_logits_t
                     loss = ad.cross_entropy(
-                        plain_logits_t(arch, leaves, ad.const(dataset.features[sel])),
+                        forward_t(leaves, ad.const(dataset.features[sel])),
                         dataset.labels[sel])
                     ad.backward(loss)
                     for a, n in zip(arrs, leaves):

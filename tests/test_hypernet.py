@@ -8,7 +8,7 @@ import pytest
 from padfl import autodiff as ad
 from padfl import hypernet as hn
 from padfl.errors import ConfigurationError
-from padfl.model import CnnArch, Layout, PersonalParams, build_layout
+from padfl.model import ClientModel, CnnArch, Layout, build_layout
 
 from util import (
     aggregate_embedding,
@@ -56,13 +56,14 @@ class TestEncode:
             s.embeddings = arrays[0]
             return float(encode(s).sum())
 
-        nodes = hn.state_nodes(state, trainable=True)
-        enc = hn._encode_t(nodes, len(state.encoder))
+        nodes = hn.HyperNetState.from_arrays([ad.leaf(a) for a in state.arrays()],
+                                             len(state.encoder))
+        enc = hn._encode_t(nodes)
         total = ad.matmul(ad.matmul(ad.const(np.ones((1, enc.data.shape[0]))), enc),
                           ad.const(np.ones((enc.data.shape[1], 1))))
         ad.backward(ad.reshape(total, (1, 1)))
         fd = finite_diff(f, [state.embeddings], eps=1e-5)
-        assert rel_err(nodes["embeddings"].grad, fd[0]) <= 1e-4
+        assert rel_err(nodes.embeddings.grad, fd[0]) <= 1e-4
 
 
 class TestAggregate:
@@ -194,9 +195,6 @@ class TestKeptIndex:
 
 
 class TestHnStep:
-    def widths(self, state):
-        return {i: Fraction(1) for i in range(state.embeddings.shape[1])}
-
     def returned_equal_to_sent(self, state, layout, clients):
         return {i: hn.generate_personal(state, i, layout, Fraction(1)) for i in clients}
 
@@ -204,7 +202,7 @@ class TestHnStep:
         layout = tiny_layout()
         state = make_state(layout, seed=10)
         returned = self.returned_equal_to_sent(state, layout, [0, 1, 2])
-        new, loss = hn.hn_step(state, returned, self.widths(state), layout, lr=0.5)
+        new, loss = hn.hn_step(state, returned, layout, lr=0.5)
         assert loss == 0.0
         assert np.array_equal(new.embeddings, state.embeddings)
         assert np.array_equal(new.log_temp, state.log_temp)
@@ -216,50 +214,50 @@ class TestHnStep:
         layout = tiny_layout()
         state = make_state(layout, n_clients=3, embed=3, hidden=4, depth=2, seed=11)
         rng = np.random.default_rng(12)
-        widths = self.widths(state)
         returned = {
-            i: PersonalParams(
+            i: ClientModel(
+                [],
                 [g + 0.1 * rng.normal(size=g.shape) for g in gen.factors],
                 [b + 0.1 * rng.normal(size=b.shape) for b in gen.biases],
                 gen.head_w + 0.1 * rng.normal(size=gen.head_w.shape),
-                gen.head_b + 0.1 * rng.normal(size=gen.head_b.shape))
+                gen.head_b + 0.1 * rng.normal(size=gen.head_b.shape), Fraction(1))
             for i, gen in ((i, hn.generate_personal(state, i, layout, Fraction(1)))
                            for i in range(3))
         }
-        nodes, loss = hn.regression_loss(state, returned, widths, layout)
+        nodes, loss = hn.regression_loss(state, returned, layout)
         ad.backward(loss)
 
         def f_emb(arrays):
             s = copy.deepcopy(state)
             s.embeddings = arrays[0]
-            return hn_loss(s, returned, widths, layout)
+            return hn_loss(s, returned, layout)
 
         fd = finite_diff(f_emb, [state.embeddings])
-        assert rel_err(nodes["embeddings"].grad, fd[0]) <= 1e-4
+        assert rel_err(nodes.embeddings.grad, fd[0]) <= 1e-4
 
         def f_temp(arrays):
             s = copy.deepcopy(state)
             s.log_temp = arrays[0]
-            return hn_loss(s, returned, widths, layout)
+            return hn_loss(s, returned, layout)
 
         fd_t = finite_diff(f_temp, [state.log_temp])
-        assert rel_err(nodes["log_temp"].grad, fd_t[0]) <= 1e-4
+        assert rel_err(nodes.log_temp.grad, fd_t[0]) <= 1e-4
 
         def f_dec(arrays):
             s = copy.deepcopy(state)
             s.decoders[0].w = arrays[0]
-            return hn_loss(s, returned, widths, layout)
+            return hn_loss(s, returned, layout)
 
         fd_d = finite_diff(f_dec, [state.decoders[0].w])
-        assert rel_err(nodes["dec_w0"].grad, fd_d[0]) <= 1e-4
+        assert rel_err(nodes.decoders[0].w.grad, fd_d[0]) <= 1e-4
 
         def f_enc(arrays):
             s = copy.deepcopy(state)
             s.encoder[0].w = arrays[0]
-            return hn_loss(s, returned, widths, layout)
+            return hn_loss(s, returned, layout)
 
         fd_e = finite_diff(f_enc, [state.encoder[0].w])
-        assert rel_err(nodes["enc_w0"].grad, fd_e[0]) <= 1e-4
+        assert rel_err(nodes.encoder[0].w.grad, fd_e[0]) <= 1e-4
 
     @pytest.mark.parametrize("kind", ["padfl", "flanc"])
     def test_mixed_width_gradient_matches_fd(self, kind):
@@ -273,9 +271,10 @@ class TestHnStep:
             gen = reference_personal(state, i, layout, widths[i])
             noisy = [a + 0.1 * rng.normal(size=a.shape) for a in gen.arrays()]
             f = len(gen.factors)
-            returned[i] = PersonalParams(noisy[:f], noisy[f:2 * f], noisy[-2], noisy[-1])
-        nodes, loss = hn.regression_loss(state, returned, widths, layout)
-        assert abs(float(loss.data) - hn_loss(state, returned, widths, layout)) <= \
+            returned[i] = ClientModel([], noisy[:f], noisy[f:2 * f], noisy[-2], noisy[-1],
+                                      widths[i])
+        nodes, loss = hn.regression_loss(state, returned, layout)
+        assert abs(float(loss.data) - hn_loss(state, returned, layout)) <= \
             1e-12 * float(loss.data)
         ad.backward(loss)
 
@@ -283,14 +282,14 @@ class TestHnStep:
             def f(arrays):
                 s = copy.deepcopy(state)
                 setter(s, arrays[0])
-                return hn_loss(s, returned, widths, layout)
+                return hn_loss(s, returned, layout)
             return finite_diff(f, [arr])[0]
 
-        assert rel_err(nodes["embeddings"].grad,
+        assert rel_err(nodes.embeddings.grad,
                        fd_of(lambda s, a: setattr(s, "embeddings", a), state.embeddings)) <= 1e-4
-        assert rel_err(nodes["log_temp"].grad,
+        assert rel_err(nodes.log_temp.grad,
                        fd_of(lambda s, a: setattr(s, "log_temp", a), state.log_temp)) <= 1e-4
-        assert rel_err(nodes["dec_w1"].grad,
+        assert rel_err(nodes.decoders[1].w.grad,
                        fd_of(lambda s, a: setattr(s.decoders[1], "w", a),
                              state.decoders[1].w)) <= 1e-4
 
@@ -304,7 +303,6 @@ class TestHnStep:
     def _identity_check(self, n_clients, seed, rel_tol):
         layout = tiny_layout()
         state = make_state(layout, n_clients=n_clients, embed=2, hidden=3, depth=0, seed=seed)
-        widths = {i: Fraction(1) for i in range(n_clients)}
         rng = np.random.default_rng(seed + 100)
         eta = 0.05
         # quadratic local objective per client over all personal components
@@ -313,7 +311,7 @@ class TestHnStep:
             gen = hn.generate_personal(state, i, layout, Fraction(1))
             targets[i] = [rng.normal(size=a.shape) for a in gen.arrays()]
 
-        def local_grads(params: PersonalParams, i):
+        def local_grads(params: ClientModel, i):
             return [a - t for a, t in zip(params.arrays(), targets[i])]
 
         returned = {}
@@ -321,11 +319,11 @@ class TestHnStep:
             gen = hn.generate_personal(state, i, layout, Fraction(1))
             stepped = [a - eta * g for a, g in zip(gen.arrays(), local_grads(gen, i))]
             f = len(gen.factors)
-            returned[i] = PersonalParams(stepped[:f], stepped[f:2 * f],
-                                         stepped[-2], stepped[-1])
+            returned[i] = ClientModel([], stepped[:f], stepped[f:2 * f],
+                                      stepped[-2], stepped[-1], Fraction(1))
 
         # left side: HN regression loss gradient
-        nodes_l, loss_l = hn.regression_loss(state, returned, widths, layout)
+        nodes_l, loss_l = hn.regression_loss(state, returned, layout)
         ad.backward(loss_l)
 
         # right side: direct gradient of F = (1/n) sum_i f_i(generated_i); at
@@ -343,9 +341,9 @@ class TestHnStep:
         f_node = ad.scale(ad.add_n(terms), 0.5 / n_clients)
         ad.backward(f_node)
 
-        for key in nodes_l:
-            gl = nodes_l[key].grad
-            gr = nodes_r[key].grad
+        for key, (left, right) in enumerate(zip(nodes_l.arrays(), nodes_r.arrays())):
+            gl = left.grad
+            gr = right.grad
             if gl is None and gr is None:
                 continue
             gl = np.zeros_like(state.log_temp) if gl is None else gl
@@ -355,7 +353,6 @@ class TestHnStep:
         layout = tiny_layout()
         state = make_state(layout, seed=15)
         gen = hn.generate_personal(state, 0, layout, Fraction(1))
-        bad = PersonalParams([f * np.nan for f in gen.factors], list(gen.biases),
-                             gen.head_w, gen.head_b)
+        bad = replace(gen, factors=[f * np.nan for f in gen.factors])
         with pytest.raises(Exception):
-            hn.hn_step(state, {0: bad}, {0: Fraction(1)}, layout, lr=0.1)
+            hn.hn_step(state, {0: bad}, layout, lr=0.1)

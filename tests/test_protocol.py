@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -12,15 +13,16 @@ from padfl.errors import ConfigurationError
 from padfl.model import (
     ClientModel,
     CnnArch,
-    HeadParams,
-    PersonalParams,
+    LinearMap,
+    PlainModel,
     build_layout,
     combine,
     init_decomposed,
+    init_plain,
     stacked_logits,
 )
 
-from test_hypernet import conv_layout
+from test_hypernet import conv_layout, make_state
 from util import finite_diff, orthogonal_reg, reference_logits, rel_err
 
 
@@ -130,35 +132,32 @@ class TestLocalUpdate:
     def test_global_head_never_changes(self):
         cfg, layout, profiles = small_setup()
         rng = np.random.default_rng(3)
-        general, personals, biases, head = init_decomposed(layout, rng)
-        personal = PersonalParams(personals, biases,
-                                  head.w.copy() * 0.5, head.b.copy() * 0.5)
+        init = init_decomposed(layout, rng)
+        head = LinearMap(init.head_w, init.head_b)
+        model = replace(init, head_w=head.w.copy() * 0.5, head_b=head.b.copy() * 0.5)
         before_w, before_b = head.w.copy(), head.b.copy()
-        res = protocol.local_update(general, personal, head, profiles[0], layout,
-                                    epochs=2, batch=8, lr=0.1, reg_coef=0.001,
-                                    rng=np.random.default_rng(4))
-        assert res.ok
+        trained, _ = protocol.local_update(model, head, profiles[0], layout,
+                                           epochs=2, batch=8, lr=0.1, reg_coef=0.001,
+                                           rng=np.random.default_rng(4))
+        assert trained is not None
         assert np.array_equal(head.w, before_w) and np.array_equal(head.b, before_b)
         # training must have moved something
         assert any(not np.array_equal(a, b)
-                   for a, b in zip(res.general, general))
+                   for a, b in zip(trained.general, model.general))
 
     def test_detached_head_loss_gives_zero_encoder_grad(self):
         cfg, layout, profiles = small_setup()
         rng = np.random.default_rng(5)
-        general, personals, biases, head = init_decomposed(layout, rng)
+        init = init_decomposed(layout, rng)
         data = profiles[0].data
         x, y = data.dataset.features[data.train_idx], data.dataset.labels[data.train_idx]
-        u_nodes = [ad.leaf(a) for a in general]
-        v_nodes = [ad.leaf(a) for a in personals]
-        b_nodes = [ad.leaf(a) for a in biases]
+        nodes = ClientModel.from_arrays([ad.leaf(a) for a in init.arrays()], Fraction(1))
         from padfl.model import head_logits_t, representation_t
-        rep = representation_t(layout, u_nodes, v_nodes, b_nodes,
-                               ad.const(x[:8]), Fraction(1))
-        hw, hb = ad.leaf(head.w), ad.leaf(head.b)
+        rep = representation_t(layout, nodes, ad.const(x[:8]))
+        hw, hb = nodes.head_w, nodes.head_b
         local_loss = ad.cross_entropy(head_logits_t(ad.detach(rep), hw, hb), y[:8])
         ad.backward(local_loss)
-        for node in u_nodes + v_nodes + b_nodes:
+        for node in nodes.general + nodes.factors + nodes.biases:
             assert node.grad is None
         assert hw.grad is not None and np.abs(hw.grad).max() > 0
 
@@ -167,9 +166,9 @@ class TestLocalUpdate:
         # vanishes exactly, so one epoch must be a bitwise no-op
         cfg, layout, profiles = small_setup()
         rng = np.random.default_rng(6)
-        general, personals, biases, head = init_decomposed(layout, rng)
-        personal = PersonalParams(personals, [np.zeros_like(b) for b in biases],
-                                  head.w.copy(), np.zeros_like(head.b))
+        init = init_decomposed(layout, rng)
+        model = replace(init, biases=[np.zeros_like(b) for b in init.biases],
+                        head_w=init.head_w.copy(), head_b=np.zeros_like(init.head_b))
         prof = profiles[0]
         n = 8
         ds = pdata.Dataset(np.zeros((n, 1, 8, 8)),
@@ -177,27 +176,26 @@ class TestLocalUpdate:
         prof = protocol.ClientProfile(0, 1.0, Fraction(1),
                                       pdata.ClientData(ds, np.arange(n),
                                                        np.arange(1), np.arange(1)))
-        res = protocol.local_update(general, personal,
-                                    HeadParams(head.w, np.zeros_like(head.b)),
-                                    prof, layout, epochs=1, batch=8, lr=0.5,
-                                    reg_coef=0.0, rng=np.random.default_rng(7))
-        assert res.ok
-        for a, b in zip(res.general, general):
+        trained, _ = protocol.local_update(model,
+                                           LinearMap(init.head_w, np.zeros_like(init.head_b)),
+                                           prof, layout, epochs=1, batch=8, lr=0.5,
+                                           reg_coef=0.0, rng=np.random.default_rng(7))
+        assert trained is not None
+        for a, b in zip(trained.general, model.general):
             assert np.array_equal(a, b)
-        for a, b in zip(res.personal.factors, personal.factors):
+        for a, b in zip(trained.factors, model.factors):
             assert np.array_equal(a, b)
-        assert np.array_equal(res.personal.head_w, personal.head_w)
+        assert np.array_equal(trained.head_w, model.head_w)
 
     def test_nan_reported_as_failure(self):
         cfg, layout, profiles = small_setup()
         rng = np.random.default_rng(8)
-        general, personals, biases, head = init_decomposed(layout, rng)
-        personals[0] = personals[0] * np.inf
-        personal = PersonalParams(personals, biases, head.w, head.b)
-        res = protocol.local_update(general, personal, head, profiles[0], layout,
-                                    epochs=1, batch=8, lr=0.1, reg_coef=0.0,
-                                    rng=np.random.default_rng(9))
-        assert not res.ok
+        init = init_decomposed(layout, rng)
+        init.factors[0] = init.factors[0] * np.inf
+        trained, _ = protocol.local_update(init, LinearMap(init.head_w, init.head_b),
+                                           profiles[0], layout, epochs=1, batch=8, lr=0.1,
+                                           reg_coef=0.0, rng=np.random.default_rng(9))
+        assert trained is None
 
 
 def linear_client_model(w, layout):
@@ -347,14 +345,12 @@ class TestDecomposedRounds:
         cfg, layout, profiles = small_setup(seed=1)
         method = protocol.DecomposedFL(profiles, layout, cfg, seed=1)
         before = [f.copy() for f in method.general]
-        results = {
-            i: protocol.LocalResult(i, True, [f.copy() for f in before],
-                                    hypernet.generate_personal(method.hn, i, layout,
-                                                               profiles[i].width),
-                                    0.0)
+        models = {
+            i: replace(hypernet.generate_personal(method.hn, i, layout, profiles[i].width),
+                       general=[f.copy() for f in before])
             for i in (0, 1)
         }
-        method.aggregate(0, [0, 1], results)
+        method.aggregate(models)
         for a, b in zip(method.general, before):
             assert np.array_equal(a, b)
 
@@ -364,11 +360,9 @@ class TestDecomposedRounds:
         rng = np.random.default_rng(10)
         ga = [rng.normal(size=f.shape) for f in method.general]
         gb = [rng.normal(size=f.shape) for f in method.general]
-        mk = lambda i, g: protocol.LocalResult(
-            i, True, g, hypernet.generate_personal(method.hn, i, layout,
-                                                   profiles[i].width),
-            0.0)
-        method.aggregate(0, [0, 1], {0: mk(0, ga), 1: mk(1, gb)})
+        mk = lambda i, g: replace(
+            hypernet.generate_personal(method.hn, i, layout, profiles[i].width), general=g)
+        method.aggregate({0: mk(0, ga), 1: mk(1, gb)})
         for m, a, b in zip(method.general, ga, gb):
             assert np.array_equal(m, (a + b) / 2)
 
@@ -399,3 +393,51 @@ class TestDecomposedRounds:
         a, b, c = trace(1), trace(1), trace(3)
         assert a == b
         assert a == c
+
+
+class TestContainers:
+    """Every model container shares one arrays() / from_arrays(arrays, size)
+    convention, and `sgd` returns the container it was given."""
+
+    @staticmethod
+    def assert_same_objects(rebuilt, arrays):
+        assert len(rebuilt) == len(arrays)
+        assert all(a is b for a, b in zip(rebuilt, arrays))
+
+    @pytest.mark.parametrize("width", [Fraction(1), Fraction(1, 2)])
+    def test_model_round_trip(self, width):
+        layout = conv_layout()  # two conv blocks and a hidden layer
+        rng = np.random.default_rng(30)
+        client = random_conv_model(layout, width, rng)
+        self.assert_same_objects(ClientModel.from_arrays(client.arrays(), width).arrays(),
+                                 client.arrays())
+        plain = init_plain(layout, width, rng)
+        rebuilt = PlainModel.from_arrays(plain.arrays(), width)
+        self.assert_same_objects(rebuilt.arrays(), plain.arrays())
+        assert len(rebuilt.weights) == len(layout.specs) and rebuilt.width == width
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    def test_hypernet_round_trip(self, depth):
+        state = make_state(conv_layout(), depth=depth)
+        rebuilt = hypernet.HyperNetState.from_arrays(state.arrays(), depth)
+        self.assert_same_objects(rebuilt.arrays(), state.arrays())
+        assert len(rebuilt.encoder) == depth
+        assert len(rebuilt.decoders) == len(state.decoders)
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_sgd_returns_its_input_container(self, dense):
+        cfg, layout, profiles = small_setup()
+        p, rng = Fraction(1, 2), np.random.default_rng(31)
+        model = init_plain(layout, p, rng) if dense else random_conv_model(layout, p, rng)
+
+        def loss_fn(m, x, y):
+            assert type(m) is type(model) and m.width == p
+            return ad.add_n([ad.frobenius_sq(a) for a in m.arrays()])
+
+        kw = dict(epochs=1, batch=8, lr=0.01, rng=np.random.default_rng(32))
+        trained, loss = protocol.sgd(model, profiles[0].data, loss_fn, **kw)
+        assert type(trained) is type(model) and trained.width == p and np.isfinite(loss)
+        assert [a.shape for a in trained.arrays()] == [a.shape for a in model.arrays()]
+        model.head_b[0] = np.nan
+        trained, loss = protocol.sgd(model, profiles[0].data, loss_fn, **kw)
+        assert trained is None and np.isnan(loss)

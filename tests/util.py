@@ -11,7 +11,7 @@ import numpy as np
 from padfl import autodiff as ad
 from padfl.decomp import Coefficients, factor_grid, param_count, recover_padfl_t
 from padfl.errors import ConfigurationError
-from padfl.model import PersonalParams, PlainModel
+from padfl.model import ClientModel, PlainModel
 from padfl.protocol import orthogonal_reg_t
 
 
@@ -99,16 +99,18 @@ def reference_personal(state, client, layout, width):
     flat = head.w @ aggregate_embedding(enc, client, taus[-1]) + head.b
     n_w = layout.classes * layout.head_in_full
     head_w = flat[:n_w].reshape(layout.classes, -1)[:, :layout.head_in(p)]
-    return PersonalParams(factors, biases, head_w, flat[n_w:])
+    return ClientModel([], factors, biases, head_w, flat[n_w:], p)
 
 
-def hn_loss(state, returned, widths, layout):
+def hn_loss(state, returned, layout):
     """Regression loss (1/n) sum_i 0.5 ||returned_i - generated_i||^2 over
-    the returned clients, from the per-client reference generator."""
+    the returned clients' personal parameters (client id -> model at its
+    width), from the per-client reference generator."""
     total = 0.0
     for i in sorted(returned):
-        gen = reference_personal(state, i, layout, widths[i])
-        for a, b in zip(gen.arrays(), returned[i].arrays()):
+        got = returned[i]
+        gen = reference_personal(state, i, layout, got.width)
+        for a, b in zip(gen.arrays(), [*got.factors, *got.biases, got.head_w, got.head_b]):
             total += 0.5 * float(((a - b) ** 2).sum())
     return total / len(returned)
 
@@ -161,7 +163,7 @@ def reference_logits(layout, model, x):
 
 def plain_copy(model):
     """A dense model whose arrays are copies of model's."""
-    return PlainModel.from_arrays(model, [a.copy() for a in model.arrays()])
+    return PlainModel.from_arrays([a.copy() for a in model.arrays()], model.width)
 
 
 def recover_flanc(general, personal, spec, out_kept=None, in_kept=None) -> np.ndarray:
