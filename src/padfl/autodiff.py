@@ -56,10 +56,14 @@ def _out(data, parents, backward_fn):
     return Tensor(data, parents=parents, backward_fn=backward_fn, _own=True)
 
 
-def _acc(t, g):
+def _acc(t, g, own=False):
+    """Add g into t.grad. With own=True, g is a fresh array no one else
+    holds (a conv, pool or ReLU gradient) and becomes t.grad without a
+    copy; a pass-through gradient, which `add` hands to both parents, is
+    copied."""
     if t.requires_grad:
         if t.grad is None:
-            t.grad = np.array(g, dtype=np.float64)
+            t.grad = g if own else np.array(g, dtype=np.float64)
         else:
             t.grad += g
 
@@ -135,42 +139,49 @@ def ordered_matmul(a, b):
 
 # ---------------------------------------------------------------------------
 # convolution (im2col + one matrix product)
+#
+# Conv activations are channel-first, (C, B, H, W): the product then maps
+# (T, S*k*k) x (S*k*k, B*ho*wo) straight onto (T, B, ho, wo), and neither
+# im2col, col2im nor the product's result needs a transpose.
 
 def _im2col(x, k, pad):
-    """Stride-1 columns in (channel, ky, kx, batch*out_h*out_w) order.
+    """Stride-1 columns of a channel-first (C, B, H, W) input, zero-padded by
+    `pad`, in (channel, ky, kx) x (batch, out_h, out_w) order.
 
     Assembled with one well-strided copy per kernel offset, which is far
     cheaper than a single 6-axis gather.
     """
-    bsz, ch, h, w = x.shape
+    ch, bsz, h, w = x.shape
     hp, wp = h + 2 * pad, w + 2 * pad
     if pad:
-        padded = np.zeros((bsz, ch, hp, wp))
+        padded = np.zeros((ch, bsz, hp, wp))
         padded[:, :, pad:pad + h, pad:pad + w] = x
         x = padded
     ho, wo = hp - k + 1, wp - k + 1
     cols = np.empty((ch, k, k, bsz, ho, wo))
     for ky in range(k):
         for kx in range(k):
-            cols[:, ky, kx] = x[:, :, ky:ky + ho, kx:kx + wo].transpose(1, 0, 2, 3)
+            cols[:, ky, kx] = x[:, :, ky:ky + ho, kx:kx + wo]
     return cols.reshape(ch * k * k, bsz * ho * wo), ho, wo
 
 
 def _col2im(gcols, xshape, k, pad, ho, wo):
-    bsz, ch, h, w = xshape
-    gx = np.zeros((bsz, ch, h + 2 * pad, w + 2 * pad))
+    """Adjoint of `_im2col`: scatter-add columns back onto (C, B, H, W)."""
+    ch, bsz, h, w = xshape
+    gx = np.zeros((ch, bsz, h + 2 * pad, w + 2 * pad))
     g6 = gcols.reshape(ch, k, k, bsz, ho, wo)
     for ky in range(k):
         for kx in range(k):
-            gx[:, :, ky:ky + ho, kx:kx + wo] += g6[:, ky, kx].transpose(1, 0, 2, 3)
+            gx[:, :, ky:ky + ho, kx:kx + wo] += g6[:, ky, kx]
     if pad:
         gx = gx[:, :, pad:-pad, pad:-pad]
     return gx
 
 
 def conv2d(x, w, pad=0, bias=None):
-    """Stride-1 cross-correlation of (B,S,H,W) input, zero-padded by `pad`
-    on every side, with a (T,S,k,k) weight.
+    """Stride-1 cross-correlation of a channel-first (S, B, H, W) input,
+    zero-padded by `pad` on every side, with a (T, S, k, k) weight; returns
+    (T, B, ho, wo).
 
     Maps onto exactly one matrix product of B*q^2*k^2*S*T multiply-adds;
     an optional (T,) bias is fused so its gradient is one contiguous
@@ -178,7 +189,7 @@ def conv2d(x, w, pad=0, bias=None):
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise DimensionError("conv2d expects 4-D input and weight")
-    bsz, ch, h, wdt = x.data.shape
+    ch, bsz, h, wdt = x.data.shape
     t, s, k, k2 = w.data.shape
     if k != k2:
         raise DimensionError("conv2d kernel must be square")
@@ -193,41 +204,37 @@ def conv2d(x, w, pad=0, bias=None):
     out2 = w2.T @ cols                                       # (T, B*ho*wo)
     if bias is not None:
         out2 += bias.data[:, None]
-    out_data = out2.reshape(t, bsz, ho, wo).transpose(1, 0, 2, 3)
     parents = (x, w) if bias is None else (x, w, bias)
 
     def bw(g):
-        g2 = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(t, bsz * ho * wo)
+        g2 = g.reshape(t, bsz * ho * wo)
         if w.requires_grad:
-            gw = (g2 @ cols.T).reshape(t, s, k, k)
-            _acc(w, gw)
+            _acc(w, (g2 @ cols.T).reshape(t, s, k, k), own=True)
         if bias is not None and bias.requires_grad:
-            _acc(bias, g2.sum(axis=1))
+            _acc(bias, g2.sum(axis=1), own=True)
         if x.requires_grad:
-            _acc(x, _col2im(w2 @ g2, x.data.shape, k, pad, ho, wo))
+            _acc(x, _col2im(w2 @ g2, x.data.shape, k, pad, ho, wo), own=True)
 
-    return _out(out_data, parents, bw)
+    return _out(out2.reshape(t, bsz, ho, wo), parents, bw)
 
 
 def conv2d_infer(x, w, pad=0):
-    """Plain-array convolution of M stacked weights (M,T,S,k,k) via the same
-    im2col kernel (no graph); returns (M,B,T,ho,wo).
+    """Plain-array convolution of M stacked weights (M, T, S, k, k) via the
+    same im2col and 2-D product as `conv2d` (no graph): channel-first
+    (M, S, B, H, W) in, (M, T, B, ho, wo) out.
 
-    x is (M,B,S,H,W), or (1,B,S,H,W) to share one input among all M. The
-    batch axes are folded into one im2col; each weight then multiplies its
-    own column block in the same 2-D product `conv2d` uses, so every slice
-    is bit-identical to convolving that weight alone. One weight is the
-    M = 1 case: w[None] on x[None].
+    x may be (1, S, B, H, W) to share one input, and one im2col, among all
+    M. Every slice is bit-identical to convolving that weight alone; one
+    weight is the M = 1 case: w[None] on x[None].
     """
     m, t, s, k, _ = w.shape
-    bsz = x.shape[1]
-    cols, ho, wo = _im2col(x.reshape((-1,) + x.shape[2:]), k, pad)
-    n = bsz * ho * wo
+    cols, ho, wo = _im2col(x[0], k, pad)
+    out = np.empty((m, t, x.shape[2], ho, wo))
     w2 = w.transpose(0, 2, 3, 4, 1).reshape(m, s * k * k, t)
-    out = np.empty((m, bsz, t, ho, wo))
     for j in range(m):
-        block = cols[:, j * n:(j + 1) * n] if x.shape[0] > 1 else cols
-        out[j] = (w2[j].T @ block).reshape(t, bsz, ho, wo).transpose(1, 0, 2, 3)
+        if j and x.shape[0] > 1:
+            cols = _im2col(x[j], k, pad)[0]
+        np.matmul(w2[j].T, cols, out=out[j].reshape(t, -1))
     return out
 
 
@@ -238,7 +245,7 @@ def relu(x):
     out_data = relu_infer(x.data)
 
     def bw(g):
-        _acc(x, g * (out_data > 0))
+        _acc(x, g * (out_data > 0), own=True)
 
     return _out(out_data, (x,), bw)
 
@@ -250,23 +257,19 @@ def relu_infer(x):
 
 
 def maxpool2x2(x):
-    """2x2/stride-2 max pooling; exact ties share the incoming gradient."""
+    """2x2/stride-2 max pooling over the last two axes; exact ties share the
+    incoming gradient. The tie mask is built in the forward, contiguous
+    along W: row pair (2i, 2i+1) of x against each output repeated twice."""
     if x.data.ndim != 4:
         raise DimensionError("maxpool2x2 expects a 4-D tensor")
-    bsz, ch, h, w = x.data.shape
+    *lead, h, w = x.data.shape
     if h % 2 or w % 2:
         raise DimensionError(f"maxpool2x2 needs even spatial dims, got {h}x{w}")
-    h2, w2 = h // 2, w // 2
     out_data = maxpool2x2_infer(x.data)
+    mask = x.data.reshape(*lead, h // 2, 2, w) == np.repeat(out_data, 2, -1)[..., None, :]
 
     def bw(g):
-        x4 = x.data.reshape(bsz, ch, h2, 2, w2, 2)
-        gx = np.empty_like(x.data).reshape(bsz, ch, h2, 2, w2, 2)
-        for dy in (0, 1):
-            for dx in (0, 1):
-                slot = x4[:, :, :, dy, :, dx]
-                gx[:, :, :, dy, :, dx] = (slot == out_data) * g
-        _acc(x, gx.reshape(bsz, ch, h, w))
+        _acc(x, (mask * np.repeat(g, 2, -1)[..., None, :]).reshape(x.data.shape), own=True)
 
     return _out(out_data, (x,), bw)
 

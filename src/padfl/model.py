@@ -222,11 +222,13 @@ def init_plain(layout: Layout, p, rng) -> PlainModel:
 def features_t(arch: CnnArch, weights, biases, x_node):
     """Graph forward up to (but not including) the head, over one weight
     and one bias node per layer (conv weights (T, S, k, k), linear weights
-    (T, S)); returns the (B, features) node."""
-    h, n_conv = x_node, len(arch.convs)
+    (T, S)); takes (B, C, H, W) and returns the (B, features) node. The
+    conv blocks run channel-first, (C, B, H, W): one transpose in (free
+    for one input channel), one before the flatten."""
+    h, n_conv = ad.transpose(x_node, (1, 0, 2, 3)), len(arch.convs)
     for w, b in zip(weights[:n_conv], biases):
         h = ad.relu(ad.maxpool2x2(ad.conv2d(h, w, pad=arch.kernel // 2, bias=b)))
-    h = ad.reshape(h, (x_node.data.shape[0], int(np.prod(h.data.shape[1:]))))
+    h = ad.reshape(ad.transpose(h, (1, 0, 2, 3)), (x_node.data.shape[0], -1))
     for w, b in zip(weights[n_conv:], biases[n_conv:]):
         h = ad.relu(ad.add(ad.matmul(h, ad.transpose(w, (1, 0))), b))
     return h
@@ -259,15 +261,17 @@ def stacked_forward(arch: CnnArch, model: PlainModel, x):
     model holding M models, on one shared batch x (B, C, H, W).
 
     Returns (M, B, classes) logits; slice j is bit-identical to model j's
-    own forward. The first conv shares one im2col of x among the models,
-    later convs fold M into the batch, and every product is the per-model
-    2-D matmul. The working set is M times one model's.
+    own forward. The conv blocks run channel-first, (M, C, B, H, W), with
+    one transpose in (free for one input channel) and one before the
+    flatten. The first conv shares one im2col of x among the models, and
+    every product is the per-model 2-D matmul. The working set is M times
+    one model's.
     """
-    h, n_conv = x[None], len(arch.convs)  # a leading axis of 1 is shared by all M models
+    h, n_conv = x.transpose(1, 0, 2, 3)[None], len(arch.convs)  # shared by all M models
     for w, b in zip(model.weights[:n_conv], model.biases):
-        h = ad.conv2d_infer(h, w, pad=arch.kernel // 2) + b[:, None, :, None, None]
+        h = ad.conv2d_infer(h, w, pad=arch.kernel // 2) + b[:, :, None, None, None]
         h = ad.relu_infer(ad.maxpool2x2_infer(h))
-    h = h.reshape(h.shape[0], h.shape[1], -1)
+    h = h.transpose(0, 2, 1, 3, 4).reshape(h.shape[0], h.shape[2], -1)
     for w, b in zip(model.weights[n_conv:], model.biases[n_conv:]):
         h = ad.relu_infer(np.matmul(h, w.transpose(0, 2, 1)) + b[:, None, :])
     return np.matmul(h, model.head_w.transpose(0, 2, 1)) + model.head_b[:, None, :]

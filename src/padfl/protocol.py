@@ -223,8 +223,9 @@ class RoundMetrics:
     mean_test: float
     params_exchanged: int
     hn_loss: float = float("nan")
-    # wall seconds of the phases: prepare + training, aggregate (with the
-    # hyper-network step), prepare + evaluation
+    # wall seconds of the phases: generation (both `prepare` calls),
+    # training, aggregate (with the hyper-network step), evaluation
+    gen_s: float = float("nan")
     train_s: float = float("nan")
     server_s: float = float("nan")
     eval_s: float = float("nan")
@@ -333,6 +334,7 @@ class FederatedMethod:
         eta = self.eta(t)
         started = time.perf_counter()
         self.prepare()
+        prepared_at = time.perf_counter()
         trained = map_clients(lambda i: self.train_client(t, i, eta), selected,
                               self.cfg.workers)
         trained_at = time.perf_counter()
@@ -344,6 +346,7 @@ class FederatedMethod:
         self.aggregate(models)
         aggregated_at = time.perf_counter()
         self.prepare()
+        reprepared_at = time.perf_counter()
         rows = map_clients(
             lambda i: self.evaluate_client(self.profiles[i], losses.get(i, float("nan"))),
             range(len(self.profiles)), self.cfg.workers)
@@ -355,8 +358,9 @@ class FederatedMethod:
             mean_val=float(vals.mean()), mean_test=float(tests.mean()),
             params_exchanged=self.round_payload(selected),
             hn_loss=getattr(self, "last_hn_loss", float("nan")),
-            train_s=trained_at - started, server_s=aggregated_at - trained_at,
-            eval_s=evaluated_at - aggregated_at)
+            gen_s=(prepared_at - started) + (reprepared_at - aggregated_at),
+            train_s=trained_at - prepared_at, server_s=aggregated_at - trained_at,
+            eval_s=evaluated_at - reprepared_at)
 
     # method-specific hooks
     def prepare(self):

@@ -25,7 +25,7 @@ from .errors import ConfigurationError, NumericError
 from .model import CnnArch, build_layout
 
 CSV_HEADER = "round,client_id,capacity_r,width_p,train_loss,val_acc,test_acc,alpha_selected"
-ROUNDS_HEADER = "round,eta,hn_loss,params_exchanged,train_s,server_s,eval_s,failed"
+ROUNDS_HEADER = "round,eta,hn_loss,params_exchanged,gen_s,train_s,server_s,eval_s,failed"
 
 
 @dataclass
@@ -173,8 +173,8 @@ def rounds_csv(record: RunRecord) -> str:
     lines = [ROUNDS_HEADER]
     for m in record.rounds:
         lines.append(",".join([str(m.round), _fmt(m.eta), _fmt(m.hn_loss),
-                               str(m.params_exchanged), _fmt(m.train_s), _fmt(m.server_s),
-                               _fmt(m.eval_s), " ".join(map(str, m.failed))]))
+                               str(m.params_exchanged), _fmt(m.gen_s), _fmt(m.train_s),
+                               _fmt(m.server_s), _fmt(m.eval_s), " ".join(map(str, m.failed))]))
     return "\n".join(lines) + "\n"
 
 

@@ -1,14 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padfl import autodiff as ad
 from padfl.errors import DimensionError
 
-from util import conv2d_loops, finite_diff, rel_err
+from util import conv2d_loops, conv_block_loops, finite_diff, rel_err
 
 
 def scalarize(t):
     return ad.frobenius_sq(t)
+
+
+def cf(x):
+    """(B, C, H, W) <-> channel-first (C, B, H, W), the conv layout."""
+    return x.transpose(1, 0, 2, 3)
 
 
 class TestMatmul:
@@ -57,8 +64,8 @@ class TestConv2d:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(2, 3, 5, 5))
         w = np.eye(3).reshape(3, 3, 1, 1)
-        out = ad.conv2d(ad.const(x), ad.const(w))
-        assert np.allclose(out.data, x)
+        out = ad.conv2d(ad.const(cf(x)), ad.const(w))
+        assert np.allclose(cf(out.data), x)
 
     def test_all_ones_3x3(self):
         x = np.ones((1, 1, 3, 3))
@@ -72,21 +79,21 @@ class TestConv2d:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(2, 3, 6, 6))
         w = rng.normal(size=(4, 3, 3, 3))
-        out = ad.conv2d(ad.const(x), ad.const(w), pad=pad)
+        out = ad.conv2d(ad.const(cf(x)), ad.const(w), pad=pad)
         ref = conv2d_loops(x, w, pad=pad)
-        assert np.abs(out.data - ref).max() <= 1e-12
+        assert np.abs(cf(out.data) - ref).max() <= 1e-12
 
     def test_gradient_fd(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(2, 2, 4, 4))
         w = rng.normal(size=(3, 2, 3, 3))
-        lx, lw = ad.leaf(x), ad.leaf(w)
+        lx, lw = ad.leaf(cf(x)), ad.leaf(w)
         loss = ad.frobenius_sq(ad.conv2d(lx, lw, pad=1))
         ad.backward(loss)
         fd = finite_diff(
             lambda arrs: float((conv2d_loops(arrs[0], arrs[1], pad=1) ** 2).sum()), [x, w]
         )
-        assert rel_err(lx.grad, fd[0]) <= 1e-5
+        assert rel_err(cf(lx.grad), fd[0]) <= 1e-5
         assert rel_err(lw.grad, fd[1]) <= 1e-5
 
     def test_geometry_error(self):
@@ -101,13 +108,49 @@ class TestConv2d:
         rng = np.random.default_rng(5)
         w = rng.normal(size=(4, 5, 3, 6, 6))
         x = rng.normal(size=(1 if shared else 4, bsz, 3, 7, 7))
-        out = ad.conv2d_infer(x, w, pad=2)
-        assert out.shape == (4, bsz, 5, 6, 6)
+        out = ad.conv2d_infer(x.transpose(0, 2, 1, 3, 4), w, pad=2)
+        assert out.shape == (4, 5, bsz, 6, 6)
         for j in range(4):
             xj = x[0 if shared else j]
-            single = ad.conv2d(ad.const(xj), ad.const(w[j]), pad=2).data
+            single = ad.conv2d(ad.const(cf(xj)), ad.const(w[j]), pad=2).data
             assert np.array_equal(out[j], single)
-            assert np.abs(out[j] - conv2d_loops(xj, w[j], pad=2)).max() <= 1e-12
+            assert np.abs(cf(out[j]) - conv2d_loops(xj, w[j], pad=2)).max() <= 1e-12
+
+
+class TestConvBlockChain:
+    """conv2d -> maxpool2x2 -> relu, the graph's conv block, against the
+    loop oracle; forced ties zero the leading input rows, so whole pool
+    windows hold the bias alone and tie exactly."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=30)
+    @given(k=st.sampled_from([1, 3, 5]), hw=st.permutations([2, 4, 6]),
+           s=st.integers(1, 4), t=st.integers(1, 4), bsz=st.integers(1, 3),
+           ties=st.booleans(), seed=st.integers(0, 2 ** 16))
+    def test_values_and_gradients(self, k, hw, s, t, bsz, ties, seed):
+        h, wd, pad = hw[0], hw[1], k // 2
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(bsz, s, h, wd))
+        if ties:
+            x[:, :, :pad + 2] = 0.0
+        w, b = rng.normal(size=(t, s, k, k)), rng.normal(size=t)
+
+        def block(arrs):
+            lx, lw, lb = arrs
+            return ad.relu(ad.maxpool2x2(ad.conv2d(lx, lw, pad=pad, bias=lb)))
+
+        leaves = [ad.leaf(cf(x)), ad.leaf(w), ad.leaf(b)]
+        out = block(leaves)
+        ad.backward(ad.frobenius_sq(out))
+        ref, grads = conv_block_loops(x, w, b, pad, 2 * cf(out.data))
+        assert np.abs(cf(out.data) - ref).max() <= 1e-12
+        got = [cf(leaves[0].grad), leaves[1].grad, leaves[2].grad]
+        for g, r in zip(got, grads):
+            assert rel_err(g, r) <= 1e-12
+        if not ties:  # a tie is a kink, where differences do not converge
+            fd = finite_diff(lambda arrs: float(
+                (block([ad.const(a) for a in arrs]).data ** 2).sum()), [cf(x), w, b])
+            for g, r in zip([leaf.grad for leaf in leaves], fd):
+                assert rel_err(g, r) <= 1e-5
 
 
 class TestPrimitives:
@@ -269,3 +312,16 @@ class TestGraphDiscipline:
     def test_backward_needs_scalar_root(self):
         with pytest.raises(DimensionError):
             ad.backward(ad.leaf(np.ones(3)))
+
+    def test_gradient_shared_through_add_is_not_aliased(self):
+        # add hands one gradient array to both parents, and `a` also takes
+        # relu's freshly owned gradient: b's gradient must stay 2R and a's
+        # must be 2R (1 + [a > 0]), R = a + b + relu(a)
+        rng = np.random.default_rng(15)
+        av, bv = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
+        a, b = ad.leaf(av), ad.leaf(bv)
+        ad.backward(ad.frobenius_sq(ad.add(ad.add(a, b), ad.relu(a))))
+        r2 = 2 * (av + bv + np.maximum(av, 0.0))
+        assert not np.shares_memory(a.grad, b.grad)
+        assert rel_err(b.grad, r2) <= 1e-12
+        assert rel_err(a.grad, r2 * (1 + (av > 0))) <= 1e-12

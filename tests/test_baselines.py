@@ -15,6 +15,7 @@ from padfl.model import (
     build_layout,
     features_t,
     init_plain,
+    plain_logits_t,
     stacked_forward,
 )
 
@@ -215,6 +216,26 @@ class TestDenseForward:
         assert got.shape == (1, 5, 3)
         assert rel_err(got[0], reference_plain_logits(arch, model, x)) <= 1e-12
 
+    @pytest.mark.parametrize("hidden,bound", [((), 0.0), ((32,), 1e-15)])
+    @pytest.mark.parametrize("width", [Fraction(1), Fraction(1, 2), Fraction(3, 16)])
+    def test_training_forward_equals_eval_forward(self, hidden, bound, width):
+        # the graph forward (training) and the stacked forward (evaluation)
+        # share one im2col and one 2-D product per conv, so conv-only
+        # logits are bitwise equal. A hidden layer is a batched np.matmul
+        # in the stacked forward against the graph's 2-D product, which
+        # may round differently (6e-17 here at width 1). The zero leading
+        # rows make whole pool windows tie.
+        arch = CnnArch(1, 8, 8, convs=(16, 16), kernel=3, hidden=hidden, classes=3)
+        layout = build_layout(arch, Fraction(1, 16))
+        rng = np.random.default_rng(21)
+        model = init_plain(layout, width, rng)
+        x = rng.normal(size=(5, 1, 8, 8))
+        x[:, :, :3] = 0.0
+        one = PlainModel.from_arrays([a[None] for a in model.arrays()], width)
+        nodes = PlainModel.from_arrays([ad.const(a) for a in model.arrays()], width)
+        got = plain_logits_t(arch, nodes, ad.const(x)).data
+        assert np.abs(got - stacked_forward(arch, one, x)[0]).max() <= bound
+
 
 class TestGeometry:
     """A non-square input with a hidden layer: every width's shapes and
@@ -239,7 +260,7 @@ class TestGeometry:
         rng = np.random.default_rng(20)
         model = init_plain(layout, 1, rng)
         x = ad.const(rng.normal(size=(2, 1, 12, 16)))
-        h = x
+        h = ad.transpose(x, (1, 0, 2, 3))  # convs run channel-first
         for i, (w, b) in enumerate(zip(model.weights[:2], model.biases)):
             h = ad.conv2d(h, ad.const(w), pad=kernel // 2, bias=ad.const(b))
             assert h.shape[2:] == layout.out_hw[i]

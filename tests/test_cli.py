@@ -133,10 +133,10 @@ class TestRun:
             assert np.array_equal(float(row["hn_loss"]), m.hn_loss, equal_nan=True)
             assert int(row["params_exchanged"]) == m.params_exchanged
             assert [int(i) for i in row["failed"].split()] == m.failed
-            for phase in ("train_s", "server_s", "eval_s"):
+            for phase in ("gen_s", "train_s", "server_s", "eval_s"):
                 assert float(row[phase]) == getattr(m, phase)
         assert np.isnan(record.rounds[0].hn_loss) == (method != "Pa3dFL")
-        phases = np.array([[float(r[k]) for k in ("train_s", "server_s", "eval_s")]
+        phases = np.array([[float(r[k]) for k in ("gen_s", "train_s", "server_s", "eval_s")]
                            for r in rows])
         assert np.isfinite(phases).all() and (phases >= 0).all()
         assert phases.sum() <= record.wall_time
@@ -200,10 +200,10 @@ class TestFedAvgOracle:
             np.random.SeedSequence((cfg.seed, protocol.TAG_SERVER)))
 
         def forward_t(nodes, x):
-            (w1, w2, b1, b2, hw_, hb_), h = nodes, x
-            for w, b in ((w1, b1), (w2, b2)):
+            (w1, w2, b1, b2, hw_, hb_), h = nodes, ad.transpose(x, (1, 0, 2, 3))
+            for w, b in ((w1, b1), (w2, b2)):  # channel-first (C, B, H, W)
                 h = ad.relu(ad.maxpool2x2(ad.conv2d(h, w, pad=arch.kernel // 2, bias=b)))
-            h = ad.reshape(h, (x.data.shape[0], -1))
+            h = ad.reshape(ad.transpose(h, (1, 0, 2, 3)), (x.data.shape[0], -1))
             return ad.add(ad.matmul(h, ad.transpose(hw_, (1, 0))), hb_)
 
         def forward(arrs, x):

@@ -1,6 +1,6 @@
 """Shared test oracles, independent of the library's compute paths:
-central finite differences, a nested-loop convolution reference, an
-einsum recovery, per-model decomposed and dense forwards, and a
+central finite differences, nested-loop convolution and conv-block
+references, an einsum recovery, per-model decomposed and dense forwards, and a
 per-client loop form of the hyper-network's generation and loss. Also
 the single-layer recovery, pruning, accounting and copying helpers that
 only tests use."""
@@ -19,7 +19,7 @@ def finite_diff(f, arrays, eps=1e-5):
     """Central-difference gradient of scalar f(list-of-arrays) per array."""
     grads = []
     for ai, base in enumerate(arrays):
-        g = np.zeros_like(base)
+        g = np.zeros(base.shape)  # C order, so reshape(-1) is a view of g
         flat = g.reshape(-1)
         for j in range(base.size):
             bumped = [a.copy() for a in arrays]
@@ -55,6 +55,29 @@ def conv2d_loops(x, w, pad=0):
                     patch = x[b, :, i:i + k, j:j + k]
                     out[b, c, i, j] = np.sum(patch * w[c])
     return out
+
+
+def conv_block_loops(x, w, b, pad, g):
+    """Conv, bias, 2x2 max pool and ReLU of batch-first x by direct loops;
+    returns the output and, for the output gradient g, (gx, gw, gb), where
+    every exact tie of a pool window receives the window's gradient."""
+    y = conv2d_loops(x, w, pad) + b[None, :, None, None]
+    ho, wo, k = y.shape[2], y.shape[3], w.shape[2]
+    pooled = np.zeros(y.shape[:2] + (ho // 2, wo // 2))
+    for i in range(ho // 2):
+        for j in range(wo // 2):
+            pooled[:, :, i, j] = y[:, :, 2 * i:2 * i + 2, 2 * j:2 * j + 2].max(axis=(2, 3))
+    gp = np.where(pooled > 0, g, 0.0)
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    gxp, gw, gy = np.zeros_like(xp), np.zeros_like(w), np.zeros_like(y)
+    for i in range(ho):
+        for j in range(wo):
+            gy[:, :, i, j] = np.where(y[:, :, i, j] == pooled[:, :, i // 2, j // 2],
+                                      gp[:, :, i // 2, j // 2], 0.0)
+            gw += np.einsum("bt,bsyx->tsyx", gy[:, :, i, j], xp[:, :, i:i + k, j:j + k])
+            gxp[:, :, i:i + k, j:j + k] += np.einsum("bt,tsyx->bsyx", gy[:, :, i, j], w)
+    gx = gxp[:, :, pad:pad + x.shape[2], pad:pad + x.shape[3]]
+    return np.where(pooled > 0, pooled, 0.0), (gx, gw, gy.sum(axis=(0, 2, 3)))
 
 
 def encode(state):
