@@ -1,6 +1,6 @@
-"""Comparison methods run under the identical round loop: a single
-shared model at the lowest common width, nested width slicing with
-coverage-count averaging, and purely local training."""
+"""Comparison methods run under the identical round loop: nested width
+slicing with coverage-count averaging, its special case of a single
+shared model at the lowest common width, and purely local training."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -13,7 +13,6 @@ from .protocol import (
     TAG_INIT,
     ClientRow,
     FederatedMethod,
-    mean_arrays,
     sgd,
 )
 
@@ -50,49 +49,30 @@ class DenseMethod(FederatedMethod):
         return sum(a.size for i in selected for a in self.client_view(i).arrays())
 
 
-class FedAvgMinWidth(DenseMethod):
-    """One shared dense model sized for the lowest-capacity client;
-    position-wise mean aggregation, no personalization."""
-
-    def __init__(self, profiles, layout, cfg, seed):
-        super().__init__(profiles, layout, cfg, seed)
-        self.width = min(p.width for p in profiles)
-        rng = np.random.default_rng(np.random.SeedSequence((seed, TAG_INIT)))
-        self.model = init_plain(layout, self.width, rng)
-
-    def client_view(self, i):
-        return self.model
-
-    def aggregate(self, models):
-        mixed = mean_arrays([m.arrays() for m in models.values()])
-        self.model = PlainModel.from_arrays(mixed, self.width)
-
-
 def nested_keys(layout: Layout, p) -> list:
     """Slice tuple per tensor (arrays() order) selecting the leading
     p-share of every width axis; the raw input and the class axis stay."""
-    p = Fraction(p)
-    outs = [slice(0, layout.kept_outputs(idx, p)) for idx in range(len(layout.specs))]
-    ins = [slice(0, layout.kept_inputs(idx, p)) for idx in range(len(layout.specs))]
-    return ([(o, i) for o, i in zip(outs, ins)] + [(o,) for o in outs]
+    kept = [spec.kept(p) for spec in layout.specs]
+    return ([(slice(0, o), slice(0, i)) for o, i in kept] + [(slice(0, o),) for o, _ in kept]
             + [(slice(None), slice(0, layout.head_in(p))), (slice(None),)])
 
 
 class PWidthNested(DenseMethod):
-    """Nested width slicing of one shared dense model: client i trains
-    the leading p_i share of every layer; aggregation averages each
-    entry over the clients whose slice covers it."""
+    """Nested width slicing of one shared dense model of width `width`:
+    client i trains the leading min(p_i, width) share of every layer;
+    aggregation averages each entry over the clients whose slice covers it."""
 
-    def __init__(self, profiles, layout, cfg, seed):
+    def __init__(self, profiles, layout, cfg, seed, width=Fraction(1)):
         super().__init__(profiles, layout, cfg, seed)
         rng = np.random.default_rng(np.random.SeedSequence((seed, TAG_INIT)))
-        self.model = init_plain(layout, Fraction(1), rng)
-        self.keys = {p.id: nested_keys(layout, p.width) for p in profiles}
+        self.model = init_plain(layout, width, rng)
+        self.widths = {p.id: min(p.width, width) for p in profiles}
+        self.keys = {i: nested_keys(layout, w) for i, w in self.widths.items()}
 
     def client_view(self, i) -> PlainModel:
         sliced = [np.ascontiguousarray(a[k])
                   for a, k in zip(self.model.arrays(), self.keys[i])]
-        return PlainModel.from_arrays(sliced, self.profiles[i].width)
+        return PlainModel.from_arrays(sliced, self.widths[i])
 
     def aggregate(self, models):
         new_arrays = []
@@ -108,6 +88,15 @@ class PWidthNested(DenseMethod):
             merged[covered] = acc[covered] / count[covered]
             new_arrays.append(merged)
         self.model = PlainModel.from_arrays(new_arrays, self.model.width)
+
+
+class FedAvgMinWidth(PWidthNested):
+    """One shared dense model sized for the lowest-capacity client, so
+    every client's nested slice is the whole model and aggregation is the
+    position-wise mean; no personalization."""
+
+    def __init__(self, profiles, layout, cfg, seed):
+        super().__init__(profiles, layout, cfg, seed, min(p.width for p in profiles))
 
 
 class LocalOnly(DenseMethod):

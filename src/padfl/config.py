@@ -5,6 +5,7 @@ fail before any training starts.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -74,7 +75,7 @@ class RunConfig:
     hn_depth: int = 3
 
     def finalize(self):
-        if self.hn_lr < 0:
+        if self.hn_lr == -1:
             self.hn_lr = self.lr
         validate(self)
         return self
@@ -141,6 +142,10 @@ def load_config(path, overrides=()) -> RunConfig:
 
 
 def validate(cfg: RunConfig):
+    for f in fields(RunConfig):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigurationError(f"{f.name} must be finite, got {value}")
     if cfg.method not in METHODS:
         raise ConfigurationError(f"method must be one of {METHODS}, got {cfg.method!r}")
     if cfg.dataset not in ("synth", "idx"):
@@ -151,6 +156,8 @@ def validate(cfg: RunConfig):
         raise ConfigurationError(f"partition must be dirichlet or k_of_K, got {cfg.partition!r}")
     if cfg.capacity not in ("hetero", "ideal"):
         raise ConfigurationError(f"capacity must be hetero or ideal, got {cfg.capacity!r}")
+    if cfg.seed < 0:
+        raise ConfigurationError("seed must be >= 0")
     if cfg.clients < 1:
         raise ConfigurationError("clients must be >= 1")
     if not 1 <= cfg.per_round <= cfg.clients:
@@ -161,8 +168,10 @@ def validate(cfg: RunConfig):
         raise ConfigurationError("batch and epochs must be >= 1")
     if not 0 < cfg.lr or not 0 < cfg.lr_decay <= 1:
         raise ConfigurationError("lr must be > 0 and lr_decay in (0, 1]")
-    if cfg.reg_lambda < 0 or cfg.hn_lr <= 0:
-        raise ConfigurationError("reg_lambda must be >= 0 and hn_lr > 0")
+    if cfg.reg_lambda < 0:
+        raise ConfigurationError("reg_lambda must be >= 0")
+    if cfg.hn_lr <= 0:
+        raise ConfigurationError(f"hn_lr must be > 0, or -1 to use lr; got {cfg.hn_lr}")
     if not 0 < cfg.min_width <= 1:
         raise ConfigurationError("min_width must be in (0, 1]")
     if cfg.patience_frac < 0:

@@ -7,6 +7,10 @@ p. Output channel c(i,j) = j*R1 + i is the product of general block u_i
 and personal block v_j, so pruning trailing v blocks removes exactly the
 trailing output channels while the general factor is untouched.
 
+`LayerSpec` is the one record of a layer: its shape, its factor sizes,
+its output map and `kept(p)`, the channels a width-p client keeps. The
+init, recovery and accounting functions take the record alone.
+
 The FLANC ablation recovers the same factors with personal blocks that
 span input slabs instead of output channels. The recovery kind is
 `model.Layout.recovery`; in this module `factor_grid` and `PERMUTATION`
@@ -28,12 +32,20 @@ from .errors import ConfigurationError, DimensionError
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """Geometry of one decomposable layer (linear layers have kernel 1)."""
+    """Everything about one decomposable layer, made only by
+    `model.build_layout`: its kind, channels and kernel (1 if linear);
+    the factor sizes, base_count general blocks of inner rank `rank`; the
+    output map before pooling ((1, 1) if linear); and whether it reads the
+    raw input, which no width prunes."""
 
     kind: str  # "conv" | "linear"
     out_channels: int
     in_channels: int
-    kernel: int = 1
+    kernel: int
+    base_count: int
+    rank: int
+    out_hw: tuple = (1, 1)
+    raw_input: bool = False
 
     def __post_init__(self):
         if self.kind not in ("conv", "linear"):
@@ -42,40 +54,14 @@ class LayerSpec:
             raise ConfigurationError("layer dimensions must be positive")
         if self.kind == "linear" and self.kernel != 1:
             raise ConfigurationError("linear layers must have kernel 1")
-
-
-@dataclass(frozen=True)
-class Coefficients:
-    """Factorization sizes: base_count general blocks of inner rank `rank`."""
-
-    base_count: int  # number of general blocks; out_channels * min_width
-    rank: int        # inner dimension of the factorization
-
-    def __post_init__(self):
         if self.base_count <= 0 or self.rank <= 0:
             raise ConfigurationError("coefficients must be positive")
 
-
-def select_coefficients(spec: LayerSpec, min_width) -> Coefficients:
-    """Pick factor sizes for a layer given the smallest supported width.
-
-    base_count = T * min_width so every width on the grid keeps a whole
-    number of personal blocks; rank = max(min(S, T), k^2) for conv keeps
-    the general blocks expressive without inflating the linear case,
-    where rank = base_count.
-    """
-    mw = Fraction(min_width)
-    r1 = Fraction(spec.out_channels) * mw
-    if r1.denominator != 1 or r1 <= 0:
-        raise ConfigurationError(
-            f"out_channels {spec.out_channels} * min_width {mw} is not a positive integer"
-        )
-    r1 = int(r1)
-    if spec.kind == "conv":
-        r2 = max(min(spec.in_channels, spec.out_channels), spec.kernel ** 2)
-    else:
-        r2 = r1
-    return Coefficients(base_count=r1, rank=r2)
+    def kept(self, p):
+        """(out_kept, in_kept): the leading channels a width-p client keeps."""
+        p = Fraction(p)
+        in_kept = self.in_channels if self.raw_input else int(self.in_channels * p)
+        return int(self.out_channels * p), in_kept
 
 
 def supported_widths(min_width) -> tuple[Fraction, ...]:
@@ -90,19 +76,19 @@ def supported_widths(min_width) -> tuple[Fraction, ...]:
     return widths
 
 
-def init_layer(spec: LayerSpec, coef: Coefficients, rng):
+def init_layer(spec: LayerSpec, rng):
     """Full-width (general, personal, bias) whose recovered weight matches
     a fan-in-scaled uniform init: general entries uniform in
     +-1/sqrt(S*k^2), personal blocks orthogonalized and column-normalized
     to unit gain."""
     k2 = spec.kernel ** 2
     bound = 1.0 / np.sqrt(spec.in_channels * k2)
-    general = rng.uniform(-bound, bound, size=(k2 * coef.base_count, coef.rank))
-    blocks = spec.out_channels // coef.base_count
+    general = rng.uniform(-bound, bound, size=(k2 * spec.base_count, spec.rank))
+    blocks = spec.out_channels // spec.base_count
     vs = []
     for _ in range(blocks):
-        g = rng.standard_normal((coef.rank, spec.in_channels))
-        if spec.in_channels >= coef.rank:
+        g = rng.standard_normal((spec.rank, spec.in_channels))
+        if spec.in_channels >= spec.rank:
             q, _ = np.linalg.qr(g.T)
             v = q.T
         else:
@@ -138,11 +124,11 @@ def factor_grid(kind, base_count, out_kept, in_kept):
     return out_kept, in_kept // base_count
 
 
-def recover_padfl_t(general, personal, spec, coef, out_kept=None, in_kept=None, kind="padfl"):
+def recover_padfl_t(general, personal, spec, out_kept=None, in_kept=None, kind="padfl"):
     """Graph-op recovery of an (out_kept, in_kept, k, k) weight tensor node
     from its factors, in `kind`'s layout (see `factor_grid`)."""
     k = spec.kernel
-    r1, r2 = coef.base_count, coef.rank
+    r1, r2 = spec.base_count, spec.rank
     out_kept = spec.out_channels if out_kept is None else out_kept
     in_kept = spec.in_channels if in_kept is None else in_kept
     a, b = factor_grid(kind, r1, out_kept, in_kept)
@@ -155,23 +141,20 @@ def recover_padfl_t(general, personal, spec, coef, out_kept=None, in_kept=None, 
     return ad.reshape(prod, (out_kept, in_kept, k, k))
 
 
-def recover_padfl(general, personal, spec, coef, out_kept=None, in_kept=None) -> np.ndarray:
-    return recover_padfl_t(ad.const(general), ad.const(personal), spec, coef,
-                           out_kept, in_kept).data
+def recover_padfl(general, personal, spec, out_kept=None, in_kept=None) -> np.ndarray:
+    return recover_padfl_t(ad.const(general), ad.const(personal), spec, out_kept, in_kept).data
 
 
-def recover_stacked(general, personal, layout, l, p):
-    """(M, out_kept, in_kept, k, k) width-p weights of layer l of a
-    `model.Layout` from M stacked factor pairs, for evaluation: general
-    (M, k^2*base_count, rank), personal (M, rank, .).
+def recover_stacked(general, personal, spec, out_kept, in_kept, kind="padfl"):
+    """(M, out_kept, in_kept, k, k) weights of one layer from M stacked
+    factor pairs, for evaluation: general (M, k^2*base_count, rank),
+    personal (M, rank, .).
 
     The products are summed rank by rank, as `ordered_matmul` does, so each
     slice is bit-identical to the graph recovery of that pair.
     """
     m, rows, rank = general.shape
-    k, r1 = layout.specs[l].kernel, layout.coefs[l].base_count
-    out_kept, in_kept = layout.kept_outputs(l, p), layout.kept_inputs(l, p)
-    kind = layout.recovery
+    k, r1 = spec.kernel, spec.base_count
     a, b = factor_grid(kind, r1, out_kept, in_kept)
     prod = np.zeros((m, rows, personal.shape[2]))
     for r in range(rank):
@@ -184,24 +167,22 @@ def recover_stacked(general, personal, layout, l, p):
 # ---------------------------------------------------------------------------
 # analytic accounting
 
-def param_count(spec: LayerSpec, coef: Coefficients, out_kept, in_kept) -> int:
+def param_count(spec: LayerSpec, out_kept, in_kept) -> int:
     """Exact stored-float count of a layer pruned to out_kept x in_kept: the
     full general factor, the pruned personal factor and channel bias."""
-    n = spec.kernel ** 2 * coef.base_count * coef.rank
-    return n + coef.rank * (out_kept // coef.base_count) * in_kept + out_kept
+    n = spec.kernel ** 2 * spec.base_count * spec.rank
+    return n + spec.rank * (out_kept // spec.base_count) * in_kept + out_kept
 
 
-def flops_account(spec: LayerSpec, coef: Coefficients, batch, hw, out_kept, in_kept):
+def flops_account(spec: LayerSpec, batch, out_kept, in_kept):
     """(forward multiply-adds, recovery-overhead ratio) of a layer pruned
-    to out_kept x in_kept.
+    to out_kept x in_kept, on its output map (h, w) = spec.out_hw.
 
-    hw = (h, w) is the size of the layer's output feature map before
-    pooling ((1, 1) for linear). Recovery costs rank*k^2*(pS)*(pT)
-    multiply-adds against a batch forward of B*h*w*k^2*(pS)*(pT): the
-    ratio is rank/(B*h*w).
+    Recovery costs rank*k^2*(pS)*(pT) multiply-adds against a batch
+    forward of B*h*w*k^2*(pS)*(pT): the ratio is rank/(B*h*w).
     """
-    h, w = hw
+    h, w = spec.out_hw
     if batch < 1 or h < 1 or w < 1:
         raise ConfigurationError("batch and feature size must be >= 1")
     forward = batch * h * w * spec.kernel ** 2 * in_kept * out_kept
-    return forward, Fraction(coef.rank, batch * h * w)
+    return forward, Fraction(spec.rank, batch * h * w)

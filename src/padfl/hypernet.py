@@ -70,17 +70,17 @@ def kept_index(layout: Layout, l, p):
         weight = np.arange(n_w).reshape(layout.classes, -1)[:, :layout.head_in(p)]
         bias = n_w + np.arange(layout.classes)
     else:
-        spec, coef = layout.specs[l], layout.coefs[l]
-        t_kept, kind, r1 = layout.kept_outputs(l, p), layout.recovery, coef.base_count
+        spec, kind = layout.specs[l], layout.recovery
+        t_kept, s_kept = spec.kept(p)
         try:
-            keep = decomp.factor_grid(kind, r1, t_kept, layout.kept_inputs(l, p))
-            full = decomp.factor_grid(kind, r1, spec.out_channels, spec.in_channels)
+            keep = decomp.factor_grid(kind, spec.base_count, t_kept, s_kept)
+            full = decomp.factor_grid(kind, spec.base_count, spec.out_channels, spec.in_channels)
         except ConfigurationError as exc:
             raise ConfigurationError(f"layer {l} ({spec.kind}, {spec.in_channels} input "
                                      f"channels) at width {p}: {exc}") from None
-        n_v = coef.rank * full[0] * full[1]
-        weight = np.arange(n_v).reshape(coef.rank, *full)[:, :keep[0], :keep[1]]
-        weight = weight.reshape(coef.rank, -1)
+        n_v = spec.rank * full[0] * full[1]
+        weight = np.arange(n_v).reshape(spec.rank, *full)[:, :keep[0], :keep[1]]
+        weight = weight.reshape(spec.rank, -1)
         bias = n_v + np.arange(t_kept)
     weight = np.ascontiguousarray(weight)
     weight.flags.writeable = bias.flags.writeable = False
@@ -102,10 +102,9 @@ def init_hypernet(layout: Layout, num_clients, embed_dim, hidden_dim, depth, rng
                                  rng.uniform(-b, b, size=hidden_dim)))
         prev = hidden_dim
     decoders = []
-    for l in range(len(layout.specs) + 1):
-        if l < len(layout.specs):
-            spec = layout.specs[l]
-            _, personal, _ = decomp.init_layer(spec, layout.coefs[l], rng)
+    for spec in (*layout.specs, None):
+        if spec is not None:
+            _, personal, _ = decomp.init_layer(spec, rng)
             bias = np.concatenate([personal.ravel(), np.zeros(spec.out_channels)])
         else:  # the head: a fan-in init of its weight, zero biases
             hb = 1.0 / np.sqrt(layout.head_in_full)

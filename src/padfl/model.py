@@ -47,15 +47,14 @@ class CnnArch:
 
 @dataclass(frozen=True)
 class Layout:
-    """Layer geometry, computed only here: both model families, the
-    hyper-network and accounting read it. `recovery` is the decomposed
-    model's factor layout, "padfl" (channel-aware) or "flanc" (input
-    slabs); only `decomp` branches on it."""
+    """Layer geometry, computed only by `build_layout`: one
+    `decomp.LayerSpec` per decomposed layer, which both model families,
+    the hyper-network and accounting read, and the head's input size.
+    `recovery` is the decomposed model's factor layout, "padfl"
+    (channel-aware) or "flanc" (input slabs); only `decomp` branches on it."""
 
     arch: CnnArch
     specs: tuple          # decomposed LayerSpec per layer (convs then hidden)
-    coefs: tuple          # Coefficients per layer
-    out_hw: tuple         # (h, w) of each layer's output before pooling; (1, 1) if linear
     head_in_full: int     # dense feature count entering the head at width 1
     recovery: str = "padfl"
 
@@ -67,42 +66,40 @@ class Layout:
         """Head input features at width p (leading channels kept)."""
         return int(Fraction(self.head_in_full) * Fraction(p))
 
-    def kept_inputs(self, layer_idx, p) -> int:
-        """Input columns layer `layer_idx` keeps at width p: the raw input
-        is never pruned, later layers keep what the previous layer emits."""
-        if layer_idx == 0:
-            return self.specs[0].in_channels
-        return int(Fraction(self.specs[layer_idx].in_channels) * Fraction(p))
-
-    def kept_outputs(self, layer_idx, p) -> int:
-        return int(Fraction(self.specs[layer_idx].out_channels) * Fraction(p))
-
     def client_param_count(self, p) -> int:
         """Floats a width-p client holds of the decomposed model: the full
         general factors, its personal factors and biases, the head slice."""
-        n = sum(decomp.param_count(spec, coef, self.kept_outputs(i, p), self.kept_inputs(i, p))
-                for i, (spec, coef) in enumerate(zip(self.specs, self.coefs)))
+        n = sum(decomp.param_count(spec, *spec.kept(p)) for spec in self.specs)
         return n + self.classes * self.head_in(p) + self.classes
 
 
 def build_layout(arch: CnnArch, min_width, recovery="padfl") -> Layout:
-    specs, out_hw = [], []
-    h, w = arch.height, arch.width
-    prev_c = arch.in_channels
+    """The one place layer records are made. base_count = T * min_width,
+    so every width on the grid keeps a whole number of personal blocks;
+    rank = max(min(S, T), k^2) for conv keeps the general blocks
+    expressive without inflating the linear case, where rank = base_count.
+    Only the first layer reads the raw input."""
+    mw, specs = Fraction(min_width), []
+
+    def add(kind, t, s, k=1, hw=(1, 1)):
+        r1 = Fraction(t) * mw
+        if r1.denominator != 1:  # T <= 0 is left to LayerSpec's dimension check
+            raise ConfigurationError(
+                f"out_channels {t} * min_width {mw} is not a positive integer")
+        rank = max(min(s, t), k ** 2) if kind == "conv" else int(r1)
+        specs.append(decomp.LayerSpec(kind, t, s, k, int(r1), rank, hw, raw_input=not specs))
+
+    h, w, prev_c = arch.height, arch.width, arch.in_channels
     for ch in arch.convs:
-        specs.append(decomp.LayerSpec("conv", ch, prev_c, arch.kernel))
-        out_hw.append((h, w))
+        add("conv", ch, prev_c, arch.kernel, (h, w))
         if h % 2 or w % 2:
             raise ConfigurationError(f"pooling needs even feature maps, got {h}x{w}")
-        h, w = h // 2, w // 2
-        prev_c = ch
+        h, w, prev_c = h // 2, w // 2, ch
     feat = prev_c * h * w
     for width in arch.hidden:
-        specs.append(decomp.LayerSpec("linear", width, feat))
-        out_hw.append((1, 1))
+        add("linear", width, feat)
         feat = width
-    coefs = tuple(decomp.select_coefficients(s, min_width) for s in specs)
-    return Layout(arch, tuple(specs), coefs, tuple(out_hw), feat, recovery)
+    return Layout(arch, tuple(specs), feat, recovery)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +163,7 @@ def combine(model_a: ClientModel, model_b: ClientModel, alphas) -> ClientModel:
 
 def init_decomposed(layout: Layout, rng) -> ClientModel:
     """Fresh full-width model: factors and biases per layer, the dense head."""
-    layers = [decomp.init_layer(spec, coef, rng) for spec, coef in zip(layout.specs, layout.coefs)]
+    layers = [decomp.init_layer(spec, rng) for spec in layout.specs]
     general, personal, biases = ([layer[j] for layer in layers] for j in range(3))
     bound = 1.0 / np.sqrt(layout.head_in_full)
     head_w = rng.uniform(-bound, bound, size=(layout.classes, layout.head_in_full))
@@ -203,8 +200,8 @@ def init_plain(layout: Layout, p, rng) -> PlainModel:
     """Fresh dense width-p model, every array uniform in +-1/sqrt(fan-in)."""
     p = Fraction(p)
     weights, biases = [], []
-    for idx, spec in enumerate(layout.specs):
-        t, s = layout.kept_outputs(idx, p), layout.kept_inputs(idx, p)
+    for spec in layout.specs:
+        t, s = spec.kept(p)
         bound = 1.0 / np.sqrt(s * spec.kernel ** 2)
         shape = (t, s, spec.kernel, spec.kernel) if spec.kind == "conv" else (t, s)
         weights.append(rng.uniform(-bound, bound, size=shape))
@@ -241,11 +238,10 @@ def head_logits_t(x_node, head_w, head_b):
 def representation_t(layout, model: ClientModel, x_node):
     """Graph forward of a decomposed model of nodes up to the head: recover
     every weight at the model's width from its factors, then `features_t`."""
-    p, weights = model.width, []
-    for idx, (spec, coef) in enumerate(zip(layout.specs, layout.coefs)):
-        out_kept, in_kept = layout.kept_outputs(idx, p), layout.kept_inputs(idx, p)
-        w = decomp.recover_padfl_t(model.general[idx], model.factors[idx], spec, coef,
-                                   out_kept, in_kept, layout.recovery)
+    weights = []
+    for spec, general, factor in zip(layout.specs, model.general, model.factors):
+        out_kept, in_kept = spec.kept(model.width)
+        w = decomp.recover_padfl_t(general, factor, spec, out_kept, in_kept, layout.recovery)
         weights.append(w if spec.kind == "conv" else ad.reshape(w, (out_kept, in_kept)))
     return features_t(layout.arch, weights, model.biases, x_node)
 
@@ -286,12 +282,11 @@ def plain_accuracy(arch, model: PlainModel, x, y) -> float:
 def stacked_logits(layout, model: ClientModel, x):
     """(M, B, classes) logits of a stacked decomposed model (see `combine`):
     every layer recovers all M weights at once, then `stacked_forward`."""
-    p = model.width
     weights = []
-    for idx, spec in enumerate(layout.specs):
-        w = decomp.recover_stacked(model.general[idx], model.factors[idx], layout, idx, p)
+    for spec, general, factor in zip(layout.specs, model.general, model.factors):
+        w = decomp.recover_stacked(general, factor, spec, *spec.kept(model.width), layout.recovery)
         weights.append(w if spec.kind == "conv" else w.reshape(w.shape[:3]))
-    dense = PlainModel(weights, model.biases, model.head_w, model.head_b, p)
+    dense = PlainModel(weights, model.biases, model.head_w, model.head_b, model.width)
     return stacked_forward(layout.arch, dense, x)
 
 

@@ -394,7 +394,7 @@ class DecomposedFL(FederatedMethod):
     def __init__(self, profiles, layout, cfg, seed, hn_aggregation=True):
         super().__init__(profiles, layout, cfg, seed)
         self.hn_aggregation = hn_aggregation
-        if layout.recovery == "flanc" and all(c.base_count == 1 for c in layout.coefs):
+        if layout.recovery == "flanc" and all(s.base_count == 1 for s in layout.specs):
             raise ConfigurationError(
                 "FLANC recovery with every base_count 1 equals the channel-aware recovery, "
                 "so the run would repeat Pa3dFL")

@@ -177,9 +177,8 @@ def account(cfg: RunConfig):
         p = width_for_capacity(r, grid)
         forward = cfg.batch * layout.head_in(p) * layout.classes
         recovery = 0
-        for idx, (spec, coef) in enumerate(zip(layout.specs, layout.coefs)):
-            out_kept, in_kept = layout.kept_outputs(idx, p), layout.kept_inputs(idx, p)
-            f, ratio = flops_account(spec, coef, cfg.batch, layout.out_hw[idx], out_kept, in_kept)
+        for spec in layout.specs:
+            f, ratio = flops_account(spec, cfg.batch, *spec.kept(p))
             forward += f
             recovery += ratio * f  # exact: the recovery's multiply-adds
         rows.append({

@@ -27,7 +27,7 @@ class TestFedAvgMinWidth:
     def test_ideal_capacities_full_width(self):
         cfg, layout, profiles = small_setup(seed=5, capacity="ideal")
         method = baselines.FedAvgMinWidth(profiles, layout, cfg, seed=5)
-        assert method.width == 1
+        assert method.model.width == 1
 
     def test_single_client_is_local_sgd(self):
         cfg, layout, profiles = small_setup(seed=6, clients=4)
@@ -256,14 +256,14 @@ class TestGeometry:
         # map: the graph forward's shapes are the ones Layout computes
         arch = CnnArch(1, 12, 16, convs=(4, 8), kernel=kernel, hidden=(32,), classes=3)
         layout = build_layout(arch, Fraction(1, 4))
-        assert layout.out_hw == ((12, 16), (6, 8), (1, 1))
+        assert tuple(s.out_hw for s in layout.specs) == ((12, 16), (6, 8), (1, 1))
         rng = np.random.default_rng(20)
         model = init_plain(layout, 1, rng)
         x = ad.const(rng.normal(size=(2, 1, 12, 16)))
         h = ad.transpose(x, (1, 0, 2, 3))  # convs run channel-first
         for i, (w, b) in enumerate(zip(model.weights[:2], model.biases)):
             h = ad.conv2d(h, ad.const(w), pad=kernel // 2, bias=ad.const(b))
-            assert h.shape[2:] == layout.out_hw[i]
+            assert h.shape[2:] == layout.specs[i].out_hw
             h = ad.relu(ad.maxpool2x2(h))
         feats = features_t(arch, [ad.const(w) for w in model.weights],
                            [ad.const(b) for b in model.biases], x)

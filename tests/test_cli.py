@@ -63,9 +63,13 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="line 2"):
             parse_config("lr = 0.1\nrounds = many\n")
 
-    def test_out_of_range_rejected(self):
-        cfg = parse_config("per_round = 30\nclients = 10\n")
-        with pytest.raises(ConfigurationError):
+    @pytest.mark.parametrize("text", [
+        "per_round = 30\nclients = 10", "patience_frac = inf", "dirichlet_alpha = inf",
+        "hn_lr = inf", "hn_lr = -0.5", "lr = inf", "seed = -1",
+    ], ids=lambda text: text.replace(" ", "").replace("\n", ","))
+    def test_out_of_range_rejected(self, text):
+        cfg = parse_config(text)
+        with pytest.raises(ConfigurationError, match=rf"\b{text.split()[0]} must"):
             cfg.finalize()
 
     def test_comments_and_blank_lines(self):
@@ -308,8 +312,7 @@ class TestAccount:
         dataset = runner.build_dataset(cfg)
         arch = runner.build_arch(cfg, dataset)
         layout = build_layout(arch, cfg.min_width)
-        expect = sum(param_count(s, c, s.out_channels, s.in_channels)
-                     for s, c in zip(layout.specs, layout.coefs))
+        expect = sum(param_count(s, s.out_channels, s.in_channels) for s in layout.specs)
         expect += layout.classes * layout.head_in_full + layout.classes
         assert full["param_count"] == expect
 
@@ -345,9 +348,7 @@ class TestAccount:
         grid = supported_widths(cfg.min_width)
         for row in rows:
             p = protocol.width_for_capacity(float(Fraction(row["capacity_r"])), grid)
-            expect = sum(
-                param_count(s, c, layout.kept_outputs(i, p), layout.kept_inputs(i, p))
-                for i, (s, c) in enumerate(zip(layout.specs, layout.coefs)))
+            expect = sum(param_count(s, *s.kept(p)) for s in layout.specs)
             expect += layout.classes * layout.head_in(p) + layout.classes
             assert row["param_count"] == expect
 
@@ -366,10 +367,14 @@ class TestCliEntry:
         out = capsys.readouterr().out
         assert "1/256" in out
 
-    def test_config_error_exit_2(self, tmp_path):
+    def test_config_error_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.cfg"
         cfg_path.write_text("not_a_key = 1\n")
         assert cli_main(["run", str(cfg_path)]) == 2
+        cfg_path.write_text(SMALL)
+        assert cli_main(["run", str(cfg_path), "--set", f"out_dir={tmp_path / 'r'}",
+                         "--set", "patience_frac=inf"]) == 2
+        assert "patience_frac" in capsys.readouterr().err
 
     def test_library_error_exit_2(self, tmp_path):
         # FLANC slabs need conv1's single input channel divisible by 2

@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 from padfl import autodiff as ad
 from padfl import decomp
 from padfl.decomp import (
-    Coefficients,
     LayerSpec,
     factor_grid,
     flops_account,
     init_layer,
     param_count,
     recover_padfl,
-    select_coefficients,
     supported_widths,
 )
 from padfl.errors import ConfigurationError
@@ -23,6 +21,7 @@ from padfl.hypernet import kept_index
 from padfl.model import CnnArch, Layout
 
 from util import (
+    built_spec,
     conv2d_loops,
     prune_personal,
     recover_flanc,
@@ -32,33 +31,33 @@ from util import (
 )
 
 
-def random_layer(spec, coef, seed):
+def random_layer(spec, seed):
     """Full-width (general, personal, bias) with normal entries."""
     rng = np.random.default_rng(seed)
     k2 = spec.kernel ** 2
-    general = rng.normal(size=(k2 * coef.base_count, coef.rank))
-    blocks = spec.out_channels // coef.base_count
-    personal = rng.normal(size=(coef.rank, blocks * spec.in_channels))
+    general = rng.normal(size=(k2 * spec.base_count, spec.rank))
+    blocks = spec.out_channels // spec.base_count
+    personal = rng.normal(size=(spec.rank, blocks * spec.in_channels))
     bias = rng.normal(size=spec.out_channels)
     return general, personal, bias
 
 
 class TestSelectCoefficients:
     def test_conv_64_64_5(self):
-        c = select_coefficients(LayerSpec("conv", 64, 64, 5), Fraction(1, 16))
+        c = built_spec("conv", 64, 64, 5, Fraction(1, 16))
         assert (c.base_count, c.rank) == (4, 64)
 
     def test_linear_384_1600(self):
-        c = select_coefficients(LayerSpec("linear", 384, 1600), Fraction(1, 16))
+        c = built_spec("linear", 384, 1600, min_width=Fraction(1, 16))
         assert (c.base_count, c.rank) == (24, 24)
 
     def test_small_conv_kernel_dominates(self):
-        c = select_coefficients(LayerSpec("conv", 8, 8, 3), Fraction(1))
+        c = built_spec("conv", 8, 8, 3, Fraction(1))
         assert (c.base_count, c.rank) == (8, 9)
 
     def test_non_integral_product_rejected(self):
         with pytest.raises(ConfigurationError):
-            select_coefficients(LayerSpec("conv", 10, 10, 3), Fraction(1, 16))
+            built_spec("conv", 10, 10, 3, Fraction(1, 16))
 
     def test_width_grid(self):
         ws = supported_widths(Fraction(1, 4))
@@ -68,22 +67,20 @@ class TestSelectCoefficients:
 class TestRecoverPadfl:
     def test_degenerate_single_block_column(self):
         # base_count == T: one personal block, recovery is a plain reshape
-        spec = LayerSpec("conv", 4, 3, 2)
-        coef = Coefficients(base_count=4, rank=5)
-        general, personal, _ = random_layer(spec, coef, 0)
-        w = recover_padfl(general, personal, spec, coef)
+        spec = LayerSpec("conv", 4, 3, 2, base_count=4, rank=5)
+        general, personal, _ = random_layer(spec, 0)
+        w = recover_padfl(general, personal, spec)
         prod = general @ personal  # (k^2*4, 3)
         expect = prod.reshape(4, 4, 3).transpose(0, 2, 1).reshape(4, 3, 2, 2)
         assert np.allclose(w, expect, atol=1e-12)
 
     def test_hand_blocks_t4_s2_k1(self):
-        spec = LayerSpec("linear", 4, 2)
-        coef = Coefficients(base_count=2, rank=2)
+        spec = LayerSpec("linear", 4, 2, 1, base_count=2, rank=2)
         u1 = np.array([[1.0, 2.0]])
         u2 = np.array([[3.0, -1.0]])
         v1 = np.array([[1.0, 0.0], [0.0, 1.0]])
         v2 = np.array([[2.0, 1.0], [1.0, -1.0]])
-        w = recover_padfl(np.vstack([u1, u2]), np.hstack([v1, v2]), spec, coef)[:, :, 0, 0]
+        w = recover_padfl(np.vstack([u1, u2]), np.hstack([v1, v2]), spec)[:, :, 0, 0]
         # channel c(i,j) = (j-1)*2 + i, 1-indexed
         assert np.allclose(w[0], u1 @ v1)
         assert np.allclose(w[1], u2 @ v1)
@@ -92,12 +89,11 @@ class TestRecoverPadfl:
 
     def test_forward_equals_factored_path(self):
         # conv with the recovered weight vs im2col x personal-path x general-path
-        spec = LayerSpec("conv", 8, 3, 3)
-        coef = select_coefficients(spec, Fraction(1, 4))
-        general, personal, _ = random_layer(spec, coef, 1)
+        spec = built_spec("conv", 8, 3, 3, Fraction(1, 4))
+        general, personal, _ = random_layer(spec, 1)
         rng = np.random.default_rng(2)
         x = rng.normal(size=(2, 3, 6, 6))
-        w = recover_padfl(general, personal, spec, coef)
+        w = recover_padfl(general, personal, spec)
         direct = ad.conv2d_infer(x.transpose(1, 0, 2, 3)[None], w[None], pad=1)[0]
 
         cols, ho, wo = ad._im2col(x.transpose(1, 0, 2, 3), spec.kernel, 1)
@@ -105,29 +101,28 @@ class TestRecoverPadfl:
         k2 = spec.kernel ** 2
         # cols rows are (s, ky, kx); regroup and contract with v then u
         cols3 = cols.reshape(spec.in_channels, k2, n).transpose(2, 0, 1)
-        blocks = spec.out_channels // coef.base_count
-        v3 = personal.reshape(coef.rank, blocks, spec.in_channels)
+        blocks = spec.out_channels // spec.base_count
+        v3 = personal.reshape(spec.rank, blocks, spec.in_channels)
         mid = np.einsum("nsk,rjs->njkr", cols3, v3)
-        u3 = general.reshape(coef.base_count, k2, coef.rank)
+        u3 = general.reshape(spec.base_count, k2, spec.rank)
         out = np.einsum("njkr,ikr->nji", mid, u3)  # (n, j, i)
-        factored = out.reshape(n, blocks * coef.base_count)
+        factored = out.reshape(n, blocks * spec.base_count)
         factored = factored.reshape(2, ho, wo, -1).transpose(3, 0, 1, 2)  # channel-first
         assert np.abs(direct - factored).max() <= 1e-9
 
     def test_conv_with_recovered_weight_matches_loop_oracle(self):
-        spec = LayerSpec("conv", 6, 2, 3)
-        coef = select_coefficients(spec, Fraction(1, 2))
-        general, personal, _ = random_layer(spec, coef, 3)
+        spec = built_spec("conv", 6, 2, 3, Fraction(1, 2))
+        general, personal, _ = random_layer(spec, 3)
         rng = np.random.default_rng(4)
         x = rng.normal(size=(1, 2, 5, 5))
-        w = recover_padfl(general, personal, spec, coef)
+        w = recover_padfl(general, personal, spec)
         got = ad.conv2d_infer(x.transpose(1, 0, 2, 3)[None], w[None])[0]
         assert np.abs(got.transpose(1, 0, 2, 3) - conv2d_loops(x, w)).max() <= 1e-9
 
 
 class TestRecoverFlanc:
     def test_degenerate_base_count_one(self):
-        spec = LayerSpec("conv", 3, 2, 2)
+        spec = LayerSpec("conv", 3, 2, 2, base_count=1, rank=5)
         rng = np.random.default_rng(5)
         u = rng.normal(size=(4, 5))  # k^2 * 1 rows -> base_count 1
         v = rng.normal(size=(5, 2 * 3))
@@ -138,7 +133,7 @@ class TestRecoverFlanc:
             assert np.allclose(w[i], slab.T.reshape(2, 2, 2))
 
     def test_hand_t2_s2_k1(self):
-        spec = LayerSpec("linear", 2, 2)
+        spec = LayerSpec("linear", 2, 2, 1, base_count=2, rank=2)
         u = np.array([[1.0, 0.0], [2.0, 1.0]])  # rows (r, kappa=()) of 2 blocks
         v = np.array([[1.0, 3.0], [0.0, 1.0]])
         w = recover_flanc(u, v, spec)[:, :, 0, 0]
@@ -149,45 +144,42 @@ class TestRecoverFlanc:
 
     def test_recovered_count_and_shape_match_padfl(self):
         # same-shaped factors give same-shaped weights when S == T
-        spec = LayerSpec("conv", 8, 8, 3)
-        coef = select_coefficients(spec, Fraction(1, 4))
-        general, personal, _ = random_layer(spec, coef, 6)
-        wp = recover_padfl(general, personal, spec, coef)
+        spec = built_spec("conv", 8, 8, 3, Fraction(1, 4))
+        general, personal, _ = random_layer(spec, 6)
+        wp = recover_padfl(general, personal, spec)
         wf = recover_flanc(general, personal, spec)
         assert wp.shape == wf.shape == (8, 8, 3, 3)
         assert wf.size == spec.out_channels * spec.in_channels * spec.kernel ** 2
 
     def test_indivisible_input_rejected(self):
-        spec = LayerSpec("conv", 4, 3, 1)
+        spec = LayerSpec("conv", 4, 3, 1, base_count=2, rank=2)
         u = np.ones((2, 2))
         v = np.ones((2, 6))
         with pytest.raises(ConfigurationError):
             recover_flanc(u, v, spec)
 
 
-def second_layer_layout(spec, coef, kind):
-    """A layout whose layer 1 is (spec, coef), so its inputs are pruned
-    with the width; layer 0 and the head are placeholders."""
-    return Layout(CnnArch(1, 1, 1, classes=2), (LayerSpec("linear", spec.in_channels, 1), spec),
-                  (Coefficients(1, 1), coef), ((1, 1), (1, 1)), 1, kind)
+def second_layer_layout(spec, kind):
+    """A layout whose layer 1 is `spec`; layer 0 and the head are
+    placeholders."""
+    first = LayerSpec("linear", spec.in_channels, 1, 1, base_count=1, rank=1, raw_input=True)
+    return Layout(CnnArch(1, 1, 1, classes=2), (first, spec), 1, kind)
 
 
 class TestRecoverStacked:
     @pytest.mark.parametrize("kind", ["padfl", "flanc"])
     def test_slices_bitwise_equal_graph_recovery(self, kind):
-        spec = LayerSpec("conv", 8, 4, 3)
-        coef = Coefficients(base_count=2, rank=6)
+        spec = LayerSpec("conv", 8, 4, 3, base_count=2, rank=6)
         rng = np.random.default_rng(12)
         out_kept, in_kept = 4, 2  # a pruned width, 1/2
         cols = out_kept // 2 * in_kept if kind == "padfl" else out_kept * (in_kept // 2)
         u = rng.normal(size=(3, 9 * 2, 6))
         v = rng.normal(size=(3, 6, cols))
-        got = decomp.recover_stacked(u, v, second_layer_layout(spec, coef, kind), 1,
-                                     Fraction(1, 2))
+        got = decomp.recover_stacked(u, v, spec, *spec.kept(Fraction(1, 2)), kind)
         assert got.shape == (3, out_kept, in_kept, 3, 3) and got.flags.c_contiguous
         for j in range(3):
             if kind == "padfl":
-                ref = recover_padfl(u[j], v[j], spec, coef, out_kept, in_kept)
+                ref = recover_padfl(u[j], v[j], spec, out_kept, in_kept)
             else:
                 ref = recover_flanc(u[j], v[j], spec, out_kept=out_kept, in_kept=in_kept)
             assert np.array_equal(got[j], ref)
@@ -209,20 +201,19 @@ class TestOneRule:
         j = data.draw(st.integers(1, n), label="j")
         t, s, p = r1 * n, s1 * n, Fraction(j, n)
         out_kept, in_kept = r1 * j, s1 * j
-        spec, coef = LayerSpec("conv", t, s, k), Coefficients(r1, rank)
-        layout = second_layer_layout(spec, coef, kind)
+        spec = LayerSpec("conv", t, s, k, base_count=r1, rank=rank)
+        layout = second_layer_layout(spec, kind)
         rng = np.random.default_rng([r1, n, s1, k, rank, m, j])
         u = rng.normal(size=(m, k * k * r1, rank))
         if kind == "flanc" and (in_kept % r1 or s % r1):
             # the kept inputs, or else the full-width ones, do not split
             bad = p if in_kept % r1 else Fraction(1)
-            counts = (layout.kept_outputs(1, bad), layout.kept_inputs(1, bad))
+            counts = spec.kept(bad)
             v = np.ones((m, rank, 1))
             with pytest.raises(ConfigurationError):
-                decomp.recover_padfl_t(ad.const(u[0]), ad.const(v[0]), spec, coef, *counts,
-                                       kind)
+                decomp.recover_padfl_t(ad.const(u[0]), ad.const(v[0]), spec, *counts, kind)
             with pytest.raises(ConfigurationError):
-                decomp.recover_stacked(u, v, layout, 1, bad)
+                decomp.recover_stacked(u, v, spec, *counts, kind)
             with pytest.raises(ConfigurationError, match=r"layer 1 .* at width"):
                 kept_index(layout, 1, bad)
             return
@@ -230,157 +221,145 @@ class TestOneRule:
         v_full = rng.normal(size=(m, rank, full[0] * full[1]))
         bias = rng.normal(size=t)
         ix, _ = kept_index(layout, 1, p)
-        stacked = decomp.recover_stacked(u, np.stack([v.ravel()[ix] for v in v_full]), layout,
-                                         1, p)
+        stacked = decomp.recover_stacked(u, np.stack([v.ravel()[ix] for v in v_full]), spec,
+                                         *spec.kept(p), kind)
         for uj, vj, got in zip(u, v_full, stacked):
-            v_kept, _ = prune_personal(vj, bias, spec, coef, p, in_kept, kind)
+            v_kept, _ = prune_personal(vj, bias, spec, p, in_kept, kind)
             assert np.array_equal(v_kept, vj.ravel()[ix])
-            graph = decomp.recover_padfl_t(ad.const(uj), ad.const(v_kept), spec, coef,
+            graph = decomp.recover_padfl_t(ad.const(uj), ad.const(v_kept), spec,
                                            out_kept, in_kept, kind).data
             assert np.array_equal(got, graph)
             ref = reference_weight(uj, v_kept, spec, out_kept, in_kept, kind)
             assert rel_err(got, ref) <= 1e-12 and rel_err(graph, ref) <= 1e-12
-            whole = decomp.recover_padfl_t(ad.const(uj), ad.const(vj), spec, coef,
-                                           kind=kind).data
+            whole = decomp.recover_padfl_t(ad.const(uj), ad.const(vj), spec, kind=kind).data
             assert np.array_equal(graph, whole[:out_kept, :in_kept])
 
 
 class TestPrune:
-    SPEC = LayerSpec("conv", 8, 4, 3)
-    COEF = Coefficients(base_count=2, rank=6)
+    SPEC = LayerSpec("conv", 8, 4, 3, base_count=2, rank=6)
 
     def make(self, seed=7):
-        _, personal, bias = random_layer(self.SPEC, self.COEF, seed)
+        _, personal, bias = random_layer(self.SPEC, seed)
         return personal, bias
 
     def test_identity_prune(self):
         personal, bias = self.make()
-        same_v, same_b = prune_personal(personal, bias, self.SPEC, self.COEF, Fraction(1), 4)
+        same_v, same_b = prune_personal(personal, bias, self.SPEC, Fraction(1), 4)
         assert np.array_equal(same_v, personal)
         assert np.array_equal(same_b, bias)
 
     def test_hand_counts(self):
         personal, bias = self.make()
-        pruned_v, pruned_b = prune_personal(personal, bias, self.SPEC, self.COEF,
-                                            Fraction(1, 2), 2)
+        pruned_v, pruned_b = prune_personal(personal, bias, self.SPEC, Fraction(1, 2), 2)
         # keeps 2 of 4 blocks, 2 of 4 columns each
         assert pruned_v.shape == (6, 4)
         assert pruned_b.shape == (4,)
         assert personal.shape == (6, 16)
 
     def test_slice_equivalence_bitwise(self):
-        general, personal, bias = random_layer(self.SPEC, self.COEF, 7)
-        full = recover_padfl(general, personal, self.SPEC, self.COEF)
+        general, personal, bias = random_layer(self.SPEC, 7)
+        full = recover_padfl(general, personal, self.SPEC)
         for p in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)):
             for in_kept in (1, 2, 4):
                 t_kept = int(8 * p)
-                pruned, _ = prune_personal(personal, bias, self.SPEC, self.COEF, p, in_kept)
-                w = recover_padfl(general, pruned, self.SPEC, self.COEF, t_kept, in_kept)
+                pruned, _ = prune_personal(personal, bias, self.SPEC, p, in_kept)
+                w = recover_padfl(general, pruned, self.SPEC, t_kept, in_kept)
                 assert np.array_equal(w, full[:t_kept, :in_kept, :, :])
 
     def test_unsupported_width_rejected(self):
         personal, bias = self.make()
         with pytest.raises(ConfigurationError):
-            prune_personal(personal, bias, self.SPEC, self.COEF, Fraction(1, 3), 4)
+            prune_personal(personal, bias, self.SPEC, Fraction(1, 3), 4)
 
     def test_flanc_prune_slice_equivalence(self):
-        spec = LayerSpec("conv", 8, 4, 3)
-        rng = np.random.default_rng(8)
         r1, r2 = 2, 6
+        spec = LayerSpec("conv", 8, 4, 3, base_count=r1, rank=r2)
+        rng = np.random.default_rng(8)
         u = rng.normal(size=(9 * r1, r2))
         v = rng.normal(size=(r2, 8 * (4 // r1)))
         full = recover_flanc(u, v, spec)
         for p in (Fraction(1, 2), Fraction(1)):
             for in_kept in (2, 4):
-                vk, _ = prune_personal(v, np.zeros(8), spec, Coefficients(r1, r2), p, in_kept,
-                                       "flanc")
+                vk, _ = prune_personal(v, np.zeros(8), spec, p, in_kept, "flanc")
                 w = recover_flanc(u, vk, spec, out_kept=int(8 * p), in_kept=in_kept)
                 assert np.array_equal(w, full[:int(8 * p), :in_kept, :, :])
 
 
 class TestAccounting:
     def test_conv_64_count(self):
-        spec = LayerSpec("conv", 64, 64, 5)
-        coef = select_coefficients(spec, Fraction(1, 16))
-        n = param_count(spec, coef, 64, 64) - spec.out_channels  # without the bias
+        spec = built_spec("conv", 64, 64, 5, Fraction(1, 16))
+        n = param_count(spec, 64, 64) - spec.out_channels  # without the bias
         assert n == 64 * (1024 + 100) == 71936
         assert spec.out_channels * spec.in_channels * spec.kernel ** 2 == 102400
 
     def test_count_monotone_in_width(self):
-        spec = LayerSpec("conv", 32, 16, 3)
-        coef = select_coefficients(spec, Fraction(1, 8))
-        counts = [param_count(spec, coef, int(32 * p), int(16 * p))
+        spec = built_spec("conv", 32, 16, 3, Fraction(1, 8))
+        counts = [param_count(spec, int(32 * p), int(16 * p))
                   for p in supported_widths(Fraction(1, 8))]
         assert counts == sorted(counts)
         assert all(a < b for a, b in zip(counts, counts[1:]))
 
     def test_count_equals_stored_floats(self):
-        spec = LayerSpec("conv", 8, 4, 3)
-        coef = Coefficients(2, 6)
-        general, personal, bias = random_layer(spec, coef, 9)
+        spec = LayerSpec("conv", 8, 4, 3, base_count=2, rank=6)
+        general, personal, bias = random_layer(spec, 9)
         for p in supported_widths(Fraction(1, 4)):
             in_kept = int(4 * p)
-            pruned_v, pruned_b = prune_personal(personal, bias, spec, coef, p, in_kept)
+            pruned_v, pruned_b = prune_personal(personal, bias, spec, p, in_kept)
             stored = pruned_v.size + general.size + pruned_b.size
-            assert param_count(spec, coef, int(8 * p), in_kept) == stored
+            assert param_count(spec, int(8 * p), in_kept) == stored
 
     def test_appendix_formula_identity(self):
-        for spec, mw in [
-            (LayerSpec("conv", 64, 64, 5), Fraction(1, 16)),
-            (LayerSpec("conv", 16, 8, 3), Fraction(1, 4)),
-            (LayerSpec("linear", 24, 36), Fraction(1, 12)),
+        for layer, mw in [
+            (("conv", 64, 64, 5), Fraction(1, 16)),
+            (("conv", 16, 8, 3), Fraction(1, 4)),
+            (("linear", 24, 36), Fraction(1, 12)),
         ]:
-            coef = select_coefficients(spec, mw)
+            spec = built_spec(*layer, min_width=mw)
             for p in supported_widths(mw):
                 if (Fraction(spec.in_channels) * p).denominator != 1:
                     continue
                 t, s, k = spec.out_channels, spec.in_channels, spec.kernel
-                expect = coef.rank * (
-                    (p * p * s * t) / coef.base_count + coef.base_count * k * k
+                expect = spec.rank * (
+                    (p * p * s * t) / spec.base_count + spec.base_count * k * k
                 )
                 assert expect.denominator == 1
                 t_kept, s_kept = int(t * p), int(s * p)
-                assert param_count(spec, coef, t_kept, s_kept) - t_kept == int(expect)
-                ratio = reduction_ratio(spec, coef, p)
-                formula = float(p) * coef.rank * (
+                assert param_count(spec, t_kept, s_kept) - t_kept == int(expect)
+                ratio = reduction_ratio(spec, p)
+                formula = float(p) * spec.rank * (
                     float(p / mw) * s + float(mw / p) * t * k * k
                 ) / (s * t * k * k)
                 assert abs(float(ratio) - formula) <= 1e-12
 
     def test_overhead_ratio(self):
-        spec = LayerSpec("conv", 64, 64, 5)
-        coef = select_coefficients(spec, Fraction(1, 16))
-        _, ratio = flops_account(spec, coef, 128, (8, 8), 64, 64)
+        spec = built_spec("conv", 64, 64, 5, Fraction(1, 16), hw=(8, 8))
+        _, ratio = flops_account(spec, 128, 64, 64)
         assert ratio == Fraction(1, 128)
 
     def test_forward_flops_quadratic_in_width(self):
-        spec = LayerSpec("conv", 16, 16, 3)
-        coef = select_coefficients(spec, Fraction(1, 4))
-        f1, _ = flops_account(spec, coef, 10, (8, 8), 16, 16)
-        f2, _ = flops_account(spec, coef, 10, (8, 8), 8, 8)
+        spec = built_spec("conv", 16, 16, 3, Fraction(1, 4), hw=(8, 8))
+        f1, _ = flops_account(spec, 10, 16, 16)
+        f2, _ = flops_account(spec, 10, 8, 8)
         assert f1 == 4 * f2
 
     def test_overhead_vanishes_with_batch(self):
-        spec = LayerSpec("conv", 16, 16, 3)
-        coef = select_coefficients(spec, Fraction(1, 4))
-        _, r_small = flops_account(spec, coef, 10, (8, 8), 16, 16)
-        _, r_big = flops_account(spec, coef, 10_000_000, (8, 8), 16, 16)
+        spec = built_spec("conv", 16, 16, 3, Fraction(1, 4), hw=(8, 8))
+        _, r_small = flops_account(spec, 10, 16, 16)
+        _, r_big = flops_account(spec, 10_000_000, 16, 16)
         assert r_big < r_small and float(r_big) < 1e-4
 
 
 class TestInit:
     def test_recovered_init_scale(self):
-        spec = LayerSpec("conv", 16, 8, 3)
-        coef = select_coefficients(spec, Fraction(1, 4))
-        general, personal, _ = init_layer(spec, coef, np.random.default_rng(10))
-        w = recover_padfl(general, personal, spec, coef)
+        spec = built_spec("conv", 16, 8, 3, Fraction(1, 4))
+        general, personal, _ = init_layer(spec, np.random.default_rng(10))
+        w = recover_padfl(general, personal, spec)
         bound = 1.0 / np.sqrt(8 * 9)
         target_std = bound / np.sqrt(3.0)  # std of U(-bound, bound)
         assert 0.5 * target_std < w.std() < 2.0 * target_std
 
     def test_personal_columns_unit_gain(self):
-        spec = LayerSpec("conv", 8, 16, 3)
-        coef = select_coefficients(spec, Fraction(1, 2))
-        _, personal, _ = init_layer(spec, coef, np.random.default_rng(11))
+        spec = built_spec("conv", 8, 16, 3, Fraction(1, 2))
+        _, personal, _ = init_layer(spec, np.random.default_rng(11))
         norms = np.linalg.norm(personal, axis=0)
         assert np.allclose(norms, 1.0, atol=1e-9)

@@ -103,9 +103,9 @@ class TestGenerate:
         layout = tiny_layout()
         state = make_state(layout)
         gen = hn.generate_personal(state, 0, layout, Fraction(1))
-        spec, coef = layout.specs[0], layout.coefs[0]
-        blocks = spec.out_channels // coef.base_count
-        assert gen.factors[0].shape == (coef.rank, blocks * spec.in_channels)
+        spec = layout.specs[0]
+        blocks = spec.out_channels // spec.base_count
+        assert gen.factors[0].shape == (spec.rank, blocks * spec.in_channels)
         assert gen.biases[0].shape == (spec.out_channels,)
         assert gen.head_w.shape == (2, layout.head_in_full)
         assert gen.head_b.shape == (2,)
@@ -134,9 +134,9 @@ class TestGenerate:
         state = make_state(layout, seed=9)
         full = hn.generate_personal(state, 0, layout, Fraction(1))
         half = hn.generate_personal(state, 0, layout, Fraction(1, 2))
-        spec, coef = layout.specs[0], layout.coefs[0]
-        pruned_v, pruned_b = prune_personal(full.factors[0], full.biases[0], spec, coef,
-                                            Fraction(1, 2), layout.kept_inputs(0, Fraction(1, 2)))
+        spec = layout.specs[0]
+        pruned_v, pruned_b = prune_personal(full.factors[0], full.biases[0], spec,
+                                            Fraction(1, 2), spec.kept(Fraction(1, 2))[1])
         assert np.array_equal(half.factors[0], pruned_v)
         assert np.array_equal(half.biases[0], pruned_b)
         assert np.array_equal(half.head_w, full.head_w[:, :layout.head_in(Fraction(1, 2))])

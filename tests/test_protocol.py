@@ -80,22 +80,22 @@ class TestEarlyStop:
 class TestOrthogonalReg:
     def test_orthogonal_columns_zero(self):
         u = np.eye(4)[:, :3]
-        spec = LayerSpec("conv", 3, 3, 2)
+        spec = LayerSpec("conv", 3, 3, 2, base_count=1, rank=3)
         assert orthogonal_reg([u], [spec]) == 0.0
 
     def test_hand_value(self):
         u = np.array([[1.0, 1.0], [0.0, 0.0]])
-        spec = LayerSpec("conv", 2, 2, 1)
+        spec = LayerSpec("conv", 2, 2, 1, base_count=2, rank=2)
         assert orthogonal_reg([u], [spec]) == 2.0
 
     def test_linear_layers_excluded(self):
         u = np.array([[1.0, 1.0], [0.0, 0.0]])
-        assert orthogonal_reg([u], [LayerSpec("linear", 2, 2)]) == 0.0
+        assert orthogonal_reg([u], [LayerSpec("linear", 2, 2, 1, base_count=2, rank=2)]) == 0.0
 
     def test_gradient_matches_fd(self):
         rng = np.random.default_rng(2)
         u = rng.normal(size=(6, 4))
-        spec = LayerSpec("conv", 4, 3, 2)
+        spec = LayerSpec("conv", 4, 3, 2, base_count=1, rank=4)
         node = ad.leaf(u)
         ad.backward(protocol.orthogonal_reg_t([node], [spec]))
 
@@ -270,12 +270,12 @@ def random_conv_model(layout, p, rng, biases=True):
     """A width-p decomposed model with random factors in `layout.recovery`'s
     layout."""
     gen, fac, bias = [], [], []
-    for idx, (spec, coef) in enumerate(zip(layout.specs, layout.coefs)):
-        out_kept, in_kept = layout.kept_outputs(idx, p), layout.kept_inputs(idx, p)
-        cols = (out_kept // coef.base_count * in_kept if layout.recovery == "padfl"
-                else out_kept * (in_kept // coef.base_count))
-        gen.append(rng.normal(size=(spec.kernel ** 2 * coef.base_count, coef.rank)))
-        fac.append(rng.normal(size=(coef.rank, cols)))
+    for spec in layout.specs:
+        out_kept, in_kept = spec.kept(p)
+        cols = (out_kept // spec.base_count * in_kept if layout.recovery == "padfl"
+                else out_kept * (in_kept // spec.base_count))
+        gen.append(rng.normal(size=(spec.kernel ** 2 * spec.base_count, spec.rank)))
+        fac.append(rng.normal(size=(spec.rank, cols)))
         bias.append(rng.normal(size=out_kept) * biases)
     hw = rng.normal(size=(layout.classes, layout.head_in(p)))
     hb = rng.normal(size=layout.classes) * biases

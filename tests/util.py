@@ -2,16 +2,16 @@
 central finite differences, nested-loop convolution and conv-block
 references, an einsum recovery, per-model decomposed and dense forwards, and a
 per-client loop form of the hyper-network's generation and loss. Also
-the single-layer recovery, pruning, accounting and copying helpers that
-only tests use."""
+the single-layer record, recovery, pruning, accounting and copying
+helpers that only tests use."""
 from fractions import Fraction
 
 import numpy as np
 
 from padfl import autodiff as ad
-from padfl.decomp import Coefficients, factor_grid, param_count, recover_padfl_t
+from padfl.decomp import factor_grid, param_count, recover_padfl_t
 from padfl.errors import ConfigurationError
-from padfl.model import ClientModel, PlainModel
+from padfl.model import ClientModel, CnnArch, PlainModel, build_layout
 from padfl.protocol import orthogonal_reg_t
 
 
@@ -105,18 +105,18 @@ def reference_personal(state, client, layout, width):
     p = Fraction(width)
     taus = np.exp(state.log_temp)
     factors, biases = [], []
-    for l, (spec, coef) in enumerate(zip(layout.specs, layout.coefs)):
+    for l, spec in enumerate(layout.specs):
         dec = state.decoders[l]
         flat = dec.w @ aggregate_embedding(enc, client, taus[l]) + dec.b
-        r1, t_kept, ik = coef.base_count, layout.kept_outputs(l, p), layout.kept_inputs(l, p)
+        (t_kept, ik), r1 = spec.kept(p), spec.base_count
         blocks = spec.out_channels // r1
-        n_v = coef.rank * blocks * spec.in_channels
+        n_v = spec.rank * blocks * spec.in_channels
         if layout.recovery == "padfl":
-            v = flat[:n_v].reshape(coef.rank, blocks, spec.in_channels)[:, :t_kept // r1, :ik]
+            v = flat[:n_v].reshape(spec.rank, blocks, spec.in_channels)[:, :t_kept // r1, :ik]
         else:
-            v = flat[:n_v].reshape(coef.rank, spec.out_channels, spec.in_channels // r1)
+            v = flat[:n_v].reshape(spec.rank, spec.out_channels, spec.in_channels // r1)
             v = v[:, :t_kept, :ik // r1]
-        factors.append(v.reshape(coef.rank, -1))
+        factors.append(v.reshape(spec.rank, -1))
         biases.append(flat[n_v:n_v + t_kept])
     head = state.decoders[-1]
     flat = head.w @ aggregate_embedding(enc, client, taus[-1]) + head.b
@@ -176,8 +176,7 @@ def reference_logits(layout, model, x):
     recovered dense model."""
     p, weights = model.width, []
     for idx, spec in enumerate(layout.specs):
-        w = reference_weight(model.general[idx], model.factors[idx], spec,
-                             layout.kept_outputs(idx, p), layout.kept_inputs(idx, p),
+        w = reference_weight(model.general[idx], model.factors[idx], spec, *spec.kept(p),
                              layout.recovery)
         weights.append(w if spec.kind == "conv" else w[:, :, 0, 0])
     dense = PlainModel(weights, model.biases, model.head_w, model.head_b, p)
@@ -189,37 +188,42 @@ def plain_copy(model):
     return PlainModel.from_arrays([a.copy() for a in model.arrays()], model.width)
 
 
+def built_spec(kind, t, s, k=1, min_width=1, hw=(2, 2)):
+    """The record `build_layout` makes for a lone layer with s inputs and
+    t outputs: a k x k conv on an hw map, or a linear layer."""
+    if kind == "conv":
+        return build_layout(CnnArch(s, *hw, convs=(t,), kernel=k), min_width).specs[0]
+    return build_layout(CnnArch(s, 1, 1, hidden=(t,)), min_width).specs[0]
+
+
 def recover_flanc(general, personal, spec, out_kept=None, in_kept=None) -> np.ndarray:
-    """The input-slab recovered weight, through the graph recovery; the
-    factor sizes are read off the general factor's shape."""
-    rows, rank = general.shape
-    coef = Coefficients(rows // spec.kernel ** 2, rank)
-    return recover_padfl_t(ad.const(general), ad.const(personal), spec, coef,
-                           out_kept, in_kept, "flanc").data
+    """The input-slab recovered weight, through the graph recovery."""
+    return recover_padfl_t(ad.const(general), ad.const(personal), spec, out_kept, in_kept,
+                           "flanc").data
 
 
-def prune_personal(personal, bias, spec, coef, p, in_kept=None, kind="padfl"):
+def prune_personal(personal, bias, spec, p, in_kept=None, kind="padfl"):
     """(factor, bias) of a full-width layer pruned to width p: keep the
     first p*T output channels and the first `in_kept` input columns, by
     cutting the leading corner of the factor's `factor_grid`."""
     p = Fraction(p)
     out_kept = Fraction(spec.out_channels) * p
-    if not 0 < p <= 1 or out_kept.denominator != 1 or out_kept % coef.base_count:
+    if not 0 < p <= 1 or out_kept.denominator != 1 or out_kept % spec.base_count:
         raise ConfigurationError(f"width {p} keeps no whole personal blocks")
     out_kept = int(out_kept)
     in_kept = spec.in_channels if in_kept is None else in_kept
-    full = factor_grid(kind, coef.base_count, spec.out_channels, spec.in_channels)
-    a, b = factor_grid(kind, coef.base_count, out_kept, in_kept)
-    kept = personal.reshape(coef.rank, *full)[:, :a, :b]
-    return np.ascontiguousarray(kept).reshape(coef.rank, a * b), bias[:out_kept].copy()
+    full = factor_grid(kind, spec.base_count, spec.out_channels, spec.in_channels)
+    a, b = factor_grid(kind, spec.base_count, out_kept, in_kept)
+    kept = personal.reshape(spec.rank, *full)[:, :a, :b]
+    return np.ascontiguousarray(kept).reshape(spec.rank, a * b), bias[:out_kept].copy()
 
 
-def reduction_ratio(spec, coef, p) -> Fraction:
+def reduction_ratio(spec, p) -> Fraction:
     """Stored floats of the width-p factorization (no bias) over the dense
     weight."""
     t, s = Fraction(spec.out_channels) * p, Fraction(spec.in_channels) * p
     dense = spec.out_channels * spec.in_channels * spec.kernel ** 2
-    return Fraction(param_count(spec, coef, int(t), int(s)) - int(t), dense)
+    return Fraction(param_count(spec, int(t), int(s)) - int(t), dense)
 
 
 def orthogonal_reg(general_factors, specs) -> float:
