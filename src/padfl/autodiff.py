@@ -68,7 +68,7 @@ def _acc(t, g, own=False):
             t.grad += g
 
 
-def backward(root, seed=1.0):
+def backward(root):
     """Reverse-mode sweep from a scalar root.
 
     Visits every reachable node exactly once in reverse topological
@@ -91,7 +91,7 @@ def backward(root, seed=1.0):
         for p in node.parents:
             if id(p) not in seen and p.requires_grad:
                 stack.append((p, False))
-    root.grad = np.full_like(root.data, float(seed))
+    root.grad = np.ones_like(root.data)
     for node in reversed(order):
         if node.backward_fn is not None and node.grad is not None:
             node.backward_fn(node.grad)
@@ -114,21 +114,24 @@ def matmul(a, b):
     return _out(out_data, (a, b), bw)
 
 
-def ordered_matmul(a, b):
-    """Matrix product accumulated rank-by-rank in a fixed order.
+def ordered_product(a, b):
+    """Plain-array product over the last two axes (leading axes broadcast),
+    summed rank by rank in a fixed order: each element is independent of
+    the other columns of ``b`` and of the leading axes, so pruned and
+    stacked factor recoveries are bit-exact slices of full, single ones."""
+    out = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1]))
+    for r in range(a.shape[-1]):
+        out += a[..., :, r, None] * b[..., None, r, :]
+    return out
 
-    Each output element is a sequential sum over the inner dimension,
-    independent of the other columns of ``b``; a column subset of ``b``
-    therefore reproduces bit-identical values. Used for factor recovery
-    so pruned recoveries are exact sub-tensors of full ones.
-    """
+
+def ordered_matmul(a, b):
+    """`ordered_product` of two 2-D nodes, as a graph op."""
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise DimensionError("ordered_matmul expects 2-D operands")
     if a.data.shape[1] != b.data.shape[0]:
         raise DimensionError(f"ordered_matmul inner dims {a.data.shape} x {b.data.shape}")
-    out_data = np.zeros((a.data.shape[0], b.data.shape[1]))
-    for r in range(a.data.shape[1]):
-        out_data += np.multiply.outer(a.data[:, r], b.data[r, :])
+    out_data = ordered_product(a.data, b.data)
 
     def bw(g):
         _acc(a, g @ b.data.T)
@@ -417,8 +420,7 @@ def reshape(x, shape):
     return _out(out_data, (x,), bw)
 
 
-def transpose(x, axes=None):
-    axes = tuple(axes) if axes is not None else tuple(reversed(range(x.data.ndim)))
+def transpose(x, axes):
     inv = np.argsort(axes)
 
     def bw(g):

@@ -13,11 +13,12 @@ init, recovery and accounting functions take the record alone.
 
 The FLANC ablation recovers the same factors with personal blocks that
 span input slabs instead of output channels. The recovery kind is
-`model.Layout.recovery`; in this module `factor_grid` and `PERMUTATION`
-are its one rule, which the graph recovery (`recover_padfl_t`), the
-stacked recovery (`recover_stacked`) and `hypernet.kept_index` all
-apply. Also provides exact parameter/FLOP accounting for width-reduced
-layers.
+`model.Layout.recovery`; `factor_grid` and `PERMUTATION` are its one
+rule, which the graph recovery for training (`recover_padfl_t`), the
+stacked recovery for evaluation (`recover_padfl`) and
+`hypernet.kept_index` apply. Both recoveries sum with
+`autodiff.ordered_product`, so they give the same bits. Also exact
+parameter/FLOP accounting for width-reduced layers.
 """
 from __future__ import annotations
 
@@ -124,13 +125,11 @@ def factor_grid(kind, base_count, out_kept, in_kept):
     return out_kept, in_kept // base_count
 
 
-def recover_padfl_t(general, personal, spec, out_kept=None, in_kept=None, kind="padfl"):
+def recover_padfl_t(general, personal, spec, out_kept, in_kept, kind):
     """Graph-op recovery of an (out_kept, in_kept, k, k) weight tensor node
-    from its factors, in `kind`'s layout (see `factor_grid`)."""
+    from its factors, in `kind`'s layout (see `factor_grid`), for training."""
     k = spec.kernel
     r1, r2 = spec.base_count, spec.rank
-    out_kept = spec.out_channels if out_kept is None else out_kept
-    in_kept = spec.in_channels if in_kept is None else in_kept
     a, b = factor_grid(kind, r1, out_kept, in_kept)
     if general.data.shape != (k * k * r1, r2):
         raise DimensionError(f"general factor shape {general.data.shape}")
@@ -141,25 +140,15 @@ def recover_padfl_t(general, personal, spec, out_kept=None, in_kept=None, kind="
     return ad.reshape(prod, (out_kept, in_kept, k, k))
 
 
-def recover_padfl(general, personal, spec, out_kept=None, in_kept=None) -> np.ndarray:
-    return recover_padfl_t(ad.const(general), ad.const(personal), spec, out_kept, in_kept).data
-
-
-def recover_stacked(general, personal, spec, out_kept, in_kept, kind="padfl"):
+def recover_padfl(general, personal, spec, out_kept, in_kept, kind):
     """(M, out_kept, in_kept, k, k) weights of one layer from M stacked
-    factor pairs, for evaluation: general (M, k^2*base_count, rank),
-    personal (M, rank, .).
-
-    The products are summed rank by rank, as `ordered_matmul` does, so each
-    slice is bit-identical to the graph recovery of that pair.
-    """
-    m, rows, rank = general.shape
-    k, r1 = spec.kernel, spec.base_count
+    factor pairs, general (M, k^2*base_count, rank) and personal (M, rank,
+    .), in `kind`'s layout, for evaluation. Each slice is bit-identical to
+    the graph recovery of that pair."""
+    m, k, r1 = general.shape[0], spec.kernel, spec.base_count
     a, b = factor_grid(kind, r1, out_kept, in_kept)
-    prod = np.zeros((m, rows, personal.shape[2]))
-    for r in range(rank):
-        prod += general[:, :, r, None] * personal[:, None, r, :]
-    prod = prod.reshape(m, r1, k * k, a, b).transpose(0, *(d + 1 for d in PERMUTATION[kind]))
+    prod = ad.ordered_product(general, personal).reshape(m, r1, k * k, a, b)
+    prod = prod.transpose(0, *(d + 1 for d in PERMUTATION[kind]))
     # contiguous like the graph recovery, so the products see the same layout
     return np.ascontiguousarray(prod).reshape(m, out_kept, in_kept, k, k)
 

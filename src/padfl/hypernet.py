@@ -10,8 +10,9 @@ the head) computes
     A_l = softmax(S * exp(-log_temp_l))    row-wise, (n, n)
     F_l = D_l (E A_l^T) + b_l              (out_dim_l, n), column i = client i
 
-in one batched pass over all n clients. A width-p client is sent the
-positions of F_l that `kept_index` names. The server step regresses F_l
+in one batched pass over all n clients (`generation_graph`). A width-p
+client is sent the positions of F_l that `kept_index` names, which
+`generate_personal` cuts out of the arrays. The server step regresses F_l
 onto the returned parameters: T_l holds each returned client's values at
 its kept positions, the 0/1 mask K_l marks them, and the loss is
 0.5/|R| * sum_l ||K_l * (F_l - T_l)||^2.
@@ -129,16 +130,14 @@ def _encode_t(nodes: HyperNetState):
     return h
 
 
-def generation_graph(state: HyperNetState, trainable=False):
+def generation_graph(state: HyperNetState):
     """Every client's full-width decoder outputs, in one batched pass.
 
-    Returns (the state as a HyperNetState of leaf nodes, [F_l]): one
-    (out_dim_l, num_clients) node per decomposed layer, then the head's.
-    The arithmetic does not depend on `trainable`, so every call on the
-    same state gives the same bits.
+    Returns (the state as a HyperNetState of trainable leaf nodes, [F_l]):
+    one (out_dim_l, num_clients) node per decomposed layer, then the
+    head's. Every call on the same state gives the same bits.
     """
-    wrap = ad.leaf if trainable else ad.const
-    nodes = HyperNetState.from_arrays([wrap(a) for a in state.arrays()], len(state.encoder))
+    nodes = HyperNetState.from_arrays([ad.leaf(a) for a in state.arrays()], len(state.encoder))
     enc = _encode_t(nodes)
     sims = ad.matmul(ad.transpose(enc, (1, 0)), enc)
     inv_temps = ad.exp(ad.neg(nodes.log_temp))
@@ -150,21 +149,15 @@ def generation_graph(state: HyperNetState, trainable=False):
     return nodes, outputs
 
 
-def personal_params(outputs, client, layout: Layout, width) -> ClientModel:
-    """Cut one client's pruned personal parameters out of the decoder
-    output arrays of `generation_graph`, as a model with no general
-    factors."""
+def generate_personal(outputs, client, layout: Layout, width) -> ClientModel:
+    """Cut one client's personal parameters, pruned to its width, out of
+    the decoder output arrays of `generation_graph`, as a model with no
+    general factors."""
     parts = [[out[ix, client] for ix in kept_index(layout, l, width)]
              for l, out in enumerate(outputs)]
     *layers, (head_w, head_b) = parts
     return ClientModel([], [w for w, _ in layers], [b for _, b in layers], head_w, head_b,
                        width)
-
-
-def generate_personal(state: HyperNetState, client, layout: Layout, width) -> ClientModel:
-    """Decode one client's personal parameters, pruned to its width."""
-    _, outputs = generation_graph(state)
-    return personal_params([f.data for f in outputs], client, layout, width)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +168,7 @@ def regression_loss(state: HyperNetState, returned, layout: Layout):
     generated onto returned personal parameters (client id -> model at
     its width): 0.5/|R| * sum_l ||K_l * (F_l - T_l)||^2, only kept entries
     counting."""
-    nodes, outputs = generation_graph(state, trainable=True)
+    nodes, outputs = generation_graph(state)
     targets = [np.zeros(f.data.shape) for f in outputs]
     masks = [np.zeros(f.data.shape) for f in outputs]
     for i, model in returned.items():

@@ -14,7 +14,9 @@ input columns.
 Both families share one graph forward (`features_t`, for training) and
 one plain-array forward (`stacked_forward`, for evaluation) per
 architecture. A decomposed model first recovers its dense weights from
-its factors; a dense model is the M = 1 case with no recovery.
+its factors: `decomp.recover_padfl_t` in the graph, `decomp.recover_padfl`
+for a stack of M models. `accuracy` and `plain_accuracy` run one model
+as the M = 1 case.
 
 One container per family, `ClientModel` (decomposed) and `PlainModel`
 (dense), is what the server sends, the client trains and returns, and
@@ -284,18 +286,13 @@ def stacked_logits(layout, model: ClientModel, x):
     every layer recovers all M weights at once, then `stacked_forward`."""
     weights = []
     for spec, general, factor in zip(layout.specs, model.general, model.factors):
-        w = decomp.recover_stacked(general, factor, spec, *spec.kept(model.width), layout.recovery)
+        w = decomp.recover_padfl(general, factor, spec, *spec.kept(model.width), layout.recovery)
         weights.append(w if spec.kind == "conv" else w.reshape(w.shape[:3]))
     dense = PlainModel(weights, model.biases, model.head_w, model.head_b, model.width)
     return stacked_forward(layout.arch, dense, x)
 
 
-def infer_logits(layout, model: ClientModel, x):
-    """Logits of one client model: the stacked forward at M = 1."""
-    one = ClientModel.from_arrays([a[None] for a in model.arrays()], model.width)
-    return stacked_logits(layout, one, x)[0]
-
-
 def accuracy(layout, model: ClientModel, x, y) -> float:
-    logits = infer_logits(layout, model, x)
-    return float((logits.argmax(axis=1) == y).mean())
+    """Accuracy of one client model: the stacked forward at M = 1."""
+    one = ClientModel.from_arrays([a[None] for a in model.arrays()], model.width)
+    return float((stacked_logits(layout, one, x)[0].argmax(axis=1) == y).mean())

@@ -418,7 +418,7 @@ class DecomposedFL(FederatedMethod):
         if self.generated is None:
             _, outputs = hypernet.generation_graph(self.hn)
             flat = [f.data for f in outputs]
-            self.generated = {p.id: hypernet.personal_params(flat, p.id, self.layout, p.width)
+            self.generated = {p.id: hypernet.generate_personal(flat, p.id, self.layout, p.width)
                               for p in self.profiles}
 
     def sent(self, i) -> ClientModel:

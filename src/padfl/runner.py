@@ -113,8 +113,9 @@ def run(cfg: RunConfig) -> RunRecord:
     profiles = build_profiles(cfg, partition)
     method = build_method(cfg, profiles, layout)
     patience = None
-    if cfg.patience_frac > 0 and cfg.rounds > 0:
-        patience = max(1, int(round(cfg.patience_frac * cfg.rounds)))
+    if cfg.patience_frac > 0:
+        # a patience above `rounds` never fires; capping it at rounds + 1 keeps int() finite
+        patience = max(1, int(round(min(cfg.patience_frac * cfg.rounds, cfg.rounds + 1))))
     rounds = []
     history = []
     early = False

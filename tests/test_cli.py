@@ -376,6 +376,16 @@ class TestCliEntry:
                          "--set", "patience_frac=inf"]) == 2
         assert "patience_frac" in capsys.readouterr().err
 
+    def test_huge_patience_frac_runs_as_no_early_stop(self, tmp_path):
+        # a patience beyond `rounds` can never fire
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(SMALL)
+        for frac in ("0", "1e308"):
+            assert cli_main(["run", str(cfg_path), "--set", f"out_dir={tmp_path / frac}",
+                             "--set", f"patience_frac={frac}"]) == 0
+        assert (tmp_path / "1e308" / "metrics.csv").read_bytes() == \
+            (tmp_path / "0" / "metrics.csv").read_bytes()
+
     def test_library_error_exit_2(self, tmp_path):
         # FLANC slabs need conv1's single input channel divisible by 2
         cfg_path = tmp_path / "c.cfg"

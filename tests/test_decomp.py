@@ -13,7 +13,6 @@ from padfl.decomp import (
     flops_account,
     init_layer,
     param_count,
-    recover_padfl,
     supported_widths,
 )
 from padfl.errors import ConfigurationError
@@ -25,6 +24,7 @@ from util import (
     conv2d_loops,
     prune_personal,
     recover_flanc,
+    recover_graph,
     reduction_ratio,
     reference_weight,
     rel_err,
@@ -69,7 +69,7 @@ class TestRecoverPadfl:
         # base_count == T: one personal block, recovery is a plain reshape
         spec = LayerSpec("conv", 4, 3, 2, base_count=4, rank=5)
         general, personal, _ = random_layer(spec, 0)
-        w = recover_padfl(general, personal, spec)
+        w = recover_graph(general, personal, spec)
         prod = general @ personal  # (k^2*4, 3)
         expect = prod.reshape(4, 4, 3).transpose(0, 2, 1).reshape(4, 3, 2, 2)
         assert np.allclose(w, expect, atol=1e-12)
@@ -80,7 +80,7 @@ class TestRecoverPadfl:
         u2 = np.array([[3.0, -1.0]])
         v1 = np.array([[1.0, 0.0], [0.0, 1.0]])
         v2 = np.array([[2.0, 1.0], [1.0, -1.0]])
-        w = recover_padfl(np.vstack([u1, u2]), np.hstack([v1, v2]), spec)[:, :, 0, 0]
+        w = recover_graph(np.vstack([u1, u2]), np.hstack([v1, v2]), spec)[:, :, 0, 0]
         # channel c(i,j) = (j-1)*2 + i, 1-indexed
         assert np.allclose(w[0], u1 @ v1)
         assert np.allclose(w[1], u2 @ v1)
@@ -93,7 +93,7 @@ class TestRecoverPadfl:
         general, personal, _ = random_layer(spec, 1)
         rng = np.random.default_rng(2)
         x = rng.normal(size=(2, 3, 6, 6))
-        w = recover_padfl(general, personal, spec)
+        w = recover_graph(general, personal, spec)
         direct = ad.conv2d_infer(x.transpose(1, 0, 2, 3)[None], w[None], pad=1)[0]
 
         cols, ho, wo = ad._im2col(x.transpose(1, 0, 2, 3), spec.kernel, 1)
@@ -115,7 +115,7 @@ class TestRecoverPadfl:
         general, personal, _ = random_layer(spec, 3)
         rng = np.random.default_rng(4)
         x = rng.normal(size=(1, 2, 5, 5))
-        w = recover_padfl(general, personal, spec)
+        w = recover_graph(general, personal, spec)
         got = ad.conv2d_infer(x.transpose(1, 0, 2, 3)[None], w[None])[0]
         assert np.abs(got.transpose(1, 0, 2, 3) - conv2d_loops(x, w)).max() <= 1e-9
 
@@ -146,7 +146,7 @@ class TestRecoverFlanc:
         # same-shaped factors give same-shaped weights when S == T
         spec = built_spec("conv", 8, 8, 3, Fraction(1, 4))
         general, personal, _ = random_layer(spec, 6)
-        wp = recover_padfl(general, personal, spec)
+        wp = recover_graph(general, personal, spec)
         wf = recover_flanc(general, personal, spec)
         assert wp.shape == wf.shape == (8, 8, 3, 3)
         assert wf.size == spec.out_channels * spec.in_channels * spec.kernel ** 2
@@ -175,11 +175,11 @@ class TestRecoverStacked:
         cols = out_kept // 2 * in_kept if kind == "padfl" else out_kept * (in_kept // 2)
         u = rng.normal(size=(3, 9 * 2, 6))
         v = rng.normal(size=(3, 6, cols))
-        got = decomp.recover_stacked(u, v, spec, *spec.kept(Fraction(1, 2)), kind)
+        got = decomp.recover_padfl(u, v, spec, *spec.kept(Fraction(1, 2)), kind)
         assert got.shape == (3, out_kept, in_kept, 3, 3) and got.flags.c_contiguous
         for j in range(3):
             if kind == "padfl":
-                ref = recover_padfl(u[j], v[j], spec, out_kept, in_kept)
+                ref = recover_graph(u[j], v[j], spec, out_kept, in_kept)
             else:
                 ref = recover_flanc(u[j], v[j], spec, out_kept=out_kept, in_kept=in_kept)
             assert np.array_equal(got[j], ref)
@@ -213,7 +213,7 @@ class TestOneRule:
             with pytest.raises(ConfigurationError):
                 decomp.recover_padfl_t(ad.const(u[0]), ad.const(v[0]), spec, *counts, kind)
             with pytest.raises(ConfigurationError):
-                decomp.recover_stacked(u, v, spec, *counts, kind)
+                decomp.recover_padfl(u, v, spec, *counts, kind)
             with pytest.raises(ConfigurationError, match=r"layer 1 .* at width"):
                 kept_index(layout, 1, bad)
             return
@@ -221,7 +221,7 @@ class TestOneRule:
         v_full = rng.normal(size=(m, rank, full[0] * full[1]))
         bias = rng.normal(size=t)
         ix, _ = kept_index(layout, 1, p)
-        stacked = decomp.recover_stacked(u, np.stack([v.ravel()[ix] for v in v_full]), spec,
+        stacked = decomp.recover_padfl(u, np.stack([v.ravel()[ix] for v in v_full]), spec,
                                          *spec.kept(p), kind)
         for uj, vj, got in zip(u, v_full, stacked):
             v_kept, _ = prune_personal(vj, bias, spec, p, in_kept, kind)
@@ -231,7 +231,7 @@ class TestOneRule:
             assert np.array_equal(got, graph)
             ref = reference_weight(uj, v_kept, spec, out_kept, in_kept, kind)
             assert rel_err(got, ref) <= 1e-12 and rel_err(graph, ref) <= 1e-12
-            whole = decomp.recover_padfl_t(ad.const(uj), ad.const(vj), spec, kind=kind).data
+            whole = decomp.recover_padfl_t(ad.const(uj), ad.const(vj), spec, t, s, kind).data
             assert np.array_equal(graph, whole[:out_kept, :in_kept])
 
 
@@ -258,12 +258,12 @@ class TestPrune:
 
     def test_slice_equivalence_bitwise(self):
         general, personal, bias = random_layer(self.SPEC, 7)
-        full = recover_padfl(general, personal, self.SPEC)
+        full = recover_graph(general, personal, self.SPEC)
         for p in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)):
             for in_kept in (1, 2, 4):
                 t_kept = int(8 * p)
                 pruned, _ = prune_personal(personal, bias, self.SPEC, p, in_kept)
-                w = recover_padfl(general, pruned, self.SPEC, t_kept, in_kept)
+                w = recover_graph(general, pruned, self.SPEC, t_kept, in_kept)
                 assert np.array_equal(w, full[:t_kept, :in_kept, :, :])
 
     def test_unsupported_width_rejected(self):
@@ -353,7 +353,7 @@ class TestInit:
     def test_recovered_init_scale(self):
         spec = built_spec("conv", 16, 8, 3, Fraction(1, 4))
         general, personal, _ = init_layer(spec, np.random.default_rng(10))
-        w = recover_padfl(general, personal, spec)
+        w = recover_graph(general, personal, spec)
         bound = 1.0 / np.sqrt(8 * 9)
         target_std = bound / np.sqrt(3.0)  # std of U(-bound, bound)
         assert 0.5 * target_std < w.std() < 2.0 * target_std

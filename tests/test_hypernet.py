@@ -14,6 +14,7 @@ from util import (
     aggregate_embedding,
     encode,
     finite_diff,
+    generate_one,
     hn_loss,
     prune_personal,
     reference_personal,
@@ -102,7 +103,7 @@ class TestGenerate:
     def test_full_width_shapes(self):
         layout = tiny_layout()
         state = make_state(layout)
-        gen = hn.generate_personal(state, 0, layout, Fraction(1))
+        gen = generate_one(state, 0, layout, Fraction(1))
         spec = layout.specs[0]
         blocks = spec.out_channels // spec.base_count
         assert gen.factors[0].shape == (spec.rank, blocks * spec.in_channels)
@@ -116,24 +117,24 @@ class TestGenerate:
         emb = state.embeddings.copy()
         emb[:, 3] = emb[:, 1]
         state.embeddings = emb
-        a = hn.generate_personal(state, 1, layout, Fraction(1, 2))
-        b = hn.generate_personal(state, 3, layout, Fraction(1, 2))
+        a = generate_one(state, 1, layout, Fraction(1, 2))
+        b = generate_one(state, 3, layout, Fraction(1, 2))
         for x, y in zip(a.arrays(), b.arrays()):
             assert np.array_equal(x, y)
 
     def test_generation_deterministic(self):
         layout = tiny_layout()
         state = make_state(layout, seed=8)
-        a = hn.generate_personal(state, 2, layout, Fraction(1, 2))
-        b = hn.generate_personal(state, 2, layout, Fraction(1, 2))
+        a = generate_one(state, 2, layout, Fraction(1, 2))
+        b = generate_one(state, 2, layout, Fraction(1, 2))
         for x, y in zip(a.arrays(), b.arrays()):
             assert np.array_equal(x, y)
 
     def test_prune_commutes_with_generation(self):
         layout = tiny_layout()
         state = make_state(layout, seed=9)
-        full = hn.generate_personal(state, 0, layout, Fraction(1))
-        half = hn.generate_personal(state, 0, layout, Fraction(1, 2))
+        full = generate_one(state, 0, layout, Fraction(1))
+        half = generate_one(state, 0, layout, Fraction(1, 2))
         spec = layout.specs[0]
         pruned_v, pruned_b = prune_personal(full.factors[0], full.biases[0], spec,
                                             Fraction(1, 2), spec.kept(Fraction(1, 2))[1])
@@ -170,9 +171,9 @@ class TestBatchedGeneration:
         _, outputs = hn.generation_graph(state)
         flat = [f.data for f in outputs]
         for i, p in enumerate(widths):
-            got = hn.personal_params(flat, i, layout, p)
+            got = hn.generate_personal(flat, i, layout, p)
             ref = reference_personal(state, i, layout, p)
-            single = hn.generate_personal(state, i, layout, p)
+            single = generate_one(state, i, layout, p)
             for a, b, c in zip(got.arrays(), ref.arrays(), single.arrays()):
                 assert a.shape == b.shape
                 assert rel_err(a, b) <= 1e-12
@@ -196,7 +197,7 @@ class TestKeptIndex:
 
 class TestHnStep:
     def returned_equal_to_sent(self, state, layout, clients):
-        return {i: hn.generate_personal(state, i, layout, Fraction(1)) for i in clients}
+        return {i: generate_one(state, i, layout, Fraction(1)) for i in clients}
 
     def test_fixed_point_when_returned_equals_sent(self):
         layout = tiny_layout()
@@ -221,7 +222,7 @@ class TestHnStep:
                 [b + 0.1 * rng.normal(size=b.shape) for b in gen.biases],
                 gen.head_w + 0.1 * rng.normal(size=gen.head_w.shape),
                 gen.head_b + 0.1 * rng.normal(size=gen.head_b.shape), Fraction(1))
-            for i, gen in ((i, hn.generate_personal(state, i, layout, Fraction(1)))
+            for i, gen in ((i, generate_one(state, i, layout, Fraction(1)))
                            for i in range(3))
         }
         nodes, loss = hn.regression_loss(state, returned, layout)
@@ -308,7 +309,7 @@ class TestHnStep:
         # quadratic local objective per client over all personal components
         targets = {}
         for i in range(n_clients):
-            gen = hn.generate_personal(state, i, layout, Fraction(1))
+            gen = generate_one(state, i, layout, Fraction(1))
             targets[i] = [rng.normal(size=a.shape) for a in gen.arrays()]
 
         def local_grads(params: ClientModel, i):
@@ -316,7 +317,7 @@ class TestHnStep:
 
         returned = {}
         for i in range(n_clients):
-            gen = hn.generate_personal(state, i, layout, Fraction(1))
+            gen = generate_one(state, i, layout, Fraction(1))
             stepped = [a - eta * g for a, g in zip(gen.arrays(), local_grads(gen, i))]
             f = len(gen.factors)
             returned[i] = ClientModel([], stepped[:f], stepped[f:2 * f],
@@ -328,7 +329,7 @@ class TestHnStep:
 
         # right side: direct gradient of F = (1/n) sum_i f_i(generated_i); at
         # full width client i is sent column i of each decoder output whole
-        nodes_r, outputs = hn.generation_graph(state, trainable=True)
+        nodes_r, outputs = hn.generation_graph(state)
         n_dec = len(outputs) - 1
         terms = []
         for i in sorted(returned):
@@ -352,7 +353,7 @@ class TestHnStep:
     def test_nan_loss_raises(self):
         layout = tiny_layout()
         state = make_state(layout, seed=15)
-        gen = hn.generate_personal(state, 0, layout, Fraction(1))
+        gen = generate_one(state, 0, layout, Fraction(1))
         bad = replace(gen, factors=[f * np.nan for f in gen.factors])
         with pytest.raises(Exception):
             hn.hn_step(state, {0: bad}, layout, lr=0.1)

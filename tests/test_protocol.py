@@ -23,7 +23,7 @@ from padfl.model import (
 )
 
 from test_hypernet import conv_layout, make_state
-from util import finite_diff, orthogonal_reg, reference_logits, rel_err
+from util import finite_diff, generate_one, orthogonal_reg, reference_logits, rel_err
 
 
 GRID16 = supported_widths(Fraction(1, 16))
@@ -346,7 +346,7 @@ class TestDecomposedRounds:
         method = protocol.DecomposedFL(profiles, layout, cfg, seed=1)
         before = [f.copy() for f in method.general]
         models = {
-            i: replace(hypernet.generate_personal(method.hn, i, layout, profiles[i].width),
+            i: replace(generate_one(method.hn, i, layout, profiles[i].width),
                        general=[f.copy() for f in before])
             for i in (0, 1)
         }
@@ -361,7 +361,7 @@ class TestDecomposedRounds:
         ga = [rng.normal(size=f.shape) for f in method.general]
         gb = [rng.normal(size=f.shape) for f in method.general]
         mk = lambda i, g: replace(
-            hypernet.generate_personal(method.hn, i, layout, profiles[i].width), general=g)
+            generate_one(method.hn, i, layout, profiles[i].width), general=g)
         method.aggregate({0: mk(0, ga), 1: mk(1, gb)})
         for m, a, b in zip(method.general, ga, gb):
             assert np.array_equal(m, (a + b) / 2)

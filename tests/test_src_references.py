@@ -1,13 +1,11 @@
 """Every module-level function and class in src/padfl must be referenced
 somewhere else in src/padfl: code that only tests call belongs in
-tests/util.py. The only exemptions are the functions the benchmark hooks
-by name (padbench/spans.py, read without writing anything there).
-Likewise every dataclass field in src/padfl must be read somewhere in
-src/padfl or padbench/: a field that nothing reads is dead state."""
+tests/util.py, and the functions the benchmark hooks by name are no
+exception. Likewise every dataclass field in src/padfl must be read
+somewhere in src/padfl or padbench/: a field that nothing reads is dead
+state."""
 import ast
 from pathlib import Path
-
-from test_benchmark_hooks import load_spans
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "padfl"
 PADBENCH = Path(__file__).resolve().parents[1] / "padbench"
@@ -34,9 +32,7 @@ def unreferenced():
 
 
 def test_no_src_code_only_tests_call():
-    spans = load_spans()
-    hooked = {(layer, target) for layer, target in spans.LAYER_HOOKS + (spans.ROUND_HOOK,)}
-    assert [d for d in unreferenced() if d not in hooked] == []
+    assert unreferenced() == []
 
 
 def _is_dataclass(decorator):

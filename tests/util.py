@@ -2,8 +2,8 @@
 central finite differences, nested-loop convolution and conv-block
 references, an einsum recovery, per-model decomposed and dense forwards, and a
 per-client loop form of the hyper-network's generation and loss. Also
-the single-layer record, recovery, pruning, accounting and copying
-helpers that only tests use."""
+the single-layer record, recovery, generation, pruning, accounting and
+copying helpers that only tests use."""
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +11,7 @@ import numpy as np
 from padfl import autodiff as ad
 from padfl.decomp import factor_grid, param_count, recover_padfl_t
 from padfl.errors import ConfigurationError
+from padfl.hypernet import generate_personal, generation_graph
 from padfl.model import ClientModel, CnnArch, PlainModel, build_layout
 from padfl.protocol import orthogonal_reg_t
 
@@ -196,10 +197,25 @@ def built_spec(kind, t, s, k=1, min_width=1, hw=(2, 2)):
     return build_layout(CnnArch(s, 1, 1, hidden=(t,)), min_width).specs[0]
 
 
+def recover_graph(general, personal, spec, out_kept=None, in_kept=None, kind="padfl"):
+    """The weight recovered from one 2-D factor pair by the graph recovery
+    on constants, at full width unless the kept counts are given."""
+    out_kept = spec.out_channels if out_kept is None else out_kept
+    in_kept = spec.in_channels if in_kept is None else in_kept
+    return recover_padfl_t(ad.const(general), ad.const(personal), spec, out_kept, in_kept,
+                           kind).data
+
+
 def recover_flanc(general, personal, spec, out_kept=None, in_kept=None) -> np.ndarray:
     """The input-slab recovered weight, through the graph recovery."""
-    return recover_padfl_t(ad.const(general), ad.const(personal), spec, out_kept, in_kept,
-                           "flanc").data
+    return recover_graph(general, personal, spec, out_kept, in_kept, "flanc")
+
+
+def generate_one(state, client, layout, width):
+    """One client's personal parameters, pruned to its width: a batched
+    generation from the state, then that client's cut."""
+    _, outputs = generation_graph(state)
+    return generate_personal([f.data for f in outputs], client, layout, width)
 
 
 def prune_personal(personal, bias, spec, p, in_kept=None, kind="padfl"):
