@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import autodiff as ad
-from .model import CnnArch, Layout, PlainModel, init_plain, plain_accuracy, plain_logits_t
+from .model import Layout, PlainModel, init_plain, plain_accuracy, plain_logits_t
 from .protocol import (
     TAG_INIT,
     ClientRow,
@@ -17,10 +17,11 @@ from .protocol import (
 )
 
 
-def plain_sgd(model: PlainModel, arch: CnnArch, client_data, *, epochs, batch, lr, rng):
+def plain_sgd(model: PlainModel, layout: Layout, client_data, *, epochs, batch, lr, rng):
     """Minibatch SGD with plain cross-entropy on a dense model; returns
     (trained model or None, mean loss)."""
-    return sgd(model, client_data, lambda m, x, y: ad.cross_entropy(plain_logits_t(arch, m, x), y),
+    return sgd(model, client_data,
+               lambda m, x, y: ad.cross_entropy(plain_logits_t(layout, m, x), y),
                epochs=epochs, batch=batch, lr=lr, rng=rng)
 
 
@@ -32,7 +33,7 @@ class DenseMethod(FederatedMethod):
         raise NotImplementedError
 
     def train_client(self, t, i, eta):
-        return plain_sgd(self.client_view(i), self.layout.arch, self.profiles[i].data,
+        return plain_sgd(self.client_view(i), self.layout, self.profiles[i].data,
                          epochs=self.cfg.epochs, batch=self.cfg.batch, lr=eta,
                          rng=self.client_rng(t, i))
 
@@ -41,8 +42,8 @@ class DenseMethod(FederatedMethod):
         xv, yv = profile.data.val_xy()
         xt, yt = profile.data.test_xy()
         return ClientRow(profile.id, profile.capacity, model.width, train_loss,
-                         plain_accuracy(self.layout.arch, model, xv, yv),
-                         plain_accuracy(self.layout.arch, model, xt, yt),
+                         plain_accuracy(self.layout, model, xv, yv),
+                         plain_accuracy(self.layout, model, xt, yt),
                          float("nan"))
 
     def round_payload(self, selected):
@@ -88,15 +89,6 @@ class PWidthNested(DenseMethod):
             merged[covered] = acc[covered] / count[covered]
             new_arrays.append(merged)
         self.model = PlainModel.from_arrays(new_arrays, self.model.width)
-
-
-class FedAvgMinWidth(PWidthNested):
-    """One shared dense model sized for the lowest-capacity client, so
-    every client's nested slice is the whole model and aggregation is the
-    position-wise mean; no personalization."""
-
-    def __init__(self, profiles, layout, cfg, seed):
-        super().__init__(profiles, layout, cfg, seed, min(p.width for p in profiles))
 
 
 class LocalOnly(DenseMethod):

@@ -81,28 +81,12 @@ class RunConfig:
         return self
 
 
-def _parse_tuple(text, kind):
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(kind(part.strip()) for part in text.split(","))
-
-
-_PARSERS = {
-    "synth_shape": lambda s: _parse_tuple(s, int),
-    "conv_channels": lambda s: _parse_tuple(s, int),
-    "fc_dims": lambda s: _parse_tuple(s, int),
-    "min_width": Fraction,
-}
-
-
-def parse_value(key, text, current):
-    if key in _PARSERS:
-        return _PARSERS[key](text)
-    if isinstance(current, int):
-        return int(text)
-    if isinstance(current, float):
-        return float(text)
+def parse_value(text, default):
+    """`text` as the type of the key's default; a tuple holds ints."""
+    if isinstance(default, tuple):
+        return tuple(int(part) for part in text.split(",")) if text else ()
+    if isinstance(default, (Fraction, int, float)):
+        return type(default)(text)
     return text
 
 
@@ -111,7 +95,7 @@ def _assign(cfg, key, text, where=""):
     if key not in {f.name for f in fields(RunConfig)}:
         raise ConfigurationError(f"{where}unknown key {key!r}")
     try:
-        setattr(cfg, key, parse_value(key, text, getattr(cfg, key)))
+        setattr(cfg, key, parse_value(text, getattr(RunConfig(), key)))
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigurationError(f"{where}bad value for {key}: {exc}") from exc
 

@@ -34,19 +34,11 @@ class ClientData:
     val_idx: np.ndarray
     test_idx: np.ndarray
 
-    def __post_init__(self):
-        self._cache = {}
-
-    def _xy(self, name, idx):
-        if name not in self._cache:
-            self._cache[name] = (self.dataset.features[idx], self.dataset.labels[idx])
-        return self._cache[name]
-
     def val_xy(self):
-        return self._xy("val", self.val_idx)
+        return self.dataset.features[self.val_idx], self.dataset.labels[self.val_idx]
 
     def test_xy(self):
-        return self._xy("test", self.test_idx)
+        return self.dataset.features[self.test_idx], self.dataset.labels[self.test_idx]
 
 
 VAL_SHARE = TEST_SHARE = 0.1  # of each client's samples; the rest trains

@@ -4,18 +4,19 @@ The network is a stack of conv blocks, a flatten, optional hidden
 linear layers, and a classification head. Every conv block is the same:
 a stride-1 k x k conv (k odd) padded by k // 2 to keep the map size,
 then a bias, a 2x2 max pool and a ReLU. Every layer but the head is
-decomposable; the head is dense and comes in two flavors per client:
-the frozen shared head and a personal one.
+decomposable; the head is dense. `Layout`, made only by `build_layout`,
+is the one description of the network that the forwards, initializers,
+hyper-network and methods read.
 
 Width-p submodels keep the leading p*T output channels of every layer,
 so the flatten stays contiguous and the head only needs its leading
 input columns.
 
 Both families share one graph forward (`features_t`, for training) and
-one plain-array forward (`stacked_forward`, for evaluation) per
-architecture. A decomposed model first recovers its dense weights from
-its factors: `decomp.recover_padfl_t` in the graph, `decomp.recover_padfl`
-for a stack of M models. `accuracy` and `plain_accuracy` run one model
+one plain-array forward (`stacked_forward`, for evaluation). A
+decomposed model first recovers its dense weights from its factors:
+`decomp.recover_padfl_t` in the graph, `decomp.recover_padfl` for a
+stack of M models. `accuracy` and `plain_accuracy` run one model
 as the M = 1 case.
 
 One container per family, `ClientModel` (decomposed) and `PlainModel`
@@ -37,32 +38,16 @@ from .errors import ConfigurationError
 
 
 @dataclass(frozen=True)
-class CnnArch:
-    in_channels: int
-    height: int
-    width: int
-    convs: tuple = ()   # output channels of each conv block
-    kernel: int = 3     # every conv's (odd) kernel size
-    hidden: tuple = ()  # linear widths between flatten and head
-    classes: int = 2
-
-
-@dataclass(frozen=True)
 class Layout:
-    """Layer geometry, computed only by `build_layout`: one
-    `decomp.LayerSpec` per decomposed layer, which both model families,
-    the hyper-network and accounting read, and the head's input size.
-    `recovery` is the decomposed model's factor layout, "padfl"
-    (channel-aware) or "flanc" (input slabs); only `decomp` branches on it."""
+    """The network, computed only by `build_layout`, which both model
+    families, the hyper-network and accounting read. `recovery` is the
+    decomposed model's factor layout, "padfl" (channel-aware) or "flanc"
+    (input slabs); only `decomp` branches on it."""
 
-    arch: CnnArch
     specs: tuple          # decomposed LayerSpec per layer (convs then hidden)
     head_in_full: int     # dense feature count entering the head at width 1
+    classes: int
     recovery: str = "padfl"
-
-    @property
-    def classes(self):
-        return self.arch.classes
 
     def head_in(self, p) -> int:
         """Head input features at width p (leading channels kept)."""
@@ -75,12 +60,14 @@ class Layout:
         return n + self.classes * self.head_in(p) + self.classes
 
 
-def build_layout(arch: CnnArch, min_width, recovery="padfl") -> Layout:
-    """The one place layer records are made. base_count = T * min_width,
-    so every width on the grid keeps a whole number of personal blocks;
-    rank = max(min(S, T), k^2) for conv keeps the general blocks
-    expressive without inflating the linear case, where rank = base_count.
-    Only the first layer reads the raw input."""
+def build_layout(in_shape, classes, min_width, convs=(), kernel=3, hidden=()) -> Layout:
+    """The one place layer records are made, for (C, H, W) inputs: a k x k
+    conv block per entry of `convs` (its output channels), then a linear
+    layer per entry of `hidden`. base_count = T * min_width, so every width
+    on the grid keeps a whole number of personal blocks; rank =
+    max(min(S, T), k^2) for conv keeps the general blocks expressive
+    without inflating the linear case, where rank = base_count. Only the
+    first layer reads the raw input."""
     mw, specs = Fraction(min_width), []
 
     def add(kind, t, s, k=1, hw=(1, 1)):
@@ -91,17 +78,17 @@ def build_layout(arch: CnnArch, min_width, recovery="padfl") -> Layout:
         rank = max(min(s, t), k ** 2) if kind == "conv" else int(r1)
         specs.append(decomp.LayerSpec(kind, t, s, k, int(r1), rank, hw, raw_input=not specs))
 
-    h, w, prev_c = arch.height, arch.width, arch.in_channels
-    for ch in arch.convs:
-        add("conv", ch, prev_c, arch.kernel, (h, w))
+    prev_c, h, w = in_shape
+    for ch in convs:
+        add("conv", ch, prev_c, kernel, (h, w))
         if h % 2 or w % 2:
             raise ConfigurationError(f"pooling needs even feature maps, got {h}x{w}")
         h, w, prev_c = h // 2, w // 2, ch
     feat = prev_c * h * w
-    for width in arch.hidden:
+    for width in hidden:
         add("linear", width, feat)
         feat = width
-    return Layout(arch, tuple(specs), feat, recovery)
+    return Layout(tuple(specs), feat, classes)
 
 
 # ---------------------------------------------------------------------------
@@ -218,17 +205,19 @@ def init_plain(layout: Layout, p, rng) -> PlainModel:
 # ---------------------------------------------------------------------------
 # forward passes: one graph forward and one plain-array forward
 
-def features_t(arch: CnnArch, weights, biases, x_node):
+def features_t(layout: Layout, weights, biases, x_node):
     """Graph forward up to (but not including) the head, over one weight
-    and one bias node per layer (conv weights (T, S, k, k), linear weights
-    (T, S)); takes (B, C, H, W) and returns the (B, features) node. The
-    conv blocks run channel-first, (C, B, H, W): one transpose in (free
-    for one input channel), one before the flatten."""
-    h, n_conv = ad.transpose(x_node, (1, 0, 2, 3)), len(arch.convs)
-    for w, b in zip(weights[:n_conv], biases):
-        h = ad.relu(ad.maxpool2x2(ad.conv2d(h, w, pad=arch.kernel // 2, bias=b)))
+    and one bias node per layer of `layout.specs` (conv weights
+    (T, S, k, k), linear weights (T, S)); takes (B, C, H, W) and returns
+    the (B, features) node. The conv blocks run channel-first,
+    (C, B, H, W): one transpose in (free for one input channel), one
+    before the flatten."""
+    h = ad.transpose(x_node, (1, 0, 2, 3))
+    convs = [s for s in layout.specs if s.kind == "conv"]
+    for spec, w, b in zip(convs, weights, biases):
+        h = ad.relu(ad.maxpool2x2(ad.conv2d(h, w, pad=spec.kernel // 2, bias=b)))
     h = ad.reshape(ad.transpose(h, (1, 0, 2, 3)), (x_node.data.shape[0], -1))
-    for w, b in zip(weights[n_conv:], biases[n_conv:]):
+    for w, b in zip(weights[len(convs):], biases[len(convs):]):
         h = ad.relu(ad.add(ad.matmul(h, ad.transpose(w, (1, 0))), b))
     return h
 
@@ -245,16 +234,16 @@ def representation_t(layout, model: ClientModel, x_node):
         out_kept, in_kept = spec.kept(model.width)
         w = decomp.recover_padfl_t(general, factor, spec, out_kept, in_kept, layout.recovery)
         weights.append(w if spec.kind == "conv" else ad.reshape(w, (out_kept, in_kept)))
-    return features_t(layout.arch, weights, model.biases, x_node)
+    return features_t(layout, weights, model.biases, x_node)
 
 
-def plain_logits_t(arch, model: PlainModel, x_node):
+def plain_logits_t(layout, model: PlainModel, x_node):
     """Graph forward of a dense model of nodes."""
-    return head_logits_t(features_t(arch, model.weights, model.biases, x_node),
+    return head_logits_t(features_t(layout, model.weights, model.biases, x_node),
                          model.head_w, model.head_b)
 
 
-def stacked_forward(arch: CnnArch, model: PlainModel, x):
+def stacked_forward(layout: Layout, model: PlainModel, x):
     """Plain-array forward (no graph, for evaluation) of a stacked dense
     model holding M models, on one shared batch x (B, C, H, W).
 
@@ -265,20 +254,21 @@ def stacked_forward(arch: CnnArch, model: PlainModel, x):
     every product is the per-model 2-D matmul. The working set is M times
     one model's.
     """
-    h, n_conv = x.transpose(1, 0, 2, 3)[None], len(arch.convs)  # shared by all M models
-    for w, b in zip(model.weights[:n_conv], model.biases):
-        h = ad.conv2d_infer(h, w, pad=arch.kernel // 2) + b[:, :, None, None, None]
+    h = x.transpose(1, 0, 2, 3)[None]  # shared by all M models
+    convs = [s for s in layout.specs if s.kind == "conv"]
+    for spec, w, b in zip(convs, model.weights, model.biases):
+        h = ad.conv2d_infer(h, w, pad=spec.kernel // 2) + b[:, :, None, None, None]
         h = ad.relu_infer(ad.maxpool2x2_infer(h))
     h = h.transpose(0, 2, 1, 3, 4).reshape(h.shape[0], h.shape[2], -1)
-    for w, b in zip(model.weights[n_conv:], model.biases[n_conv:]):
+    for w, b in zip(model.weights[len(convs):], model.biases[len(convs):]):
         h = ad.relu_infer(np.matmul(h, w.transpose(0, 2, 1)) + b[:, None, :])
     return np.matmul(h, model.head_w.transpose(0, 2, 1)) + model.head_b[:, None, :]
 
 
-def plain_accuracy(arch, model: PlainModel, x, y) -> float:
+def plain_accuracy(layout, model: PlainModel, x, y) -> float:
     """Accuracy of one dense model: the stacked forward at M = 1."""
     one = PlainModel.from_arrays([a[None] for a in model.arrays()], model.width)
-    return float((stacked_forward(arch, one, x)[0].argmax(axis=1) == y).mean())
+    return float((stacked_forward(layout, one, x)[0].argmax(axis=1) == y).mean())
 
 
 def stacked_logits(layout, model: ClientModel, x):
@@ -289,7 +279,7 @@ def stacked_logits(layout, model: ClientModel, x):
         w = decomp.recover_padfl(general, factor, spec, *spec.kept(model.width), layout.recovery)
         weights.append(w if spec.kind == "conv" else w.reshape(w.shape[:3]))
     dense = PlainModel(weights, model.biases, model.head_w, model.head_b, model.width)
-    return stacked_forward(layout.arch, dense, x)
+    return stacked_forward(layout, dense, x)
 
 
 def accuracy(layout, model: ClientModel, x, y) -> float:

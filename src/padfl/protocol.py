@@ -87,8 +87,9 @@ def assign_capacities(num_clients, mode, rng, grid) -> list:
 
 
 def early_stop(history, patience) -> bool:
-    """True once the best value has stood unbeaten for `patience` rounds
-    (counting the round that set it)."""
+    """True once the best value has stood unbeaten (a tie does not beat it)
+    for max(2, patience) rounds, counting the round that set it: a patience
+    of 1 acts as 2, so early_stop([a, b], 1) with b <= a is the first true."""
     if patience < 1:
         raise ConfigurationError("patience must be >= 1")
     if not history:

@@ -13,7 +13,6 @@ import numpy as np
 from .config import RunConfig
 from .decomp import flops_account, supported_widths
 from .errors import ConfigurationError, FormatError
-from .model import build_layout
 from .protocol import width_for_capacity
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
@@ -167,10 +166,9 @@ ACCOUNT_RATIOS = (Fraction(1, 256), Fraction(1, 64), Fraction(1, 4), Fraction(1)
 
 def account(cfg: RunConfig):
     """Analytic per-capacity cost rows for the configured model."""
-    from .runner import build_arch, build_dataset
+    from .runner import build_dataset, configured_layout
 
-    arch = build_arch(cfg, None if cfg.dataset == "synth" else build_dataset(cfg))
-    layout = build_layout(arch, cfg.min_width)
+    layout = configured_layout(cfg, None if cfg.dataset == "synth" else build_dataset(cfg))
     grid = supported_widths(cfg.min_width)
     rows = []
     for r in ACCOUNT_RATIOS:

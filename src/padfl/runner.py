@@ -5,6 +5,9 @@ capacities, initialization and every per-client batch order derive from
 named seed streams, and client results are reduced in client-id order,
 so metrics.csv comes out byte-identical for any number of worker
 processes, provided BLAS runs one thread per process.
+
+`configured_layout` is the one adapter from a config to the `model.Layout`
+that the methods read; `report.account` shares it.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ from .config import RunConfig, snapshot
 from .data import load_idx, partition_dirichlet, partition_k_of_k, synth_gaussian
 from .decomp import supported_widths
 from .errors import ConfigurationError, NumericError
-from .model import CnnArch, build_layout
+from .model import Layout, build_layout
 
 CSV_HEADER = "round,client_id,capacity_r,width_p,train_loss,val_acc,test_acc,alpha_selected"
 ROUNDS_HEADER = "round,eta,hn_loss,params_exchanged,gen_s,train_s,server_s,eval_s,failed"
@@ -54,14 +57,14 @@ def build_partition(cfg: RunConfig, dataset):
     return partition_k_of_k(dataset, cfg.clients, cfg.classes_per_client, seed)
 
 
-def build_arch(cfg: RunConfig, dataset=None) -> CnnArch:
-    """The configured CNN for dataset's images, or for the synth shape."""
+def configured_layout(cfg: RunConfig, dataset=None) -> Layout:
+    """The configured network for dataset's images, or for the synth shape."""
     if dataset is None:
-        (c, h, w), classes = cfg.synth_shape, cfg.synth_classes
+        in_shape, classes = cfg.synth_shape, cfg.synth_classes
     else:
-        (c, h, w), classes = dataset.features.shape[1:], dataset.classes
-    return CnnArch(c, h, w, convs=tuple(cfg.conv_channels), kernel=cfg.conv_kernel,
-                   hidden=tuple(cfg.fc_dims), classes=classes)
+        in_shape, classes = dataset.features.shape[1:], dataset.classes
+    return build_layout(in_shape, classes, cfg.min_width, cfg.conv_channels, cfg.conv_kernel,
+                        cfg.fc_dims)
 
 
 def build_profiles(cfg: RunConfig, partition):
@@ -82,8 +85,9 @@ def build_method(cfg: RunConfig, profiles, layout):
     if cfg.method == "Pa3dFL_FlancDecomp":
         return protocol.DecomposedFL(profiles, replace(layout, recovery="flanc"), cfg,
                                      cfg.seed)
-    if cfg.method == "FedAvgMinWidth":
-        return baselines.FedAvgMinWidth(profiles, layout, cfg, cfg.seed)
+    if cfg.method == "FedAvgMinWidth":  # one shared model at the smallest client width
+        return baselines.PWidthNested(profiles, layout, cfg, cfg.seed,
+                                      min(p.width for p in profiles))
     if cfg.method == "PWidthNested":
         return baselines.PWidthNested(profiles, layout, cfg, cfg.seed)
     if cfg.method == "LocalOnly":
@@ -107,8 +111,7 @@ def run(cfg: RunConfig) -> RunRecord:
     started = time.monotonic()
     os.makedirs(cfg.out_dir, exist_ok=True)
     dataset = build_dataset(cfg)
-    arch = build_arch(cfg, dataset)
-    layout = build_layout(arch, cfg.min_width)
+    layout = configured_layout(cfg, dataset)
     partition = build_partition(cfg, dataset)
     profiles = build_profiles(cfg, partition)
     method = build_method(cfg, profiles, layout)

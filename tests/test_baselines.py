@@ -10,7 +10,6 @@ from padfl.config import parse_config
 from padfl.decomp import supported_widths
 from padfl.errors import ConfigurationError
 from padfl.model import (
-    CnnArch,
     PlainModel,
     build_layout,
     features_t,
@@ -26,13 +25,13 @@ from util import plain_copy, reference_plain_logits, rel_err
 class TestFedAvgMinWidth:
     def test_ideal_capacities_full_width(self):
         cfg, layout, profiles = small_setup(seed=5, capacity="ideal")
-        method = baselines.FedAvgMinWidth(profiles, layout, cfg, seed=5)
+        method = runner.build_method(replace(cfg, method="FedAvgMinWidth"), profiles, layout)
         assert method.model.width == 1
 
     def test_single_client_is_local_sgd(self):
         cfg, layout, profiles = small_setup(seed=6, clients=4)
         cfg.per_round = 1
-        method = baselines.FedAvgMinWidth(profiles, layout, cfg, seed=6)
+        method = runner.build_method(replace(cfg, method="FedAvgMinWidth"), profiles, layout)
         start = plain_copy(method.model)
         selected = method.sample_clients(1)
         i = selected[0]
@@ -41,7 +40,7 @@ class TestFedAvgMinWidth:
         # aggregate of one client is exactly that client's model
         for a, b in zip(method.model.arrays(), trained.arrays()):
             assert np.array_equal(a, b)
-        ref, _ = baselines.plain_sgd(start, layout.arch, profiles[i].data,
+        ref, _ = baselines.plain_sgd(start, layout, profiles[i].data,
                                      epochs=cfg.epochs, batch=cfg.batch,
                                      lr=cfg.lr, rng=method.client_rng(0, i))
         for a, b in zip(method.model.arrays(), ref.arrays()):
@@ -49,7 +48,7 @@ class TestFedAvgMinWidth:
 
     def test_aggregate_of_equal_models_is_identity(self):
         cfg, layout, profiles = small_setup(seed=7)
-        method = baselines.FedAvgMinWidth(profiles, layout, cfg, seed=7)
+        method = runner.build_method(replace(cfg, method="FedAvgMinWidth"), profiles, layout)
         snap = [a.copy() for a in method.model.arrays()]
         method.aggregate({0: plain_copy(method.model), 1: plain_copy(method.model)})
         for a, b in zip(method.model.arrays(), snap):
@@ -57,7 +56,7 @@ class TestFedAvgMinWidth:
 
     def test_round_produces_metrics(self):
         cfg, layout, profiles = small_setup(seed=8)
-        method = baselines.FedAvgMinWidth(profiles, layout, cfg, seed=8)
+        method = runner.build_method(replace(cfg, method="FedAvgMinWidth"), profiles, layout)
         m = method.run_round(0)
         assert len(m.rows) == len(profiles)
         assert all(np.isnan(r.alpha) for r in m.rows)
@@ -180,8 +179,7 @@ class TestAblationWiring:
     def test_flanc_infeasible_width_fails_at_construction(self):
         # base_count 2 in conv1, whose single input channel cannot be split
         cfg, _, profiles = small_setup(seed=18)
-        arch = CnnArch(1, 8, 8, convs=(8, 8), kernel=3, classes=2)
-        layout = build_layout(arch, cfg.min_width)
+        layout = build_layout((1, 8, 8), 2, cfg.min_width, convs=(8, 8), kernel=3)
         protocol.DecomposedFL(profiles, layout, cfg, seed=18)
         with pytest.raises(ConfigurationError, match="layer 0"):
             protocol.DecomposedFL(profiles, replace(layout, recovery="flanc"), cfg, seed=18)
@@ -190,7 +188,8 @@ class TestAblationWiring:
         # conv 4,8: the second conv's base_count 2 lets FLANC differ from Pa3dFL
         cfg, layout, profiles_a = small_setup(seed=17)
         _, _, profiles_b = small_setup(seed=17)
-        layout = build_layout(replace(layout.arch, convs=(4, 8)), cfg.min_width)
+        layout = build_layout((1, 8, 8), layout.classes, cfg.min_width, convs=(4, 8),
+                              kernel=cfg.conv_kernel)
         a = protocol.DecomposedFL(profiles_a, layout, cfg, seed=17)
         b = protocol.DecomposedFL(profiles_b, replace(layout, recovery="flanc"), cfg, seed=17)
         ma = a.run_round(0)
@@ -204,17 +203,16 @@ class TestDenseForward:
     @pytest.mark.parametrize("convs,hidden", [((4, 8), ()), ((4, 8), (32,)), ((), (32, 16))])
     @pytest.mark.parametrize("width", [Fraction(1), Fraction(1, 2)])
     def test_stacked_forward_matches_reference(self, convs, hidden, width):
-        arch = CnnArch(1, 8, 8, convs=convs, kernel=3, hidden=hidden, classes=3)
-        layout = build_layout(arch, Fraction(1, 4))
+        layout = build_layout((1, 8, 8), 3, Fraction(1, 4), convs, kernel=3, hidden=hidden)
         rng = np.random.default_rng(19)
         shapes = init_plain(layout, width, rng)
         model = PlainModel.from_arrays([rng.normal(size=a.shape) for a in shapes.arrays()],
                                        width)
         x = rng.normal(size=(5, 1, 8, 8))
         one = PlainModel.from_arrays([a[None] for a in model.arrays()], width)
-        got = stacked_forward(arch, one, x)
+        got = stacked_forward(layout, one, x)
         assert got.shape == (1, 5, 3)
-        assert rel_err(got[0], reference_plain_logits(arch, model, x)) <= 1e-12
+        assert rel_err(got[0], reference_plain_logits(layout, model, x)) <= 1e-12
 
     @pytest.mark.parametrize("hidden,bound", [((), 0.0), ((32,), 1e-15)])
     @pytest.mark.parametrize("width", [Fraction(1), Fraction(1, 2), Fraction(3, 16)])
@@ -225,16 +223,15 @@ class TestDenseForward:
         # in the stacked forward against the graph's 2-D product, which
         # may round differently (6e-17 here at width 1). The zero leading
         # rows make whole pool windows tie.
-        arch = CnnArch(1, 8, 8, convs=(16, 16), kernel=3, hidden=hidden, classes=3)
-        layout = build_layout(arch, Fraction(1, 16))
+        layout = build_layout((1, 8, 8), 3, Fraction(1, 16), (16, 16), kernel=3, hidden=hidden)
         rng = np.random.default_rng(21)
         model = init_plain(layout, width, rng)
         x = rng.normal(size=(5, 1, 8, 8))
         x[:, :, :3] = 0.0
         one = PlainModel.from_arrays([a[None] for a in model.arrays()], width)
         nodes = PlainModel.from_arrays([ad.const(a) for a in model.arrays()], width)
-        got = plain_logits_t(arch, nodes, ad.const(x)).data
-        assert np.abs(got - stacked_forward(arch, one, x)[0]).max() <= bound
+        got = plain_logits_t(layout, nodes, ad.const(x)).data
+        assert np.abs(got - stacked_forward(layout, one, x)[0]).max() <= bound
 
 
 class TestGeometry:
@@ -246,7 +243,7 @@ class TestGeometry:
     def build(self, method):
         cfg = parse_config(self.CONFIG + f"method = {method}\n").finalize()
         dataset = runner.build_dataset(cfg)
-        layout = build_layout(runner.build_arch(cfg, dataset), cfg.min_width)
+        layout = runner.configured_layout(cfg, dataset)
         profiles = runner.build_profiles(cfg, runner.build_partition(cfg, dataset))
         return cfg, layout, runner.build_method(cfg, profiles, layout)
 
@@ -254,8 +251,7 @@ class TestGeometry:
     def test_fixed_block_maps_match_layout(self, kernel):
         # every conv is stride 1 padded by k // 2, so it keeps its input's
         # map: the graph forward's shapes are the ones Layout computes
-        arch = CnnArch(1, 12, 16, convs=(4, 8), kernel=kernel, hidden=(32,), classes=3)
-        layout = build_layout(arch, Fraction(1, 4))
+        layout = build_layout((1, 12, 16), 3, Fraction(1, 4), (4, 8), kernel, hidden=(32,))
         assert tuple(s.out_hw for s in layout.specs) == ((12, 16), (6, 8), (1, 1))
         rng = np.random.default_rng(20)
         model = init_plain(layout, 1, rng)
@@ -265,7 +261,7 @@ class TestGeometry:
             h = ad.conv2d(h, ad.const(w), pad=kernel // 2, bias=ad.const(b))
             assert h.shape[2:] == layout.specs[i].out_hw
             h = ad.relu(ad.maxpool2x2(h))
-        feats = features_t(arch, [ad.const(w) for w in model.weights],
+        feats = features_t(layout, [ad.const(w) for w in model.weights],
                            [ad.const(b) for b in model.biases], x)
         assert feats.shape == (2, layout.head_in_full)
 

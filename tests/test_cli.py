@@ -1,17 +1,20 @@
 import csv
 import json
 import os
+import tempfile
 import types
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padfl import autodiff as ad
 from padfl import protocol, report, runner
 from padfl.cli import main as cli_main
-from padfl.config import RunConfig, load_config, parse_config
+from padfl.config import METHODS, RunConfig, load_config, parse_config
 from padfl.errors import ConfigurationError, NumericError
 
 from util import reference_plain_logits
@@ -191,14 +194,14 @@ class TestFedAvgOracle:
 
         # --- straight-line reimplementation ---
         dataset = runner.build_dataset(cfg)
-        arch = runner.build_arch(cfg, dataset)
+        layout = runner.configured_layout(cfg, dataset)
         partition = runner.build_partition(cfg, dataset)
         profiles = runner.build_profiles(cfg, partition)
         assert all(p.width == 1 for p in profiles)
-        from padfl.model import build_layout, init_plain
+        from padfl.model import init_plain
 
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, protocol.TAG_INIT)))
-        model = init_plain(build_layout(arch, cfg.min_width), Fraction(1), rng)
+        model = init_plain(layout, Fraction(1), rng)
         arrays = model.arrays()
         server_rng = np.random.default_rng(
             np.random.SeedSequence((cfg.seed, protocol.TAG_SERVER)))
@@ -206,14 +209,14 @@ class TestFedAvgOracle:
         def forward_t(nodes, x):
             (w1, w2, b1, b2, hw_, hb_), h = nodes, ad.transpose(x, (1, 0, 2, 3))
             for w, b in ((w1, b1), (w2, b2)):  # channel-first (C, B, H, W)
-                h = ad.relu(ad.maxpool2x2(ad.conv2d(h, w, pad=arch.kernel // 2, bias=b)))
+                h = ad.relu(ad.maxpool2x2(ad.conv2d(h, w, pad=cfg.conv_kernel // 2, bias=b)))
             h = ad.reshape(ad.transpose(h, (1, 0, 2, 3)), (x.data.shape[0], -1))
             return ad.add(ad.matmul(h, ad.transpose(hw_, (1, 0))), hb_)
 
         def forward(arrs, x):
             dense = types.SimpleNamespace(weights=arrs[:2], biases=arrs[2:4],
                                           head_w=arrs[4], head_b=arrs[5])
-            return reference_plain_logits(arch, dense, x)
+            return reference_plain_logits(layout, dense, x)
 
         def train(arrs, prof, t):
             arrs = [a.copy() for a in arrs]
@@ -307,11 +310,8 @@ class TestAccount:
         full = rows[-1]
         assert full["width_p"] == "1"
         from padfl.decomp import param_count
-        from padfl.model import build_layout
 
-        dataset = runner.build_dataset(cfg)
-        arch = runner.build_arch(cfg, dataset)
-        layout = build_layout(arch, cfg.min_width)
+        layout = runner.configured_layout(cfg, runner.build_dataset(cfg))
         expect = sum(param_count(s, s.out_channels, s.in_channels) for s in layout.specs)
         expect += layout.classes * layout.head_in_full + layout.classes
         assert full["param_count"] == expect
@@ -340,11 +340,8 @@ class TestAccount:
         cfg = small_cfg(tmp_path)
         rows = report.account(cfg)
         from padfl.decomp import param_count, supported_widths
-        from padfl.model import build_layout
 
-        dataset = runner.build_dataset(cfg)
-        arch = runner.build_arch(cfg, dataset)
-        layout = build_layout(arch, cfg.min_width)
+        layout = runner.configured_layout(cfg, runner.build_dataset(cfg))
         grid = supported_widths(cfg.min_width)
         for row in rows:
             p = protocol.width_for_capacity(float(Fraction(row["capacity_r"])), grid)
@@ -455,3 +452,61 @@ class TestCliEntry:
         cfg_path.write_text(SMALL + "out_dir = sub\n")
         assert cli_main(["run", str(cfg_path)]) == 0
         assert (tmp_path / "root" / "sub" / "metrics.csv").exists()
+
+
+def _text(value):
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+@st.composite
+def sweep_configs(draw):
+    """A small config; some draws are invalid on purpose (no layer, a
+    channel count min_width does not divide, per_round above clients, an
+    odd map under a pool)."""
+    clients = draw(st.integers(1, 6))
+    return {
+        "method": draw(st.sampled_from(METHODS)),
+        "conv_channels": draw(st.sampled_from([(4, 8), (8,), (16, 16), (2, 4), ()])),
+        "fc_dims": draw(st.sampled_from([(), (8,), (16, 4)])),
+        "min_width": draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1),
+                                           Fraction(1, 8)])),
+        "clients": clients,
+        "per_round": draw(st.integers(1, clients + 1)),
+        "synth_shape": draw(st.sampled_from([(1, 8, 8), (1, 4, 4), (2, 8, 12), (1, 4, 8),
+                                             (3, 6, 6)])),
+        "synth_classes": draw(st.integers(2, 4)),
+        "partition": draw(st.sampled_from(["dirichlet", "k_of_K"])),
+        "capacity": draw(st.sampled_from(["hetero", "ideal"])),
+        "alpha_grid": draw(st.integers(2, 11)),
+        "hn_depth": draw(st.integers(0, 2)),
+        "workers": draw(st.integers(1, 2)),
+        "rounds": draw(st.integers(1, 2)),
+    }
+
+
+class TestConfigSweep:
+    """Every drawn config either runs to accuracies in [0, 1] with a
+    byte-identical rerun, or exits 2 before writing metrics.csv."""
+
+    FIXED = {"synth_per_class": 15, "batch": 8, "epochs": 1, "hn_embed": 4, "hn_hidden": 4}
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(config=sweep_configs())
+    def test_runs_or_exits_2(self, config):
+        sets = [f"{k}={_text(v)}" for k, v in {**self.FIXED, **config}.items()]
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = os.path.join(tmp, "c.cfg")
+            Path(cfg_path).write_text("")
+            runs = [os.path.join(tmp, name) for name in ("a", "b")]
+            codes = [cli_main(["run", cfg_path, *(a for kv in sets for a in ("--set", kv)),
+                               "--set", f"out_dir={out}"]) for out in runs]
+            assert codes[0] == codes[1] and codes[0] in (0, 2), (config, codes)
+            metrics = [os.path.join(out, "metrics.csv") for out in runs]
+            if codes[0] == 2:
+                assert not any(os.path.exists(m) for m in metrics)
+                return
+            a, b = (Path(m).read_bytes() for m in metrics)
+            assert a == b
+            rows = list(csv.DictReader(a.decode().splitlines()))
+            assert rows
+            assert all(0.0 <= float(r[k]) <= 1.0 for r in rows for k in ("val_acc", "test_acc"))

@@ -17,7 +17,7 @@ from padfl.decomp import (
 )
 from padfl.errors import ConfigurationError
 from padfl.hypernet import kept_index
-from padfl.model import CnnArch, Layout
+from padfl.model import Layout
 
 from util import (
     built_spec,
@@ -163,7 +163,7 @@ def second_layer_layout(spec, kind):
     """A layout whose layer 1 is `spec`; layer 0 and the head are
     placeholders."""
     first = LayerSpec("linear", spec.in_channels, 1, 1, base_count=1, rank=1, raw_input=True)
-    return Layout(CnnArch(1, 1, 1, classes=2), (first, spec), 1, kind)
+    return Layout((first, spec), 1, 2, kind)
 
 
 class TestRecoverStacked:

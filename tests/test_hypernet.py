@@ -8,7 +8,7 @@ import pytest
 from padfl import autodiff as ad
 from padfl import hypernet as hn
 from padfl.errors import ConfigurationError
-from padfl.model import ClientModel, CnnArch, Layout, build_layout
+from padfl.model import ClientModel, Layout, build_layout
 
 from util import (
     aggregate_embedding,
@@ -24,8 +24,7 @@ from util import (
 
 def tiny_layout():
     # one decomposable linear layer (2 -> 4) plus a 2-class head
-    arch = CnnArch(in_channels=1, height=1, width=2, convs=(), hidden=(4,), classes=2)
-    return build_layout(arch, Fraction(1, 2))
+    return build_layout((1, 1, 2), 2, Fraction(1, 2), hidden=(4,))
 
 
 def make_state(layout, n_clients=3, embed=4, hidden=6, depth=2, seed=0):
@@ -147,9 +146,8 @@ def conv_layout(convs=(4, 4), in_channels=2, side=4, min_width=Fraction(1, 2),
                 recovery="padfl"):
     # two conv blocks plus a hidden linear layer; the defaults keep every
     # kept input count divisible by base_count, as FLANC slabs need
-    arch = CnnArch(in_channels, side, side, convs=tuple(convs), kernel=3,
-                   hidden=(4,), classes=3)
-    return build_layout(arch, min_width, recovery)
+    layout = build_layout((in_channels, side, side), 3, min_width, convs, kernel=3, hidden=(4,))
+    return replace(layout, recovery=recovery)
 
 
 MIXED = [Fraction(1), Fraction(1, 2), Fraction(1, 2), Fraction(1), Fraction(1, 2)]

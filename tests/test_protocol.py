@@ -12,7 +12,6 @@ from padfl.decomp import LayerSpec, supported_widths
 from padfl.errors import ConfigurationError
 from padfl.model import (
     ClientModel,
-    CnnArch,
     LinearMap,
     PlainModel,
     build_layout,
@@ -115,9 +114,7 @@ def small_setup(seed=0, clients=4, capacity="ideal"):
         conv_channels=(4, 4), conv_kernel=3, min_width=Fraction(1, 4),
         hn_embed=6, hn_hidden=6, hn_depth=2, capacity=capacity, seed=seed,
     ).finalize()
-    arch = CnnArch(1, 8, 8, convs=tuple(cfg.conv_channels), kernel=cfg.conv_kernel,
-                   hidden=(), classes=2)
-    layout = build_layout(arch, cfg.min_width)
+    layout = build_layout((1, 8, 8), 2, cfg.min_width, cfg.conv_channels, cfg.conv_kernel)
     ds = pdata.synth_gaussian(2, 40, shape=(1, 8, 8), separation=3.0, seed=seed)
     part = pdata.partition_dirichlet(ds, clients, alpha=1.0, seed=seed)
     rng = np.random.default_rng(np.random.SeedSequence((seed, protocol.TAG_CAPACITY)))
@@ -205,8 +202,7 @@ def linear_client_model(w, layout):
 
 class TestSelectTestModel:
     def setup_method(self):
-        arch = CnnArch(1, 1, 2, convs=(), hidden=(), classes=2)
-        self.layout = build_layout(arch, Fraction(1))
+        self.layout = build_layout((1, 1, 2), 2, Fraction(1))
 
     def eval_data(self, w_true, n=32, seed=0):
         rng = np.random.default_rng(seed)

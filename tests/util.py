@@ -12,7 +12,7 @@ from padfl import autodiff as ad
 from padfl.decomp import factor_grid, param_count, recover_padfl_t
 from padfl.errors import ConfigurationError
 from padfl.hypernet import generate_personal, generation_graph
-from padfl.model import ClientModel, CnnArch, PlainModel, build_layout
+from padfl.model import ClientModel, PlainModel, build_layout
 from padfl.protocol import orthogonal_reg_t
 
 
@@ -156,13 +156,14 @@ def reference_weight(general, personal, spec, out_kept, in_kept, recovery="padfl
     return w.reshape(out_kept, in_kept, spec.kernel, spec.kernel)
 
 
-def reference_plain_logits(arch, model, x):
-    """One dense model's logits from first principles: nested-loop
-    convolution, explicit 2x2 max pooling and ReLU, and plain `@`."""
-    n_conv, h = len(arch.convs), x
-    for idx, (w, b) in enumerate(zip(model.weights, model.biases)):
-        if idx < n_conv:
-            h = conv2d_loops(h, w, arch.kernel // 2) + b[None, :, None, None]
+def reference_plain_logits(layout, model, x):
+    """One dense model's logits from first principles, with the layer kinds
+    and kernels of `layout.specs`: nested-loop convolution, explicit 2x2
+    max pooling and ReLU, and plain `@`."""
+    h = x
+    for spec, w, b in zip(layout.specs, model.weights, model.biases):
+        if spec.kind == "conv":
+            h = conv2d_loops(h, w, spec.kernel // 2) + b[None, :, None, None]
             bsz, ch, hh, ww = h.shape
             h = h.reshape(bsz, ch, hh // 2, 2, ww // 2, 2).max(axis=(3, 5))
         else:
@@ -181,7 +182,7 @@ def reference_logits(layout, model, x):
                              layout.recovery)
         weights.append(w if spec.kind == "conv" else w[:, :, 0, 0])
     dense = PlainModel(weights, model.biases, model.head_w, model.head_b, p)
-    return reference_plain_logits(layout.arch, dense, x)
+    return reference_plain_logits(layout, dense, x)
 
 
 def plain_copy(model):
@@ -193,8 +194,8 @@ def built_spec(kind, t, s, k=1, min_width=1, hw=(2, 2)):
     """The record `build_layout` makes for a lone layer with s inputs and
     t outputs: a k x k conv on an hw map, or a linear layer."""
     if kind == "conv":
-        return build_layout(CnnArch(s, *hw, convs=(t,), kernel=k), min_width).specs[0]
-    return build_layout(CnnArch(s, 1, 1, hidden=(t,)), min_width).specs[0]
+        return build_layout((s, *hw), 2, min_width, convs=(t,), kernel=k).specs[0]
+    return build_layout((s, 1, 1), 2, min_width, hidden=(t,)).specs[0]
 
 
 def recover_graph(general, personal, spec, out_kept=None, in_kept=None, kind="padfl"):
