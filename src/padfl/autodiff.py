@@ -143,48 +143,49 @@ def ordered_matmul(a, b):
 # ---------------------------------------------------------------------------
 # convolution (im2col + one matrix product)
 #
-# Conv activations are channel-first, (C, B, H, W): the product then maps
-# (T, S*k*k) x (S*k*k, B*ho*wo) straight onto (T, B, ho, wo), and neither
-# im2col, col2im nor the product's result needs a transpose.
+# Conv activations are batch-last, (C, H, W, B): the product maps
+# (T, S*k*k) x (S*k*k, ho*wo*B) straight onto (T, ho, wo, B), so neither
+# im2col, col2im nor the product's result needs a transpose, and every
+# kernel-offset copy or add moves runs of wo*B contiguous floats.
 
 def _im2col(x, k, pad):
-    """Stride-1 columns of a channel-first (C, B, H, W) input, zero-padded by
-    `pad`, in (channel, ky, kx) x (batch, out_h, out_w) order.
+    """Stride-1 columns of a batch-last (C, H, W, B) input, zero-padded by
+    `pad`, in (channel, ky, kx) x (out_h, out_w, batch) order.
 
     Assembled with one well-strided copy per kernel offset, which is far
     cheaper than a single 6-axis gather.
     """
-    ch, bsz, h, w = x.shape
+    ch, h, w, bsz = x.shape
     hp, wp = h + 2 * pad, w + 2 * pad
     if pad:
-        padded = np.zeros((ch, bsz, hp, wp))
-        padded[:, :, pad:pad + h, pad:pad + w] = x
+        padded = np.zeros((ch, hp, wp, bsz))
+        padded[:, pad:pad + h, pad:pad + w] = x
         x = padded
     ho, wo = hp - k + 1, wp - k + 1
-    cols = np.empty((ch, k, k, bsz, ho, wo))
+    cols = np.empty((ch, k, k, ho, wo, bsz))
     for ky in range(k):
         for kx in range(k):
-            cols[:, ky, kx] = x[:, :, ky:ky + ho, kx:kx + wo]
-    return cols.reshape(ch * k * k, bsz * ho * wo), ho, wo
+            cols[:, ky, kx] = x[:, ky:ky + ho, kx:kx + wo]
+    return cols.reshape(ch * k * k, ho * wo * bsz), ho, wo
 
 
 def _col2im(gcols, xshape, k, pad, ho, wo):
-    """Adjoint of `_im2col`: scatter-add columns back onto (C, B, H, W)."""
-    ch, bsz, h, w = xshape
-    gx = np.zeros((ch, bsz, h + 2 * pad, w + 2 * pad))
-    g6 = gcols.reshape(ch, k, k, bsz, ho, wo)
+    """Adjoint of `_im2col`: scatter-add columns back onto (C, H, W, B)."""
+    ch, h, w, bsz = xshape
+    gx = np.zeros((ch, h + 2 * pad, w + 2 * pad, bsz))
+    g6 = gcols.reshape(ch, k, k, ho, wo, bsz)
     for ky in range(k):
         for kx in range(k):
-            gx[:, :, ky:ky + ho, kx:kx + wo] += g6[:, ky, kx]
+            gx[:, ky:ky + ho, kx:kx + wo] += g6[:, ky, kx]
     if pad:
-        gx = gx[:, :, pad:-pad, pad:-pad]
+        gx = gx[:, pad:-pad, pad:-pad]
     return gx
 
 
 def conv2d(x, w, pad=0, bias=None):
-    """Stride-1 cross-correlation of a channel-first (S, B, H, W) input,
+    """Stride-1 cross-correlation of a batch-last (S, H, W, B) input,
     zero-padded by `pad` on every side, with a (T, S, k, k) weight; returns
-    (T, B, ho, wo).
+    (T, ho, wo, B).
 
     Maps onto exactly one matrix product of B*q^2*k^2*S*T multiply-adds;
     an optional (T,) bias is fused so its gradient is one contiguous
@@ -192,7 +193,7 @@ def conv2d(x, w, pad=0, bias=None):
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise DimensionError("conv2d expects 4-D input and weight")
-    ch, bsz, h, wdt = x.data.shape
+    ch, h, wdt, bsz = x.data.shape
     t, s, k, k2 = w.data.shape
     if k != k2:
         raise DimensionError("conv2d kernel must be square")
@@ -204,13 +205,13 @@ def conv2d(x, w, pad=0, bias=None):
         raise DimensionError(f"conv2d bias shape {bias.data.shape}, expected ({t},)")
     cols, ho, wo = _im2col(x.data, k, pad)
     w2 = w.data.transpose(1, 2, 3, 0).reshape(s * k * k, t)  # rows follow cols order
-    out2 = w2.T @ cols                                       # (T, B*ho*wo)
+    out2 = w2.T @ cols                                       # (T, ho*wo*B)
     if bias is not None:
         out2 += bias.data[:, None]
     parents = (x, w) if bias is None else (x, w, bias)
 
     def bw(g):
-        g2 = g.reshape(t, bsz * ho * wo)
+        g2 = g.reshape(t, ho * wo * bsz)
         if w.requires_grad:
             _acc(w, (g2 @ cols.T).reshape(t, s, k, k), own=True)
         if bias is not None and bias.requires_grad:
@@ -218,21 +219,21 @@ def conv2d(x, w, pad=0, bias=None):
         if x.requires_grad:
             _acc(x, _col2im(w2 @ g2, x.data.shape, k, pad, ho, wo), own=True)
 
-    return _out(out2.reshape(t, bsz, ho, wo), parents, bw)
+    return _out(out2.reshape(t, ho, wo, bsz), parents, bw)
 
 
 def conv2d_infer(x, w, pad=0):
     """Plain-array convolution of M stacked weights (M, T, S, k, k) via the
-    same im2col and 2-D product as `conv2d` (no graph): channel-first
-    (M, S, B, H, W) in, (M, T, B, ho, wo) out.
+    same im2col and 2-D product as `conv2d` (no graph): batch-last
+    (M, S, H, W, B) in, (M, T, ho, wo, B) out.
 
-    x may be (1, S, B, H, W) to share one input, and one im2col, among all
+    x may be (1, S, H, W, B) to share one input, and one im2col, among all
     M. Every slice is bit-identical to convolving that weight alone; one
     weight is the M = 1 case: w[None] on x[None].
     """
     m, t, s, k, _ = w.shape
     cols, ho, wo = _im2col(x[0], k, pad)
-    out = np.empty((m, t, x.shape[2], ho, wo))
+    out = np.empty((m, t, ho, wo, x.shape[-1]))
     w2 = w.transpose(0, 2, 3, 4, 1).reshape(m, s * k * k, t)
     for j in range(m):
         if j and x.shape[0] > 1:
@@ -260,31 +261,34 @@ def relu_infer(x):
 
 
 def maxpool2x2(x):
-    """2x2/stride-2 max pooling over the last two axes; exact ties share the
-    incoming gradient. The tie mask is built in the forward, contiguous
-    along W: row pair (2i, 2i+1) of x against each output repeated twice."""
+    """2x2/stride-2 max pooling over the H and W axes of a batch-last
+    (C, H, W, B) tensor; exact ties share the incoming gradient. The tie
+    mask is built in the forward: x as (C, H/2, 2, W/2, 2, B) windows
+    against the output broadcast over both window slots, so the innermost
+    runs are the batch's B contiguous floats."""
     if x.data.ndim != 4:
         raise DimensionError("maxpool2x2 expects a 4-D tensor")
-    *lead, h, w = x.data.shape
+    ch, h, w, b = x.data.shape
     if h % 2 or w % 2:
         raise DimensionError(f"maxpool2x2 needs even spatial dims, got {h}x{w}")
     out_data = maxpool2x2_infer(x.data)
-    mask = x.data.reshape(*lead, h // 2, 2, w) == np.repeat(out_data, 2, -1)[..., None, :]
+    mask = x.data.reshape(ch, h // 2, 2, w // 2, 2, b) == out_data[:, :, None, :, None]
 
     def bw(g):
-        _acc(x, (mask * np.repeat(g, 2, -1)[..., None, :]).reshape(x.data.shape), own=True)
+        _acc(x, (mask * g[:, :, None, :, None]).reshape(x.data.shape), own=True)
 
     return _out(out_data, (x,), bw)
 
 
 def maxpool2x2_infer(x):
-    """2x2/stride-2 max pooling over the last two axes."""
-    *lead, h, w = x.shape
-    # elementwise maxima over window slots beat strided axis reductions
-    rows = x.reshape(*lead, h // 2, 2, w)
+    """2x2/stride-2 max pooling over the H and W axes of (..., H, W, B)."""
+    *lead, h, w, b = x.shape
+    # elementwise maxima over window slots beat strided axis reductions:
+    # row pairs are runs of W*B floats, column pairs runs of B
+    rows = x.reshape(*lead, h // 2, 2, w * b)
     row_max = np.maximum(rows[..., 0, :], rows[..., 1, :])
-    pairs = row_max.reshape(*lead, h // 2, w // 2, 2)
-    return np.maximum(pairs[..., 0], pairs[..., 1])
+    pairs = row_max.reshape(*lead, h // 2, w // 2, 2, b)
+    return np.maximum(pairs[..., 0, :], pairs[..., 1, :])
 
 
 def _softmax_np(z):

@@ -111,6 +111,10 @@ def load_idx(images_path, labels_path) -> Dataset:
                 f"{images_path}: bad magic 0x{magic:08x} at byte offset 0 "
                 f"(expected 0x{_IDX_IMAGES:08x})")
         n, rows, cols = struct.unpack(">III", _read_exact(fh, 12, images_path, 4))
+        if not n * rows * cols:
+            raise FormatError(
+                f"{images_path}: holds {n} images of {rows}x{cols} pixels; "
+                "every count must be positive")
         raw = _read_exact(fh, n * rows * cols, images_path, 16)
         images = np.frombuffer(raw, dtype=np.uint8).reshape(n, 1, rows, cols)
     with open(labels_path, "rb") as fh:

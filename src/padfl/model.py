@@ -17,7 +17,8 @@ one plain-array forward (`stacked_forward`, for evaluation). A
 decomposed model first recovers its dense weights from its factors:
 `decomp.recover_padfl_t` in the graph, `decomp.recover_padfl` for a
 stack of M models. `accuracy` and `plain_accuracy` run one model
-as the M = 1 case.
+as the M = 1 case. Both take and return batch-first arrays and carry
+the conv activations batch-last, (C, H, W, B), in between.
 
 One container per family, `ClientModel` (decomposed) and `PlainModel`
 (dense), is what the server sends, the client trains and returns, and
@@ -209,14 +210,13 @@ def features_t(layout: Layout, weights, biases, x_node):
     """Graph forward up to (but not including) the head, over one weight
     and one bias node per layer of `layout.specs` (conv weights
     (T, S, k, k), linear weights (T, S)); takes (B, C, H, W) and returns
-    the (B, features) node. The conv blocks run channel-first,
-    (C, B, H, W): one transpose in (free for one input channel), one
-    before the flatten."""
-    h = ad.transpose(x_node, (1, 0, 2, 3))
+    the (B, features) node. The conv blocks run batch-last, (C, H, W, B):
+    one transpose in and one before the flatten."""
+    h = ad.transpose(x_node, (1, 2, 3, 0))
     convs = [s for s in layout.specs if s.kind == "conv"]
     for spec, w, b in zip(convs, weights, biases):
         h = ad.relu(ad.maxpool2x2(ad.conv2d(h, w, pad=spec.kernel // 2, bias=b)))
-    h = ad.reshape(ad.transpose(h, (1, 0, 2, 3)), (x_node.data.shape[0], -1))
+    h = ad.reshape(ad.transpose(h, (3, 0, 1, 2)), (x_node.data.shape[0], -1))
     for w, b in zip(weights[len(convs):], biases[len(convs):]):
         h = ad.relu(ad.add(ad.matmul(h, ad.transpose(w, (1, 0))), b))
     return h
@@ -248,18 +248,19 @@ def stacked_forward(layout: Layout, model: PlainModel, x):
     model holding M models, on one shared batch x (B, C, H, W).
 
     Returns (M, B, classes) logits; slice j is bit-identical to model j's
-    own forward. The conv blocks run channel-first, (M, C, B, H, W), with
-    one transpose in (free for one input channel) and one before the
-    flatten. The first conv shares one im2col of x among the models, and
-    every product is the per-model 2-D matmul. The working set is M times
-    one model's.
+    own forward. The conv blocks run batch-last, (M, C, H, W, B), with
+    one transpose in and one contiguous copy before the flatten: on a
+    strided view np.matmul leaves BLAS and the logits drift from the graph
+    forward's. The first conv shares one im2col of x among the models,
+    and every product is the per-model 2-D matmul. The working set is M
+    times one model's.
     """
-    h = x.transpose(1, 0, 2, 3)[None]  # shared by all M models
+    h = x.transpose(1, 2, 3, 0)[None]  # shared by all M models
     convs = [s for s in layout.specs if s.kind == "conv"]
     for spec, w, b in zip(convs, model.weights, model.biases):
         h = ad.conv2d_infer(h, w, pad=spec.kernel // 2) + b[:, :, None, None, None]
         h = ad.relu_infer(ad.maxpool2x2_infer(h))
-    h = h.transpose(0, 2, 1, 3, 4).reshape(h.shape[0], h.shape[2], -1)
+    h = np.ascontiguousarray(h.transpose(0, 4, 1, 2, 3)).reshape(h.shape[0], h.shape[-1], -1)
     for w, b in zip(model.weights[len(convs):], model.biases[len(convs):]):
         h = ad.relu_infer(np.matmul(h, w.transpose(0, 2, 1)) + b[:, None, :])
     return np.matmul(h, model.head_w.transpose(0, 2, 1)) + model.head_b[:, None, :]

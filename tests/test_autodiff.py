@@ -14,8 +14,13 @@ def scalarize(t):
 
 
 def cf(x):
-    """(B, C, H, W) <-> channel-first (C, B, H, W), the conv layout."""
-    return x.transpose(1, 0, 2, 3)
+    """(B, C, H, W) -> batch-last (C, H, W, B), the conv layout."""
+    return x.transpose(1, 2, 3, 0)
+
+
+def bf(x):
+    """Batch-last (C, H, W, B) -> (B, C, H, W), the inverse of `cf`."""
+    return x.transpose(3, 0, 1, 2)
 
 
 class TestMatmul:
@@ -65,12 +70,12 @@ class TestConv2d:
         x = rng.normal(size=(2, 3, 5, 5))
         w = np.eye(3).reshape(3, 3, 1, 1)
         out = ad.conv2d(ad.const(cf(x)), ad.const(w))
-        assert np.allclose(cf(out.data), x)
+        assert np.allclose(bf(out.data), x)
 
     def test_all_ones_3x3(self):
         x = np.ones((1, 1, 3, 3))
         w = np.ones((1, 1, 3, 3))
-        out = ad.conv2d(ad.const(x), ad.const(w), pad=0)
+        out = ad.conv2d(ad.const(cf(x)), ad.const(w), pad=0)
         assert out.data.shape == (1, 1, 1, 1)
         assert out.data[0, 0, 0, 0] == 9.0
 
@@ -81,7 +86,7 @@ class TestConv2d:
         w = rng.normal(size=(4, 3, 3, 3))
         out = ad.conv2d(ad.const(cf(x)), ad.const(w), pad=pad)
         ref = conv2d_loops(x, w, pad=pad)
-        assert np.abs(cf(out.data) - ref).max() <= 1e-12
+        assert np.abs(bf(out.data) - ref).max() <= 1e-12
 
     def test_gradient_fd(self):
         rng = np.random.default_rng(4)
@@ -93,12 +98,12 @@ class TestConv2d:
         fd = finite_diff(
             lambda arrs: float((conv2d_loops(arrs[0], arrs[1], pad=1) ** 2).sum()), [x, w]
         )
-        assert rel_err(cf(lx.grad), fd[0]) <= 1e-5
+        assert rel_err(bf(lx.grad), fd[0]) <= 1e-5
         assert rel_err(lw.grad, fd[1]) <= 1e-5
 
     def test_geometry_error(self):
         with pytest.raises(DimensionError):
-            ad.conv2d(ad.const(np.ones((1, 1, 2, 2))), ad.const(np.ones((1, 1, 5, 5))))
+            ad.conv2d(ad.const(cf(np.ones((1, 1, 2, 2)))), ad.const(np.ones((1, 1, 5, 5))))
 
     @pytest.mark.parametrize("shared", [True, False])
     @pytest.mark.parametrize("bsz", [1, 3])
@@ -108,13 +113,48 @@ class TestConv2d:
         rng = np.random.default_rng(5)
         w = rng.normal(size=(4, 5, 3, 6, 6))
         x = rng.normal(size=(1 if shared else 4, bsz, 3, 7, 7))
-        out = ad.conv2d_infer(x.transpose(0, 2, 1, 3, 4), w, pad=2)
-        assert out.shape == (4, 5, bsz, 6, 6)
+        out = ad.conv2d_infer(x.transpose(0, 2, 3, 4, 1), w, pad=2)
+        assert out.shape == (4, 5, 6, 6, bsz)
         for j in range(4):
             xj = x[0 if shared else j]
             single = ad.conv2d(ad.const(cf(xj)), ad.const(w[j]), pad=2).data
             assert np.array_equal(out[j], single)
-            assert np.abs(cf(out[j]) - conv2d_loops(xj, w[j], pad=2)).max() <= 1e-12
+            assert np.abs(bf(out[j]) - conv2d_loops(xj, w[j], pad=2)).max() <= 1e-12
+
+
+class TestIm2col:
+    """`_im2col` against its index formula, and `_col2im` as its adjoint,
+    on batch-last inputs with non-square maps."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(data=st.data(), c=st.integers(1, 3), bsz=st.integers(1, 3),
+           k=st.sampled_from([1, 3, 5]), seed=st.integers(0, 2 ** 16))
+    def test_entries_and_adjoint(self, data, c, bsz, k, seed):
+        pad = data.draw(st.integers(0, k // 2))
+        low = max(1, k - 2 * pad)
+        h = data.draw(st.integers(low, low + 5))
+        w = data.draw(st.integers(low, low + 5).filter(lambda v: v != h))
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(c, h, w, bsz))
+        cols, ho, wo = ad._im2col(x, k, pad)
+        assert (ho, wo) == (h + 2 * pad - k + 1, w + 2 * pad - k + 1)
+        assert cols.shape == (c * k * k, ho * wo * bsz)
+        # row (ch, ky, kx), column (y, x, b) holds x[ch, y+ky-pad, x+kx-pad, b]
+        for ch in range(c):
+            for ky in range(k):
+                for kx in range(k):
+                    for y in range(ho):
+                        for xx in range(wo):
+                            for b in range(bsz):
+                                iy, ix = y + ky - pad, xx + kx - pad
+                                inside = 0 <= iy < h and 0 <= ix < w
+                                want = x[ch, iy, ix, b] if inside else 0.0
+                                got = cols[(ch * k + ky) * k + kx, (y * wo + xx) * bsz + b]
+                                assert got == want
+        g = rng.normal(size=cols.shape)
+        lhs = float((cols * g).sum())
+        rhs = float((x * ad._col2im(g, x.shape, k, pad, ho, wo)).sum())
+        assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(cols) * np.linalg.norm(g)
 
 
 class TestConvBlockChain:
@@ -141,9 +181,9 @@ class TestConvBlockChain:
         leaves = [ad.leaf(cf(x)), ad.leaf(w), ad.leaf(b)]
         out = block(leaves)
         ad.backward(ad.frobenius_sq(out))
-        ref, grads = conv_block_loops(x, w, b, pad, 2 * cf(out.data))
-        assert np.abs(cf(out.data) - ref).max() <= 1e-12
-        got = [cf(leaves[0].grad), leaves[1].grad, leaves[2].grad]
+        ref, grads = conv_block_loops(x, w, b, pad, 2 * bf(out.data))
+        assert np.abs(bf(out.data) - ref).max() <= 1e-12
+        got = [bf(leaves[0].grad), leaves[1].grad, leaves[2].grad]
         for g, r in zip(got, grads):
             assert rel_err(g, r) <= 1e-12
         if not ties:  # a tie is a kink, where differences do not converge
@@ -182,9 +222,9 @@ class TestPrimitives:
                         [3.0, 4.0, 1.0, 1.0],
                         [0.0, 0.0, 2.0, 2.0],
                         [9.0, 0.0, 2.0, 2.0]]]])
-        lx = ad.leaf(x)
+        lx = ad.leaf(cf(x))
         out = ad.maxpool2x2(lx)
-        assert np.array_equal(out.data, [[[[4.0, 5.0], [9.0, 2.0]]]])
+        assert np.array_equal(bf(out.data), [[[[4.0, 5.0], [9.0, 2.0]]]])
         ad.backward(ad.frobenius_sq(out))
         # gradient lands on window maxima; exact ties all share it
         expected = np.zeros_like(x)
@@ -193,11 +233,11 @@ class TestPrimitives:
         expected[0, 0, 3, 0] = 2 * 9.0
         expected[0, 0, 2, 2:] = 2 * 2.0
         expected[0, 0, 3, 2:] = 2 * 2.0
-        assert np.array_equal(lx.grad, expected)
+        assert np.array_equal(bf(lx.grad), expected)
 
     def test_maxpool_odd_dims(self):
         with pytest.raises(DimensionError):
-            ad.maxpool2x2(ad.const(np.zeros((1, 1, 3, 4))))
+            ad.maxpool2x2(ad.const(cf(np.zeros((1, 1, 3, 4)))))
 
     def test_add_bias_patterns(self):
         a = ad.const(np.ones((2, 3)))

@@ -256,10 +256,10 @@ class TestGeometry:
         rng = np.random.default_rng(20)
         model = init_plain(layout, 1, rng)
         x = ad.const(rng.normal(size=(2, 1, 12, 16)))
-        h = ad.transpose(x, (1, 0, 2, 3))  # convs run channel-first
+        h = ad.transpose(x, (1, 2, 3, 0))  # convs run batch-last
         for i, (w, b) in enumerate(zip(model.weights[:2], model.biases)):
             h = ad.conv2d(h, ad.const(w), pad=kernel // 2, bias=ad.const(b))
-            assert h.shape[2:] == layout.specs[i].out_hw
+            assert h.shape[1:3] == layout.specs[i].out_hw
             h = ad.relu(ad.maxpool2x2(h))
         feats = features_t(layout, [ad.const(w) for w in model.weights],
                            [ad.const(b) for b in model.biases], x)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import struct
 import tempfile
 import types
 from fractions import Fraction
@@ -207,10 +208,10 @@ class TestFedAvgOracle:
             np.random.SeedSequence((cfg.seed, protocol.TAG_SERVER)))
 
         def forward_t(nodes, x):
-            (w1, w2, b1, b2, hw_, hb_), h = nodes, ad.transpose(x, (1, 0, 2, 3))
-            for w, b in ((w1, b1), (w2, b2)):  # channel-first (C, B, H, W)
+            (w1, w2, b1, b2, hw_, hb_), h = nodes, ad.transpose(x, (1, 2, 3, 0))
+            for w, b in ((w1, b1), (w2, b2)):  # batch-last (C, H, W, B)
                 h = ad.relu(ad.maxpool2x2(ad.conv2d(h, w, pad=cfg.conv_kernel // 2, bias=b)))
-            h = ad.reshape(ad.transpose(h, (1, 0, 2, 3)), (x.data.shape[0], -1))
+            h = ad.reshape(ad.transpose(h, (3, 0, 1, 2)), (x.data.shape[0], -1))
             return ad.add(ad.matmul(h, ad.transpose(hw_, (1, 0))), hb_)
 
         def forward(arrs, x):
@@ -411,6 +412,18 @@ class TestCliEntry:
         code = cli_main(["run", str(cfg_path), "--set", f"out_dir={tmp_path / 'r5'}",
                          "--set", "dataset=idx", "--set", f"idx_images={images}",
                          "--set", f"idx_labels={tmp_path / 'labels.idx'}"])
+        assert code == 2
+        assert str(images) in capsys.readouterr().err
+
+    def test_empty_idx_images_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(SMALL)
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        images.write_bytes(struct.pack(">IIII", 0x00000803, 0, 8, 8))
+        labels.write_bytes(struct.pack(">II", 0x00000801, 0))
+        code = cli_main(["run", str(cfg_path), "--set", f"out_dir={tmp_path / 'r6'}",
+                         "--set", "dataset=idx", "--set", f"idx_images={images}",
+                         "--set", f"idx_labels={labels}"])
         assert code == 2
         assert str(images) in capsys.readouterr().err
 

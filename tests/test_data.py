@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -104,6 +105,14 @@ class TestLoadIdx:
         _, lbl_path = write_idx_pair(tmp_path, np.zeros((1, 1, 1), dtype=np.uint8), [0])
         with pytest.raises(FormatError, match="byte offset 19"):
             pd.load_idx(path, lbl_path)
+
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (1, 0, 2), (1, 2, 0)])
+    def test_empty_image_file_names_it(self, tmp_path, shape):
+        img_path, lbl_path = write_idx_pair(tmp_path, np.zeros(shape, dtype=np.uint8),
+                                            [0] * shape[0])
+        message = f"{img_path}: holds {shape[0]} images of {shape[1]}x{shape[2]} pixels"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            pd.load_idx(img_path, lbl_path)
 
 
 def assert_partition_sane(part, n_total):

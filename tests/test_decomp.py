@@ -94,9 +94,9 @@ class TestRecoverPadfl:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(2, 3, 6, 6))
         w = recover_graph(general, personal, spec)
-        direct = ad.conv2d_infer(x.transpose(1, 0, 2, 3)[None], w[None], pad=1)[0]
+        direct = ad.conv2d_infer(x.transpose(1, 2, 3, 0)[None], w[None], pad=1)[0]
 
-        cols, ho, wo = ad._im2col(x.transpose(1, 0, 2, 3), spec.kernel, 1)
+        cols, ho, wo = ad._im2col(x.transpose(1, 2, 3, 0), spec.kernel, 1)
         n = cols.shape[1]
         k2 = spec.kernel ** 2
         # cols rows are (s, ky, kx); regroup and contract with v then u
@@ -107,7 +107,7 @@ class TestRecoverPadfl:
         u3 = general.reshape(spec.base_count, k2, spec.rank)
         out = np.einsum("njkr,ikr->nji", mid, u3)  # (n, j, i)
         factored = out.reshape(n, blocks * spec.base_count)
-        factored = factored.reshape(2, ho, wo, -1).transpose(3, 0, 1, 2)  # channel-first
+        factored = factored.reshape(ho, wo, 2, -1).transpose(3, 0, 1, 2)  # batch-last
         assert np.abs(direct - factored).max() <= 1e-9
 
     def test_conv_with_recovered_weight_matches_loop_oracle(self):
@@ -116,8 +116,8 @@ class TestRecoverPadfl:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(1, 2, 5, 5))
         w = recover_graph(general, personal, spec)
-        got = ad.conv2d_infer(x.transpose(1, 0, 2, 3)[None], w[None])[0]
-        assert np.abs(got.transpose(1, 0, 2, 3) - conv2d_loops(x, w)).max() <= 1e-9
+        got = ad.conv2d_infer(x.transpose(1, 2, 3, 0)[None], w[None])[0]
+        assert np.abs(got.transpose(3, 0, 1, 2) - conv2d_loops(x, w)).max() <= 1e-9
 
 
 class TestRecoverFlanc:
