@@ -363,10 +363,6 @@ def scale(x, c):
     return _out(x.data * c, (x,), bw)
 
 
-def neg(x):
-    return scale(x, -1.0)
-
-
 def mul(a, b):
     if a.data.shape != b.data.shape:
         raise DimensionError(f"mul shapes {a.data.shape} * {b.data.shape}")

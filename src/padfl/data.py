@@ -129,6 +129,8 @@ def load_idx(images_path, labels_path) -> Dataset:
     if n != n_labels:
         raise FormatError(
             f"{images_path} holds {n} images but {labels_path} holds {n_labels} labels")
+    if not labels.any():
+        raise FormatError(f"{labels_path}: every label is 0; need at least 2 classes")
     return Dataset(images.astype(np.float64) / 255.0, labels, int(labels.max()) + 1)
 
 

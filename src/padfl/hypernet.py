@@ -140,7 +140,7 @@ def generation_graph(state: HyperNetState):
     nodes = HyperNetState.from_arrays([ad.leaf(a) for a in state.arrays()], len(state.encoder))
     enc = _encode_t(nodes)
     sims = ad.matmul(ad.transpose(enc, (1, 0)), enc)
-    inv_temps = ad.exp(ad.neg(nodes.log_temp))
+    inv_temps = ad.exp(ad.scale(nodes.log_temp, -1.0))
     outputs = []
     for l, dec in enumerate(nodes.decoders):
         attn = ad.softmax(ad.mul_scalar(sims, ad.slice_t(inv_temps, (l,))))

@@ -204,13 +204,14 @@ def select_test_model(received: ClientModel, local, val_xy, layout: Layout, grid
 
 @dataclass
 class ClientRow:
-    client: int
-    capacity: float
-    width: Fraction
+    """One client in one round; its fields are the metrics.csv columns after `round`."""
+    client_id: int
+    capacity_r: float
+    width_p: Fraction
     train_loss: float
     val_acc: float
     test_acc: float
-    alpha: float  # nan for methods without fusion
+    alpha_selected: float  # nan for methods without fusion
 
 
 @dataclass

@@ -7,42 +7,48 @@ import csv
 import json
 import os
 from fractions import Fraction
+from typing import get_type_hints
 
 import numpy as np
 
+from . import runner
 from .config import RunConfig
 from .decomp import flops_account, supported_widths
 from .errors import ConfigurationError, FormatError
-from .protocol import width_for_capacity
+from .protocol import ClientRow, width_for_capacity
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#e377c2", "#7f7f7f")
 
 
 def read_metrics(run_dir):
-    """(label, rows) from one self-describing run directory."""
+    """(label, rows) from one self-describing run directory. Each column
+    parses as the type of the `ClientRow` field of its name."""
     path = os.path.join(run_dir, "metrics.csv")
+    types = {"round": int, **get_type_hints(ClientRow)}
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        reader = csv.reader(raw.decode("utf-8").splitlines())
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"{path}: line {line}: not UTF-8: {exc}") from exc
+    header = next(reader, None)
+    if header is None or sorted(header) != sorted(types):
+        raise FormatError(f"{path}: unexpected columns {header}")
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = {"round", "client_id", "capacity_r", "width_p",
-                    "train_loss", "val_acc", "test_acc", "alpha_selected"}
-        if reader.fieldnames is None or set(reader.fieldnames) != expected:
-            raise FormatError(f"{path}: unexpected columns {reader.fieldnames}")
-        for lineno, raw in enumerate(reader, 2):
-            try:
-                rows.append({
-                    "round": int(raw["round"]),
-                    "client_id": int(raw["client_id"]),
-                    "capacity_r": float(raw["capacity_r"]),
-                    "width_p": Fraction(raw["width_p"]),
-                    "train_loss": float(raw["train_loss"]),
-                    "val_acc": float(raw["val_acc"]),
-                    "test_acc": float(raw["test_acc"]),
-                    "alpha_selected": float(raw["alpha_selected"]),
-                })
-            except (ValueError, ZeroDivisionError) as exc:
-                raise FormatError(f"{path}: line {lineno}: {exc}") from exc
+    for cells in reader:
+        where = f"{path}: line {reader.line_num}"
+        if len(cells) != len(header):
+            raise FormatError(f"{where}: {len(cells)} fields, the header has {len(header)}")
+        try:
+            row = {name: types[name](cell) for name, cell in zip(header, cells)}
+        except (ValueError, ZeroDivisionError) as exc:
+            raise FormatError(f"{where}: {exc}") from exc
+        for name in ("val_acc", "test_acc"):
+            if not 0.0 <= row[name] <= 1.0:  # nan fails this too
+                raise FormatError(f"{where}: {name} {row[name]!r} outside [0, 1]")
+        rows.append(row)
     label = os.path.basename(os.path.normpath(run_dir))
     summary = os.path.join(run_dir, "summary.json")
     if os.path.exists(summary):
@@ -67,11 +73,7 @@ def capacity_clusters(rows, bins=5):
     Capacities are grouped into `bins` equal-width clusters of (0, 1];
     returns one dict per cluster (empty clusters report count 0).
     """
-    last = {}
-    for r in rows:
-        key = r["client_id"]
-        if key not in last or r.get("round", 0) >= last[key].get("round", 0):
-            last[key] = r
+    last = {r["client_id"]: r for r in sorted(rows, key=lambda r: r["round"])}
     edges = np.linspace(0.0, 1.0, bins + 1)
     out = []
     for b in range(bins):
@@ -166,9 +168,8 @@ ACCOUNT_RATIOS = (Fraction(1, 256), Fraction(1, 64), Fraction(1, 4), Fraction(1)
 
 def account(cfg: RunConfig):
     """Analytic per-capacity cost rows for the configured model."""
-    from .runner import build_dataset, configured_layout
-
-    layout = configured_layout(cfg, None if cfg.dataset == "synth" else build_dataset(cfg))
+    layout = runner.configured_layout(
+        cfg, None if cfg.dataset == "synth" else runner.build_dataset(cfg))
     grid = supported_widths(cfg.min_width)
     rows = []
     for r in ACCOUNT_RATIOS:

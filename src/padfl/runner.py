@@ -4,7 +4,9 @@ A run is a pure function of (config, seed): datasets, partitions,
 capacities, initialization and every per-client batch order derive from
 named seed streams, and client results are reduced in client-id order,
 so metrics.csv comes out byte-identical for any number of worker
-processes, provided BLAS runs one thread per process.
+processes, provided BLAS runs one thread per process. metrics.csv holds
+the per-client rows (`protocol.ClientRow`), one per client per round;
+summary.json holds run-level facts only.
 
 `configured_layout` is the one adapter from a config to the `model.Layout`
 that the methods read; `report.account` shares it.
@@ -15,7 +17,7 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +29,7 @@ from .decomp import supported_widths
 from .errors import ConfigurationError, NumericError
 from .model import Layout, build_layout
 
-CSV_HEADER = "round,client_id,capacity_r,width_p,train_loss,val_acc,test_acc,alpha_selected"
+CSV_HEADER = ",".join(["round"] + [f.name for f in fields(protocol.ClientRow)])
 ROUNDS_HEADER = "round,eta,hn_loss,params_exchanged,gen_s,train_s,server_s,eval_s,failed"
 
 
@@ -120,14 +122,11 @@ def run(cfg: RunConfig) -> RunRecord:
         # a patience above `rounds` never fires; capping it at rounds + 1 keeps int() finite
         patience = max(1, int(round(min(cfg.patience_frac * cfg.rounds, cfg.rounds + 1))))
     rounds = []
-    history = []
     early = False
     try:
         for t in range(cfg.rounds):
-            metrics = method.run_round(t)
-            rounds.append(metrics)
-            history.append(metrics.mean_val)
-            if patience is not None and protocol.early_stop(history, patience):
+            rounds.append(method.run_round(t))
+            if patience and protocol.early_stop([m.mean_val for m in rounds], patience):
                 early = True
                 break
     except NumericError:
@@ -155,41 +154,38 @@ def _atomic_write(path, text):
         raise
 
 
-def _fmt(x):
-    return repr(float(x))
+def _cell(value):
+    if isinstance(value, list):  # client ids
+        return " ".join(map(str, value))
+    if isinstance(value, (int, Fraction)):
+        return str(value)
+    return repr(float(value))
+
+
+def _csv(header, rows):
+    return "\n".join([header] + [",".join(map(_cell, row)) for row in rows]) + "\n"
 
 
 def metrics_csv(record: RunRecord) -> str:
-    lines = [CSV_HEADER]
-    for metrics in record.rounds:
-        for row in metrics.rows:
-            lines.append(",".join([
-                str(metrics.round), str(row.client), _fmt(row.capacity),
-                str(Fraction(row.width)), _fmt(row.train_loss),
-                _fmt(row.val_acc), _fmt(row.test_acc), _fmt(row.alpha),
-            ]))
-    return "\n".join(lines) + "\n"
+    return _csv(CSV_HEADER, [
+        (m.round, r.client_id, r.capacity_r, r.width_p, r.train_loss, r.val_acc, r.test_acc,
+         r.alpha_selected)
+        for m in record.rounds for r in m.rows])
 
 
 def rounds_csv(record: RunRecord) -> str:
     """Server state and phase wall seconds per round; `failed` lists client
     ids, space-separated."""
-    lines = [ROUNDS_HEADER]
-    for m in record.rounds:
-        lines.append(",".join([str(m.round), _fmt(m.eta), _fmt(m.hn_loss),
-                               str(m.params_exchanged), _fmt(m.gen_s), _fmt(m.train_s),
-                               _fmt(m.server_s), _fmt(m.eval_s), " ".join(map(str, m.failed))]))
-    return "\n".join(lines) + "\n"
+    return _csv(ROUNDS_HEADER, [
+        (m.round, m.eta, m.hn_loss, m.params_exchanged, m.gen_s, m.train_s, m.server_s,
+         m.eval_s, m.failed)
+        for m in record.rounds])
 
 
 def summary_json(record: RunRecord) -> str:
-    from .report import capacity_clusters
-
-    final_rows = record.rounds[-1].rows if record.rounds else []
-    tests = [r.test_acc for r in final_rows]
-    clusters = capacity_clusters(
-        [{"client_id": r.client, "capacity_r": r.capacity, "test_acc": r.test_acc}
-         for r in final_rows]) if final_rows else []
+    """Run-level facts only: status, config, totals and the final round's
+    accuracy mean and spread; metrics.csv holds the per-client rows."""
+    tests = [r.test_acc for r in record.rounds[-1].rows] if record.rounds else []
     payload = {
         "version": __version__,
         "status": record.status,
@@ -201,13 +197,6 @@ def summary_json(record: RunRecord) -> str:
         "final": {
             "mean_test_acc": float(np.mean(tests)) if tests else None,
             "std_test_acc": float(np.std(tests)) if tests else None,
-            "per_client": [
-                {"client": r.client, "capacity": r.capacity, "width": str(Fraction(r.width)),
-                 "val_acc": r.val_acc, "test_acc": r.test_acc,
-                 "alpha": None if np.isnan(r.alpha) else r.alpha}
-                for r in final_rows
-            ],
-            "capacity_clusters": clusters,
         },
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"

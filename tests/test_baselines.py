@@ -59,7 +59,7 @@ class TestFedAvgMinWidth:
         method = runner.build_method(replace(cfg, method="FedAvgMinWidth"), profiles, layout)
         m = method.run_round(0)
         assert len(m.rows) == len(profiles)
-        assert all(np.isnan(r.alpha) for r in m.rows)
+        assert all(np.isnan(r.alpha_selected) for r in m.rows)
 
 
 class TestPWidthNested:

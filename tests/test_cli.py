@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import struct
@@ -289,6 +290,20 @@ class TestReport:
             else:
                 assert c["mean_test_acc"] is None
 
+    @pytest.mark.parametrize("method", ["Pa3dFL", "PWidthNested"])
+    def test_read_metrics_returns_the_client_rows(self, tmp_path, method):
+        assert runner.CSV_HEADER.split(",") == \
+            ["round"] + [f.name for f in dataclasses.fields(protocol.ClientRow)]
+        record = runner.run(small_cfg(tmp_path, method=method))
+        _, got = report.read_metrics(str(tmp_path / "run"))
+        want = [{"round": m.round, **dataclasses.asdict(row)}
+                for m in record.rounds for row in m.rows]
+        assert len(got) == len(want) > 0
+        for g, w in zip(got, want):
+            assert list(g) == list(w)
+            for name in w:
+                assert g[name] == w[name] or (np.isnan(g[name]) and np.isnan(w[name])), name
+
     def test_malformed_csv_names_line(self, tmp_path):
         run_dir = tmp_path / "bad"
         run_dir.mkdir()
@@ -449,6 +464,53 @@ class TestCliEntry:
         (run_dir / "summary.json").write_text(summary)
         assert cli_main(["report", str(run_dir), "-o", str(tmp_path / "rep")]) == 2
         assert str(run_dir / "summary.json") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["0,0,0.5,1/2,nan,0.5,0.5", "0,0,0.5,1/2,nan,0.5,0.5,nan,0"],
+                             ids=["short", "long"])
+    def test_report_row_field_count_exit_2(self, tmp_path, capsys, row):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "metrics.csv").write_text(runner.CSV_HEADER + "\n" + row + "\n")
+        assert cli_main(["report", str(run_dir), "-o", str(tmp_path / "rep")]) == 2
+        assert f"{run_dir / 'metrics.csv'}: line 2: " in capsys.readouterr().err
+
+    def test_report_non_utf8_exit_2(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "metrics.csv").write_bytes(runner.CSV_HEADER.encode()
+                                              + b"\n0,0,0.5,1/2,nan,0.5,0.5,nan"
+                                              + b"\n0,1,0.5,1/2,nan,0.5,0\xff,nan\n")
+        assert cli_main(["report", str(run_dir), "-o", str(tmp_path / "rep")]) == 2
+        assert f"{run_dir / 'metrics.csv'}: line 3: not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column, value", [("test_acc", "inf"), ("test_acc", "nan"),
+                                               ("val_acc", "1.5"), ("val_acc", "-0.25")])
+    def test_report_accuracy_outside_unit_interval_exit_2(self, tmp_path, capsys, column,
+                                                          value):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        cells = dict.fromkeys(runner.CSV_HEADER.split(","), "0")
+        cells.update(width_p="1/2", train_loss="nan", alpha_selected="nan", val_acc="0.5",
+                     test_acc="0.5")
+        cells[column] = value
+        (run_dir / "metrics.csv").write_text(
+            runner.CSV_HEADER + "\n" + ",".join(cells.values()) + "\n")
+        assert cli_main(["report", str(run_dir), "-o", str(tmp_path / "rep")]) == 2
+        err = capsys.readouterr().err
+        assert f"{run_dir / 'metrics.csv'}: line 2: {column}" in err
+        assert not (tmp_path / "rep" / "curves.svg").exists()
+
+    def test_single_class_idx_labels_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(SMALL)
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        images.write_bytes(struct.pack(">IIII", 0x00000803, 200, 8, 8) + bytes(200 * 64))
+        labels.write_bytes(struct.pack(">II", 0x00000801, 200) + bytes(200))
+        code = cli_main(["run", str(cfg_path), "--set", f"out_dir={tmp_path / 'r7'}",
+                         "--set", "dataset=idx", "--set", f"idx_images={images}",
+                         "--set", f"idx_labels={labels}", "--set", "method=PWidthNested"])
+        assert code == 2
+        assert f"{labels}: every label is 0" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_failure_exit_3(self, tmp_path):

@@ -3,8 +3,10 @@ somewhere else in src/padfl: code that only tests call belongs in
 tests/util.py, and the functions the benchmark hooks by name are no
 exception. Likewise every dataclass field in src/padfl must be read
 somewhere in src/padfl or padbench/: a field that nothing reads is dead
-state."""
+state. And the modules of src/padfl import one another without a cycle,
+counting imports inside functions."""
 import ast
+import graphlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "padfl"
@@ -59,3 +61,24 @@ def unread_fields():
 
 def test_every_dataclass_field_is_read():
     assert unread_fields() == []
+
+
+def import_graph():
+    """module -> the src/padfl modules its relative imports name, at any
+    depth of its body."""
+    modules = {path.stem for path in SRC.glob("*.py")}
+    graph = {}
+    for path in sorted(SRC.glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names |= {node.module} if node.module else {a.name for a in node.names}
+        graph[path.stem] = {n.split(".")[0] for n in names} & modules
+    return graph
+
+
+def test_import_graph_has_no_cycle():
+    graph = import_graph()
+    assert {"runner", "report"} <= graph["cli"]  # cli.main imports them inside the function
+    # prepare() raises CycleError, whose message lists the cycle
+    graphlib.TopologicalSorter(graph).prepare()
