@@ -20,14 +20,13 @@ its kept positions, the 0/1 mask K_l marks them, and the loss is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from . import autodiff as ad
 from . import decomp
-from .errors import ConfigurationError, DimensionError, NumericError
+from .errors import DimensionError, NumericError
 from .model import ClientModel, Layout, LinearMap
 
 
@@ -60,29 +59,22 @@ def kept_index(layout: Layout, l, p):
     client keeps, each shaped like the array it is sent as.
 
     Decoder l < len(layout.specs) emits a (rank, a, b) personal factor on
-    the full-width grid of `decomp.factor_grid` for `layout.recovery`,
-    then the channel biases; a width-p client keeps the leading corner of
-    that grid. The last decoder emits the head's (classes, features)
-    weight, then its biases. The arrays are cached and read-only.
+    the full-width grid `spec.grid(1)`, then the channel biases; a width-p
+    client keeps the leading `spec.grid(p)` corner, which raises where the
+    recovery cannot prune to p. The last decoder emits the head's
+    (classes, features) weight, then its biases. The arrays are cached and
+    read-only.
     """
-    p = Fraction(p)
     if l == len(layout.specs):
         n_w = layout.classes * layout.head_in_full
         weight = np.arange(n_w).reshape(layout.classes, -1)[:, :layout.head_in(p)]
         bias = n_w + np.arange(layout.classes)
     else:
-        spec, kind = layout.specs[l], layout.recovery
-        t_kept, s_kept = spec.kept(p)
-        try:
-            keep = decomp.factor_grid(kind, spec.base_count, t_kept, s_kept)
-            full = decomp.factor_grid(kind, spec.base_count, spec.out_channels, spec.in_channels)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"layer {l} ({spec.kind}, {spec.in_channels} input "
-                                     f"channels) at width {p}: {exc}") from None
+        spec = layout.specs[l]
+        (a, b), full = spec.grid(p), spec.grid(1)
         n_v = spec.rank * full[0] * full[1]
-        weight = np.arange(n_v).reshape(spec.rank, *full)[:, :keep[0], :keep[1]]
-        weight = weight.reshape(spec.rank, -1)
-        bias = n_v + np.arange(t_kept)
+        weight = np.arange(n_v).reshape(spec.rank, *full)[:, :a, :b].reshape(spec.rank, -1)
+        bias = n_v + np.arange(spec.kept(p)[0])
     weight = np.ascontiguousarray(weight)
     weight.flags.writeable = bias.flags.writeable = False
     return weight, bias

@@ -14,11 +14,12 @@ input columns.
 
 Both families share one graph forward (`features_t`, for training) and
 one plain-array forward (`stacked_forward`, for evaluation). A
-decomposed model first recovers its dense weights from its factors:
-`decomp.recover_padfl_t` in the graph, `decomp.recover_padfl` for a
-stack of M models. `accuracy` and `plain_accuracy` run one model
-as the M = 1 case. Both take and return batch-first arrays and carry
-the conv activations batch-last, (C, H, W, B), in between.
+decomposed model first recovers its dense weights from its factors at
+its width, `(spec, p)`: `decomp.recover_padfl_t` in the graph,
+`decomp.recover_padfl` for a stack of M models (`stacked_dense`).
+`accuracy` and `plain_accuracy` run one model as the M = 1 case. Both
+take and return batch-first arrays and carry the conv activations
+batch-last, (C, H, W, B), in between.
 
 One container per family, `ClientModel` (decomposed) and `PlainModel`
 (dense), is what the server sends, the client trains and returns, and
@@ -41,14 +42,12 @@ from .errors import ConfigurationError
 @dataclass(frozen=True)
 class Layout:
     """The network, computed only by `build_layout`, which both model
-    families, the hyper-network and accounting read. `recovery` is the
-    decomposed model's factor layout, "padfl" (channel-aware) or "flanc"
-    (input slabs); only `decomp` branches on it."""
+    families, the hyper-network and accounting read. Each `LayerSpec`
+    carries the decomposed model's factor layout; only `decomp` reads it."""
 
     specs: tuple          # decomposed LayerSpec per layer (convs then hidden)
     head_in_full: int     # dense feature count entering the head at width 1
     classes: int
-    recovery: str = "padfl"
 
     def head_in(self, p) -> int:
         """Head input features at width p (leading channels kept)."""
@@ -57,18 +56,20 @@ class Layout:
     def client_param_count(self, p) -> int:
         """Floats a width-p client holds of the decomposed model: the full
         general factors, its personal factors and biases, the head slice."""
-        n = sum(decomp.param_count(spec, *spec.kept(p)) for spec in self.specs)
+        n = sum(decomp.param_count(spec, p) for spec in self.specs)
         return n + self.classes * self.head_in(p) + self.classes
 
 
-def build_layout(in_shape, classes, min_width, convs=(), kernel=3, hidden=()) -> Layout:
+def build_layout(in_shape, classes, min_width, convs=(), kernel=3, hidden=(),
+                 recovery="padfl") -> Layout:
     """The one place layer records are made, for (C, H, W) inputs: a k x k
     conv block per entry of `convs` (its output channels), then a linear
-    layer per entry of `hidden`. base_count = T * min_width, so every width
-    on the grid keeps a whole number of personal blocks; rank =
-    max(min(S, T), k^2) for conv keeps the general blocks expressive
-    without inflating the linear case, where rank = base_count. Only the
-    first layer reads the raw input."""
+    layer per entry of `hidden`, every one in the `recovery` layout.
+    base_count = T * min_width, so every width on the grid keeps a whole
+    number of personal blocks; rank = max(min(S, T), k^2) for conv keeps
+    the general blocks expressive without inflating the linear case, where
+    rank = base_count. Only the first layer reads the raw input. A "flanc"
+    layout with every base_count 1 would recover what "padfl" does."""
     mw, specs = Fraction(min_width), []
 
     def add(kind, t, s, k=1, hw=(1, 1)):
@@ -77,7 +78,7 @@ def build_layout(in_shape, classes, min_width, convs=(), kernel=3, hidden=()) ->
             raise ConfigurationError(
                 f"out_channels {t} * min_width {mw} is not a positive integer")
         rank = max(min(s, t), k ** 2) if kind == "conv" else int(r1)
-        specs.append(decomp.LayerSpec(kind, t, s, k, int(r1), rank, hw, raw_input=not specs))
+        specs.append(decomp.LayerSpec(kind, t, s, k, int(r1), rank, hw, not specs, recovery))
 
     prev_c, h, w = in_shape
     for ch in convs:
@@ -89,6 +90,10 @@ def build_layout(in_shape, classes, min_width, convs=(), kernel=3, hidden=()) ->
     for width in hidden:
         add("linear", width, feat)
         feat = width
+    if recovery == "flanc" and all(spec.base_count == 1 for spec in specs):
+        raise ConfigurationError(
+            "FLANC recovery with every base_count 1 equals the channel-aware recovery, "
+            "so the run would repeat Pa3dFL")
     return Layout(tuple(specs), feat, classes)
 
 
@@ -133,10 +138,6 @@ class ClientModel:
         n = (len(arrays) - 2) // 3
         return cls(arrays[:n], arrays[n:2 * n], arrays[2 * n:3 * n], arrays[-2], arrays[-1],
                    width)
-
-    def at(self, j):
-        """Mix j of a stacked model."""
-        return ClientModel.from_arrays([a[j] for a in self.arrays()], self.width)
 
 
 def combine(model_a: ClientModel, model_b: ClientModel, alphas) -> ClientModel:
@@ -231,9 +232,8 @@ def representation_t(layout, model: ClientModel, x_node):
     every weight at the model's width from its factors, then `features_t`."""
     weights = []
     for spec, general, factor in zip(layout.specs, model.general, model.factors):
-        out_kept, in_kept = spec.kept(model.width)
-        w = decomp.recover_padfl_t(general, factor, spec, out_kept, in_kept, layout.recovery)
-        weights.append(w if spec.kind == "conv" else ad.reshape(w, (out_kept, in_kept)))
+        w = decomp.recover_padfl_t(general, factor, spec, model.width)
+        weights.append(w if spec.kind == "conv" else ad.reshape(w, spec.kept(model.width)))
     return features_t(layout, weights, model.biases, x_node)
 
 
@@ -272,18 +272,18 @@ def plain_accuracy(layout, model: PlainModel, x, y) -> float:
     return float((stacked_forward(layout, one, x)[0].argmax(axis=1) == y).mean())
 
 
-def stacked_logits(layout, model: ClientModel, x):
-    """(M, B, classes) logits of a stacked decomposed model (see `combine`):
-    every layer recovers all M weights at once, then `stacked_forward`."""
+def stacked_dense(layout, model: ClientModel) -> PlainModel:
+    """The stacked dense model of a stacked decomposed model (see
+    `combine`): every layer recovers all M weights at once."""
     weights = []
     for spec, general, factor in zip(layout.specs, model.general, model.factors):
-        w = decomp.recover_padfl(general, factor, spec, *spec.kept(model.width), layout.recovery)
+        w = decomp.recover_padfl(general, factor, spec, model.width)
         weights.append(w if spec.kind == "conv" else w.reshape(w.shape[:3]))
-    dense = PlainModel(weights, model.biases, model.head_w, model.head_b, model.width)
-    return stacked_forward(layout, dense, x)
+    return PlainModel(weights, model.biases, model.head_w, model.head_b, model.width)
 
 
 def accuracy(layout, model: ClientModel, x, y) -> float:
-    """Accuracy of one client model: the stacked forward at M = 1."""
-    one = ClientModel.from_arrays([a[None] for a in model.arrays()], model.width)
-    return float((stacked_logits(layout, one, x)[0].argmax(axis=1) == y).mean())
+    """Accuracy of one client model: recovered, then the stacked forward at M = 1."""
+    one = stacked_dense(layout, ClientModel.from_arrays([a[None] for a in model.arrays()],
+                                                        model.width))
+    return float((stacked_forward(layout, one, x)[0].argmax(axis=1) == y).mean())

@@ -8,9 +8,9 @@ personal parameters. One `ClientModel` is sent, trained, returned and
 kept (`model.ClientModel`).
 Evaluation fuses the freshly received model with each client's last
 locally trained model by a validation-accuracy line search over an alpha
-grid: every mix is evaluated in one stacked forward (memory: grid size
-times one model's working set), and ties go to the smallest alpha, the
-received model's side.
+grid: every mix is recovered and scored in one stacked forward (memory:
+grid size times one model's working set), ties go to the smallest
+alpha, the received model's side, and only the selected mix is tested.
 
 Sampling, aggregation and the hyper-network step run in the calling
 process. Per-client training and evaluation can run in forked worker
@@ -35,12 +35,15 @@ from .model import (
     ClientModel,
     Layout,
     LinearMap,
+    PlainModel,
     accuracy,
     combine,
     head_logits_t,
     init_decomposed,
+    plain_accuracy,
     representation_t,
-    stacked_logits,
+    stacked_dense,
+    stacked_forward,
 )
 
 # rng stream tags so every consumer draws from its own deterministic stream
@@ -175,28 +178,31 @@ def local_update(model: ClientModel, global_head, client: ClientProfile, layout:
 # ---------------------------------------------------------------------------
 # test-time model selection
 
-def select_test_model(received: ClientModel, local, val_xy, layout: Layout, grid_size=11):
+def select_test_model(received: ClientModel, local, val_xy, test_xy, layout: Layout,
+                      grid_size=11):
     """Line-search the received/local interpolation on validation accuracy.
 
-    All `grid_size` mixes are evaluated in one stacked forward, whose
-    working set is grid_size times one model's. Returns (model, alpha,
-    val_accuracy); ties prefer the smaller alpha (the aggregated model).
+    All `grid_size` mixes are recovered and scored in one stacked forward,
+    whose working set is grid_size times one model's; only the selected
+    mix is tested. Returns (alpha, val_accuracy, test_accuracy); ties
+    prefer the smaller alpha (the aggregated model).
     Missing local model -> alpha 0; empty validation set -> alpha 1
     (local model).
     """
-    x, y = val_xy
+    (xv, yv), (xt, yt) = val_xy, test_xy
     if local is None:
-        acc = accuracy(layout, received, x, y) if len(y) else float("nan")
-        return received, 0.0, acc
-    if len(y) == 0:
-        return local, 1.0, float("nan")
+        acc = accuracy(layout, received, xv, yv) if len(yv) else float("nan")
+        return 0.0, acc, accuracy(layout, received, xt, yt)
+    if len(yv) == 0:
+        return 1.0, float("nan"), accuracy(layout, local, xt, yt)
     if grid_size < 2:
         raise ConfigurationError("alpha grid needs at least 2 points")
     alphas = np.linspace(0.0, 1.0, grid_size)
-    mixes = combine(received, local, alphas)
-    accs = (stacked_logits(layout, mixes, x).argmax(axis=2) == y).mean(axis=1)
+    mixes = stacked_dense(layout, combine(received, local, alphas))
+    accs = (stacked_forward(layout, mixes, xv).argmax(axis=2) == yv).mean(axis=1)
     best = int(np.argmax(accs))  # the first maximum: the smallest alpha wins ties
-    return mixes.at(best), float(alphas[best]), float(accs[best])
+    chosen = PlainModel.from_arrays([a[best] for a in mixes.arrays()], mixes.width)
+    return float(alphas[best]), float(accs[best]), plain_accuracy(layout, chosen, xt, yt)
 
 
 # ---------------------------------------------------------------------------
@@ -390,16 +396,12 @@ class DecomposedFL(FederatedMethod):
 
     hn_aggregation=False is the no-aggregation ablation: personal
     parameters stay client-local after the first contact. The FLANC
-    ablation is a layout whose `recovery` is "flanc".
+    ablation is a layout built with `recovery="flanc"`.
     """
 
     def __init__(self, profiles, layout, cfg, seed, hn_aggregation=True):
         super().__init__(profiles, layout, cfg, seed)
         self.hn_aggregation = hn_aggregation
-        if layout.recovery == "flanc" and all(s.base_count == 1 for s in layout.specs):
-            raise ConfigurationError(
-                "FLANC recovery with every base_count 1 equals the channel-aware recovery, "
-                "so the run would repeat Pa3dFL")
         init_rng = np.random.default_rng(np.random.SeedSequence((seed, TAG_INIT)))
         # Only the general factors and the head are kept; the personal
         # factors and biases are drawn anyway, because the head and the
@@ -412,9 +414,13 @@ class DecomposedFL(FederatedMethod):
         self.last_hn_loss = float("nan")
         self.generated = None  # every client's generated parameters, per hn state
         # a width the recovery cannot prune to fails here, before any training
-        for p in {prof.width for prof in profiles}:
-            for l in range(len(layout.specs)):
-                hypernet.kept_index(layout, l, p)
+        for p in sorted({prof.width for prof in profiles}):
+            for l, spec in enumerate(layout.specs):
+                try:
+                    hypernet.kept_index(layout, l, p)
+                except ConfigurationError as exc:
+                    raise ConfigurationError(f"layer {l} ({spec.kind}, {spec.in_channels} input "
+                                             f"channels) at width {p}: {exc}") from None
 
     def prepare(self):
         if self.generated is None:
@@ -454,11 +460,9 @@ class DecomposedFL(FederatedMethod):
         p = profile.width
         head = self.global_head.sliced(self.layout.head_in(p))
         received = replace(self.sent(profile.id), head_w=head.w, head_b=head.b)
-        fused, alpha, val_acc = select_test_model(
-            received, profile.local_model, profile.data.val_xy(), self.layout,
-            grid_size=self.cfg.alpha_grid)
-        x, y = profile.data.test_xy()
-        test_acc = accuracy(self.layout, fused, x, y)
+        alpha, val_acc, test_acc = select_test_model(
+            received, profile.local_model, profile.data.val_xy(), profile.data.test_xy(),
+            self.layout, grid_size=self.cfg.alpha_grid)
         return ClientRow(profile.id, profile.capacity, p, train_loss, val_acc, test_acc,
                          alpha if profile.local_model is not None else float("nan"))
 

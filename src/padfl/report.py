@@ -177,7 +177,7 @@ def account(cfg: RunConfig):
         forward = cfg.batch * layout.head_in(p) * layout.classes
         recovery = 0
         for spec in layout.specs:
-            f, ratio = flops_account(spec, cfg.batch, *spec.kept(p))
+            f, ratio = flops_account(spec, cfg.batch, p)
             forward += f
             recovery += ratio * f  # exact: the recovery's multiply-adds
         rows.append({

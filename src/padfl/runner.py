@@ -17,7 +17,7 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -49,7 +49,10 @@ def build_dataset(cfg: RunConfig):
         return synth_gaussian(cfg.synth_classes, cfg.synth_per_class,
                               shape=tuple(cfg.synth_shape),
                               separation=cfg.synth_separation, seed=seed)
-    return load_idx(cfg.idx_images, cfg.idx_labels)
+    dataset = load_idx(cfg.idx_images, cfg.idx_labels)
+    if len(np.unique(dataset.labels)) < 2:  # a constant guess would score 1.0
+        raise ConfigurationError(f"{cfg.idx_labels}: labels need at least 2 distinct values")
+    return dataset
 
 
 def build_partition(cfg: RunConfig, dataset):
@@ -66,7 +69,7 @@ def configured_layout(cfg: RunConfig, dataset=None) -> Layout:
     else:
         in_shape, classes = dataset.features.shape[1:], dataset.classes
     return build_layout(in_shape, classes, cfg.min_width, cfg.conv_channels, cfg.conv_kernel,
-                        cfg.fc_dims)
+                        cfg.fc_dims, "flanc" if cfg.method == "Pa3dFL_FlancDecomp" else "padfl")
 
 
 def build_profiles(cfg: RunConfig, partition):
@@ -79,14 +82,11 @@ def build_profiles(cfg: RunConfig, partition):
 
 
 def build_method(cfg: RunConfig, profiles, layout):
-    if cfg.method == "Pa3dFL":
+    if cfg.method in ("Pa3dFL", "Pa3dFL_FlancDecomp"):  # the layout holds the recovery
         return protocol.DecomposedFL(profiles, layout, cfg, cfg.seed)
     if cfg.method == "Pa3dFL_NoHNAgg":
         return protocol.DecomposedFL(profiles, layout, cfg, cfg.seed,
                                      hn_aggregation=False)
-    if cfg.method == "Pa3dFL_FlancDecomp":
-        return protocol.DecomposedFL(profiles, replace(layout, recovery="flanc"), cfg,
-                                     cfg.seed)
     if cfg.method == "FedAvgMinWidth":  # one shared model at the smallest client width
         return baselines.PWidthNested(profiles, layout, cfg, cfg.seed,
                                       min(p.width for p in profiles))

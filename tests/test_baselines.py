@@ -181,17 +181,22 @@ class TestAblationWiring:
         cfg, _, profiles = small_setup(seed=18)
         layout = build_layout((1, 8, 8), 2, cfg.min_width, convs=(8, 8), kernel=3)
         protocol.DecomposedFL(profiles, layout, cfg, seed=18)
-        with pytest.raises(ConfigurationError, match="layer 0"):
-            protocol.DecomposedFL(profiles, replace(layout, recovery="flanc"), cfg, seed=18)
+        flanc = build_layout((1, 8, 8), 2, cfg.min_width, convs=(8, 8), kernel=3,
+                             recovery="flanc")
+        with pytest.raises(ConfigurationError,
+                           match=r"layer 0 \(conv, 1 input channels\) at width 1: FLANC"):
+            protocol.DecomposedFL(profiles, flanc, cfg, seed=18)
 
     def test_flanc_recovery_shapes_match(self):
         # conv 4,8: the second conv's base_count 2 lets FLANC differ from Pa3dFL
         cfg, layout, profiles_a = small_setup(seed=17)
         _, _, profiles_b = small_setup(seed=17)
-        layout = build_layout((1, 8, 8), layout.classes, cfg.min_width, convs=(4, 8),
-                              kernel=cfg.conv_kernel)
-        a = protocol.DecomposedFL(profiles_a, layout, cfg, seed=17)
-        b = protocol.DecomposedFL(profiles_b, replace(layout, recovery="flanc"), cfg, seed=17)
+        def built(recovery):
+            return build_layout((1, 8, 8), layout.classes, cfg.min_width, convs=(4, 8),
+                                kernel=cfg.conv_kernel, recovery=recovery)
+
+        a = protocol.DecomposedFL(profiles_a, built("padfl"), cfg, seed=17)
+        b = protocol.DecomposedFL(profiles_b, built("flanc"), cfg, seed=17)
         ma = a.run_round(0)
         mb = b.run_round(0)
         for fa, fb in zip(a.general, b.general):

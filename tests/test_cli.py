@@ -328,7 +328,7 @@ class TestAccount:
         from padfl.decomp import param_count
 
         layout = runner.configured_layout(cfg, runner.build_dataset(cfg))
-        expect = sum(param_count(s, s.out_channels, s.in_channels) for s in layout.specs)
+        expect = sum(param_count(s, 1) for s in layout.specs)
         expect += layout.classes * layout.head_in_full + layout.classes
         assert full["param_count"] == expect
 
@@ -361,7 +361,7 @@ class TestAccount:
         grid = supported_widths(cfg.min_width)
         for row in rows:
             p = protocol.width_for_capacity(float(Fraction(row["capacity_r"])), grid)
-            expect = sum(param_count(s, *s.kept(p)) for s in layout.specs)
+            expect = sum(param_count(s, p) for s in layout.specs)
             expect += layout.classes * layout.head_in(p) + layout.classes
             assert row["param_count"] == expect
 
@@ -511,6 +511,20 @@ class TestCliEntry:
                          "--set", f"idx_labels={labels}", "--set", "method=PWidthNested"])
         assert code == 2
         assert f"{labels}: every label is 0" in capsys.readouterr().err
+
+    def test_one_nonzero_idx_label_exit_2(self, tmp_path, capsys):
+        # every label 3: load_idx counts 4 classes, but a constant guess scores 1.0
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(SMALL)
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        images.write_bytes(struct.pack(">IIII", 0x00000803, 200, 8, 8) + bytes(200 * 64))
+        labels.write_bytes(struct.pack(">II", 0x00000801, 200) + bytes([3] * 200))
+        code = cli_main(["run", str(cfg_path), "--set", f"out_dir={tmp_path / 'r8'}",
+                         "--set", "dataset=idx", "--set", f"idx_images={images}",
+                         "--set", f"idx_labels={labels}", "--set", "method=PWidthNested"])
+        assert code == 2
+        assert f"{labels}: labels need at least 2 distinct values" in capsys.readouterr().err
+        assert not (tmp_path / "r8" / "metrics.csv").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_failure_exit_3(self, tmp_path):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,6 @@ from padfl import autodiff as ad
 from padfl import decomp
 from padfl.decomp import (
     LayerSpec,
-    factor_grid,
     flops_account,
     init_layer,
     param_count,
@@ -17,17 +17,19 @@ from padfl.decomp import (
 )
 from padfl.errors import ConfigurationError
 from padfl.hypernet import kept_index
-from padfl.model import Layout
+from padfl.model import Layout, build_layout
 
 from util import (
     built_spec,
     conv2d_loops,
+    personal_grid,
     prune_personal,
     recover_flanc,
     recover_graph,
     reduction_ratio,
     reference_weight,
     rel_err,
+    stored_floats,
 )
 
 
@@ -58,6 +60,11 @@ class TestSelectCoefficients:
     def test_non_integral_product_rejected(self):
         with pytest.raises(ConfigurationError):
             built_spec("conv", 10, 10, 3, Fraction(1, 16))
+
+    def test_flanc_with_every_base_count_one_refused(self):
+        build_layout((1, 8, 8), 2, Fraction(1, 4), (4, 8), recovery="flanc")
+        with pytest.raises(ConfigurationError, match="would repeat Pa3dFL"):
+            build_layout((1, 8, 8), 2, Fraction(1, 4), (4, 4), recovery="flanc")
 
     def test_width_grid(self):
         ws = supported_widths(Fraction(1, 4))
@@ -159,30 +166,41 @@ class TestRecoverFlanc:
             recover_flanc(u, v, spec)
 
 
-def second_layer_layout(spec, kind):
+def second_layer_layout(spec):
     """A layout whose layer 1 is `spec`; layer 0 and the head are
     placeholders."""
     first = LayerSpec("linear", spec.in_channels, 1, 1, base_count=1, rank=1, raw_input=True)
-    return Layout((first, spec), 1, 2, kind)
+    return Layout((first, spec), 1, 2)
+
+
+class TestGrid:
+    @pytest.mark.parametrize("kind", ["padfl", "flanc"])
+    def test_matches_oracle_at_every_width(self, kind):
+        spec = LayerSpec("conv", 8, 4, 3, base_count=2, rank=6, recovery=kind)
+        for raw in (False, True):
+            spec = replace(spec, raw_input=raw)
+            for p in supported_widths(Fraction(1, 4)):
+                out_kept, in_kept = spec.kept(p)
+                if kind == "flanc" and in_kept % 2:
+                    with pytest.raises(ConfigurationError, match="divisible by base_count 2"):
+                        spec.grid(p)
+                else:
+                    assert spec.grid(p) == personal_grid(kind, 2, out_kept, in_kept)
 
 
 class TestRecoverStacked:
     @pytest.mark.parametrize("kind", ["padfl", "flanc"])
     def test_slices_bitwise_equal_graph_recovery(self, kind):
-        spec = LayerSpec("conv", 8, 4, 3, base_count=2, rank=6)
+        spec = LayerSpec("conv", 8, 4, 3, base_count=2, rank=6, recovery=kind)
         rng = np.random.default_rng(12)
-        out_kept, in_kept = 4, 2  # a pruned width, 1/2
+        p, out_kept, in_kept = Fraction(1, 2), 4, 2  # a pruned width
         cols = out_kept // 2 * in_kept if kind == "padfl" else out_kept * (in_kept // 2)
         u = rng.normal(size=(3, 9 * 2, 6))
         v = rng.normal(size=(3, 6, cols))
-        got = decomp.recover_padfl(u, v, spec, *spec.kept(Fraction(1, 2)), kind)
+        got = decomp.recover_padfl(u, v, spec, p)
         assert got.shape == (3, out_kept, in_kept, 3, 3) and got.flags.c_contiguous
         for j in range(3):
-            if kind == "padfl":
-                ref = recover_graph(u[j], v[j], spec, out_kept, in_kept)
-            else:
-                ref = recover_flanc(u[j], v[j], spec, out_kept=out_kept, in_kept=in_kept)
-            assert np.array_equal(got[j], ref)
+            assert np.array_equal(got[j], recover_graph(u[j], v[j], spec, p))
 
 
 class TestOneRule:
@@ -201,37 +219,34 @@ class TestOneRule:
         j = data.draw(st.integers(1, n), label="j")
         t, s, p = r1 * n, s1 * n, Fraction(j, n)
         out_kept, in_kept = r1 * j, s1 * j
-        spec = LayerSpec("conv", t, s, k, base_count=r1, rank=rank)
-        layout = second_layer_layout(spec, kind)
+        spec = LayerSpec("conv", t, s, k, base_count=r1, rank=rank, recovery=kind)
+        layout = second_layer_layout(spec)
         rng = np.random.default_rng([r1, n, s1, k, rank, m, j])
         u = rng.normal(size=(m, k * k * r1, rank))
         if kind == "flanc" and (in_kept % r1 or s % r1):
             # the kept inputs, or else the full-width ones, do not split
             bad = p if in_kept % r1 else Fraction(1)
-            counts = spec.kept(bad)
             v = np.ones((m, rank, 1))
             with pytest.raises(ConfigurationError):
-                decomp.recover_padfl_t(ad.const(u[0]), ad.const(v[0]), spec, *counts, kind)
+                decomp.recover_padfl_t(ad.const(u[0]), ad.const(v[0]), spec, bad)
             with pytest.raises(ConfigurationError):
-                decomp.recover_padfl(u, v, spec, *counts, kind)
-            with pytest.raises(ConfigurationError, match=r"layer 1 .* at width"):
+                decomp.recover_padfl(u, v, spec, bad)
+            with pytest.raises(ConfigurationError, match="divisible by base_count"):
                 kept_index(layout, 1, bad)
             return
-        full = factor_grid(kind, r1, t, s)
+        full = personal_grid(kind, r1, t, s)
         v_full = rng.normal(size=(m, rank, full[0] * full[1]))
         bias = rng.normal(size=t)
         ix, _ = kept_index(layout, 1, p)
-        stacked = decomp.recover_padfl(u, np.stack([v.ravel()[ix] for v in v_full]), spec,
-                                         *spec.kept(p), kind)
+        stacked = decomp.recover_padfl(u, np.stack([v.ravel()[ix] for v in v_full]), spec, p)
         for uj, vj, got in zip(u, v_full, stacked):
-            v_kept, _ = prune_personal(vj, bias, spec, p, in_kept, kind)
+            v_kept, _ = prune_personal(vj, bias, spec, p, in_kept)
             assert np.array_equal(v_kept, vj.ravel()[ix])
-            graph = decomp.recover_padfl_t(ad.const(uj), ad.const(v_kept), spec,
-                                           out_kept, in_kept, kind).data
+            graph = decomp.recover_padfl_t(ad.const(uj), ad.const(v_kept), spec, p).data
             assert np.array_equal(got, graph)
-            ref = reference_weight(uj, v_kept, spec, out_kept, in_kept, kind)
+            ref = reference_weight(uj, v_kept, spec, out_kept, in_kept)
             assert rel_err(got, ref) <= 1e-12 and rel_err(graph, ref) <= 1e-12
-            whole = decomp.recover_padfl_t(ad.const(uj), ad.const(vj), spec, t, s, kind).data
+            whole = decomp.recover_padfl_t(ad.const(uj), ad.const(vj), spec, 1).data
             assert np.array_equal(graph, whole[:out_kept, :in_kept])
 
 
@@ -260,10 +275,11 @@ class TestPrune:
         general, personal, bias = random_layer(self.SPEC, 7)
         full = recover_graph(general, personal, self.SPEC)
         for p in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)):
-            for in_kept in (1, 2, 4):
-                t_kept = int(8 * p)
-                pruned, _ = prune_personal(personal, bias, self.SPEC, p, in_kept)
-                w = recover_graph(general, pruned, self.SPEC, t_kept, in_kept)
+            for raw in (False, True):  # the kept inputs: 4 * p, or all 4
+                spec = replace(self.SPEC, raw_input=raw)
+                t_kept, in_kept = int(8 * p), 4 if raw else int(4 * p)
+                pruned, _ = prune_personal(personal, bias, spec, p, in_kept)
+                w = recover_graph(general, pruned, spec, p)
                 assert np.array_equal(w, full[:t_kept, :in_kept, :, :])
 
     def test_unsupported_width_rejected(self):
@@ -273,29 +289,30 @@ class TestPrune:
 
     def test_flanc_prune_slice_equivalence(self):
         r1, r2 = 2, 6
-        spec = LayerSpec("conv", 8, 4, 3, base_count=r1, rank=r2)
+        spec = LayerSpec("conv", 8, 4, 3, base_count=r1, rank=r2, recovery="flanc")
         rng = np.random.default_rng(8)
         u = rng.normal(size=(9 * r1, r2))
         v = rng.normal(size=(r2, 8 * (4 // r1)))
-        full = recover_flanc(u, v, spec)
+        full = recover_graph(u, v, spec)
         for p in (Fraction(1, 2), Fraction(1)):
-            for in_kept in (2, 4):
-                vk, _ = prune_personal(v, np.zeros(8), spec, p, in_kept, "flanc")
-                w = recover_flanc(u, vk, spec, out_kept=int(8 * p), in_kept=in_kept)
+            for raw in (False, True):  # the kept inputs: 4 * p, or all 4
+                spec = replace(spec, raw_input=raw)
+                in_kept = 4 if raw else int(4 * p)
+                vk, _ = prune_personal(v, np.zeros(8), spec, p, in_kept)
+                w = recover_graph(u, vk, spec, p)
                 assert np.array_equal(w, full[:int(8 * p), :in_kept, :, :])
 
 
 class TestAccounting:
     def test_conv_64_count(self):
         spec = built_spec("conv", 64, 64, 5, Fraction(1, 16))
-        n = param_count(spec, 64, 64) - spec.out_channels  # without the bias
+        n = param_count(spec, 1) - spec.out_channels  # without the bias
         assert n == 64 * (1024 + 100) == 71936
         assert spec.out_channels * spec.in_channels * spec.kernel ** 2 == 102400
 
     def test_count_monotone_in_width(self):
-        spec = built_spec("conv", 32, 16, 3, Fraction(1, 8))
-        counts = [param_count(spec, int(32 * p), int(16 * p))
-                  for p in supported_widths(Fraction(1, 8))]
+        spec = replace(built_spec("conv", 32, 16, 3, Fraction(1, 8)), raw_input=False)
+        counts = [param_count(spec, p) for p in supported_widths(Fraction(1, 8))]
         assert counts == sorted(counts)
         assert all(a < b for a, b in zip(counts, counts[1:]))
 
@@ -306,7 +323,15 @@ class TestAccounting:
             in_kept = int(4 * p)
             pruned_v, pruned_b = prune_personal(personal, bias, spec, p, in_kept)
             stored = pruned_v.size + general.size + pruned_b.size
-            assert param_count(spec, int(8 * p), in_kept) == stored
+            assert param_count(spec, p) == stored == stored_floats(spec, int(8 * p), in_kept)
+
+    def test_flanc_count_equals_stored_floats(self):
+        # the widths whose 4 * p kept inputs split into base_count 2 slabs
+        spec = LayerSpec("conv", 8, 4, 3, base_count=2, rank=6, recovery="flanc")
+        general, personal, bias = random_layer(spec, 9)
+        for p in (Fraction(1, 2), Fraction(1)):
+            pruned_v, pruned_b = prune_personal(personal, bias, spec, p, int(4 * p))
+            assert param_count(spec, p) == pruned_v.size + general.size + pruned_b.size
 
     def test_appendix_formula_identity(self):
         for layer, mw in [
@@ -314,7 +339,7 @@ class TestAccounting:
             (("conv", 16, 8, 3), Fraction(1, 4)),
             (("linear", 24, 36), Fraction(1, 12)),
         ]:
-            spec = built_spec(*layer, min_width=mw)
+            spec = replace(built_spec(*layer, min_width=mw), raw_input=False)
             for p in supported_widths(mw):
                 if (Fraction(spec.in_channels) * p).denominator != 1:
                     continue
@@ -324,7 +349,8 @@ class TestAccounting:
                 )
                 assert expect.denominator == 1
                 t_kept, s_kept = int(t * p), int(s * p)
-                assert param_count(spec, t_kept, s_kept) - t_kept == int(expect)
+                assert (t_kept, s_kept) == spec.kept(p)
+                assert param_count(spec, p) - t_kept == int(expect)
                 ratio = reduction_ratio(spec, p)
                 formula = float(p) * spec.rank * (
                     float(p / mw) * s + float(mw / p) * t * k * k
@@ -333,19 +359,19 @@ class TestAccounting:
 
     def test_overhead_ratio(self):
         spec = built_spec("conv", 64, 64, 5, Fraction(1, 16), hw=(8, 8))
-        _, ratio = flops_account(spec, 128, 64, 64)
+        _, ratio = flops_account(spec, 128, 1)
         assert ratio == Fraction(1, 128)
 
     def test_forward_flops_quadratic_in_width(self):
-        spec = built_spec("conv", 16, 16, 3, Fraction(1, 4), hw=(8, 8))
-        f1, _ = flops_account(spec, 10, 16, 16)
-        f2, _ = flops_account(spec, 10, 8, 8)
+        spec = replace(built_spec("conv", 16, 16, 3, Fraction(1, 4), hw=(8, 8)), raw_input=False)
+        f1, _ = flops_account(spec, 10, 1)
+        f2, _ = flops_account(spec, 10, Fraction(1, 2))
         assert f1 == 4 * f2
 
     def test_overhead_vanishes_with_batch(self):
         spec = built_spec("conv", 16, 16, 3, Fraction(1, 4), hw=(8, 8))
-        _, r_small = flops_account(spec, 10, 16, 16)
-        _, r_big = flops_account(spec, 10_000_000, 16, 16)
+        _, r_small = flops_account(spec, 10, 1)
+        _, r_big = flops_account(spec, 10_000_000, 1)
         assert r_big < r_small and float(r_big) < 1e-4
 
 

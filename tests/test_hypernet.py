@@ -146,8 +146,8 @@ def conv_layout(convs=(4, 4), in_channels=2, side=4, min_width=Fraction(1, 2),
                 recovery="padfl"):
     # two conv blocks plus a hidden linear layer; the defaults keep every
     # kept input count divisible by base_count, as FLANC slabs need
-    layout = build_layout((in_channels, side, side), 3, min_width, convs, kernel=3, hidden=(4,))
-    return replace(layout, recovery=recovery)
+    return build_layout((in_channels, side, side), 3, min_width, convs, kernel=3, hidden=(4,),
+                        recovery=recovery)
 
 
 MIXED = [Fraction(1), Fraction(1, 2), Fraction(1, 2), Fraction(1), Fraction(1, 2)]
@@ -179,11 +179,12 @@ class TestBatchedGeneration:
 
 
 class TestKeptIndex:
-    def test_infeasible_flanc_width_names_layer_and_width(self):
-        layout = conv_layout(convs=(4, 8), in_channels=1, side=8, min_width=Fraction(1, 4))
-        hn.kept_index(layout, 1, Fraction(1, 4))
-        with pytest.raises(ConfigurationError, match=r"layer 1 .* width 1/4"):
-            hn.kept_index(replace(layout, recovery="flanc"), 1, Fraction(1, 4))
+    def test_infeasible_flanc_width_raises(self):
+        # at width 1/4 conv 2 keeps 1 of its 4 inputs, which base_count 2 cannot split
+        kw = dict(convs=(4, 8), in_channels=1, side=8, min_width=Fraction(1, 4))
+        hn.kept_index(conv_layout(**kw), 1, Fraction(1, 4))
+        with pytest.raises(ConfigurationError, match="1 kept input channels divisible by"):
+            hn.kept_index(conv_layout(**kw, recovery="flanc"), 1, Fraction(1, 4))
 
     def test_cached_and_read_only(self):
         layout = conv_layout()

@@ -14,11 +14,13 @@ from padfl.model import (
     ClientModel,
     LinearMap,
     PlainModel,
+    accuracy,
     build_layout,
     combine,
     init_decomposed,
     init_plain,
-    stacked_logits,
+    stacked_dense,
+    stacked_forward,
 )
 
 from test_hypernet import conv_layout, make_state
@@ -215,25 +217,28 @@ class TestSelectTestModel:
         a = linear_client_model(w, self.layout)
         b = linear_client_model(w, self.layout)
         x, y = self.eval_data(np.array([1.0, 0.0]))
-        _, alpha, _ = protocol.select_test_model(a, b, (x, y), self.layout)
+        alpha, _, _ = protocol.select_test_model(a, b, (x, y), (x, y), self.layout)
         assert alpha == 0.0
 
     def test_missing_local_model_uses_received(self):
         w = (np.array([[1.0, 0.0], [-1.0, 0.0]]), np.zeros(2))
         a = linear_client_model(w, self.layout)
         x, y = self.eval_data(np.array([1.0, 0.0]))
-        fused, alpha, acc = protocol.select_test_model(a, None, (x, y), self.layout)
-        assert alpha == 0.0 and fused is a
+        xt, yt = self.eval_data(np.array([1.0, 1.0]), seed=1)
+        alpha, acc, test_acc = protocol.select_test_model(a, None, (x, y), (xt, yt), self.layout)
+        assert alpha == 0.0 and acc == accuracy(self.layout, a, x, y)
+        assert test_acc == accuracy(self.layout, a, xt, yt)
 
     def test_grid_two_picks_better_endpoint(self):
         w_true = np.array([1.0, 1.0])
         good = (np.vstack([-w_true, w_true]), np.zeros(2))
         bad = (np.vstack([w_true, -w_true]), np.zeros(2))
         x, y = self.eval_data(w_true)
-        _, alpha, acc = protocol.select_test_model(
+        xt, yt = self.eval_data(w_true, n=9, seed=1)
+        alpha, acc, test_acc = protocol.select_test_model(
             linear_client_model(bad, self.layout),
-            linear_client_model(good, self.layout), (x, y), self.layout, grid_size=2)
-        assert alpha == 1.0 and acc == 1.0
+            linear_client_model(good, self.layout), (x, y), (xt, yt), self.layout, grid_size=2)
+        assert alpha == 1.0 and acc == test_acc == 1.0
 
     def test_interior_alpha_beats_both_endpoints(self):
         # heads err in opposite directions; the midpoint classifies perfectly
@@ -245,31 +250,32 @@ class TestSelectTestModel:
         w1 = (np.vstack([[-1.0, -4.0], [1.0, 4.0]]), np.zeros(2))
         m0 = linear_client_model(w0, self.layout)
         m1 = linear_client_model(w1, self.layout)
-        from padfl.model import accuracy
         acc0 = accuracy(self.layout, m0, xin, y)
         acc1 = accuracy(self.layout, m1, xin, y)
-        fused, alpha, acc = protocol.select_test_model(m0, m1, (xin, y), self.layout)
+        alpha, acc, test_acc = protocol.select_test_model(m0, m1, (xin, y), (xin, y),
+                                                          self.layout)
         assert 0.0 < alpha < 1.0
-        assert acc > max(acc0, acc1)
+        assert test_acc == acc > max(acc0, acc1)
 
     def test_empty_validation_falls_back_to_local(self):
-        w = (np.array([[1.0, 0.0], [-1.0, 0.0]]), np.zeros(2))
-        a = linear_client_model(w, self.layout)
-        b = linear_client_model(w, self.layout)
+        w = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        a = linear_client_model((w, np.zeros(2)), self.layout)
+        b = linear_client_model((-w, np.zeros(2)), self.layout)
         x = np.zeros((0, 1, 1, 2))
         y = np.zeros(0, dtype=np.int64)
-        fused, alpha, _ = protocol.select_test_model(a, b, (x, y), self.layout)
-        assert alpha == 1.0 and fused is b
+        xt, yt = self.eval_data(np.array([1.0, 0.0]))
+        alpha, acc, test_acc = protocol.select_test_model(a, b, (x, y), (xt, yt), self.layout)
+        assert alpha == 1.0 and np.isnan(acc)
+        assert test_acc == accuracy(self.layout, b, xt, yt) != accuracy(self.layout, a, xt, yt)
 
 
 def random_conv_model(layout, p, rng, biases=True):
-    """A width-p decomposed model with random factors in `layout.recovery`'s
-    layout."""
+    """A width-p decomposed model with random factors in each layer's
+    recovery layout."""
     gen, fac, bias = [], [], []
     for spec in layout.specs:
         out_kept, in_kept = spec.kept(p)
-        cols = (out_kept // spec.base_count * in_kept if layout.recovery == "padfl"
-                else out_kept * (in_kept // spec.base_count))
+        cols = out_kept * in_kept // spec.base_count  # a * b in either layout
         gen.append(rng.normal(size=(spec.kernel ** 2 * spec.base_count, spec.rank)))
         fac.append(rng.normal(size=(spec.rank, cols)))
         bias.append(rng.normal(size=out_kept) * biases)
@@ -294,6 +300,11 @@ class TestSelectTestModelConv:
         rng = np.random.default_rng(12)
         self.x = rng.normal(size=(12, 2, 8, 8))
         self.y = rng.integers(0, self.layouts["padfl"].classes, size=12)
+        self.xt = rng.normal(size=(7, 2, 8, 8))
+        self.yt = rng.integers(0, self.layouts["padfl"].classes, size=7)
+
+    def xy(self):
+        return (self.x, self.y), (self.xt, self.yt)
 
     @pytest.mark.parametrize("recovery", ["padfl", "flanc"])
     def test_matches_per_alpha_reference(self, recovery):
@@ -304,19 +315,17 @@ class TestSelectTestModelConv:
         alphas = np.linspace(0.0, 1.0, 11)
         refs = [reference_logits(layout, scalar_mix(received, local, float(a)), self.x)
                 for a in alphas]
-        got = stacked_logits(layout, combine(received, local, alphas), self.x)
+        got = stacked_forward(layout, stacked_dense(layout, combine(received, local, alphas)),
+                              self.x)
         for g, r in zip(got, refs):
             assert rel_err(g, r) <= 1e-12
         accs = [float((r.argmax(axis=1) == self.y).mean()) for r in refs]
         assert len(set(accs)) > 1
-        fused, alpha, acc = protocol.select_test_model(
-            received, local, (self.x, self.y), layout)
+        alpha, acc, test_acc = protocol.select_test_model(received, local, *self.xy(), layout)
         best = int(np.argmax(accs))
         assert alpha == alphas[best] and acc == accs[best]
-        expect = combine(received, local, [alpha]).at(0)
-        for a, b, c in zip(fused.arrays(), expect.arrays(),
-                           scalar_mix(received, local, alpha).arrays()):
-            assert np.array_equal(a, b) and np.array_equal(a, c)
+        test_ref = reference_logits(layout, scalar_mix(received, local, alpha), self.xt)
+        assert test_acc == float((test_ref.argmax(axis=1) == self.yt).mean())
 
     @pytest.mark.parametrize("recovery", ["padfl", "flanc"])
     def test_ties_resolve_to_smallest_alpha(self, recovery):
@@ -329,11 +338,37 @@ class TestSelectTestModelConv:
         accs = {float((reference_logits(layout, scalar_mix(received, local, a),
                                         self.x).argmax(axis=1) == self.y).mean())
                 for a in np.linspace(0.0, 1.0, 11)}
-        fused, alpha, acc = protocol.select_test_model(
-            received, local, (self.x, self.y), layout)
+        alpha, acc, test_acc = protocol.select_test_model(received, local, *self.xy(), layout)
         assert accs == {acc} and alpha == 0.0
-        for a, b in zip(fused.arrays(), received.arrays()):
-            assert np.array_equal(a, b)
+        test_ref = reference_logits(layout, received, self.xt)
+        assert test_acc == float((test_ref.argmax(axis=1) == self.yt).mean())
+
+
+class TestPayload:
+    """A round's params_exchanged counts exactly the floats sent to its
+    selected clients: the general factors, the generated personal factors
+    and biases, and the sliced shared head."""
+
+    @pytest.mark.parametrize("recovery", ["padfl", "flanc"])
+    def test_params_exchanged_equals_sent_sizes(self, recovery):
+        cfg, _, profiles = small_setup(seed=5)
+        cfg.per_round = 3  # of 4 clients, two at each width: both widths are sent
+        # conv 4,8 at min_width 1/4: the second conv has base_count 2, whose
+        # FLANC slabs split the kept inputs at widths 1/2 and 1
+        layout = build_layout((1, 8, 8), 2, cfg.min_width, (4, 8), cfg.conv_kernel,
+                              recovery=recovery)
+        for prof in profiles:
+            prof.width = Fraction(1, 1 + prof.id % 2)
+        method = protocol.DecomposedFL(profiles, layout, cfg, seed=5)
+        sizes = []
+        for prof in profiles:
+            sent = method.sent(prof.id)
+            head = method.global_head.sliced(layout.head_in(prof.width))
+            sizes.append(sum(a.size for a in [*sent.general, *sent.factors, *sent.biases,
+                                              head.w, head.b]))
+        assert len(set(sizes)) == 2
+        metrics = method.run_round(0)
+        assert metrics.params_exchanged == sum(sizes[i] for i in metrics.selected)
 
 
 class TestDecomposedRounds:

@@ -3,8 +3,9 @@ somewhere else in src/padfl: code that only tests call belongs in
 tests/util.py, and the functions the benchmark hooks by name are no
 exception. Likewise every dataclass field in src/padfl must be read
 somewhere in src/padfl or padbench/: a field that nothing reads is dead
-state. And the modules of src/padfl import one another without a cycle,
-counting imports inside functions."""
+state. The modules of src/padfl import one another without a cycle,
+counting imports inside functions. And only `decomp` reads a layer's
+recovery kind: the rest of the package asks its `LayerSpec`."""
 import ast
 import graphlib
 from pathlib import Path
@@ -75,6 +76,23 @@ def import_graph():
                 names |= {node.module} if node.module else {a.name for a in node.names}
         graph[path.stem] = {n.split(".")[0] for n in names} & modules
     return graph
+
+
+def recovery_readers():
+    """(module, top-level def) of every `.recovery` attribute load in src/padfl."""
+    out = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            out |= {(path.stem, getattr(top, "name", None)) for node in ast.walk(top)
+                    if isinstance(node, ast.Attribute) and node.attr == "recovery"
+                    and isinstance(node.ctx, ast.Load)}
+    return out
+
+
+def test_only_decomp_reads_the_recovery_kind():
+    readers = recovery_readers()
+    assert ("decomp", "LayerSpec") in readers  # the scan sees the one owner
+    assert {r for r in readers if r[0] != "decomp"} <= {("model", "build_layout")}
 
 
 def test_import_graph_has_no_cycle():

@@ -3,13 +3,16 @@ central finite differences, nested-loop convolution and conv-block
 references, an einsum recovery, per-model decomposed and dense forwards, and a
 per-client loop form of the hyper-network's generation and loss. Also
 the single-layer record, recovery, generation, pruning, accounting and
-copying helpers that only tests use."""
+copying helpers that only tests use. The personal factor's grid and the
+stored-float count are computed here by their own formulas, not read
+from `decomp`."""
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 
 from padfl import autodiff as ad
-from padfl.decomp import factor_grid, param_count, recover_padfl_t
+from padfl.decomp import recover_padfl_t
 from padfl.errors import ConfigurationError
 from padfl.hypernet import generate_personal, generation_graph
 from padfl.model import ClientModel, PlainModel, build_layout
@@ -100,8 +103,8 @@ def aggregate_embedding(encoded, client, tau):
 
 def reference_personal(state, client, layout, width):
     """One client's generated personal parameters, decoder by decoder:
-    mix, decoder mat-vec, then numpy slicing of the flat output in
-    `layout.recovery`'s layout."""
+    mix, decoder mat-vec, then numpy slicing of the flat output in each
+    layer's recovery layout."""
     enc = encode(state)
     p = Fraction(width)
     taus = np.exp(state.log_temp)
@@ -112,7 +115,7 @@ def reference_personal(state, client, layout, width):
         (t_kept, ik), r1 = spec.kept(p), spec.base_count
         blocks = spec.out_channels // r1
         n_v = spec.rank * blocks * spec.in_channels
-        if layout.recovery == "padfl":
+        if spec.recovery == "padfl":
             v = flat[:n_v].reshape(spec.rank, blocks, spec.in_channels)[:, :t_kept // r1, :ik]
         else:
             v = flat[:n_v].reshape(spec.rank, spec.out_channels, spec.in_channels // r1)
@@ -139,15 +142,35 @@ def hn_loss(state, returned, layout):
     return total / len(returned)
 
 
-def reference_weight(general, personal, spec, out_kept, in_kept, recovery="padfl"):
-    """Recovered (out_kept, in_kept, k, k) weight by einsum over the rank.
+def personal_grid(recovery, base_count, out_kept, in_kept):
+    """(a, b) of an out_kept x in_kept personal factor, (rank, a * b):
+    padfl holds out_kept / base_count blocks of in_kept columns, flanc
+    out_kept rows of in_kept / base_count input slabs."""
+    if recovery == "padfl":
+        return out_kept // base_count, in_kept
+    if in_kept % base_count:
+        raise ConfigurationError(f"{in_kept} inputs do not split into {base_count} slabs")
+    return out_kept, in_kept // base_count
+
+
+def stored_floats(spec, out_kept, in_kept) -> int:
+    """Floats a layer pruned to out_kept x in_kept stores: the whole
+    (k^2 * base_count, rank) general factor, the pruned personal factor
+    and the kept biases."""
+    a, b = personal_grid(spec.recovery, spec.base_count, out_kept, in_kept)
+    return spec.kernel ** 2 * spec.base_count * spec.rank + spec.rank * a * b + out_kept
+
+
+def reference_weight(general, personal, spec, out_kept, in_kept):
+    """Recovered (out_kept, in_kept, k, k) weight by einsum over the rank,
+    in `spec.recovery`'s layout.
 
     padfl: channel j*base_count + i is u_i v_j; flanc: input s = c*base_count + i
     of output o is u_i v_(o, c)."""
     k2 = spec.kernel ** 2
     r1 = general.shape[0] // k2
     u = general.reshape(r1, k2, -1)
-    if recovery == "padfl":
+    if spec.recovery == "padfl":
         v = personal.reshape(-1, out_kept // r1, in_kept)
         w = np.einsum("ikr,rjs->jisk", u, v)
     else:
@@ -174,12 +197,11 @@ def reference_plain_logits(layout, model, x):
 
 def reference_logits(layout, model, x):
     """One client model's logits from first principles: einsum recovery in
-    `layout.recovery`'s layout, then `reference_plain_logits` on the
+    each layer's recovery layout, then `reference_plain_logits` on the
     recovered dense model."""
     p, weights = model.width, []
     for idx, spec in enumerate(layout.specs):
-        w = reference_weight(model.general[idx], model.factors[idx], spec, *spec.kept(p),
-                             layout.recovery)
+        w = reference_weight(model.general[idx], model.factors[idx], spec, *spec.kept(p))
         weights.append(w if spec.kind == "conv" else w[:, :, 0, 0])
     dense = PlainModel(weights, model.biases, model.head_w, model.head_b, p)
     return reference_plain_logits(layout, dense, x)
@@ -198,18 +220,15 @@ def built_spec(kind, t, s, k=1, min_width=1, hw=(2, 2)):
     return build_layout((s, 1, 1), 2, min_width, hidden=(t,)).specs[0]
 
 
-def recover_graph(general, personal, spec, out_kept=None, in_kept=None, kind="padfl"):
-    """The weight recovered from one 2-D factor pair by the graph recovery
-    on constants, at full width unless the kept counts are given."""
-    out_kept = spec.out_channels if out_kept is None else out_kept
-    in_kept = spec.in_channels if in_kept is None else in_kept
-    return recover_padfl_t(ad.const(general), ad.const(personal), spec, out_kept, in_kept,
-                           kind).data
+def recover_graph(general, personal, spec, p=1):
+    """The width-p weight recovered from one 2-D factor pair by the graph
+    recovery on constants."""
+    return recover_padfl_t(ad.const(general), ad.const(personal), spec, p).data
 
 
-def recover_flanc(general, personal, spec, out_kept=None, in_kept=None) -> np.ndarray:
-    """The input-slab recovered weight, through the graph recovery."""
-    return recover_graph(general, personal, spec, out_kept, in_kept, "flanc")
+def recover_flanc(general, personal, spec) -> np.ndarray:
+    """The full-width input-slab recovered weight, through the graph recovery."""
+    return recover_graph(general, personal, replace(spec, recovery="flanc"))
 
 
 def generate_one(state, client, layout, width):
@@ -219,18 +238,18 @@ def generate_one(state, client, layout, width):
     return generate_personal([f.data for f in outputs], client, layout, width)
 
 
-def prune_personal(personal, bias, spec, p, in_kept=None, kind="padfl"):
+def prune_personal(personal, bias, spec, p, in_kept=None):
     """(factor, bias) of a full-width layer pruned to width p: keep the
     first p*T output channels and the first `in_kept` input columns, by
-    cutting the leading corner of the factor's `factor_grid`."""
+    cutting the leading corner of the factor's `personal_grid`."""
     p = Fraction(p)
     out_kept = Fraction(spec.out_channels) * p
     if not 0 < p <= 1 or out_kept.denominator != 1 or out_kept % spec.base_count:
         raise ConfigurationError(f"width {p} keeps no whole personal blocks")
     out_kept = int(out_kept)
     in_kept = spec.in_channels if in_kept is None else in_kept
-    full = factor_grid(kind, spec.base_count, spec.out_channels, spec.in_channels)
-    a, b = factor_grid(kind, spec.base_count, out_kept, in_kept)
+    full = personal_grid(spec.recovery, spec.base_count, spec.out_channels, spec.in_channels)
+    a, b = personal_grid(spec.recovery, spec.base_count, out_kept, in_kept)
     kept = personal.reshape(spec.rank, *full)[:, :a, :b]
     return np.ascontiguousarray(kept).reshape(spec.rank, a * b), bias[:out_kept].copy()
 
@@ -240,7 +259,7 @@ def reduction_ratio(spec, p) -> Fraction:
     weight."""
     t, s = Fraction(spec.out_channels) * p, Fraction(spec.in_channels) * p
     dense = spec.out_channels * spec.in_channels * spec.kernel ** 2
-    return Fraction(param_count(spec, int(t), int(s)) - int(t), dense)
+    return Fraction(stored_floats(spec, int(t), int(s)) - int(t), dense)
 
 
 def orthogonal_reg(general_factors, specs) -> float:
