@@ -1,12 +1,16 @@
 """Minimal dense-tensor engine with reverse-mode differentiation.
 
-Values are float64 numpy arrays frozen at construction; an operation
-returns a fresh Tensor whose backward closure scatters the incoming
-gradient to its parents. Graphs are implicit (parent pointers) and
-single-owner: build, call :func:`backward` on a scalar, read ``.grad``
-off the leaves. There is no broadcasting beyond the explicit bias-add
-patterns accepted by :func:`add`; everything else must match shapes
-exactly so silent shape bugs cannot survive.
+Values are numpy arrays frozen at construction, float32 or float64 as
+given (anything else becomes float64). Every operation computes in its
+operands' dtype and every gradient takes its node's, so the arrays a
+caller passes pick the precision: clients train and evaluate in the
+dataset's float32, while the hyper-network and the tests' oracles run in
+float64. An operation returns a fresh Tensor whose backward closure
+scatters the incoming gradient to its parents. Graphs are implicit
+(parent pointers) and single-owner: build, call :func:`backward` on a
+scalar, read ``.grad`` off the leaves. There is no broadcasting beyond
+the explicit bias-add patterns accepted by :func:`add`; everything else
+must match shapes exactly so silent shape bugs cannot survive.
 """
 from __future__ import annotations
 
@@ -15,18 +19,27 @@ import numpy as np
 from .errors import DimensionError
 
 
+_FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
+
+
+def _dtype(data):
+    """float32 and float64 stay as given; anything else computes in float64."""
+    dtype = getattr(data, "dtype", None)
+    return dtype if dtype in _FLOATS else np.dtype(np.float64)
+
+
 class Tensor:
-    """Immutable float64 array plus autodiff bookkeeping."""
+    """Immutable float32 or float64 array plus autodiff bookkeeping."""
 
     __slots__ = ("data", "parents", "backward_fn", "requires_grad", "grad")
 
     def __init__(self, data, parents=(), backward_fn=None, requires_grad=False, _own=False):
         if _own:
-            arr = np.asarray(data, dtype=np.float64)
+            arr = np.asarray(data, dtype=_dtype(data))
             if not arr.flags.c_contiguous:
                 arr = np.ascontiguousarray(arr)
         else:
-            arr = np.array(data, dtype=np.float64, order="C")
+            arr = np.array(data, dtype=_dtype(data), order="C")
         arr.flags.writeable = False
         self.data = arr
         self.parents = tuple(parents)
@@ -57,13 +70,13 @@ def _out(data, parents, backward_fn):
 
 
 def _acc(t, g, own=False):
-    """Add g into t.grad. With own=True, g is a fresh array no one else
-    holds (a conv, pool or ReLU gradient) and becomes t.grad without a
-    copy; a pass-through gradient, which `add` hands to both parents, is
-    copied."""
+    """Add g into t.grad, in t's dtype. With own=True, g is a fresh array
+    no one else holds (a conv, pool or ReLU gradient) and becomes t.grad
+    without a copy if its dtype is t's; a pass-through gradient, which
+    `add` hands to both parents, is copied."""
     if t.requires_grad:
         if t.grad is None:
-            t.grad = g if own else np.array(g, dtype=np.float64)
+            t.grad = g if own and g.dtype == t.data.dtype else np.array(g, dtype=t.data.dtype)
         else:
             t.grad += g
 
@@ -119,7 +132,8 @@ def ordered_product(a, b):
     summed rank by rank in a fixed order: each element is independent of
     the other columns of ``b`` and of the leading axes, so pruned and
     stacked factor recoveries are bit-exact slices of full, single ones."""
-    out = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1]))
+    out = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1]),
+                   dtype=np.result_type(a, b))
     for r in range(a.shape[-1]):
         out += a[..., :, r, None] * b[..., None, r, :]
     return out
@@ -158,11 +172,11 @@ def _im2col(x, k, pad):
     ch, h, w, bsz = x.shape
     hp, wp = h + 2 * pad, w + 2 * pad
     if pad:
-        padded = np.zeros((ch, hp, wp, bsz))
+        padded = np.zeros((ch, hp, wp, bsz), dtype=x.dtype)
         padded[:, pad:pad + h, pad:pad + w] = x
         x = padded
     ho, wo = hp - k + 1, wp - k + 1
-    cols = np.empty((ch, k, k, ho, wo, bsz))
+    cols = np.empty((ch, k, k, ho, wo, bsz), dtype=x.dtype)
     for ky in range(k):
         for kx in range(k):
             cols[:, ky, kx] = x[:, ky:ky + ho, kx:kx + wo]
@@ -172,7 +186,7 @@ def _im2col(x, k, pad):
 def _col2im(gcols, xshape, k, pad, ho, wo):
     """Adjoint of `_im2col`: scatter-add columns back onto (C, H, W, B)."""
     ch, h, w, bsz = xshape
-    gx = np.zeros((ch, h + 2 * pad, w + 2 * pad, bsz))
+    gx = np.zeros((ch, h + 2 * pad, w + 2 * pad, bsz), dtype=gcols.dtype)
     g6 = gcols.reshape(ch, k, k, ho, wo, bsz)
     for ky in range(k):
         for kx in range(k):
@@ -233,7 +247,7 @@ def conv2d_infer(x, w, pad=0):
     """
     m, t, s, k, _ = w.shape
     cols, ho, wo = _im2col(x[0], k, pad)
-    out = np.empty((m, t, ho, wo, x.shape[-1]))
+    out = np.empty((m, t, ho, wo, x.shape[-1]), dtype=np.result_type(x, w))
     w2 = w.transpose(0, 2, 3, 4, 1).reshape(m, s * k * k, t)
     for j in range(m):
         if j and x.shape[0] > 1:

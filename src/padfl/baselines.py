@@ -32,6 +32,11 @@ class DenseMethod(FederatedMethod):
     def client_view(self, i) -> PlainModel:
         raise NotImplementedError
 
+    def init_model(self, width, rng) -> PlainModel:
+        """A fresh dense width-p model (`init_plain`) in the data's dtype."""
+        model = init_plain(self.layout, width, rng)
+        return PlainModel.from_arrays([a.astype(self.dtype) for a in model.arrays()], width)
+
     def train_client(self, t, i, eta):
         return plain_sgd(self.client_view(i), self.layout, self.profiles[i].data,
                          epochs=self.cfg.epochs, batch=self.cfg.batch, lr=eta,
@@ -66,7 +71,7 @@ class PWidthNested(DenseMethod):
     def __init__(self, profiles, layout, cfg, seed, width=Fraction(1)):
         super().__init__(profiles, layout, cfg, seed)
         rng = np.random.default_rng(np.random.SeedSequence((seed, TAG_INIT)))
-        self.model = init_plain(layout, width, rng)
+        self.model = self.init_model(width, rng)
         self.widths = {p.id: min(p.width, width) for p in profiles}
         self.keys = {i: nested_keys(layout, w) for i, w in self.widths.items()}
 
@@ -100,7 +105,7 @@ class LocalOnly(DenseMethod):
         self.models = {}
         for p in profiles:
             rng = np.random.default_rng(np.random.SeedSequence((seed, TAG_INIT, p.id)))
-            self.models[p.id] = init_plain(layout, p.width, rng)
+            self.models[p.id] = self.init_model(p.width, rng)
 
     def client_view(self, i):
         return self.models[i]

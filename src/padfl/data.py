@@ -16,7 +16,9 @@ from .errors import ConfigurationError, FormatError
 
 @dataclass
 class Dataset:
-    features: np.ndarray  # (n, C, h, w) float64
+    # (n, C, h, w), float32 from the loaders; its dtype is the compute dtype
+    # of every model a method trains and evaluates on it
+    features: np.ndarray
     labels: np.ndarray    # (n,) int64 in [0, classes)
     classes: int
 
@@ -57,7 +59,7 @@ def synth_gaussian(classes, per_class, shape=(1, 28, 28), separation=3.0, seed=0
     per seed. On image-shaped features the directions are drawn from a
     low-frequency (4x4-block) subspace so the class evidence is spatially
     coherent and learnable by a small convolutional stack; the simplex
-    geometry is unchanged.
+    geometry is unchanged. Drawn in float64 and returned in float32.
     """
     if classes < 2:
         raise ConfigurationError("need at least 2 classes")
@@ -83,6 +85,8 @@ def synth_gaussian(classes, per_class, shape=(1, 28, 28), separation=3.0, seed=0
     # per-class temporaries
     x = rng.standard_normal((classes, per_class, dim))
     x += means[:, None, :]
+    # cast before the permuted gather, so no float64 copy of it is made
+    x = x.astype(np.float32)
     y = np.repeat(np.arange(classes, dtype=np.int64), per_class)
     perm = rng.permutation(len(y))
     return Dataset(x.reshape(-1, *shape)[perm], y[perm], classes)
@@ -103,7 +107,7 @@ def _read_exact(fh, n, path, offset):
 
 
 def load_idx(images_path, labels_path) -> Dataset:
-    """Read an image/label pair of IDX files; pixels scaled to [0, 1]."""
+    """Read an image/label pair of IDX files; float32 pixels scaled to [0, 1]."""
     with open(images_path, "rb") as fh:
         magic = struct.unpack(">I", _read_exact(fh, 4, images_path, 0))[0]
         if magic != _IDX_IMAGES:
@@ -131,7 +135,7 @@ def load_idx(images_path, labels_path) -> Dataset:
             f"{images_path} holds {n} images but {labels_path} holds {n_labels} labels")
     if not labels.any():
         raise FormatError(f"{labels_path}: every label is 0; need at least 2 classes")
-    return Dataset(images.astype(np.float64) / 255.0, labels, int(labels.max()) + 1)
+    return Dataset(images.astype(np.float32) / 255.0, labels, int(labels.max()) + 1)
 
 
 # ---------------------------------------------------------------------------

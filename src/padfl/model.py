@@ -143,8 +143,9 @@ class ClientModel:
 def combine(model_a: ClientModel, model_b: ClientModel, alphas) -> ClientModel:
     """Every mix (1-alpha)*a + alpha*b at once, as one stacked model whose
     arrays gain a leading axis with one entry per alpha; shapes must match.
-    Each slice is the same IEEE arithmetic as the scalar mix."""
-    alphas = np.asarray(alphas, dtype=np.float64)
+    The alphas are taken in the models' dtype, so the mixes keep it. Each
+    slice is the same IEEE arithmetic as the scalar mix."""
+    alphas = np.asarray(alphas, dtype=model_a.head_w.dtype)
     mixed = []
     for x, y in zip(model_a.arrays(), model_b.arrays()):
         a = alphas.reshape((-1,) + (1,) * x.ndim)

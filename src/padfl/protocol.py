@@ -12,6 +12,11 @@ grid: every mix is recovered and scored in one stacked forward (memory:
 grid size times one model's working set), ties go to the smallest
 alpha, the received model's side, and only the selected mix is tested.
 
+Models are kept, sent, trained and evaluated in the dtype of the
+dataset's features (float32 from the loaders); the hyper-network runs in
+float64, and `DecomposedFL.prepare` is the one place its output is cast
+to the models' dtype.
+
 Sampling, aggregation and the hyper-network step run in the calling
 process. Per-client training and evaluation can run in forked worker
 processes (`map_clients`); results are reduced in client-id order, so a
@@ -112,7 +117,7 @@ def orthogonal_reg_t(u_nodes, specs):
         if spec.kind != "conv":
             continue
         gram = ad.matmul(ad.transpose(node, (1, 0)), node)
-        mask = 1.0 - np.eye(gram.data.shape[0])
+        mask = 1.0 - np.eye(gram.data.shape[0], dtype=gram.data.dtype)
         terms.append(ad.frobenius_sq(ad.mul(gram, ad.const(mask))))
     if not terms:
         return None
@@ -121,16 +126,17 @@ def orthogonal_reg_t(u_nodes, specs):
 
 def sgd(model, data: ClientData, loss_fn, *, epochs, batch, lr, rng):
     """E epochs of minibatch SGD on a copy of `model` (a ClientModel or a
-    PlainModel) over data's training split; loss_fn(nodes, x_node, labels)
-    builds each batch's scalar loss from the model as one of leaf nodes.
+    PlainModel), made in the dtype of data's features, over data's training
+    split; loss_fn(nodes, x_node, labels) builds each batch's scalar loss
+    from the model as one of leaf nodes.
 
     Returns (trained model, mean batch loss), or (None, nan) if an input
     array or a batch loss is not finite.
     """
-    arrays = [a.copy() for a in model.arrays()]
+    x_all, y_all = data.dataset.features, data.dataset.labels
+    arrays = [a.astype(x_all.dtype) for a in model.arrays()]
     if not all(np.isfinite(a).all() for a in arrays):
         return None, float("nan")
-    x_all, y_all = data.dataset.features, data.dataset.labels
     losses = []
     for _ in range(epochs):
         order = rng.permutation(len(data.train_idx))
@@ -319,6 +325,8 @@ class FederatedMethod:
         self.layout = layout
         self.cfg = cfg
         self.seed = seed
+        # the dataset's dtype is the compute dtype of every model kept here
+        self.dtype = profiles[0].data.dataset.features.dtype
         self.server_rng = np.random.default_rng(np.random.SeedSequence((seed, TAG_SERVER)))
 
     def client_rng(self, t, client_id):
@@ -407,8 +415,9 @@ class DecomposedFL(FederatedMethod):
         # factors and biases are drawn anyway, because the head and the
         # hyper-network are drawn after them from the same stream.
         init = init_decomposed(layout, init_rng)
-        self.general = init.general
-        self.global_head = LinearMap(init.head_w, init.head_b)
+        self.general = [g.astype(self.dtype) for g in init.general]
+        self.global_head = LinearMap(init.head_w.astype(self.dtype),
+                                     init.head_b.astype(self.dtype))
         self.hn = hypernet.init_hypernet(
             layout, len(profiles), cfg.hn_embed, cfg.hn_hidden, cfg.hn_depth, init_rng)
         self.last_hn_loss = float("nan")
@@ -425,7 +434,9 @@ class DecomposedFL(FederatedMethod):
     def prepare(self):
         if self.generated is None:
             _, outputs = hypernet.generation_graph(self.hn)
-            flat = [f.data for f in outputs]
+            # the hyper-network runs in float64; this is the one cast of
+            # what it generates into the clients' dtype
+            flat = [f.data.astype(self.dtype, copy=False) for f in outputs]
             self.generated = {p.id: hypernet.generate_personal(flat, p.id, self.layout, p.width)
                               for p in self.profiles}
 

@@ -110,6 +110,8 @@ class TestOrthogonalReg:
 
 
 def small_setup(seed=0, clients=4, capacity="ideal"):
+    """A small config, layout and partitioned profiles on a float64 dataset,
+    so methods built on it compute in float64 and the oracles stay exact."""
     cfg = RunConfig(
         clients=clients, per_round=2, rounds=3, batch=8, epochs=1, lr=0.05,
         synth_classes=2, synth_per_class=40, synth_shape=(1, 8, 8),
@@ -118,6 +120,7 @@ def small_setup(seed=0, clients=4, capacity="ideal"):
     ).finalize()
     layout = build_layout((1, 8, 8), 2, cfg.min_width, cfg.conv_channels, cfg.conv_kernel)
     ds = pdata.synth_gaussian(2, 40, shape=(1, 8, 8), separation=3.0, seed=seed)
+    ds = pdata.Dataset(ds.features.astype(np.float64), ds.labels, ds.classes)
     part = pdata.partition_dirichlet(ds, clients, alpha=1.0, seed=seed)
     rng = np.random.default_rng(np.random.SeedSequence((seed, protocol.TAG_CAPACITY)))
     profiles = protocol.assign_capacities(clients, capacity, rng,
