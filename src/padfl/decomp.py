@@ -97,17 +97,19 @@ def supported_widths(min_width) -> tuple[Fraction, ...]:
     return widths
 
 
-def init_layer(spec: LayerSpec, rng):
-    """Full-width (general, personal, bias) whose recovered weight matches
-    a fan-in-scaled uniform init: general entries uniform in
-    +-1/sqrt(S*k^2), personal blocks orthogonalized and column-normalized
-    to unit gain."""
-    k2 = spec.kernel ** 2
-    bound = 1.0 / np.sqrt(spec.in_channels * k2)
-    general = rng.uniform(-bound, bound, size=(k2 * spec.base_count, spec.rank))
-    blocks = spec.out_channels // spec.base_count
+def init_general(spec: LayerSpec, rng):
+    """Full-size general factor, entries uniform in +-1/sqrt(S*k^2): with
+    `init_personal`'s unit-gain columns, the recovered weight matches a
+    fan-in-scaled uniform init."""
+    bound = 1.0 / np.sqrt(spec.in_channels * spec.kernel ** 2)
+    return rng.uniform(-bound, bound, size=(spec.kernel ** 2 * spec.base_count, spec.rank))
+
+
+def init_personal(spec: LayerSpec, rng):
+    """Full-width personal factor: its blocks orthogonalized and
+    column-normalized to unit gain."""
     vs = []
-    for _ in range(blocks):
+    for _ in range(spec.out_channels // spec.base_count):
         g = rng.standard_normal((spec.rank, spec.in_channels))
         if spec.in_channels >= spec.rank:
             q, _ = np.linalg.qr(g.T)
@@ -115,11 +117,8 @@ def init_layer(spec: LayerSpec, rng):
         else:
             q, _ = np.linalg.qr(g)
             v = q
-        v = v / np.linalg.norm(v, axis=0, keepdims=True)
-        vs.append(v)
-    personal = np.concatenate(vs, axis=1)
-    bias = rng.uniform(-bound, bound, size=spec.out_channels)
-    return general, personal, bias
+        vs.append(v / np.linalg.norm(v, axis=0, keepdims=True))
+    return np.concatenate(vs, axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -97,7 +97,7 @@ def init_hypernet(layout: Layout, num_clients, embed_dim, hidden_dim, depth, rng
     decoders = []
     for spec in (*layout.specs, None):
         if spec is not None:
-            _, personal, _ = decomp.init_layer(spec, rng)
+            personal = decomp.init_personal(spec, rng)
             bias = np.concatenate([personal.ravel(), np.zeros(spec.out_channels)])
         else:  # the head: a fan-in init of its weight, zero biases
             hb = 1.0 / np.sqrt(layout.head_in_full)

@@ -153,14 +153,12 @@ def combine(model_a: ClientModel, model_b: ClientModel, alphas) -> ClientModel:
     return ClientModel.from_arrays(mixed, model_a.width)
 
 
-def init_decomposed(layout: Layout, rng) -> ClientModel:
-    """Fresh full-width model: factors and biases per layer, the dense head."""
-    layers = [decomp.init_layer(spec, rng) for spec in layout.specs]
-    general, personal, biases = ([layer[j] for layer in layers] for j in range(3))
-    bound = 1.0 / np.sqrt(layout.head_in_full)
-    head_w = rng.uniform(-bound, bound, size=(layout.classes, layout.head_in_full))
-    head_b = rng.uniform(-bound, bound, size=layout.classes)
-    return ClientModel(general, personal, biases, head_w, head_b, Fraction(1))
+def init_head(layout: Layout, p, rng) -> LinearMap:
+    """Fresh dense head of a width-p model, uniform in +-1/sqrt(fan-in)."""
+    feat = layout.head_in(p)
+    bound = 1.0 / np.sqrt(feat)
+    return LinearMap(rng.uniform(-bound, bound, size=(layout.classes, feat)),
+                     rng.uniform(-bound, bound, size=layout.classes))
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +196,8 @@ def init_plain(layout: Layout, p, rng) -> PlainModel:
         shape = (t, s, spec.kernel, spec.kernel) if spec.kind == "conv" else (t, s)
         weights.append(rng.uniform(-bound, bound, size=shape))
         biases.append(rng.uniform(-bound, bound, size=t))
-    feat = layout.head_in(p)
-    bound = 1.0 / np.sqrt(feat)
-    head_w = rng.uniform(-bound, bound, size=(layout.classes, feat))
-    head_b = rng.uniform(-bound, bound, size=layout.classes)
-    return PlainModel(weights, biases, head_w, head_b, p)
+    head = init_head(layout, p, rng)
+    return PlainModel(weights, biases, head.w, head.b, p)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import autodiff as ad
-from . import hypernet
+from . import decomp, hypernet
 from .data import ClientData
 from .errors import ConfigurationError, NumericError
 from .model import (
@@ -44,7 +44,7 @@ from .model import (
     accuracy,
     combine,
     head_logits_t,
-    init_decomposed,
+    init_head,
     plain_accuracy,
     representation_t,
     stacked_dense,
@@ -411,13 +411,10 @@ class DecomposedFL(FederatedMethod):
         super().__init__(profiles, layout, cfg, seed)
         self.hn_aggregation = hn_aggregation
         init_rng = np.random.default_rng(np.random.SeedSequence((seed, TAG_INIT)))
-        # Only the general factors and the head are kept; the personal
-        # factors and biases are drawn anyway, because the head and the
-        # hyper-network are drawn after them from the same stream.
-        init = init_decomposed(layout, init_rng)
-        self.general = [g.astype(self.dtype) for g in init.general]
-        self.global_head = LinearMap(init.head_w.astype(self.dtype),
-                                     init.head_b.astype(self.dtype))
+        self.general = [decomp.init_general(spec, init_rng).astype(self.dtype)
+                        for spec in layout.specs]
+        head = init_head(layout, 1, init_rng)
+        self.global_head = LinearMap(head.w.astype(self.dtype), head.b.astype(self.dtype))
         self.hn = hypernet.init_hypernet(
             layout, len(profiles), cfg.hn_embed, cfg.hn_hidden, cfg.hn_depth, init_rng)
         self.last_hn_loss = float("nan")

@@ -11,7 +11,8 @@ from padfl import decomp
 from padfl.decomp import (
     LayerSpec,
     flops_account,
-    init_layer,
+    init_general,
+    init_personal,
     param_count,
     supported_widths,
 )
@@ -378,7 +379,8 @@ class TestAccounting:
 class TestInit:
     def test_recovered_init_scale(self):
         spec = built_spec("conv", 16, 8, 3, Fraction(1, 4))
-        general, personal, _ = init_layer(spec, np.random.default_rng(10))
+        rng = np.random.default_rng(10)
+        general, personal = init_general(spec, rng), init_personal(spec, rng)
         w = recover_graph(general, personal, spec)
         bound = 1.0 / np.sqrt(8 * 9)
         target_std = bound / np.sqrt(3.0)  # std of U(-bound, bound)
@@ -386,6 +388,6 @@ class TestInit:
 
     def test_personal_columns_unit_gain(self):
         spec = built_spec("conv", 8, 16, 3, Fraction(1, 2))
-        _, personal, _ = init_layer(spec, np.random.default_rng(11))
+        personal = init_personal(spec, np.random.default_rng(11))
         norms = np.linalg.norm(personal, axis=0)
         assert np.allclose(norms, 1.0, atol=1e-9)

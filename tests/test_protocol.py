@@ -17,14 +17,20 @@ from padfl.model import (
     accuracy,
     build_layout,
     combine,
-    init_decomposed,
     init_plain,
     stacked_dense,
     stacked_forward,
 )
 
 from test_hypernet import conv_layout, make_state
-from util import finite_diff, generate_one, orthogonal_reg, reference_logits, rel_err
+from util import (
+    finite_diff,
+    generate_one,
+    init_decomposed,
+    orthogonal_reg,
+    reference_logits,
+    rel_err,
+)
 
 
 GRID16 = supported_widths(Fraction(1, 16))

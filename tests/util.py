@@ -2,20 +2,20 @@
 central finite differences, nested-loop convolution and conv-block
 references, an einsum recovery, per-model decomposed and dense forwards, and a
 per-client loop form of the hyper-network's generation and loss. Also
-the single-layer record, recovery, generation, pruning, accounting and
-copying helpers that only tests use. The personal factor's grid and the
-stored-float count are computed here by their own formulas, not read
-from `decomp`."""
+the single-layer record, full decomposed-model init, recovery,
+generation, pruning, accounting and copying helpers that only tests use.
+The personal factor's grid and the stored-float count are computed here
+by their own formulas, not read from `decomp`."""
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 
 from padfl import autodiff as ad
-from padfl.decomp import recover_padfl_t
+from padfl.decomp import init_general, init_personal, recover_padfl_t
 from padfl.errors import ConfigurationError
 from padfl.hypernet import generate_personal, generation_graph
-from padfl.model import ClientModel, PlainModel, build_layout
+from padfl.model import ClientModel, PlainModel, build_layout, init_head
 from padfl.protocol import orthogonal_reg_t
 
 
@@ -205,6 +205,19 @@ def reference_logits(layout, model, x):
         weights.append(w if spec.kind == "conv" else w[:, :, 0, 0])
     dense = PlainModel(weights, model.biases, model.head_w, model.head_b, p)
     return reference_plain_logits(layout, dense, x)
+
+
+def init_decomposed(layout, rng) -> ClientModel:
+    """Fresh full-width float64 model: per layer its general and personal
+    factors and biases uniform in +-1/sqrt(S*k^2), then the dense head."""
+    general, personal, biases = [], [], []
+    for spec in layout.specs:
+        general.append(init_general(spec, rng))
+        personal.append(init_personal(spec, rng))
+        bound = 1.0 / np.sqrt(spec.in_channels * spec.kernel ** 2)
+        biases.append(rng.uniform(-bound, bound, size=spec.out_channels))
+    head = init_head(layout, 1, rng)
+    return ClientModel(general, personal, biases, head.w, head.b, Fraction(1))
 
 
 def plain_copy(model):
