@@ -64,7 +64,7 @@ def main(argv=None):
             from .report import account, format_account
 
             cfg = load_config(args.config, args.overrides)
-            print(format_account(account(cfg)))
+            print(format_account(*account(cfg)))
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

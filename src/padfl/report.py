@@ -167,13 +167,22 @@ ACCOUNT_RATIOS = (Fraction(1, 256), Fraction(1, 64), Fraction(1, 4), Fraction(1)
 
 
 def account(cfg: RunConfig):
-    """Analytic per-capacity cost rows for the configured model."""
+    """(rows, notes): analytic per-capacity cost rows for the configured
+    model, and one note per width that the layout cannot prune to (see
+    `LayerSpec.grid`), whose capacities get no row. Raises if no width is
+    left."""
     layout = runner.configured_layout(
         cfg, None if cfg.dataset == "synth" else runner.build_dataset(cfg))
     grid = supported_widths(cfg.min_width)
-    rows = []
+    rows, dropped = [], {}  # width -> (reason, capacities)
     for r in ACCOUNT_RATIOS:
         p = width_for_capacity(r, grid)
+        try:
+            for spec in layout.specs:
+                spec.grid(p)
+        except ConfigurationError as exc:
+            dropped.setdefault(p, (exc, []))[1].append(r)
+            continue
         forward = cfg.batch * layout.head_in(p) * layout.classes
         recovery = 0
         for spec in layout.specs:
@@ -187,13 +196,17 @@ def account(cfg: RunConfig):
             "param_count": layout.client_param_count(p),
             "recovery_overhead": float(recovery / forward),
         })
-    return rows
+    notes = [f"note: width {p} dropped (capacity {', '.join(map(str, caps))}): {exc}"
+             for p, (exc, caps) in dropped.items()]
+    if not rows:
+        raise ConfigurationError("; ".join(notes))
+    return rows, notes
 
 
-def format_account(rows) -> str:
+def format_account(rows, notes) -> str:
     header = f"{'capacity':>10} {'width':>8} {'fwd madds':>14} {'params':>12} {'rec ovh':>10}"
     lines = [header, "-" * len(header)]
     for r in rows:
         lines.append(f"{r['capacity_r']:>10} {r['width_p']:>8} {r['forward_madds']:>14} "
                      f"{r['param_count']:>12} {r['recovery_overhead']:>10.2e}")
-    return "\n".join(lines)
+    return "\n".join([*lines, *notes])

@@ -322,7 +322,7 @@ class TestAccount:
 
     def test_full_capacity_row_is_full_model(self, tmp_path):
         cfg = small_cfg(tmp_path)
-        rows = report.account(cfg)
+        rows, _ = report.account(cfg)
         full = rows[-1]
         assert full["width_p"] == "1"
         from padfl.decomp import param_count
@@ -334,7 +334,7 @@ class TestAccount:
 
     def test_quarter_capacity_flops_near_quarter(self, tmp_path):
         cfg = small_cfg(tmp_path)
-        rows = report.account(cfg)
+        rows, _ = report.account(cfg)
         by_r = {r["capacity_r"]: r for r in rows}
         ratio = by_r["1/4"]["forward_madds"] / by_r["1"]["forward_madds"]
         # width 1/2 => p^2 = 1/4 exactly, up to the unpruned-raw-input and
@@ -352,9 +352,26 @@ class TestAccount:
             full_row = capsys.readouterr().out.splitlines()[-1].split()
             assert full_row[:3] == ["1", "1", "92672"]
 
+    def test_flanc_drops_widths_it_cannot_prune_to(self, tmp_path, capsys):
+        # conv 4,8 at min_width 1/4: the second conv's base_count 2 does not
+        # divide the one input channel kept at width 1/4, where capacities
+        # 1/256 and 1/64 land; a run with such a client exits 2
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(SMALL)
+        flanc = ["--set", "method=Pa3dFL_FlancDecomp", "--set", "conv_channels=4,8"]
+        assert cli_main(["account", str(cfg_path), *flanc]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in lines[2:4]] == [["1/4", "1/2"], ["1", "1"]]
+        assert lines[4:] == ["note: width 1/4 dropped (capacity 1/256, 1/64): FLANC recovery "
+                             "needs its 1 kept input channels divisible by base_count 2"]
+        assert cli_main(["account", str(cfg_path), "--set", "conv_channels=4,8"]) == 0
+        assert "note" not in capsys.readouterr().out
+        # with every width dropped there is nothing to account for
+        assert cli_main(["account", str(cfg_path), *flanc, "--set", "min_width=1/2"]) == 2
+
     def test_counts_equal_param_count_sums(self, tmp_path):
         cfg = small_cfg(tmp_path)
-        rows = report.account(cfg)
+        rows, _ = report.account(cfg)
         from padfl.decomp import param_count, supported_widths
 
         layout = runner.configured_layout(cfg, runner.build_dataset(cfg))
