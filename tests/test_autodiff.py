@@ -106,20 +106,23 @@ class TestConv2d:
             ad.conv2d(ad.const(cf(np.ones((1, 1, 2, 2)))), ad.const(np.ones((1, 1, 5, 5))))
 
     @pytest.mark.parametrize("shared", [True, False])
-    @pytest.mark.parametrize("bsz", [1, 3])
-    def test_stacked_infer_slices_equal_single_conv(self, shared, bsz):
+    @pytest.mark.parametrize("bsz,dtype", [(1, np.float64), (3, np.float64), (3, np.float32)],
+                             ids=["1", "3", "3-float32"])
+    def test_stacked_infer_slices_equal_single_conv(self, shared, bsz, dtype):
         # M weights on one shared input, or each on its own input (folded
-        # into one im2col): slice j is bitwise the graph conv of weight j
+        # into one im2col): slice j is bitwise the graph conv of weight j,
+        # in either dtype
         rng = np.random.default_rng(5)
-        w = rng.normal(size=(4, 5, 3, 6, 6))
-        x = rng.normal(size=(1 if shared else 4, bsz, 3, 7, 7))
+        w = rng.normal(size=(4, 5, 3, 6, 6)).astype(dtype)
+        x = rng.normal(size=(1 if shared else 4, bsz, 3, 7, 7)).astype(dtype)
         out = ad.conv2d_infer(x.transpose(0, 2, 3, 4, 1), w, pad=2)
-        assert out.shape == (4, 5, 6, 6, bsz)
+        assert out.shape == (4, 5, 6, 6, bsz) and out.dtype == dtype
         for j in range(4):
             xj = x[0 if shared else j]
             single = ad.conv2d(ad.const(cf(xj)), ad.const(w[j]), pad=2).data
-            assert np.array_equal(out[j], single)
-            assert np.abs(bf(out[j]) - conv2d_loops(xj, w[j], pad=2)).max() <= 1e-12
+            assert np.array_equal(out[j], single) and single.dtype == dtype
+            loops = conv2d_loops(xj.astype(np.float64), w[j].astype(np.float64), pad=2)
+            assert np.abs(bf(out[j]) - loops).max() <= (1e-12 if dtype == np.float64 else 1e-4)
 
 
 class TestIm2col:

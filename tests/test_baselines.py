@@ -219,23 +219,28 @@ class TestDenseForward:
         assert got.shape == (1, 5, 3)
         assert rel_err(got[0], reference_plain_logits(layout, model, x)) <= 1e-12
 
-    @pytest.mark.parametrize("hidden,bound", [((), 0.0), ((32,), 1e-15)])
+    @pytest.mark.parametrize("hidden,bound,dtype", [((), 0.0, np.float64),
+                                                    ((32,), 1e-15, np.float64),
+                                                    ((), 0.0, np.float32)],
+                             ids=["hidden0-0.0", "hidden1-1e-15", "float32"])
     @pytest.mark.parametrize("width", [Fraction(1), Fraction(1, 2), Fraction(3, 16)])
-    def test_training_forward_equals_eval_forward(self, hidden, bound, width):
+    def test_training_forward_equals_eval_forward(self, hidden, bound, dtype, width):
         # the graph forward (training) and the stacked forward (evaluation)
         # share one im2col and one 2-D product per conv, so conv-only
-        # logits are bitwise equal. A hidden layer is a batched np.matmul
-        # in the stacked forward against the graph's 2-D product, which
-        # may round differently (6e-17 here at width 1). The zero leading
-        # rows make whole pool windows tie.
+        # logits are bitwise equal, in either dtype. A hidden layer is a
+        # batched np.matmul in the stacked forward against the graph's 2-D
+        # product, which may round differently (6e-17 here at width 1).
+        # The zero leading rows make whole pool windows tie.
         layout = build_layout((1, 8, 8), 3, Fraction(1, 16), (16, 16), kernel=3, hidden=hidden)
         rng = np.random.default_rng(21)
-        model = init_plain(layout, width, rng)
-        x = rng.normal(size=(5, 1, 8, 8))
+        model = PlainModel.from_arrays([a.astype(dtype) for a in
+                                        init_plain(layout, width, rng).arrays()], width)
+        x = rng.normal(size=(5, 1, 8, 8)).astype(dtype)
         x[:, :, :3] = 0.0
         one = PlainModel.from_arrays([a[None] for a in model.arrays()], width)
         nodes = PlainModel.from_arrays([ad.const(a) for a in model.arrays()], width)
         got = plain_logits_t(layout, nodes, ad.const(x)).data
+        assert got.dtype == dtype
         assert np.abs(got - stacked_forward(layout, one, x)[0]).max() <= bound
 
 

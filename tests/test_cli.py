@@ -185,6 +185,42 @@ class TestRun:
         assert summary["status"] == "failed"
 
 
+class TestComputeDtype:
+    """The dataset's dtype is the compute dtype, with no setting to pick it:
+    a synth run trains, sends and keeps float32 models, and the same run on
+    its dataset cast to float64 keeps every model array float64. The
+    hyper-network is float64 either way."""
+
+    @staticmethod
+    def model_arrays(method):
+        """Every model array a method sends or keeps."""
+        n = len(method.profiles)
+        if isinstance(method, protocol.DecomposedFL):
+            models = [method.sent(i) for i in range(n)]
+            models += [p.local_model for p in method.profiles if p.local_model is not None]
+            head = [method.global_head.w, method.global_head.b]
+            return head + [a for m in models for a in m.arrays()]
+        return [a for i in range(n) for a in method.client_view(i).arrays()]
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_models_follow_the_dataset_dtype(self, tmp_path, method, dtype):
+        # conv 4,8 at full width, where the FLANC ablation runs too
+        cfg = small_cfg(tmp_path, method=method, conv_channels=(4, 8))
+        dataset = runner.build_dataset(cfg)
+        assert dataset.features.dtype == np.float32
+        dataset = dataclasses.replace(dataset, features=dataset.features.astype(dtype))
+        layout = runner.configured_layout(cfg, dataset)
+        profiles = runner.build_profiles(cfg, runner.build_partition(cfg, dataset))
+        built = runner.build_method(cfg, profiles, layout)
+        for t in range(2):
+            metrics = built.run_round(t)
+            assert not metrics.failed
+            assert {a.dtype for a in self.model_arrays(built)} == {np.dtype(dtype)}
+        if isinstance(built, protocol.DecomposedFL):
+            assert {a.dtype for a in built.hn.arrays()} == {np.dtype(np.float64)}
+
+
 class TestFedAvgOracle:
     def test_min_width_on_ideal_matches_straight_line_fedavg(self, tmp_path):
         """Independent-implementation oracle: a dedicated FedAvg loop written

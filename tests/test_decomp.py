@@ -190,16 +190,19 @@ class TestGrid:
 
 
 class TestRecoverStacked:
-    @pytest.mark.parametrize("kind", ["padfl", "flanc"])
-    def test_slices_bitwise_equal_graph_recovery(self, kind):
+    @pytest.mark.parametrize("kind,dtype", [("padfl", np.float64), ("flanc", np.float64),
+                                            ("padfl", np.float32), ("flanc", np.float32)],
+                             ids=["padfl", "flanc", "padfl-float32", "flanc-float32"])
+    def test_slices_bitwise_equal_graph_recovery(self, kind, dtype):
         spec = LayerSpec("conv", 8, 4, 3, base_count=2, rank=6, recovery=kind)
         rng = np.random.default_rng(12)
         p, out_kept, in_kept = Fraction(1, 2), 4, 2  # a pruned width
         cols = out_kept // 2 * in_kept if kind == "padfl" else out_kept * (in_kept // 2)
-        u = rng.normal(size=(3, 9 * 2, 6))
-        v = rng.normal(size=(3, 6, cols))
+        u = rng.normal(size=(3, 9 * 2, 6)).astype(dtype)
+        v = rng.normal(size=(3, 6, cols)).astype(dtype)
         got = decomp.recover_padfl(u, v, spec, p)
         assert got.shape == (3, out_kept, in_kept, 3, 3) and got.flags.c_contiguous
+        assert got.dtype == dtype
         for j in range(3):
             assert np.array_equal(got[j], recover_graph(u[j], v[j], spec, p))
 
