@@ -113,18 +113,22 @@ def backward(root):
 # ---------------------------------------------------------------------------
 # matrix products
 
-def matmul(a, b):
+def _product_node(a, b, product, name):
+    """Graph node of product(a, b), a matrix product of 2-D nodes."""
     if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DimensionError("matmul expects 2-D operands")
+        raise DimensionError(f"{name} expects 2-D operands")
     if a.data.shape[1] != b.data.shape[0]:
-        raise DimensionError(f"matmul inner dims {a.data.shape} x {b.data.shape}")
-    out_data = a.data @ b.data
+        raise DimensionError(f"{name} inner dims {a.data.shape} x {b.data.shape}")
 
     def bw(g):
         _acc(a, g @ b.data.T)
         _acc(b, a.data.T @ g)
 
-    return _out(out_data, (a, b), bw)
+    return _out(product(a.data, b.data), (a, b), bw)
+
+
+def matmul(a, b):
+    return _product_node(a, b, np.matmul, "matmul")
 
 
 def ordered_product(a, b):
@@ -141,17 +145,7 @@ def ordered_product(a, b):
 
 def ordered_matmul(a, b):
     """`ordered_product` of two 2-D nodes, as a graph op."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DimensionError("ordered_matmul expects 2-D operands")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise DimensionError(f"ordered_matmul inner dims {a.data.shape} x {b.data.shape}")
-    out_data = ordered_product(a.data, b.data)
-
-    def bw(g):
-        _acc(a, g @ b.data.T)
-        _acc(b, a.data.T @ g)
-
-    return _out(out_data, (a, b), bw)
+    return _product_node(a, b, ordered_product, "ordered_matmul")
 
 
 # ---------------------------------------------------------------------------

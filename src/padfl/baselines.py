@@ -27,10 +27,7 @@ def plain_sgd(model: PlainModel, layout: Layout, client_data, *, epochs, batch, 
 
 class DenseMethod(FederatedMethod):
     """Methods that train a dense model: client i starts from, and is
-    evaluated with, `client_view(i)`."""
-
-    def client_view(self, i) -> PlainModel:
-        raise NotImplementedError
+    evaluated with, the `PlainModel` `sent(i)`."""
 
     def init_model(self, width, rng) -> PlainModel:
         """A fresh dense width-p model (`init_plain`) in the data's dtype."""
@@ -38,21 +35,18 @@ class DenseMethod(FederatedMethod):
         return PlainModel.from_arrays([a.astype(self.dtype) for a in model.arrays()], width)
 
     def train_client(self, t, i, eta):
-        return plain_sgd(self.client_view(i), self.layout, self.profiles[i].data,
+        return plain_sgd(self.sent(i), self.layout, self.profiles[i].data,
                          epochs=self.cfg.epochs, batch=self.cfg.batch, lr=eta,
                          rng=self.client_rng(t, i))
 
     def evaluate_client(self, profile, train_loss):
-        model = self.client_view(profile.id)
+        model = self.sent(profile.id)
         xv, yv = profile.data.val_xy()
         xt, yt = profile.data.test_xy()
         return ClientRow(profile.id, profile.capacity, model.width, train_loss,
                          plain_accuracy(self.layout, model, xv, yv),
                          plain_accuracy(self.layout, model, xt, yt),
                          float("nan"))
-
-    def round_payload(self, selected):
-        return sum(a.size for i in selected for a in self.client_view(i).arrays())
 
 
 def nested_keys(layout: Layout, p) -> list:
@@ -68,14 +62,14 @@ class PWidthNested(DenseMethod):
     client i trains the leading min(p_i, width) share of every layer;
     aggregation averages each entry over the clients whose slice covers it."""
 
-    def __init__(self, profiles, layout, cfg, seed, width=Fraction(1)):
-        super().__init__(profiles, layout, cfg, seed)
-        rng = np.random.default_rng(np.random.SeedSequence((seed, TAG_INIT)))
+    def __init__(self, profiles, layout, cfg, width=Fraction(1)):
+        super().__init__(profiles, layout, cfg)
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, TAG_INIT)))
         self.model = self.init_model(width, rng)
         self.widths = {p.id: min(p.width, width) for p in profiles}
         self.keys = {i: nested_keys(layout, w) for i, w in self.widths.items()}
 
-    def client_view(self, i) -> PlainModel:
+    def sent(self, i) -> PlainModel:
         sliced = [np.ascontiguousarray(a[k])
                   for a, k in zip(self.model.arrays(), self.keys[i])]
         return PlainModel.from_arrays(sliced, self.widths[i])
@@ -100,18 +94,18 @@ class LocalOnly(DenseMethod):
     """No federation: every client trains its own width-matched dense
     model whenever it is sampled."""
 
-    def __init__(self, profiles, layout, cfg, seed):
-        super().__init__(profiles, layout, cfg, seed)
+    def __init__(self, profiles, layout, cfg):
+        super().__init__(profiles, layout, cfg)
         self.models = {}
         for p in profiles:
-            rng = np.random.default_rng(np.random.SeedSequence((seed, TAG_INIT, p.id)))
+            rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, TAG_INIT, p.id)))
             self.models[p.id] = self.init_model(p.width, rng)
 
-    def client_view(self, i):
+    def sent(self, i):
         return self.models[i]
 
     def aggregate(self, models):
         self.models.update(models)
 
     def round_payload(self, selected):
-        return 0
+        return 0  # nothing leaves a client

@@ -8,8 +8,8 @@ and personal block v_j, so pruning trailing v blocks removes exactly the
 trailing output channels while the general factor is untouched.
 
 `LayerSpec` is the one record of a layer and of what a width-p client
-holds of it (`kept(p)`, `grid(p)`). The init, recovery and accounting
-functions take the record (and the width) alone.
+holds of it (`kept(p)`, `grid(p)`, `weight_shape(p)`). The init,
+recovery and accounting functions take the record (and the width) alone.
 
 The FLANC ablation (`recovery` "flanc") recovers the same factors with
 personal blocks that span input slabs instead of output channels.
@@ -70,6 +70,12 @@ class LayerSpec:
         in_kept = self.in_channels if self.raw_input else int(self.in_channels * p)
         return int(self.out_channels * p), in_kept
 
+    def weight_shape(self, p):
+        """The dense width-p weight's shape: (T, S, k, k) of `kept(p)` for
+        conv, (T, S) for linear."""
+        kept = self.kept(p)
+        return (*kept, self.kernel, self.kernel) if self.kind == "conv" else kept
+
     def grid(self, p):
         """(a, b): the width-p personal factor is (rank, a * b), b columns
         to each of its a groups. "padfl" groups whole blocks of base_count
@@ -125,9 +131,8 @@ def init_personal(spec: LayerSpec, rng):
 # recovery: one rule for both kinds
 
 def recover_padfl_t(general, personal, spec: LayerSpec, p):
-    """Graph-op recovery of the (out_kept, in_kept, k, k) weight tensor node
-    of `spec.kept(p)` from its factors, in the layout of `spec.grid(p)`,
-    for training."""
+    """Graph-op recovery of the `spec.weight_shape(p)` weight tensor node
+    from its factors, in the layout of `spec.grid(p)`, for training."""
     k, r1, r2 = spec.kernel, spec.base_count, spec.rank
     a, b = spec.grid(p)
     if general.data.shape != (k * k * r1, r2):
@@ -136,11 +141,11 @@ def recover_padfl_t(general, personal, spec: LayerSpec, p):
         raise DimensionError(f"personal factor shape {personal.data.shape}")
     prod = ad.ordered_matmul(general, personal)          # (k^2*r1, a*b)
     prod = ad.transpose(ad.reshape(prod, (r1, k * k, a, b)), PERMUTATION[spec.recovery])
-    return ad.reshape(prod, (*spec.kept(p), k, k))
+    return ad.reshape(prod, spec.weight_shape(p))
 
 
 def recover_padfl(general, personal, spec: LayerSpec, p):
-    """(M, out_kept, in_kept, k, k) weights of one layer at width p from M
+    """(M, *spec.weight_shape(p)) weights of one layer at width p from M
     stacked factor pairs, general (M, k^2*base_count, rank) and personal
     (M, rank, .), for evaluation. Each slice is bit-identical to the graph
     recovery of that pair."""
@@ -149,7 +154,7 @@ def recover_padfl(general, personal, spec: LayerSpec, p):
     prod = ad.ordered_product(general, personal).reshape(m, r1, k * k, a, b)
     prod = prod.transpose(0, *(d + 1 for d in PERMUTATION[spec.recovery]))
     # contiguous like the graph recovery, so the products see the same layout
-    return np.ascontiguousarray(prod).reshape(m, *spec.kept(p), k, k)
+    return np.ascontiguousarray(prod).reshape(m, *spec.weight_shape(p))
 
 
 # ---------------------------------------------------------------------------

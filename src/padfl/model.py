@@ -53,6 +53,16 @@ class Layout:
         """Head input features at width p (leading channels kept)."""
         return int(Fraction(self.head_in_full) * Fraction(p))
 
+    def check(self, p):
+        """Raise a ConfigurationError naming the first layer whose recovery
+        cannot prune to width p (see `LayerSpec.grid`)."""
+        for l, spec in enumerate(self.specs):
+            try:
+                spec.grid(p)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"layer {l} ({spec.kind}, {spec.in_channels} input "
+                                         f"channels) at width {p}: {exc}") from None
+
     def client_param_count(self, p) -> int:
         """Floats a width-p client holds of the decomposed model: the full
         general factors, its personal factors and biases, the head slice."""
@@ -166,9 +176,10 @@ def init_head(layout: Layout, p, rng) -> LinearMap:
 
 @dataclass
 class PlainModel:
-    """Dense width-p model: one weight and one bias per layer (conv weights
-    (T, S, k, k), then linear weights (T, S)), then the head. A stacked
-    model gives every array a leading axis with one entry per model."""
+    """Dense width-p model: one weight and one bias per layer (each weight
+    shaped `LayerSpec.weight_shape(p)`: conv layers first, then linear),
+    then the head. A stacked model gives every array a leading axis with
+    one entry per model."""
 
     weights: list
     biases: list
@@ -193,8 +204,7 @@ def init_plain(layout: Layout, p, rng) -> PlainModel:
     for spec in layout.specs:
         t, s = spec.kept(p)
         bound = 1.0 / np.sqrt(s * spec.kernel ** 2)
-        shape = (t, s, spec.kernel, spec.kernel) if spec.kind == "conv" else (t, s)
-        weights.append(rng.uniform(-bound, bound, size=shape))
+        weights.append(rng.uniform(-bound, bound, size=spec.weight_shape(p)))
         biases.append(rng.uniform(-bound, bound, size=t))
     head = init_head(layout, p, rng)
     return PlainModel(weights, biases, head.w, head.b, p)
@@ -226,10 +236,8 @@ def head_logits_t(x_node, head_w, head_b):
 def representation_t(layout, model: ClientModel, x_node):
     """Graph forward of a decomposed model of nodes up to the head: recover
     every weight at the model's width from its factors, then `features_t`."""
-    weights = []
-    for spec, general, factor in zip(layout.specs, model.general, model.factors):
-        w = decomp.recover_padfl_t(general, factor, spec, model.width)
-        weights.append(w if spec.kind == "conv" else ad.reshape(w, spec.kept(model.width)))
+    weights = [decomp.recover_padfl_t(general, factor, spec, model.width)
+               for spec, general, factor in zip(layout.specs, model.general, model.factors)]
     return features_t(layout, weights, model.biases, x_node)
 
 
@@ -271,10 +279,8 @@ def plain_accuracy(layout, model: PlainModel, x, y) -> float:
 def stacked_dense(layout, model: ClientModel) -> PlainModel:
     """The stacked dense model of a stacked decomposed model (see
     `combine`): every layer recovers all M weights at once."""
-    weights = []
-    for spec, general, factor in zip(layout.specs, model.general, model.factors):
-        w = decomp.recover_padfl(general, factor, spec, model.width)
-        weights.append(w if spec.kind == "conv" else w.reshape(w.shape[:3]))
+    weights = [decomp.recover_padfl(general, factor, spec, model.width)
+               for spec, general, factor in zip(layout.specs, model.general, model.factors)]
     return PlainModel(weights, model.biases, model.head_w, model.head_b, model.width)
 
 

@@ -12,6 +12,11 @@ grid: every mix is recovered and scored in one stacked forward (memory:
 grid size times one model's working set), ties go to the smallest
 alpha, the received model's side, and only the selected mix is tested.
 
+Every method fills in `FederatedMethod`'s hooks alike: `sent(i)` is the
+model client i starts from, a round's payload is the size of what `sent`
+gives the selected clients, and a method keeps its own per-client
+models, so `ClientProfile` records are inputs that no method writes.
+
 Models are kept, sent, trained and evaluated in the dtype of the
 dataset's features (float32 from the loaders); the hyper-network runs in
 float64, and `DecomposedFL.prepare` is the one place its output is cast
@@ -62,11 +67,12 @@ TAG_PARTITION = 0x9A87
 
 @dataclass
 class ClientProfile:
+    """One client's inputs; methods read it and never write it."""
+
     id: int
     capacity: float                 # affordable fraction of the full model cost
     width: Fraction                 # largest grid width with width^2 <= capacity
     data: ClientData = None
-    local_model: ClientModel = None  # last locally trained model, kept on-client
 
 
 def width_for_capacity(r, grid) -> Fraction:
@@ -192,13 +198,13 @@ def select_test_model(received: ClientModel, local, val_xy, test_xy, layout: Lay
     whose working set is grid_size times one model's; only the selected
     mix is tested. Returns (alpha, val_accuracy, test_accuracy); ties
     prefer the smaller alpha (the aggregated model).
-    Missing local model -> alpha 0; empty validation set -> alpha 1
-    (local model).
+    Missing local model -> alpha nan (the received model, unfused);
+    empty validation set -> alpha 1 (local model).
     """
     (xv, yv), (xt, yt) = val_xy, test_xy
     if local is None:
         acc = accuracy(layout, received, xv, yv) if len(yv) else float("nan")
-        return 0.0, acc, accuracy(layout, received, xt, yt)
+        return float("nan"), acc, accuracy(layout, received, xt, yt)
     if len(yv) == 0:
         return 1.0, float("nan"), accuracy(layout, local, xt, yt)
     if grid_size < 2:
@@ -318,20 +324,22 @@ def _worker(fn, ids, fd):
 
 
 class FederatedMethod:
-    """Round-loop skeleton shared by the decomposed protocol and baselines."""
+    """Round-loop skeleton shared by the decomposed protocol and baselines.
+    Every random stream derives from `cfg.seed`."""
 
-    def __init__(self, profiles, layout: Layout, cfg, seed):
+    last_hn_loss = float("nan")  # the hyper-network's last loss; nan without one
+
+    def __init__(self, profiles, layout: Layout, cfg):
         self.profiles = profiles
         self.layout = layout
         self.cfg = cfg
-        self.seed = seed
         # the dataset's dtype is the compute dtype of every model kept here
         self.dtype = profiles[0].data.dataset.features.dtype
-        self.server_rng = np.random.default_rng(np.random.SeedSequence((seed, TAG_SERVER)))
+        self.server_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, TAG_SERVER)))
 
     def client_rng(self, t, client_id):
         return np.random.default_rng(
-            np.random.SeedSequence((self.seed, TAG_CLIENT, t, client_id)))
+            np.random.SeedSequence((self.cfg.seed, TAG_CLIENT, t, client_id)))
 
     def eta(self, t):
         return self.cfg.lr * self.cfg.lr_decay ** t
@@ -373,18 +381,26 @@ class FederatedMethod:
             round=t, eta=eta, selected=selected, failed=failed, rows=rows,
             mean_val=float(vals.mean()), mean_test=float(tests.mean()),
             params_exchanged=self.round_payload(selected),
-            hn_loss=getattr(self, "last_hn_loss", float("nan")),
+            hn_loss=self.last_hn_loss,
             gen_s=(prepared_at - started) + (reprepared_at - aggregated_at),
             train_s=trained_at - prepared_at, server_s=aggregated_at - trained_at,
             eval_s=evaluated_at - reprepared_at)
+
+    def round_payload(self, selected) -> int:
+        """Floats sent this round: the sizes of `sent(i)` of the selected i."""
+        return sum(a.size for i in selected for a in self.sent(i).arrays())
 
     # method-specific hooks
     def prepare(self):
         """Compute what the next client phase reads, before workers fork."""
 
+    def sent(self, i):
+        """The model client i starts from this round; evaluation reads it too."""
+        raise NotImplementedError
+
     def train_client(self, t, i, eta) -> tuple:
         """(trained model, or None if training failed; mean loss) of
-        client i in round t."""
+        client i in round t, trained from `sent(i)`."""
         raise NotImplementedError
 
     def aggregate(self, models):
@@ -395,38 +411,31 @@ class FederatedMethod:
         """The client's row; train_loss is nan unless it trained this round."""
         raise NotImplementedError
 
-    def round_payload(self, selected) -> int:
-        raise NotImplementedError
-
 
 class DecomposedFL(FederatedMethod):
     """The decomposed protocol with hyper-network personal aggregation.
+    `local` maps a client id to its last trained model.
 
     hn_aggregation=False is the no-aggregation ablation: personal
     parameters stay client-local after the first contact. The FLANC
     ablation is a layout built with `recovery="flanc"`.
     """
 
-    def __init__(self, profiles, layout, cfg, seed, hn_aggregation=True):
-        super().__init__(profiles, layout, cfg, seed)
+    def __init__(self, profiles, layout, cfg, hn_aggregation=True):
+        super().__init__(profiles, layout, cfg)
         self.hn_aggregation = hn_aggregation
-        init_rng = np.random.default_rng(np.random.SeedSequence((seed, TAG_INIT)))
+        # a width the recovery cannot prune to fails here, before any training
+        for p in sorted({prof.width for prof in profiles}):
+            layout.check(p)
+        init_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, TAG_INIT)))
         self.general = [decomp.init_general(spec, init_rng).astype(self.dtype)
                         for spec in layout.specs]
         head = init_head(layout, 1, init_rng)
         self.global_head = LinearMap(head.w.astype(self.dtype), head.b.astype(self.dtype))
         self.hn = hypernet.init_hypernet(
             layout, len(profiles), cfg.hn_embed, cfg.hn_hidden, cfg.hn_depth, init_rng)
-        self.last_hn_loss = float("nan")
         self.generated = None  # every client's generated parameters, per hn state
-        # a width the recovery cannot prune to fails here, before any training
-        for p in sorted({prof.width for prof in profiles}):
-            for l, spec in enumerate(layout.specs):
-                try:
-                    hypernet.kept_index(layout, l, p)
-                except ConfigurationError as exc:
-                    raise ConfigurationError(f"layer {l} ({spec.kind}, {spec.in_channels} input "
-                                             f"channels) at width {p}: {exc}") from None
+        self.local = {}
 
     def prepare(self):
         if self.generated is None:
@@ -438,10 +447,10 @@ class DecomposedFL(FederatedMethod):
                               for p in self.profiles}
 
     def sent(self, i) -> ClientModel:
-        """The model client i starts from this round: the current general
-        factors with its generated personal parameters, or, without
-        hyper-network aggregation, its own last trained ones."""
-        personal = self.profiles[i].local_model
+        """The current general factors with client i's generated personal
+        parameters, or, without hyper-network aggregation, its own last
+        trained ones."""
+        personal = self.local.get(i)
         if self.hn_aggregation or personal is None:
             self.prepare()
             personal = self.generated[i]
@@ -457,8 +466,7 @@ class DecomposedFL(FederatedMethod):
 
     def aggregate(self, models):
         self.general = mean_arrays([m.general for m in models.values()])
-        for i, m in models.items():
-            self.profiles[i].local_model = m
+        self.local.update(models)
         if self.hn_aggregation:
             self.hn, self.last_hn_loss = hypernet.hn_step(
                 self.hn, models, self.layout, self.cfg.hn_lr)
@@ -469,10 +477,6 @@ class DecomposedFL(FederatedMethod):
         head = self.global_head.sliced(self.layout.head_in(p))
         received = replace(self.sent(profile.id), head_w=head.w, head_b=head.b)
         alpha, val_acc, test_acc = select_test_model(
-            received, profile.local_model, profile.data.val_xy(), profile.data.test_xy(),
-            self.layout, grid_size=self.cfg.alpha_grid)
-        return ClientRow(profile.id, profile.capacity, p, train_loss, val_acc, test_acc,
-                         alpha if profile.local_model is not None else float("nan"))
-
-    def round_payload(self, selected):
-        return sum(self.layout.client_param_count(self.profiles[i].width) for i in selected)
+            received, self.local.get(profile.id), profile.data.val_xy(),
+            profile.data.test_xy(), self.layout, grid_size=self.cfg.alpha_grid)
+        return ClientRow(profile.id, profile.capacity, p, train_loss, val_acc, test_acc, alpha)

@@ -169,7 +169,7 @@ ACCOUNT_RATIOS = (Fraction(1, 256), Fraction(1, 64), Fraction(1, 4), Fraction(1)
 def account(cfg: RunConfig):
     """(rows, notes): analytic per-capacity cost rows for the configured
     model, and one note per width that the layout cannot prune to (see
-    `LayerSpec.grid`), whose capacities get no row. Raises if no width is
+    `Layout.check`), whose capacities get no row. Raises if no width is
     left."""
     layout = runner.configured_layout(
         cfg, None if cfg.dataset == "synth" else runner.build_dataset(cfg))
@@ -178,8 +178,7 @@ def account(cfg: RunConfig):
     for r in ACCOUNT_RATIOS:
         p = width_for_capacity(r, grid)
         try:
-            for spec in layout.specs:
-                spec.grid(p)
+            layout.check(p)
         except ConfigurationError as exc:
             dropped.setdefault(p, (exc, []))[1].append(r)
             continue

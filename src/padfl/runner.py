@@ -83,17 +83,15 @@ def build_profiles(cfg: RunConfig, partition):
 
 def build_method(cfg: RunConfig, profiles, layout):
     if cfg.method in ("Pa3dFL", "Pa3dFL_FlancDecomp"):  # the layout holds the recovery
-        return protocol.DecomposedFL(profiles, layout, cfg, cfg.seed)
+        return protocol.DecomposedFL(profiles, layout, cfg)
     if cfg.method == "Pa3dFL_NoHNAgg":
-        return protocol.DecomposedFL(profiles, layout, cfg, cfg.seed,
-                                     hn_aggregation=False)
+        return protocol.DecomposedFL(profiles, layout, cfg, hn_aggregation=False)
     if cfg.method == "FedAvgMinWidth":  # one shared model at the smallest client width
-        return baselines.PWidthNested(profiles, layout, cfg, cfg.seed,
-                                      min(p.width for p in profiles))
+        return baselines.PWidthNested(profiles, layout, cfg, min(p.width for p in profiles))
     if cfg.method == "PWidthNested":
-        return baselines.PWidthNested(profiles, layout, cfg, cfg.seed)
+        return baselines.PWidthNested(profiles, layout, cfg)
     if cfg.method == "LocalOnly":
-        return baselines.LocalOnly(profiles, layout, cfg, cfg.seed)
+        return baselines.LocalOnly(profiles, layout, cfg)
     raise ConfigurationError(f"unknown method {cfg.method!r}")
 
 

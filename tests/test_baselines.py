@@ -65,7 +65,7 @@ class TestFedAvgMinWidth:
 class TestPWidthNested:
     def test_uniform_widths_equal_plain_mean(self):
         cfg, layout, profiles = small_setup(seed=9, capacity="ideal")
-        method = baselines.PWidthNested(profiles, layout, cfg, seed=9)
+        method = baselines.PWidthNested(profiles, layout, cfg)
         rng = np.random.default_rng(0)
         models = [PlainModel.from_arrays([rng.normal(size=a.shape)
                                           for a in method.model.arrays()], method.model.width)
@@ -78,8 +78,8 @@ class TestPWidthNested:
     def test_singleton_coverage_takes_client_value(self):
         cfg, layout, profiles = small_setup(seed=10, capacity="ideal")
         profiles[0].width = Fraction(1, 2)
-        method = baselines.PWidthNested(profiles, layout, cfg, seed=10)
-        view = method.client_view(0)
+        method = baselines.PWidthNested(profiles, layout, cfg)
+        view = method.sent(0)
         new = PlainModel.from_arrays([np.full_like(a, 7.0) for a in view.arrays()], view.width)
         before = [a.copy() for a in method.model.arrays()]
         method.aggregate({0: new})
@@ -94,12 +94,12 @@ class TestPWidthNested:
         cfg, layout, profiles = small_setup(seed=11, capacity="ideal", clients=4)
         profiles[0].width = Fraction(1, 2)
         profiles[1].width = Fraction(1)
-        method = baselines.PWidthNested(profiles, layout, cfg, seed=11)
+        method = baselines.PWidthNested(profiles, layout, cfg)
         rng = np.random.default_rng(1)
         m0 = PlainModel.from_arrays([rng.normal(size=a.shape)
-                                     for a in method.client_view(0).arrays()], profiles[0].width)
+                                     for a in method.sent(0).arrays()], profiles[0].width)
         m1 = PlainModel.from_arrays([rng.normal(size=a.shape)
-                                     for a in method.client_view(1).arrays()], profiles[1].width)
+                                     for a in method.sent(1).arrays()], profiles[1].width)
         base = [a.copy() for a in method.model.arrays()]
         method.aggregate({0: m0, 1: m1})
         # brute-force oracle: scatter every entry, then average by coverage
@@ -116,7 +116,7 @@ class TestPWidthNested:
 
     def test_round_runs(self):
         cfg, layout, profiles = small_setup(seed=12, capacity="hetero")
-        method = baselines.PWidthNested(profiles, layout, cfg, seed=12)
+        method = baselines.PWidthNested(profiles, layout, cfg)
         m = method.run_round(0)
         assert len(m.rows) == len(profiles)
 
@@ -124,13 +124,13 @@ class TestPWidthNested:
 class TestLocalOnly:
     def test_no_communication(self):
         cfg, layout, profiles = small_setup(seed=13)
-        method = baselines.LocalOnly(profiles, layout, cfg, seed=13)
+        method = baselines.LocalOnly(profiles, layout, cfg)
         m = method.run_round(0)
         assert m.params_exchanged == 0
 
     def test_unselected_models_untouched(self):
         cfg, layout, profiles = small_setup(seed=14)
-        method = baselines.LocalOnly(profiles, layout, cfg, seed=14)
+        method = baselines.LocalOnly(profiles, layout, cfg)
         snaps = {i: [a.copy() for a in method.models[i].arrays()]
                  for i in method.models}
         m = method.run_round(0)
@@ -144,9 +144,9 @@ class TestAblationWiring:
     def test_no_hn_agg_first_round_matches_default_up_to_hn(self):
         cfg, layout, profiles_a = small_setup(seed=15)
         _, _, profiles_b = small_setup(seed=15)
-        full = protocol.DecomposedFL(profiles_a, layout, cfg, seed=15,
+        full = protocol.DecomposedFL(profiles_a, layout, cfg,
                                      hn_aggregation=True)
-        ablated = protocol.DecomposedFL(profiles_b, layout, cfg, seed=15,
+        ablated = protocol.DecomposedFL(profiles_b, layout, cfg,
                                         hn_aggregation=False)
         ma = full.run_round(0)
         mb = ablated.run_round(0)
@@ -155,8 +155,8 @@ class TestAblationWiring:
             assert np.array_equal(a, b)
         # trained personal params identical client by client
         for i in ma.selected:
-            pa = profiles_a[i].local_model
-            pb = profiles_b[i].local_model
+            pa = full.local[i]
+            pb = ablated.local[i]
             for x, y in zip(pa.arrays(), pb.arrays()):
                 assert np.array_equal(x, y)
         assert np.isnan(mb.hn_loss)
@@ -164,10 +164,10 @@ class TestAblationWiring:
 
     def test_no_hn_agg_keeps_personal_local(self):
         cfg, layout, profiles = small_setup(seed=16)
-        method = protocol.DecomposedFL(profiles, layout, cfg, seed=16,
+        method = protocol.DecomposedFL(profiles, layout, cfg,
                                        hn_aggregation=False)
         method.run_round(0)
-        trained = {p.id: p.local_model for p in profiles if p.local_model is not None}
+        trained = dict(method.local)
         assert trained
         for i, personal in trained.items():
             sent = method.sent(i)
@@ -180,12 +180,12 @@ class TestAblationWiring:
         # base_count 2 in conv1, whose single input channel cannot be split
         cfg, _, profiles = small_setup(seed=18)
         layout = build_layout((1, 8, 8), 2, cfg.min_width, convs=(8, 8), kernel=3)
-        protocol.DecomposedFL(profiles, layout, cfg, seed=18)
+        protocol.DecomposedFL(profiles, layout, cfg)
         flanc = build_layout((1, 8, 8), 2, cfg.min_width, convs=(8, 8), kernel=3,
                              recovery="flanc")
         with pytest.raises(ConfigurationError,
                            match=r"layer 0 \(conv, 1 input channels\) at width 1: FLANC"):
-            protocol.DecomposedFL(profiles, flanc, cfg, seed=18)
+            protocol.DecomposedFL(profiles, flanc, cfg)
 
     def test_flanc_recovery_shapes_match(self):
         # conv 4,8: the second conv's base_count 2 lets FLANC differ from Pa3dFL
@@ -195,8 +195,8 @@ class TestAblationWiring:
             return build_layout((1, 8, 8), layout.classes, cfg.min_width, convs=(4, 8),
                                 kernel=cfg.conv_kernel, recovery=recovery)
 
-        a = protocol.DecomposedFL(profiles_a, built("padfl"), cfg, seed=17)
-        b = protocol.DecomposedFL(profiles_b, built("flanc"), cfg, seed=17)
+        a = protocol.DecomposedFL(profiles_a, built("padfl"), cfg)
+        b = protocol.DecomposedFL(profiles_b, built("flanc"), cfg)
         ma = a.run_round(0)
         mb = b.run_round(0)
         for fa, fb in zip(a.general, b.general):
@@ -288,8 +288,4 @@ class TestGeometry:
         cfg, _, fl = self.build(method)
         assert len({p.width for p in fl.profiles}) > 1
         for i in range(cfg.clients):
-            if method == "Pa3dFL":
-                sent = fl.sent(i).arrays()
-            else:
-                sent = fl.client_view(i).arrays()
-            assert fl.round_payload([i]) == sum(a.size for a in sent)
+            assert fl.round_payload([i]) == sum(a.size for a in fl.sent(i).arrays())

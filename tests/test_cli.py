@@ -194,13 +194,11 @@ class TestComputeDtype:
     @staticmethod
     def model_arrays(method):
         """Every model array a method sends or keeps."""
-        n = len(method.profiles)
+        arrays = [a for i in range(len(method.profiles)) for a in method.sent(i).arrays()]
         if isinstance(method, protocol.DecomposedFL):
-            models = [method.sent(i) for i in range(n)]
-            models += [p.local_model for p in method.profiles if p.local_model is not None]
-            head = [method.global_head.w, method.global_head.b]
-            return head + [a for m in models for a in m.arrays()]
-        return [a for i in range(n) for a in method.client_view(i).arrays()]
+            arrays += [a for m in method.local.values() for a in m.arrays()]
+            arrays += [method.global_head.w, method.global_head.b]
+        return arrays
 
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -398,8 +396,9 @@ class TestAccount:
         assert cli_main(["account", str(cfg_path), *flanc]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[:2] for line in lines[2:4]] == [["1/4", "1/2"], ["1", "1"]]
-        assert lines[4:] == ["note: width 1/4 dropped (capacity 1/256, 1/64): FLANC recovery "
-                             "needs its 1 kept input channels divisible by base_count 2"]
+        assert lines[4:] == ["note: width 1/4 dropped (capacity 1/256, 1/64): layer 1 (conv, "
+                             "4 input channels) at width 1/4: FLANC recovery needs its 1 kept "
+                             "input channels divisible by base_count 2"]
         assert cli_main(["account", str(cfg_path), "--set", "conv_channels=4,8"]) == 0
         assert "note" not in capsys.readouterr().out
         # with every width dropped there is nothing to account for
@@ -563,7 +562,7 @@ class TestCliEntry:
                          "--set", "dataset=idx", "--set", f"idx_images={images}",
                          "--set", f"idx_labels={labels}", "--set", "method=PWidthNested"])
         assert code == 2
-        assert f"{labels}: every label is 0" in capsys.readouterr().err
+        assert f"{labels}: labels need at least 2 distinct values" in capsys.readouterr().err
 
     def test_one_nonzero_idx_label_exit_2(self, tmp_path, capsys):
         # every label 3: load_idx counts 4 classes, but a constant guess scores 1.0

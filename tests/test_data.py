@@ -114,12 +114,6 @@ class TestLoadIdx:
         with pytest.raises(FormatError, match=re.escape(message)):
             pd.load_idx(img_path, lbl_path)
 
-    def test_single_class_labels_name_the_file(self, tmp_path):
-        img_path, lbl_path = write_idx_pair(tmp_path, np.zeros((3, 2, 2), dtype=np.uint8),
-                                            [0, 0, 0])
-        with pytest.raises(FormatError, match=re.escape(f"{lbl_path}: every label is 0")):
-            pd.load_idx(img_path, lbl_path)
-
 
 def assert_partition_sane(part, n_total):
     seen = np.concatenate([np.concatenate([c.train_idx, c.val_idx, c.test_idx])

@@ -18,7 +18,7 @@ from padfl.decomp import (
 )
 from padfl.errors import ConfigurationError
 from padfl.hypernet import kept_index
-from padfl.model import Layout, build_layout
+from padfl.model import Layout, build_layout, init_plain
 
 from util import (
     built_spec,
@@ -88,7 +88,8 @@ class TestRecoverPadfl:
         u2 = np.array([[3.0, -1.0]])
         v1 = np.array([[1.0, 0.0], [0.0, 1.0]])
         v2 = np.array([[2.0, 1.0], [1.0, -1.0]])
-        w = recover_graph(np.vstack([u1, u2]), np.hstack([v1, v2]), spec)[:, :, 0, 0]
+        w = recover_graph(np.vstack([u1, u2]), np.hstack([v1, v2]), spec)
+        assert w.shape == (4, 2)
         # channel c(i,j) = (j-1)*2 + i, 1-indexed
         assert np.allclose(w[0], u1 @ v1)
         assert np.allclose(w[1], u2 @ v1)
@@ -144,7 +145,8 @@ class TestRecoverFlanc:
         spec = LayerSpec("linear", 2, 2, 1, base_count=2, rank=2)
         u = np.array([[1.0, 0.0], [2.0, 1.0]])  # rows (r, kappa=()) of 2 blocks
         v = np.array([[1.0, 3.0], [0.0, 1.0]])
-        w = recover_flanc(u, v, spec)[:, :, 0, 0]
+        w = recover_flanc(u, v, spec)
+        assert w.shape == (2, 2)
         prod = u @ v
         # channel i takes column i; s = c*R1 + r with one column per slab
         assert np.allclose(w[0], prod[:, 0])
@@ -187,6 +189,30 @@ class TestGrid:
                         spec.grid(p)
                 else:
                     assert spec.grid(p) == personal_grid(kind, 2, out_kept, in_kept)
+
+
+class TestWeightShape:
+    @pytest.mark.parametrize("recovery", ["padfl", "flanc"])
+    def test_recoveries_and_init_plain_share_it(self, recovery):
+        # conv 4,8 and a hidden layer; FLANC cannot prune to 1/4 or 3/4,
+        # where the second conv keeps an odd number of inputs
+        layout = build_layout((1, 8, 8), 3, Fraction(1, 4), (4, 8), 3, hidden=(8,),
+                              recovery=recovery)
+        rng = np.random.default_rng(40)
+        widths = supported_widths(Fraction(1, 4))
+        if recovery == "flanc":
+            widths = [Fraction(1, 2), Fraction(1)]
+        for p in widths:
+            plain = init_plain(layout, p, rng)
+            for spec, dense in zip(layout.specs, plain.weights):
+                shape = spec.weight_shape(p)
+                assert len(shape) == (4 if spec.kind == "conv" else 2)
+                a, b = spec.grid(p)
+                u = rng.normal(size=(spec.kernel ** 2 * spec.base_count, spec.rank))
+                v = rng.normal(size=(spec.rank, a * b))
+                graph = decomp.recover_padfl_t(ad.const(u), ad.const(v), spec, p).data
+                stacked = decomp.recover_padfl(u[None], v[None], spec, p)
+                assert graph.shape == stacked.shape[1:] == dense.shape == shape
 
 
 class TestRecoverStacked:

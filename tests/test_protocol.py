@@ -6,8 +6,8 @@ import pytest
 
 from padfl import autodiff as ad
 from padfl import data as pdata
-from padfl import hypernet, protocol
-from padfl.config import RunConfig
+from padfl import hypernet, protocol, runner
+from padfl.config import METHODS, RunConfig
 from padfl.decomp import LayerSpec, supported_widths
 from padfl.errors import ConfigurationError
 from padfl.model import (
@@ -235,7 +235,7 @@ class TestSelectTestModel:
         x, y = self.eval_data(np.array([1.0, 0.0]))
         xt, yt = self.eval_data(np.array([1.0, 1.0]), seed=1)
         alpha, acc, test_acc = protocol.select_test_model(a, None, (x, y), (xt, yt), self.layout)
-        assert alpha == 0.0 and acc == accuracy(self.layout, a, x, y)
+        assert np.isnan(alpha) and acc == accuracy(self.layout, a, x, y)
         assert test_acc == accuracy(self.layout, a, xt, yt)
 
     def test_grid_two_picks_better_endpoint(self):
@@ -368,7 +368,7 @@ class TestPayload:
                               recovery=recovery)
         for prof in profiles:
             prof.width = Fraction(1, 1 + prof.id % 2)
-        method = protocol.DecomposedFL(profiles, layout, cfg, seed=5)
+        method = protocol.DecomposedFL(profiles, layout, cfg)
         sizes = []
         for prof in profiles:
             sent = method.sent(prof.id)
@@ -380,10 +380,55 @@ class TestPayload:
         assert metrics.params_exchanged == sum(sizes[i] for i in metrics.selected)
 
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_method_counts_what_sent_gives(self, method):
+        # LocalOnly sends nothing; every other method sends its clients sent(i)
+        profiles, built = conv48_method(method, 5, per_round=3)
+        sizes = [sum(a.size for a in built.sent(prof.id).arrays()) for prof in profiles]
+        metrics = built.run_round(0)
+        expect = 0 if method == "LocalOnly" else sum(sizes[i] for i in metrics.selected)
+        assert metrics.params_exchanged == expect
+
+
+def conv48_method(method, data_seed, profiles=None, **overrides):
+    """(profiles, method built by the runner) on `small_setup(data_seed)`'s
+    float64 clients at widths 1 and 1/2, with conv 4,8: the second conv has
+    base_count 2, whose FLANC slabs split the kept inputs at both widths,
+    so every method in METHODS trains. `profiles` reuses a client list;
+    `overrides` replace config fields."""
+    cfg, _, fresh = small_setup(seed=data_seed)
+    cfg = replace(cfg, method=method, conv_channels=(4, 8), **overrides)
+    if profiles is None:
+        profiles = fresh
+        for prof in profiles:
+            prof.width = Fraction(1, 1 + prof.id % 2)
+    layout = runner.configured_layout(cfg, profiles[0].data.dataset)
+    return profiles, runner.build_method(cfg, profiles, layout)
+
+
+def round_record(m):
+    """A round's outcome without its timings: nan-safe, comparable with ==."""
+    rows = [tuple(map(repr, (r.client_id, r.width_p, r.train_loss, r.val_acc, r.test_acc,
+                             r.alpha_selected))) for r in m.rows]
+    return m.selected, m.failed, m.params_exchanged, repr(m.hn_loss), rows
+
+
+class TestMethodState:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_methods_on_one_profile_list_run_independently(self, method):
+        # two seeds select different clients, so state that one method left
+        # in the shared profiles would reach clients the other never trained
+        profiles, first = conv48_method(method, 19)
+        _, second = conv48_method(method, 19, profiles, seed=20)
+        first.run_round(0)
+        _, fresh = conv48_method(method, 19, seed=20)
+        assert round_record(second.run_round(0)) == round_record(fresh.run_round(0))
+
+
 class TestDecomposedRounds:
     def test_unchanged_clients_leave_general_unchanged(self):
         cfg, layout, profiles = small_setup(seed=1)
-        method = protocol.DecomposedFL(profiles, layout, cfg, seed=1)
+        method = protocol.DecomposedFL(profiles, layout, cfg)
         before = [f.copy() for f in method.general]
         models = {
             i: replace(generate_one(method.hn, i, layout, profiles[i].width),
@@ -396,7 +441,7 @@ class TestDecomposedRounds:
 
     def test_two_client_aggregate_is_exact_mean(self):
         cfg, layout, profiles = small_setup(seed=2)
-        method = protocol.DecomposedFL(profiles, layout, cfg, seed=2)
+        method = protocol.DecomposedFL(profiles, layout, cfg)
         rng = np.random.default_rng(10)
         ga = [rng.normal(size=f.shape) for f in method.general]
         gb = [rng.normal(size=f.shape) for f in method.general]
@@ -408,7 +453,7 @@ class TestDecomposedRounds:
 
     def test_round_runs_and_eta_decays(self):
         cfg, layout, profiles = small_setup(seed=3)
-        method = protocol.DecomposedFL(profiles, layout, cfg, seed=3)
+        method = protocol.DecomposedFL(profiles, layout, cfg)
         m0 = method.run_round(0)
         m1 = method.run_round(1)
         assert m0.eta == cfg.lr
@@ -421,7 +466,7 @@ class TestDecomposedRounds:
         def trace(workers):
             cfg, layout, profiles = small_setup(seed=4)
             cfg.workers = workers
-            method = protocol.DecomposedFL(profiles, layout, cfg, seed=4)
+            method = protocol.DecomposedFL(profiles, layout, cfg)
             out = []
             for t in range(3):
                 m = method.run_round(t)

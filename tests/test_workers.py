@@ -100,7 +100,7 @@ class TestMapClients:
 class TestGenerationCache:
     def test_one_generation_per_hypernet_state(self, monkeypatch):
         cfg, layout, profiles = small_setup(seed=5)
-        method = protocol.DecomposedFL(profiles, layout, cfg, seed=5)
+        method = protocol.DecomposedFL(profiles, layout, cfg)
         calls = []
         original = hypernet.generation_graph
 
@@ -118,7 +118,7 @@ class TestGenerationCache:
 
     def test_sent_equals_single_client_generation(self):
         cfg, layout, profiles = small_setup(seed=6, capacity="hetero")
-        method = protocol.DecomposedFL(profiles, layout, cfg, seed=6)
+        method = protocol.DecomposedFL(profiles, layout, cfg)
         method.run_round(0)
         for p in profiles:
             single = generate_one(method.hn, p.id, layout, p.width)
