@@ -54,7 +54,7 @@ def main(argv=None):
             final = record.rounds[-1].mean_test if record.rounds else float("nan")
             print(f"completed {len(record.rounds)} rounds"
                   f"{' (early stop)' if record.early_stopped else ''}; "
-                  f"mean test acc {final:.4f}; wrote {record.out_dir}")
+                  f"mean test acc {final:.4f}; wrote {record.config.out_dir}")
         elif args.command == "report":
             from .report import write_report
 

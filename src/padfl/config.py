@@ -1,13 +1,14 @@
 """Run configuration: flat key=value files plus CLI overrides.
 
-Every key is validated up front; unknown keys are rejected so typos
-fail before any training starts.
+Parsing rejects unknown keys and unparsable values. `RunConfig.finalize`
+bounds every value; `runner.run` and `report.account` call it first, so
+a bad config fails before any file is written or any training starts.
 """
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
 from .errors import ConfigurationError
@@ -75,10 +76,9 @@ class RunConfig:
     hn_depth: int = 3
 
     def finalize(self):
-        if self.hn_lr == -1:
-            self.hn_lr = self.lr
-        validate(self)
-        return self
+        """This config validated, with `hn_lr = -1` resolved to `lr` in a
+        copy; a finalized config finalizes to itself."""
+        return validate(replace(self, hn_lr=self.lr) if self.hn_lr == -1 else self)
 
 
 def parse_value(text, default):
@@ -100,8 +100,8 @@ def _assign(cfg, key, text, where=""):
         raise ConfigurationError(f"{where}bad value for {key}: {exc}") from exc
 
 
-def parse_config(text, base=None) -> RunConfig:
-    cfg = base or RunConfig()
+def parse_config(text) -> RunConfig:
+    cfg = RunConfig()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -114,7 +114,8 @@ def parse_config(text, base=None) -> RunConfig:
 
 
 def load_config(path, overrides=()) -> RunConfig:
-    """The config file, then `--set` overrides, taken verbatim (no comments)."""
+    """The config file, then `--set` overrides, taken verbatim (no comments).
+    Parses only: `runner.run` and `report.account` validate."""
     with open(path) as fh:
         cfg = parse_config(fh.read())
     for item in overrides:
@@ -122,7 +123,7 @@ def load_config(path, overrides=()) -> RunConfig:
             raise ConfigurationError(f"override {item!r} is not key=value")
         key, val = item.split("=", 1)
         _assign(cfg, key.strip(), val.strip())
-    return cfg.finalize()
+    return cfg
 
 
 def validate(cfg: RunConfig):

@@ -61,8 +61,6 @@ def synth_gaussian(classes, per_class, shape=(1, 28, 28), separation=3.0, seed=0
     coherent and learnable by a small convolutional stack; the simplex
     geometry is unchanged. Drawn in float64 and returned in float32.
     """
-    if classes < 2:
-        raise ConfigurationError("need at least 2 classes")
     rng = np.random.default_rng(seed)
     dim = int(np.prod(shape))
     if classes > dim:
@@ -168,8 +166,6 @@ def partition_dirichlet(dataset, num_clients, alpha=1.0, seed=0) -> Partition:
     """Label-skewed split: client label mixes drawn from Dirichlet(alpha *
     global label distribution), samples dealt without replacement, even
     client sizes (remainder to the lowest ids)."""
-    if alpha <= 0:
-        raise ConfigurationError("alpha must be positive")
     n = len(dataset.labels)
     if n < 3 * num_clients:
         raise ConfigurationError(f"{n} samples cannot give {num_clients} clients 3 splits")

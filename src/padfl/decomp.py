@@ -92,15 +92,10 @@ class LayerSpec:
 
 
 def supported_widths(min_width) -> tuple[Fraction, ...]:
-    """The width grid: all multiples of min_width up to 1."""
+    """The width grid: all multiples of min_width up to 1; `validate`
+    bounds min_width to (0, 1], so the grid is never empty."""
     mw = Fraction(min_width)
-    if not (0 < mw <= 1):
-        raise ConfigurationError(f"min_width {mw} outside (0, 1]")
-    n = int(Fraction(1) / mw)  # floor
-    widths = tuple(m * mw for m in range(1, n + 1))
-    if not widths:
-        raise ConfigurationError("empty width grid")
-    return widths
+    return tuple(m * mw for m in range(1, int(1 / mw) + 1))
 
 
 def init_general(spec: LayerSpec, rng):
@@ -177,8 +172,6 @@ def flops_account(spec: LayerSpec, batch, p):
     forward of B*h*w*k^2*(pS)*(pT): the ratio is rank/(B*h*w).
     """
     h, w = spec.out_hw
-    if batch < 1 or h < 1 or w < 1:
-        raise ConfigurationError("batch and feature size must be >= 1")
     out_kept, in_kept = spec.kept(p)
     forward = batch * h * w * spec.kernel ** 2 * in_kept * out_kept
     return forward, Fraction(spec.rank, batch * h * w)

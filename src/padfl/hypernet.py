@@ -182,11 +182,10 @@ def hn_step(state: HyperNetState, returned, layout: Layout, lr) -> tuple:
     """One SGD step of the hyper-network on the regression loss.
 
     `returned` maps client id -> locally trained ClientModel (its general
-    factors are not read). Returns (new state, loss value). A zero loss
-    leaves the state bit-identical.
+    factors are not read) and is never empty: `run_round` raises before
+    `aggregate` when every client failed. Returns (new state, loss
+    value). A zero loss leaves the state bit-identical.
     """
-    if not returned:
-        return state, 0.0
     nodes, loss = regression_loss(state, returned, layout)
     val = float(loss.data)
     if not np.isfinite(val):

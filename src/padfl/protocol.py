@@ -40,7 +40,7 @@ import numpy as np
 from . import autodiff as ad
 from . import decomp, hypernet
 from .data import ClientData
-from .errors import ConfigurationError, NumericError
+from .errors import NumericError
 from .model import (
     ClientModel,
     Layout,
@@ -88,14 +88,7 @@ def width_for_capacity(r, grid) -> Fraction:
 
 def assign_capacities(num_clients, mode, rng, grid) -> list:
     """Hetero: capacity uniform in [0.01, 1]; Ideal: everyone full-size."""
-    if not grid:
-        raise ConfigurationError("empty width grid")
-    if mode == "ideal":
-        caps = np.ones(num_clients)
-    elif mode == "hetero":
-        caps = rng.uniform(0.01, 1.0, size=num_clients)
-    else:
-        raise ConfigurationError(f"unknown capacity mode {mode!r}")
+    caps = np.ones(num_clients) if mode == "ideal" else rng.uniform(0.01, 1.0, size=num_clients)
     return [ClientProfile(i, float(caps[i]), width_for_capacity(float(caps[i]), grid))
             for i in range(num_clients)]
 
@@ -103,11 +96,8 @@ def assign_capacities(num_clients, mode, rng, grid) -> list:
 def early_stop(history, patience) -> bool:
     """True once the best value has stood unbeaten (a tie does not beat it)
     for max(2, patience) rounds, counting the round that set it: a patience
-    of 1 acts as 2, so early_stop([a, b], 1) with b <= a is the first true."""
-    if patience < 1:
-        raise ConfigurationError("patience must be >= 1")
-    if not history:
-        return False
+    of 1 acts as 2, so early_stop([a, b], 1) with b <= a is the first true.
+    `history` holds at least one round."""
     best_at = int(np.argmax(history))
     rounds_since = len(history) - 1 - best_at
     return rounds_since >= max(1, patience - 1)
@@ -198,17 +188,11 @@ def select_test_model(received: ClientModel, local, val_xy, test_xy, layout: Lay
     whose working set is grid_size times one model's; only the selected
     mix is tested. Returns (alpha, val_accuracy, test_accuracy); ties
     prefer the smaller alpha (the aggregated model).
-    Missing local model -> alpha nan (the received model, unfused);
-    empty validation set -> alpha 1 (local model).
+    Missing local model -> alpha nan (the received model, unfused).
     """
     (xv, yv), (xt, yt) = val_xy, test_xy
     if local is None:
-        acc = accuracy(layout, received, xv, yv) if len(yv) else float("nan")
-        return float("nan"), acc, accuracy(layout, received, xt, yt)
-    if len(yv) == 0:
-        return 1.0, float("nan"), accuracy(layout, local, xt, yt)
-    if grid_size < 2:
-        raise ConfigurationError("alpha grid needs at least 2 points")
+        return float("nan"), accuracy(layout, received, xv, yv), accuracy(layout, received, xt, yt)
     alphas = np.linspace(0.0, 1.0, grid_size)
     mixes = stacked_dense(layout, combine(received, local, alphas))
     accs = (stacked_forward(layout, mixes, xv).argmax(axis=2) == yv).mean(axis=1)
@@ -346,8 +330,6 @@ class FederatedMethod:
 
     def sample_clients(self, m):
         n = len(self.profiles)
-        if m > n:
-            raise ConfigurationError(f"cannot sample {m} of {n} clients")
         return sorted(int(i) for i in self.server_rng.choice(n, size=m, replace=False))
 
     def run_round(self, t) -> RoundMetrics:

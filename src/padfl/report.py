@@ -170,7 +170,8 @@ def account(cfg: RunConfig):
     """(rows, notes): analytic per-capacity cost rows for the configured
     model, and one note per width that the layout cannot prune to (see
     `Layout.check`), whose capacities get no row. Raises if no width is
-    left."""
+    left. Validates `cfg` first."""
+    cfg = cfg.finalize()
     layout = runner.configured_layout(
         cfg, None if cfg.dataset == "synth" else runner.build_dataset(cfg))
     grid = supported_widths(cfg.min_width)

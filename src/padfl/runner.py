@@ -40,7 +40,6 @@ class RunRecord:
     status: str           # ok | failed
     early_stopped: bool
     wall_time: float
-    out_dir: str
 
 
 def build_dataset(cfg: RunConfig):
@@ -104,11 +103,14 @@ def run(cfg: RunConfig) -> RunRecord:
     (OPENBLAS_NUM_THREADS=1 and friends, set before numpy loads):
     otherwise the processes oversubscribe the CPUs.
 
-    The output directory is created first, so a bad `out_dir` fails before
-    any work. On a numeric failure the partial record is flagged `failed`
-    on disk and the error re-raised for the caller.
+    The config is validated (`RunConfig.finalize`) before anything is
+    written: an invalid one raises ConfigurationError and creates no
+    `out_dir`. The output directory is created next, so a bad `out_dir`
+    fails before any work. On a numeric failure the partial record is
+    flagged `failed` on disk and the error re-raised for the caller.
     """
     started = time.monotonic()
+    cfg = cfg.finalize()
     os.makedirs(cfg.out_dir, exist_ok=True)
     dataset = build_dataset(cfg)
     layout = configured_layout(cfg, dataset)
@@ -128,10 +130,9 @@ def run(cfg: RunConfig) -> RunRecord:
                 early = True
                 break
     except NumericError:
-        persist(RunRecord(cfg, rounds, "failed", early, time.monotonic() - started,
-                          cfg.out_dir))
+        persist(RunRecord(cfg, rounds, "failed", early, time.monotonic() - started))
         raise
-    record = RunRecord(cfg, rounds, "ok", early, time.monotonic() - started, cfg.out_dir)
+    record = RunRecord(cfg, rounds, "ok", early, time.monotonic() - started)
     persist(record)
     return record
 
@@ -201,6 +202,6 @@ def summary_json(record: RunRecord) -> str:
 
 
 def persist(record: RunRecord):
-    _atomic_write(os.path.join(record.out_dir, "metrics.csv"), metrics_csv(record))
-    _atomic_write(os.path.join(record.out_dir, "rounds.csv"), rounds_csv(record))
-    _atomic_write(os.path.join(record.out_dir, "summary.json"), summary_json(record))
+    _atomic_write(os.path.join(record.config.out_dir, "metrics.csv"), metrics_csv(record))
+    _atomic_write(os.path.join(record.config.out_dir, "rounds.csv"), rounds_csv(record))
+    _atomic_write(os.path.join(record.config.out_dir, "summary.json"), summary_json(record))

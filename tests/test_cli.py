@@ -44,12 +44,9 @@ seed = 3
 """
 
 
-def small_cfg(tmp_path, **kw):
-    cfg = parse_config(SMALL)
-    cfg.out_dir = str(tmp_path / kw.pop("out", "run"))
-    for k, v in kw.items():
-        setattr(cfg, k, v)
-    return cfg.finalize()
+def small_cfg(tmp_path, out="run", **kw):
+    """SMALL with `kw` set, unvalidated: `runner.run` validates."""
+    return dataclasses.replace(parse_config(SMALL), out_dir=str(tmp_path / out), **kw)
 
 
 class TestConfig:
@@ -70,12 +67,18 @@ class TestConfig:
 
     @pytest.mark.parametrize("text", [
         "per_round = 30\nclients = 10", "patience_frac = inf", "dirichlet_alpha = inf",
-        "hn_lr = inf", "hn_lr = -0.5", "lr = inf", "seed = -1",
+        "hn_lr = inf", "hn_lr = -0.5", "lr = inf", "seed = -1", "capacity = x",
+        "alpha_grid = 1", "min_width = 2", "dirichlet_alpha = 0", "per_round = 21",
+        "synth_classes = 1",
     ], ids=lambda text: text.replace(" ", "").replace("\n", ","))
-    def test_out_of_range_rejected(self, text):
-        cfg = parse_config(text)
-        with pytest.raises(ConfigurationError, match=rf"\b{text.split()[0]} must"):
-            cfg.finalize()
+    def test_out_of_range_rejected(self, tmp_path, text):
+        """`runner.run` rejects the config before it creates `out_dir`."""
+        key = text.split()[0]
+        match = "synth dataset needs >= 2 classes" if key == "synth_classes" else rf"\b{key} must"
+        out_dir = tmp_path / "run"
+        with pytest.raises(ConfigurationError, match=match):
+            runner.run(dataclasses.replace(parse_config(text), out_dir=str(out_dir)))
+        assert not out_dir.exists()
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# comment\n\nlr = 0.2  # trailing\n")
@@ -107,6 +110,22 @@ class TestRun:
         assert summary["rounds_completed"] == 0
         assert summary["status"] == "ok"
         assert summary["final"]["mean_test_acc"] is None
+
+    def test_direct_config_runs_like_the_cli(self, tmp_path):
+        """A RunConfig built in code, with hn_lr left at -1, writes the bytes
+        `padfl run` writes from the same text: `runner.run` resolves it."""
+        cfg = RunConfig(
+            method="Pa3dFL", clients=4, per_round=2, rounds=2, batch=8, epochs=1, lr=0.05,
+            synth_classes=2, synth_per_class=40, synth_shape=(1, 8, 8), conv_channels=(4, 4),
+            conv_kernel=3, min_width=Fraction(1, 4), hn_embed=6, hn_hidden=6, hn_depth=2,
+            patience_frac=0, capacity="ideal", seed=3, out_dir=str(tmp_path / "direct"))
+        assert cfg.hn_lr == -1
+        runner.run(cfg)
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(SMALL)
+        assert cli_main(["run", str(cfg_path), "--set", f"out_dir={tmp_path / 'cli'}"]) == 0
+        assert (tmp_path / "direct" / "metrics.csv").read_bytes() == \
+               (tmp_path / "cli" / "metrics.csv").read_bytes()
 
     def test_metrics_deterministic_bytes(self, tmp_path):
         a = runner.run(small_cfg(tmp_path, out="a"))
@@ -204,7 +223,7 @@ class TestComputeDtype:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_models_follow_the_dataset_dtype(self, tmp_path, method, dtype):
         # conv 4,8 at full width, where the FLANC ablation runs too
-        cfg = small_cfg(tmp_path, method=method, conv_channels=(4, 8))
+        cfg = small_cfg(tmp_path, method=method, conv_channels=(4, 8)).finalize()
         dataset = runner.build_dataset(cfg)
         assert dataset.features.dtype == np.float32
         dataset = dataclasses.replace(dataset, features=dataset.features.astype(dtype))

@@ -50,10 +50,6 @@ class TestSynthGaussian:
         assert a.tobytes() == b.tobytes()
         assert one.permutation(10).tolist() == per_class.permutation(10).tolist()
 
-    def test_needs_two_classes(self):
-        with pytest.raises(ConfigurationError):
-            pd.synth_gaussian(1, 10)
-
 
 def write_idx_pair(tmp_path, images, labels):
     """Handcraft IDX files byte-by-byte per the container format."""

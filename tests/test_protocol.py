@@ -9,7 +9,6 @@ from padfl import data as pdata
 from padfl import hypernet, protocol, runner
 from padfl.config import METHODS, RunConfig
 from padfl.decomp import LayerSpec, supported_widths
-from padfl.errors import ConfigurationError
 from padfl.model import (
     ClientModel,
     LinearMap,
@@ -64,10 +63,6 @@ class TestCapacities:
             bigger = [w for w in GRID16 if w > p.width]
             if bigger and float(p.width) ** 2 <= p.capacity:
                 assert float(bigger[0]) ** 2 > p.capacity
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ConfigurationError):
-            protocol.assign_capacities(3, "ideal", np.random.default_rng(0), [])
 
 
 class TestEarlyStop:
@@ -265,17 +260,6 @@ class TestSelectTestModel:
                                                           self.layout)
         assert 0.0 < alpha < 1.0
         assert test_acc == acc > max(acc0, acc1)
-
-    def test_empty_validation_falls_back_to_local(self):
-        w = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        a = linear_client_model((w, np.zeros(2)), self.layout)
-        b = linear_client_model((-w, np.zeros(2)), self.layout)
-        x = np.zeros((0, 1, 1, 2))
-        y = np.zeros(0, dtype=np.int64)
-        xt, yt = self.eval_data(np.array([1.0, 0.0]))
-        alpha, acc, test_acc = protocol.select_test_model(a, b, (x, y), (xt, yt), self.layout)
-        assert alpha == 1.0 and np.isnan(acc)
-        assert test_acc == accuracy(self.layout, b, xt, yt) != accuracy(self.layout, a, xt, yt)
 
 
 def random_conv_model(layout, p, rng, biases=True):

@@ -4,8 +4,10 @@ tests/util.py, and the functions the benchmark hooks by name are no
 exception. Likewise every dataclass field in src/padfl must be read
 somewhere in src/padfl or padbench/: a field that nothing reads is dead
 state. The modules of src/padfl import one another without a cycle,
-counting imports inside functions. And only `decomp` reads a layer's
-recovery kind: the rest of the package asks its `LayerSpec`."""
+counting imports inside functions. Only `decomp` reads a layer's
+recovery kind: the rest of the package asks its `LayerSpec`. And a config
+is validated at one boundary: only `runner.run` and `report.account` call
+`.finalize()`, and only `RunConfig.finalize` calls `validate`."""
 import ast
 import graphlib
 from pathlib import Path
@@ -100,3 +102,29 @@ def test_import_graph_has_no_cycle():
     assert {"runner", "report"} <= graph["cli"]  # cli.main imports them inside the function
     # prepare() raises CycleError, whose message lists the cycle
     graphlib.TopologicalSorter(graph).prepare()
+
+
+def callers(name):
+    """(module, dotted name of the enclosing def) of every call in
+    src/padfl to a function or method named `name`."""
+    out = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                    out.add((module, scope))
+            visit(child, module, inner)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, "")
+    return out
+
+
+def test_config_is_validated_at_one_boundary():
+    assert callers("finalize") == {("runner", "run"), ("report", "account")}
+    assert callers("validate") == {("config", "RunConfig.finalize")}

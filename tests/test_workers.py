@@ -134,7 +134,7 @@ def test_all_methods_identical_bytes_for_1_2_3_workers(tmp_path):
         for method in config.METHODS:
             digests = set()
             for workers in (1, 2, 3):
-                cfg = config.parse_config({SMALL!r}).finalize()
+                cfg = config.parse_config({SMALL!r})
                 cfg.method, cfg.clients, cfg.per_round = method, 5, 3
                 cfg.workers, cfg.out_dir = workers, f"{{method}}-{{workers}}"
                 if method == "Pa3dFL_FlancDecomp":  # base_count 2 in conv 2
