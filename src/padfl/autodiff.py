@@ -190,14 +190,13 @@ def _col2im(gcols, xshape, k, pad, ho, wo):
     return gx
 
 
-def conv2d(x, w, pad=0, bias=None):
+def conv2d(x, w, pad, bias):
     """Stride-1 cross-correlation of a batch-last (S, H, W, B) input,
-    zero-padded by `pad` on every side, with a (T, S, k, k) weight; returns
-    (T, ho, wo, B).
+    zero-padded by `pad` on every side, with a (T, S, k, k) weight, plus a
+    (T,) bias; returns (T, ho, wo, B).
 
     Maps onto exactly one matrix product of B*q^2*k^2*S*T multiply-adds;
-    an optional (T,) bias is fused so its gradient is one contiguous
-    reduction.
+    the bias is fused so its gradient is one contiguous reduction.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise DimensionError("conv2d expects 4-D input and weight")
@@ -209,28 +208,26 @@ def conv2d(x, w, pad=0, bias=None):
         raise DimensionError(f"conv2d channels: input {ch}, weight {s}")
     if k > h + 2 * pad or k > wdt + 2 * pad:
         raise DimensionError(f"kernel {k} exceeds padded input {h + 2 * pad}x{wdt + 2 * pad}")
-    if bias is not None and bias.data.shape != (t,):
+    if bias.data.shape != (t,):
         raise DimensionError(f"conv2d bias shape {bias.data.shape}, expected ({t},)")
     cols, ho, wo = _im2col(x.data, k, pad)
     w2 = w.data.transpose(1, 2, 3, 0).reshape(s * k * k, t)  # rows follow cols order
     out2 = w2.T @ cols                                       # (T, ho*wo*B)
-    if bias is not None:
-        out2 += bias.data[:, None]
-    parents = (x, w) if bias is None else (x, w, bias)
+    out2 += bias.data[:, None]
 
     def bw(g):
         g2 = g.reshape(t, ho * wo * bsz)
         if w.requires_grad:
             _acc(w, (g2 @ cols.T).reshape(t, s, k, k), own=True)
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             _acc(bias, g2.sum(axis=1), own=True)
         if x.requires_grad:
             _acc(x, _col2im(w2 @ g2, x.data.shape, k, pad, ho, wo), own=True)
 
-    return _out(out2.reshape(t, ho, wo, bsz), parents, bw)
+    return _out(out2.reshape(t, ho, wo, bsz), (x, w, bias), bw)
 
 
-def conv2d_infer(x, w, pad=0):
+def conv2d_infer(x, w, pad):
     """Plain-array convolution of M stacked weights (M, T, S, k, k) via the
     same im2col and 2-D product as `conv2d` (no graph): batch-last
     (M, S, H, W, B) in, (M, T, ho, wo, B) out.
@@ -360,15 +357,6 @@ def add(a, b):
         _acc(b, reduce_b(g))
 
     return _out(a.data + b.data, (a, b), bw)
-
-
-def scale(x, c):
-    c = float(c)
-
-    def bw(g):
-        _acc(x, g * c)
-
-    return _out(x.data * c, (x,), bw)
 
 
 def mul(a, b):

@@ -179,14 +179,3 @@ def validate(cfg: RunConfig):
         raise ConfigurationError("hyper-network dims must be positive, depth >= 0")
     return cfg
 
-
-def snapshot(cfg: RunConfig) -> dict:
-    out = {}
-    for f in fields(RunConfig):
-        v = getattr(cfg, f.name)
-        if isinstance(v, Fraction):
-            v = str(v)
-        elif isinstance(v, tuple):
-            v = list(v)
-        out[f.name] = v
-    return out

@@ -6,6 +6,7 @@ audit raw indices.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -51,21 +52,22 @@ class Partition:
     clients: list  # ClientData per client
 
 
-def synth_gaussian(classes, per_class, shape=(1, 28, 28), separation=3.0, seed=0) -> Dataset:
+def synth_gaussian(classes, per_class, shape, separation, seed) -> Dataset:
     """Class-conditional Gaussian blobs with means on a scaled simplex.
 
     Means are `separation` times orthonormal directions (pairwise
     distance sqrt(2)*separation) with unit-variance noise, deterministic
-    per seed. On image-shaped features the directions are drawn from a
-    low-frequency (4x4-block) subspace so the class evidence is spatially
-    coherent and learnable by a small convolutional stack; the simplex
-    geometry is unchanged. Drawn in float64 and returned in float32.
+    per seed, on features of `shape` (C, H, W). Where a low-frequency
+    (4x4-block) subspace holds `classes` directions and is smaller than
+    the image, the directions are drawn from it, so the class evidence is
+    spatially coherent and learnable by a small convolutional stack; the
+    simplex geometry is unchanged. Drawn in float64 and returned in float32.
     """
     rng = np.random.default_rng(seed)
-    dim = int(np.prod(shape))
+    c, h, w = shape
+    dim = c * h * w
     if classes > dim:
         raise ConfigurationError(f"{classes} classes exceed feature dim {dim}")
-    c, h, w = shape if len(shape) == 3 else (1, 1, int(np.prod(shape)))
     gh, gw = (h + 3) // 4, (w + 3) // 4
     if c * gh * gw >= classes and (gh, gw) != (h, w):
         cols = []
@@ -104,34 +106,32 @@ def _read_exact(fh, n, path, offset):
     return buf
 
 
+def _read_idx(path, magic, dims):
+    """The `dims` big-endian counts after `magic` in an IDX file, and the
+    count-product payload bytes after them as uint8."""
+    with open(path, "rb") as fh:
+        found = struct.unpack(">I", _read_exact(fh, 4, path, 0))[0]
+        if found != magic:
+            raise FormatError(
+                f"{path}: bad magic 0x{found:08x} at byte offset 0 (expected 0x{magic:08x})")
+        counts = struct.unpack(f">{dims}I", _read_exact(fh, 4 * dims, path, 4))
+        raw = _read_exact(fh, math.prod(counts), path, 4 + 4 * dims)
+    return counts, np.frombuffer(raw, dtype=np.uint8)
+
+
 def load_idx(images_path, labels_path) -> Dataset:
     """Read an image/label pair of IDX files; float32 pixels scaled to [0, 1]."""
-    with open(images_path, "rb") as fh:
-        magic = struct.unpack(">I", _read_exact(fh, 4, images_path, 0))[0]
-        if magic != _IDX_IMAGES:
-            raise FormatError(
-                f"{images_path}: bad magic 0x{magic:08x} at byte offset 0 "
-                f"(expected 0x{_IDX_IMAGES:08x})")
-        n, rows, cols = struct.unpack(">III", _read_exact(fh, 12, images_path, 4))
-        if not n * rows * cols:
-            raise FormatError(
-                f"{images_path}: holds {n} images of {rows}x{cols} pixels; "
-                "every count must be positive")
-        raw = _read_exact(fh, n * rows * cols, images_path, 16)
-        images = np.frombuffer(raw, dtype=np.uint8).reshape(n, 1, rows, cols)
-    with open(labels_path, "rb") as fh:
-        magic = struct.unpack(">I", _read_exact(fh, 4, labels_path, 0))[0]
-        if magic != _IDX_LABELS:
-            raise FormatError(
-                f"{labels_path}: bad magic 0x{magic:08x} at byte offset 0 "
-                f"(expected 0x{_IDX_LABELS:08x})")
-        n_labels = struct.unpack(">I", _read_exact(fh, 4, labels_path, 4))[0]
-        raw = _read_exact(fh, n_labels, labels_path, 8)
-        labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+    (n, rows, cols), images = _read_idx(images_path, _IDX_IMAGES, 3)
+    if not n * rows * cols:
+        raise FormatError(
+            f"{images_path}: holds {n} images of {rows}x{cols} pixels; "
+            "every count must be positive")
+    (n_labels,), labels = _read_idx(labels_path, _IDX_LABELS, 1)
     if n != n_labels:
         raise FormatError(
             f"{images_path} holds {n} images but {labels_path} holds {n_labels} labels")
-    return Dataset(images.astype(np.float32) / 255.0, labels, int(labels.max()) + 1)
+    images = images.reshape(n, 1, rows, cols).astype(np.float32) / 255.0
+    return Dataset(images, labels.astype(np.int64), int(labels.max()) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +162,7 @@ def _finish(dataset, per_client, rng):
     return Partition(clients)
 
 
-def partition_dirichlet(dataset, num_clients, alpha=1.0, seed=0) -> Partition:
+def partition_dirichlet(dataset, num_clients, alpha, seed) -> Partition:
     """Label-skewed split: client label mixes drawn from Dirichlet(alpha *
     global label distribution), samples dealt without replacement, even
     client sizes (remainder to the lowest ids)."""
@@ -217,7 +217,7 @@ def _largest_remainder(raw, total):
     return floor
 
 
-def partition_k_of_k(dataset, num_clients, classes_per_client, seed=0) -> Partition:
+def partition_k_of_k(dataset, num_clients, classes_per_client, seed) -> Partition:
     """Each client owns a uniform random subset of classes; every class's
     samples are dealt evenly among its owners (remainder to the lowest
     owner id)."""

@@ -132,7 +132,7 @@ def generation_graph(state: HyperNetState):
     nodes = HyperNetState.from_arrays([ad.leaf(a) for a in state.arrays()], len(state.encoder))
     enc = _encode_t(nodes)
     sims = ad.matmul(ad.transpose(enc, (1, 0)), enc)
-    inv_temps = ad.exp(ad.scale(nodes.log_temp, -1.0))
+    inv_temps = ad.exp(ad.mul_scalar(nodes.log_temp, ad.const(-1.0)))
     outputs = []
     for l, dec in enumerate(nodes.decoders):
         attn = ad.softmax(ad.mul_scalar(sims, ad.slice_t(inv_temps, (l,))))
@@ -175,7 +175,7 @@ def regression_loss(state: HyperNetState, returned, layout: Layout):
                 masks[l][ix, i] = 1.0
     terms = [ad.frobenius_sq(ad.mul(ad.add(f, ad.const(-t)), ad.const(k)))
              for f, t, k in zip(outputs, targets, masks)]
-    return nodes, ad.scale(ad.add_n(terms), 0.5 / len(returned))
+    return nodes, ad.mul_scalar(ad.add_n(terms), ad.const(0.5 / len(returned)))
 
 
 def hn_step(state: HyperNetState, returned, layout: Layout, lr) -> tuple:

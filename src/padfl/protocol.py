@@ -149,8 +149,7 @@ def sgd(model, data: ClientData, loss_fn, *, epochs, batch, lr, rng):
             for arr, node in zip(arrays, leaves):
                 if node.grad is not None:
                     arr -= lr * node.grad
-    mean_loss = float(np.mean(losses)) if losses else float("nan")
-    return type(model).from_arrays(arrays, model.width), mean_loss
+    return type(model).from_arrays(arrays, model.width), float(np.mean(losses))
 
 
 def local_update(model: ClientModel, global_head, client: ClientProfile, layout: Layout,
@@ -171,7 +170,7 @@ def local_update(model: ClientModel, global_head, client: ClientProfile, layout:
         if reg_coef:
             reg = orthogonal_reg_t(m.general, layout.specs)
             if reg is not None:
-                loss = ad.add(loss, ad.scale(reg, reg_coef))
+                loss = ad.add(loss, ad.mul_scalar(reg, ad.const(reg_coef)))
         return loss
 
     return sgd(model, client.data, loss_fn, epochs=epochs, batch=batch, lr=lr, rng=rng)
@@ -180,8 +179,7 @@ def local_update(model: ClientModel, global_head, client: ClientProfile, layout:
 # ---------------------------------------------------------------------------
 # test-time model selection
 
-def select_test_model(received: ClientModel, local, val_xy, test_xy, layout: Layout,
-                      grid_size=11):
+def select_test_model(received: ClientModel, local, val_xy, test_xy, layout: Layout, grid_size):
     """Line-search the received/local interpolation on validation accuracy.
 
     All `grid_size` mixes are recovered and scored in one stacked forward,

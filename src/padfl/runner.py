@@ -6,7 +6,8 @@ named seed streams, and client results are reduced in client-id order,
 so metrics.csv comes out byte-identical for any number of worker
 processes, provided BLAS runs one thread per process. metrics.csv holds
 the per-client rows (`protocol.ClientRow`), one per client per round;
-summary.json holds run-level facts only.
+summary.json holds run-level facts only; its `config` block is
+`asdict(RunConfig)`, Fractions written as strings.
 
 `configured_layout` is the one adapter from a config to the `model.Layout`
 that the methods read; `report.account` shares it.
@@ -17,13 +18,13 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
 import numpy as np
 
 from . import __version__, baselines, protocol
-from .config import RunConfig, snapshot
+from .config import RunConfig
 from .data import load_idx, partition_dirichlet, partition_k_of_k, synth_gaussian
 from .decomp import supported_widths
 from .errors import ConfigurationError, NumericError
@@ -188,7 +189,8 @@ def summary_json(record: RunRecord) -> str:
     payload = {
         "version": __version__,
         "status": record.status,
-        "config": snapshot(record.config),
+        "config": {k: str(v) if isinstance(v, Fraction) else v
+                   for k, v in asdict(record.config).items()},
         "rounds_completed": len(record.rounds),
         "early_stopped": record.early_stopped,
         "wall_time_s": record.wall_time,

@@ -23,6 +23,11 @@ def bf(x):
     return x.transpose(3, 0, 1, 2)
 
 
+def no_bias(w):
+    """A zero (T,) bias for a (T, S, k, k) conv weight, in its dtype."""
+    return ad.const(np.zeros(w.shape[0], dtype=w.dtype))
+
+
 class TestMatmul:
     def test_identity(self):
         a = np.arange(9.0).reshape(3, 3)
@@ -69,13 +74,13 @@ class TestConv2d:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(2, 3, 5, 5))
         w = np.eye(3).reshape(3, 3, 1, 1)
-        out = ad.conv2d(ad.const(cf(x)), ad.const(w))
+        out = ad.conv2d(ad.const(cf(x)), ad.const(w), 0, no_bias(w))
         assert np.allclose(bf(out.data), x)
 
     def test_all_ones_3x3(self):
         x = np.ones((1, 1, 3, 3))
         w = np.ones((1, 1, 3, 3))
-        out = ad.conv2d(ad.const(cf(x)), ad.const(w), pad=0)
+        out = ad.conv2d(ad.const(cf(x)), ad.const(w), 0, no_bias(w))
         assert out.data.shape == (1, 1, 1, 1)
         assert out.data[0, 0, 0, 0] == 9.0
 
@@ -84,7 +89,7 @@ class TestConv2d:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(2, 3, 6, 6))
         w = rng.normal(size=(4, 3, 3, 3))
-        out = ad.conv2d(ad.const(cf(x)), ad.const(w), pad=pad)
+        out = ad.conv2d(ad.const(cf(x)), ad.const(w), pad, no_bias(w))
         ref = conv2d_loops(x, w, pad=pad)
         assert np.abs(bf(out.data) - ref).max() <= 1e-12
 
@@ -93,7 +98,7 @@ class TestConv2d:
         x = rng.normal(size=(2, 2, 4, 4))
         w = rng.normal(size=(3, 2, 3, 3))
         lx, lw = ad.leaf(cf(x)), ad.leaf(w)
-        loss = ad.frobenius_sq(ad.conv2d(lx, lw, pad=1))
+        loss = ad.frobenius_sq(ad.conv2d(lx, lw, 1, no_bias(w)))
         ad.backward(loss)
         fd = finite_diff(
             lambda arrs: float((conv2d_loops(arrs[0], arrs[1], pad=1) ** 2).sum()), [x, w]
@@ -102,8 +107,9 @@ class TestConv2d:
         assert rel_err(lw.grad, fd[1]) <= 1e-5
 
     def test_geometry_error(self):
+        w = np.ones((1, 1, 5, 5))
         with pytest.raises(DimensionError):
-            ad.conv2d(ad.const(cf(np.ones((1, 1, 2, 2)))), ad.const(np.ones((1, 1, 5, 5))))
+            ad.conv2d(ad.const(cf(np.ones((1, 1, 2, 2)))), ad.const(w), 0, no_bias(w))
 
     @pytest.mark.parametrize("shared", [True, False])
     @pytest.mark.parametrize("bsz,dtype", [(1, np.float64), (3, np.float64), (3, np.float32)],
@@ -119,7 +125,7 @@ class TestConv2d:
         assert out.shape == (4, 5, 6, 6, bsz) and out.dtype == dtype
         for j in range(4):
             xj = x[0 if shared else j]
-            single = ad.conv2d(ad.const(cf(xj)), ad.const(w[j]), pad=2).data
+            single = ad.conv2d(ad.const(cf(xj)), ad.const(w[j]), 2, no_bias(w[j])).data
             assert np.array_equal(out[j], single) and single.dtype == dtype
             loops = conv2d_loops(xj.astype(np.float64), w[j].astype(np.float64), pad=2)
             assert np.abs(bf(out[j]) - loops).max() <= (1e-12 if dtype == np.float64 else 1e-4)
@@ -215,7 +221,7 @@ class TestPrimitives:
 
     def test_detach_blocks_gradient(self):
         x = ad.leaf(np.array([1.0, -2.0, 3.0]))
-        d = ad.detach(ad.scale(x, 2.0))
+        d = ad.detach(ad.mul_scalar(x, ad.const(2.0)))
         loss = ad.frobenius_sq(d)
         ad.backward(loss)
         assert x.grad is None
@@ -270,7 +276,7 @@ GRAD_CASES = {
     "relu": (lambda t: ad.relu(t), lambda a: np.where(a > 0, a, 0.0), (3, 4)),
     "softmax": (lambda t: ad.softmax(t), lambda a: (np.exp(a - a.max(-1, keepdims=True))
                                                     / np.exp(a - a.max(-1, keepdims=True)).sum(-1, keepdims=True)), (3, 5)),
-    "scale": (lambda t: ad.scale(t, -1.7), lambda a: -1.7 * a, (4, 2)),
+    "scale": (lambda t: ad.mul_scalar(t, ad.const(-1.7)), lambda a: -1.7 * a, (4, 2)),
     "exp": (lambda t: ad.exp(t), np.exp, (3, 3)),
     "reshape": (lambda t: ad.reshape(t, (2, 6)), lambda a: a.reshape(2, 6), (3, 4)),
     "transpose": (lambda t: ad.transpose(t, (1, 0)), lambda a: a.T, (3, 4)),

@@ -127,6 +127,19 @@ class TestRun:
         assert (tmp_path / "direct" / "metrics.csv").read_bytes() == \
                (tmp_path / "cli" / "metrics.csv").read_bytes()
 
+    def test_run_rebuilds_from_its_summary(self, tmp_path):
+        """summary.json's config block, written back as config text, runs
+        to the metrics.csv bytes of the run that wrote it."""
+        runner.run(small_cfg(tmp_path, out="a", fc_dims=(8,), partition="k_of_K"))
+        config = json.loads((tmp_path / "a" / "summary.json").read_text())["config"]
+        cfg_path = tmp_path / "rebuilt.cfg"
+        cfg_path.write_text("".join(
+            f"{key} = {','.join(map(str, v)) if isinstance(v, list) else v}\n"
+            for key, v in config.items()))
+        assert cli_main(["run", str(cfg_path), "--set", f"out_dir={tmp_path / 'b'}"]) == 0
+        assert (tmp_path / "a" / "metrics.csv").read_bytes() == \
+               (tmp_path / "b" / "metrics.csv").read_bytes()
+
     def test_metrics_deterministic_bytes(self, tmp_path):
         a = runner.run(small_cfg(tmp_path, out="a"))
         b = runner.run(small_cfg(tmp_path, out="b"))

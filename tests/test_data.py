@@ -20,8 +20,8 @@ def nearest_centroid_accuracy(train, test):
 
 class TestSynthGaussian:
     def test_deterministic(self):
-        a = pd.synth_gaussian(3, 20, shape=(1, 4, 4), seed=5)
-        b = pd.synth_gaussian(3, 20, shape=(1, 4, 4), seed=5)
+        a = pd.synth_gaussian(3, 20, shape=(1, 4, 4), separation=3.0, seed=5)
+        b = pd.synth_gaussian(3, 20, shape=(1, 4, 4), separation=3.0, seed=5)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
 
@@ -102,6 +102,24 @@ class TestLoadIdx:
         with pytest.raises(FormatError, match="byte offset 19"):
             pd.load_idx(path, lbl_path)
 
+    def test_label_file_wrong_magic_names_it(self, tmp_path):
+        img_path, lbl_path = write_idx_pair(tmp_path, np.zeros((1, 1, 1), dtype=np.uint8), [0])
+        with open(lbl_path, "r+b") as fh:
+            fh.write(struct.pack(">I", 0x00000803))  # an image file's magic
+        message = f"{lbl_path}: bad magic 0x00000803 at byte offset 0 (expected 0x00000801)"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            pd.load_idx(img_path, lbl_path)
+
+    @pytest.mark.parametrize("keep", [2, 6, 9])  # inside the magic, the count, the labels
+    def test_truncated_label_file_names_it_and_the_offset(self, tmp_path, keep):
+        img_path, lbl_path = write_idx_pair(tmp_path, np.zeros((2, 1, 1), dtype=np.uint8),
+                                            [0, 1])
+        with open(lbl_path, "r+b") as fh:
+            fh.truncate(keep)
+        message = f"{lbl_path}: truncated at byte offset {keep}"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            pd.load_idx(img_path, lbl_path)
+
     @pytest.mark.parametrize("shape", [(0, 2, 2), (1, 0, 2), (1, 2, 0)])
     def test_empty_image_file_names_it(self, tmp_path, shape):
         img_path, lbl_path = write_idx_pair(tmp_path, np.zeros(shape, dtype=np.uint8),
@@ -122,12 +140,12 @@ def assert_partition_sane(part, n_total):
 
 class TestDirichlet:
     def test_single_client_owns_everything(self):
-        ds = pd.synth_gaussian(3, 30, shape=(1, 2, 2), seed=8)
+        ds = pd.synth_gaussian(3, 30, shape=(1, 2, 2), separation=3.0, seed=8)
         part = pd.partition_dirichlet(ds, 1, alpha=1.0, seed=0)
         assert_partition_sane(part, len(ds.labels))
 
     def test_disjoint_exhaustive_and_deterministic(self):
-        ds = pd.synth_gaussian(4, 100, shape=(1, 2, 2), seed=9)
+        ds = pd.synth_gaussian(4, 100, shape=(1, 2, 2), separation=3.0, seed=9)
         a = pd.partition_dirichlet(ds, 10, alpha=1.0, seed=3)
         b = pd.partition_dirichlet(ds, 10, alpha=1.0, seed=3)
         assert_partition_sane(a, 400)
@@ -137,7 +155,7 @@ class TestDirichlet:
             assert np.array_equal(ca.test_idx, cb.test_idx)
 
     def test_split_ratios_within_one_sample(self):
-        ds = pd.synth_gaussian(4, 250, shape=(1, 2, 2), seed=10)
+        ds = pd.synth_gaussian(4, 250, shape=(1, 2, 2), separation=3.0, seed=10)
         part = pd.partition_dirichlet(ds, 10, alpha=1.0, seed=4)
         for c in part.clients:
             n = len(c.train_idx) + len(c.val_idx) + len(c.test_idx)
@@ -146,7 +164,7 @@ class TestDirichlet:
             assert abs(len(c.train_idx) - 0.8 * n) <= 2
 
     def test_large_alpha_matches_global_distribution(self):
-        ds = pd.synth_gaussian(5, 2000, shape=(1, 3, 3), seed=11)
+        ds = pd.synth_gaussian(5, 2000, shape=(1, 3, 3), separation=3.0, seed=11)
         part = pd.partition_dirichlet(ds, 10, alpha=1e4, seed=5)
         global_dist = np.bincount(ds.labels, minlength=5) / len(ds.labels)
         for c in part.clients:
@@ -156,14 +174,14 @@ class TestDirichlet:
             assert tv <= 0.05
 
     def test_infeasible_rejected(self):
-        ds = pd.synth_gaussian(2, 2, shape=(1, 2, 2), seed=12)
+        ds = pd.synth_gaussian(2, 2, shape=(1, 2, 2), separation=3.0, seed=12)
         with pytest.raises(ConfigurationError):
             pd.partition_dirichlet(ds, 4, alpha=1.0, seed=0)
 
 
 class TestKofK:
     def test_full_class_coverage(self):
-        ds = pd.synth_gaussian(5, 100, shape=(1, 3, 3), seed=13)
+        ds = pd.synth_gaussian(5, 100, shape=(1, 3, 3), separation=3.0, seed=13)
         part = pd.partition_k_of_k(ds, 8, 5, seed=1)
         assert_partition_sane(part, 500)
         for c in part.clients:
@@ -171,7 +189,7 @@ class TestKofK:
             assert len(np.unique(ds.labels[own])) == 5
 
     def test_one_class_per_client(self):
-        ds = pd.synth_gaussian(4, 100, shape=(1, 2, 2), seed=14)
+        ds = pd.synth_gaussian(4, 100, shape=(1, 2, 2), separation=3.0, seed=14)
         part = pd.partition_k_of_k(ds, 4, 1, seed=2)
         assert_partition_sane(part, 400)
         for c in part.clients:
@@ -179,11 +197,11 @@ class TestKofK:
             assert len(np.unique(ds.labels[own])) == 1
 
     def test_every_sample_assigned_exactly_once(self):
-        ds = pd.synth_gaussian(6, 77, shape=(1, 3, 3), seed=15)
+        ds = pd.synth_gaussian(6, 77, shape=(1, 3, 3), separation=3.0, seed=15)
         part = pd.partition_k_of_k(ds, 5, 3, seed=3)
         assert_partition_sane(part, 6 * 77)
 
     def test_k_out_of_range(self):
-        ds = pd.synth_gaussian(3, 30, shape=(1, 2, 2), seed=16)
+        ds = pd.synth_gaussian(3, 30, shape=(1, 2, 2), separation=3.0, seed=16)
         with pytest.raises(ConfigurationError):
             pd.partition_k_of_k(ds, 4, 9, seed=0)

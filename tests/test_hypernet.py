@@ -338,7 +338,7 @@ class TestHnStep:
             for out, ft in zip(outputs, flat_t):
                 column = ad.slice_t(out, (slice(None), i))
                 terms.append(ad.frobenius_sq(ad.add(column, ad.const(-ft))))
-        f_node = ad.scale(ad.add_n(terms), 0.5 / n_clients)
+        f_node = ad.mul_scalar(ad.add_n(terms), ad.const(0.5 / n_clients))
         ad.backward(f_node)
 
         for key, (left, right) in enumerate(zip(nodes_l.arrays(), nodes_r.arrays())):

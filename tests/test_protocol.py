@@ -221,7 +221,7 @@ class TestSelectTestModel:
         a = linear_client_model(w, self.layout)
         b = linear_client_model(w, self.layout)
         x, y = self.eval_data(np.array([1.0, 0.0]))
-        alpha, _, _ = protocol.select_test_model(a, b, (x, y), (x, y), self.layout)
+        alpha, _, _ = protocol.select_test_model(a, b, (x, y), (x, y), self.layout, 11)
         assert alpha == 0.0
 
     def test_missing_local_model_uses_received(self):
@@ -229,7 +229,8 @@ class TestSelectTestModel:
         a = linear_client_model(w, self.layout)
         x, y = self.eval_data(np.array([1.0, 0.0]))
         xt, yt = self.eval_data(np.array([1.0, 1.0]), seed=1)
-        alpha, acc, test_acc = protocol.select_test_model(a, None, (x, y), (xt, yt), self.layout)
+        alpha, acc, test_acc = protocol.select_test_model(a, None, (x, y), (xt, yt),
+                                                          self.layout, 11)
         assert np.isnan(alpha) and acc == accuracy(self.layout, a, x, y)
         assert test_acc == accuracy(self.layout, a, xt, yt)
 
@@ -257,7 +258,7 @@ class TestSelectTestModel:
         acc0 = accuracy(self.layout, m0, xin, y)
         acc1 = accuracy(self.layout, m1, xin, y)
         alpha, acc, test_acc = protocol.select_test_model(m0, m1, (xin, y), (xin, y),
-                                                          self.layout)
+                                                          self.layout, 11)
         assert 0.0 < alpha < 1.0
         assert test_acc == acc > max(acc0, acc1)
 
@@ -314,7 +315,7 @@ class TestSelectTestModelConv:
             assert rel_err(g, r) <= 1e-12
         accs = [float((r.argmax(axis=1) == self.y).mean()) for r in refs]
         assert len(set(accs)) > 1
-        alpha, acc, test_acc = protocol.select_test_model(received, local, *self.xy(), layout)
+        alpha, acc, test_acc = protocol.select_test_model(received, local, *self.xy(), layout, 11)
         best = int(np.argmax(accs))
         assert alpha == alphas[best] and acc == accs[best]
         test_ref = reference_logits(layout, scalar_mix(received, local, alpha), self.xt)
@@ -331,7 +332,7 @@ class TestSelectTestModelConv:
         accs = {float((reference_logits(layout, scalar_mix(received, local, a),
                                         self.x).argmax(axis=1) == self.y).mean())
                 for a in np.linspace(0.0, 1.0, 11)}
-        alpha, acc, test_acc = protocol.select_test_model(received, local, *self.xy(), layout)
+        alpha, acc, test_acc = protocol.select_test_model(received, local, *self.xy(), layout, 11)
         assert accs == {acc} and alpha == 0.0
         test_ref = reference_logits(layout, received, self.xt)
         assert test_acc == float((test_ref.argmax(axis=1) == self.yt).mean())

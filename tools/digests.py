@@ -5,12 +5,13 @@ with 1 and then 2 workers, from the padfl sources under --src (default:
 this checkout's src/), one `padfl run` process per run. Prints one line
 per run:
 
-    <config> <method> workers=<w> metrics=<sha256> rounds=<sha256>
+    <config> <method> workers=<w> metrics=<sha256> rounds=<sha256> summary=<sha256>
 
 `metrics` hashes metrics.csv; `rounds` hashes rounds.csv without its
-wall-second columns (`*_s`). A run that exits non-zero prints
-`exit=<code>` in place of the two hashes. To compare a change with its
-parent commit:
+wall-second columns (`*_s`); `summary` hashes summary.json without
+`wall_time_s` and the config's `out_dir` and `workers`. A run that exits
+non-zero prints `exit=<code>` in place of the three hashes. To compare a
+change with its parent commit:
 
     git archive HEAD~1 | tar -x -C /tmp/parent
     python3 tools/digests.py --src /tmp/parent/src > parent.txt
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -57,6 +59,14 @@ def untimed(rounds_csv: str) -> str:
     return "\n".join(",".join(row[j] for j in keep) for row in rows) + "\n"
 
 
+def placeless(summary_json: str) -> str:
+    """summary.json without its wall time and the config's out_dir and
+    workers, which differ between runs the line already tells apart."""
+    summary = json.loads(summary_json)
+    del summary["wall_time_s"], summary["config"]["out_dir"], summary["config"]["workers"]
+    return json.dumps(summary, sort_keys=True, indent=2) + "\n"
+
+
 def padfl(src, *args):
     """Run `python <args>` on the padfl package under src, BLAS pinned to
     one thread."""
@@ -77,7 +87,9 @@ def digest(src, name, cfg, method, workers, rounds, scratch) -> str:
         metrics = sha256(fh.read())
     with open(os.path.join(out, "rounds.csv")) as fh:
         rounds_hash = sha256(untimed(fh.read()))
-    return f"{head} metrics={metrics} rounds={rounds_hash}"
+    with open(os.path.join(out, "summary.json")) as fh:
+        summary = sha256(placeless(fh.read()))
+    return f"{head} metrics={metrics} rounds={rounds_hash} summary={summary}"
 
 
 def digests(src, configs=CONFIGS, methods=None, workers=WORKERS, rounds=ROUNDS):
