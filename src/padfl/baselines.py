@@ -1,6 +1,7 @@
 """Comparison methods run under the identical round loop: nested width
-slicing with coverage-count averaging, its special case of a single
-shared model at the lowest common width, and purely local training."""
+slicing with coverage-count averaging (`protocol.coverage_mean`), its
+special case of a single shared model at the lowest common width, and
+purely local training."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -13,6 +14,7 @@ from .protocol import (
     TAG_INIT,
     ClientRow,
     FederatedMethod,
+    coverage_mean,
     sgd,
 )
 
@@ -75,19 +77,9 @@ class PWidthNested(DenseMethod):
         return PlainModel.from_arrays(sliced, self.widths[i])
 
     def aggregate(self, models):
-        new_arrays = []
-        for idx, full in enumerate(self.model.arrays()):
-            acc = np.zeros_like(full)
-            count = np.zeros_like(full)
-            for i, m in models.items():
-                key = self.keys[i][idx]
-                acc[key] += m.arrays()[idx]
-                count[key] += 1.0
-            covered = count > 0
-            merged = full.copy()
-            merged[covered] = acc[covered] / count[covered]
-            new_arrays.append(merged)
-        self.model = PlainModel.from_arrays(new_arrays, self.model.width)
+        merged = coverage_mean(self.model.arrays(),
+                               [(self.keys[i], m.arrays()) for i, m in models.items()])
+        self.model = PlainModel.from_arrays(merged, self.model.width)
 
 
 class LocalOnly(DenseMethod):

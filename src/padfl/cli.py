@@ -68,7 +68,8 @@ def main(argv=None):
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (PadflError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+    except (PadflError, FileNotFoundError, FileExistsError, IsADirectoryError,
+            NotADirectoryError, PermissionError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     return 0

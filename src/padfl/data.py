@@ -147,7 +147,8 @@ def _even_sizes(total, parts):
 
 def _finish(dataset, per_client, rng):
     """Shuffle each client's indices and cut them into train, validation
-    (VAL_SHARE) and test (TEST_SHARE) splits of at least one sample each."""
+    (VAL_SHARE) and test (TEST_SHARE) splits of at least one sample each,
+    as n - 2 * max(1, round(0.1 * n)) >= 1 for the n >= 3 every client has."""
     clients = []
     for indices in per_client:
         idx = np.asarray(indices, dtype=np.int64)
@@ -155,8 +156,6 @@ def _finish(dataset, per_client, rng):
         n = len(idx)
         n_val, n_test = max(1, round(VAL_SHARE * n)), max(1, round(TEST_SHARE * n))
         n_train = n - n_val - n_test
-        if n_train < 1:
-            raise ConfigurationError(f"client with {n} samples cannot fill all three splits")
         clients.append(ClientData(dataset, idx[:n_train], idx[n_train:n_train + n_val],
                                   idx[n_train + n_val:]))
     return Partition(clients)
@@ -165,47 +164,35 @@ def _finish(dataset, per_client, rng):
 def partition_dirichlet(dataset, num_clients, alpha, seed) -> Partition:
     """Label-skewed split: client label mixes drawn from Dirichlet(alpha *
     global label distribution), samples dealt without replacement, even
-    client sizes (remainder to the lowest ids)."""
+    client sizes (remainder to the lowest ids). One pass, never short: a
+    client takes at most its size by its mix, then tops up from pools that
+    still hold sizes[i:].sum() samples; the last takes the rest."""
     n = len(dataset.labels)
     if n < 3 * num_clients:
         raise ConfigurationError(f"{n} samples cannot give {num_clients} clients 3 splits")
     global_dist = np.bincount(dataset.labels, minlength=dataset.classes) / n
     sizes = _even_sizes(n, num_clients)
     rng = np.random.default_rng(seed)
-    for _attempt in range(20):
-        pools = [list(rng.permutation(np.flatnonzero(dataset.labels == c)))
-                 for c in range(dataset.classes)]
-        mixes = rng.dirichlet(alpha * global_dist, size=num_clients)
-        per_client = []
-        feasible = True
-        for i in range(num_clients):
-            if i == num_clients - 1:
-                take = [idx for pool in pools for idx in pool]
-                pools = [[] for _ in pools]
-            else:
-                want = _largest_remainder(mixes[i] * sizes[i], sizes[i])
-                take = []
-                for c in range(dataset.classes):
-                    grab = min(want[c], len(pools[c]))
-                    take.extend(pools[c][:grab])
-                    del pools[c][:grab]
-                deficit = sizes[i] - len(take)
-                while deficit > 0:
-                    c = max(range(dataset.classes), key=lambda cc: len(pools[cc]))
-                    if not pools[c]:
-                        feasible = False
-                        break
-                    grab = min(deficit, len(pools[c]))
-                    take.extend(pools[c][:grab])
-                    del pools[c][:grab]
-                    deficit -= grab
-            if not feasible or len(take) < 3:
-                feasible = False
-                break
-            per_client.append(take)
-        if feasible:
-            return _finish(dataset, per_client, rng)
-    raise ConfigurationError("could not build a feasible Dirichlet partition")
+    pools = [list(rng.permutation(np.flatnonzero(dataset.labels == c)))
+             for c in range(dataset.classes)]
+    mixes = rng.dirichlet(alpha * global_dist, size=num_clients)
+    per_client = []
+    for i in range(num_clients - 1):
+        want = _largest_remainder(mixes[i] * sizes[i], sizes[i])
+        take = []
+        for c in range(dataset.classes):
+            take.extend(pools[c][:want[c]])
+            del pools[c][:want[c]]
+        deficit = sizes[i] - len(take)
+        while deficit > 0:
+            c = max(range(dataset.classes), key=lambda cc: len(pools[cc]))
+            grab = min(deficit, len(pools[c]))
+            take.extend(pools[c][:grab])
+            del pools[c][:grab]
+            deficit -= grab
+        per_client.append(take)
+    per_client.append([idx for pool in pools for idx in pool])
+    return _finish(dataset, per_client, rng)
 
 
 def _largest_remainder(raw, total):

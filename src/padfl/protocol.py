@@ -3,9 +3,9 @@
 Server loop per round: sample clients, send each one a model of the
 shared general factors and its generated width-matched personal
 parameters, train it locally, average the returned general factors over
-the round's survivors, then regress the hyper-network onto the returned
-personal parameters. One `ClientModel` is sent, trained, returned and
-kept (`model.ClientModel`).
+the round's survivors (`coverage_mean`, each survivor covering every
+entry), then regress the hyper-network onto the returned personal
+parameters. One `ClientModel` is sent, trained, returned and kept.
 Evaluation fuses the freshly received model with each client's last
 locally trained model by a validation-accuracy line search over an alpha
 grid: every mix is recovered and scored in one stacked forward (memory:
@@ -65,14 +65,14 @@ TAG_DATA = 0xDA7A
 TAG_PARTITION = 0x9A87
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClientProfile:
     """One client's inputs; methods read it and never write it."""
 
     id: int
     capacity: float                 # affordable fraction of the full model cost
     width: Fraction                 # largest grid width with width^2 <= capacity
-    data: ClientData = None
+    data: ClientData
 
 
 def width_for_capacity(r, grid) -> Fraction:
@@ -86,21 +86,18 @@ def width_for_capacity(r, grid) -> Fraction:
     return best
 
 
-def assign_capacities(num_clients, mode, rng, grid) -> list:
-    """Hetero: capacity uniform in [0.01, 1]; Ideal: everyone full-size."""
-    caps = np.ones(num_clients) if mode == "ideal" else rng.uniform(0.01, 1.0, size=num_clients)
-    return [ClientProfile(i, float(caps[i]), width_for_capacity(float(caps[i]), grid))
-            for i in range(num_clients)]
+def assign_capacities(clients, mode, rng, grid) -> list:
+    """A profile per ClientData in `clients`. Hetero: capacity uniform in
+    [0.01, 1]; Ideal: everyone full-size."""
+    caps = np.ones(len(clients)) if mode == "ideal" else rng.uniform(0.01, 1.0, len(clients))
+    return [ClientProfile(i, float(caps[i]), width_for_capacity(float(caps[i]), grid), cd)
+            for i, cd in enumerate(clients)]
 
 
-def early_stop(history, patience) -> bool:
-    """True once the best value has stood unbeaten (a tie does not beat it)
-    for max(2, patience) rounds, counting the round that set it: a patience
-    of 1 acts as 2, so early_stop([a, b], 1) with b <= a is the first true.
-    `history` holds at least one round."""
-    best_at = int(np.argmax(history))
-    rounds_since = len(history) - 1 - best_at
-    return rounds_since >= max(1, patience - 1)
+def early_stop(history, stale) -> bool:
+    """True once `stale` rounds have passed since the best value's round
+    without beating it (a tie does not); `history` holds at least one."""
+    return len(history) - 1 - int(np.argmax(history)) >= stale
 
 
 # ---------------------------------------------------------------------------
@@ -233,13 +230,18 @@ class RoundMetrics:
     eval_s: float = float("nan")
 
 
-def mean_arrays(array_lists):
-    """Elementwise mean with a fixed (client-id sorted) reduction order."""
-    acc = [a.copy() for a in array_lists[0]]
-    for arrs in array_lists[1:]:
-        for a, b in zip(acc, arrs):
-            a += b
-    return [a / len(array_lists) for a in acc]
+def coverage_mean(arrays, updates):
+    """Each entry of `arrays` averaged over the updates whose keys[j] slice
+    covers it, summed in client-id order; `updates` holds (keys, arrays)
+    pairs. An entry no update covers keeps its value."""
+    merged = []
+    for j, full in enumerate(arrays):
+        acc, count = np.zeros_like(full), np.zeros_like(full)
+        for keys, arrs in updates:
+            acc[keys[j]] += arrs[j]
+            count[keys[j]] += 1.0
+        merged.append(np.where(count > 0, acc / np.maximum(count, 1.0), full))
+    return merged
 
 
 def map_clients(fn, ids, workers):
@@ -445,7 +447,8 @@ class DecomposedFL(FederatedMethod):
             reg_coef=self.cfg.reg_lambda, rng=self.client_rng(t, i))
 
     def aggregate(self, models):
-        self.general = mean_arrays([m.general for m in models.values()])
+        full = [...] * len(self.general)
+        self.general = coverage_mean(self.general, [(full, m.general) for m in models.values()])
         self.local.update(models)
         if self.hn_aggregation:
             self.hn, self.last_hn_loss = hypernet.hn_step(

@@ -74,11 +74,8 @@ def configured_layout(cfg: RunConfig, dataset=None) -> Layout:
 
 def build_profiles(cfg: RunConfig, partition):
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, protocol.TAG_CAPACITY)))
-    profiles = protocol.assign_capacities(
-        cfg.clients, cfg.capacity, rng, supported_widths(cfg.min_width))
-    for prof, cd in zip(profiles, partition.clients):
-        prof.data = cd
-    return profiles
+    return protocol.assign_capacities(
+        partition.clients, cfg.capacity, rng, supported_widths(cfg.min_width))
 
 
 def build_method(cfg: RunConfig, profiles, layout):
@@ -118,16 +115,17 @@ def run(cfg: RunConfig) -> RunRecord:
     partition = build_partition(cfg, dataset)
     profiles = build_profiles(cfg, partition)
     method = build_method(cfg, profiles, layout)
-    patience = None
+    stale = None
     if cfg.patience_frac > 0:
-        # a patience above `rounds` never fires; capping it at rounds + 1 keeps int() finite
-        patience = max(1, int(round(min(cfg.patience_frac * cfg.rounds, cfg.rounds + 1))))
+        # stop after patience - 1 (at least 1) rounds without a new best; capping
+        # patience at rounds + 1 keeps int() finite and makes `stale` never fire
+        stale = max(1, int(round(min(cfg.patience_frac * cfg.rounds, cfg.rounds + 1))) - 1)
     rounds = []
     early = False
     try:
         for t in range(cfg.rounds):
             rounds.append(method.run_round(t))
-            if patience and protocol.early_stop([m.mean_val for m in rounds], patience):
+            if stale and protocol.early_stop([m.mean_val for m in rounds], stale):
                 early = True
                 break
     except NumericError:

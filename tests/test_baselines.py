@@ -73,11 +73,11 @@ class TestPWidthNested:
         method.aggregate(dict(enumerate(models)))
         for got, a, b in zip(method.model.arrays(), models[0].arrays(),
                              models[1].arrays()):
-            assert np.allclose(got, (a + b) / 2, atol=1e-15)
+            assert np.array_equal(got, (a + b) / 2)
 
     def test_singleton_coverage_takes_client_value(self):
         cfg, layout, profiles = small_setup(seed=10, capacity="ideal")
-        profiles[0].width = Fraction(1, 2)
+        profiles[0] = replace(profiles[0], width=Fraction(1, 2))
         method = baselines.PWidthNested(profiles, layout, cfg)
         view = method.sent(0)
         new = PlainModel.from_arrays([np.full_like(a, 7.0) for a in view.arrays()], view.width)
@@ -92,8 +92,8 @@ class TestPWidthNested:
 
     def test_two_widths_against_coverage_oracle(self):
         cfg, layout, profiles = small_setup(seed=11, capacity="ideal", clients=4)
-        profiles[0].width = Fraction(1, 2)
-        profiles[1].width = Fraction(1)
+        profiles[0] = replace(profiles[0], width=Fraction(1, 2))
+        profiles[1] = replace(profiles[1], width=Fraction(1))
         method = baselines.PWidthNested(profiles, layout, cfg)
         rng = np.random.default_rng(1)
         m0 = PlainModel.from_arrays([rng.normal(size=a.shape)

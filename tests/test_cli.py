@@ -539,6 +539,53 @@ class TestCliEntry:
         assert cli_main(["run", str(cfg_path), "--set", f"out_dir={out_dir}"]) == 2
         assert str(out_dir) in capsys.readouterr().err
 
+    def test_out_dir_is_a_file_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(SMALL)
+        out_dir = tmp_path / "file"
+        out_dir.write_text("")
+        assert cli_main(["run", str(cfg_path), "--set", f"out_dir={out_dir}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and str(out_dir) in err
+        assert out_dir.read_text() == "" and not list(tmp_path.rglob("metrics.csv"))
+
+    def test_report_out_is_a_file_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(SMALL)
+        assert cli_main(["run", str(cfg_path), "--set", f"out_dir={tmp_path / 'r'}"]) == 0
+        out = tmp_path / "file"
+        out.write_text("")
+        capsys.readouterr()
+        assert cli_main(["report", str(tmp_path / "r"), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and str(out) in err
+        assert out.read_text() == "" and not list(tmp_path.rglob("*.svg"))
+
+    def test_unwritable_out_dir_exit_2(self, tmp_path, capsys, monkeypatch):
+        # root ignores file modes, so the denial is simulated
+        def denied(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(os, "makedirs", denied)
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(SMALL)
+        out_dir = tmp_path / "locked"
+        assert cli_main(["run", str(cfg_path), "--set", f"out_dir={out_dir}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and str(out_dir) in err
+        assert not list(tmp_path.rglob("metrics.csv"))
+
+    def test_dead_worker_is_not_a_configuration_error(self, tmp_path, monkeypatch):
+        # ChildProcessError is an OSError, but not the user's input at fault
+        def dead(*args, **kwargs):
+            raise ChildProcessError("worker 1 (exit code -9) sent no readable result")
+
+        monkeypatch.setattr(runner, "run", dead)
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(SMALL)
+        with pytest.raises(ChildProcessError):
+            cli_main(["run", str(cfg_path), "--set", f"out_dir={tmp_path / 'r'}"])
+
     @pytest.mark.parametrize("summary", ["{not json", '{"config": {}}'])
     def test_report_bad_summary_exit_2(self, tmp_path, capsys, summary):
         # malformed JSON, then JSON without config.method

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from padfl import data as pd
 from padfl.errors import ConfigurationError, FormatError
@@ -177,6 +179,24 @@ class TestDirichlet:
         ds = pd.synth_gaussian(2, 2, shape=(1, 2, 2), separation=3.0, seed=12)
         with pytest.raises(ConfigurationError):
             pd.partition_dirichlet(ds, 4, alpha=1.0, seed=0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(counts=st.lists(st.integers(0, 39), min_size=2, max_size=7),
+           empty=st.integers(0, 6), clients=st.integers(1, 29),
+           log_alpha=st.floats(-3, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_one_pass_deals_every_client_its_even_share(self, counts, empty, clients,
+                                                        log_alpha, seed):
+        # one label value has no samples, so its Dirichlet weight is 0
+        counts[empty % len(counts)] = 0
+        n = sum(counts)
+        assume(n >= 3)
+        clients = min(clients, n // 3)
+        labels = np.repeat(np.arange(len(counts)), counts)
+        ds = pd.Dataset(np.zeros((n, 1, 1, 1), np.float32), labels, len(counts))
+        part = pd.partition_dirichlet(ds, clients, alpha=10.0 ** log_alpha, seed=seed)
+        held = [len(c.train_idx) + len(c.val_idx) + len(c.test_idx) for c in part.clients]
+        assert held == list(pd._even_sizes(n, clients))
+        assert_partition_sane(part, n)
 
 
 class TestKofK:

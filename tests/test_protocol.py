@@ -35,11 +35,19 @@ from util import (
 GRID16 = supported_widths(Fraction(1, 16))
 
 
+def client_data(n):
+    """n clients' ClientData from a small synth dataset."""
+    ds = pdata.synth_gaussian(2, 3 * n, shape=(1, 4, 4), separation=3.0, seed=0)
+    return pdata.partition_dirichlet(ds, n, alpha=1.0, seed=0).clients
+
+
 class TestCapacities:
     def test_ideal_everyone_full(self):
         rng = np.random.default_rng(0)
-        profiles = protocol.assign_capacities(7, "ideal", rng, GRID16)
+        clients = client_data(7)
+        profiles = protocol.assign_capacities(clients, "ideal", rng, GRID16)
         assert all(p.width == 1 for p in profiles)
+        assert [p.data for p in profiles] == clients
 
     def test_quarter_capacity_gives_half_width(self):
         assert protocol.width_for_capacity(0.25, GRID16) == Fraction(1, 2)
@@ -55,7 +63,7 @@ class TestCapacities:
 
     def test_hetero_within_bounds(self):
         rng = np.random.default_rng(1)
-        profiles = protocol.assign_capacities(50, "hetero", rng, GRID16)
+        profiles = protocol.assign_capacities(client_data(50), "hetero", rng, GRID16)
         for p in profiles:
             assert 0.01 <= p.capacity <= 1.0
             assert p.width in GRID16
@@ -66,17 +74,23 @@ class TestCapacities:
 
 
 class TestEarlyStop:
+    """`stale` is the number of rounds after the best one without a new
+    best; `runner.run` derives it from the patience as max(1, patience - 1)."""
+
     def test_strictly_improving_never_stops(self):
-        assert not protocol.early_stop([0.1, 0.2, 0.3, 0.4], patience=1)
-        assert not protocol.early_stop([0.1, 0.2, 0.3, 0.4], patience=3)
+        assert not protocol.early_stop([0.1, 0.2, 0.3, 0.4], stale=1)
+        assert not protocol.early_stop([0.1, 0.2, 0.3, 0.4], stale=2)
 
     def test_flat_history_patience_plus_one(self):
-        assert protocol.early_stop([0.5] * 4, patience=3)
+        # a tie does not beat the best: the first round stays the best
+        assert protocol.early_stop([0.5] * 4, stale=2)
+        assert protocol.early_stop([0.5] * 3, stale=2)
+        assert not protocol.early_stop([0.5] * 2, stale=2)
 
     def test_hand_trace(self):
         hist = [0.5, 0.6, 0.6, 0.6]
-        assert not protocol.early_stop(hist[:3], patience=3)
-        assert protocol.early_stop(hist, patience=3)
+        assert not protocol.early_stop(hist[:3], stale=2)
+        assert protocol.early_stop(hist, stale=2)
 
 
 class TestOrthogonalReg:
@@ -124,10 +138,8 @@ def small_setup(seed=0, clients=4, capacity="ideal"):
     ds = pdata.Dataset(ds.features.astype(np.float64), ds.labels, ds.classes)
     part = pdata.partition_dirichlet(ds, clients, alpha=1.0, seed=seed)
     rng = np.random.default_rng(np.random.SeedSequence((seed, protocol.TAG_CAPACITY)))
-    profiles = protocol.assign_capacities(clients, capacity, rng,
+    profiles = protocol.assign_capacities(part.clients, capacity, rng,
                                           supported_widths(cfg.min_width))
-    for prof, cd in zip(profiles, part.clients):
-        prof.data = cd
     return cfg, layout, profiles
 
 
@@ -351,8 +363,7 @@ class TestPayload:
         # FLANC slabs split the kept inputs at widths 1/2 and 1
         layout = build_layout((1, 8, 8), 2, cfg.min_width, (4, 8), cfg.conv_kernel,
                               recovery=recovery)
-        for prof in profiles:
-            prof.width = Fraction(1, 1 + prof.id % 2)
+        profiles = [replace(prof, width=Fraction(1, 1 + prof.id % 2)) for prof in profiles]
         method = protocol.DecomposedFL(profiles, layout, cfg)
         sizes = []
         for prof in profiles:
@@ -384,9 +395,7 @@ def conv48_method(method, data_seed, profiles=None, **overrides):
     cfg, _, fresh = small_setup(seed=data_seed)
     cfg = replace(cfg, method=method, conv_channels=(4, 8), **overrides)
     if profiles is None:
-        profiles = fresh
-        for prof in profiles:
-            prof.width = Fraction(1, 1 + prof.id % 2)
+        profiles = [replace(prof, width=Fraction(1, 1 + prof.id % 2)) for prof in fresh]
     layout = runner.configured_layout(cfg, profiles[0].data.dataset)
     return profiles, runner.build_method(cfg, profiles, layout)
 

@@ -5,9 +5,11 @@ exception. Likewise every dataclass field in src/padfl must be read
 somewhere in src/padfl or padbench/: a field that nothing reads is dead
 state. The modules of src/padfl import one another without a cycle,
 counting imports inside functions. Only `decomp` reads a layer's
-recovery kind: the rest of the package asks its `LayerSpec`. And a config
+recovery kind: the rest of the package asks its `LayerSpec`. A config
 is validated at one boundary: only `runner.run` and `report.account` call
-`.finalize()`, and only `RunConfig.finalize` calls `validate`."""
+`.finalize()`, and only `RunConfig.finalize` calls `validate`. And shared
+arrays are averaged by one rule: only the two `aggregate` methods that
+average call `coverage_mean`."""
 import ast
 import graphlib
 from pathlib import Path
@@ -128,3 +130,8 @@ def callers(name):
 def test_config_is_validated_at_one_boundary():
     assert callers("finalize") == {("runner", "run"), ("report", "account")}
     assert callers("validate") == {("config", "RunConfig.finalize")}
+
+
+def test_shared_arrays_are_averaged_by_one_rule():
+    assert callers("coverage_mean") == {("protocol", "DecomposedFL.aggregate"),
+                                        ("baselines", "PWidthNested.aggregate")}
