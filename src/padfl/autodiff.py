@@ -422,15 +422,12 @@ def transpose(x, axes):
     def bw(g):
         _acc(x, np.ascontiguousarray(g.transpose(inv)))
 
-    return _out(np.ascontiguousarray(x.data.transpose(axes)), (x,), bw)
+    return _out(x.data.transpose(axes), (x,), bw)
 
 
 def slice_t(x, key):
     """Basic slicing; the gradient scatters back into a zero tensor."""
     key = key if isinstance(key, tuple) else (key,)
-    out_data = np.asarray(x.data[key])
-    if not out_data.flags.c_contiguous:
-        out_data = np.ascontiguousarray(out_data)
 
     def bw(g):
         if x.requires_grad:
@@ -438,7 +435,7 @@ def slice_t(x, key):
             full[key] = g
             _acc(x, full)
 
-    return _out(out_data, (x,), bw)
+    return _out(x.data[key], (x,), bw)
 
 
 def add_n(terms):

@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError
 
 
 # How the (base_count, k^2, a, b) product of general @ personal maps to an
@@ -128,12 +128,8 @@ def init_personal(spec: LayerSpec, rng):
 def recover_padfl_t(general, personal, spec: LayerSpec, p):
     """Graph-op recovery of the `spec.weight_shape(p)` weight tensor node
     from its factors, in the layout of `spec.grid(p)`, for training."""
-    k, r1, r2 = spec.kernel, spec.base_count, spec.rank
+    k, r1 = spec.kernel, spec.base_count
     a, b = spec.grid(p)
-    if general.data.shape != (k * k * r1, r2):
-        raise DimensionError(f"general factor shape {general.data.shape}")
-    if personal.data.shape != (r2, a * b):
-        raise DimensionError(f"personal factor shape {personal.data.shape}")
     prod = ad.ordered_matmul(general, personal)          # (k^2*r1, a*b)
     prod = ad.transpose(ad.reshape(prod, (r1, k * k, a, b)), PERMUTATION[spec.recovery])
     return ad.reshape(prod, spec.weight_shape(p))

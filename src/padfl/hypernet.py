@@ -13,9 +13,9 @@ the head) computes
 in one batched pass over all n clients (`generation_graph`). A width-p
 client is sent the positions of F_l that `kept_index` names, which
 `generate_personal` cuts out of the arrays. The server step regresses F_l
-onto the returned parameters: T_l holds each returned client's values at
-its kept positions, the 0/1 mask K_l marks them, and the loss is
-0.5/|R| * sum_l ||K_l * (F_l - T_l)||^2.
+onto the returned parameters: T_l is F_l with each returned client's kept
+positions replaced by its returned values, so F_l - T_l is 0 wherever
+nothing was returned, and the loss is 0.5/|R| * sum_l ||F_l - T_l||^2.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import decomp
-from .errors import DimensionError, NumericError
+from .errors import NumericError
 from .model import ClientModel, Layout, LinearMap
 
 
@@ -155,42 +155,36 @@ def generate_personal(outputs, client, layout: Layout, width) -> ClientModel:
 # ---------------------------------------------------------------------------
 # training step
 
-def regression_loss(state: HyperNetState, returned, layout: Layout):
-    """(state of trainable leaf nodes, loss node) of the regression of
-    generated onto returned personal parameters (client id -> model at
-    its width): 0.5/|R| * sum_l ||K_l * (F_l - T_l)||^2, only kept entries
-    counting."""
-    nodes, outputs = generation_graph(state)
-    targets = [np.zeros(f.data.shape) for f in outputs]
-    masks = [np.zeros(f.data.shape) for f in outputs]
+def regression_loss(outputs, returned, layout: Layout):
+    """Loss node of the regression of the decoder outputs [F_l] of a
+    `generation_graph` onto returned personal parameters (client id ->
+    model at its width): 0.5/|R| * sum_l ||F_l - T_l||^2, where T_l is F_l
+    with the returned kept positions replaced."""
+    targets = [f.data.copy() for f in outputs]
     for i, model in returned.items():
         pairs = list(zip(model.factors, model.biases)) + [(model.head_w, model.head_b)]
-        if len(pairs) != len(outputs):
-            raise DimensionError("returned/generated component count mismatch")
         for l, pair in enumerate(pairs):
             for ix, arr in zip(kept_index(layout, l, model.width), pair):
-                if arr.shape != ix.shape:
-                    raise DimensionError(f"returned shape {arr.shape} vs generated {ix.shape}")
                 targets[l][ix, i] = arr
-                masks[l][ix, i] = 1.0
-    terms = [ad.frobenius_sq(ad.mul(ad.add(f, ad.const(-t)), ad.const(k)))
-             for f, t, k in zip(outputs, targets, masks)]
-    return nodes, ad.mul_scalar(ad.add_n(terms), ad.const(0.5 / len(returned)))
+    terms = [ad.frobenius_sq(ad.add(f, ad.const(-t))) for f, t in zip(outputs, targets)]
+    return ad.mul_scalar(ad.add_n(terms), ad.const(0.5 / len(returned)))
 
 
-def hn_step(state: HyperNetState, returned, layout: Layout, lr) -> tuple:
-    """One SGD step of the hyper-network on the regression loss.
+def hn_step(graph, returned, layout: Layout, lr) -> tuple:
+    """One SGD step of the hyper-network on the regression loss, through
+    `graph`, the (nodes, outputs) that `generation_graph` built for the
+    current state.
 
     `returned` maps client id -> locally trained ClientModel (its general
     factors are not read) and is never empty: `run_round` raises before
     `aggregate` when every client failed. Returns (new state, loss
     value). A zero loss leaves the state bit-identical.
     """
-    nodes, loss = regression_loss(state, returned, layout)
+    nodes, outputs = graph
+    loss = regression_loss(outputs, returned, layout)
     val = float(loss.data)
     if not np.isfinite(val):
         raise NumericError("non-finite hyper-network loss")
     ad.backward(loss)
-    new = [a if n.grad is None else a - lr * n.grad
-           for a, n in zip(state.arrays(), nodes.arrays())]
-    return HyperNetState.from_arrays(new, len(state.encoder)), val
+    new = [n.data if n.grad is None else n.data - lr * n.grad for n in nodes.arrays()]
+    return HyperNetState.from_arrays(new, len(nodes.encoder)), val

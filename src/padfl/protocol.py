@@ -416,17 +416,20 @@ class DecomposedFL(FederatedMethod):
         self.global_head = LinearMap(head.w.astype(self.dtype), head.b.astype(self.dtype))
         self.hn = hypernet.init_hypernet(
             layout, len(profiles), cfg.hn_embed, cfg.hn_hidden, cfg.hn_depth, init_rng)
-        self.generated = None  # every client's generated parameters, per hn state
+        self.graph = None      # generation_graph of self.hn, for hn_step to differentiate
+        self.generated = None  # every client's generated parameters, cut from the graph
         self.local = {}
 
     def prepare(self):
         if self.generated is None:
-            _, outputs = hypernet.generation_graph(self.hn)
+            nodes, outputs = hypernet.generation_graph(self.hn)
             # the hyper-network runs in float64; this is the one cast of
             # what it generates into the clients' dtype
             flat = [f.data.astype(self.dtype, copy=False) for f in outputs]
             self.generated = {p.id: hypernet.generate_personal(flat, p.id, self.layout, p.width)
                               for p in self.profiles}
+            # only the hyper-network step reads the graph; the ablation never steps
+            self.graph = (nodes, outputs) if self.hn_aggregation else None
 
     def sent(self, i) -> ClientModel:
         """The current general factors with client i's generated personal
@@ -451,9 +454,10 @@ class DecomposedFL(FederatedMethod):
         self.general = coverage_mean(self.general, [(full, m.general) for m in models.values()])
         self.local.update(models)
         if self.hn_aggregation:
+            self.prepare()
             self.hn, self.last_hn_loss = hypernet.hn_step(
-                self.hn, models, self.layout, self.cfg.hn_lr)
-            self.generated = None
+                self.graph, models, self.layout, self.cfg.hn_lr)
+            self.graph = self.generated = None
 
     def evaluate_client(self, profile, train_loss):
         p = profile.width

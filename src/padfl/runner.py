@@ -101,20 +101,21 @@ def run(cfg: RunConfig) -> RunRecord:
     (OPENBLAS_NUM_THREADS=1 and friends, set before numpy loads):
     otherwise the processes oversubscribe the CPUs.
 
-    The config is validated (`RunConfig.finalize`) before anything is
-    written: an invalid one raises ConfigurationError and creates no
-    `out_dir`. The output directory is created next, so a bad `out_dir`
-    fails before any work. On a numeric failure the partial record is
-    flagged `failed` on disk and the error re-raised for the caller.
+    The config is validated (`RunConfig.finalize`) and set up (dataset,
+    layout, partition, method) before anything is written: a config
+    rejected there raises ConfigurationError and creates no `out_dir`.
+    A bad `out_dir` fails next, after set-up and before any round. On a
+    numeric failure the partial record is flagged `failed` on disk and
+    the error re-raised for the caller.
     """
     started = time.monotonic()
     cfg = cfg.finalize()
-    os.makedirs(cfg.out_dir, exist_ok=True)
     dataset = build_dataset(cfg)
     layout = configured_layout(cfg, dataset)
     partition = build_partition(cfg, dataset)
     profiles = build_profiles(cfg, partition)
     method = build_method(cfg, profiles, layout)
+    os.makedirs(cfg.out_dir, exist_ok=True)
     stale = None
     if cfg.patience_frac > 0:
         # stop after patience - 1 (at least 1) rounds without a new best; capping

@@ -161,6 +161,7 @@ class TestAblationWiring:
                 assert np.array_equal(x, y)
         assert np.isnan(mb.hn_loss)
         assert not np.isnan(ma.hn_loss)
+        assert ablated.generated is not None and ablated.graph is None  # no step to feed
 
     def test_no_hn_agg_keeps_personal_local(self):
         cfg, layout, profiles = small_setup(seed=16)

@@ -539,6 +539,18 @@ class TestCliEntry:
         assert cli_main(["run", str(cfg_path), "--set", f"out_dir={out_dir}"]) == 2
         assert str(out_dir) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides", [
+        ["conv_channels=3"],
+        ["partition=k_of_K", "classes_per_client=0"],
+        ["method=Pa3dFL_FlancDecomp"],
+    ], ids=["layout", "partition", "method"])
+    def test_config_rejected_at_setup_creates_no_out_dir(self, tmp_path, capsys, overrides):
+        out_dir = tmp_path / "run"
+        sets = [a for kv in [f"out_dir={out_dir}", *overrides] for a in ("--set", kv)]
+        assert cli_main(["run", os.devnull, *sets]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert not out_dir.exists()
+
     def test_out_dir_is_a_file_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.cfg"
         cfg_path.write_text(SMALL)

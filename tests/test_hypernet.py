@@ -7,7 +7,7 @@ import pytest
 
 from padfl import autodiff as ad
 from padfl import hypernet as hn
-from padfl.errors import ConfigurationError
+from padfl.errors import ConfigurationError, NumericError
 from padfl.model import ClientModel, Layout, build_layout
 
 from util import (
@@ -202,7 +202,7 @@ class TestHnStep:
         layout = tiny_layout()
         state = make_state(layout, seed=10)
         returned = self.returned_equal_to_sent(state, layout, [0, 1, 2])
-        new, loss = hn.hn_step(state, returned, layout, lr=0.5)
+        new, loss = hn.hn_step(hn.generation_graph(state), returned, layout, lr=0.5)
         assert loss == 0.0
         assert np.array_equal(new.embeddings, state.embeddings)
         assert np.array_equal(new.log_temp, state.log_temp)
@@ -224,7 +224,8 @@ class TestHnStep:
             for i, gen in ((i, generate_one(state, i, layout, Fraction(1)))
                            for i in range(3))
         }
-        nodes, loss = hn.regression_loss(state, returned, layout)
+        nodes, outputs = hn.generation_graph(state)
+        loss = hn.regression_loss(outputs, returned, layout)
         ad.backward(loss)
 
         def f_emb(arrays):
@@ -273,7 +274,8 @@ class TestHnStep:
             f = len(gen.factors)
             returned[i] = ClientModel([], noisy[:f], noisy[f:2 * f], noisy[-2], noisy[-1],
                                       widths[i])
-        nodes, loss = hn.regression_loss(state, returned, layout)
+        nodes, outputs = hn.generation_graph(state)
+        loss = hn.regression_loss(outputs, returned, layout)
         assert abs(float(loss.data) - hn_loss(state, returned, layout)) <= \
             1e-12 * float(loss.data)
         ad.backward(loss)
@@ -292,6 +294,27 @@ class TestHnStep:
         assert rel_err(nodes.decoders[1].w.grad,
                        fd_of(lambda s, a: setattr(s.decoders[1], "w", a),
                              state.decoders[1].w)) <= 1e-4
+
+    def test_mixed_width_gradient_is_zero_where_nothing_returned(self):
+        layout = conv_layout()
+        state = make_state(layout, n_clients=len(MIXED), embed=3, hidden=4, depth=2, seed=25)
+        rng = np.random.default_rng(26)
+        returned = {}
+        for i in (0, 1, 4):  # widths 1, 1/2 and 1/2; clients 2 and 3 return nothing
+            gen = generate_one(state, i, layout, MIXED[i])
+            returned[i] = replace(gen, factors=[f + rng.normal(size=f.shape)
+                                                for f in gen.factors])
+        _, outputs = hn.generation_graph(state)
+        ad.backward(hn.regression_loss(outputs, returned, layout))
+        for l, out in enumerate(outputs):
+            assert not out.grad[:, [2, 3]].any()
+            for i, model in returned.items():
+                pruned = np.ones(out.data.shape[0], dtype=bool)
+                for ix in hn.kept_index(layout, l, model.width):
+                    pruned[ix] = False
+                assert pruned.any() == (model.width < 1)
+                assert not out.grad[pruned, i].any()
+        assert outputs[0].grad[:, [0, 1, 4]].any()
 
     def test_one_local_step_identity_single_client(self):
         # with theta^+ = theta - eta * dF/dtheta, dL/dphi == eta * dF/dphi
@@ -323,7 +346,8 @@ class TestHnStep:
                                       stepped[-2], stepped[-1], Fraction(1))
 
         # left side: HN regression loss gradient
-        nodes_l, loss_l = hn.regression_loss(state, returned, layout)
+        nodes_l, outputs_l = hn.generation_graph(state)
+        loss_l = hn.regression_loss(outputs_l, returned, layout)
         ad.backward(loss_l)
 
         # right side: direct gradient of F = (1/n) sum_i f_i(generated_i); at
@@ -354,5 +378,5 @@ class TestHnStep:
         state = make_state(layout, seed=15)
         gen = generate_one(state, 0, layout, Fraction(1))
         bad = replace(gen, factors=[f * np.nan for f in gen.factors])
-        with pytest.raises(Exception):
-            hn.hn_step(state, {0: bad}, layout, lr=0.1)
+        with pytest.raises(NumericError):
+            hn.hn_step(hn.generation_graph(state), {0: bad}, layout, lr=0.1)

@@ -105,16 +105,34 @@ class TestGenerationCache:
         original = hypernet.generation_graph
 
         def counting(state):
-            # a generation that prepare does not make is a regression step's
-            calls.append((state, sys._getframe(1).f_code.co_name != "prepare"))
+            calls.append((state, sys._getframe(1).f_code.co_name))
             return original(state)
 
         monkeypatch.setattr(hypernet, "generation_graph", counting)
         for t in range(3):
             method.run_round(t)
-        generated = {id(s) for s, trainable in calls if not trainable}
-        assert len(generated) == 4  # states stay referenced, so ids are unique
-        assert len(calls) == 7
+        # the hyper-network step differentiates the graph prepare built
+        assert [caller for _, caller in calls] == ["prepare"] * 4
+        assert len({id(s) for s, _ in calls}) == 4  # states stay referenced, so ids are unique
+
+    def test_round_steps_the_graph_of_the_previous_state(self):
+        cfg, layout, profiles = small_setup(seed=7, capacity="hetero")
+        method = protocol.DecomposedFL(profiles, layout, cfg)
+        seen = []
+        aggregate = method.aggregate
+
+        def recording(models):
+            seen.append((method.hn, models))
+            aggregate(models)
+
+        method.aggregate = recording
+        method.run_round(0)
+        (before, models), = seen
+        fresh, loss = hypernet.hn_step(hypernet.generation_graph(before), models, layout,
+                                       cfg.hn_lr)
+        assert loss == method.last_hn_loss
+        for a, b in zip(method.hn.arrays(), fresh.arrays()):
+            assert a.tobytes() == b.tobytes()
 
     def test_sent_equals_single_client_generation(self):
         cfg, layout, profiles = small_setup(seed=6, capacity="hetero")
