@@ -1,8 +1,9 @@
 """Run configuration: flat key=value files plus CLI overrides.
 
-Parsing rejects unknown keys and unparsable values. `RunConfig.finalize`
-bounds every value; `runner.run` and `report.account` call it first, so
-a bad config fails before any file is written or any training starts.
+`_assign` is the one `key = value` rule, for config lines and `--set`
+items alike. `validate` is the home of every config bound; `runner.run`
+and `report.account` call it first, through `RunConfig.finalize`, so a
+bad config fails before any file is written or any training starts.
 """
 from __future__ import annotations
 
@@ -90,8 +91,11 @@ def parse_value(text, default):
     return text
 
 
-def _assign(cfg, key, text, where=""):
-    """Set one key from its text; errors are prefixed with `where`."""
+def _assign(cfg, item, where):
+    """Set one `key = value` item on `cfg`; errors are prefixed with `where`."""
+    if "=" not in item:
+        raise ConfigurationError(f"{where}{item!r} is not key=value")
+    key, text = (part.strip() for part in item.split("=", 1))
     if key not in {f.name for f in fields(RunConfig)}:
         raise ConfigurationError(f"{where}unknown key {key!r}")
     try:
@@ -104,12 +108,8 @@ def parse_config(text) -> RunConfig:
     cfg = RunConfig()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigurationError(f"line {lineno}: expected key = value, got {raw!r}")
-        key, val = line.split("=", 1)
-        _assign(cfg, key.strip(), val.strip(), f"line {lineno}: ")
+        if line:
+            _assign(cfg, line, f"line {lineno}: ")
     return cfg
 
 
@@ -119,10 +119,7 @@ def load_config(path, overrides=()) -> RunConfig:
     with open(path) as fh:
         cfg = parse_config(fh.read())
     for item in overrides:
-        if "=" not in item:
-            raise ConfigurationError(f"override {item!r} is not key=value")
-        key, val = item.split("=", 1)
-        _assign(cfg, key.strip(), val.strip())
+        _assign(cfg, item, f"override {item!r}: ")
     return cfg
 
 
@@ -171,8 +168,13 @@ def validate(cfg: RunConfig):
         raise ConfigurationError("synth dataset needs >= 2 classes and >= 1 per class")
     if len(cfg.synth_shape) != 3 or any(d < 1 for d in cfg.synth_shape):
         raise ConfigurationError("synth_shape must be C,H,W of positive ints")
+    if cfg.dataset == "synth" and cfg.synth_classes > (dim := math.prod(cfg.synth_shape)):
+        raise ConfigurationError(f"synth_classes must be <= {dim}, the C*H*W of synth_shape")
     if not cfg.conv_channels and not cfg.fc_dims:
         raise ConfigurationError("model needs at least one conv or fc layer")
+    for key in ("conv_channels", "fc_dims"):
+        if any(d < 1 for d in getattr(cfg, key)):
+            raise ConfigurationError(f"{key} must hold ints >= 1, got {getattr(cfg, key)}")
     if cfg.conv_kernel < 1 or cfg.conv_kernel % 2 == 0:
         raise ConfigurationError("conv_kernel must be odd and >= 1")
     if cfg.hn_embed < 1 or cfg.hn_hidden < 1 or cfg.hn_depth < 0:

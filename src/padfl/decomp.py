@@ -42,7 +42,8 @@ class LayerSpec:
     `model.build_layout`: its kind, channels and kernel (1 if linear);
     the factor sizes, base_count general blocks of inner rank `rank`; the
     output map before pooling ((1, 1) if linear); whether it reads the
-    raw input, which no width prunes; and its `PERMUTATION` recovery kind."""
+    raw input, which no width prunes; and its `PERMUTATION` recovery kind.
+    It is built from a validated config and does not re-check it."""
 
     kind: str  # "conv" | "linear"
     out_channels: int
@@ -53,16 +54,6 @@ class LayerSpec:
     out_hw: tuple = (1, 1)
     raw_input: bool = False
     recovery: str = "padfl"
-
-    def __post_init__(self):
-        if self.kind not in ("conv", "linear"):
-            raise ConfigurationError(f"unknown layer kind {self.kind!r}")
-        if self.out_channels <= 0 or self.in_channels <= 0 or self.kernel <= 0:
-            raise ConfigurationError("layer dimensions must be positive")
-        if self.kind == "linear" and self.kernel != 1:
-            raise ConfigurationError("linear layers must have kernel 1")
-        if self.base_count <= 0 or self.rank <= 0:
-            raise ConfigurationError("coefficients must be positive")
 
     def kept(self, p):
         """(out_kept, in_kept): the leading channels a width-p client keeps."""

@@ -84,9 +84,8 @@ def build_layout(in_shape, classes, min_width, convs=(), kernel=3, hidden=(),
 
     def add(kind, t, s, k=1, hw=(1, 1)):
         r1 = Fraction(t) * mw
-        if r1.denominator != 1:  # T <= 0 is left to LayerSpec's dimension check
-            raise ConfigurationError(
-                f"out_channels {t} * min_width {mw} is not a positive integer")
+        if r1.denominator != 1:
+            raise ConfigurationError(f"out_channels {t} * min_width {mw} is not an integer")
         rank = max(min(s, t), k ** 2) if kind == "conv" else int(r1)
         specs.append(decomp.LayerSpec(kind, t, s, k, int(r1), rank, hw, not specs, recovery))
 

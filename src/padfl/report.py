@@ -48,6 +48,8 @@ def read_metrics(run_dir):
         for name in ("val_acc", "test_acc"):
             if not 0.0 <= row[name] <= 1.0:  # nan fails this too
                 raise FormatError(f"{where}: {name} {row[name]!r} outside [0, 1]")
+        if not 0.0 < row["capacity_r"] <= 1.0:
+            raise FormatError(f"{where}: capacity_r {row['capacity_r']!r} outside (0, 1]")
         rows.append(row)
     label = os.path.basename(os.path.normpath(run_dir))
     summary = os.path.join(run_dir, "summary.json")
@@ -77,9 +79,7 @@ def capacity_clusters(rows, bins=5):
     edges = np.linspace(0.0, 1.0, bins + 1)
     out = []
     for b in range(bins):
-        members = [v for v in last.values()
-                   if (edges[b] < v["capacity_r"] <= edges[b + 1])
-                   or (b == 0 and v["capacity_r"] <= edges[1])]
+        members = [v for v in last.values() if edges[b] < v["capacity_r"] <= edges[b + 1]]
         out.append({
             "cluster": b,
             "capacity_low": float(edges[b]),

@@ -69,12 +69,14 @@ class TestConfig:
         "per_round = 30\nclients = 10", "patience_frac = inf", "dirichlet_alpha = inf",
         "hn_lr = inf", "hn_lr = -0.5", "lr = inf", "seed = -1", "capacity = x",
         "alpha_grid = 1", "min_width = 2", "dirichlet_alpha = 0", "per_round = 21",
-        "synth_classes = 1",
+        "synth_classes = 1", "conv_channels = 0", "fc_dims = 4,0",
+        "synth_classes = 65\nsynth_shape = 1,8,8",
     ], ids=lambda text: text.replace(" ", "").replace("\n", ","))
     def test_out_of_range_rejected(self, tmp_path, text):
         """`runner.run` rejects the config before it creates `out_dir`."""
         key = text.split()[0]
-        match = "synth dataset needs >= 2 classes" if key == "synth_classes" else rf"\b{key} must"
+        match = "synth dataset needs >= 2 classes" if text == "synth_classes = 1" \
+            else rf"\b{key} must"
         out_dir = tmp_path / "run"
         with pytest.raises(ConfigurationError, match=match):
             runner.run(dataclasses.replace(parse_config(text), out_dir=str(out_dir)))
@@ -349,8 +351,7 @@ class TestReport:
         per_client = {r["client_id"]: r for r in rows if r["round"] == last_round}
         for c in clusters:
             members = [v["test_acc"] for v in per_client.values()
-                       if c["capacity_low"] < v["capacity_r"] <= c["capacity_high"]
-                       or (c["cluster"] == 0 and v["capacity_r"] <= c["capacity_high"])]
+                       if c["capacity_low"] < v["capacity_r"] <= c["capacity_high"]]
             if members:
                 assert abs(c["mean_test_acc"] - np.mean(members)) <= 1e-9
             else:
@@ -435,6 +436,16 @@ class TestAccount:
         assert "note" not in capsys.readouterr().out
         # with every width dropped there is nothing to account for
         assert cli_main(["account", str(cfg_path), *flanc, "--set", "min_width=1/2"]) == 2
+
+    @pytest.mark.parametrize("overrides", [
+        ["conv_channels=0"], ["fc_dims=4,0"], ["synth_shape=1,8,8", "synth_classes=65"],
+    ], ids=["conv_channels", "fc_dims", "synth_classes"])
+    def test_out_of_range_exit_2(self, capsys, overrides):
+        """`padfl account` rejects what `padfl run` rejects, naming the key."""
+        key = overrides[-1].partition("=")[0]
+        assert cli_main(["account", os.devnull, *(a for kv in overrides
+                                                  for a in ("--set", kv))]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {key} must")
 
     def test_counts_equal_param_count_sums(self, tmp_path):
         cfg = small_cfg(tmp_path)
@@ -551,6 +562,21 @@ class TestCliEntry:
         assert capsys.readouterr().err.startswith("configuration error: ")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("text, overrides, prefix", [
+        ("lr\n", [], "line 1: "), ("", ["lr"], "override 'lr': "),
+    ], ids=["line", "override"])
+    def test_malformed_item_exit_2(self, tmp_path, capsys, text, overrides, prefix):
+        """A config line and a `--set` item are parsed by one rule: the same
+        message after each one's prefix."""
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(text)
+        out_dir = tmp_path / "run"
+        sets = [a for kv in [f"out_dir={out_dir}", *overrides] for a in ("--set", kv)]
+        assert cli_main(["run", str(cfg_path), *sets]) == 2
+        assert capsys.readouterr().err == \
+            f"configuration error: {prefix}'lr' is not key=value\n"
+        assert not out_dir.exists()
+
     def test_out_dir_is_a_file_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.cfg"
         cfg_path.write_text(SMALL)
@@ -627,9 +653,13 @@ class TestCliEntry:
         assert f"{run_dir / 'metrics.csv'}: line 3: not UTF-8" in capsys.readouterr().err
 
     @pytest.mark.parametrize("column, value", [("test_acc", "inf"), ("test_acc", "nan"),
-                                               ("val_acc", "1.5"), ("val_acc", "-0.25")])
+                                               ("val_acc", "1.5"), ("val_acc", "-0.25"),
+                                               ("capacity_r", "1.5"), ("capacity_r", "0"),
+                                               ("capacity_r", "-0.2")])
     def test_report_accuracy_outside_unit_interval_exit_2(self, tmp_path, capsys, column,
                                                           value):
+        # every row has capacity_r 0, outside (0, 1] too: an accuracy
+        # column's error comes first
         run_dir = tmp_path / "run"
         run_dir.mkdir()
         cells = dict.fromkeys(runner.CSV_HEADER.split(","), "0")

@@ -7,9 +7,10 @@ state. The modules of src/padfl import one another without a cycle,
 counting imports inside functions. Only `decomp` reads a layer's
 recovery kind: the rest of the package asks its `LayerSpec`. A config
 is validated at one boundary: only `runner.run` and `report.account` call
-`.finalize()`, and only `RunConfig.finalize` calls `validate`. And shared
-arrays are averaged by one rule: only the two `aggregate` methods that
-average call `coverage_mean`."""
+`.finalize()`, and only `RunConfig.finalize` calls `validate`. A
+`key = value` item is parsed by one rule: only `config._assign` splits on
+"=". And shared arrays are averaged by one rule: only the two `aggregate`
+methods that average call `coverage_mean`."""
 import ast
 import graphlib
 from pathlib import Path
@@ -135,3 +136,19 @@ def test_config_is_validated_at_one_boundary():
 def test_shared_arrays_are_averaged_by_one_rule():
     assert callers("coverage_mean") == {("protocol", "DecomposedFL.aggregate"),
                                         ("baselines", "PWidthNested.aggregate")}
+
+
+def equals_splitters():
+    """(module, top-level def) of every `.split("=", ...)` call in src/padfl."""
+    out = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            out |= {(path.stem, getattr(top, "name", None)) for node in ast.walk(top)
+                    if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "split"
+                    and node.args and isinstance(node.args[0], ast.Constant)
+                    and node.args[0].value == "="}
+    return out
+
+
+def test_key_value_items_are_parsed_by_one_rule():
+    assert equals_splitters() == {("config", "_assign")}
