@@ -36,13 +36,13 @@ class DenseMethod(FederatedMethod):
         model = init_plain(self.layout, width, rng)
         return PlainModel.from_arrays([a.astype(self.dtype) for a in model.arrays()], width)
 
-    def train_client(self, t, i, eta):
-        return plain_sgd(self.sent(i), self.layout, self.profiles[i].data,
+    def train_client(self, t, i, eta, model):
+        return plain_sgd(model, self.layout, self.profiles[i].data,
                          epochs=self.cfg.epochs, batch=self.cfg.batch, lr=eta,
                          rng=self.client_rng(t, i))
 
-    def evaluate_client(self, profile, train_loss):
-        model = self.sent(profile.id)
+    def evaluate_client(self, i, train_loss, model, local):
+        profile = self.profiles[i]
         xv, yv = profile.data.val_xy()
         xt, yt = profile.data.test_xy()
         return ClientRow(profile.id, profile.capacity, model.width, train_loss,

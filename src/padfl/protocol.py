@@ -22,18 +22,24 @@ dataset's features (float32 from the loaders); the hyper-network runs in
 float64, and `DecomposedFL.prepare` is the one place its output is cast
 to the models' dtype.
 
-Sampling, aggregation and the hyper-network step run in the calling
-process. Per-client training and evaluation can run in forked worker
-processes (`map_clients`); results are reduced in client-id order, so a
-round's outcome does not depend on the number of workers.
+Sampling, aggregation, the hyper-network step and every `sent(i)` run in
+the calling process. Per-client training and evaluation are tasks that
+can run on a `ClientPool` of worker processes forked once per run: a
+task carries client i's `sent(i)` (and, for evaluation, its last trained
+model), the workers only read the state they inherited, and results are
+reduced in client-id order. Every client's random stream derives from
+(seed, round, client), so a round's outcome does not depend on the
+number of workers or on which worker ran which client.
 """
 from __future__ import annotations
 
 import os
 import pickle
+import signal
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from multiprocessing.connection import Pipe, wait
 
 import numpy as np
 
@@ -244,65 +250,112 @@ def coverage_mean(arrays, updates):
     return merged
 
 
-def map_clients(fn, ids, workers):
-    """[fn(i) for i in ids], computed in up to `workers` forked processes.
+class ClientPool:
+    """`serve(task)` for lists of tasks, on `workers` processes forked at
+    the first `map` with a task and kept until `close`.
 
-    Each call forks fresh workers, so they see the caller's state as it is
-    now; only fn's results cross back, pickled, and state that fn changes
-    in a worker is lost. Worker w runs ids[w::workers]. An exception raised
-    in a worker is re-raised here with its type. Runs in the calling
-    process for one worker or where fork is unavailable.
+    The workers inherit the caller's state as it is when they fork and
+    only read it, so a task carries whatever changed since; state that
+    `serve` changes in a worker stays there. Tasks go out largest cost
+    first, one at a time, to whichever worker is free, and results come
+    back in task order. An exception raised by `serve` is re-raised here
+    with its type once the map's other tasks are done (the first task's
+    error wins); an unpicklable result or error becomes a RuntimeError. Any
+    other failure, such as a worker that dies (ChildProcessError), closes
+    the pool. With one worker, or where fork is unavailable, `serve` runs
+    in this process. Once forked, the pool keeps no reference to `serve`:
+    the workers hold their own copies.
     """
-    ids = list(ids)
-    workers = min(workers, len(ids))
-    if workers <= 1 or not hasattr(os, "fork"):
-        return [fn(i) for i in ids]
-    readers, exit_codes = [], {}
-    try:
-        for w in range(workers):
-            r, fd = os.pipe()
+
+    def __init__(self, serve, workers):
+        self.serve = serve
+        self.workers = workers if hasattr(os, "fork") else 1
+        self.pids = {}  # the parent's end of each worker's pipe -> its pid
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def map(self, tasks, costs) -> list:
+        """[serve(task) for task in tasks]; costs[k] ranks task k for dispatch."""
+        tasks = list(tasks)
+        if self.workers <= 1:
+            return [self.serve(task) for task in tasks]
+        outcomes, running = [None] * len(tasks), {}  # running: pipe -> task index
+        try:
+            if tasks and not self.pids:
+                self._fork()
+            idle = list(self.pids)
+            for k in sorted(range(len(tasks)), key=lambda k: -costs[k]):
+                conn = idle.pop() if idle else self._finished(running, outcomes)
+                conn.send_bytes(pickle.dumps(tasks[k], pickle.HIGHEST_PROTOCOL))
+                running[conn] = k
+            while running:
+                self._finished(running, outcomes)
+        except BaseException:
+            self.close()
+            raise
+        for ok, value in outcomes:
+            if not ok:
+                raise value
+        return [value for _, value in outcomes]
+
+    def _finished(self, running, outcomes):
+        """Wait for a worker to send its task's (ok, value); its pipe."""
+        conn = wait(list(running))[0]
+        try:
+            outcomes[running.pop(conn)] = pickle.loads(conn.recv_bytes())
+        except EOFError as exc:
+            pid = self.pids[conn]
+            raise ChildProcessError(f"worker {pid} (exit code {self.close()[pid]}) "
+                                    "sent no readable result") from exc
+        return conn
+
+    def _fork(self):
+        for _ in range(self.workers):
+            ours, theirs = Pipe()
             pid = os.fork()
             if pid == 0:
-                os.close(r)
-                _worker(fn, ids[w::workers], fd)
-            os.close(fd)
-            readers.append((pid, os.fdopen(r, "rb")))
-        payloads = [fh.read() for _, fh in readers]
-    finally:
-        for pid, fh in readers:
-            fh.close()
-            exit_codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    results, error = [None] * len(ids), None
-    for w, ((pid, _), payload) in enumerate(zip(readers, payloads)):
-        try:
-            ok, value = pickle.loads(payload)
-        except Exception as exc:  # noqa: BLE001 - empty or cut short if the worker died
-            ok, value = False, ChildProcessError(
-                f"worker {pid} (exit code {exit_codes[pid]}) sent no readable result: {exc!r}")
-        if ok:
-            results[w::workers] = value
-        else:
-            error = error or value
-    if error is not None:
-        raise error
-    return results
+                for conn in [ours, *self.pids]:  # the parent's ends stay with the parent
+                    conn.close()
+                _serve_forever(self.serve, theirs)
+            theirs.close()
+            self.pids[ours] = pid
+        self.serve = None
+
+    def close(self) -> dict:
+        """Kill and reap every worker; returns {pid: exit code}. A worker
+        that already died keeps its own exit code."""
+        codes = {}
+        for conn, pid in self.pids.items():
+            conn.close()
+            os.kill(pid, signal.SIGKILL)
+            codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        self.pids, self.serve = {}, None
+        return codes
 
 
-def _worker(fn, ids, fd):
-    """One forked worker: send [fn(i) for i in ids], or the error, to the
-    parent through fd. Never returns."""
+def _serve_forever(serve, conn):
+    """One forked worker: answer each task from conn with (True, serve(task))
+    or (False, the error) until the parent closes the pipe. Never returns."""
     try:
-        result = (True, [fn(i) for i in ids])
-    except BaseException as exc:  # noqa: BLE001 - re-raised in the parent
-        result = (False, exc)
-    try:
-        try:
-            payload = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:  # noqa: BLE001 - an unpicklable result or error
-            failure = exc if result[0] else result[1]
-            payload = pickle.dumps((False, RuntimeError(repr(failure))))
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+        while True:
+            try:
+                task = pickle.loads(conn.recv_bytes())
+            except EOFError:
+                break
+            try:
+                outcome = (True, serve(task))
+            except BaseException as exc:  # noqa: BLE001 - re-raised in the parent
+                outcome = (False, exc)
+            try:
+                payload = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:  # noqa: BLE001 - an unpicklable result or error
+                failure = exc if outcome[0] else outcome[1]
+                payload = pickle.dumps((False, RuntimeError(repr(failure))))
+            conn.send_bytes(payload)
     finally:
         os._exit(0)
 
@@ -320,6 +373,9 @@ class FederatedMethod:
         # the dataset's dtype is the compute dtype of every model kept here
         self.dtype = profiles[0].data.dataset.features.dtype
         self.server_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, TAG_SERVER)))
+        # a client's training and evaluation cost grows with width^2 and its data
+        self.costs = [float(p.width) ** 2 * len(p.data.train_idx) for p in profiles]
+        self.local = {}  # client id -> last trained model, for methods that fuse with it
 
     def client_rng(self, t, client_id):
         return np.random.default_rng(
@@ -332,17 +388,19 @@ class FederatedMethod:
         n = len(self.profiles)
         return sorted(int(i) for i in self.server_rng.choice(n, size=m, replace=False))
 
-    def run_round(self, t) -> RoundMetrics:
+    def run_round(self, t, pool=None) -> RoundMetrics:
         """Sample, train and aggregate, then evaluate every client; the
-        per-client phases run on `cfg.workers` processes. Records each
+        per-client phases are `pool`'s tasks (a `ClientPool` serving
+        `self.serve`), or run in this process without one. Records each
         phase's wall seconds."""
+        pool = pool or ClientPool(self.serve, 1)
         selected = self.sample_clients(self.cfg.per_round)
         eta = self.eta(t)
         started = time.perf_counter()
         self.prepare()
         prepared_at = time.perf_counter()
-        trained = map_clients(lambda i: self.train_client(t, i, eta), selected,
-                              self.cfg.workers)
+        trained = pool.map([("train_client", t, i, eta, self.sent(i)) for i in selected],
+                           [self.costs[i] for i in selected])
         trained_at = time.perf_counter()
         models = {i: m for i, (m, _) in zip(selected, trained) if m is not None}
         losses = {i: loss for i, (_, loss) in zip(selected, trained)}
@@ -353,9 +411,8 @@ class FederatedMethod:
         aggregated_at = time.perf_counter()
         self.prepare()
         reprepared_at = time.perf_counter()
-        rows = map_clients(
-            lambda i: self.evaluate_client(self.profiles[i], losses.get(i, float("nan"))),
-            range(len(self.profiles)), self.cfg.workers)
+        rows = pool.map([("evaluate_client", i, losses.get(i, float("nan")), self.sent(i),
+                          self.local.get(i)) for i in range(len(self.profiles))], self.costs)
         evaluated_at = time.perf_counter()
         tests = np.array([r.test_acc for r in rows])
         vals = np.array([r.val_acc for r in rows])
@@ -372,25 +429,35 @@ class FederatedMethod:
         """Floats sent this round: the sizes of `sent(i)` of the selected i."""
         return sum(a.size for i in selected for a in self.sent(i).arrays())
 
+    def serve(self, task):
+        """Run one per-client task, (hook name, *arguments): what a
+        `ClientPool` worker does with this method's state as it forked."""
+        hook, *args = task
+        return getattr(self, hook)(*args)
+
     # method-specific hooks
     def prepare(self):
-        """Compute what the next client phase reads, before workers fork."""
+        """Compute what `sent` reads for the next client phase, in the
+        calling process."""
 
     def sent(self, i):
         """The model client i starts from this round; evaluation reads it too."""
         raise NotImplementedError
 
-    def train_client(self, t, i, eta) -> tuple:
+    def train_client(self, t, i, eta, model) -> tuple:
         """(trained model, or None if training failed; mean loss) of
-        client i in round t, trained from `sent(i)`."""
+        client i in round t, trained from `model`, its `sent(i)`. Reads no
+        state that a round changes."""
         raise NotImplementedError
 
     def aggregate(self, models):
         """Fold in the trained models, {client id: model} in id order."""
         raise NotImplementedError
 
-    def evaluate_client(self, profile, train_loss) -> ClientRow:
-        """The client's row; train_loss is nan unless it trained this round."""
+    def evaluate_client(self, i, train_loss, model, local) -> ClientRow:
+        """Client i's row, from `model`, its `sent(i)`, and `local`, its
+        entry in `self.local` or None; train_loss is nan unless it trained
+        this round. Reads no state that a round changes."""
         raise NotImplementedError
 
 
@@ -418,7 +485,6 @@ class DecomposedFL(FederatedMethod):
             layout, len(profiles), cfg.hn_embed, cfg.hn_hidden, cfg.hn_depth, init_rng)
         self.graph = None      # generation_graph of self.hn, for hn_step to differentiate
         self.generated = None  # every client's generated parameters, cut from the graph
-        self.local = {}
 
     def prepare(self):
         if self.generated is None:
@@ -441,11 +507,11 @@ class DecomposedFL(FederatedMethod):
             personal = self.generated[i]
         return replace(personal, general=self.general)
 
-    def train_client(self, t, i, eta):
+    def train_client(self, t, i, eta, model):
         profile = self.profiles[i]
         sliced = self.global_head.sliced(self.layout.head_in(profile.width))
         return local_update(
-            self.sent(i), sliced, profile, self.layout,
+            model, sliced, profile, self.layout,
             epochs=self.cfg.epochs, batch=self.cfg.batch, lr=eta,
             reg_coef=self.cfg.reg_lambda, rng=self.client_rng(t, i))
 
@@ -459,11 +525,12 @@ class DecomposedFL(FederatedMethod):
                 self.graph, models, self.layout, self.cfg.hn_lr)
             self.graph = self.generated = None
 
-    def evaluate_client(self, profile, train_loss):
+    def evaluate_client(self, i, train_loss, model, local):
+        profile = self.profiles[i]
         p = profile.width
         head = self.global_head.sliced(self.layout.head_in(p))
-        received = replace(self.sent(profile.id), head_w=head.w, head_b=head.b)
+        received = replace(model, head_w=head.w, head_b=head.b)
         alpha, val_acc, test_acc = select_test_model(
-            received, self.local.get(profile.id), profile.data.val_xy(),
+            received, local, profile.data.val_xy(),
             profile.data.test_xy(), self.layout, grid_size=self.cfg.alpha_grid)
         return ClientRow(profile.id, profile.capacity, p, train_loss, val_acc, test_acc, alpha)

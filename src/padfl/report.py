@@ -50,6 +50,8 @@ def read_metrics(run_dir):
                 raise FormatError(f"{where}: {name} {row[name]!r} outside [0, 1]")
         if not 0.0 < row["capacity_r"] <= 1.0:
             raise FormatError(f"{where}: capacity_r {row['capacity_r']!r} outside (0, 1]")
+        if row["round"] < 0:  # the curves' x axis starts at round 0
+            raise FormatError(f"{where}: round {row['round']} is negative")
         rows.append(row)
     label = os.path.basename(os.path.normpath(run_dir))
     summary = os.path.join(run_dir, "summary.json")

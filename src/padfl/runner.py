@@ -96,10 +96,12 @@ def run(cfg: RunConfig) -> RunRecord:
     """Execute one configured run; writes metrics.csv, rounds.csv and
     summary.json.
 
-    Per-client training and evaluation run on `cfg.workers` forked
-    processes. With `workers > 1` BLAS must be pinned to one thread
-    (OPENBLAS_NUM_THREADS=1 and friends, set before numpy loads):
-    otherwise the processes oversubscribe the CPUs.
+    Per-client training and evaluation run on one `protocol.ClientPool`
+    of min(`cfg.workers`, `cfg.clients`) processes, forked at the first
+    round's training phase (so set-up never pays for it) and reaped when
+    the run ends, however it ends. With `workers > 1` BLAS must be pinned
+    to one thread (OPENBLAS_NUM_THREADS=1 and friends, set before numpy
+    loads): otherwise the processes oversubscribe the CPUs.
 
     The config is validated (`RunConfig.finalize`) and set up (dataset,
     layout, partition, method) before anything is written: a config
@@ -124,11 +126,12 @@ def run(cfg: RunConfig) -> RunRecord:
     rounds = []
     early = False
     try:
-        for t in range(cfg.rounds):
-            rounds.append(method.run_round(t))
-            if stale and protocol.early_stop([m.mean_val for m in rounds], stale):
-                early = True
-                break
+        with protocol.ClientPool(method.serve, min(cfg.workers, cfg.clients)) as pool:
+            for t in range(cfg.rounds):
+                rounds.append(method.run_round(t, pool))
+                if stale and protocol.early_stop([m.mean_val for m in rounds], stale):
+                    early = True
+                    break
     except NumericError:
         persist(RunRecord(cfg, rounds, "failed", early, time.monotonic() - started))
         raise

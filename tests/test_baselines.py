@@ -35,7 +35,7 @@ class TestFedAvgMinWidth:
         start = plain_copy(method.model)
         selected = method.sample_clients(1)
         i = selected[0]
-        trained, _ = method.train_client(0, i, cfg.lr)
+        trained, _ = method.train_client(0, i, cfg.lr, method.sent(i))
         method.aggregate({i: trained})
         # aggregate of one client is exactly that client's model
         for a, b in zip(method.model.arrays(), trained.arrays()):

@@ -673,6 +673,15 @@ class TestCliEntry:
         assert f"{run_dir / 'metrics.csv'}: line 2: {column}" in err
         assert not (tmp_path / "rep" / "curves.svg").exists()
 
+    def test_report_negative_round_exit_2(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        rows = ["-5,0,0.5,1/2,nan,0.5,0.5,nan", "3,0,0.5,1/2,nan,0.5,0.5,nan"]
+        (run_dir / "metrics.csv").write_text("\n".join([runner.CSV_HEADER] + rows) + "\n")
+        assert cli_main(["report", str(run_dir), "-o", str(tmp_path / "rep")]) == 2
+        assert f"{run_dir / 'metrics.csv'}: line 2: round -5" in capsys.readouterr().err
+        assert not (tmp_path / "rep" / "curves.svg").exists()
+
     def test_single_class_idx_labels_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.cfg"
         cfg_path.write_text(SMALL)

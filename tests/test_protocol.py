@@ -462,11 +462,12 @@ class TestDecomposedRounds:
             cfg.workers = workers
             method = protocol.DecomposedFL(profiles, layout, cfg)
             out = []
-            for t in range(3):
-                m = method.run_round(t)
-                out.append((m.mean_test, m.mean_val,
-                            tuple(repr(r.train_loss) for r in m.rows),
-                            tuple(f.tobytes() for f in method.general)))
+            with protocol.ClientPool(method.serve, workers) as pool:
+                for t in range(3):
+                    m = method.run_round(t, pool)
+                    out.append((m.mean_test, m.mean_val,
+                                tuple(repr(r.train_loss) for r in m.rows),
+                                tuple(f.tobytes() for f in method.general)))
             return out
 
         a, b, c = trace(1), trace(1), trace(3)

@@ -1,21 +1,23 @@
-"""Forked per-client workers: same bytes for any worker count, errors keep
-their type, and the default worker count follows the BLAS thread pin."""
+"""Forked per-client workers: one pool per run that leaves no process
+behind, same bytes for any worker count, errors keep their type, and the
+default worker count follows the BLAS thread pin."""
 import json
 import os
 import signal
 import subprocess
 import sys
 import textwrap
+import time
 from dataclasses import replace
 
 import pytest
 
 import padfl
-from padfl import hypernet, protocol
+from padfl import hypernet, protocol, runner
 from padfl.config import BLAS_THREAD_VARS
-from padfl.errors import DimensionError
+from padfl.errors import DimensionError, NumericError
 
-from test_cli import SMALL
+from test_cli import SMALL, small_cfg
 from test_protocol import small_setup
 from util import generate_one
 
@@ -55,12 +57,25 @@ def unpicklable_error(i):
     raise Unpicklable()
 
 
+class Stop(BaseException):
+    """Not an Exception, like KeyboardInterrupt."""
+
+
+def pool_map(fn, ids, workers, costs=None):
+    """fn over ids on a fresh pool of `workers`, closed afterwards; equal
+    costs unless given."""
+    ids = list(ids)
+    with protocol.ClientPool(fn, workers) as pool:
+        return pool.map(ids, costs or [0.0] * len(ids))
+
+
 class TestMapClients:
+    """`ClientPool.map` keeps the guarantees of the per-phase fork it replaced."""
+
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_results_in_given_order(self, workers):
         ids = [5, 1, 4, 2, 9]
-        assert protocol.map_clients(lambda i: (i, i * i), ids, workers) == \
-            [(i, i * i) for i in ids]
+        assert pool_map(lambda i: (i, i * i), ids, workers) == [(i, i * i) for i in ids]
 
     def test_every_id_runs_once_with_more_workers_than_cpus(self, tmp_path):
         log = tmp_path / "ran"
@@ -71,30 +86,107 @@ class TestMapClients:
             return i
 
         ids = list(range(200))
-        assert protocol.map_clients(record, ids, 6) == ids
+        assert pool_map(record, ids, 6) == ids
         assert sorted(int(x) for x in log.read_text().split()) == ids
 
     def test_empty(self):
-        assert protocol.map_clients(lambda i: i, [], 2) == []
+        assert pool_map(lambda i: i, [], 2) == []
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_worker_error_keeps_type(self, workers):
         with pytest.raises(DimensionError, match="client 3"):
-            protocol.map_clients(boom, range(6), workers)
+            pool_map(boom, range(6), workers)
 
     @pytest.mark.parametrize("fn", [unpicklable_error, lambda i: lambda: i])
     def test_unpicklable_outcome_is_an_error(self, fn):
         with pytest.raises(RuntimeError, match="Unpicklable|pickle"):
-            protocol.map_clients(fn, range(4), 2)
+            pool_map(fn, range(4), 2)
 
     def test_dead_worker_is_an_error(self):
         with pytest.raises(ChildProcessError, match="exit code -9"):
-            protocol.map_clients(lambda i: os.kill(os.getpid(), signal.SIGKILL), range(4), 2)
+            pool_map(lambda i: os.kill(os.getpid(), signal.SIGKILL), range(4), 2)
+        assert_no_children()
 
     def test_worker_state_changes_stay_in_worker(self):
         seen = []
-        protocol.map_clients(seen.append, range(4), 2)
+        pool_map(seen.append, range(4), 2)
         assert seen == []
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestClientPool:
+    def test_workers_serve_every_map_until_closed(self):
+        with protocol.ClientPool(lambda i: (boom(i), os.getpid())[1], 2) as pool:
+            first = set(pool.map(range(3), [0.0] * 3))
+            assert set(pool.map(range(3), [0.0] * 3)) == first  # the same two processes
+            assert len(first) == 2 and os.getpid() not in first
+            with pytest.raises(DimensionError):
+                pool.map([3], [1.0])
+            assert set(pool.map(range(3), [0.0] * 3)) == first  # an error keeps the workers
+        assert_no_children()
+
+    def test_costliest_tasks_go_out_first(self, tmp_path):
+        log = tmp_path / "ran"
+        log.write_text("")
+
+        def run(i):
+            if i == 2:  # the costliest task holds its worker until the others ran
+                deadline = time.monotonic() + 60
+                while len(log.read_text().split()) < 5 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+            with open(log, "a") as fh:
+                fh.write(f"{i}\n")
+            return i
+
+        costs = [3.0, 1.0, 9.0, 2.0, 8.0, 3.0]
+        assert pool_map(run, range(6), 2, costs) == list(range(6))
+        # the free worker takes each next task, costliest first, ties in task order
+        assert log.read_text().split() == ["4", "0", "5", "3", "1", "2"]
+
+
+class TestRunReapsWorkers:
+    """`runner.run` forks its pool once and leaves no process behind,
+    however the run ends."""
+
+    def test_normal_end(self, tmp_path):
+        runner.run(small_cfg(tmp_path, workers=2))
+        assert_no_children()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_numeric_error(self, tmp_path):
+        with pytest.raises(NumericError):
+            runner.run(small_cfg(tmp_path, workers=2, lr=1e6, rounds=4))
+        assert_no_children()
+
+    @pytest.mark.parametrize("owner, hook", [(protocol.FederatedMethod, "run_round"),
+                                             (protocol.DecomposedFL, "aggregate")])
+    def test_error_raised_in_round_0(self, tmp_path, monkeypatch, owner, hook):
+        # run_round raising at once is the benchmark's set-up probe; aggregate
+        # raises after the pool has forked for training
+        def stop(*args, **kwargs):
+            raise Stop
+
+        monkeypatch.setattr(owner, hook, stop)
+        with pytest.raises(Stop):
+            runner.run(small_cfg(tmp_path, workers=2))
+        assert_no_children()
+
+    def test_three_rounds_fork_twice(self, tmp_path):
+        out = python(f"""
+            import os
+            from padfl import config, runner
+            forks, real_fork = [], os.fork
+            os.fork = lambda: forks.append(1) or real_fork()
+            cfg = config.parse_config({SMALL!r})
+            cfg.rounds, cfg.workers, cfg.out_dir = 3, 2, "run"
+            runner.run(cfg)
+            print(len(forks))
+        """, PINNED, cwd=tmp_path)
+        assert out.split() == ["2"]
 
 
 class TestGenerationCache:
