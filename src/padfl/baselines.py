@@ -12,7 +12,6 @@ from . import autodiff as ad
 from .model import Layout, PlainModel, init_plain, plain_accuracy, plain_logits_t
 from .protocol import (
     TAG_INIT,
-    ClientRow,
     FederatedMethod,
     coverage_mean,
     sgd,
@@ -36,19 +35,15 @@ class DenseMethod(FederatedMethod):
         model = init_plain(self.layout, width, rng)
         return PlainModel.from_arrays([a.astype(self.dtype) for a in model.arrays()], width)
 
-    def train_client(self, t, i, eta, model):
+    def train_client(self, t, i, model):
         return plain_sgd(model, self.layout, self.profiles[i].data,
-                         epochs=self.cfg.epochs, batch=self.cfg.batch, lr=eta,
+                         epochs=self.cfg.epochs, batch=self.cfg.batch, lr=self.eta(t),
                          rng=self.client_rng(t, i))
 
-    def evaluate_client(self, i, train_loss, model, local):
-        profile = self.profiles[i]
-        xv, yv = profile.data.val_xy()
-        xt, yt = profile.data.test_xy()
-        return ClientRow(profile.id, profile.capacity, model.width, train_loss,
-                         plain_accuracy(self.layout, model, xv, yv),
-                         plain_accuracy(self.layout, model, xt, yt),
-                         float("nan"))
+    def evaluate_client(self, i, model, local):
+        data = self.profiles[i].data
+        return (plain_accuracy(self.layout, model, *data.val_xy()),
+                plain_accuracy(self.layout, model, *data.test_xy()), float("nan"))
 
 
 def nested_keys(layout: Layout, p) -> list:
@@ -99,5 +94,5 @@ class LocalOnly(DenseMethod):
     def aggregate(self, models):
         self.models.update(models)
 
-    def round_payload(self, selected):
+    def round_payload(self, payloads):
         return 0  # nothing leaves a client

@@ -9,7 +9,7 @@ import os
 import sys
 
 from .config import BLAS_THREAD_VARS, load_config
-from .errors import NumericError, PadflError
+from .errors import FormatError, NumericError, PadflError
 
 
 def _resolve_out(cfg):
@@ -70,7 +70,8 @@ def main(argv=None):
         return 3
     except (PadflError, FileNotFoundError, FileExistsError, IsADirectoryError,
             NotADirectoryError, PermissionError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+        kind = "input" if isinstance(exc, FormatError) else "configuration"
+        print(f"{kind} error: {exc}", file=sys.stderr)
         return 2
     return 0
 

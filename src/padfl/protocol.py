@@ -12,24 +12,24 @@ grid: every mix is recovered and scored in one stacked forward (memory:
 grid size times one model's working set), ties go to the smallest
 alpha, the received model's side, and only the selected mix is tested.
 
-Every method fills in `FederatedMethod`'s hooks alike: `sent(i)` is the
-model client i starts from, a round's payload is the size of what `sent`
-gives the selected clients, and a method keeps its own per-client
-models, so `ClientProfile` records are inputs that no method writes.
+`FederatedMethod.run_round` owns the round: it builds each phase's
+`sent(i)` once and writes every `ClientRow`. Each other hook owns one
+client or the server step, and a method keeps its own per-client models,
+so `ClientProfile` records are inputs that no method writes.
 
 Models are kept, sent, trained and evaluated in the dtype of the
 dataset's features (float32 from the loaders); the hyper-network runs in
 float64, and `DecomposedFL.prepare` is the one place its output is cast
 to the models' dtype.
 
-Sampling, aggregation, the hyper-network step and every `sent(i)` run in
-the calling process. Per-client training and evaluation are tasks that
-can run on a `ClientPool` of worker processes forked once per run: a
-task carries client i's `sent(i)` (and, for evaluation, its last trained
-model), the workers only read the state they inherited, and results are
-reduced in client-id order. Every client's random stream derives from
-(seed, round, client), so a round's outcome does not depend on the
-number of workers or on which worker ran which client.
+Sampling, each phase's `sent(i)`, aggregation and the hyper-network step
+run in the calling process. Per-client training and evaluation are tasks
+that can run on a `ClientPool` of worker processes forked once per run:
+a task carries client i's `sent(i)` (and, for evaluation, its last
+trained model), the workers only read the state they inherited, and
+results are reduced in client-id order. Every client's random stream
+derives from (seed, round, client), so a round's outcome does not depend
+on the number of workers or on which worker ran which client.
 """
 from __future__ import annotations
 
@@ -228,7 +228,7 @@ class RoundMetrics:
     mean_test: float
     params_exchanged: int
     hn_loss: float = float("nan")
-    # wall seconds of the phases: generation (both `prepare` calls),
+    # wall seconds of the phases: generation (building both phases' `sent(i)`),
     # training, aggregate (with the hyper-network step), evaluation
     gen_s: float = float("nan")
     train_s: float = float("nan")
@@ -364,8 +364,6 @@ class FederatedMethod:
     """Round-loop skeleton shared by the decomposed protocol and baselines.
     Every random stream derives from `cfg.seed`."""
 
-    last_hn_loss = float("nan")  # the hyper-network's last loss; nan without one
-
     def __init__(self, profiles, layout: Layout, cfg):
         self.profiles = profiles
         self.layout = layout
@@ -391,43 +389,45 @@ class FederatedMethod:
     def run_round(self, t, pool=None) -> RoundMetrics:
         """Sample, train and aggregate, then evaluate every client; the
         per-client phases are `pool`'s tasks (a `ClientPool` serving
-        `self.serve`), or run in this process without one. Records each
-        phase's wall seconds."""
+        `self.serve`), or run in this process without one. Builds each
+        phase's `sent(i)` once and every client's row, and times each phase."""
         pool = pool or ClientPool(self.serve, 1)
         selected = self.sample_clients(self.cfg.per_round)
-        eta = self.eta(t)
         started = time.perf_counter()
-        self.prepare()
-        prepared_at = time.perf_counter()
-        trained = pool.map([("train_client", t, i, eta, self.sent(i)) for i in selected],
+        payloads = [self.sent(i) for i in selected]
+        built_at = time.perf_counter()
+        trained = pool.map([("train_client", t, i, m) for i, m in zip(selected, payloads)],
                            [self.costs[i] for i in selected])
         trained_at = time.perf_counter()
+        exchanged = self.round_payload(payloads)
+        del payloads  # freed before aggregation: held longer, they raise the peak RSS
         models = {i: m for i, (m, _) in zip(selected, trained) if m is not None}
         losses = {i: loss for i, (_, loss) in zip(selected, trained)}
         failed = [i for i in selected if i not in models]
         if not models:
             raise NumericError(f"every client failed in round {t}")
-        self.aggregate(models)
+        hn_loss = self.aggregate(models)
         aggregated_at = time.perf_counter()
-        self.prepare()
-        reprepared_at = time.perf_counter()
-        rows = pool.map([("evaluate_client", i, losses.get(i, float("nan")), self.sent(i),
-                          self.local.get(i)) for i in range(len(self.profiles))], self.costs)
+        received = [self.sent(p.id) for p in self.profiles]
+        rebuilt_at = time.perf_counter()
+        scores = pool.map([("evaluate_client", p.id, m, self.local.get(p.id))
+                           for p, m in zip(self.profiles, received)], self.costs)
         evaluated_at = time.perf_counter()
-        tests = np.array([r.test_acc for r in rows])
-        vals = np.array([r.val_acc for r in rows])
+        rows = [ClientRow(p.id, p.capacity, m.width, losses.get(p.id, float("nan")), *score)
+                for p, m, score in zip(self.profiles, received, scores)]
         return RoundMetrics(
-            round=t, eta=eta, selected=selected, failed=failed, rows=rows,
-            mean_val=float(vals.mean()), mean_test=float(tests.mean()),
-            params_exchanged=self.round_payload(selected),
-            hn_loss=self.last_hn_loss,
-            gen_s=(prepared_at - started) + (reprepared_at - aggregated_at),
-            train_s=trained_at - prepared_at, server_s=aggregated_at - trained_at,
-            eval_s=evaluated_at - reprepared_at)
+            round=t, eta=self.eta(t), selected=selected, failed=failed, rows=rows,
+            mean_val=float(np.mean([r.val_acc for r in rows])),
+            mean_test=float(np.mean([r.test_acc for r in rows])),
+            params_exchanged=exchanged,
+            hn_loss=float("nan") if hn_loss is None else hn_loss,
+            gen_s=(built_at - started) + (rebuilt_at - aggregated_at),
+            train_s=trained_at - built_at, server_s=aggregated_at - trained_at,
+            eval_s=evaluated_at - rebuilt_at)
 
-    def round_payload(self, selected) -> int:
-        """Floats sent this round: the sizes of `sent(i)` of the selected i."""
-        return sum(a.size for i in selected for a in self.sent(i).arrays())
+    def round_payload(self, payloads) -> int:
+        """Floats sent this round: the sizes of the training payloads."""
+        return sum(a.size for m in payloads for a in m.arrays())
 
     def serve(self, task):
         """Run one per-client task, (hook name, *arguments): what a
@@ -436,28 +436,25 @@ class FederatedMethod:
         return getattr(self, hook)(*args)
 
     # method-specific hooks
-    def prepare(self):
-        """Compute what `sent` reads for the next client phase, in the
-        calling process."""
-
     def sent(self, i):
-        """The model client i starts from this round; evaluation reads it too."""
+        """The model client i starts from; after aggregation, the one it is evaluated with."""
         raise NotImplementedError
 
-    def train_client(self, t, i, eta, model) -> tuple:
+    def train_client(self, t, i, model) -> tuple:
         """(trained model, or None if training failed; mean loss) of
-        client i in round t, trained from `model`, its `sent(i)`. Reads no
-        state that a round changes."""
+        client i in round t, trained from `model`, its `sent(i)`, at
+        learning rate `self.eta(t)`. Reads no state that a round changes."""
         raise NotImplementedError
 
     def aggregate(self, models):
-        """Fold in the trained models, {client id: model} in id order."""
+        """Fold in the trained models, {client id: model} in id order;
+        the hyper-network step's loss, or None without one."""
         raise NotImplementedError
 
-    def evaluate_client(self, i, train_loss, model, local) -> ClientRow:
-        """Client i's row, from `model`, its `sent(i)`, and `local`, its
-        entry in `self.local` or None; train_loss is nan unless it trained
-        this round. Reads no state that a round changes."""
+    def evaluate_client(self, i, model, local) -> tuple:
+        """(val_acc, test_acc, alpha_selected) of client i, from `model`,
+        its `sent(i)`, and `local`, its entry in `self.local` or None.
+        Reads no state that a round changes."""
         raise NotImplementedError
 
 
@@ -487,6 +484,7 @@ class DecomposedFL(FederatedMethod):
         self.generated = None  # every client's generated parameters, cut from the graph
 
     def prepare(self):
+        """Generate every client's personal parameters once per hyper-network state."""
         if self.generated is None:
             nodes, outputs = hypernet.generation_graph(self.hn)
             # the hyper-network runs in float64; this is the one cast of
@@ -507,12 +505,12 @@ class DecomposedFL(FederatedMethod):
             personal = self.generated[i]
         return replace(personal, general=self.general)
 
-    def train_client(self, t, i, eta, model):
+    def train_client(self, t, i, model):
         profile = self.profiles[i]
         sliced = self.global_head.sliced(self.layout.head_in(profile.width))
         return local_update(
             model, sliced, profile, self.layout,
-            epochs=self.cfg.epochs, batch=self.cfg.batch, lr=eta,
+            epochs=self.cfg.epochs, batch=self.cfg.batch, lr=self.eta(t),
             reg_coef=self.cfg.reg_lambda, rng=self.client_rng(t, i))
 
     def aggregate(self, models):
@@ -521,16 +519,14 @@ class DecomposedFL(FederatedMethod):
         self.local.update(models)
         if self.hn_aggregation:
             self.prepare()
-            self.hn, self.last_hn_loss = hypernet.hn_step(
-                self.graph, models, self.layout, self.cfg.hn_lr)
+            self.hn, loss = hypernet.hn_step(self.graph, models, self.layout, self.cfg.hn_lr)
             self.graph = self.generated = None
+            return loss
 
-    def evaluate_client(self, i, train_loss, model, local):
-        profile = self.profiles[i]
-        p = profile.width
-        head = self.global_head.sliced(self.layout.head_in(p))
-        received = replace(model, head_w=head.w, head_b=head.b)
+    def evaluate_client(self, i, model, local):
+        data = self.profiles[i].data
+        head = self.global_head.sliced(self.layout.head_in(model.width))
         alpha, val_acc, test_acc = select_test_model(
-            received, local, profile.data.val_xy(),
-            profile.data.test_xy(), self.layout, grid_size=self.cfg.alpha_grid)
-        return ClientRow(profile.id, profile.capacity, p, train_loss, val_acc, test_acc, alpha)
+            replace(model, head_w=head.w, head_b=head.b), local, data.val_xy(),
+            data.test_xy(), self.layout, grid_size=self.cfg.alpha_grid)
+        return val_acc, test_acc, alpha

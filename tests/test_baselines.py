@@ -35,7 +35,7 @@ class TestFedAvgMinWidth:
         start = plain_copy(method.model)
         selected = method.sample_clients(1)
         i = selected[0]
-        trained, _ = method.train_client(0, i, cfg.lr, method.sent(i))
+        trained, _ = method.train_client(0, i, method.sent(i))
         method.aggregate({i: trained})
         # aggregate of one client is exactly that client's model
         for a, b in zip(method.model.arrays(), trained.arrays()):
@@ -289,4 +289,4 @@ class TestGeometry:
         cfg, _, fl = self.build(method)
         assert len({p.width for p in fl.profiles}) > 1
         for i in range(cfg.clients):
-            assert fl.round_payload([i]) == sum(a.size for a in fl.sent(i).arrays())
+            assert fl.round_payload([fl.sent(i)]) == sum(a.size for a in fl.sent(i).arrays())

@@ -682,6 +682,28 @@ class TestCliEntry:
         assert f"{run_dir / 'metrics.csv'}: line 2: round -5" in capsys.readouterr().err
         assert not (tmp_path / "rep" / "curves.svg").exists()
 
+    def test_report_malformed_metrics_is_an_input_error(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "metrics.csv").write_text(
+            runner.CSV_HEADER + "\n0,0,0.5,1/2,nan,0.5,bogus,nan\n")
+        assert cli_main(["report", str(run_dir), "-o", str(tmp_path / "rep")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {run_dir / 'metrics.csv'}: line 2: "), err
+
+    def test_truncated_idx_is_an_input_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(SMALL)
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        images.write_bytes(struct.pack(">IIII", 0x00000803, 200, 8, 8) + bytes(100))
+        labels.write_bytes(struct.pack(">II", 0x00000801, 200) + bytes(200))
+        code = cli_main(["run", str(cfg_path), "--set", f"out_dir={tmp_path / 'r'}",
+                         "--set", "dataset=idx", "--set", f"idx_images={images}",
+                         "--set", f"idx_labels={labels}"])
+        assert code == 2
+        assert capsys.readouterr().err == f"input error: {images}: truncated at byte offset 116\n"
+        assert not (tmp_path / "r").exists()
+
     def test_single_class_idx_labels_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.cfg"
         cfg_path.write_text(SMALL)

@@ -61,6 +61,16 @@ def test_benchpairs_writes_one_pair(tmp_path):
     for name in ("final_test_acc", "params_per_round", "client_ok_frac"):
         assert parent[0][name] == change[0][name]
         assert entry["summary"][name]["change_better_pairs"] == 0
+        assert entry["summary"][name]["within_bound"] == "yes"
     round_s = entry["summary"]["round_s"]
     assert round_s["parent"]["median"] == round_s["parent"]["q1"] == parent[0]["round_s"]
     assert isinstance(round_s["nine_in_ten"], bool)
+    assert round_s["bound"] == 0.24 and round_s["within_bound"] in ("yes", "no")
+    # the no-regression rule on a parent with median 1 and spread 0.1
+    parent_runs = [0.9, 0.95, 1.0, 1.05, 1.1]
+    assert tool.within_bound(parent_runs, [1.2] * 5, "lower", 0.24) == "yes"
+    assert tool.within_bound(parent_runs, [1.3] * 5, "lower", 0.24) == "no"
+    assert tool.within_bound(parent_runs, [0.7] * 5, "higher", 0.24) == "no"
+    assert tool.within_bound(parent_runs, [1.3] * 5, "lower", 0.05) == "unresolved"
+    assert tool.within_bound(parent_runs, [0.85] * 5, "lower", 0.05) == "yes"
+    assert tool.within_bound(parent_runs, [1.15] * 5, "higher", 0.05) == "yes"

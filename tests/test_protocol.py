@@ -385,6 +385,18 @@ class TestPayload:
         expect = 0 if method == "LocalOnly" else sum(sizes[i] for i in metrics.selected)
         assert metrics.params_exchanged == expect
 
+    @pytest.mark.parametrize("method", ["Pa3dFL", "Pa3dFL_NoHNAgg", "PWidthNested", "LocalOnly"])
+    def test_one_sent_per_task(self, method, monkeypatch):
+        # one sent(i) per training task and one per evaluation task: the
+        # payload is counted from the training ones, not built again
+        profiles, built = conv48_method(method, 5, per_round=3)
+        calls, sent = [], built.sent
+        monkeypatch.setattr(built, "sent", lambda i: calls.append(i) or sent(i))
+        for t in range(2):
+            calls.clear()
+            metrics = built.run_round(t)
+            assert sorted(calls) == sorted(metrics.selected + [p.id for p in profiles])
+
 
 def conv48_method(method, data_seed, profiles=None, **overrides):
     """(profiles, method built by the runner) on `small_setup(data_seed)`'s

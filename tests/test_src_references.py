@@ -9,8 +9,10 @@ recovery kind: the rest of the package asks its `LayerSpec`. A config
 is validated at one boundary: only `runner.run` and `report.account` call
 `.finalize()`, and only `RunConfig.finalize` calls `validate`. A
 `key = value` item is parsed by one rule: only `config._assign` splits on
-"=". And shared arrays are averaged by one rule: only the two `aggregate`
-methods that average call `coverage_mean`."""
+"=". Shared arrays are averaged by one rule: only the two `aggregate`
+methods that average call `coverage_mean`. And a client's metrics.csv row
+is built in one place: only `FederatedMethod.run_round` constructs a
+`ClientRow`; the hooks return its parts."""
 import ast
 import graphlib
 from pathlib import Path
@@ -136,6 +138,10 @@ def test_config_is_validated_at_one_boundary():
 def test_shared_arrays_are_averaged_by_one_rule():
     assert callers("coverage_mean") == {("protocol", "DecomposedFL.aggregate"),
                                         ("baselines", "PWidthNested.aggregate")}
+
+
+def test_client_rows_are_built_in_one_place():
+    assert callers("ClientRow") == {("protocol", "FederatedMethod.run_round")}
 
 
 def equals_splitters():

@@ -215,14 +215,14 @@ class TestGenerationCache:
 
         def recording(models):
             seen.append((method.hn, models))
-            aggregate(models)
+            return aggregate(models)
 
         method.aggregate = recording
-        method.run_round(0)
+        metrics = method.run_round(0)
         (before, models), = seen
         fresh, loss = hypernet.hn_step(hypernet.generation_graph(before), models, layout,
                                        cfg.hn_lr)
-        assert loss == method.last_hn_loss
+        assert loss == metrics.hn_loss
         for a, b in zip(method.hn.arrays(), fresh.arrays()):
             assert a.tobytes() == b.tobytes()
 

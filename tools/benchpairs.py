@@ -12,10 +12,19 @@ in both checkouts back to back; the parent goes first in even pairs and
 the change in odd ones. Every run's end-to-end metrics (the last line
 run.py prints) are kept. Per metric the file holds each side's median and
 quartiles (linear interpolation, as numpy.percentile), the pairs the
-change wins, the change/parent ratio of each pair and the verdict of the
-9-in-10 rule: the change is better in at least 9 of every 10 pairs, and
-the medians differ in its favour by more than the parent's inter-quartile
-range. Which direction is better comes from BENCHMARK.json in CHANGE.
+change wins, the change/parent ratio of each pair and two verdicts:
+
+- `nine_in_ten`, for a claimed gain: the change is better in at least 9
+  of every 10 pairs, and the medians differ in its favour by more than
+  the parent's inter-quartile range;
+- `within_bound`, for no regression: `yes` if the change's median is
+  worse than the parent's by at most the metric's `bound` (a fraction of
+  the parent's median), else `no`; `unresolved` if the parent's
+  inter-quartile range is wider than the bound, unless every change run
+  is better than every parent run (then `yes`).
+
+Which direction is better, and each bound, come from BENCHMARK.json in
+CHANGE.
 
 If OUT exists, the workload's entry is added to it, or replaced, and the
 other workloads are kept, so one file can collect several invocations.
@@ -55,8 +64,22 @@ def quartiles(values):
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
-def summarize(parent, change, better):
-    """Per-side median and quartiles, pair wins and the 9-in-10 verdict."""
+def within_bound(parent, change, better, bound):
+    """'yes', 'no' or 'unresolved': the no-regression verdict of one metric
+    whose change median may be worse than the parent's by bound * |parent
+    median| (see the module docstring)."""
+    q1p, medp, q3p = quartiles(parent)
+    sign = 1 if better == "lower" else -1
+    if all(sign * (p - c) > 0 for p in parent for c in change):
+        return "yes"
+    allowed = bound * abs(medp)
+    if q3p - q1p > allowed:
+        return "unresolved"
+    return "yes" if sign * (statistics.median(change) - medp) <= allowed else "no"
+
+
+def summarize(parent, change, better, bound):
+    """Per-side median and quartiles, pair wins and both verdicts."""
     q1p, medp, q3p = quartiles(parent)
     q1c, medc, q3c = quartiles(change)
     sign = 1 if better == "lower" else -1
@@ -71,6 +94,8 @@ def summarize(parent, change, better):
         "pair_ratios": [c / p if p else None for p, c in zip(parent, change)],
         "nine_in_ten": (wins >= math.ceil(0.9 * len(parent))
                         and sign * (medp - medc) > q3p - q1p),
+        "bound": bound,
+        "within_bound": within_bound(parent, change, better, bound),
     }
 
 
@@ -90,7 +115,8 @@ def pairs(parent, change, workload, n, seed, seconds, log=sys.stderr):
             f"{side} round_s {runs[side][-1].get('round_s', float('nan')):.4f}"
             for side in ("parent", "change")), file=log, flush=True)
     summary = {m["name"]: summarize([r[m["name"]] for r in runs["parent"]],
-                                    [r[m["name"]] for r in runs["change"]], m["better"])
+                                    [r[m["name"]] for r in runs["change"]], m["better"],
+                                    m["bound"])
                for m in declared if all(m["name"] in r for rs in runs.values() for r in rs)}
     return {
         "seed": seed, "pairs": n, "seconds": seconds, "first": first,
@@ -127,6 +153,10 @@ def main(argv=None):
                  "in even pairs and the change in odd ones",
         "rule": "nine_in_ten: the change is better in >= 9 of 10 pairs, and the medians "
                 "differ in its favour by more than the parent's inter-quartile range",
+        "no_regression": "within_bound: yes if the change median is worse than the parent "
+                          "median by at most bound * |parent median|, else no; unresolved "
+                          "if the parent's inter-quartile range exceeds that, unless every "
+                          "change run is better than every parent run",
     }
     bench["workloads"][args.workload] = entry
     with open(args.out, "w") as fh:
@@ -135,7 +165,8 @@ def main(argv=None):
     for name, s in entry["summary"].items():
         print(f"{args.workload} {name}: parent {s['parent']['median']:.6g} "
               f"change {s['change']['median']:.6g}, change better in "
-              f"{s['change_better_pairs']}/{args.pairs}, 9-in-10 {s['nine_in_ten']}")
+              f"{s['change_better_pairs']}/{args.pairs}, 9-in-10 {s['nine_in_ten']}, "
+              f"within bound {s['within_bound']}")
     return 0 if entry["all_correct"] else 1
 
 
