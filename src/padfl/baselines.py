@@ -79,20 +79,16 @@ class PWidthNested(DenseMethod):
 
 class LocalOnly(DenseMethod):
     """No federation: every client trains its own width-matched dense
-    model whenever it is sampled."""
+    model, kept in `local`, whenever it is sampled."""
 
     def __init__(self, profiles, layout, cfg):
         super().__init__(profiles, layout, cfg)
-        self.models = {}
         for p in profiles:
             rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, TAG_INIT, p.id)))
-            self.models[p.id] = self.init_model(p.width, rng)
+            self.local[p.id] = self.init_model(p.width, rng)
 
     def sent(self, i):
-        return self.models[i]
-
-    def aggregate(self, models):
-        self.models.update(models)
+        return self.local[i]
 
     def round_payload(self, payloads):
         return 0  # nothing leaves a client

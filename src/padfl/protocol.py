@@ -13,9 +13,10 @@ grid size times one model's working set), ties go to the smallest
 alpha, the received model's side, and only the selected mix is tested.
 
 `FederatedMethod.run_round` owns the round: it builds each phase's
-`sent(i)` once and writes every `ClientRow`. Each other hook owns one
-client or the server step, and a method keeps its own per-client models,
-so `ClientProfile` records are inputs that no method writes.
+`sent(i)` once and writes every `ClientRow`, and the base `aggregate`
+alone writes `local`, each client's own last trained model. Each other
+hook owns one client or the server step, and a method keeps its own
+per-client state, so `ClientProfile` records are inputs no method writes.
 
 Models are kept, sent, trained and evaluated in the dtype of the
 dataset's features (float32 from the loaders); the hyper-network runs in
@@ -373,7 +374,7 @@ class FederatedMethod:
         self.server_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, TAG_SERVER)))
         # a client's training and evaluation cost grows with width^2 and its data
         self.costs = [float(p.width) ** 2 * len(p.data.train_idx) for p in profiles]
-        self.local = {}  # client id -> last trained model, for methods that fuse with it
+        self.local = {}  # client id -> its own last trained model
 
     def client_rng(self, t, client_id):
         return np.random.default_rng(
@@ -448,8 +449,9 @@ class FederatedMethod:
 
     def aggregate(self, models):
         """Fold in the trained models, {client id: model} in id order;
-        the hyper-network step's loss, or None without one."""
-        raise NotImplementedError
+        the hyper-network step's loss, or None without one. Here: keep
+        each as its client's own model in `self.local`."""
+        self.local.update(models)
 
     def evaluate_client(self, i, model, local) -> tuple:
         """(val_acc, test_acc, alpha_selected) of client i, from `model`,
@@ -460,7 +462,6 @@ class FederatedMethod:
 
 class DecomposedFL(FederatedMethod):
     """The decomposed protocol with hyper-network personal aggregation.
-    `local` maps a client id to its last trained model.
 
     hn_aggregation=False is the no-aggregation ablation: personal
     parameters stay client-local after the first contact. The FLANC
@@ -480,20 +481,21 @@ class DecomposedFL(FederatedMethod):
         self.global_head = LinearMap(head.w.astype(self.dtype), head.b.astype(self.dtype))
         self.hn = hypernet.init_hypernet(
             layout, len(profiles), cfg.hn_embed, cfg.hn_hidden, cfg.hn_depth, init_rng)
-        self.graph = None      # generation_graph of self.hn, for hn_step to differentiate
-        self.generated = None  # every client's generated parameters, cut from the graph
+        self.generation = None  # prepare()'s cache for the current self.hn
 
     def prepare(self):
-        """Generate every client's personal parameters once per hyper-network state."""
-        if self.generated is None:
+        """(generation_graph of self.hn for hn_step to differentiate, or None
+        for the ablation, which never steps; {client id: its generated
+        personal parameters, cut from the graph}), built once per state."""
+        if self.generation is None:
             nodes, outputs = hypernet.generation_graph(self.hn)
             # the hyper-network runs in float64; this is the one cast of
             # what it generates into the clients' dtype
             flat = [f.data.astype(self.dtype, copy=False) for f in outputs]
-            self.generated = {p.id: hypernet.generate_personal(flat, p.id, self.layout, p.width)
-                              for p in self.profiles}
-            # only the hyper-network step reads the graph; the ablation never steps
-            self.graph = (nodes, outputs) if self.hn_aggregation else None
+            self.generation = ((nodes, outputs) if self.hn_aggregation else None,
+                               {p.id: hypernet.generate_personal(flat, p.id, self.layout, p.width)
+                                for p in self.profiles})
+        return self.generation
 
     def sent(self, i) -> ClientModel:
         """The current general factors with client i's generated personal
@@ -501,8 +503,7 @@ class DecomposedFL(FederatedMethod):
         trained ones."""
         personal = self.local.get(i)
         if self.hn_aggregation or personal is None:
-            self.prepare()
-            personal = self.generated[i]
+            personal = self.prepare()[1][i]
         return replace(personal, general=self.general)
 
     def train_client(self, t, i, model):
@@ -516,11 +517,11 @@ class DecomposedFL(FederatedMethod):
     def aggregate(self, models):
         full = [...] * len(self.general)
         self.general = coverage_mean(self.general, [(full, m.general) for m in models.values()])
-        self.local.update(models)
+        super().aggregate(models)
         if self.hn_aggregation:
-            self.prepare()
-            self.hn, loss = hypernet.hn_step(self.graph, models, self.layout, self.cfg.hn_lr)
-            self.graph = self.generated = None
+            self.hn, loss = hypernet.hn_step(self.prepare()[0], models, self.layout,
+                                             self.cfg.hn_lr)
+            self.generation = None
             return loss
 
     def evaluate_client(self, i, model, local):

@@ -39,7 +39,7 @@ class RunRecord:
     config: RunConfig
     rounds: list          # RoundMetrics per completed round
     status: str           # ok | failed
-    early_stopped: bool
+    early_stopped: bool   # ok, with fewer than config.rounds rounds completed
     wall_time: float
 
 
@@ -124,18 +124,17 @@ def run(cfg: RunConfig) -> RunRecord:
         # patience at rounds + 1 keeps int() finite and makes `stale` never fire
         stale = max(1, int(round(min(cfg.patience_frac * cfg.rounds, cfg.rounds + 1))) - 1)
     rounds = []
-    early = False
     try:
         with protocol.ClientPool(method.serve, min(cfg.workers, cfg.clients)) as pool:
             for t in range(cfg.rounds):
                 rounds.append(method.run_round(t, pool))
                 if stale and protocol.early_stop([m.mean_val for m in rounds], stale):
-                    early = True
                     break
     except NumericError:
-        persist(RunRecord(cfg, rounds, "failed", early, time.monotonic() - started))
+        persist(RunRecord(cfg, rounds, "failed", False, time.monotonic() - started))
         raise
-    record = RunRecord(cfg, rounds, "ok", early, time.monotonic() - started)
+    # a stop that fires after the last round cuts nothing short
+    record = RunRecord(cfg, rounds, "ok", len(rounds) < cfg.rounds, time.monotonic() - started)
     persist(record)
     return record
 

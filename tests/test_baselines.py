@@ -131,12 +131,12 @@ class TestLocalOnly:
     def test_unselected_models_untouched(self):
         cfg, layout, profiles = small_setup(seed=14)
         method = baselines.LocalOnly(profiles, layout, cfg)
-        snaps = {i: [a.copy() for a in method.models[i].arrays()]
-                 for i in method.models}
+        snaps = {i: [a.copy() for a in method.local[i].arrays()]
+                 for i in method.local}
         m = method.run_round(0)
         for i in range(len(profiles)):
             same = all(np.array_equal(a, b) for a, b in
-                       zip(method.models[i].arrays(), snaps[i]))
+                       zip(method.local[i].arrays(), snaps[i]))
             assert same == (i not in m.selected)
 
 
@@ -161,7 +161,8 @@ class TestAblationWiring:
                 assert np.array_equal(x, y)
         assert np.isnan(mb.hn_loss)
         assert not np.isnan(ma.hn_loss)
-        assert ablated.generated is not None and ablated.graph is None  # no step to feed
+        graph, generated = ablated.generation
+        assert generated is not None and graph is None  # no step to feed
 
     def test_no_hn_agg_keeps_personal_local(self):
         cfg, layout, profiles = small_setup(seed=16)

@@ -229,8 +229,8 @@ class TestComputeDtype:
     def model_arrays(method):
         """Every model array a method sends or keeps."""
         arrays = [a for i in range(len(method.profiles)) for a in method.sent(i).arrays()]
+        arrays += [a for m in method.local.values() for a in m.arrays()]
         if isinstance(method, protocol.DecomposedFL):
-            arrays += [a for m in method.local.values() for a in m.arrays()]
             arrays += [method.global_head.w, method.global_head.b]
         return arrays
 
@@ -493,6 +493,23 @@ class TestCliEntry:
                              "--set", f"patience_frac={frac}"]) == 0
         assert (tmp_path / "1e308" / "metrics.csv").read_bytes() == \
             (tmp_path / "0" / "metrics.csv").read_bytes()
+
+    @pytest.mark.parametrize("fires_at", [3, 1])
+    def test_early_stopped_means_rounds_were_cut(self, tmp_path, capsys, monkeypatch,
+                                                 fires_at):
+        # the stop ends the run after round fires_at - 1 of 3; at the last
+        # round it cuts nothing short
+        monkeypatch.setattr(protocol, "early_stop",
+                            lambda history, stale: len(history) == fires_at)
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(SMALL)
+        assert cli_main(["run", str(cfg_path), "--set", f"out_dir={tmp_path / 'r'}",
+                         "--set", "rounds=3", "--set", "patience_frac=0.5"]) == 0
+        early = fires_at < 3
+        assert ("(early stop)" in capsys.readouterr().out) == early
+        summary = json.loads((tmp_path / "r" / "summary.json").read_text())
+        assert summary["early_stopped"] == early
+        assert summary["rounds_completed"] == fires_at
 
     def test_library_error_exit_2(self, tmp_path):
         # FLANC slabs need conv1's single input channel divisible by 2

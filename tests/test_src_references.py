@@ -12,7 +12,9 @@ is validated at one boundary: only `runner.run` and `report.account` call
 "=". Shared arrays are averaged by one rule: only the two `aggregate`
 methods that average call `coverage_mean`. And a client's metrics.csv row
 is built in one place: only `FederatedMethod.run_round` constructs a
-`ClientRow`; the hooks return its parts."""
+`ClientRow`; the hooks return its parts. A client's own model has one
+store and one writer: outside `__init__` methods, only
+`FederatedMethod.aggregate` writes `self.local`."""
 import ast
 import graphlib
 from pathlib import Path
@@ -109,9 +111,9 @@ def test_import_graph_has_no_cycle():
     graphlib.TopologicalSorter(graph).prepare()
 
 
-def callers(name):
-    """(module, dotted name of the enclosing def) of every call in
-    src/padfl to a function or method named `name`."""
+def enclosing(match):
+    """(module, dotted name of the enclosing def) of every src/padfl node
+    for which match(node) is true."""
     out = set()
 
     def visit(node, module, scope):
@@ -119,15 +121,36 @@ def callers(name):
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}" if scope else child.name
-            if isinstance(child, ast.Call):
-                func = child.func
-                if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
-                    out.add((module, scope))
+            if match(child):
+                out.add((module, scope))
             visit(child, module, inner)
 
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem, "")
     return out
+
+
+def callers(name):
+    """(module, dotted name of the enclosing def) of every call in
+    src/padfl to a function or method named `name`."""
+    return enclosing(lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+
+
+def _is_self_local(node):
+    return (isinstance(node, ast.Attribute) and node.attr == "local"
+            and getattr(node.value, "id", None) == "self")
+
+
+def _writes_self_local(node):
+    """Does node bind, item-assign, delete or call a mutating method on `self.local`?"""
+    if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+        targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [node.target]
+        return any(_is_self_local(getattr(t, "value", None) if isinstance(t, ast.Subscript)
+                                  else t) for t in targets)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("update", "pop", "popitem", "clear", "setdefault")
+            and _is_self_local(node.func.value))
 
 
 def test_config_is_validated_at_one_boundary():
@@ -142,6 +165,13 @@ def test_shared_arrays_are_averaged_by_one_rule():
 
 def test_client_rows_are_built_in_one_place():
     assert callers("ClientRow") == {("protocol", "FederatedMethod.run_round")}
+
+
+def test_clients_own_models_have_one_writer():
+    writers = enclosing(_writes_self_local)
+    assert ("baselines", "LocalOnly.__init__") in writers  # the scan sees item assignment
+    assert {w for w in writers if not w[1].endswith(".__init__")} == \
+        {("protocol", "FederatedMethod.aggregate")}
 
 
 def equals_splitters():
