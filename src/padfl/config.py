@@ -114,10 +114,13 @@ def parse_config(text) -> RunConfig:
 
 
 def load_config(path, overrides=()) -> RunConfig:
-    """The config file, then `--set` overrides, taken verbatim (no comments).
-    Parses only: `runner.run` and `report.account` validate."""
-    with open(path) as fh:
-        cfg = parse_config(fh.read())
+    """The config file, as UTF-8, then `--set` overrides, taken verbatim
+    (no comments). Parses only: `runner.run` and `report.account` validate."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cfg = parse_config(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: byte {exc.start}: not UTF-8") from None
     for item in overrides:
         _assign(cfg, item, f"override {item!r}: ")
     return cfg
@@ -154,8 +157,8 @@ def validate(cfg: RunConfig):
         raise ConfigurationError("reg_lambda must be >= 0")
     if cfg.hn_lr <= 0:
         raise ConfigurationError(f"hn_lr must be > 0, or -1 to use lr; got {cfg.hn_lr}")
-    if not 0 < cfg.min_width <= 1:
-        raise ConfigurationError("min_width must be in (0, 1]")
+    if Fraction(cfg.min_width).numerator != 1:
+        raise ConfigurationError(f"min_width must be 1/n for an integer n, got {cfg.min_width}")
     if cfg.patience_frac < 0:
         raise ConfigurationError("patience_frac must be >= 0")
     if cfg.alpha_grid < 2:
@@ -172,9 +175,13 @@ def validate(cfg: RunConfig):
         raise ConfigurationError(f"synth_classes must be <= {dim}, the C*H*W of synth_shape")
     if not cfg.conv_channels and not cfg.fc_dims:
         raise ConfigurationError("model needs at least one conv or fc layer")
+    n = Fraction(cfg.min_width).denominator  # every width m/n keeps whole channels
     for key in ("conv_channels", "fc_dims"):
         if any(d < 1 for d in getattr(cfg, key)):
             raise ConfigurationError(f"{key} must hold ints >= 1, got {getattr(cfg, key)}")
+        if any(d % n for d in getattr(cfg, key)):
+            raise ConfigurationError(f"{key} must hold multiples of {n} at min_width 1/{n}, "
+                                     f"got {getattr(cfg, key)}")
     if cfg.conv_kernel < 1 or cfg.conv_kernel % 2 == 0:
         raise ConfigurationError("conv_kernel must be odd and >= 1")
     if cfg.hn_embed < 1 or cfg.hn_hidden < 1 or cfg.hn_depth < 0:

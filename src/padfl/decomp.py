@@ -82,13 +82,6 @@ class LayerSpec:
         return out_kept, in_kept // self.base_count
 
 
-def supported_widths(min_width) -> tuple[Fraction, ...]:
-    """The width grid: all multiples of min_width up to 1; `validate`
-    bounds min_width to (0, 1], so the grid is never empty."""
-    mw = Fraction(min_width)
-    return tuple(m * mw for m in range(1, int(1 / mw) + 1))
-
-
 def init_general(spec: LayerSpec, rng):
     """Full-size general factor, entries uniform in +-1/sqrt(S*k^2): with
     `init_personal`'s unit-gain columns, the recovered weight matches a

@@ -75,19 +75,17 @@ def build_layout(in_shape, classes, min_width, convs=(), kernel=3, hidden=(),
     """The one place layer records are made, for (C, H, W) inputs: a k x k
     conv block per entry of `convs` (its output channels), then a linear
     layer per entry of `hidden`, every one in the `recovery` layout.
-    base_count = T * min_width, so every width on the grid keeps a whole
-    number of personal blocks; rank = max(min(S, T), k^2) for conv keeps
-    the general blocks expressive without inflating the linear case, where
-    rank = base_count. Only the first layer reads the raw input. A "flanc"
-    layout with every base_count 1 would recover what "padfl" does."""
-    mw, specs = Fraction(min_width), []
+    `validate` has checked that n divides every T at min_width = 1/n, so
+    base_count = T / n and every width m/n keeps m whole personal blocks;
+    rank = max(min(S, T), k^2) for conv keeps the general blocks
+    expressive without inflating the linear case, where rank = base_count.
+    Only the first layer reads the raw input. A "flanc" layout with every
+    base_count 1 would recover what "padfl" does."""
+    n, specs = Fraction(min_width).denominator, []
 
     def add(kind, t, s, k=1, hw=(1, 1)):
-        r1 = Fraction(t) * mw
-        if r1.denominator != 1:
-            raise ConfigurationError(f"out_channels {t} * min_width {mw} is not an integer")
-        rank = max(min(s, t), k ** 2) if kind == "conv" else int(r1)
-        specs.append(decomp.LayerSpec(kind, t, s, k, int(r1), rank, hw, not specs, recovery))
+        rank = max(min(s, t), k ** 2) if kind == "conv" else t // n
+        specs.append(decomp.LayerSpec(kind, t, s, k, t // n, rank, hw, not specs, recovery))
 
     prev_c, h, w = in_shape
     for ch in convs:

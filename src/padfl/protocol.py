@@ -40,6 +40,7 @@ import signal
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import isqrt
 from multiprocessing.connection import Pipe, wait
 
 import numpy as np
@@ -78,26 +79,24 @@ class ClientProfile:
 
     id: int
     capacity: float                 # affordable fraction of the full model cost
-    width: Fraction                 # largest grid width with width^2 <= capacity
+    width: Fraction                 # m/n, m >= 1 largest with (m/n)^2 <= capacity
     data: ClientData
 
 
-def width_for_capacity(r, grid) -> Fraction:
-    """Largest grid width whose quadratic cost fits the capacity; clients
-    below the smallest width are clamped to it."""
-    num, den = Fraction(r).as_integer_ratio()  # exact, unlike float(p) ** 2
-    best = grid[0]
-    for p in grid:
-        if p.numerator ** 2 * den <= num * p.denominator ** 2:
-            best = p
-    return best
+def width_for_capacity(r, min_width) -> Fraction:
+    """The largest width m/n on the grid of min_width = 1/n whose quadratic
+    cost (m/n)^2 fits the capacity r in (0, 1]; clients below 1/n are
+    clamped to it. Exact: m^2 <= r*n^2 as integers, unlike float(p) ** 2."""
+    num, den = Fraction(r).as_integer_ratio()
+    n = Fraction(min_width).denominator
+    return Fraction(max(1, isqrt(num * n * n // den)), n)
 
 
-def assign_capacities(clients, mode, rng, grid) -> list:
-    """A profile per ClientData in `clients`. Hetero: capacity uniform in
-    [0.01, 1]; Ideal: everyone full-size."""
+def assign_capacities(clients, mode, rng, min_width) -> list:
+    """A profile per ClientData in `clients`, on the grid of min_width.
+    Hetero: capacity uniform in [0.01, 1]; Ideal: everyone full-size."""
     caps = np.ones(len(clients)) if mode == "ideal" else rng.uniform(0.01, 1.0, len(clients))
-    return [ClientProfile(i, float(caps[i]), width_for_capacity(float(caps[i]), grid), cd)
+    return [ClientProfile(i, float(caps[i]), width_for_capacity(float(caps[i]), min_width), cd)
             for i, cd in enumerate(clients)]
 
 
@@ -438,7 +437,8 @@ class FederatedMethod:
 
     # method-specific hooks
     def sent(self, i):
-        """The model client i starts from; after aggregation, the one it is evaluated with."""
+        """The model client i starts from; after aggregation, the one passed
+        to `evaluate_client`, which may change it before scoring."""
         raise NotImplementedError
 
     def train_client(self, t, i, model) -> tuple:

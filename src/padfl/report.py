@@ -13,7 +13,7 @@ import numpy as np
 
 from . import runner
 from .config import RunConfig
-from .decomp import flops_account, supported_widths
+from .decomp import flops_account
 from .errors import ConfigurationError, FormatError
 from .protocol import ClientRow, width_for_capacity
 
@@ -176,10 +176,9 @@ def account(cfg: RunConfig):
     cfg = cfg.finalize()
     layout = runner.configured_layout(
         cfg, None if cfg.dataset == "synth" else runner.build_dataset(cfg))
-    grid = supported_widths(cfg.min_width)
     rows, dropped = [], {}  # width -> (reason, capacities)
     for r in ACCOUNT_RATIOS:
-        p = width_for_capacity(r, grid)
+        p = width_for_capacity(r, cfg.min_width)
         try:
             layout.check(p)
         except ConfigurationError as exc:

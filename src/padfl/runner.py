@@ -26,7 +26,6 @@ import numpy as np
 from . import __version__, baselines, protocol
 from .config import RunConfig
 from .data import load_idx, partition_dirichlet, partition_k_of_k, synth_gaussian
-from .decomp import supported_widths
 from .errors import ConfigurationError, NumericError
 from .model import Layout, build_layout
 
@@ -74,8 +73,7 @@ def configured_layout(cfg: RunConfig, dataset=None) -> Layout:
 
 def build_profiles(cfg: RunConfig, partition):
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, protocol.TAG_CAPACITY)))
-    return protocol.assign_capacities(
-        partition.clients, cfg.capacity, rng, supported_widths(cfg.min_width))
+    return protocol.assign_capacities(partition.clients, cfg.capacity, rng, cfg.min_width)
 
 
 def build_method(cfg: RunConfig, profiles, layout):
@@ -87,9 +85,7 @@ def build_method(cfg: RunConfig, profiles, layout):
         return baselines.PWidthNested(profiles, layout, cfg, min(p.width for p in profiles))
     if cfg.method == "PWidthNested":
         return baselines.PWidthNested(profiles, layout, cfg)
-    if cfg.method == "LocalOnly":
-        return baselines.LocalOnly(profiles, layout, cfg)
-    raise ConfigurationError(f"unknown method {cfg.method!r}")
+    return baselines.LocalOnly(profiles, layout, cfg)
 
 
 def run(cfg: RunConfig) -> RunRecord:

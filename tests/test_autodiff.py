@@ -322,6 +322,36 @@ def test_cross_entropy_gradient_fd():
     assert rel_err(lz.grad, fd[0]) <= 1e-4
 
 
+def _ones(*shape):
+    return ad.const(np.ones(shape))
+
+
+# one call per DimensionError guard, and the words its message must hold
+GUARD_CASES = {
+    "matmul_2d": (lambda: ad.matmul(_ones(3), _ones(3, 2)), "expects 2-D operands"),
+    "conv2d_4d": (lambda: ad.conv2d(_ones(1, 4, 4), _ones(1, 1, 3, 3), 0, _ones(1)),
+                  "expects 4-D input and weight"),
+    "conv2d_square": (lambda: ad.conv2d(_ones(1, 4, 4, 1), _ones(1, 1, 3, 1), 0, _ones(1)),
+                      "kernel must be square"),
+    "conv2d_channels": (lambda: ad.conv2d(_ones(2, 4, 4, 1), _ones(1, 1, 3, 3), 0, _ones(1)),
+                        "channels: input 2, weight 1"),
+    "conv2d_bias": (lambda: ad.conv2d(_ones(1, 4, 4, 1), _ones(1, 1, 3, 3), 0, _ones(2)),
+                    r"bias shape \(2,\), expected \(1,\)"),
+    "maxpool2x2_4d": (lambda: ad.maxpool2x2(_ones(2, 2, 2)), "expects a 4-D tensor"),
+    "cross_entropy_labels": (lambda: ad.cross_entropy(_ones(3, 2), np.zeros(2, dtype=int)),
+                             "one id per row"),
+    "mul_shapes": (lambda: ad.mul(_ones(2), _ones(3)), "mul shapes"),
+    "mul_scalar_0d": (lambda: ad.mul_scalar(_ones(2), _ones(1)), "needs a 0-D tensor"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUARD_CASES))
+def test_shape_guards_raise_dimension_error(name):
+    call, message = GUARD_CASES[name]
+    with pytest.raises(DimensionError, match=message):
+        call()
+
+
 class TestGraphDiscipline:
     def test_backward_never_mutates_forward_values(self):
         rng = np.random.default_rng(13)

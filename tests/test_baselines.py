@@ -7,7 +7,6 @@ import pytest
 from padfl import autodiff as ad
 from padfl import baselines, protocol, runner
 from padfl.config import parse_config
-from padfl.decomp import supported_widths
 from padfl.errors import ConfigurationError
 from padfl.model import (
     PlainModel,
@@ -19,7 +18,7 @@ from padfl.model import (
 )
 
 from test_protocol import small_setup
-from util import plain_copy, reference_plain_logits, rel_err
+from util import plain_copy, reference_plain_logits, rel_err, supported_widths
 
 
 class TestFedAvgMinWidth:

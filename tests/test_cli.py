@@ -51,9 +51,9 @@ def small_cfg(tmp_path, out="run", **kw):
 
 class TestConfig:
     def test_defaults_and_parse(self):
-        cfg = parse_config("lr = 0.1\nconv_channels = 8,8\n").finalize()
+        cfg = parse_config("lr = 0.1\nconv_channels = 16,32\n").finalize()
         assert cfg.lr == 0.1
-        assert cfg.conv_channels == (8, 8)
+        assert cfg.conv_channels == (16, 32)
         assert cfg.hn_lr == cfg.lr  # gamma defaults to the model rate
         assert cfg.batch == 50 and cfg.epochs == 5 and cfg.lr_decay == 0.998
 
@@ -65,18 +65,28 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="line 2"):
             parse_config("lr = 0.1\nrounds = many\n")
 
+    # the messages that do not read "<first key> must"
+    MESSAGES = {"synth_classes = 1": "synth dataset needs >= 2 classes",
+                "dataset = idx": "idx dataset needs idx_images and idx_labels",
+                "conv_channels = ": "model needs at least one conv or fc layer",
+                "hn_depth = -1": "hyper-network dims must be positive"}
+
     @pytest.mark.parametrize("text", [
         "per_round = 30\nclients = 10", "patience_frac = inf", "dirichlet_alpha = inf",
         "hn_lr = inf", "hn_lr = -0.5", "lr = inf", "seed = -1", "capacity = x",
         "alpha_grid = 1", "min_width = 2", "dirichlet_alpha = 0", "per_round = 21",
         "synth_classes = 1", "conv_channels = 0", "fc_dims = 4,0",
         "synth_classes = 65\nsynth_shape = 1,8,8",
+        "method = x", "dataset = x", "dataset = idx", "partition = x", "clients = 0",
+        "rounds = -1", "epochs = 0", "lr = 0", "reg_lambda = -1", "patience_frac = -1",
+        "workers = 0", "synth_shape = 1,8", "conv_channels = ", "conv_kernel = 2",
+        "hn_depth = -1", "min_width = 3/10\nconv_channels = 10,10\ncapacity = ideal",
+        "min_width = 0", "conv_channels = 10,16", "fc_dims = 8",
     ], ids=lambda text: text.replace(" ", "").replace("\n", ","))
     def test_out_of_range_rejected(self, tmp_path, text):
         """`runner.run` rejects the config before it creates `out_dir`."""
         key = text.split()[0]
-        match = "synth dataset needs >= 2 classes" if text == "synth_classes = 1" \
-            else rf"\b{key} must"
+        match = self.MESSAGES.get(text, rf"\b{key} must")
         out_dir = tmp_path / "run"
         with pytest.raises(ConfigurationError, match=match):
             runner.run(dataclasses.replace(parse_config(text), out_dir=str(out_dir)))
@@ -439,7 +449,8 @@ class TestAccount:
 
     @pytest.mark.parametrize("overrides", [
         ["conv_channels=0"], ["fc_dims=4,0"], ["synth_shape=1,8,8", "synth_classes=65"],
-    ], ids=["conv_channels", "fc_dims", "synth_classes"])
+        ["conv_channels=10,10", "capacity=ideal", "min_width=3/10"],
+    ], ids=["conv_channels", "fc_dims", "synth_classes", "min_width"])
     def test_out_of_range_exit_2(self, capsys, overrides):
         """`padfl account` rejects what `padfl run` rejects, naming the key."""
         key = overrides[-1].partition("=")[0]
@@ -450,12 +461,11 @@ class TestAccount:
     def test_counts_equal_param_count_sums(self, tmp_path):
         cfg = small_cfg(tmp_path)
         rows, _ = report.account(cfg)
-        from padfl.decomp import param_count, supported_widths
+        from padfl.decomp import param_count
 
         layout = runner.configured_layout(cfg, runner.build_dataset(cfg))
-        grid = supported_widths(cfg.min_width)
         for row in rows:
-            p = protocol.width_for_capacity(float(Fraction(row["capacity_r"])), grid)
+            p = protocol.width_for_capacity(float(Fraction(row["capacity_r"])), cfg.min_width)
             expect = sum(param_count(s, p) for s in layout.specs)
             expect += layout.classes * layout.head_in(p) + layout.classes
             assert row["param_count"] == expect
@@ -527,6 +537,16 @@ class TestCliEntry:
         assert code == 2
         assert "layer 0 (conv, 1 input channels) at width" in capsys.readouterr().err
 
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_bytes(b"method = Pa3dFL\n\xff\xfe")
+        out_dir = tmp_path / "run"
+        for command in ("run", "account"):
+            assert cli_main([command, str(cfg_path), "--set", f"out_dir={out_dir}"]) == 2
+            assert capsys.readouterr().err == \
+                f"configuration error: {cfg_path}: byte 16: not UTF-8\n"
+        assert not out_dir.exists()
+
     def test_config_path_is_a_directory_exit_2(self, tmp_path, capsys):
         assert cli_main(["run", str(tmp_path)]) == 2
         assert str(tmp_path) in capsys.readouterr().err
@@ -568,7 +588,7 @@ class TestCliEntry:
         assert str(out_dir) in capsys.readouterr().err
 
     @pytest.mark.parametrize("overrides", [
-        ["conv_channels=3"],
+        ["synth_shape=1,6,6"],
         ["partition=k_of_K", "classes_per_client=0"],
         ["method=Pa3dFL_FlancDecomp"],
     ], ids=["layout", "partition", "method"])

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from padfl import autodiff as ad
 from padfl import decomp
+from padfl.config import RunConfig
 from padfl.decomp import (
     LayerSpec,
     flops_account,
     init_general,
     init_personal,
     param_count,
-    supported_widths,
 )
 from padfl.errors import ConfigurationError
 from padfl.hypernet import kept_index
@@ -31,6 +31,7 @@ from util import (
     reference_weight,
     rel_err,
     stored_floats,
+    supported_widths,
 )
 
 
@@ -59,8 +60,9 @@ class TestSelectCoefficients:
         assert (c.base_count, c.rank) == (8, 9)
 
     def test_non_integral_product_rejected(self):
-        with pytest.raises(ConfigurationError):
-            built_spec("conv", 10, 10, 3, Fraction(1, 16))
+        # 10 * 1/16 channels: `validate` rejects it, before any layout is built
+        with pytest.raises(ConfigurationError, match="conv_channels must hold multiples of 16"):
+            RunConfig(conv_channels=(10, 10), min_width=Fraction(1, 16)).finalize()
 
     def test_flanc_with_every_base_count_one_refused(self):
         build_layout((1, 8, 8), 2, Fraction(1, 4), (4, 8), recovery="flanc")

@@ -8,7 +8,7 @@ from padfl import autodiff as ad
 from padfl import data as pdata
 from padfl import hypernet, protocol, runner
 from padfl.config import METHODS, RunConfig
-from padfl.decomp import LayerSpec, supported_widths
+from padfl.decomp import LayerSpec
 from padfl.model import (
     ClientModel,
     LinearMap,
@@ -25,14 +25,17 @@ from test_hypernet import conv_layout, make_state
 from util import (
     finite_diff,
     generate_one,
+    grid_width_for_capacity,
     init_decomposed,
     orthogonal_reg,
     reference_logits,
     rel_err,
+    supported_widths,
 )
 
 
-GRID16 = supported_widths(Fraction(1, 16))
+MW16 = Fraction(1, 16)
+GRID16 = supported_widths(MW16)
 
 
 def client_data(n):
@@ -43,27 +46,44 @@ def client_data(n):
 
 class TestCapacities:
     def test_ideal_everyone_full(self):
+        # at every min_width that `validate` accepts, as a Fraction or an exact float
         rng = np.random.default_rng(0)
         clients = client_data(7)
-        profiles = protocol.assign_capacities(clients, "ideal", rng, GRID16)
-        assert all(p.width == 1 for p in profiles)
-        assert [p.data for p in profiles] == clients
+        for n in range(1, 33):
+            for mw in (Fraction(1, n), 1 / n):
+                if Fraction(mw).numerator != 1:
+                    continue  # a float 1/n that is not exact is rejected
+                RunConfig(min_width=mw, conv_channels=(n,), fc_dims=(2 * n,)).finalize()
+                profiles = protocol.assign_capacities(clients, "ideal", rng, mw)
+                assert all(p.width == 1 for p in profiles), mw
+                assert [p.data for p in profiles] == clients
+
+    def test_closed_form_matches_grid_search(self):
+        # 0.01 and 1.0, every (m/n)^2 and its float, and uniform draws
+        rng = np.random.default_rng(29)
+        draws = [float(r) for r in rng.uniform(0.01, 1.0, 10_000)]
+        for n in range(1, 33):
+            grid = supported_widths(Fraction(1, n))
+            squares = [p * p for p in grid]
+            caps = [0.01, 1.0, *squares, *map(float, squares), *draws]
+            for r in caps:
+                assert protocol.width_for_capacity(r, Fraction(1, n)) == \
+                    grid_width_for_capacity(r, grid), (n, r)
 
     def test_quarter_capacity_gives_half_width(self):
-        assert protocol.width_for_capacity(0.25, GRID16) == Fraction(1, 2)
+        assert protocol.width_for_capacity(0.25, MW16) == Fraction(1, 2)
 
     def test_width_comparison_is_exact(self):
         # float(4/5) ** 2 == 0.6400000000000001 would exceed the capacity
-        grid = supported_widths(Fraction(1, 5))
-        assert protocol.width_for_capacity(0.64, grid) == Fraction(4, 5)
+        assert protocol.width_for_capacity(0.64, Fraction(1, 5)) == Fraction(4, 5)
 
     def test_lowest_capacity_clamps_to_min(self):
-        assert protocol.width_for_capacity(0.01, GRID16) == Fraction(1, 16)
+        assert protocol.width_for_capacity(0.01, MW16) == Fraction(1, 16)
         assert float(Fraction(1, 16)) ** 2 <= 0.01
 
     def test_hetero_within_bounds(self):
         rng = np.random.default_rng(1)
-        profiles = protocol.assign_capacities(client_data(50), "hetero", rng, GRID16)
+        profiles = protocol.assign_capacities(client_data(50), "hetero", rng, MW16)
         for p in profiles:
             assert 0.01 <= p.capacity <= 1.0
             assert p.width in GRID16
@@ -138,8 +158,7 @@ def small_setup(seed=0, clients=4, capacity="ideal"):
     ds = pdata.Dataset(ds.features.astype(np.float64), ds.labels, ds.classes)
     part = pdata.partition_dirichlet(ds, clients, alpha=1.0, seed=seed)
     rng = np.random.default_rng(np.random.SeedSequence((seed, protocol.TAG_CAPACITY)))
-    profiles = protocol.assign_capacities(part.clients, capacity, rng,
-                                          supported_widths(cfg.min_width))
+    profiles = protocol.assign_capacities(part.clients, capacity, rng, cfg.min_width)
     return cfg, layout, profiles
 
 

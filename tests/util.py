@@ -5,7 +5,8 @@ per-client loop form of the hyper-network's generation and loss. Also
 the single-layer record, full decomposed-model init, recovery,
 generation, pruning, accounting and copying helpers that only tests use.
 The personal factor's grid and the stored-float count are computed here
-by their own formulas, not read from `decomp`."""
+by their own formulas, not read from `decomp`; the width grid and a
+search over it are the oracle of `protocol.width_for_capacity`."""
 from dataclasses import replace
 from fractions import Fraction
 
@@ -279,3 +280,20 @@ def orthogonal_reg(general_factors, specs) -> float:
     """Value of the library's orthogonality penalty on plain arrays."""
     node = orthogonal_reg_t([ad.const(u) for u in general_factors], specs)
     return 0.0 if node is None else float(node.data)
+
+
+def supported_widths(min_width) -> tuple:
+    """The width grid: all multiples of min_width up to 1."""
+    mw = Fraction(min_width)
+    return tuple(m * mw for m in range(1, int(1 / mw) + 1))
+
+
+def grid_width_for_capacity(r, grid) -> Fraction:
+    """Largest width of `grid` whose quadratic cost fits the capacity r,
+    by search with exact comparisons; below the smallest width, that one."""
+    num, den = Fraction(r).as_integer_ratio()
+    best = grid[0]
+    for p in grid:
+        if p.numerator ** 2 * den <= num * p.denominator ** 2:
+            best = p
+    return best
