@@ -15,7 +15,7 @@ The FLANC ablation (`recovery` "flanc") recovers the same factors with
 personal blocks that span input slabs instead of output channels.
 `LayerSpec.grid` and `PERMUTATION` are the one rule per kind, which the
 graph recovery for training (`recover_padfl_t`), the stacked recovery
-for evaluation (`recover_padfl`) and `hypernet.kept_index` apply. Both
+for evaluation (`recover_padfl`) and `hypernet.share` apply. Both
 recoveries sum with `autodiff.ordered_product`, so they give the same
 bits. Also exact parameter/FLOP accounting for width-reduced layers.
 """

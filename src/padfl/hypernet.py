@@ -11,16 +11,15 @@ the head) computes
     F_l = D_l (E A_l^T) + b_l              (out_dim_l, n), column i = client i
 
 in one batched pass over all n clients (`generation_graph`). A width-p
-client is sent the positions of F_l that `kept_index` names, which
-`generate_personal` cuts out of the arrays. The server step regresses F_l
-onto the returned parameters: T_l is F_l with each returned client's kept
-positions replaced by its returned values, so F_l - T_l is 0 wherever
+client holds `share`'s views of its column of F_l: `generate_personal`
+copies them out, and the server step writes through them. It regresses
+F_l onto the returned parameters: T_l is F_l with each returned client's
+share replaced by its returned values, so F_l - T_l is 0 wherever
 nothing was returned, and the loss is 0.5/|R| * sum_l ||F_l - T_l||^2.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -34,8 +33,8 @@ from .model import ClientModel, Layout, LinearMap
 class HyperNetState:
     """The server's trainable state, of arrays or of graph nodes. Decoder
     l < len(layout.specs) emits layer l's flat personal factor and biases;
-    the last decoder emits the personal head. `kept_index(layout, l, p)`
-    reads decoder l's output."""
+    the last decoder emits the personal head. `share(layout, l, column, p)`
+    cuts width p's part out of one column of decoder l's output."""
 
     embeddings: np.ndarray   # (embed_dim, num_clients), one column per client
     encoder: list            # LinearMap stack; empty list = identity encoder
@@ -53,31 +52,25 @@ class HyperNetState:
         return cls(arrays[0], maps[:depth], maps[depth:], arrays[-1])
 
 
-@lru_cache(maxsize=None)
-def kept_index(layout: Layout, l, p):
-    """(weight, bias) positions in decoder l's flat output that a width-p
-    client keeps, each shaped like the array it is sent as.
+def share(layout: Layout, l, column, p):
+    """(weight, bias) views of width p's share of `column`, one client's
+    flat decoder-l output.
 
     Decoder l < len(layout.specs) emits a (rank, a, b) personal factor on
-    the full-width grid `spec.grid(1)`, then the channel biases; a width-p
-    client keeps the leading `spec.grid(p)` corner, which raises where the
-    recovery cannot prune to p. The last decoder emits the head's
-    (classes, features) weight, then its biases. The arrays are cached and
-    read-only.
+    the full-width grid `spec.grid(1)`, then the channel biases; width p
+    holds the leading `spec.grid(p)` corner, which raises where the
+    recovery cannot prune to p, and the first out_kept biases. The last
+    decoder emits the head's (classes, features) weight, of which width p
+    holds the first `layout.head_in(p)` columns, then every bias.
     """
     if l == len(layout.specs):
         n_w = layout.classes * layout.head_in_full
-        weight = np.arange(n_w).reshape(layout.classes, -1)[:, :layout.head_in(p)]
-        bias = n_w + np.arange(layout.classes)
-    else:
-        spec = layout.specs[l]
-        (a, b), full = spec.grid(p), spec.grid(1)
-        n_v = spec.rank * full[0] * full[1]
-        weight = np.arange(n_v).reshape(spec.rank, *full)[:, :a, :b].reshape(spec.rank, -1)
-        bias = n_v + np.arange(spec.kept(p)[0])
-    weight = np.ascontiguousarray(weight)
-    weight.flags.writeable = bias.flags.writeable = False
-    return weight, bias
+        return column[:n_w].reshape(layout.classes, -1)[:, :layout.head_in(p)], column[n_w:]
+    spec = layout.specs[l]
+    (a, b), full = spec.grid(p), spec.grid(1)
+    n_v = spec.rank * full[0] * full[1]
+    return (column[:n_v].reshape(spec.rank, *full)[:, :a, :b],
+            column[n_v:n_v + spec.kept(p)[0]])
 
 
 def init_hypernet(layout: Layout, num_clients, embed_dim, hidden_dim, depth, rng) -> HyperNetState:
@@ -145,11 +138,10 @@ def generate_personal(outputs, client, layout: Layout, width) -> ClientModel:
     """Cut one client's personal parameters, pruned to its width, out of
     the decoder output arrays of `generation_graph`, as a model with no
     general factors."""
-    parts = [[out[ix, client] for ix in kept_index(layout, l, width)]
-             for l, out in enumerate(outputs)]
-    *layers, (head_w, head_b) = parts
-    return ClientModel([], [w for w, _ in layers], [b for _, b in layers], head_w, head_b,
-                       width)
+    *layers, (head_w, head_b) = [[v.copy() for v in share(layout, l, out[:, client], width)]
+                                 for l, out in enumerate(outputs)]
+    return ClientModel([], [w.reshape(len(w), -1) for w, _ in layers], [b for _, b in layers],
+                       head_w, head_b, width)
 
 
 # ---------------------------------------------------------------------------
@@ -159,13 +151,13 @@ def regression_loss(outputs, returned, layout: Layout):
     """Loss node of the regression of the decoder outputs [F_l] of a
     `generation_graph` onto returned personal parameters (client id ->
     model at its width): 0.5/|R| * sum_l ||F_l - T_l||^2, where T_l is F_l
-    with the returned kept positions replaced."""
+    with each returned client's `share` replaced."""
     targets = [f.data.copy() for f in outputs]
     for i, model in returned.items():
         pairs = list(zip(model.factors, model.biases)) + [(model.head_w, model.head_b)]
         for l, pair in enumerate(pairs):
-            for ix, arr in zip(kept_index(layout, l, model.width), pair):
-                targets[l][ix, i] = arr
+            for view, arr in zip(share(layout, l, targets[l][:, i], model.width), pair):
+                view[...] = arr.reshape(view.shape)
     terms = [ad.frobenius_sq(ad.add(f, ad.const(-t))) for f, t in zip(outputs, targets)]
     return ad.mul_scalar(ad.add_n(terms), ad.const(0.5 / len(returned)))
 

@@ -8,6 +8,7 @@ import json
 import os
 from fractions import Fraction
 from typing import get_type_hints
+from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -133,7 +134,7 @@ def curves_svg(series, width=640, height=420):
         lx, ly = ml + 10, mt + 16 + 16 * k
         parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" '
                      f'stroke="{color}" stroke-width="2"/>')
-        parts.append(f'<text x="{lx + 24}" y="{ly}" font-size="12">{label}</text>')
+        parts.append(f'<text x="{lx + 24}" y="{ly}" font-size="12">{escape(label)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -144,21 +145,20 @@ def write_report(run_dirs, out_dir):
         raise ConfigurationError("report needs at least one run directory")
     os.makedirs(out_dir, exist_ok=True)
     series = []
-    cluster_lines = ["run,method,cluster,capacity_low,capacity_high,clients,mean_test_acc"]
+    table = ["run,method,cluster,capacity_low,capacity_high,clients,mean_test_acc".split(",")]
     for run_dir in run_dirs:
         label, rows = read_metrics(run_dir)
         series.append((label, mean_test_by_round(rows)))
-        for c in capacity_clusters(rows):
-            mean = "" if c["mean_test_acc"] is None else repr(c["mean_test_acc"])
-            cluster_lines.append(
-                f"{os.path.basename(os.path.normpath(run_dir))},{label},{c['cluster']},"
-                f"{c['capacity_low']:.1f},{c['capacity_high']:.1f},{c['clients']},{mean}")
+        name = os.path.basename(os.path.normpath(run_dir))
+        for c in capacity_clusters(rows):  # the writer writes a None mean as ""
+            table.append([name, label, c["cluster"], f"{c['capacity_low']:.1f}",
+                          f"{c['capacity_high']:.1f}", c["clients"], c["mean_test_acc"]])
     svg_path = os.path.join(out_dir, "curves.svg")
     with open(svg_path, "w") as fh:
         fh.write(curves_svg(series))
     table_path = os.path.join(out_dir, "capacity_clusters.csv")
-    with open(table_path, "w") as fh:
-        fh.write("\n".join(cluster_lines) + "\n")
+    with open(table_path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(table)
     return svg_path, table_path
 
 

@@ -7,6 +7,7 @@ import tempfile
 import types
 from fractions import Fraction
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -381,6 +382,20 @@ class TestReport:
             for name in w:
                 assert g[name] == w[name] or (np.isnan(g[name]) and np.isnan(w[name])), name
 
+    def test_any_run_directory_name_gives_well_formed_files(self, tmp_path):
+        # without a summary.json a run's label is its directory's name, raw
+        names = ["r&<x", "a,b"]
+        for name in names:
+            runner.run(small_cfg(tmp_path, out=name, rounds=1))
+            (tmp_path / name / "summary.json").unlink()
+        svg, table = report.write_report([str(tmp_path / n) for n in names], str(tmp_path / "out"))
+        labels = [t.text for t in ElementTree.parse(svg).iter("{http://www.w3.org/2000/svg}text")]
+        assert set(names) <= set(labels)
+        with open(table, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert {len(r) for r in rows} == {7}
+        assert [r[:2] for r in rows[1:]] == [[n, n] for n in names for _ in range(5)]
+
     def test_malformed_csv_names_line(self, tmp_path):
         run_dir = tmp_path / "bad"
         run_dir.mkdir()
@@ -587,16 +602,22 @@ class TestCliEntry:
         assert cli_main(["run", str(cfg_path), "--set", f"out_dir={out_dir}"]) == 2
         assert str(out_dir) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("overrides", [
-        ["synth_shape=1,6,6"],
-        ["partition=k_of_K", "classes_per_client=0"],
-        ["method=Pa3dFL_FlancDecomp"],
-    ], ids=["layout", "partition", "method"])
-    def test_config_rejected_at_setup_creates_no_out_dir(self, tmp_path, capsys, overrides):
+    @pytest.mark.parametrize("overrides, message", [
+        (["synth_shape=1,6,6"], "pooling needs even feature maps"),
+        (["partition=k_of_K", "classes_per_client=0"], "classes_per_client 0 outside"),
+        (["method=Pa3dFL_FlancDecomp"], "would repeat Pa3dFL"),
+        (["partition=k_of_K", "clients=1", "per_round=1", "classes_per_client=1"],
+         "some class found no owner after bounded retries"),
+        (["partition=k_of_K", "clients=4", "per_round=2", "synth_per_class=2",
+          "classes_per_client=1"], "client 0 received 2 samples (<3)"),
+    ], ids=["layout", "partition", "method", "k_of_K-no-owner", "k_of_K-small-client"])
+    def test_config_rejected_at_setup_creates_no_out_dir(self, tmp_path, capsys, overrides,
+                                                         message):
         out_dir = tmp_path / "run"
         sets = [a for kv in [f"out_dir={out_dir}", *overrides] for a in ("--set", kv)]
         assert cli_main(["run", os.devnull, *sets]) == 2
-        assert capsys.readouterr().err.startswith("configuration error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("text, overrides, prefix", [
@@ -680,6 +701,18 @@ class TestCliEntry:
         assert cli_main(["report", str(run_dir), "-o", str(tmp_path / "rep")]) == 2
         assert f"{run_dir / 'metrics.csv'}: line 2: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        runner.CSV_HEADER.rsplit(",", 1)[0] + "\n",
+        runner.CSV_HEADER.replace("test_acc", "test_accuracy") + "\n",
+        "",
+    ], ids=["missing", "renamed", "empty"])
+    def test_report_unexpected_columns_exit_2(self, tmp_path, capsys, text):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "metrics.csv").write_text(text)
+        assert cli_main(["report", str(run_dir), "-o", str(tmp_path / "rep")]) == 2
+        assert f"{run_dir / 'metrics.csv'}: unexpected columns" in capsys.readouterr().err
+
     def test_report_non_utf8_exit_2(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
         run_dir.mkdir()
@@ -727,6 +760,29 @@ class TestCliEntry:
         assert cli_main(["report", str(run_dir), "-o", str(tmp_path / "rep")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"input error: {run_dir / 'metrics.csv'}: line 2: "), err
+
+    def test_idx_dataset_runs_and_accounts(self, tmp_path, capsys, monkeypatch):
+        # 8x8 images of 3 classes, under a synth shape and class count that
+        # differ from them: the layout must be read from the images
+        n, rng = 90, np.random.default_rng(0)
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        images.write_bytes(struct.pack(">IIII", 0x00000803, n, 8, 8)
+                           + rng.integers(0, 256, size=n * 64, dtype=np.uint8).tobytes())
+        labels.write_bytes(struct.pack(">II", 0x00000801, n) + bytes(i % 3 for i in range(n)))
+        shapes, build = [], runner.build_layout
+        monkeypatch.setattr(runner, "build_layout", lambda in_shape, classes, *rest: (
+            shapes.append((tuple(in_shape), classes)) or build(in_shape, classes, *rest)))
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(SMALL)
+        sets = [a for kv in [f"out_dir={tmp_path / 'r'}", "rounds=1", "dataset=idx",
+                             f"idx_images={images}", f"idx_labels={labels}",
+                             "synth_shape=1,12,12"] for a in ("--set", kv)]
+        assert cli_main(["run", str(cfg_path), *sets]) == 0
+        with open(tmp_path / "r" / "metrics.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["round"], r["client_id"]) for r in rows] == [("0", str(i)) for i in range(4)]
+        assert cli_main(["account", str(cfg_path), *sets]) == 0
+        assert shapes == [((1, 8, 8), 3)] * 2
 
     def test_truncated_idx_is_an_input_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.cfg"

@@ -17,7 +17,7 @@ from padfl.decomp import (
     param_count,
 )
 from padfl.errors import ConfigurationError
-from padfl.hypernet import kept_index
+from padfl.hypernet import share
 from padfl.model import Layout, build_layout, init_plain
 
 from util import (
@@ -237,7 +237,7 @@ class TestRecoverStacked:
 
 class TestOneRule:
     """Both recovery kinds through the one rule: the graph recovery, the
-    stacked recovery and the hyper-network's kept positions agree with the
+    stacked recovery and the hyper-network's `share` agree with the
     einsum oracle and with each other, and reject the same infeasible
     FLANC widths."""
 
@@ -264,16 +264,17 @@ class TestOneRule:
             with pytest.raises(ConfigurationError):
                 decomp.recover_padfl(u, v, spec, bad)
             with pytest.raises(ConfigurationError, match="divisible by base_count"):
-                kept_index(layout, 1, bad)
+                share(layout, 1, np.empty(0), bad)  # raises before reading the column
             return
         full = personal_grid(kind, r1, t, s)
         v_full = rng.normal(size=(m, rank, full[0] * full[1]))
         bias = rng.normal(size=t)
-        ix, _ = kept_index(layout, 1, p)
-        stacked = decomp.recover_padfl(u, np.stack([v.ravel()[ix] for v in v_full]), spec, p)
-        for uj, vj, got in zip(u, v_full, stacked):
+        shares = [share(layout, 1, np.concatenate([v.ravel(), bias]), p)[0].reshape(rank, -1)
+                  for v in v_full]
+        stacked = decomp.recover_padfl(u, np.stack(shares), spec, p)
+        for uj, vj, v_share, got in zip(u, v_full, shares, stacked):
             v_kept, _ = prune_personal(vj, bias, spec, p, in_kept)
-            assert np.array_equal(v_kept, vj.ravel()[ix])
+            assert np.array_equal(v_kept, v_share)
             graph = decomp.recover_padfl_t(ad.const(uj), ad.const(v_kept), spec, p).data
             assert np.array_equal(got, graph)
             ref = reference_weight(uj, v_kept, spec, out_kept, in_kept)

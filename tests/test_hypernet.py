@@ -178,20 +178,52 @@ class TestBatchedGeneration:
                 assert a.tobytes() == c.tobytes()
 
 
-class TestKeptIndex:
+class TestShare:
     def test_infeasible_flanc_width_raises(self):
         # at width 1/4 conv 2 keeps 1 of its 4 inputs, which base_count 2 cannot split
         kw = dict(convs=(4, 8), in_channels=1, side=8, min_width=Fraction(1, 4))
-        hn.kept_index(conv_layout(**kw), 1, Fraction(1, 4))
-        with pytest.raises(ConfigurationError, match="1 kept input channels divisible by"):
-            hn.kept_index(conv_layout(**kw, recovery="flanc"), 1, Fraction(1, 4))
+        q, message = Fraction(1, 4), "needs its 1 kept input channels divisible by base_count 2"
+        for kind in ("padfl", "flanc"):
+            layout = conv_layout(**kw, recovery=kind)
+            flat = [f.data for f in hn.generation_graph(make_state(layout))[1]]
+            for cut in (lambda: hn.share(layout, 1, flat[1][:, 0], q),
+                        lambda: hn.generate_personal(flat, 0, layout, q)):
+                if kind == "padfl":
+                    cut()
+                else:
+                    with pytest.raises(ConfigurationError, match=message):
+                        cut()
 
-    def test_cached_and_read_only(self):
+    @pytest.mark.parametrize("kind", ["padfl", "flanc"])
+    def test_writes_through_a_strided_column_hit_exactly_the_pruned_positions(self, kind):
+        layout = conv_layout(recovery=kind)
+        state = make_state(layout)
+        p = Fraction(1, 2)
+        for l, spec in enumerate(layout.specs):
+            out_dim = state.decoders[l].b.size
+            n_v = out_dim - spec.out_channels
+            block = np.zeros((out_dim, 3))
+            for view in hn.share(layout, l, block[:, 1], p):
+                view[...] = 1
+            in_kept = spec.in_channels if spec.raw_input else int(spec.in_channels * p)
+            kept_v, kept_b = prune_personal(np.arange(n_v), np.arange(n_v, out_dim), spec, p,
+                                            in_kept)
+            want = np.zeros(out_dim)
+            want[kept_v.ravel()] = want[kept_b] = 1
+            assert 0 < want.sum() < out_dim  # the width prunes this layer
+            assert np.array_equal(block[:, 1], want)
+            assert not block[:, [0, 2]].any()
+
+    @pytest.mark.parametrize("n_clients", [1, 3])
+    def test_generated_arrays_are_c_contiguous_copies(self, n_clients):
+        # one client's column of an (out_dim, 1) output is contiguous, so
+        # at width 1 its views are too: the copy must still be made
         layout = conv_layout()
-        weight, bias = hn.kept_index(layout, 0, Fraction(1, 2))
-        assert hn.kept_index(layout, 0, Fraction(1, 2))[0] is weight
-        with pytest.raises(ValueError):
-            bias[0] = 0
+        flat = [f.data for f in hn.generation_graph(make_state(layout, n_clients=n_clients))[1]]
+        for p in (Fraction(1), Fraction(1, 2)):
+            for a in hn.generate_personal(flat, n_clients - 1, layout, p).arrays():
+                assert a.flags.c_contiguous
+                assert not any(np.shares_memory(a, f) for f in flat)
 
 
 class TestHnStep:
@@ -310,8 +342,8 @@ class TestHnStep:
             assert not out.grad[:, [2, 3]].any()
             for i, model in returned.items():
                 pruned = np.ones(out.data.shape[0], dtype=bool)
-                for ix in hn.kept_index(layout, l, model.width):
-                    pruned[ix] = False
+                for view in hn.share(layout, l, pruned, model.width):
+                    view[...] = False
                 assert pruned.any() == (model.width < 1)
                 assert not out.grad[pruned, i].any()
         assert outputs[0].grad[:, [0, 1, 4]].any()

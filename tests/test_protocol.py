@@ -232,6 +232,47 @@ class TestLocalUpdate:
         assert trained is None
 
 
+class TestNonFiniteClients:
+    """A client whose model or batch loss is not finite fails alone: `sgd`
+    returns (None, nan), and `run_round` lists the client in `failed`."""
+
+    @staticmethod
+    def counting_loss(scale, calls):
+        def loss_fn(m, x, y):
+            calls.append(len(y))
+            return ad.mul_scalar(ad.add_n([ad.frobenius_sq(a) for a in m.arrays()]),
+                                 ad.const(scale))
+        return loss_fn
+
+    @pytest.mark.parametrize("poisoned, scale, batches", [(True, 1.0, 0), (False, np.inf, 1)],
+                             ids=["nan-input", "inf-batch-loss"])
+    def test_sgd_returns_none_and_nan(self, poisoned, scale, batches):
+        # a NaN input is refused before any batch; an infinite loss stops
+        # training at the first batch, before its backward pass
+        _, layout, profiles = small_setup()
+        model = init_plain(layout, Fraction(1), np.random.default_rng(33))
+        if poisoned:
+            model.weights[0][0, 0, 1, 1] = np.nan
+        calls = []
+        trained, loss = protocol.sgd(model, profiles[0].data, self.counting_loss(scale, calls),
+                                     epochs=2, batch=8, lr=0.01, rng=np.random.default_rng(34))
+        assert trained is None and np.isnan(loss)
+        assert len(calls) == batches
+
+    def test_poisoned_client_fails_alone_in_its_round(self):
+        profiles, built = conv48_method("LocalOnly", 5, per_round=4)
+        built.local[1].head_b[0] = np.nan  # LocalOnly sends each client its own model
+        before = {i: [a.copy() for a in m.arrays()] for i, m in built.local.items()}
+        metrics = built.run_round(0)
+        assert sorted(metrics.selected) == [0, 1, 2, 3] and metrics.failed == [1]
+        losses = {r.client_id: r.train_loss for r in metrics.rows}
+        assert np.isnan(losses.pop(1)) and all(np.isfinite(v) for v in losses.values())
+        for i, model in built.local.items():
+            same = all(np.array_equal(a, b, equal_nan=True)
+                       for a, b in zip(model.arrays(), before[i]))
+            assert same == (i == 1)
+
+
 def linear_client_model(w, layout):
     # conv-free architecture: the model is just a head on raw features
     return ClientModel([], [], [], w[0], w[1], Fraction(1))

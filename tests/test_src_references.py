@@ -14,7 +14,9 @@ methods that average call `coverage_mean`. And a client's metrics.csv row
 is built in one place: only `FederatedMethod.run_round` constructs a
 `ClientRow`; the hooks return its parts. A client's own model has one
 store and one writer: outside `__init__` methods, only
-`FederatedMethod.aggregate` writes `self.local`."""
+`FederatedMethod.aggregate` writes `self.local`. A client's share of the
+hyper-network's output is cut by one rule: only `generate_personal` and
+`regression_loss` call `hypernet.share`."""
 import ast
 import graphlib
 from pathlib import Path
@@ -165,6 +167,11 @@ def test_shared_arrays_are_averaged_by_one_rule():
 
 def test_client_rows_are_built_in_one_place():
     assert callers("ClientRow") == {("protocol", "FederatedMethod.run_round")}
+
+
+def test_hypernet_output_is_cut_by_one_rule():
+    assert callers("share") == {("hypernet", "generate_personal"),
+                                ("hypernet", "regression_loss")}
 
 
 def test_clients_own_models_have_one_writer():
