@@ -90,5 +90,5 @@ class LocalOnly(DenseMethod):
     def sent(self, i):
         return self.local[i]
 
-    def round_payload(self, payloads):
+    def round_payload(self, selected, payloads):
         return 0  # nothing leaves a client

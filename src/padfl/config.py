@@ -14,8 +14,7 @@ from fractions import Fraction
 
 from .errors import ConfigurationError
 
-METHODS = ("Pa3dFL", "FedAvgMinWidth", "PWidthNested", "LocalOnly",
-           "Pa3dFL_NoHNAgg", "Pa3dFL_FlancDecomp")
+METHODS = ("Pa3dFL", "FedAvgMinWidth", "PWidthNested", "LocalOnly", "Pa3dFL_NoHNAgg")
 
 # Thread-pool sizes BLAS/OpenMP read once, when numpy loads.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -11,9 +11,7 @@ trailing output channels while the general factor is untouched.
 holds of it (`kept(p)`, `grid(p)`, `weight_shape(p)`). The init,
 recovery and accounting functions take the record (and the width) alone.
 
-The FLANC ablation (`recovery` "flanc") recovers the same factors with
-personal blocks that span input slabs instead of output channels.
-`LayerSpec.grid` and `PERMUTATION` are the one rule per kind, which the
+`LayerSpec.grid` and `PERMUTATION` are the one pruning rule, which the
 graph recovery for training (`recover_padfl_t`), the stacked recovery
 for evaluation (`recover_padfl`) and `hypernet.share` apply. Both
 recoveries sum with `autodiff.ordered_product`, so they give the same
@@ -27,13 +25,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigurationError
 
 
 # How the (base_count, k^2, a, b) product of general @ personal maps to an
-# (out, in, k^2) weight. padfl: output channel j*base_count + i is u_i v_j;
-# flanc: input s = c*base_count + i of output o is u_i v_(o, c).
-PERMUTATION = {"padfl": (2, 0, 3, 1), "flanc": (2, 3, 0, 1)}
+# (out, in, k^2) weight: output channel j*base_count + i is u_i v_j.
+PERMUTATION = (2, 0, 3, 1)
 
 
 @dataclass(frozen=True)
@@ -41,9 +37,9 @@ class LayerSpec:
     """Everything about one decomposable layer, made only by
     `model.build_layout`: its kind, channels and kernel (1 if linear);
     the factor sizes, base_count general blocks of inner rank `rank`; the
-    output map before pooling ((1, 1) if linear); whether it reads the
-    raw input, which no width prunes; and its `PERMUTATION` recovery kind.
-    It is built from a validated config and does not re-check it."""
+    output map before pooling ((1, 1) if linear); and whether it reads
+    the raw input, which no width prunes. It is built from a validated
+    config and does not re-check it."""
 
     kind: str  # "conv" | "linear"
     out_channels: int
@@ -53,7 +49,6 @@ class LayerSpec:
     rank: int
     out_hw: tuple = (1, 1)
     raw_input: bool = False
-    recovery: str = "padfl"
 
     def kept(self, p):
         """(out_kept, in_kept): the leading channels a width-p client keeps."""
@@ -68,18 +63,11 @@ class LayerSpec:
         return (*kept, self.kernel, self.kernel) if self.kind == "conv" else kept
 
     def grid(self, p):
-        """(a, b): the width-p personal factor is (rank, a * b), b columns
-        to each of its a groups. "padfl" groups whole blocks of base_count
-        output channels (a = out_kept / base_count, b = in_kept); "flanc"
-        gives each output channel base_count-strided input slabs
-        (a = out_kept, b = in_kept / base_count)."""
+        """(a, b): the width-p personal factor is (rank, a * b), one group
+        of b = in_kept columns per whole block of base_count output
+        channels (a = out_kept / base_count)."""
         out_kept, in_kept = self.kept(p)
-        if self.recovery == "padfl":
-            return out_kept // self.base_count, in_kept
-        if in_kept % self.base_count:
-            raise ConfigurationError(f"FLANC recovery needs its {in_kept} kept input channels "
-                                     f"divisible by base_count {self.base_count}")
-        return out_kept, in_kept // self.base_count
+        return out_kept // self.base_count, in_kept
 
 
 def init_general(spec: LayerSpec, rng):
@@ -107,7 +95,7 @@ def init_personal(spec: LayerSpec, rng):
 
 
 # ---------------------------------------------------------------------------
-# recovery: one rule for both kinds
+# recovery: one rule for training and evaluation
 
 def recover_padfl_t(general, personal, spec: LayerSpec, p):
     """Graph-op recovery of the `spec.weight_shape(p)` weight tensor node
@@ -115,7 +103,7 @@ def recover_padfl_t(general, personal, spec: LayerSpec, p):
     k, r1 = spec.kernel, spec.base_count
     a, b = spec.grid(p)
     prod = ad.ordered_matmul(general, personal)          # (k^2*r1, a*b)
-    prod = ad.transpose(ad.reshape(prod, (r1, k * k, a, b)), PERMUTATION[spec.recovery])
+    prod = ad.transpose(ad.reshape(prod, (r1, k * k, a, b)), PERMUTATION)
     return ad.reshape(prod, spec.weight_shape(p))
 
 
@@ -127,7 +115,7 @@ def recover_padfl(general, personal, spec: LayerSpec, p):
     m, k, r1 = general.shape[0], spec.kernel, spec.base_count
     a, b = spec.grid(p)
     prod = ad.ordered_product(general, personal).reshape(m, r1, k * k, a, b)
-    prod = prod.transpose(0, *(d + 1 for d in PERMUTATION[spec.recovery]))
+    prod = prod.transpose(0, *(d + 1 for d in PERMUTATION))
     # contiguous like the graph recovery, so the products see the same layout
     return np.ascontiguousarray(prod).reshape(m, *spec.weight_shape(p))
 
@@ -137,8 +125,7 @@ def recover_padfl(general, personal, spec: LayerSpec, p):
 
 def param_count(spec: LayerSpec, p) -> int:
     """Exact stored-float count of a layer at width p: the full general
-    factor, the pruned personal factor and channel bias. Either grid has
-    a * b = out_kept * in_kept / base_count, so no width raises here."""
+    factor, the pruned personal factor and channel bias."""
     out_kept, in_kept = spec.kept(p)
     n = spec.kernel ** 2 * spec.base_count * spec.rank
     return n + spec.rank * (out_kept * in_kept // spec.base_count) + out_kept

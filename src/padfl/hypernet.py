@@ -58,9 +58,8 @@ def share(layout: Layout, l, column, p):
 
     Decoder l < len(layout.specs) emits a (rank, a, b) personal factor on
     the full-width grid `spec.grid(1)`, then the channel biases; width p
-    holds the leading `spec.grid(p)` corner, which raises where the
-    recovery cannot prune to p, and the first out_kept biases. The last
-    decoder emits the head's (classes, features) weight, of which width p
+    holds the leading `spec.grid(p)` corner and the first out_kept biases.
+    The last decoder emits the head's (classes, features) weight, of which width p
     holds the first `layout.head_in(p)` columns, then every bias.
     """
     if l == len(layout.specs):

@@ -53,16 +53,6 @@ class Layout:
         """Head input features at width p (leading channels kept)."""
         return int(Fraction(self.head_in_full) * Fraction(p))
 
-    def check(self, p):
-        """Raise a ConfigurationError naming the first layer whose recovery
-        cannot prune to width p (see `LayerSpec.grid`)."""
-        for l, spec in enumerate(self.specs):
-            try:
-                spec.grid(p)
-            except ConfigurationError as exc:
-                raise ConfigurationError(f"layer {l} ({spec.kind}, {spec.in_channels} input "
-                                         f"channels) at width {p}: {exc}") from None
-
     def client_param_count(self, p) -> int:
         """Floats a width-p client holds of the decomposed model: the full
         general factors, its personal factors and biases, the head slice."""
@@ -70,22 +60,20 @@ class Layout:
         return n + self.classes * self.head_in(p) + self.classes
 
 
-def build_layout(in_shape, classes, min_width, convs=(), kernel=3, hidden=(),
-                 recovery="padfl") -> Layout:
+def build_layout(in_shape, classes, min_width, convs=(), kernel=3, hidden=()) -> Layout:
     """The one place layer records are made, for (C, H, W) inputs: a k x k
     conv block per entry of `convs` (its output channels), then a linear
-    layer per entry of `hidden`, every one in the `recovery` layout.
+    layer per entry of `hidden`.
     `validate` has checked that n divides every T at min_width = 1/n, so
     base_count = T / n and every width m/n keeps m whole personal blocks;
     rank = max(min(S, T), k^2) for conv keeps the general blocks
     expressive without inflating the linear case, where rank = base_count.
-    Only the first layer reads the raw input. A "flanc" layout with every
-    base_count 1 would recover what "padfl" does."""
+    Only the first layer reads the raw input."""
     n, specs = Fraction(min_width).denominator, []
 
     def add(kind, t, s, k=1, hw=(1, 1)):
         rank = max(min(s, t), k ** 2) if kind == "conv" else t // n
-        specs.append(decomp.LayerSpec(kind, t, s, k, t // n, rank, hw, not specs, recovery))
+        specs.append(decomp.LayerSpec(kind, t, s, k, t // n, rank, hw, not specs))
 
     prev_c, h, w = in_shape
     for ch in convs:
@@ -97,10 +85,6 @@ def build_layout(in_shape, classes, min_width, convs=(), kernel=3, hidden=(),
     for width in hidden:
         add("linear", width, feat)
         feat = width
-    if recovery == "flanc" and all(spec.base_count == 1 for spec in specs):
-        raise ConfigurationError(
-            "FLANC recovery with every base_count 1 equals the channel-aware recovery, "
-            "so the run would repeat Pa3dFL")
     return Layout(tuple(specs), feat, classes)
 
 

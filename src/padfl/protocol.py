@@ -399,7 +399,7 @@ class FederatedMethod:
         trained = pool.map([("train_client", t, i, m) for i, m in zip(selected, payloads)],
                            [self.costs[i] for i in selected])
         trained_at = time.perf_counter()
-        exchanged = self.round_payload(payloads)
+        exchanged = self.round_payload(selected, payloads)
         del payloads  # freed before aggregation: held longer, they raise the peak RSS
         models = {i: m for i, (m, _) in zip(selected, trained) if m is not None}
         losses = {i: loss for i, (_, loss) in zip(selected, trained)}
@@ -425,7 +425,7 @@ class FederatedMethod:
             train_s=trained_at - built_at, server_s=aggregated_at - trained_at,
             eval_s=evaluated_at - rebuilt_at)
 
-    def round_payload(self, payloads) -> int:
+    def round_payload(self, selected, payloads) -> int:
         """Floats sent this round: the sizes of the training payloads."""
         return sum(a.size for m in payloads for a in m.arrays())
 
@@ -464,16 +464,12 @@ class DecomposedFL(FederatedMethod):
     """The decomposed protocol with hyper-network personal aggregation.
 
     hn_aggregation=False is the no-aggregation ablation: personal
-    parameters stay client-local after the first contact. The FLANC
-    ablation is a layout built with `recovery="flanc"`.
+    parameters stay client-local after the first contact.
     """
 
     def __init__(self, profiles, layout, cfg, hn_aggregation=True):
         super().__init__(profiles, layout, cfg)
         self.hn_aggregation = hn_aggregation
-        # a width the recovery cannot prune to fails here, before any training
-        for p in sorted({prof.width for prof in profiles}):
-            layout.check(p)
         init_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, TAG_INIT)))
         self.general = [decomp.init_general(spec, init_rng).astype(self.dtype)
                         for spec in layout.specs]
@@ -523,6 +519,13 @@ class DecomposedFL(FederatedMethod):
                                              self.cfg.hn_lr)
             self.generation = None
             return loss
+
+    def round_payload(self, selected, payloads):
+        """Without hyper-network aggregation a client that holds its own
+        model receives only the general factors."""
+        own = () if self.hn_aggregation else self.local
+        return sum(a.size for i, m in zip(selected, payloads)
+                   for a in (m.general if i in own else m.arrays()))
 
     def evaluate_client(self, i, model, local):
         data = self.profiles[i].data

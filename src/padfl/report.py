@@ -143,7 +143,6 @@ def write_report(run_dirs, out_dir):
     """Learning-curve SVG plus per-run capacity-cluster table."""
     if not run_dirs:
         raise ConfigurationError("report needs at least one run directory")
-    os.makedirs(out_dir, exist_ok=True)
     series = []
     table = ["run,method,cluster,capacity_low,capacity_high,clients,mean_test_acc".split(",")]
     for run_dir in run_dirs:
@@ -153,6 +152,7 @@ def write_report(run_dirs, out_dir):
         for c in capacity_clusters(rows):  # the writer writes a None mean as ""
             table.append([name, label, c["cluster"], f"{c['capacity_low']:.1f}",
                           f"{c['capacity_high']:.1f}", c["clients"], c["mean_test_acc"]])
+    os.makedirs(out_dir, exist_ok=True)  # once every run directory is read
     svg_path = os.path.join(out_dir, "curves.svg")
     with open(svg_path, "w") as fh:
         fh.write(curves_svg(series))
@@ -169,21 +169,14 @@ ACCOUNT_RATIOS = (Fraction(1, 256), Fraction(1, 64), Fraction(1, 4), Fraction(1)
 
 
 def account(cfg: RunConfig):
-    """(rows, notes): analytic per-capacity cost rows for the configured
-    model, and one note per width that the layout cannot prune to (see
-    `Layout.check`), whose capacities get no row. Raises if no width is
-    left. Validates `cfg` first."""
+    """Analytic per-capacity cost rows for the configured model. Validates
+    `cfg` first."""
     cfg = cfg.finalize()
     layout = runner.configured_layout(
         cfg, None if cfg.dataset == "synth" else runner.build_dataset(cfg))
-    rows, dropped = [], {}  # width -> (reason, capacities)
+    rows = []
     for r in ACCOUNT_RATIOS:
         p = width_for_capacity(r, cfg.min_width)
-        try:
-            layout.check(p)
-        except ConfigurationError as exc:
-            dropped.setdefault(p, (exc, []))[1].append(r)
-            continue
         forward = cfg.batch * layout.head_in(p) * layout.classes
         recovery = 0
         for spec in layout.specs:
@@ -197,17 +190,13 @@ def account(cfg: RunConfig):
             "param_count": layout.client_param_count(p),
             "recovery_overhead": float(recovery / forward),
         })
-    notes = [f"note: width {p} dropped (capacity {', '.join(map(str, caps))}): {exc}"
-             for p, (exc, caps) in dropped.items()]
-    if not rows:
-        raise ConfigurationError("; ".join(notes))
-    return rows, notes
+    return rows
 
 
-def format_account(rows, notes) -> str:
+def format_account(rows) -> str:
     header = f"{'capacity':>10} {'width':>8} {'fwd madds':>14} {'params':>12} {'rec ovh':>10}"
     lines = [header, "-" * len(header)]
     for r in rows:
         lines.append(f"{r['capacity_r']:>10} {r['width_p']:>8} {r['forward_madds']:>14} "
                      f"{r['param_count']:>12} {r['recovery_overhead']:>10.2e}")
-    return "\n".join([*lines, *notes])
+    return "\n".join(lines)

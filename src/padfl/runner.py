@@ -68,7 +68,7 @@ def configured_layout(cfg: RunConfig, dataset=None) -> Layout:
     else:
         in_shape, classes = dataset.features.shape[1:], dataset.classes
     return build_layout(in_shape, classes, cfg.min_width, cfg.conv_channels, cfg.conv_kernel,
-                        cfg.fc_dims, "flanc" if cfg.method == "Pa3dFL_FlancDecomp" else "padfl")
+                        cfg.fc_dims)
 
 
 def build_profiles(cfg: RunConfig, partition):
@@ -77,7 +77,7 @@ def build_profiles(cfg: RunConfig, partition):
 
 
 def build_method(cfg: RunConfig, profiles, layout):
-    if cfg.method in ("Pa3dFL", "Pa3dFL_FlancDecomp"):  # the layout holds the recovery
+    if cfg.method == "Pa3dFL":
         return protocol.DecomposedFL(profiles, layout, cfg)
     if cfg.method == "Pa3dFL_NoHNAgg":
         return protocol.DecomposedFL(profiles, layout, cfg, hn_aggregation=False)

@@ -7,7 +7,6 @@ import pytest
 from padfl import autodiff as ad
 from padfl import baselines, protocol, runner
 from padfl.config import parse_config
-from padfl.errors import ConfigurationError
 from padfl.model import (
     PlainModel,
     build_layout,
@@ -177,33 +176,6 @@ class TestAblationWiring:
                             personal.arrays()[len(personal.general):]):
                 assert np.array_equal(a, b)
 
-    def test_flanc_infeasible_width_fails_at_construction(self):
-        # base_count 2 in conv1, whose single input channel cannot be split
-        cfg, _, profiles = small_setup(seed=18)
-        layout = build_layout((1, 8, 8), 2, cfg.min_width, convs=(8, 8), kernel=3)
-        protocol.DecomposedFL(profiles, layout, cfg)
-        flanc = build_layout((1, 8, 8), 2, cfg.min_width, convs=(8, 8), kernel=3,
-                             recovery="flanc")
-        with pytest.raises(ConfigurationError,
-                           match=r"layer 0 \(conv, 1 input channels\) at width 1: FLANC"):
-            protocol.DecomposedFL(profiles, flanc, cfg)
-
-    def test_flanc_recovery_shapes_match(self):
-        # conv 4,8: the second conv's base_count 2 lets FLANC differ from Pa3dFL
-        cfg, layout, profiles_a = small_setup(seed=17)
-        _, _, profiles_b = small_setup(seed=17)
-        def built(recovery):
-            return build_layout((1, 8, 8), layout.classes, cfg.min_width, convs=(4, 8),
-                                kernel=cfg.conv_kernel, recovery=recovery)
-
-        a = protocol.DecomposedFL(profiles_a, built("padfl"), cfg)
-        b = protocol.DecomposedFL(profiles_b, built("flanc"), cfg)
-        ma = a.run_round(0)
-        mb = b.run_round(0)
-        for fa, fb in zip(a.general, b.general):
-            assert fa.shape == fb.shape
-        assert len(ma.rows) == len(mb.rows)
-
 
 class TestDenseForward:
     @pytest.mark.parametrize("convs,hidden", [((4, 8), ()), ((4, 8), (32,)), ((), (32, 16))])
@@ -289,4 +261,4 @@ class TestGeometry:
         cfg, _, fl = self.build(method)
         assert len({p.width for p in fl.profiles}) > 1
         for i in range(cfg.clients):
-            assert fl.round_payload([fl.sent(i)]) == sum(a.size for a in fl.sent(i).arrays())
+            assert fl.round_payload([i], [fl.sent(i)]) == sum(a.size for a in fl.sent(i).arrays())

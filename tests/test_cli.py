@@ -195,22 +195,17 @@ class TestRun:
         assert np.isfinite(phases).all() and (phases >= 0).all()
         assert phases.sum() <= record.wall_time
 
-    def test_flanc_ablation_differs_from_pa3dfl(self, tmp_path, capsys):
-        # with conv_channels 4,8 at min_width 1/4 the second conv has
-        # base_count 2, so its input-slab recovery is not the channel-aware
-        # one; with 4,4 every base_count is 1, the two would coincide, and
-        # the ablation is refused before training
-        def csv_bytes(method, channels):
-            out = f"{method}-{channels[1]}"
-            runner.run(small_cfg(tmp_path, out=out, method=method, conv_channels=channels))
-            return (tmp_path / out / "metrics.csv").read_bytes()
-
-        assert csv_bytes("Pa3dFL", (4, 8)) != csv_bytes("Pa3dFL_FlancDecomp", (4, 8))
-        cfg_path = tmp_path / "c.cfg"
-        cfg_path.write_text(SMALL)
-        assert cli_main(["run", str(cfg_path), "--set", f"out_dir={tmp_path / 'f4'}",
-                         "--set", "method=Pa3dFL_FlancDecomp"]) == 2
-        assert "would repeat Pa3dFL" in capsys.readouterr().err
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_method_trains_at_the_default_network(self, tmp_path, capsys, method):
+        # the default conv 16,16 at min_width 1/16 on 1x28x28 inputs, small elsewhere
+        sets = [f"method={method}", "clients=4", "per_round=2", "synth_per_class=40",
+                "epochs=1", "rounds=1", "workers=1", f"out_dir={tmp_path / 'r'}"]
+        assert cli_main(["run", os.devnull, *(a for kv in sets for a in ("--set", kv))]) == 0
+        _, rows = report.read_metrics(str(tmp_path / "r"))
+        assert [r["client_id"] for r in rows] == [0, 1, 2, 3]
+        assert np.isfinite([[r["val_acc"], r["test_acc"]] for r in rows]).all()
+        losses = [r["train_loss"] for r in rows if not np.isnan(r["train_loss"])]
+        assert len(losses) == 2 and np.isfinite(losses).all()
 
     def test_summary_totals_match_csv(self, tmp_path):
         cfg = small_cfg(tmp_path)
@@ -248,7 +243,6 @@ class TestComputeDtype:
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_models_follow_the_dataset_dtype(self, tmp_path, method, dtype):
-        # conv 4,8 at full width, where the FLANC ablation runs too
         cfg = small_cfg(tmp_path, method=method, conv_channels=(4, 8)).finalize()
         dataset = runner.build_dataset(cfg)
         assert dataset.features.dtype == np.float32
@@ -414,7 +408,7 @@ class TestAccount:
 
     def test_full_capacity_row_is_full_model(self, tmp_path):
         cfg = small_cfg(tmp_path)
-        rows, _ = report.account(cfg)
+        rows = report.account(cfg)
         full = rows[-1]
         assert full["width_p"] == "1"
         from padfl.decomp import param_count
@@ -426,7 +420,7 @@ class TestAccount:
 
     def test_quarter_capacity_flops_near_quarter(self, tmp_path):
         cfg = small_cfg(tmp_path)
-        rows, _ = report.account(cfg)
+        rows = report.account(cfg)
         by_r = {r["capacity_r"]: r for r in rows}
         ratio = by_r["1/4"]["forward_madds"] / by_r["1"]["forward_madds"]
         # width 1/2 => p^2 = 1/4 exactly, up to the unpruned-raw-input and
@@ -444,24 +438,6 @@ class TestAccount:
             full_row = capsys.readouterr().out.splitlines()[-1].split()
             assert full_row[:3] == ["1", "1", "92672"]
 
-    def test_flanc_drops_widths_it_cannot_prune_to(self, tmp_path, capsys):
-        # conv 4,8 at min_width 1/4: the second conv's base_count 2 does not
-        # divide the one input channel kept at width 1/4, where capacities
-        # 1/256 and 1/64 land; a run with such a client exits 2
-        cfg_path = tmp_path / "c.cfg"
-        cfg_path.write_text(SMALL)
-        flanc = ["--set", "method=Pa3dFL_FlancDecomp", "--set", "conv_channels=4,8"]
-        assert cli_main(["account", str(cfg_path), *flanc]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert [line.split()[:2] for line in lines[2:4]] == [["1/4", "1/2"], ["1", "1"]]
-        assert lines[4:] == ["note: width 1/4 dropped (capacity 1/256, 1/64): layer 1 (conv, "
-                             "4 input channels) at width 1/4: FLANC recovery needs its 1 kept "
-                             "input channels divisible by base_count 2"]
-        assert cli_main(["account", str(cfg_path), "--set", "conv_channels=4,8"]) == 0
-        assert "note" not in capsys.readouterr().out
-        # with every width dropped there is nothing to account for
-        assert cli_main(["account", str(cfg_path), *flanc, "--set", "min_width=1/2"]) == 2
-
     @pytest.mark.parametrize("overrides", [
         ["conv_channels=0"], ["fc_dims=4,0"], ["synth_shape=1,8,8", "synth_classes=65"],
         ["conv_channels=10,10", "capacity=ideal", "min_width=3/10"],
@@ -475,7 +451,7 @@ class TestAccount:
 
     def test_counts_equal_param_count_sums(self, tmp_path):
         cfg = small_cfg(tmp_path)
-        rows, _ = report.account(cfg)
+        rows = report.account(cfg)
         from padfl.decomp import param_count
 
         layout = runner.configured_layout(cfg, runner.build_dataset(cfg))
@@ -536,21 +512,14 @@ class TestCliEntry:
         assert summary["early_stopped"] == early
         assert summary["rounds_completed"] == fires_at
 
-    def test_library_error_exit_2(self, tmp_path):
-        # FLANC slabs need conv1's single input channel divisible by 2
+    def test_library_error_exit_2(self, tmp_path, capsys):
+        # the Dirichlet partition cannot give 30 clients 3 splits of 80 samples
         cfg_path = tmp_path / "c.cfg"
         cfg_path.write_text(SMALL)
         code = cli_main(["run", str(cfg_path), "--set", f"out_dir={tmp_path / 'r3'}",
-                         "--set", "method=Pa3dFL_FlancDecomp", "--set", "conv_channels=8,8"])
+                         "--set", "clients=30"])
         assert code == 2
-
-    def test_infeasible_flanc_width_fails_at_setup(self, tmp_path, capsys):
-        cfg_path = tmp_path / "c.cfg"
-        cfg_path.write_text(SMALL)
-        code = cli_main(["run", str(cfg_path), "--set", f"out_dir={tmp_path / 'r4'}",
-                         "--set", "method=Pa3dFL_FlancDecomp", "--set", "conv_channels=8,8"])
-        assert code == 2
-        assert "layer 0 (conv, 1 input channels) at width" in capsys.readouterr().err
+        assert "80 samples cannot give 30 clients 3 splits" in capsys.readouterr().err
 
     def test_non_utf8_config_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.cfg"
@@ -605,12 +574,11 @@ class TestCliEntry:
     @pytest.mark.parametrize("overrides, message", [
         (["synth_shape=1,6,6"], "pooling needs even feature maps"),
         (["partition=k_of_K", "classes_per_client=0"], "classes_per_client 0 outside"),
-        (["method=Pa3dFL_FlancDecomp"], "would repeat Pa3dFL"),
         (["partition=k_of_K", "clients=1", "per_round=1", "classes_per_client=1"],
          "some class found no owner after bounded retries"),
         (["partition=k_of_K", "clients=4", "per_round=2", "synth_per_class=2",
           "classes_per_client=1"], "client 0 received 2 samples (<3)"),
-    ], ids=["layout", "partition", "method", "k_of_K-no-owner", "k_of_K-small-client"])
+    ], ids=["layout", "partition", "k_of_K-no-owner", "k_of_K-small-client"])
     def test_config_rejected_at_setup_creates_no_out_dir(self, tmp_path, capsys, overrides,
                                                          message):
         out_dir = tmp_path / "run"
@@ -691,6 +659,7 @@ class TestCliEntry:
         (run_dir / "summary.json").write_text(summary)
         assert cli_main(["report", str(run_dir), "-o", str(tmp_path / "rep")]) == 2
         assert str(run_dir / "summary.json") in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
 
     @pytest.mark.parametrize("row", ["0,0,0.5,1/2,nan,0.5,0.5", "0,0,0.5,1/2,nan,0.5,0.5,nan,0"],
                              ids=["short", "long"])
@@ -700,6 +669,7 @@ class TestCliEntry:
         (run_dir / "metrics.csv").write_text(runner.CSV_HEADER + "\n" + row + "\n")
         assert cli_main(["report", str(run_dir), "-o", str(tmp_path / "rep")]) == 2
         assert f"{run_dir / 'metrics.csv'}: line 2: " in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
 
     @pytest.mark.parametrize("text", [
         runner.CSV_HEADER.rsplit(",", 1)[0] + "\n",
@@ -712,6 +682,7 @@ class TestCliEntry:
         (run_dir / "metrics.csv").write_text(text)
         assert cli_main(["report", str(run_dir), "-o", str(tmp_path / "rep")]) == 2
         assert f"{run_dir / 'metrics.csv'}: unexpected columns" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
 
     def test_report_non_utf8_exit_2(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
@@ -721,6 +692,7 @@ class TestCliEntry:
                                               + b"\n0,1,0.5,1/2,nan,0.5,0\xff,nan\n")
         assert cli_main(["report", str(run_dir), "-o", str(tmp_path / "rep")]) == 2
         assert f"{run_dir / 'metrics.csv'}: line 3: not UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
 
     @pytest.mark.parametrize("column, value", [("test_acc", "inf"), ("test_acc", "nan"),
                                                ("val_acc", "1.5"), ("val_acc", "-0.25"),
@@ -741,7 +713,7 @@ class TestCliEntry:
         assert cli_main(["report", str(run_dir), "-o", str(tmp_path / "rep")]) == 2
         err = capsys.readouterr().err
         assert f"{run_dir / 'metrics.csv'}: line 2: {column}" in err
-        assert not (tmp_path / "rep" / "curves.svg").exists()
+        assert not (tmp_path / "rep").exists()
 
     def test_report_negative_round_exit_2(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
@@ -750,7 +722,7 @@ class TestCliEntry:
         (run_dir / "metrics.csv").write_text("\n".join([runner.CSV_HEADER] + rows) + "\n")
         assert cli_main(["report", str(run_dir), "-o", str(tmp_path / "rep")]) == 2
         assert f"{run_dir / 'metrics.csv'}: line 2: round -5" in capsys.readouterr().err
-        assert not (tmp_path / "rep" / "curves.svg").exists()
+        assert not (tmp_path / "rep").exists()
 
     def test_report_malformed_metrics_is_an_input_error(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
@@ -760,6 +732,7 @@ class TestCliEntry:
         assert cli_main(["report", str(run_dir), "-o", str(tmp_path / "rep")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"input error: {run_dir / 'metrics.csv'}: line 2: "), err
+        assert not (tmp_path / "rep").exists()
 
     def test_idx_dataset_runs_and_accounts(self, tmp_path, capsys, monkeypatch):
         # 8x8 images of 3 classes, under a synth shape and class count that

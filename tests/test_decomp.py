@@ -25,7 +25,6 @@ from util import (
     conv2d_loops,
     personal_grid,
     prune_personal,
-    recover_flanc,
     recover_graph,
     reduction_ratio,
     reference_weight,
@@ -63,11 +62,6 @@ class TestSelectCoefficients:
         # 10 * 1/16 channels: `validate` rejects it, before any layout is built
         with pytest.raises(ConfigurationError, match="conv_channels must hold multiples of 16"):
             RunConfig(conv_channels=(10, 10), min_width=Fraction(1, 16)).finalize()
-
-    def test_flanc_with_every_base_count_one_refused(self):
-        build_layout((1, 8, 8), 2, Fraction(1, 4), (4, 8), recovery="flanc")
-        with pytest.raises(ConfigurationError, match="would repeat Pa3dFL"):
-            build_layout((1, 8, 8), 2, Fraction(1, 4), (4, 4), recovery="flanc")
 
     def test_width_grid(self):
         ws = supported_widths(Fraction(1, 4))
@@ -131,46 +125,6 @@ class TestRecoverPadfl:
         assert np.abs(got.transpose(3, 0, 1, 2) - conv2d_loops(x, w)).max() <= 1e-9
 
 
-class TestRecoverFlanc:
-    def test_degenerate_base_count_one(self):
-        spec = LayerSpec("conv", 3, 2, 2, base_count=1, rank=5)
-        rng = np.random.default_rng(5)
-        u = rng.normal(size=(4, 5))  # k^2 * 1 rows -> base_count 1
-        v = rng.normal(size=(5, 2 * 3))
-        w = recover_flanc(u, v, spec)
-        prod = u @ v
-        for i in range(3):
-            slab = prod[:, 2 * i:2 * (i + 1)]  # (k^2, S)
-            assert np.allclose(w[i], slab.T.reshape(2, 2, 2))
-
-    def test_hand_t2_s2_k1(self):
-        spec = LayerSpec("linear", 2, 2, 1, base_count=2, rank=2)
-        u = np.array([[1.0, 0.0], [2.0, 1.0]])  # rows (r, kappa=()) of 2 blocks
-        v = np.array([[1.0, 3.0], [0.0, 1.0]])
-        w = recover_flanc(u, v, spec)
-        assert w.shape == (2, 2)
-        prod = u @ v
-        # channel i takes column i; s = c*R1 + r with one column per slab
-        assert np.allclose(w[0], prod[:, 0])
-        assert np.allclose(w[1], prod[:, 1])
-
-    def test_recovered_count_and_shape_match_padfl(self):
-        # same-shaped factors give same-shaped weights when S == T
-        spec = built_spec("conv", 8, 8, 3, Fraction(1, 4))
-        general, personal, _ = random_layer(spec, 6)
-        wp = recover_graph(general, personal, spec)
-        wf = recover_flanc(general, personal, spec)
-        assert wp.shape == wf.shape == (8, 8, 3, 3)
-        assert wf.size == spec.out_channels * spec.in_channels * spec.kernel ** 2
-
-    def test_indivisible_input_rejected(self):
-        spec = LayerSpec("conv", 4, 3, 1, base_count=2, rank=2)
-        u = np.ones((2, 2))
-        v = np.ones((2, 6))
-        with pytest.raises(ConfigurationError):
-            recover_flanc(u, v, spec)
-
-
 def second_layer_layout(spec):
     """A layout whose layer 1 is `spec`; layer 0 and the head are
     placeholders."""
@@ -179,32 +133,20 @@ def second_layer_layout(spec):
 
 
 class TestGrid:
-    @pytest.mark.parametrize("kind", ["padfl", "flanc"])
-    def test_matches_oracle_at_every_width(self, kind):
-        spec = LayerSpec("conv", 8, 4, 3, base_count=2, rank=6, recovery=kind)
+    def test_matches_oracle_at_every_width(self):
+        spec = LayerSpec("conv", 8, 4, 3, base_count=2, rank=6)
         for raw in (False, True):
             spec = replace(spec, raw_input=raw)
             for p in supported_widths(Fraction(1, 4)):
-                out_kept, in_kept = spec.kept(p)
-                if kind == "flanc" and in_kept % 2:
-                    with pytest.raises(ConfigurationError, match="divisible by base_count 2"):
-                        spec.grid(p)
-                else:
-                    assert spec.grid(p) == personal_grid(kind, 2, out_kept, in_kept)
+                assert spec.grid(p) == personal_grid(2, *spec.kept(p))
 
 
 class TestWeightShape:
-    @pytest.mark.parametrize("recovery", ["padfl", "flanc"])
-    def test_recoveries_and_init_plain_share_it(self, recovery):
-        # conv 4,8 and a hidden layer; FLANC cannot prune to 1/4 or 3/4,
-        # where the second conv keeps an odd number of inputs
-        layout = build_layout((1, 8, 8), 3, Fraction(1, 4), (4, 8), 3, hidden=(8,),
-                              recovery=recovery)
+    def test_recoveries_and_init_plain_share_it(self):
+        # conv 4,8 and a hidden layer
+        layout = build_layout((1, 8, 8), 3, Fraction(1, 4), (4, 8), 3, hidden=(8,))
         rng = np.random.default_rng(40)
-        widths = supported_widths(Fraction(1, 4))
-        if recovery == "flanc":
-            widths = [Fraction(1, 2), Fraction(1)]
-        for p in widths:
+        for p in supported_widths(Fraction(1, 4)):
             plain = init_plain(layout, p, rng)
             for spec, dense in zip(layout.specs, plain.weights):
                 shape = spec.weight_shape(p)
@@ -218,16 +160,13 @@ class TestWeightShape:
 
 
 class TestRecoverStacked:
-    @pytest.mark.parametrize("kind,dtype", [("padfl", np.float64), ("flanc", np.float64),
-                                            ("padfl", np.float32), ("flanc", np.float32)],
-                             ids=["padfl", "flanc", "padfl-float32", "flanc-float32"])
-    def test_slices_bitwise_equal_graph_recovery(self, kind, dtype):
-        spec = LayerSpec("conv", 8, 4, 3, base_count=2, rank=6, recovery=kind)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+    def test_slices_bitwise_equal_graph_recovery(self, dtype):
+        spec = LayerSpec("conv", 8, 4, 3, base_count=2, rank=6)
         rng = np.random.default_rng(12)
         p, out_kept, in_kept = Fraction(1, 2), 4, 2  # a pruned width
-        cols = out_kept // 2 * in_kept if kind == "padfl" else out_kept * (in_kept // 2)
         u = rng.normal(size=(3, 9 * 2, 6)).astype(dtype)
-        v = rng.normal(size=(3, 6, cols)).astype(dtype)
+        v = rng.normal(size=(3, 6, out_kept // 2 * in_kept)).astype(dtype)
         got = decomp.recover_padfl(u, v, spec, p)
         assert got.shape == (3, out_kept, in_kept, 3, 3) and got.flags.c_contiguous
         assert got.dtype == dtype
@@ -236,37 +175,24 @@ class TestRecoverStacked:
 
 
 class TestOneRule:
-    """Both recovery kinds through the one rule: the graph recovery, the
-    stacked recovery and the hyper-network's `share` agree with the
-    einsum oracle and with each other, and reject the same infeasible
-    FLANC widths."""
+    """The one rule: the graph recovery, the stacked recovery and the
+    hyper-network's `share` agree with the einsum oracle and with each
+    other."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
-    @given(kind=st.sampled_from(["padfl", "flanc"]), r1=st.integers(1, 3),
-           n=st.integers(1, 3), s1=st.integers(1, 3), k=st.integers(1, 3),
-           rank=st.integers(1, 4), m=st.integers(1, 3), data=st.data())
-    def test_paths_agree(self, kind, r1, n, s1, k, rank, m, data):
+    @given(r1=st.integers(1, 3), n=st.integers(1, 3), s1=st.integers(1, 3),
+           k=st.integers(1, 3), rank=st.integers(1, 4), m=st.integers(1, 3), data=st.data())
+    def test_paths_agree(self, r1, n, s1, k, rank, m, data):
         # min_width 1/n: T = r1*n output channels in n blocks, S = s1*n
         # inputs, so width j/n keeps r1*j outputs and s1*j inputs
         j = data.draw(st.integers(1, n), label="j")
         t, s, p = r1 * n, s1 * n, Fraction(j, n)
         out_kept, in_kept = r1 * j, s1 * j
-        spec = LayerSpec("conv", t, s, k, base_count=r1, rank=rank, recovery=kind)
+        spec = LayerSpec("conv", t, s, k, base_count=r1, rank=rank)
         layout = second_layer_layout(spec)
         rng = np.random.default_rng([r1, n, s1, k, rank, m, j])
         u = rng.normal(size=(m, k * k * r1, rank))
-        if kind == "flanc" and (in_kept % r1 or s % r1):
-            # the kept inputs, or else the full-width ones, do not split
-            bad = p if in_kept % r1 else Fraction(1)
-            v = np.ones((m, rank, 1))
-            with pytest.raises(ConfigurationError):
-                decomp.recover_padfl_t(ad.const(u[0]), ad.const(v[0]), spec, bad)
-            with pytest.raises(ConfigurationError):
-                decomp.recover_padfl(u, v, spec, bad)
-            with pytest.raises(ConfigurationError, match="divisible by base_count"):
-                share(layout, 1, np.empty(0), bad)  # raises before reading the column
-            return
-        full = personal_grid(kind, r1, t, s)
+        full = personal_grid(r1, t, s)
         v_full = rng.normal(size=(m, rank, full[0] * full[1]))
         bias = rng.normal(size=t)
         shares = [share(layout, 1, np.concatenate([v.ravel(), bias]), p)[0].reshape(rank, -1)
@@ -320,21 +246,6 @@ class TestPrune:
         with pytest.raises(ConfigurationError):
             prune_personal(personal, bias, self.SPEC, Fraction(1, 3), 4)
 
-    def test_flanc_prune_slice_equivalence(self):
-        r1, r2 = 2, 6
-        spec = LayerSpec("conv", 8, 4, 3, base_count=r1, rank=r2, recovery="flanc")
-        rng = np.random.default_rng(8)
-        u = rng.normal(size=(9 * r1, r2))
-        v = rng.normal(size=(r2, 8 * (4 // r1)))
-        full = recover_graph(u, v, spec)
-        for p in (Fraction(1, 2), Fraction(1)):
-            for raw in (False, True):  # the kept inputs: 4 * p, or all 4
-                spec = replace(spec, raw_input=raw)
-                in_kept = 4 if raw else int(4 * p)
-                vk, _ = prune_personal(v, np.zeros(8), spec, p, in_kept)
-                w = recover_graph(u, vk, spec, p)
-                assert np.array_equal(w, full[:int(8 * p), :in_kept, :, :])
-
 
 class TestAccounting:
     def test_conv_64_count(self):
@@ -357,14 +268,6 @@ class TestAccounting:
             pruned_v, pruned_b = prune_personal(personal, bias, spec, p, in_kept)
             stored = pruned_v.size + general.size + pruned_b.size
             assert param_count(spec, p) == stored == stored_floats(spec, int(8 * p), in_kept)
-
-    def test_flanc_count_equals_stored_floats(self):
-        # the widths whose 4 * p kept inputs split into base_count 2 slabs
-        spec = LayerSpec("conv", 8, 4, 3, base_count=2, rank=6, recovery="flanc")
-        general, personal, bias = random_layer(spec, 9)
-        for p in (Fraction(1, 2), Fraction(1)):
-            pruned_v, pruned_b = prune_personal(personal, bias, spec, p, int(4 * p))
-            assert param_count(spec, p) == pruned_v.size + general.size + pruned_b.size
 
     def test_appendix_formula_identity(self):
         for layer, mw in [

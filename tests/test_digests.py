@@ -30,13 +30,13 @@ def test_digests_of_one_small_config():
     tool = load_tool()
     untimed = tool.untimed(runner.ROUNDS_HEADER + "\n")
     assert untimed == "round,eta,hn_loss,params_exchanged,failed\n"
-    # SMALL is conv 4,4, where the FLANC layout would repeat Pa3dFL: exit 2
-    lines = list(tool.digests(str(ROOT / "src"), {"small": SMALL},
-                              ("Pa3dFL", "Pa3dFL_FlancDecomp"), rounds=2))
+    # min_width 1/3 does not divide SMALL's conv 4,4: `validate` rejects it, exit 2
+    configs = {"small": SMALL, "third": SMALL + "min_width = 1/3\n"}
+    lines = list(tool.digests(str(ROOT / "src"), configs, ("Pa3dFL",), rounds=2))
     assert re.fullmatch(r"small Pa3dFL workers=1 metrics=[0-9a-f]{64} rounds=[0-9a-f]{64} "
                         r"summary=[0-9a-f]{64}", lines[0])
     assert lines[1] == lines[0].replace("workers=1", "workers=2")
-    assert lines[2:] == [f"small Pa3dFL_FlancDecomp workers={w} exit=2" for w in (1, 2)]
+    assert lines[2:] == [f"third Pa3dFL workers={w} exit=2" for w in (1, 2)]
 
 
 def test_benchpairs_writes_one_pair(tmp_path):

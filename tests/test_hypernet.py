@@ -7,7 +7,7 @@ import pytest
 
 from padfl import autodiff as ad
 from padfl import hypernet as hn
-from padfl.errors import ConfigurationError, NumericError
+from padfl.errors import NumericError
 from padfl.model import ClientModel, Layout, build_layout
 
 from util import (
@@ -142,12 +142,9 @@ class TestGenerate:
         assert np.array_equal(half.head_w, full.head_w[:, :layout.head_in(Fraction(1, 2))])
 
 
-def conv_layout(convs=(4, 4), in_channels=2, side=4, min_width=Fraction(1, 2),
-                recovery="padfl"):
-    # two conv blocks plus a hidden linear layer; the defaults keep every
-    # kept input count divisible by base_count, as FLANC slabs need
-    return build_layout((in_channels, side, side), 3, min_width, convs, kernel=3, hidden=(4,),
-                        recovery=recovery)
+def conv_layout(convs=(4, 4), in_channels=2, side=4, min_width=Fraction(1, 2)):
+    # two conv blocks plus a hidden linear layer
+    return build_layout((in_channels, side, side), 3, min_width, convs, kernel=3, hidden=(4,))
 
 
 MIXED = [Fraction(1), Fraction(1, 2), Fraction(1, 2), Fraction(1), Fraction(1, 2)]
@@ -156,13 +153,10 @@ QUARTERS = [Fraction(k, 4) for k in (1, 2, 3, 4, 1, 3)]
 
 class TestBatchedGeneration:
     @pytest.mark.parametrize("depth", [0, 3])
-    @pytest.mark.parametrize("kind,widths", [("padfl", MIXED), ("flanc", MIXED),
-                                             ("padfl", QUARTERS)],
-                             ids=["padfl-halves", "flanc-halves", "padfl-quarters"])
-    def test_matches_per_client_reference(self, kind, widths, depth):
-        layout = conv_layout(recovery=kind) if widths is MIXED else \
-            conv_layout(convs=(4, 8), in_channels=1, side=8, min_width=Fraction(1, 4),
-                        recovery=kind)
+    @pytest.mark.parametrize("widths", [MIXED, QUARTERS], ids=["halves", "quarters"])
+    def test_matches_per_client_reference(self, widths, depth):
+        layout = conv_layout() if widths is MIXED else \
+            conv_layout(convs=(4, 8), in_channels=1, side=8, min_width=Fraction(1, 4))
         state = make_state(layout, n_clients=len(widths), embed=4, hidden=6, depth=depth,
                            seed=20 + depth)
         state.log_temp = np.random.default_rng(21).normal(size=state.log_temp.shape)
@@ -179,24 +173,8 @@ class TestBatchedGeneration:
 
 
 class TestShare:
-    def test_infeasible_flanc_width_raises(self):
-        # at width 1/4 conv 2 keeps 1 of its 4 inputs, which base_count 2 cannot split
-        kw = dict(convs=(4, 8), in_channels=1, side=8, min_width=Fraction(1, 4))
-        q, message = Fraction(1, 4), "needs its 1 kept input channels divisible by base_count 2"
-        for kind in ("padfl", "flanc"):
-            layout = conv_layout(**kw, recovery=kind)
-            flat = [f.data for f in hn.generation_graph(make_state(layout))[1]]
-            for cut in (lambda: hn.share(layout, 1, flat[1][:, 0], q),
-                        lambda: hn.generate_personal(flat, 0, layout, q)):
-                if kind == "padfl":
-                    cut()
-                else:
-                    with pytest.raises(ConfigurationError, match=message):
-                        cut()
-
-    @pytest.mark.parametrize("kind", ["padfl", "flanc"])
-    def test_writes_through_a_strided_column_hit_exactly_the_pruned_positions(self, kind):
-        layout = conv_layout(recovery=kind)
+    def test_writes_through_a_strided_column_hit_exactly_the_pruned_positions(self):
+        layout = conv_layout()
         state = make_state(layout)
         p = Fraction(1, 2)
         for l, spec in enumerate(layout.specs):
@@ -292,10 +270,9 @@ class TestHnStep:
         fd_e = finite_diff(f_enc, [state.encoder[0].w])
         assert rel_err(nodes.encoder[0].w.grad, fd_e[0]) <= 1e-4
 
-    @pytest.mark.parametrize("kind", ["padfl", "flanc"])
-    def test_mixed_width_gradient_matches_fd(self, kind):
+    def test_mixed_width_gradient_matches_fd(self):
         # pruned positions and clients that returned nothing must not count
-        layout = conv_layout(recovery=kind)
+        layout = conv_layout()
         state = make_state(layout, n_clients=len(MIXED), embed=3, hidden=4, depth=2, seed=23)
         rng = np.random.default_rng(24)
         widths = dict(enumerate(MIXED))

@@ -336,12 +336,11 @@ class TestSelectTestModel:
 
 
 def random_conv_model(layout, p, rng, biases=True):
-    """A width-p decomposed model with random factors in each layer's
-    recovery layout."""
+    """A width-p decomposed model with random factors."""
     gen, fac, bias = [], [], []
     for spec in layout.specs:
         out_kept, in_kept = spec.kept(p)
-        cols = out_kept * in_kept // spec.base_count  # a * b in either layout
+        cols = out_kept * in_kept // spec.base_count  # a * b of spec.grid(p)
         gen.append(rng.normal(size=(spec.kernel ** 2 * spec.base_count, spec.rank)))
         fac.append(rng.normal(size=(spec.rank, cols)))
         bias.append(rng.normal(size=out_kept) * biases)
@@ -362,19 +361,18 @@ class TestSelectTestModelConv:
     P = Fraction(1, 2)
 
     def setup_method(self):
-        self.layouts = {kind: conv_layout(side=8, recovery=kind) for kind in ("padfl", "flanc")}
+        self.layout = conv_layout(side=8)
         rng = np.random.default_rng(12)
         self.x = rng.normal(size=(12, 2, 8, 8))
-        self.y = rng.integers(0, self.layouts["padfl"].classes, size=12)
+        self.y = rng.integers(0, self.layout.classes, size=12)
         self.xt = rng.normal(size=(7, 2, 8, 8))
-        self.yt = rng.integers(0, self.layouts["padfl"].classes, size=7)
+        self.yt = rng.integers(0, self.layout.classes, size=7)
 
     def xy(self):
         return (self.x, self.y), (self.xt, self.yt)
 
-    @pytest.mark.parametrize("recovery", ["padfl", "flanc"])
-    def test_matches_per_alpha_reference(self, recovery):
-        layout = self.layouts[recovery]
+    def test_matches_per_alpha_reference(self):
+        layout = self.layout
         rng = np.random.default_rng(11)
         received = random_conv_model(layout, self.P, rng)
         local = random_conv_model(layout, self.P, rng)
@@ -393,11 +391,10 @@ class TestSelectTestModelConv:
         test_ref = reference_logits(layout, scalar_mix(received, local, alpha), self.xt)
         assert test_acc == float((test_ref.argmax(axis=1) == self.yt).mean())
 
-    @pytest.mark.parametrize("recovery", ["padfl", "flanc"])
-    def test_ties_resolve_to_smallest_alpha(self, recovery):
+    def test_ties_resolve_to_smallest_alpha(self):
         # no biases and local = 2 * received: every mix rescales the same
         # network by a positive factor, so every alpha scores the same
-        layout = self.layouts[recovery]
+        layout = self.layout
         rng = np.random.default_rng(13)
         received = random_conv_model(layout, self.P, rng, biases=False)
         local = ClientModel.from_arrays([2.0 * a for a in received.arrays()], self.P)
@@ -415,14 +412,10 @@ class TestPayload:
     selected clients: the general factors, the generated personal factors
     and biases, and the sliced shared head."""
 
-    @pytest.mark.parametrize("recovery", ["padfl", "flanc"])
-    def test_params_exchanged_equals_sent_sizes(self, recovery):
+    def test_params_exchanged_equals_sent_sizes(self):
         cfg, _, profiles = small_setup(seed=5)
         cfg.per_round = 3  # of 4 clients, two at each width: both widths are sent
-        # conv 4,8 at min_width 1/4: the second conv has base_count 2, whose
-        # FLANC slabs split the kept inputs at widths 1/2 and 1
-        layout = build_layout((1, 8, 8), 2, cfg.min_width, (4, 8), cfg.conv_kernel,
-                              recovery=recovery)
+        layout = build_layout((1, 8, 8), 2, cfg.min_width, (4, 8), cfg.conv_kernel)
         profiles = [replace(prof, width=Fraction(1, 1 + prof.id % 2)) for prof in profiles]
         method = protocol.DecomposedFL(profiles, layout, cfg)
         sizes = []
@@ -438,12 +431,21 @@ class TestPayload:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_every_method_counts_what_sent_gives(self, method):
-        # LocalOnly sends nothing; every other method sends its clients sent(i)
+        # LocalOnly sends nothing; every other method sends its clients
+        # sent(i), except that without hyper-network aggregation a client
+        # that trained before holds all of it but the general factors
         profiles, built = conv48_method(method, 5, per_round=3)
-        sizes = [sum(a.size for a in built.sent(prof.id).arrays()) for prof in profiles]
-        metrics = built.run_round(0)
-        expect = 0 if method == "LocalOnly" else sum(sizes[i] for i in metrics.selected)
-        assert metrics.params_exchanged == expect
+        trained = set()
+        for t in range(2):
+            sent = {prof.id: built.sent(prof.id) for prof in profiles}
+            held = trained if method == "Pa3dFL_NoHNAgg" else set()
+            metrics = built.run_round(t)
+            expect = 0 if method == "LocalOnly" else sum(
+                a.size for i in metrics.selected
+                for a in (sent[i].general if i in held else sent[i].arrays()))
+            assert metrics.params_exchanged == expect
+            assert t == 0 or trained & set(metrics.selected)  # round 1 meets a trained client
+            trained |= set(metrics.selected) - set(metrics.failed)
 
     @pytest.mark.parametrize("method", ["Pa3dFL", "Pa3dFL_NoHNAgg", "PWidthNested", "LocalOnly"])
     def test_one_sent_per_task(self, method, monkeypatch):
@@ -460,10 +462,8 @@ class TestPayload:
 
 def conv48_method(method, data_seed, profiles=None, **overrides):
     """(profiles, method built by the runner) on `small_setup(data_seed)`'s
-    float64 clients at widths 1 and 1/2, with conv 4,8: the second conv has
-    base_count 2, whose FLANC slabs split the kept inputs at both widths,
-    so every method in METHODS trains. `profiles` reuses a client list;
-    `overrides` replace config fields."""
+    float64 clients at widths 1 and 1/2, with conv 4,8. `profiles` reuses a
+    client list; `overrides` replace config fields."""
     cfg, _, fresh = small_setup(seed=data_seed)
     cfg = replace(cfg, method=method, conv_channels=(4, 8), **overrides)
     if profiles is None:

@@ -4,8 +4,9 @@ tests/util.py, and the functions the benchmark hooks by name are no
 exception. Likewise every dataclass field in src/padfl must be read
 somewhere in src/padfl or padbench/: a field that nothing reads is dead
 state. The modules of src/padfl import one another without a cycle,
-counting imports inside functions. Only `decomp` reads a layer's
-recovery kind: the rest of the package asks its `LayerSpec`. A config
+counting imports inside functions. A width is pruned by one rule: only
+the two recoveries and `hypernet.share` call `LayerSpec.grid`, and only
+the two recoveries read `decomp.PERMUTATION`. A config
 is validated at one boundary: only `runner.run` and `report.account` call
 `.finalize()`, and only `RunConfig.finalize` calls `validate`. A
 `key = value` item is parsed by one rule: only `config._assign` splits on
@@ -89,23 +90,6 @@ def import_graph():
     return graph
 
 
-def recovery_readers():
-    """(module, top-level def) of every `.recovery` attribute load in src/padfl."""
-    out = set()
-    for path in sorted(SRC.glob("*.py")):
-        for top in ast.parse(path.read_text()).body:
-            out |= {(path.stem, getattr(top, "name", None)) for node in ast.walk(top)
-                    if isinstance(node, ast.Attribute) and node.attr == "recovery"
-                    and isinstance(node.ctx, ast.Load)}
-    return out
-
-
-def test_only_decomp_reads_the_recovery_kind():
-    readers = recovery_readers()
-    assert ("decomp", "LayerSpec") in readers  # the scan sees the one owner
-    assert {r for r in readers if r[0] != "decomp"} <= {("model", "build_layout")}
-
-
 def test_import_graph_has_no_cycle():
     graph = import_graph()
     assert {"runner", "report"} <= graph["cli"]  # cli.main imports them inside the function
@@ -139,6 +123,13 @@ def callers(name):
         getattr(node.func, "id", None), getattr(node.func, "attr", None)))
 
 
+def readers(name):
+    """(module, dotted name of the enclosing def) of every load in src/padfl
+    of a name or attribute called `name`."""
+    return enclosing(lambda node: isinstance(getattr(node, "ctx", None), ast.Load) and name in (
+        getattr(node, "id", None), getattr(node, "attr", None)))
+
+
 def _is_self_local(node):
     return (isinstance(node, ast.Attribute) and node.attr == "local"
             and getattr(node.value, "id", None) == "self")
@@ -167,6 +158,12 @@ def test_shared_arrays_are_averaged_by_one_rule():
 
 def test_client_rows_are_built_in_one_place():
     assert callers("ClientRow") == {("protocol", "FederatedMethod.run_round")}
+
+
+def test_widths_are_pruned_by_one_rule():
+    recoveries = {("decomp", "recover_padfl_t"), ("decomp", "recover_padfl")}
+    assert callers("grid") == recoveries | {("hypernet", "share")}
+    assert readers("PERMUTATION") == recoveries
 
 
 def test_hypernet_output_is_cut_by_one_rule():

@@ -247,8 +247,6 @@ def test_all_methods_identical_bytes_for_1_2_3_workers(tmp_path):
                 cfg = config.parse_config({SMALL!r})
                 cfg.method, cfg.clients, cfg.per_round = method, 5, 3
                 cfg.workers, cfg.out_dir = workers, f"{{method}}-{{workers}}"
-                if method == "Pa3dFL_FlancDecomp":  # base_count 2 in conv 2
-                    cfg.conv_channels = (4, 8)
                 runner.run(cfg)
                 with open(cfg.out_dir + "/metrics.csv", "rb") as fh:
                     digests.add(hashlib.sha256(fh.read()).hexdigest())

@@ -7,7 +7,6 @@ generation, pruning, accounting and copying helpers that only tests use.
 The personal factor's grid and the stored-float count are computed here
 by their own formulas, not read from `decomp`; the width grid and a
 search over it are the oracle of `protocol.width_for_capacity`."""
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -104,8 +103,8 @@ def aggregate_embedding(encoded, client, tau):
 
 def reference_personal(state, client, layout, width):
     """One client's generated personal parameters, decoder by decoder:
-    mix, decoder mat-vec, then numpy slicing of the flat output in each
-    layer's recovery layout."""
+    mix, decoder mat-vec, then numpy slicing of the flat output's leading
+    personal blocks and input columns."""
     enc = encode(state)
     p = Fraction(width)
     taus = np.exp(state.log_temp)
@@ -116,11 +115,7 @@ def reference_personal(state, client, layout, width):
         (t_kept, ik), r1 = spec.kept(p), spec.base_count
         blocks = spec.out_channels // r1
         n_v = spec.rank * blocks * spec.in_channels
-        if spec.recovery == "padfl":
-            v = flat[:n_v].reshape(spec.rank, blocks, spec.in_channels)[:, :t_kept // r1, :ik]
-        else:
-            v = flat[:n_v].reshape(spec.rank, spec.out_channels, spec.in_channels // r1)
-            v = v[:, :t_kept, :ik // r1]
+        v = flat[:n_v].reshape(spec.rank, blocks, spec.in_channels)[:, :t_kept // r1, :ik]
         factors.append(v.reshape(spec.rank, -1))
         biases.append(flat[n_v:n_v + t_kept])
     head = state.decoders[-1]
@@ -143,40 +138,28 @@ def hn_loss(state, returned, layout):
     return total / len(returned)
 
 
-def personal_grid(recovery, base_count, out_kept, in_kept):
+def personal_grid(base_count, out_kept, in_kept):
     """(a, b) of an out_kept x in_kept personal factor, (rank, a * b):
-    padfl holds out_kept / base_count blocks of in_kept columns, flanc
-    out_kept rows of in_kept / base_count input slabs."""
-    if recovery == "padfl":
-        return out_kept // base_count, in_kept
-    if in_kept % base_count:
-        raise ConfigurationError(f"{in_kept} inputs do not split into {base_count} slabs")
-    return out_kept, in_kept // base_count
+    out_kept / base_count blocks of in_kept columns."""
+    return out_kept // base_count, in_kept
 
 
 def stored_floats(spec, out_kept, in_kept) -> int:
     """Floats a layer pruned to out_kept x in_kept stores: the whole
     (k^2 * base_count, rank) general factor, the pruned personal factor
     and the kept biases."""
-    a, b = personal_grid(spec.recovery, spec.base_count, out_kept, in_kept)
+    a, b = personal_grid(spec.base_count, out_kept, in_kept)
     return spec.kernel ** 2 * spec.base_count * spec.rank + spec.rank * a * b + out_kept
 
 
 def reference_weight(general, personal, spec, out_kept, in_kept):
-    """Recovered (out_kept, in_kept, k, k) weight by einsum over the rank,
-    in `spec.recovery`'s layout.
-
-    padfl: channel j*base_count + i is u_i v_j; flanc: input s = c*base_count + i
-    of output o is u_i v_(o, c)."""
+    """Recovered (out_kept, in_kept, k, k) weight by einsum over the rank:
+    channel j*base_count + i is u_i v_j."""
     k2 = spec.kernel ** 2
     r1 = general.shape[0] // k2
     u = general.reshape(r1, k2, -1)
-    if spec.recovery == "padfl":
-        v = personal.reshape(-1, out_kept // r1, in_kept)
-        w = np.einsum("ikr,rjs->jisk", u, v)
-    else:
-        v = personal.reshape(-1, out_kept, in_kept // r1)
-        w = np.einsum("ikr,roc->ocik", u, v)
+    v = personal.reshape(-1, out_kept // r1, in_kept)
+    w = np.einsum("ikr,rjs->jisk", u, v)
     return w.reshape(out_kept, in_kept, spec.kernel, spec.kernel)
 
 
@@ -197,8 +180,8 @@ def reference_plain_logits(layout, model, x):
 
 
 def reference_logits(layout, model, x):
-    """One client model's logits from first principles: einsum recovery in
-    each layer's recovery layout, then `reference_plain_logits` on the
+    """One client model's logits from first principles: einsum recovery of
+    each layer, then `reference_plain_logits` on the
     recovered dense model."""
     p, weights = model.width, []
     for idx, spec in enumerate(layout.specs):
@@ -240,11 +223,6 @@ def recover_graph(general, personal, spec, p=1):
     return recover_padfl_t(ad.const(general), ad.const(personal), spec, p).data
 
 
-def recover_flanc(general, personal, spec) -> np.ndarray:
-    """The full-width input-slab recovered weight, through the graph recovery."""
-    return recover_graph(general, personal, replace(spec, recovery="flanc"))
-
-
 def generate_one(state, client, layout, width):
     """One client's personal parameters, pruned to its width: a batched
     generation from the state, then that client's cut."""
@@ -262,8 +240,8 @@ def prune_personal(personal, bias, spec, p, in_kept=None):
         raise ConfigurationError(f"width {p} keeps no whole personal blocks")
     out_kept = int(out_kept)
     in_kept = spec.in_channels if in_kept is None else in_kept
-    full = personal_grid(spec.recovery, spec.base_count, spec.out_channels, spec.in_channels)
-    a, b = personal_grid(spec.recovery, spec.base_count, out_kept, in_kept)
+    full = personal_grid(spec.base_count, spec.out_channels, spec.in_channels)
+    a, b = personal_grid(spec.base_count, out_kept, in_kept)
     kept = personal.reshape(spec.rank, *full)[:, :a, :b]
     return np.ascontiguousarray(kept).reshape(spec.rank, a * b), bias[:out_kept].copy()
 

@@ -34,7 +34,7 @@ WORKERS = (1, 2)
 ROUNDS = 3
 
 # config text on top of the defaults; the last is a 4-client conv 4,8
-# network at full width, where Pa3dFL_FlancDecomp trains
+# network at full width
 CONFIGS = {
     "default": "",
     "fc32": "fc_dims = 32\n",
