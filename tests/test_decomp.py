@@ -160,7 +160,8 @@ class TestWeightShape:
 
 
 class TestRecoverStacked:
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+    # the ids name the recovery under test, decomp.recover_padfl
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["padfl", "padfl-float32"])
     def test_slices_bitwise_equal_graph_recovery(self, dtype):
         spec = LayerSpec("conv", 8, 4, 3, base_count=2, rank=6)
         rng = np.random.default_rng(12)
