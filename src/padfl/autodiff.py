@@ -8,9 +8,12 @@ dataset's float32, while the hyper-network and the tests' oracles run in
 float64. An operation returns a fresh Tensor whose backward closure
 scatters the incoming gradient to its parents. Graphs are implicit
 (parent pointers) and single-owner: build, call :func:`backward` on a
-scalar, read ``.grad`` off the leaves. There is no broadcasting beyond
-the explicit bias-add patterns accepted by :func:`add`; everything else
-must match shapes exactly so silent shape bugs cannot survive.
+scalar, read ``.grad`` off the leaves. A leaf wraps the caller's array
+itself, frozen; :func:`backward` releases every other node's gradient
+once passed on, and `_acc` moves a gradient no one else holds rather
+than copy it. There is no broadcasting beyond the explicit bias-add
+patterns accepted by :func:`add`; everything else must match shapes
+exactly so silent shape bugs cannot survive.
 """
 from __future__ import annotations
 
@@ -33,13 +36,10 @@ class Tensor:
 
     __slots__ = ("data", "parents", "backward_fn", "requires_grad", "grad")
 
-    def __init__(self, data, parents=(), backward_fn=None, requires_grad=False, _own=False):
-        if _own:
-            arr = np.asarray(data, dtype=_dtype(data))
-            if not arr.flags.c_contiguous:
-                arr = np.ascontiguousarray(arr)
-        else:
-            arr = np.array(data, dtype=_dtype(data), order="C")
+    def __init__(self, data, parents=(), backward_fn=None, requires_grad=False):
+        arr = np.asarray(data, dtype=_dtype(data))
+        if not arr.flags.c_contiguous:
+            arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False
         self.data = arr
         self.parents = tuple(parents)
@@ -56,24 +56,25 @@ class Tensor:
 
 
 def leaf(data):
-    """Trainable leaf; gradients accumulate here."""
+    """Trainable leaf over `data` itself, frozen; gradients accumulate here."""
     return Tensor(data, requires_grad=True)
 
 
 def const(data):
-    """Non-trainable value (inputs, labels, frozen weights)."""
-    return Tensor(data)
+    """Non-trainable copy of a value (inputs, labels, frozen weights)."""
+    return Tensor(np.array(data, dtype=_dtype(data), order="C"))
 
 
 def _out(data, parents, backward_fn):
-    return Tensor(data, parents=parents, backward_fn=backward_fn, _own=True)
+    return Tensor(data, parents=parents, backward_fn=backward_fn)
 
 
 def _acc(t, g, own=False):
-    """Add g into t.grad, in t's dtype. With own=True, g is a fresh array
-    no one else holds (a conv, pool or ReLU gradient) and becomes t.grad
-    without a copy if its dtype is t's; a pass-through gradient, which
-    `add` hands to both parents, is copied."""
+    """Add g into t.grad, in t's dtype. With own=True, g is an array no
+    one else holds and becomes t.grad without a copy if its dtype is t's:
+    a fresh matrix-product, conv, pool, ReLU or `frobenius_sq` gradient,
+    or the spent gradient `add` passes on to an operand whose partner
+    takes none. A gradient `add` passes to both operands is copied."""
     if t.requires_grad:
         if t.grad is None:
             t.grad = g if own and g.dtype == t.data.dtype else np.array(g, dtype=t.data.dtype)
@@ -85,7 +86,7 @@ def backward(root):
     """Reverse-mode sweep from a scalar root.
 
     Visits every reachable node exactly once in reverse topological
-    order; forward values are never touched.
+    order; forward values are never touched, and only leaves keep a grad.
     """
     if root.data.size != 1:
         raise DimensionError(f"backward root must be scalar, got shape {root.data.shape}")
@@ -108,6 +109,7 @@ def backward(root):
     for node in reversed(order):
         if node.backward_fn is not None and node.grad is not None:
             node.backward_fn(node.grad)
+            node.grad = None  # passed on; only leaves keep theirs
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +123,8 @@ def _product_node(a, b, product, name):
         raise DimensionError(f"{name} inner dims {a.data.shape} x {b.data.shape}")
 
     def bw(g):
-        _acc(a, g @ b.data.T)
-        _acc(b, a.data.T @ g)
+        _acc(a, g @ b.data.T, own=True)
+        _acc(b, a.data.T @ g, own=True)
 
     return _out(product(a.data, b.data), (a, b), bw)
 
@@ -353,7 +355,7 @@ def add(a, b):
         raise DimensionError(f"add shapes {sa} + {sb}")
 
     def bw(g):
-        _acc(a, g)
+        _acc(a, g, own=not b.requires_grad)
         _acc(b, reduce_b(g))
 
     return _out(a.data + b.data, (a, b), bw)
@@ -393,15 +395,15 @@ def exp(x):
 
 
 def detach(x):
-    """Value copy with no gradient path back to its input."""
-    return Tensor(x.data, _own=True)
+    """The same value with no gradient path back to its input."""
+    return Tensor(x.data)
 
 
 def frobenius_sq(x):
     out_data = np.array((x.data * x.data).sum())
 
     def bw(g):
-        _acc(x, (2.0 * g.item()) * x.data)
+        _acc(x, (2.0 * g.item()) * x.data, own=True)
 
     return _out(out_data, (x,), bw)
 

@@ -8,8 +8,9 @@ and personal block v_j, so pruning trailing v blocks removes exactly the
 trailing output channels while the general factor is untouched.
 
 `LayerSpec` is the one record of a layer and of what a width-p client
-holds of it (`kept(p)`, `grid(p)`, `weight_shape(p)`). The init,
-recovery and accounting functions take the record (and the width) alone.
+holds of it (`kept(p)`, `grid(p)`, `weight_shape(p)`, cached per width).
+The init, recovery and accounting functions take the record (and the
+width) alone.
 
 `LayerSpec.grid` and `PERMUTATION` are the one pruning rule, which the
 graph recovery for training (`recover_padfl_t`), the stacked recovery
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -50,18 +52,21 @@ class LayerSpec:
     out_hw: tuple = (1, 1)
     raw_input: bool = False
 
+    @cache
     def kept(self, p):
         """(out_kept, in_kept): the leading channels a width-p client keeps."""
         p = Fraction(p)
         in_kept = self.in_channels if self.raw_input else int(self.in_channels * p)
         return int(self.out_channels * p), in_kept
 
+    @cache
     def weight_shape(self, p):
         """The dense width-p weight's shape: (T, S, k, k) of `kept(p)` for
         conv, (T, S) for linear."""
         kept = self.kept(p)
         return (*kept, self.kernel, self.kernel) if self.kind == "conv" else kept
 
+    @cache
     def grid(self, p):
         """(a, b): the width-p personal factor is (rank, a * b), one group
         of b = in_kept columns per whole block of base_count output

@@ -10,7 +10,8 @@ the head) computes
     A_l = softmax(S * exp(-log_temp_l))    row-wise, (n, n)
     F_l = D_l (E A_l^T) + b_l              (out_dim_l, n), column i = client i
 
-in one batched pass over all n clients (`generation_graph`). A width-p
+in one batched pass over all n clients (`generation_graph`, whose leaves
+are the state's own arrays, not copies). A width-p
 client holds `share`'s views of its column of F_l: `generate_personal`
 copies them out, and the server step writes through them. It regresses
 F_l onto the returned parameters: T_l is F_l with each returned client's
@@ -151,13 +152,13 @@ def regression_loss(outputs, returned, layout: Layout):
     `generation_graph` onto returned personal parameters (client id ->
     model at its width): 0.5/|R| * sum_l ||F_l - T_l||^2, where T_l is F_l
     with each returned client's `share` replaced."""
-    targets = [f.data.copy() for f in outputs]
+    negated = [-f.data for f in outputs]  # -T_l, wrapped as is: one copy
     for i, model in returned.items():
         pairs = list(zip(model.factors, model.biases)) + [(model.head_w, model.head_b)]
         for l, pair in enumerate(pairs):
-            for view, arr in zip(share(layout, l, targets[l][:, i], model.width), pair):
-                view[...] = arr.reshape(view.shape)
-    terms = [ad.frobenius_sq(ad.add(f, ad.const(-t))) for f, t in zip(outputs, targets)]
+            for view, arr in zip(share(layout, l, negated[l][:, i], model.width), pair):
+                np.negative(arr.reshape(view.shape), out=view)
+    terms = [ad.frobenius_sq(ad.add(f, ad.Tensor(t))) for f, t in zip(outputs, negated)]
     return ad.mul_scalar(ad.add_n(terms), ad.const(0.5 / len(returned)))
 
 
@@ -169,7 +170,8 @@ def hn_step(graph, returned, layout: Layout, lr) -> tuple:
     `returned` maps client id -> locally trained ClientModel (its general
     factors are not read) and is never empty: `run_round` raises before
     `aggregate` when every client failed. Returns (new state, loss
-    value). A zero loss leaves the state bit-identical.
+    value). The state stepped from is never written, and a zero loss
+    leaves the new state bit-identical to it.
     """
     nodes, outputs = graph
     loss = regression_loss(outputs, returned, layout)
@@ -177,5 +179,6 @@ def hn_step(graph, returned, layout: Layout, lr) -> tuple:
     if not np.isfinite(val):
         raise NumericError("non-finite hyper-network loss")
     ad.backward(loss)
-    new = [n.data if n.grad is None else n.data - lr * n.grad for n in nodes.arrays()]
+    new = [n.data if n.grad is None else n.data - np.multiply(n.grad, lr, out=n.grad)
+           for n in nodes.arrays()]  # each spent gradient scaled in place
     return HyperNetState.from_arrays(new, len(nodes.encoder)), val

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -49,6 +50,7 @@ class Layout:
     head_in_full: int     # dense feature count entering the head at width 1
     classes: int
 
+    @cache
     def head_in(self, p) -> int:
         """Head input features at width p (leading channels kept)."""
         return int(Fraction(self.head_in_full) * Fraction(p))

@@ -148,10 +148,8 @@ def sgd(model, data: ClientData, loss_fn, *, epochs, batch, lr, rng):
             if not np.isfinite(val):
                 return None, float("nan")
             losses.append(val)
-            ad.backward(loss)
-            for arr, node in zip(arrays, leaves):
-                if node.grad is not None:
-                    arr -= lr * node.grad
+            ad.backward(loss)  # the leaves froze `arrays`: step out of place
+            arrays = [a if n.grad is None else a - lr * n.grad for a, n in zip(arrays, leaves)]
     return type(model).from_arrays(arrays, model.width), float(np.mean(losses))
 
 

@@ -368,6 +368,39 @@ class TestGraphDiscipline:
         with pytest.raises(ValueError):
             t.data[0] = 5.0
 
+    def test_leaf_wraps_its_array_and_const_copies(self):
+        a, c = np.ones(3), np.ones(3)
+        assert ad.leaf(a).data is a and not a.flags.writeable
+        assert not np.shares_memory(ad.const(c).data, c) and c.flags.writeable
+
+    def test_backward_keeps_leaf_gradients_only(self):
+        # a conv block, an add with a constant and a frobenius_sq: every
+        # interior gradient is released once passed on, and the leaves'
+        # still match finite differences
+        rng = np.random.default_rng(16)
+        x, w, b = rng.normal(size=(2, 2, 4, 4)), rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3)
+        shift = rng.normal(size=(3, 2, 2, 2))
+
+        def loss_of(arrs, wrap):
+            lx, lw, lb = (wrap(a) for a in arrs)
+            block = ad.relu(ad.maxpool2x2(ad.conv2d(lx, lw, pad=1, bias=lb)))
+            return ad.frobenius_sq(ad.add(block, ad.const(shift)))
+
+        leaves = [ad.leaf(cf(x)), ad.leaf(w), ad.leaf(b)]
+        root = loss_of(leaves, lambda node: node)
+        ad.backward(root)
+        interior, stack = [], [root]
+        while stack:
+            node = stack.pop()
+            if node.backward_fn is not None:
+                interior.append(node)
+                stack.extend(node.parents)
+        assert len(interior) == 5
+        assert all(node.grad is None for node in interior)
+        fd = finite_diff(lambda arrs: float(loss_of(arrs, ad.const).data), [cf(x), w, b])
+        for leaf, ref in zip(leaves, fd):
+            assert rel_err(leaf.grad, ref) <= 1e-5
+
     def test_repeated_backward_bit_identical(self):
         def once():
             rng = np.random.default_rng(14)

@@ -307,10 +307,9 @@ class TestFedAvgOracle:
                     loss = ad.cross_entropy(
                         forward_t(leaves, ad.const(dataset.features[sel])),
                         dataset.labels[sel])
-                    ad.backward(loss)
-                    for a, n in zip(arrs, leaves):
-                        if n.grad is not None:
-                            a -= eta * n.grad
+                    ad.backward(loss)  # leaves freeze their arrays: step out of place
+                    arrs = [a if n.grad is None else a - eta * n.grad
+                            for a, n in zip(arrs, leaves)]
             return arrs
 
         for t in range(len(record.rounds)):

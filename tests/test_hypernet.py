@@ -220,6 +220,19 @@ class TestHnStep:
             assert np.array_equal(a.w, b.w)
             assert np.array_equal(a.b, b.b)
 
+    def test_state_stepped_from_is_bit_identical(self):
+        layout = conv_layout()
+        state = make_state(layout, n_clients=len(MIXED), embed=3, hidden=4, depth=2, seed=27)
+        before = copy.deepcopy(state.arrays())
+        rng = np.random.default_rng(28)
+        returned = {i: replace(gen, factors=[f + rng.normal(size=f.shape) for f in gen.factors])
+                    for i in (0, 1, 4) for gen in [generate_one(state, i, layout, MIXED[i])]}
+        new, loss = hn.hn_step(hn.generation_graph(state), returned, layout, lr=0.5)
+        assert loss > 0
+        for old, snap in zip(state.arrays(), before):
+            assert old.dtype == snap.dtype and np.array_equal(old, snap)
+        assert not np.array_equal(new.embeddings, state.embeddings)
+
     def test_embedding_gradient_matches_fd(self):
         layout = tiny_layout()
         state = make_state(layout, n_clients=3, embed=3, hidden=4, depth=2, seed=11)
@@ -313,7 +326,8 @@ class TestHnStep:
             gen = generate_one(state, i, layout, MIXED[i])
             returned[i] = replace(gen, factors=[f + rng.normal(size=f.shape)
                                                 for f in gen.factors])
-        _, outputs = hn.generation_graph(state)
+        # the decoder outputs as leaves: backward keeps leaf gradients only
+        outputs = [ad.leaf(f.data) for f in hn.generation_graph(state)[1]]
         ad.backward(hn.regression_loss(outputs, returned, layout))
         for l, out in enumerate(outputs):
             assert not out.grad[:, [2, 3]].any()
