@@ -47,13 +47,6 @@ class Tensor:
         self.requires_grad = requires_grad or any(p.requires_grad for p in self.parents)
         self.grad = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
 
 def leaf(data):
     """Trainable leaf over `data` itself, frozen; gradients accumulate here."""
@@ -63,10 +56,6 @@ def leaf(data):
 def const(data):
     """Non-trainable copy of a value (inputs, labels, frozen weights)."""
     return Tensor(np.array(data, dtype=_dtype(data), order="C"))
-
-
-def _out(data, parents, backward_fn):
-    return Tensor(data, parents=parents, backward_fn=backward_fn)
 
 
 def _acc(t, g, own=False):
@@ -126,7 +115,7 @@ def _product_node(a, b, product, name):
         _acc(a, g @ b.data.T, own=True)
         _acc(b, a.data.T @ g, own=True)
 
-    return _out(product(a.data, b.data), (a, b), bw)
+    return Tensor(product(a.data, b.data), (a, b), bw)
 
 
 def matmul(a, b):
@@ -226,7 +215,7 @@ def conv2d(x, w, pad, bias):
         if x.requires_grad:
             _acc(x, _col2im(w2 @ g2, x.data.shape, k, pad, ho, wo), own=True)
 
-    return _out(out2.reshape(t, ho, wo, bsz), (x, w, bias), bw)
+    return Tensor(out2.reshape(t, ho, wo, bsz), (x, w, bias), bw)
 
 
 def conv2d_infer(x, w, pad):
@@ -258,7 +247,7 @@ def relu(x):
     def bw(g):
         _acc(x, g * (out_data > 0), own=True)
 
-    return _out(out_data, (x,), bw)
+    return Tensor(out_data, (x,), bw)
 
 
 def relu_infer(x):
@@ -284,7 +273,7 @@ def maxpool2x2(x):
     def bw(g):
         _acc(x, (mask * g[:, :, None, :, None]).reshape(x.data.shape), own=True)
 
-    return _out(out_data, (x,), bw)
+    return Tensor(out_data, (x,), bw)
 
 
 def maxpool2x2_infer(x):
@@ -314,7 +303,7 @@ def softmax(x):
         dot = (g * y).sum(axis=-1, keepdims=True)
         _acc(x, (g - dot) * y)
 
-    return _out(y, (x,), bw)
+    return Tensor(y, (x,), bw)
 
 
 def cross_entropy(logits, labels):
@@ -335,7 +324,7 @@ def cross_entropy(logits, labels):
         p[np.arange(n), labels] -= 1.0
         _acc(logits, (g.item() / n) * p)
 
-    return _out(out_data, (logits,), bw)
+    return Tensor(out_data, (logits,), bw)
 
 
 def add(a, b):
@@ -358,7 +347,7 @@ def add(a, b):
         _acc(a, g, own=not b.requires_grad)
         _acc(b, reduce_b(g))
 
-    return _out(a.data + b.data, (a, b), bw)
+    return Tensor(a.data + b.data, (a, b), bw)
 
 
 def mul(a, b):
@@ -369,7 +358,7 @@ def mul(a, b):
         _acc(a, g * b.data)
         _acc(b, g * a.data)
 
-    return _out(a.data * b.data, (a, b), bw)
+    return Tensor(a.data * b.data, (a, b), bw)
 
 
 def mul_scalar(x, s):
@@ -382,7 +371,7 @@ def mul_scalar(x, s):
         _acc(x, g * sval)
         _acc(s, np.array((g * x.data).sum()))
 
-    return _out(x.data * sval, (x, s), bw)
+    return Tensor(x.data * sval, (x, s), bw)
 
 
 def exp(x):
@@ -391,7 +380,7 @@ def exp(x):
     def bw(g):
         _acc(x, g * y)
 
-    return _out(y, (x,), bw)
+    return Tensor(y, (x,), bw)
 
 
 def detach(x):
@@ -405,7 +394,7 @@ def frobenius_sq(x):
     def bw(g):
         _acc(x, (2.0 * g.item()) * x.data, own=True)
 
-    return _out(out_data, (x,), bw)
+    return Tensor(out_data, (x,), bw)
 
 
 def reshape(x, shape):
@@ -415,7 +404,7 @@ def reshape(x, shape):
     def bw(g):
         _acc(x, g.reshape(x.data.shape))
 
-    return _out(out_data, (x,), bw)
+    return Tensor(out_data, (x,), bw)
 
 
 def transpose(x, axes):
@@ -424,7 +413,7 @@ def transpose(x, axes):
     def bw(g):
         _acc(x, np.ascontiguousarray(g.transpose(inv)))
 
-    return _out(x.data.transpose(axes), (x,), bw)
+    return Tensor(x.data.transpose(axes), (x,), bw)
 
 
 def slice_t(x, key):
@@ -437,7 +426,7 @@ def slice_t(x, key):
             full[key] = g
             _acc(x, full)
 
-    return _out(x.data[key], (x,), bw)
+    return Tensor(x.data[key], (x,), bw)
 
 
 def add_n(terms):

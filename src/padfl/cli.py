@@ -29,20 +29,16 @@ def main(argv=None):
                                      description="capacity-heterogeneous personalized "
                                                  "federated learning simulator")
     sub = parser.add_subparsers(dest="command", required=True)
+    configured = argparse.ArgumentParser(add_help=False)  # run and account take a config
+    configured.add_argument("config")
+    configured.add_argument("--set", dest="overrides", action="append", default=[],
+                            metavar="KEY=VALUE", help="override a config key")
 
-    p_run = sub.add_parser("run", help="execute one configured run")
-    p_run.add_argument("config")
-    p_run.add_argument("--set", dest="overrides", action="append", default=[],
-                       metavar="KEY=VALUE", help="override a config key")
-
+    sub.add_parser("run", parents=[configured], help="execute one configured run")
     p_rep = sub.add_parser("report", help="render curves and cluster tables")
     p_rep.add_argument("dirs", nargs="+")
     p_rep.add_argument("-o", "--out", required=True)
-
-    p_acc = sub.add_parser("account", help="print the analytic cost table")
-    p_acc.add_argument("config")
-    p_acc.add_argument("--set", dest="overrides", action="append", default=[],
-                       metavar="KEY=VALUE")
+    sub.add_parser("account", parents=[configured], help="print the analytic cost table")
 
     args = parser.parse_args(argv)
     try:

@@ -12,10 +12,11 @@ Width-p submodels keep the leading p*T output channels of every layer,
 so the flatten stays contiguous and the head only needs its leading
 input columns.
 
-Both families share one graph forward (`features_t`, for training) and
-one plain-array forward (`stacked_forward`, for evaluation). A
-decomposed model first recovers its dense weights from its factors at
-its width, `(spec, p)`: `decomp.recover_padfl_t` in the graph,
+Both families share one graph forward (`representation_t`, for
+training, over dense weight nodes) and one plain-array forward
+(`stacked_forward`, for evaluation). A decomposed model first recovers
+its dense weights from its factors at its width, `(spec, p)`:
+`decomp.recover_padfl_t` in the graph (`protocol.local_update`),
 `decomp.recover_padfl` for a stack of M models (`stacked_dense`).
 `accuracy` and `plain_accuracy` run one model as the M = 1 case. Both
 take and return batch-first arrays and carry the conv activations
@@ -25,7 +26,7 @@ One container per family, `ClientModel` (decomposed) and `PlainModel`
 (dense), is what the server sends, the client trains and returns, and
 the server keeps. Both flatten with `arrays()` and rebuild with
 `from_arrays(arrays, width)`; training wraps the arrays as graph nodes
-in the same container, which is what the graph forwards take.
+in the same container, which is what the training losses take.
 """
 from __future__ import annotations
 
@@ -196,7 +197,7 @@ def init_plain(layout: Layout, p, rng) -> PlainModel:
 # ---------------------------------------------------------------------------
 # forward passes: one graph forward and one plain-array forward
 
-def features_t(layout: Layout, weights, biases, x_node):
+def representation_t(layout: Layout, weights, biases, x_node):
     """Graph forward up to (but not including) the head, over one weight
     and one bias node per layer of `layout.specs` (conv weights
     (T, S, k, k), linear weights (T, S)); takes (B, C, H, W) and returns
@@ -216,17 +217,9 @@ def head_logits_t(x_node, head_w, head_b):
     return ad.add(ad.matmul(x_node, ad.transpose(head_w, (1, 0))), head_b)
 
 
-def representation_t(layout, model: ClientModel, x_node):
-    """Graph forward of a decomposed model of nodes up to the head: recover
-    every weight at the model's width from its factors, then `features_t`."""
-    weights = [decomp.recover_padfl_t(general, factor, spec, model.width)
-               for spec, general, factor in zip(layout.specs, model.general, model.factors)]
-    return features_t(layout, weights, model.biases, x_node)
-
-
 def plain_logits_t(layout, model: PlainModel, x_node):
     """Graph forward of a dense model of nodes."""
-    return head_logits_t(features_t(layout, model.weights, model.biases, x_node),
+    return head_logits_t(representation_t(layout, model.weights, model.biases, x_node),
                          model.head_w, model.head_b)
 
 

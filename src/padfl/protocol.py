@@ -165,7 +165,9 @@ def local_update(model: ClientModel, global_head, client: ClientProfile, layout:
     gw, gb = ad.const(global_head.w), ad.const(global_head.b)
 
     def loss_fn(m, x, y):
-        rep = representation_t(layout, m, x)
+        weights = [decomp.recover_padfl_t(general, factor, spec, m.width)
+                   for spec, general, factor in zip(layout.specs, m.general, m.factors)]
+        rep = representation_t(layout, weights, m.biases, x)
         loss = ad.cross_entropy(head_logits_t(rep, gw, gb), y)
         loss = ad.add(loss, ad.cross_entropy(head_logits_t(ad.detach(rep), m.head_w, m.head_b), y))
         if reg_coef:
@@ -225,13 +227,13 @@ class RoundMetrics:
     mean_val: float
     mean_test: float
     params_exchanged: int
-    hn_loss: float = float("nan")
+    hn_loss: float
     # wall seconds of the phases: generation (building both phases' `sent(i)`),
     # training, aggregate (with the hyper-network step), evaluation
-    gen_s: float = float("nan")
-    train_s: float = float("nan")
-    server_s: float = float("nan")
-    eval_s: float = float("nan")
+    gen_s: float
+    train_s: float
+    server_s: float
+    eval_s: float
 
 
 def coverage_mean(arrays, updates):

@@ -10,9 +10,9 @@ from padfl.config import parse_config
 from padfl.model import (
     PlainModel,
     build_layout,
-    features_t,
     init_plain,
     plain_logits_t,
+    representation_t,
     stacked_forward,
 )
 
@@ -242,11 +242,11 @@ class TestGeometry:
         h = ad.transpose(x, (1, 2, 3, 0))  # convs run batch-last
         for i, (w, b) in enumerate(zip(model.weights[:2], model.biases)):
             h = ad.conv2d(h, ad.const(w), pad=kernel // 2, bias=ad.const(b))
-            assert h.shape[1:3] == layout.specs[i].out_hw
+            assert h.data.shape[1:3] == layout.specs[i].out_hw
             h = ad.relu(ad.maxpool2x2(h))
-        feats = features_t(layout, [ad.const(w) for w in model.weights],
-                           [ad.const(b) for b in model.biases], x)
-        assert feats.shape == (2, layout.head_in_full)
+        feats = representation_t(layout, [ad.const(w) for w in model.weights],
+                                 [ad.const(b) for b in model.biases], x)
+        assert feats.data.shape == (2, layout.head_in_full)
 
     def test_nested_slices_have_init_plain_shapes(self):
         cfg, layout, _ = self.build("PWidthNested")

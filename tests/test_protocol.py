@@ -186,8 +186,11 @@ class TestLocalUpdate:
         data = profiles[0].data
         x, y = data.dataset.features[data.train_idx], data.dataset.labels[data.train_idx]
         nodes = ClientModel.from_arrays([ad.leaf(a) for a in init.arrays()], Fraction(1))
+        from padfl.decomp import recover_padfl_t
         from padfl.model import head_logits_t, representation_t
-        rep = representation_t(layout, nodes, ad.const(x[:8]))
+        weights = [recover_padfl_t(g, v, spec, nodes.width)
+                   for spec, g, v in zip(layout.specs, nodes.general, nodes.factors)]
+        rep = representation_t(layout, weights, nodes.biases, ad.const(x[:8]))
         hw, hb = nodes.head_w, nodes.head_b
         local_loss = ad.cross_entropy(head_logits_t(ad.detach(rep), hw, hb), y[:8])
         ad.backward(local_loss)

@@ -17,7 +17,10 @@ is built in one place: only `FederatedMethod.run_round` constructs a
 store and one writer: outside `__init__` methods, only
 `FederatedMethod.aggregate` writes `self.local`. A client's share of the
 hyper-network's output is cut by one rule: only `generate_personal` and
-`regression_loss` call `hypernet.share`."""
+`regression_loss` call `hypernet.share`. Both model families train
+through one graph forward: only `model.representation_t` calls the conv
+and pool ops, and only `local_update`'s batch loss recovers a decomposed
+model's weights in the graph."""
 import ast
 import graphlib
 from pathlib import Path
@@ -164,6 +167,11 @@ def test_widths_are_pruned_by_one_rule():
     recoveries = {("decomp", "recover_padfl_t"), ("decomp", "recover_padfl")}
     assert callers("grid") == recoveries | {("hypernet", "share")}
     assert readers("PERMUTATION") == recoveries
+
+
+def test_each_family_trains_through_one_graph_forward():
+    assert callers("conv2d") == callers("maxpool2x2") == {("model", "representation_t")}
+    assert callers("recover_padfl_t") == {("protocol", "local_update.loss_fn")}
 
 
 def test_hypernet_output_is_cut_by_one_rule():
