@@ -11,9 +11,10 @@ scatters the incoming gradient to its parents. Graphs are implicit
 scalar, read ``.grad`` off the leaves. A leaf wraps the caller's array
 itself, frozen; :func:`backward` releases every other node's gradient
 once passed on, and `_acc` moves a gradient no one else holds rather
-than copy it. There is no broadcasting beyond the explicit bias-add
-patterns accepted by :func:`add`; everything else must match shapes
-exactly so silent shape bugs cannot survive.
+than copy it. There is no broadcasting beyond the biases: a row bias
+added by :func:`add`, a column bias fused into :func:`matmul` and a
+channel bias fused into :func:`conv2d`; everything else must match
+shapes exactly so silent shape bugs cannot survive.
 """
 from __future__ import annotations
 
@@ -104,22 +105,33 @@ def backward(root):
 # ---------------------------------------------------------------------------
 # matrix products
 
-def _product_node(a, b, product, name):
-    """Graph node of product(a, b), a matrix product of 2-D nodes."""
+def _product_node(a, b, product, name, bias=None):
+    """Graph node of product(a, b), a matrix product of 2-D nodes, plus
+    `bias[:, None]` if a (rows,) bias is given. The bias is fused, as in
+    `conv2d`: no node holds the pre-bias product, and its gradient is one
+    reduction of the incoming one."""
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise DimensionError(f"{name} expects 2-D operands")
     if a.data.shape[1] != b.data.shape[0]:
         raise DimensionError(f"{name} inner dims {a.data.shape} x {b.data.shape}")
+    out = product(a.data, b.data)
+    if bias is not None:
+        if bias.data.shape != (out.shape[0],):
+            raise DimensionError(f"{name} bias shape {bias.data.shape}, expected ({out.shape[0]},)")
+        out += bias.data[:, None]
 
     def bw(g):
         _acc(a, g @ b.data.T, own=True)
         _acc(b, a.data.T @ g, own=True)
+        if bias is not None:
+            _acc(bias, g.sum(axis=1), own=True)
 
-    return Tensor(product(a.data, b.data), (a, b), bw)
+    return Tensor(out, (a, b) if bias is None else (a, b, bias), bw)
 
 
-def matmul(a, b):
-    return _product_node(a, b, np.matmul, "matmul")
+def matmul(a, b, bias=None):
+    """a @ b, plus bias[:, None] if a bias node is given."""
+    return _product_node(a, b, np.matmul, "matmul", bias)
 
 
 def ordered_product(a, b):
@@ -328,9 +340,8 @@ def cross_entropy(logits, labels):
 
 
 def add(a, b):
-    """Elementwise add; the only broadcasts accepted are bias patterns.
-
-    Allowed: same shape, (n,m)+(m,), (n,m)+(n,1). A conv's bias is fused
+    """Elementwise add; the only broadcast accepted is the row-bias
+    pattern (n,m)+(m,). A column bias is fused into `matmul`, a conv's
     into `conv2d`.
     """
     sa, sb = a.data.shape, b.data.shape
@@ -338,8 +349,6 @@ def add(a, b):
         reduce_b = lambda g: g
     elif len(sa) == 2 and sb == (sa[1],):
         reduce_b = lambda g: g.sum(axis=0)
-    elif len(sa) == 2 and sb == (sa[0], 1):
-        reduce_b = lambda g: g.sum(axis=1, keepdims=True)
     else:
         raise DimensionError(f"add shapes {sa} + {sb}")
 
@@ -348,6 +357,19 @@ def add(a, b):
         _acc(b, reduce_b(g))
 
     return Tensor(a.data + b.data, (a, b), bw)
+
+
+def residual(x, diff):
+    """Node of x - c for a constant c that the caller has already
+    subtracted: `diff` is that difference, wrapped as is, so no copy of c
+    is held. The gradient passes to x unchanged."""
+    if diff.shape != x.data.shape:
+        raise DimensionError(f"residual shape {diff.shape}, expected {x.data.shape}")
+
+    def bw(g):
+        _acc(x, g, own=True)
+
+    return Tensor(diff, (x,), bw)
 
 
 def mul(a, b):

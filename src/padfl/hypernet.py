@@ -11,12 +11,17 @@ the head) computes
     F_l = D_l (E A_l^T) + b_l              (out_dim_l, n), column i = client i
 
 in one batched pass over all n clients (`generation_graph`, whose leaves
-are the state's own arrays, not copies). A width-p
-client holds `share`'s views of its column of F_l: `generate_personal`
-copies them out, and the server step writes through them. It regresses
-F_l onto the returned parameters: T_l is F_l with each returned client's
-share replaced by its returned values, so F_l - T_l is 0 wherever
-nothing was returned, and the loss is 0.5/|R| * sum_l ||F_l - T_l||^2.
+are the state's own arrays, not copies). Each bias is fused into its
+product, so F_l is the only (out_dim_l, n) array the graph holds. A
+width-p client holds `share`'s views of its column of F_l:
+`generate_personal` copies them out. The server step regresses F_l onto
+the returned parameters: T_l is F_l with each returned client's share
+replaced by its returned values, and the loss is
+0.5/|R| * sum_l ||R_l||^2 with R_l = F_l - T_l. R_l is one array,
+F_l - F_l (0, or nan where F_l is not finite) with each returned share
+written through `share`'s views as F_l's share minus the returned
+values, so an output that is not finite fails the step even in a
+column no client returned.
 """
 from __future__ import annotations
 
@@ -109,7 +114,7 @@ def init_hypernet(layout: Layout, num_clients, embed_dim, hidden_dim, depth, rng
 def _encode_t(nodes: HyperNetState):
     h = nodes.embeddings
     for i, lm in enumerate(nodes.encoder):
-        h = ad.add(ad.matmul(lm.w, h), ad.reshape(lm.b, (-1, 1)))
+        h = ad.matmul(lm.w, h, bias=lm.b)
         if i < len(nodes.encoder) - 1:
             h = ad.relu(h)
     return h
@@ -130,15 +135,17 @@ def generation_graph(state: HyperNetState):
     for l, dec in enumerate(nodes.decoders):
         attn = ad.softmax(ad.mul_scalar(sims, ad.slice_t(inv_temps, (l,))))
         mixed = ad.matmul(enc, ad.transpose(attn, (1, 0)))
-        outputs.append(ad.add(ad.matmul(dec.w, mixed), ad.reshape(dec.b, (-1, 1))))
+        outputs.append(ad.matmul(dec.w, mixed, bias=dec.b))
     return nodes, outputs
 
 
-def generate_personal(outputs, client, layout: Layout, width) -> ClientModel:
+def generate_personal(outputs, client, layout: Layout, width, dtype=None) -> ClientModel:
     """Cut one client's personal parameters, pruned to its width, out of
     the decoder output arrays of `generation_graph`, as a model with no
-    general factors."""
-    *layers, (head_w, head_b) = [[v.copy() for v in share(layout, l, out[:, client], width)]
+    general factors: each array a C-ordered copy, cast to `dtype` if
+    given."""
+    *layers, (head_w, head_b) = [[np.array(v, dtype=dtype, order="C")
+                                  for v in share(layout, l, out[:, client], width)]
                                  for l, out in enumerate(outputs)]
     return ClientModel([], [w.reshape(len(w), -1) for w, _ in layers], [b for _, b in layers],
                        head_w, head_b, width)
@@ -152,13 +159,16 @@ def regression_loss(outputs, returned, layout: Layout):
     `generation_graph` onto returned personal parameters (client id ->
     model at its width): 0.5/|R| * sum_l ||F_l - T_l||^2, where T_l is F_l
     with each returned client's `share` replaced."""
-    negated = [-f.data for f in outputs]  # -T_l, wrapped as is: one copy
+    # R_l in one array: F_l - F_l is 0, or nan where F_l is not finite
+    diffs = [np.subtract(f.data, f.data) for f in outputs]
     for i, model in returned.items():
         pairs = list(zip(model.factors, model.biases)) + [(model.head_w, model.head_b)]
         for l, pair in enumerate(pairs):
-            for view, arr in zip(share(layout, l, negated[l][:, i], model.width), pair):
-                np.negative(arr.reshape(view.shape), out=view)
-    terms = [ad.frobenius_sq(ad.add(f, ad.Tensor(t))) for f, t in zip(outputs, negated)]
+            views = zip(share(layout, l, outputs[l].data[:, i], model.width),
+                        share(layout, l, diffs[l][:, i], model.width), pair)
+            for f, r, arr in views:
+                np.subtract(f, arr.reshape(r.shape), out=r)
+    terms = [ad.frobenius_sq(ad.residual(f, r)) for f, r in zip(outputs, diffs)]
     return ad.mul_scalar(ad.add_n(terms), ad.const(0.5 / len(returned)))
 
 

@@ -21,7 +21,7 @@ per-client state, so `ClientProfile` records are inputs no method writes.
 Models are kept, sent, trained and evaluated in the dtype of the
 dataset's features (float32 from the loaders); the hyper-network runs in
 float64, and `DecomposedFL.prepare` is the one place its output is cast
-to the models' dtype.
+to the models' dtype, one client's share at a time.
 
 Sampling, each phase's `sent(i)`, aggregation and the hyper-network step
 run in the calling process. Per-client training and evaluation are tasks
@@ -486,10 +486,11 @@ class DecomposedFL(FederatedMethod):
         if self.generation is None:
             nodes, outputs = hypernet.generation_graph(self.hn)
             # the hyper-network runs in float64; this is the one cast of
-            # what it generates into the clients' dtype
-            flat = [f.data.astype(self.dtype, copy=False) for f in outputs]
+            # what it generates into the clients' dtype, share by share
+            flat = [f.data for f in outputs]
             self.generation = ((nodes, outputs) if self.hn_aggregation else None,
-                               {p.id: hypernet.generate_personal(flat, p.id, self.layout, p.width)
+                               {p.id: hypernet.generate_personal(flat, p.id, self.layout,
+                                                                 p.width, self.dtype)
                                 for p in self.profiles})
         return self.generation
 

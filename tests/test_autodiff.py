@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from padfl import autodiff as ad
 from padfl.errors import DimensionError
 
-from util import conv2d_loops, conv_block_loops, finite_diff, rel_err
+from util import conv2d_loops, conv_block_loops, finite_diff, graph_nodes, rel_err
 
 
 def scalarize(t):
@@ -67,6 +67,18 @@ class TestMatmul:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             ad.matmul(ad.const(np.ones((2, 3))), ad.const(np.ones((2, 3))))
+
+    def test_fused_bias_gradient_matches_fd(self):
+        rng = np.random.default_rng(2)
+        w, x, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 5)), rng.normal(size=3)
+        lw, lx, lb = ad.leaf(w), ad.leaf(x), ad.leaf(b)
+        out = ad.matmul(lw, lx, bias=lb)
+        assert np.array_equal(out.data, w @ x + b[:, None])
+        ad.backward(ad.frobenius_sq(out))
+        fd = finite_diff(lambda xs: float(((xs[0] @ xs[1] + xs[2][:, None]) ** 2).sum()),
+                         [w, x, b])
+        for got, ref in zip((lw.grad, lx.grad, lb.grad), fd):
+            assert rel_err(got, ref) <= 1e-6
 
 
 class TestConv2d:
@@ -251,7 +263,8 @@ class TestPrimitives:
     def test_add_bias_patterns(self):
         a = ad.const(np.ones((2, 3)))
         assert ad.add(a, ad.const(np.array([1.0, 2.0, 3.0]))).data[1, 2] == 4.0
-        assert ad.add(a, ad.const(np.array([[1.0], [2.0]]))).data[1, 0] == 3.0
+        with pytest.raises(DimensionError):  # matmul fuses a column bias
+            ad.add(a, ad.const(np.array([[1.0], [2.0]])))
         with pytest.raises(DimensionError):
             ad.add(a, ad.const(np.ones((3, 2))))
         img = ad.const(np.zeros((2, 3, 4, 4)))
@@ -329,6 +342,10 @@ def _ones(*shape):
 # one call per DimensionError guard, and the words its message must hold
 GUARD_CASES = {
     "matmul_2d": (lambda: ad.matmul(_ones(3), _ones(3, 2)), "expects 2-D operands"),
+    "matmul_bias": (lambda: ad.matmul(_ones(2, 3), _ones(3, 4), bias=_ones(4)),
+                    r"bias shape \(4,\), expected \(2,\)"),
+    "residual_shape": (lambda: ad.residual(_ones(2, 3), np.ones((3, 2))),
+                       r"residual shape \(3, 2\), expected \(2, 3\)"),
     "conv2d_4d": (lambda: ad.conv2d(_ones(1, 4, 4), _ones(1, 1, 3, 3), 0, _ones(1)),
                   "expects 4-D input and weight"),
     "conv2d_square": (lambda: ad.conv2d(_ones(1, 4, 4, 1), _ones(1, 1, 3, 1), 0, _ones(1)),
@@ -389,12 +406,7 @@ class TestGraphDiscipline:
         leaves = [ad.leaf(cf(x)), ad.leaf(w), ad.leaf(b)]
         root = loss_of(leaves, lambda node: node)
         ad.backward(root)
-        interior, stack = [], [root]
-        while stack:
-            node = stack.pop()
-            if node.backward_fn is not None:
-                interior.append(node)
-                stack.extend(node.parents)
+        interior = [node for node in graph_nodes([root]) if node.backward_fn is not None]
         assert len(interior) == 5
         assert all(node.grad is None for node in interior)
         fd = finite_diff(lambda arrs: float(loss_of(arrs, ad.const).data), [cf(x), w, b])

@@ -15,10 +15,13 @@ from util import (
     encode,
     finite_diff,
     generate_one,
+    graph_nodes,
     hn_loss,
+    negated_target_loss,
     prune_personal,
     reference_personal,
     rel_err,
+    unfused_generation_graph,
 )
 
 
@@ -403,3 +406,69 @@ class TestHnStep:
         bad = replace(gen, factors=[f * np.nan for f in gen.factors])
         with pytest.raises(NumericError):
             hn.hn_step(hn.generation_graph(state), {0: bad}, layout, lr=0.1)
+
+
+class TestFusedGeneration:
+    def noisy_returned(self, state, layout, clients, seed):
+        rng = np.random.default_rng(seed)
+        returned = {}
+        for i in clients:
+            gen = generate_one(state, i, layout, MIXED[i])
+            returned[i] = replace(gen, factors=[f + rng.normal(size=f.shape)
+                                                for f in gen.factors],
+                                  head_b=gen.head_b + rng.normal(size=gen.head_b.shape))
+        return returned
+
+    def test_one_full_size_array_per_decoder_output(self):
+        # the server's memory: at 100 clients, F_l is the only (out_dim_l, n)
+        # array the generation graph holds, and the loss adds one, R_l
+        layout = conv_layout()
+        n = 100
+        state = make_state(layout, n_clients=n, embed=3, hidden=4, depth=2, seed=27)
+        _, outputs = hn.generation_graph(state)
+        full = {f.data.shape for f in outputs}
+        assert all(shape[1] == n for shape in full)
+        held = [node for node in graph_nodes(outputs) if node.data.shape in full]
+        assert sorted(map(id, held)) == sorted(map(id, outputs))
+        returned = self.noisy_returned(state, layout, (0, 1, 4), seed=28)
+        loss = hn.regression_loss(outputs, returned, layout)
+        added = [node for node in graph_nodes([loss]) if node.data.shape in full and
+                 all(node is not f for f in outputs)]
+        assert sorted(node.data.shape for node in added) == sorted(f.data.shape for f in outputs)
+
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_bit_identical_to_unfused_graph(self, depth):
+        layout = conv_layout()
+        state = make_state(layout, n_clients=len(MIXED), embed=3, hidden=4, depth=depth,
+                           seed=29)
+        state.log_temp = np.random.default_rng(30).normal(size=state.log_temp.shape)
+        returned = self.noisy_returned(state, layout, (0, 1, 4), seed=31)
+        nodes, outputs = hn.generation_graph(state)
+        ref_nodes, ref_outputs = unfused_generation_graph(state)
+        for f, o in zip(outputs, ref_outputs, strict=True):
+            assert f.data.tobytes() == o.data.tobytes()
+        loss = hn.regression_loss(outputs, returned, layout)
+        ref_loss = negated_target_loss(ref_outputs, returned, layout)
+        assert loss.data.tobytes() == ref_loss.data.tobytes()
+        ad.backward(loss)
+        ad.backward(ref_loss)
+        for got, ref in zip(nodes.arrays(), ref_nodes.arrays()):
+            assert got.grad.dtype == ref.grad.dtype
+            assert got.grad.tobytes() == ref.grad.tobytes()
+        new, val = hn.hn_step(hn.generation_graph(state), returned, layout, lr=0.3)
+        assert val == float(ref_loss.data)
+        for got, ref in zip(new.arrays(), ref_nodes.arrays()):
+            assert got.tobytes() == (ref.data - ref.grad * 0.3).tobytes()
+
+    def test_inf_where_nothing_returned_raises(self):
+        # R_l starts as F_l - F_l, nan where F_l is not finite, so an inf
+        # in a column no client returned still poisons the loss
+        layout = conv_layout()
+        state = make_state(layout, n_clients=len(MIXED), embed=3, hidden=4, depth=2, seed=32)
+        returned = {i: generate_one(state, i, layout, MIXED[i]) for i in (0, 1, 4)}
+        nodes, outputs = hn.generation_graph(state)
+        assert hn.hn_step((nodes, outputs), returned, layout, lr=0.1)[1] == 0.0
+        planted = outputs[0].data.copy()
+        planted[0, 2] = np.inf
+        with pytest.raises(NumericError), np.errstate(invalid="ignore"):  # inf - inf
+            hn.hn_step((nodes, [ad.Tensor(planted), *outputs[1:]]), returned, layout, lr=0.1)

@@ -1,8 +1,10 @@
 """Shared test oracles, independent of the library's compute paths:
 central finite differences, nested-loop convolution and conv-block
 references, an einsum recovery, per-model decomposed and dense forwards, and a
-per-client loop form of the hyper-network's generation and loss. Also
-the single-layer record, full decomposed-model init, recovery,
+per-client loop form of the hyper-network's generation and loss, and
+their unfused graph form (each bias added after its product, the loss
+through a copy of -T). Also a graph walk, the single-layer record, full
+decomposed-model init, recovery,
 generation, pruning, accounting and copying helpers that only tests use.
 The personal factor's grid and the stored-float count are computed here
 by their own formulas, not read from `decomp`; the width grid and a
@@ -14,7 +16,7 @@ import numpy as np
 from padfl import autodiff as ad
 from padfl.decomp import init_general, init_personal, recover_padfl_t
 from padfl.errors import ConfigurationError
-from padfl.hypernet import generate_personal, generation_graph
+from padfl.hypernet import HyperNetState, generate_personal, generation_graph, share
 from padfl.model import ClientModel, PlainModel, build_layout, init_head
 from padfl.protocol import orthogonal_reg_t
 
@@ -215,6 +217,64 @@ def built_spec(kind, t, s, k=1, min_width=1, hw=(2, 2)):
     if kind == "conv":
         return build_layout((s, *hw), 2, min_width, convs=(t,), kernel=k).specs[0]
     return build_layout((s, 1, 1), 2, min_width, hidden=(t,)).specs[0]
+
+
+def graph_nodes(roots):
+    """Every node reachable from `roots` through `parents`, once each."""
+    seen, stack = {}, list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.parents)
+    return list(seen.values())
+
+
+def _add_column(a, b):
+    """Node of a + b for an (n, m) a and an (n, 1) b, the broadcast add a
+    product's column bias once went through."""
+    def bw(g):
+        ad._acc(a, g, own=not b.requires_grad)
+        ad._acc(b, g.sum(axis=1, keepdims=True))
+
+    return ad.Tensor(a.data + b.data, (a, b), bw)
+
+
+def unfused_generation_graph(state):
+    """`generation_graph` with each bias added after its product, by a
+    reshape node and a column add: every (out_dim_l, n) decoder output has
+    its pre-bias product as a parent node."""
+    nodes = HyperNetState.from_arrays([ad.leaf(a) for a in state.arrays()], len(state.encoder))
+
+    def linear(lm, x):
+        return _add_column(ad.matmul(lm.w, x), ad.reshape(lm.b, (-1, 1)))
+
+    enc = nodes.embeddings
+    for i, lm in enumerate(nodes.encoder):
+        enc = linear(lm, enc)
+        if i < len(nodes.encoder) - 1:
+            enc = ad.relu(enc)
+    sims = ad.matmul(ad.transpose(enc, (1, 0)), enc)
+    inv_temps = ad.exp(ad.mul_scalar(nodes.log_temp, ad.const(-1.0)))
+    outputs = []
+    for l, dec in enumerate(nodes.decoders):
+        attn = ad.softmax(ad.mul_scalar(sims, ad.slice_t(inv_temps, (l,))))
+        outputs.append(linear(dec, ad.matmul(enc, ad.transpose(attn, (1, 0)))))
+    return nodes, outputs
+
+
+def negated_target_loss(outputs, returned, layout):
+    """`regression_loss` by way of a copy -T_l of each output, whose
+    returned shares are overwritten by the negated returned values:
+    0.5/|R| * sum_l ||F_l + (-T_l)||^2."""
+    negated = [-f.data for f in outputs]
+    for i, model in returned.items():
+        pairs = list(zip(model.factors, model.biases)) + [(model.head_w, model.head_b)]
+        for l, pair in enumerate(pairs):
+            for view, arr in zip(share(layout, l, negated[l][:, i], model.width), pair):
+                np.negative(arr.reshape(view.shape), out=view)
+    terms = [ad.frobenius_sq(ad.add(f, ad.Tensor(t))) for f, t in zip(outputs, negated)]
+    return ad.mul_scalar(ad.add_n(terms), ad.const(0.5 / len(returned)))
 
 
 def recover_graph(general, personal, spec, p=1):
