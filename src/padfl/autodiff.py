@@ -14,7 +14,8 @@ once passed on, and `_acc` moves a gradient no one else holds rather
 than copy it. There is no broadcasting beyond the biases: a row bias
 added by :func:`add`, a column bias fused into :func:`matmul` and a
 channel bias fused into :func:`conv2d`; everything else must match
-shapes exactly so silent shape bugs cannot survive.
+shapes exactly so silent shape bugs cannot survive. The only elementwise
+product is :func:`mul_scalar`'s, by a 0-D tensor.
 """
 from __future__ import annotations
 
@@ -370,17 +371,6 @@ def residual(x, diff):
         _acc(x, g, own=True)
 
     return Tensor(diff, (x,), bw)
-
-
-def mul(a, b):
-    if a.data.shape != b.data.shape:
-        raise DimensionError(f"mul shapes {a.data.shape} * {b.data.shape}")
-
-    def bw(g):
-        _acc(a, g * b.data)
-        _acc(b, g * a.data)
-
-    return Tensor(a.data * b.data, (a, b), bw)
 
 
 def mul_scalar(x, s):

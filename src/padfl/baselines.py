@@ -79,7 +79,8 @@ class PWidthNested(DenseMethod):
 
 class LocalOnly(DenseMethod):
     """No federation: every client trains its own width-matched dense
-    model, kept in `local`, whenever it is sampled."""
+    model, kept in `local`, whenever it is sampled; `sent(i)` is that
+    model itself, so no float travels."""
 
     def __init__(self, profiles, layout, cfg):
         super().__init__(profiles, layout, cfg)
@@ -89,6 +90,3 @@ class LocalOnly(DenseMethod):
 
     def sent(self, i):
         return self.local[i]
-
-    def round_payload(self, selected, payloads):
-        return 0  # nothing leaves a client

@@ -57,7 +57,6 @@ class RunConfig:
     epochs: int = 5
     lr: float = 0.05
     lr_decay: float = 0.998
-    reg_lambda: float = 0.001
     hn_lr: float = -1.0               # -1 means "use lr"
     min_width: Fraction = Fraction(1, 16)
     capacity: str = "hetero"          # hetero | ideal
@@ -152,8 +151,6 @@ def validate(cfg: RunConfig):
         raise ConfigurationError("batch and epochs must be >= 1")
     if not 0 < cfg.lr or not 0 < cfg.lr_decay <= 1:
         raise ConfigurationError("lr must be > 0 and lr_decay in (0, 1]")
-    if cfg.reg_lambda < 0:
-        raise ConfigurationError("reg_lambda must be >= 0")
     if cfg.hn_lr <= 0:
         raise ConfigurationError(f"hn_lr must be > 0, or -1 to use lr; got {cfg.hn_lr}")
     if Fraction(cfg.min_width).numerator != 1:

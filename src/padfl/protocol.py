@@ -109,18 +109,9 @@ def early_stop(history, stale) -> bool:
 # ---------------------------------------------------------------------------
 # local training
 
-def orthogonal_reg_t(u_nodes, specs):
-    """Off-diagonal Gram penalty sum ||U^T U - diag||^2 over conv layers."""
-    terms = []
-    for node, spec in zip(u_nodes, specs):
-        if spec.kind != "conv":
-            continue
-        gram = ad.matmul(ad.transpose(node, (1, 0)), node)
-        mask = 1.0 - np.eye(gram.data.shape[0], dtype=gram.data.dtype)
-        terms.append(ad.frobenius_sq(ad.mul(gram, ad.const(mask))))
-    if not terms:
-        return None
-    return ad.add_n(terms)
+def finite(arrays) -> bool:
+    """Is every entry of every array finite?"""
+    return all(np.isfinite(a).all() for a in arrays)
 
 
 def sgd(model, data: ClientData, loss_fn, *, epochs, batch, lr, rng):
@@ -130,11 +121,11 @@ def sgd(model, data: ClientData, loss_fn, *, epochs, batch, lr, rng):
     from the model as one of leaf nodes.
 
     Returns (trained model, mean batch loss), or (None, nan) if an input
-    array or a batch loss is not finite.
+    array, a batch loss or a stepped array is not finite.
     """
     x_all, y_all = data.dataset.features, data.dataset.labels
     arrays = [a.astype(x_all.dtype) for a in model.arrays()]
-    if not all(np.isfinite(a).all() for a in arrays):
+    if not finite(arrays):
         return None, float("nan")
     losses = []
     for _ in range(epochs):
@@ -150,17 +141,19 @@ def sgd(model, data: ClientData, loss_fn, *, epochs, batch, lr, rng):
             losses.append(val)
             ad.backward(loss)  # the leaves froze `arrays`: step out of place
             arrays = [a if n.grad is None else a - lr * n.grad for a, n in zip(arrays, leaves)]
+    if not finite(arrays):  # the last step overflowed: no batch loss saw it
+        return None, float("nan")
     return type(model).from_arrays(arrays, model.width), float(np.mean(losses))
 
 
 def local_update(model: ClientModel, global_head, client: ClientProfile, layout: Layout,
-                 *, epochs, batch, lr, reg_coef, rng):
+                 *, epochs, batch, lr, rng):
     """E epochs of minibatch SGD on one client's model.
 
-    Loss = CE on the frozen shared head + CE of the personal head on the
-    detached representation + reg_coef * orthogonal penalty. Trains the
-    general factors, personal factors/biases and the personal head; the
-    shared head never changes. Returns `sgd`'s (model | None, loss).
+    Loss = CE on the frozen shared head, which trains the general and
+    personal factors and the biases, + CE of the personal head on the
+    detached representation, which trains that head alone. Returns
+    `sgd`'s (model | None, loss).
     """
     gw, gb = ad.const(global_head.w), ad.const(global_head.b)
 
@@ -169,12 +162,7 @@ def local_update(model: ClientModel, global_head, client: ClientProfile, layout:
                    for spec, general, factor in zip(layout.specs, m.general, m.factors)]
         rep = representation_t(layout, weights, m.biases, x)
         loss = ad.cross_entropy(head_logits_t(rep, gw, gb), y)
-        loss = ad.add(loss, ad.cross_entropy(head_logits_t(ad.detach(rep), m.head_w, m.head_b), y))
-        if reg_coef:
-            reg = orthogonal_reg_t(m.general, layout.specs)
-            if reg is not None:
-                loss = ad.add(loss, ad.mul_scalar(reg, ad.const(reg_coef)))
-        return loss
+        return ad.add(loss, ad.cross_entropy(head_logits_t(ad.detach(rep), m.head_w, m.head_b), y))
 
     return sgd(model, client.data, loss_fn, epochs=epochs, batch=batch, lr=lr, rng=rng)
 
@@ -426,8 +414,11 @@ class FederatedMethod:
             eval_s=evaluated_at - rebuilt_at)
 
     def round_payload(self, selected, payloads) -> int:
-        """Floats sent this round: the sizes of the training payloads."""
-        return sum(a.size for m in payloads for a in m.arrays())
+        """Floats sent this round: the sizes of the training payloads' arrays
+        that their clients do not already hold, by identity, in `self.local`."""
+        held = {i: {id(a) for a in self.local[i].arrays()} for i in selected if i in self.local}
+        return sum(a.size for i, m in zip(selected, payloads)
+                   for a in m.arrays() if id(a) not in held.get(i, ()))
 
     def serve(self, task):
         """Run one per-client task, (hook name, *arguments): what a
@@ -482,16 +473,18 @@ class DecomposedFL(FederatedMethod):
     def prepare(self):
         """(generation_graph of self.hn for hn_step to differentiate, or None
         for the ablation, which never steps; {client id: its generated
-        personal parameters, cut from the graph}), built once per state."""
+        personal parameters, cut from the graph}), built once per state.
+        Raises NumericError if a cut share is not finite in the clients' dtype."""
         if self.generation is None:
             nodes, outputs = hypernet.generation_graph(self.hn)
             # the hyper-network runs in float64; this is the one cast of
             # what it generates into the clients' dtype, share by share
             flat = [f.data for f in outputs]
-            self.generation = ((nodes, outputs) if self.hn_aggregation else None,
-                               {p.id: hypernet.generate_personal(flat, p.id, self.layout,
-                                                                 p.width, self.dtype)
-                                for p in self.profiles})
+            personal = {p.id: hypernet.generate_personal(flat, p.id, self.layout, p.width,
+                                                         self.dtype) for p in self.profiles}
+            if not all(finite(m.arrays()) for m in personal.values()):  # before any is sent
+                raise NumericError("non-finite hyper-network output")
+            self.generation = ((nodes, outputs) if self.hn_aggregation else None, personal)
         return self.generation
 
     def sent(self, i) -> ClientModel:
@@ -506,10 +499,8 @@ class DecomposedFL(FederatedMethod):
     def train_client(self, t, i, model):
         profile = self.profiles[i]
         sliced = self.global_head.sliced(self.layout.head_in(profile.width))
-        return local_update(
-            model, sliced, profile, self.layout,
-            epochs=self.cfg.epochs, batch=self.cfg.batch, lr=self.eta(t),
-            reg_coef=self.cfg.reg_lambda, rng=self.client_rng(t, i))
+        return local_update(model, sliced, profile, self.layout, epochs=self.cfg.epochs,
+                            batch=self.cfg.batch, lr=self.eta(t), rng=self.client_rng(t, i))
 
     def aggregate(self, models):
         full = [...] * len(self.general)
@@ -520,13 +511,6 @@ class DecomposedFL(FederatedMethod):
                                              self.cfg.hn_lr)
             self.generation = None
             return loss
-
-    def round_payload(self, selected, payloads):
-        """Without hyper-network aggregation a client that holds its own
-        model receives only the general factors."""
-        own = () if self.hn_aggregation else self.local
-        return sum(a.size for i, m in zip(selected, payloads)
-                   for a in (m.general if i in own else m.arrays()))
 
     def evaluate_client(self, i, model, local):
         data = self.profiles[i].data

@@ -59,8 +59,9 @@ class TestConfig:
         assert cfg.batch == 50 and cfg.epochs == 5 and cfg.lr_decay == 0.998
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown key"):
-            parse_config("learning_rate = 0.1\n")
+        for text in ("learning_rate = 0.1\n", "reg_lambda = 0.001\n"):
+            with pytest.raises(ConfigurationError, match=f"unknown key '{text.split()[0]}'"):
+                parse_config(text)
 
     def test_bad_value_names_line(self):
         with pytest.raises(ConfigurationError, match="line 2"):
@@ -79,7 +80,7 @@ class TestConfig:
         "synth_classes = 1", "conv_channels = 0", "fc_dims = 4,0",
         "synth_classes = 65\nsynth_shape = 1,8,8",
         "method = x", "dataset = x", "dataset = idx", "partition = x", "clients = 0",
-        "rounds = -1", "epochs = 0", "lr = 0", "reg_lambda = -1", "patience_frac = -1",
+        "rounds = -1", "epochs = 0", "lr = 0", "patience_frac = -1",
         "workers = 0", "synth_shape = 1,8", "conv_channels = ", "conv_kernel = 2",
         "hn_depth = -1", "min_width = 3/10\nconv_channels = 10,10\ncapacity = ideal",
         "min_width = 0", "conv_channels = 10,16", "fc_dims = 8",

@@ -8,7 +8,7 @@ from padfl import autodiff as ad
 from padfl import data as pdata
 from padfl import hypernet, protocol, runner
 from padfl.config import METHODS, RunConfig
-from padfl.decomp import LayerSpec
+from padfl.errors import NumericError
 from padfl.model import (
     ClientModel,
     LinearMap,
@@ -27,7 +27,6 @@ from util import (
     generate_one,
     grid_width_for_capacity,
     init_decomposed,
-    orthogonal_reg,
     reference_logits,
     rel_err,
     supported_widths,
@@ -113,37 +112,6 @@ class TestEarlyStop:
         assert protocol.early_stop(hist, stale=2)
 
 
-class TestOrthogonalReg:
-    def test_orthogonal_columns_zero(self):
-        u = np.eye(4)[:, :3]
-        spec = LayerSpec("conv", 3, 3, 2, base_count=1, rank=3)
-        assert orthogonal_reg([u], [spec]) == 0.0
-
-    def test_hand_value(self):
-        u = np.array([[1.0, 1.0], [0.0, 0.0]])
-        spec = LayerSpec("conv", 2, 2, 1, base_count=2, rank=2)
-        assert orthogonal_reg([u], [spec]) == 2.0
-
-    def test_linear_layers_excluded(self):
-        u = np.array([[1.0, 1.0], [0.0, 0.0]])
-        assert orthogonal_reg([u], [LayerSpec("linear", 2, 2, 1, base_count=2, rank=2)]) == 0.0
-
-    def test_gradient_matches_fd(self):
-        rng = np.random.default_rng(2)
-        u = rng.normal(size=(6, 4))
-        spec = LayerSpec("conv", 4, 3, 2, base_count=1, rank=4)
-        node = ad.leaf(u)
-        ad.backward(protocol.orthogonal_reg_t([node], [spec]))
-
-        def f(arrs):
-            g = arrs[0].T @ arrs[0]
-            off = g - np.diag(np.diag(g))
-            return float((off ** 2).sum())
-
-        fd = finite_diff(f, [u])
-        assert rel_err(node.grad, fd[0]) <= 1e-5
-
-
 def small_setup(seed=0, clients=4, capacity="ideal"):
     """A small config, layout and partitioned profiles on a float64 dataset,
     so methods built on it compute in float64 and the oracles stay exact."""
@@ -171,8 +139,7 @@ class TestLocalUpdate:
         model = replace(init, head_w=head.w.copy() * 0.5, head_b=head.b.copy() * 0.5)
         before_w, before_b = head.w.copy(), head.b.copy()
         trained, _ = protocol.local_update(model, head, profiles[0], layout,
-                                           epochs=2, batch=8, lr=0.1, reg_coef=0.001,
-                                           rng=np.random.default_rng(4))
+                                           epochs=2, batch=8, lr=0.1, rng=np.random.default_rng(4))
         assert trained is not None
         assert np.array_equal(head.w, before_w) and np.array_equal(head.b, before_b)
         # training must have moved something
@@ -216,7 +183,7 @@ class TestLocalUpdate:
         trained, _ = protocol.local_update(model,
                                            LinearMap(init.head_w, np.zeros_like(init.head_b)),
                                            prof, layout, epochs=1, batch=8, lr=0.5,
-                                           reg_coef=0.0, rng=np.random.default_rng(7))
+                                           rng=np.random.default_rng(7))
         assert trained is not None
         for a, b in zip(trained.general, model.general):
             assert np.array_equal(a, b)
@@ -231,13 +198,52 @@ class TestLocalUpdate:
         init.factors[0] = init.factors[0] * np.inf
         trained, _ = protocol.local_update(init, LinearMap(init.head_w, init.head_b),
                                            profiles[0], layout, epochs=1, batch=8, lr=0.1,
-                                           reg_coef=0.0, rng=np.random.default_rng(9))
+                                           rng=np.random.default_rng(9))
         assert trained is None
+
+    def test_one_step_follows_the_two_cross_entropies(self):
+        # float64, width 1, one batch holding the whole training split: the
+        # step on the general and personal factors and the biases is lr times
+        # the shared-head CE's gradient, the personal head's step lr times the
+        # personal-head CE's, each by finite differences of the oracle forward
+        layout = build_layout((1, 4, 4), 2, Fraction(1, 2), (2, 2), 3)
+        ds = pdata.synth_gaussian(2, 10, shape=(1, 4, 4), separation=3.0, seed=0)
+        ds = pdata.Dataset(ds.features.astype(np.float64), ds.labels, ds.classes)
+        data = pdata.ClientData(ds, np.arange(16), np.arange(16, 18), np.arange(18, 20))
+        x, y = ds.features[data.train_idx], ds.labels[data.train_idx]
+        rng = np.random.default_rng(40)
+        model, shared = init_decomposed(layout, rng), init_decomposed(layout, rng)
+        shared = LinearMap(shared.head_w, shared.head_b)
+        n, lr = len(layout.specs), 0.1
+
+        def ce(logits):
+            top = logits.max(axis=1, keepdims=True)
+            lse = top[:, 0] + np.log(np.exp(logits - top).sum(axis=1))
+            return float((lse - logits[np.arange(len(y)), y]).mean())
+
+        def shared_ce(arrs):
+            body = ClientModel(arrs[:n], arrs[n:2 * n], arrs[2 * n:], shared.w, shared.b,
+                               Fraction(1))
+            return ce(reference_logits(layout, body, x))
+
+        def personal_ce(arrs):
+            return ce(reference_logits(layout, replace(model, head_w=arrs[0], head_b=arrs[1]), x))
+
+        body, head = model.arrays()[:3 * n], [model.head_w, model.head_b]
+        grads = finite_diff(shared_ce, body) + finite_diff(personal_ce, head)
+        trained, loss = protocol.local_update(
+            model, shared, protocol.ClientProfile(0, 1.0, Fraction(1), data), layout,
+            epochs=1, batch=len(y), lr=lr, rng=np.random.default_rng(41))
+        assert abs(loss - shared_ce(body) - personal_ce(head)) <= 1e-9
+        for before, after, grad in zip(model.arrays(), trained.arrays(), grads, strict=True):
+            assert rel_err(before - after, lr * grad) <= 1e-5
 
 
 class TestNonFiniteClients:
-    """A client whose model or batch loss is not finite fails alone: `sgd`
-    returns (None, nan), and `run_round` lists the client in `failed`."""
+    """A client whose model, batch loss or stepped model is not finite fails
+    alone: `sgd` returns (None, nan), and `run_round` lists the client in
+    `failed`. A non-finite generation fails the run before any client is
+    sent from it."""
 
     @staticmethod
     def counting_loss(scale, calls):
@@ -247,20 +253,35 @@ class TestNonFiniteClients:
                                  ad.const(scale))
         return loss_fn
 
-    @pytest.mark.parametrize("poisoned, scale, batches", [(True, 1.0, 0), (False, np.inf, 1)],
-                             ids=["nan-input", "inf-batch-loss"])
-    def test_sgd_returns_none_and_nan(self, poisoned, scale, batches):
+    @pytest.mark.parametrize("poisoned, scale, lr, one_batch, batches", [
+        (True, 1.0, 0.01, False, 0), (False, np.inf, 0.01, False, 1),
+        (False, 1e200, 1e200, True, 1)], ids=["nan-input", "inf-batch-loss", "overflowing-step"])
+    def test_sgd_returns_none_and_nan(self, poisoned, scale, lr, one_batch, batches):
         # a NaN input is refused before any batch; an infinite loss stops
-        # training at the first batch, before its backward pass
+        # training at the first batch, before its backward pass; a finite
+        # loss whose gradient step overflows, in the run's only batch, leaves
+        # no batch loss to see it
         _, layout, profiles = small_setup()
         model = init_plain(layout, Fraction(1), np.random.default_rng(33))
         if poisoned:
             model.weights[0][0, 0, 1, 1] = np.nan
-        calls = []
-        trained, loss = protocol.sgd(model, profiles[0].data, self.counting_loss(scale, calls),
-                                     epochs=2, batch=8, lr=0.01, rng=np.random.default_rng(34))
+        data, calls = profiles[0].data, []
+        epochs, batch = (1, len(data.train_idx)) if one_batch else (2, 8)
+        with np.errstate(over="ignore"):  # the overflow this test plants
+            trained, loss = protocol.sgd(model, data, self.counting_loss(scale, calls),
+                                         epochs=epochs, batch=batch, lr=lr,
+                                         rng=np.random.default_rng(34))
         assert trained is None and np.isnan(loss)
         assert len(calls) == batches
+
+    @pytest.mark.parametrize("method", ["Pa3dFL", "Pa3dFL_NoHNAgg"])
+    def test_non_finite_generation_raises(self, method):
+        # no client is sent, trained or scored from a non-finite generation
+        _, built = conv48_method(method, 5)
+        built.hn.decoders[0].b[0] = np.inf
+        built.generation = None
+        with pytest.raises(NumericError, match="non-finite hyper-network output"):
+            built.sent(0)
 
     def test_poisoned_client_fails_alone_in_its_round(self):
         profiles, built = conv48_method("LocalOnly", 5, per_round=4)

@@ -17,10 +17,11 @@ is built in one place: only `FederatedMethod.run_round` constructs a
 store and one writer: outside `__init__` methods, only
 `FederatedMethod.aggregate` writes `self.local`. A client's share of the
 hyper-network's output is cut by one rule: only `generate_personal` and
-`regression_loss` call `hypernet.share`. Both model families train
-through one graph forward: only `model.representation_t` calls the conv
-and pool ops, and only `local_update`'s batch loss recovers a decomposed
-model's weights in the graph."""
+`regression_loss` call `hypernet.share`. A round's payload is counted by
+one rule: only `FederatedMethod` defines `round_payload`. Both model
+families train through one graph forward: only `model.representation_t`
+calls the conv and pool ops, and only `local_update`'s batch loss
+recovers a decomposed model's weights in the graph."""
 import ast
 import graphlib
 from pathlib import Path
@@ -177,6 +178,12 @@ def test_each_family_trains_through_one_graph_forward():
 def test_hypernet_output_is_cut_by_one_rule():
     assert callers("share") == {("hypernet", "generate_personal"),
                                 ("hypernet", "regression_loss")}
+
+
+def test_payloads_are_counted_by_one_rule():
+    defines = enclosing(lambda node: isinstance(node, ast.FunctionDef)
+                        and node.name == "round_payload")
+    assert defines == {("protocol", "FederatedMethod")}
 
 
 def test_clients_own_models_have_one_writer():

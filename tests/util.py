@@ -18,7 +18,6 @@ from padfl.decomp import init_general, init_personal, recover_padfl_t
 from padfl.errors import ConfigurationError
 from padfl.hypernet import HyperNetState, generate_personal, generation_graph, share
 from padfl.model import ClientModel, PlainModel, build_layout, init_head
-from padfl.protocol import orthogonal_reg_t
 
 
 def finite_diff(f, arrays, eps=1e-5):
@@ -312,12 +311,6 @@ def reduction_ratio(spec, p) -> Fraction:
     t, s = Fraction(spec.out_channels) * p, Fraction(spec.in_channels) * p
     dense = spec.out_channels * spec.in_channels * spec.kernel ** 2
     return Fraction(stored_floats(spec, int(t), int(s)) - int(t), dense)
-
-
-def orthogonal_reg(general_factors, specs) -> float:
-    """Value of the library's orthogonality penalty on plain arrays."""
-    node = orthogonal_reg_t([ad.const(u) for u in general_factors], specs)
-    return 0.0 if node is None else float(node.data)
 
 
 def supported_widths(min_width) -> tuple:
